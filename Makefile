@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vulncheck fmt test race bench bench-json scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate ci
+.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate ci
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,12 @@ BENCH_CORE := 'BenchmarkSimRun|BenchmarkInstrumentedTick|BenchmarkEngineSecond|B
 bench-json:
 	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/service . \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
+
+# Benchmark-harness compile gate: perfbench/ (BENCHMARK.json) is its own
+# Go module, so ./... above never builds it. Vet and test it here so an
+# API change that breaks the harness fails CI instead of the benchmark.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Curated scenario-corpus regression gate: every preset (hand-authored
 # and trace-replayed, preemption and departures included) under the
@@ -110,4 +116,4 @@ obs-gate:
 	$(GO) test ./internal/sim -run 'TestInstrumentedTickZeroAllocs|TestRunStatsConsistent' -count=1
 	$(GO) test ./internal/service -run 'TestMetricsPromExposition|TestTrace' -count=1
 
-ci: build vet lint fmt test race bench scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate vulncheck
+ci: build vet lint fmt perfbench-check test race bench scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate vulncheck

@@ -1,11 +1,11 @@
 // Command teemcal prints the thermal/power calibration of a platform
 // model: steady-state temperatures per operating point, heating and
 // cooling time scales, and the board power envelope. Use it to verify a
-// platform description before running experiments, or to re-derive the
-// targets documented in DESIGN.md §4. Everything it prints — the
-// frequency ladder, node names, trip targets — derives from the selected
-// platform, so it calibrates any catalog entry or bundle file, not just
-// the Exynos.
+// platform description before running experiments, or to re-derive a
+// catalog entry's calibration (docs/platforms.md). Everything it prints
+// — the frequency ladder, node names, trip targets — derives from the
+// selected platform, so it calibrates any catalog entry or bundle file,
+// not just the Exynos.
 //
 // Usage:
 //

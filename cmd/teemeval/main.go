@@ -15,18 +15,24 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"slices"
+	"strings"
 
 	"teem/internal/buildinfo"
 	"teem/internal/experiments"
 	"teem/internal/mapping"
 )
 
+// experimentNames are the values -only accepts, in run order.
+var experimentNames = []string{"fig1", "fig5", "memory", "space", "ablations"}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("teemeval: ")
 
 	var (
-		only    = flag.String("only", "", "run one experiment: fig1, fig5, memory, space, ablations")
+		only    = flag.String("only", "", "run one experiment: "+strings.Join(experimentNames, ", "))
 		nBig    = flag.Int("big", 4, "Fig. 5 mapping: big cores")
 		nLittle = flag.Int("little", 2, "Fig. 5 mapping: LITTLE cores")
 		workers = flag.Int("workers", 0, "parallel experiment workers (0 = one per CPU, 1 = serial)")
@@ -36,6 +42,10 @@ func main() {
 	if *version {
 		fmt.Println(buildinfo.String("teemeval"))
 		return
+	}
+	if *only != "" && !slices.Contains(experimentNames, *only) {
+		log.Printf("unknown experiment %q for -only (want one of: %s)", *only, strings.Join(experimentNames, ", "))
+		os.Exit(2)
 	}
 
 	env, err := experiments.NewEnvWith(experiments.Options{Workers: *workers})

@@ -1,11 +1,11 @@
-// Command teemreport regenerates the data behind EXPERIMENTS.md: it runs
-// every paper experiment and emits a Markdown report comparing paper
-// numbers against the simulator's measurements.
+// Command teemreport runs every paper experiment and emits a Markdown
+// report comparing the paper's numbers against the simulator's
+// measurements.
 //
 // Usage:
 //
-//	teemreport > EXPERIMENTS.md
-//	teemreport -workers 8 > EXPERIMENTS.md   # bound the worker pool
+//	teemreport > report.md
+//	teemreport -workers 8 > report.md   # bound the worker pool
 //
 // The experiments fan out across a worker pool (default: one worker per
 // CPU); the report is byte-identical whatever the worker count.
@@ -41,7 +41,7 @@ func main() {
 	fmt.Println("# EXPERIMENTS — paper vs measured")
 	fmt.Println()
 	fmt.Println("Regenerated by `go run ./cmd/teemreport`. The substrate is the calibrated")
-	fmt.Println("Exynos 5422 simulator (see DESIGN.md §1), so absolute numbers differ from")
+	fmt.Println("Exynos 5422 simulator (see docs/platforms.md), so absolute numbers differ from")
 	fmt.Println("the authors' board; the comparisons below check the *shape* claims: who")
 	fmt.Println("wins, by roughly what factor, and where the crossovers fall.")
 	fmt.Println()

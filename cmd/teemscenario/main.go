@@ -211,44 +211,32 @@ func main() {
 		}
 	}
 
-	if *platforms != "" {
-		var plats []string
-		if *platforms == "all" {
-			plats = platform.Names()
-		} else {
-			for _, p := range strings.Split(*platforms, ",") {
-				plats = append(plats, strings.TrimSpace(p))
-			}
+	// A nil platform list runs on the hardware selected above.
+	var plats []string
+	if *platforms == "all" {
+		plats = platform.Names()
+	} else if *platforms != "" {
+		for _, p := range strings.Split(*platforms, ",") {
+			plats = append(plats, strings.TrimSpace(p))
 		}
-		grid, err := scenario.RunPlatformGrid(plats, scs, governors, rc, *workers)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Print(grid.Render())
-		if *stats {
-			var cells []*scenario.Result
-			for _, plane := range grid.Cells {
-				for _, row := range plane {
-					cells = append(cells, row...)
-				}
-			}
-			printStats(cells)
-		}
-		if n := grid.Violations(); n > 0 {
-			log.Fatalf("%d assertion violation(s)", n)
-		}
-		return
 	}
-
-	grid, err := scenario.RunGrid(scs, governors, rc, *workers)
+	var grid *scenario.PlatformGridResult
+	var err error
+	if plats != nil {
+		grid, err = scenario.RunPlatformGrid(plats, scs, governors, rc, *workers)
+	} else {
+		grid, err = scenario.RunGrid(scs, governors, rc, *workers)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(grid.Render())
 	if *stats {
 		var cells []*scenario.Result
-		for _, row := range grid.Cells {
-			cells = append(cells, row...)
+		for _, plane := range grid.Cells {
+			for _, row := range plane {
+				cells = append(cells, row...)
+			}
 		}
 		printStats(cells)
 	}

@@ -72,7 +72,8 @@
 //	          and Polybench workload models
 //	scenario  declarative event timelines (arrivals, departures, ambient
 //	          ramps, governor switches) compiled onto the sim hooks, with
-//	          presets, trace replay and grid fan-out
+//	          presets, trace replay and one grid fan-out filling a
+//	          platform × scenario × governor cube (ScenarioGridResult)
 //	service   simulations as managed jobs: bounded worker pool, request
 //	          cache, cancellation, NDJSON telemetry — served by cmd/teemd
 //	obs       the observability layer the others report through: the

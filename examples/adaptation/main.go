@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range grid.Cells[0] {
+	for _, row := range grid.Cells[0][0] {
 		if row.Sim == nil {
 			// A failed cell carries its error as a violation.
 			log.Fatalf("%s under %s failed: %v", row.Scenario, row.Governor, row.Violations)

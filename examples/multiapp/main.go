@@ -44,7 +44,7 @@ func main() {
 	}
 	// A cell whose run errors out carries the error as its violation
 	// with no sim result — fail loudly instead of dereferencing nil.
-	for _, cell := range grid.Cells[0] {
+	for _, cell := range grid.Cells[0][0] {
 		if cell.Sim == nil {
 			log.Fatalf("%s under %s failed: %v", cell.Scenario, cell.Governor, cell.Violations)
 		}
@@ -55,7 +55,7 @@ func main() {
 	fmt.Println()
 	fmt.Print(grid.Render())
 	fmt.Println()
-	for _, cell := range grid.Cells[0] {
+	for _, cell := range grid.Cells[0][0] {
 		fmt.Printf("%s job completions:\n", cell.Governor)
 		for _, jf := range cell.Sim.JobFinishes {
 			fmt.Printf("  %-12s finished at t=%6.1f s\n", jf.App, jf.AtS)
@@ -67,8 +67,8 @@ func main() {
 	}
 	fmt.Println()
 
-	od := grid.Cell("session", "ondemand")
-	tm := grid.Cell("session", "teem")
+	od := grid.Cell("", "session", "ondemand")
+	tm := grid.Cell("", "session", "teem")
 	fmt.Printf("TEEM vs ondemand over the whole session: energy %+.1f%%, peak %+.1f °C, trips %d vs %d\n",
 		100*(tm.Sim.EnergyJ-od.Sim.EnergyJ)/od.Sim.EnergyJ,
 		tm.Sim.PeakTempC-od.Sim.PeakTempC,

@@ -11,7 +11,7 @@
 //	           EEMP/RMP/TEEM across the eight Polybench apps at 2L+4B
 //	§V.D     — memory-footprint comparison (128 items vs 2)
 //
-// plus the ablations DESIGN.md calls out (threshold, δ and floor sweeps).
+// plus three ablations of the controller (threshold, δ and floor sweeps).
 // Results are cached inside an Env so chained experiments don't repeat
 // expensive simulation work.
 //
@@ -137,12 +137,6 @@ type Fig1Result struct {
 // partition 1024 of 2048, ondemand+TMU against the TEEM controller. The
 // two runs are independent and execute on the worker pool.
 func (e *Env) Fig1() (*Fig1Result, error) {
-	return e.Fig1Ctx(context.Background())
-}
-
-// Fig1Ctx is Fig1 under a context: cancelling ctx aborts both runs
-// within one engine tick.
-func (e *Env) Fig1Ctx(ctx context.Context) (*Fig1Result, error) {
 	m := mapping.Mapping{Big: 3, Little: 2, UseGPU: true}
 	part := mapping.Partition{Num: 4, Den: 8}
 	app := workload.Covariance()
@@ -155,12 +149,11 @@ func (e *Env) Fig1Ctx(ctx context.Context) (*Fig1Result, error) {
 		{name: "ondemand", gov: governor.NewOndemand()},
 		{name: "teem", gov: core.NewController(e.Params)},
 	}
-	if err := par.ForEachCtx(ctx, e.Workers(), len(runs), func(i int) error {
+	if err := par.ForEach(e.Workers(), len(runs), func(i int) error {
 		res, err := sim.RunWarm(sim.Config{
 			Platform: e.Plat, Net: e.Net, App: app,
 			Map: m, Part: part,
 			Governor: runs[i].gov,
-			Done:     ctx.Done(),
 		})
 		if err != nil {
 			return fmt.Errorf("experiments: fig1 %s: %w", runs[i].name, err)
@@ -537,27 +530,24 @@ type SweepPoint struct {
 // runTEEMWith runs COVARIANCE (2L+4B, CPU-bound partition 5/8 so the
 // regulated cluster is the execution-time pole) under modified controller
 // parameters.
-func (e *Env) runTEEMWith(ctx context.Context, p core.Params) (*sim.Result, error) {
+func (e *Env) runTEEMWith(p core.Params) (*sim.Result, error) {
 	app := workload.Covariance()
 	m := mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
 	return sim.RunWarm(sim.Config{
 		Platform: e.Plat, Net: e.Net, App: app,
 		Map: m, Part: mapping.Partition{Num: 5, Den: 8},
 		Governor: core.NewController(p),
-		Done:     ctx.Done(),
 	})
 }
 
 // sweep fans the ablation points out across the worker pool: every point
 // is an independent simulation under modified controller parameters, and
 // the result slice is assembled by index, matching the serial order.
-// Cancelling ctx stops scheduling new points and aborts in-flight
-// simulations within one engine tick.
-func (e *Env) sweep(ctx context.Context, n int, modify func(i int) (value float64, p core.Params)) ([]SweepPoint, error) {
+func (e *Env) sweep(n int, modify func(i int) (value float64, p core.Params)) ([]SweepPoint, error) {
 	out := make([]SweepPoint, n)
-	if err := par.ForEachCtx(ctx, e.Workers(), n, func(i int) error {
+	if err := par.ForEach(e.Workers(), n, func(i int) error {
 		v, p := modify(i)
-		res, err := e.runTEEMWith(ctx, p)
+		res, err := e.runTEEMWith(p)
 		if err != nil {
 			return err
 		}
@@ -577,15 +567,10 @@ func (e *Env) sweep(ctx context.Context, n int, modify func(i int) (value float6
 // 85 °C: higher thresholds cause frequent frequency changes, lower ones
 // give up performance).
 func (e *Env) ThresholdSweep(thresholds []float64) ([]SweepPoint, error) {
-	return e.ThresholdSweepCtx(context.Background(), thresholds)
-}
-
-// ThresholdSweepCtx is ThresholdSweep under a context (cancellable).
-func (e *Env) ThresholdSweepCtx(ctx context.Context, thresholds []float64) ([]SweepPoint, error) {
 	if len(thresholds) == 0 {
 		return nil, errors.New("experiments: empty threshold sweep")
 	}
-	return e.sweep(ctx, len(thresholds), func(i int) (float64, core.Params) {
+	return e.sweep(len(thresholds), func(i int) (float64, core.Params) {
 		p := e.Params
 		p.ThresholdC = thresholds[i]
 		return thresholds[i], p
@@ -594,15 +579,10 @@ func (e *Env) ThresholdSweepCtx(ctx context.Context, thresholds []float64) ([]Sw
 
 // DeltaSweep ablates the step-down δ (paper: 200 MHz).
 func (e *Env) DeltaSweep(deltasMHz []int) ([]SweepPoint, error) {
-	return e.DeltaSweepCtx(context.Background(), deltasMHz)
-}
-
-// DeltaSweepCtx is DeltaSweep under a context (cancellable).
-func (e *Env) DeltaSweepCtx(ctx context.Context, deltasMHz []int) ([]SweepPoint, error) {
 	if len(deltasMHz) == 0 {
 		return nil, errors.New("experiments: empty delta sweep")
 	}
-	return e.sweep(ctx, len(deltasMHz), func(i int) (float64, core.Params) {
+	return e.sweep(len(deltasMHz), func(i int) (float64, core.Params) {
 		p := e.Params
 		p.DeltaMHz = deltasMHz[i]
 		return float64(deltasMHz[i]), p
@@ -611,15 +591,10 @@ func (e *Env) DeltaSweepCtx(ctx context.Context, deltasMHz []int) ([]SweepPoint,
 
 // FloorSweep ablates the frequency floor (paper: 1400 MHz).
 func (e *Env) FloorSweep(floorsMHz []int) ([]SweepPoint, error) {
-	return e.FloorSweepCtx(context.Background(), floorsMHz)
-}
-
-// FloorSweepCtx is FloorSweep under a context (cancellable).
-func (e *Env) FloorSweepCtx(ctx context.Context, floorsMHz []int) ([]SweepPoint, error) {
 	if len(floorsMHz) == 0 {
 		return nil, errors.New("experiments: empty floor sweep")
 	}
-	return e.sweep(ctx, len(floorsMHz), func(i int) (float64, core.Params) {
+	return e.sweep(len(floorsMHz), func(i int) (float64, core.Params) {
 		p := e.Params
 		p.FloorMHz = floorsMHz[i]
 		return float64(floorsMHz[i]), p

@@ -1,7 +1,7 @@
 // Package report renders evaluation artefacts in the visual shapes of the
 // TEEM paper: grouped bar charts (Fig. 5), scatterplot matrices (Fig. 3),
 // residual plots (Fig. 4) and aligned tables, all as plain text suitable
-// for terminals and EXPERIMENTS.md.
+// for terminals and Markdown reports (cmd/teemreport).
 package report
 
 import (

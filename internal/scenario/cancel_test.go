@@ -45,9 +45,9 @@ func TestRunGridCtxCancelReturnsPartial(t *testing.T) {
 		t.Fatal("cancelled grid returned no partial result")
 	}
 	done, missing := 0, 0
-	for si := range grid.Cells {
-		for gi := range grid.Cells[si] {
-			if grid.Cells[si][gi] != nil {
+	for si := range grid.Cells[0] {
+		for gi := range grid.Cells[0][si] {
+			if grid.Cells[0][si][gi] != nil {
 				done++
 			} else {
 				missing++
@@ -66,6 +66,24 @@ func TestRunGridCtxCancelReturnsPartial(t *testing.T) {
 		t.Error("partial grid render does not mark unfinished cells")
 	}
 	_ = grid.Violations()
+}
+
+// A grid cancelled before its first cell must still come back as a
+// partial result with ctx.Err() in the chain — the cancellation contract
+// the service layer relies on.
+func TestRunGridCtxPreCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	grid, err := RunGridCtx(ctx, []*Scenario{Sunlight()}, []string{"ondemand"}, Config{}, 1)
+	if err == nil {
+		t.Fatal("pre-cancelled grid returned no error")
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled in the chain", err)
+	}
+	if grid == nil {
+		t.Fatal("cancelled grid returned no partial result")
+	}
 }
 
 // The background-context grid is the classic RunGrid, byte-identical.

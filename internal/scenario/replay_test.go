@@ -370,9 +370,9 @@ func TestPreemptionGridDeterminismBothIntegrators(t *testing.T) {
 		if serial.Render() != parallel.Render() {
 			t.Errorf("integrator %d: parallel preemption grid differs from serial", integ)
 		}
-		for si := range serial.Cells {
-			for gi := range serial.Cells[si] {
-				a, b := serial.Cells[si][gi], parallel.Cells[si][gi]
+		for si := range serial.Cells[0] {
+			for gi := range serial.Cells[0][si] {
+				a, b := serial.Cells[0][si][gi], parallel.Cells[0][si][gi]
 				if a.Sim.EnergyJ != b.Sim.EnergyJ || a.Sim.ExecTimeS != b.Sim.ExecTimeS ||
 					a.Sim.PeakTempC != b.Sim.PeakTempC {
 					t.Errorf("integrator %d: cell %s/%s metrics differ between serial and parallel",

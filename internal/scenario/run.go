@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"teem/internal/core"
@@ -74,9 +75,10 @@ type Config struct {
 	// instead of a post-hoc trace copy. In a grid run the hook fires
 	// for every cell, possibly from concurrent worker goroutines.
 	OnSample func(s trace.Sample)
-	// OnCell, when non-nil, is invoked by RunGrid/RunGridCtx once per
-	// completed cell, from the worker goroutine that ran it (calls may
-	// be concurrent) — the grid progress hook.
+	// OnCell, when non-nil, is invoked by every grid run (RunGrid,
+	// RunGridCtx, RunPlatformGrid) once per completed cell, from the
+	// worker goroutine that ran it (calls may be concurrent) — the grid
+	// progress hook.
 	OnCell func(r *Result)
 	// Clock, when non-nil, enables per-phase wall timing in the engine
 	// flight recorder (see sim.Config.Clock; pass obs.Nanotime). Nil
@@ -472,27 +474,32 @@ func scheduleAmbient(e *sim.Engine, ambient *float64, ev Event) error {
 
 // --- grids --------------------------------------------------------------------
 
-// GridResult is a scenario × governor result matrix in input order.
-type GridResult struct {
+// PlatformGridResult is the one grid result type: a platform × scenario
+// × governor result cube in input order. A grid run on the hardware its
+// Config names (RunGrid) has nil Platforms and a single plane, addressed
+// by the empty platform name; a platform sweep (RunPlatformGrid) lists
+// the catalog names it resolved.
+type PlatformGridResult struct {
+	Platforms []string
 	Scenarios []string
 	Governors []string
-	// Cells is indexed [scenario][governor].
-	Cells [][]*Result
+	// Cells is indexed [platform][scenario][governor].
+	Cells [][][]*Result
 }
 
-// RunGrid executes every scenario under every named governor across a
-// bounded worker pool (workers: 0 = one per CPU, 1 = serial). Cells are
-// assembled by index, so parallel output is byte-identical to serial
-// output; every cell builds its own engine and governor instance, so the
-// grid is race-free by construction.
+// RunGrid executes every scenario under every named governor on the
+// hardware rc names, across a bounded worker pool (workers: 0 = one per
+// CPU, 1 = serial). Cells are assembled by index, so parallel output is
+// byte-identical to serial output; every cell builds its own engine and
+// governor instance, so the grid is race-free by construction.
 //
 // A cell whose run fails does not abort the grid: the error is captured
 // as that cell's violation (Sim stays nil) so every other cell still
 // runs and the grid — and the teemscenario exit-code gate built on
 // Violations — reports the full picture. Only structural misuse (an
 // empty or nil-bearing grid) returns an error.
-func RunGrid(scs []*Scenario, governors []string, rc Config, workers int) (*GridResult, error) {
-	return RunGridCtx(context.Background(), scs, governors, rc, workers)
+func RunGrid(scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
+	return runGrid(context.Background(), nil, scs, governors, rc, workers)
 }
 
 // RunGridCtx is RunGrid under a context. Cancelling ctx stops the
@@ -501,16 +508,45 @@ func RunGrid(scs []*Scenario, governors []string, rc Config, workers int) (*Grid
 // completed before the cancellation, nil for the rest — together with an
 // error wrapping ctx.Err(), rather than running the matrix to
 // completion. rc.OnCell, when set, observes each cell as it completes.
-func RunGridCtx(ctx context.Context, scs []*Scenario, governors []string, rc Config, workers int) (*GridResult, error) {
+func RunGridCtx(ctx context.Context, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
+	return runGrid(ctx, nil, scs, governors, rc, workers)
+}
+
+// RunPlatformGrid is RunGrid with a platform axis: every scenario under
+// every governor on every named platform, in one worker pool. Platform
+// references resolve through the catalog (name or bundle-file path) up
+// front, so an unknown platform fails the whole grid before any cell
+// runs; each cell then resolves its own fresh bundle, so nothing is
+// shared across concurrent cells. rc must leave the hardware unset.
+func RunPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
+	if len(platforms) == 0 {
+		return nil, errors.New("scenario: empty grid (no platforms)")
+	}
+	return runGrid(context.Background(), platforms, scs, governors, rc, workers)
+}
+
+// runGrid is the one fan-out behind every grid entry point. A nil
+// platforms runs a single plane on rc's hardware; otherwise the grid
+// owns the platform axis. Cells are assembled by flat index.
+func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
 	if len(scs) == 0 {
 		return nil, errors.New("scenario: empty grid (no scenarios)")
 	}
 	if len(governors) == 0 {
 		return nil, errors.New("scenario: empty grid (no governors)")
 	}
-	out := &GridResult{
-		Governors: append([]string(nil), governors...),
-		Cells:     make([][]*Result, len(scs)),
+	out := &PlatformGridResult{Governors: append([]string(nil), governors...)}
+	if platforms != nil {
+		if rc.PlatformName != "" || rc.Platform != nil || rc.Net != nil {
+			return nil, errors.New("scenario: platform grid owns the platform axis; leave Config.PlatformName/Platform/Net empty")
+		}
+		for _, ref := range platforms {
+			b, err := platform.Resolve(ref)
+			if err != nil {
+				return nil, err
+			}
+			out.Platforms = append(out.Platforms, b.Name)
+		}
 	}
 	for _, sc := range scs {
 		if sc == nil {
@@ -518,13 +554,22 @@ func RunGridCtx(ctx context.Context, scs []*Scenario, governors []string, rc Con
 		}
 		out.Scenarios = append(out.Scenarios, sc.Name)
 	}
-	for i := range out.Cells {
-		out.Cells[i] = make([]*Result, len(governors))
+	np, ns, ng := max(len(platforms), 1), len(scs), len(governors)
+	out.Cells = make([][][]*Result, np)
+	for pi := range out.Cells {
+		out.Cells[pi] = make([][]*Result, ns)
+		for si := range out.Cells[pi] {
+			out.Cells[pi][si] = make([]*Result, ng)
+		}
 	}
-	n := len(scs) * len(governors)
+	n := np * ns * ng
 	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
-		si, gi := i/len(governors), i%len(governors)
+		pi, si, gi := i/(ns*ng), i/ng%ns, i%ng
 		cell := rc
+		plat := ""
+		if platforms != nil {
+			cell.PlatformName, plat = platforms[pi], out.Platforms[pi]
+		}
 		cell.Governor = governors[gi]
 		r, err := RunCtx(ctx, scs[si], cell)
 		if err != nil {
@@ -536,190 +581,7 @@ func RunGridCtx(ctx context.Context, scs []*Scenario, governors []string, rc Con
 			r = &Result{
 				Scenario:   scs[si].Name,
 				Governor:   governors[gi],
-				Violations: []string{fmt.Sprintf("error: %v", err)},
-			}
-		}
-		out.Cells[si][gi] = r
-		if rc.OnCell != nil {
-			rc.OnCell(r)
-		}
-		return nil
-	})
-	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			done := 0
-			for si := range out.Cells {
-				for gi := range out.Cells[si] {
-					if out.Cells[si][gi] != nil {
-						done++
-					}
-				}
-			}
-			return out, fmt.Errorf("scenario: grid cancelled with %d of %d cells complete: %w", done, n, cerr)
-		}
-		return nil, err
-	}
-	return out, nil
-}
-
-// Render formats the grid as a metrics table: one row per scenario ×
-// governor cell, plus an assertion column.
-func (g *GridResult) Render() string {
-	t := &report.Table{
-		Title: "scenario × governor grid",
-		Headers: []string{"scenario", "governor", "ET (s)", "energy (J)",
-			"avg T (°C)", "peak T (°C)", "trips", "jobs", "asserts"},
-	}
-	for si := range g.Cells {
-		for gi := range g.Cells[si] {
-			r := g.Cells[si][gi]
-			if r == nil {
-				// A cancelled grid leaves unfinished cells nil.
-				t.AddRow(g.Scenarios[si], g.Governors[gi], "-", "-", "-", "-", "-", "-", "cancelled")
-				continue
-			}
-			status := "pass"
-			if !r.Passed() {
-				status = fmt.Sprintf("FAIL (%d)", len(r.Violations))
-			}
-			if r.Sim == nil {
-				// The cell errored out before producing a result; its
-				// violation carries the error below the table.
-				t.AddRow(r.Scenario, r.Governor, "-", "-", "-", "-", "-", "-", status)
-				continue
-			}
-			t.AddRow(r.Scenario, r.Governor,
-				fmt.Sprintf("%.1f", r.Sim.ExecTimeS),
-				fmt.Sprintf("%.0f", r.Sim.EnergyJ),
-				fmt.Sprintf("%.1f", r.Sim.AvgTempC),
-				fmt.Sprintf("%.1f", r.Sim.PeakTempC),
-				fmt.Sprintf("%d", r.Sim.ThrottleEvents),
-				fmt.Sprintf("%d", len(r.Sim.JobFinishes)),
-				status)
-		}
-	}
-	var b strings.Builder
-	b.WriteString(t.Render())
-	for si := range g.Cells {
-		for gi := range g.Cells[si] {
-			r := g.Cells[si][gi]
-			if r == nil {
-				continue
-			}
-			for _, v := range r.Violations {
-				fmt.Fprintf(&b, "  %s under %s: %s\n", r.Scenario, r.Governor, v)
-			}
-		}
-	}
-	return b.String()
-}
-
-// Violations counts failed assertions across the grid (nil cells of a
-// cancelled partial grid count zero).
-func (g *GridResult) Violations() int {
-	n := 0
-	for si := range g.Cells {
-		for gi := range g.Cells[si] {
-			if c := g.Cells[si][gi]; c != nil {
-				n += len(c.Violations)
-			}
-		}
-	}
-	return n
-}
-
-// Cell returns the result for a scenario/governor pair (nil if absent).
-func (g *GridResult) Cell(scenario, gov string) *Result {
-	for si, s := range g.Scenarios {
-		if s != scenario {
-			continue
-		}
-		for gi, gv := range g.Governors {
-			if gv == gov {
-				return g.Cells[si][gi]
-			}
-		}
-	}
-	return nil
-}
-
-// PlatformGridResult is a platform × scenario × governor result cube in
-// input order — the cross-platform sweep the catalog makes possible.
-type PlatformGridResult struct {
-	Platforms []string
-	Scenarios []string
-	Governors []string
-	// Cells is indexed [platform][scenario][governor].
-	Cells [][][]*Result
-}
-
-// RunPlatformGrid executes every scenario under every governor on every
-// named platform across one bounded worker pool (workers: 0 = one per
-// CPU, 1 = serial). Platform references resolve through the catalog
-// (name or bundle-file path) and every reference is resolved up front,
-// so an unknown platform fails the whole grid before any cell runs.
-// Cells are assembled by flat index, so parallel output is
-// byte-identical to serial output, and each cell resolves its own fresh
-// bundle — nothing is shared across concurrent cells.
-func RunPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
-	return RunPlatformGridCtx(context.Background(), platforms, scs, governors, rc, workers)
-}
-
-// RunPlatformGridCtx is RunPlatformGrid under a context, with RunGridCtx
-// cancellation semantics: the partial cube plus an error wrapping
-// ctx.Err() on cancellation.
-func RunPlatformGridCtx(ctx context.Context, platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
-	if len(platforms) == 0 {
-		return nil, errors.New("scenario: empty grid (no platforms)")
-	}
-	if len(scs) == 0 {
-		return nil, errors.New("scenario: empty grid (no scenarios)")
-	}
-	if len(governors) == 0 {
-		return nil, errors.New("scenario: empty grid (no governors)")
-	}
-	if rc.PlatformName != "" || rc.Platform != nil || rc.Net != nil {
-		return nil, errors.New("scenario: platform grid owns the platform axis; leave Config.PlatformName/Platform/Net empty")
-	}
-	out := &PlatformGridResult{
-		Governors: append([]string(nil), governors...),
-		Cells:     make([][][]*Result, len(platforms)),
-	}
-	for _, ref := range platforms {
-		b, err := platform.Resolve(ref)
-		if err != nil {
-			return nil, err
-		}
-		out.Platforms = append(out.Platforms, b.Name)
-	}
-	for _, sc := range scs {
-		if sc == nil {
-			return nil, errors.New("scenario: nil scenario in grid")
-		}
-		out.Scenarios = append(out.Scenarios, sc.Name)
-	}
-	for pi := range out.Cells {
-		out.Cells[pi] = make([][]*Result, len(scs))
-		for si := range out.Cells[pi] {
-			out.Cells[pi][si] = make([]*Result, len(governors))
-		}
-	}
-	ns, ng := len(scs), len(governors)
-	n := len(platforms) * ns * ng
-	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
-		pi, si, gi := i/(ns*ng), i/ng%ns, i%ng
-		cell := rc
-		cell.PlatformName = platforms[pi]
-		cell.Governor = governors[gi]
-		r, err := RunCtx(ctx, scs[si], cell)
-		if err != nil {
-			if ctx.Err() != nil || errors.Is(err, sim.ErrAborted) {
-				return err
-			}
-			r = &Result{
-				Scenario:   scs[si].Name,
-				Governor:   governors[gi],
-				Platform:   out.Platforms[pi],
+				Platform:   plat,
 				Violations: []string{fmt.Sprintf("error: %v", err)},
 			}
 		}
@@ -732,37 +594,50 @@ func RunPlatformGridCtx(ctx context.Context, platforms []string, scs []*Scenario
 	if err != nil {
 		if cerr := ctx.Err(); cerr != nil {
 			done := 0
-			for pi := range out.Cells {
-				for si := range out.Cells[pi] {
-					for gi := range out.Cells[pi][si] {
-						if out.Cells[pi][si][gi] != nil {
+			for _, plane := range out.Cells {
+				for _, row := range plane {
+					for _, c := range row {
+						if c != nil {
 							done++
 						}
 					}
 				}
 			}
-			return out, fmt.Errorf("scenario: platform grid cancelled with %d of %d cells complete: %w", done, n, cerr)
+			return out, fmt.Errorf("scenario: grid cancelled with %d of %d cells complete: %w", done, n, cerr)
 		}
 		return nil, err
 	}
 	return out, nil
 }
 
-// Render formats the cube as a metrics table: one row per platform ×
-// scenario × governor cell, plus an assertion column.
+// Render formats the grid as a metrics table: one row per cell, plus an
+// assertion column, then one line per violation. A platform sweep adds
+// the platform column and prefixes violations with "platform/"; a grid
+// with nil Platforms prints neither. Render reads exported fields only.
 func (g *PlatformGridResult) Render() string {
+	// Rows are built with the platform cell first and sliced from off, so
+	// both shapes cost one slice per row.
+	off, title := 1, "scenario × governor grid"
+	if g.Platforms != nil {
+		off, title = 0, "platform × scenario × governor grid"
+	}
 	t := &report.Table{
-		Title: "platform × scenario × governor grid",
+		Title: title,
 		Headers: []string{"platform", "scenario", "governor", "ET (s)", "energy (J)",
-			"avg T (°C)", "peak T (°C)", "trips", "jobs", "asserts"},
+			"avg T (°C)", "peak T (°C)", "trips", "jobs", "asserts"}[off:],
 	}
 	for pi := range g.Cells {
+		plat := ""
+		if g.Platforms != nil {
+			plat = g.Platforms[pi]
+		}
 		for si := range g.Cells[pi] {
 			for gi := range g.Cells[pi][si] {
 				r := g.Cells[pi][si][gi]
 				if r == nil {
-					t.AddRow(g.Platforms[pi], g.Scenarios[si], g.Governors[gi],
-						"-", "-", "-", "-", "-", "-", "cancelled")
+					// A cancelled grid leaves unfinished cells nil.
+					t.AddRow([]string{plat, g.Scenarios[si], g.Governors[gi],
+						"-", "-", "-", "-", "-", "-", "cancelled"}[off:]...)
 					continue
 				}
 				status := "pass"
@@ -770,31 +645,37 @@ func (g *PlatformGridResult) Render() string {
 					status = fmt.Sprintf("FAIL (%d)", len(r.Violations))
 				}
 				if r.Sim == nil {
-					t.AddRow(r.Platform, r.Scenario, r.Governor, "-", "-", "-", "-", "-", "-", status)
+					// The cell errored out before producing a result; its
+					// violation carries the error below the table.
+					t.AddRow([]string{r.Platform, r.Scenario, r.Governor,
+						"-", "-", "-", "-", "-", "-", status}[off:]...)
 					continue
 				}
-				t.AddRow(r.Platform, r.Scenario, r.Governor,
+				t.AddRow([]string{r.Platform, r.Scenario, r.Governor,
 					fmt.Sprintf("%.1f", r.Sim.ExecTimeS),
 					fmt.Sprintf("%.0f", r.Sim.EnergyJ),
 					fmt.Sprintf("%.1f", r.Sim.AvgTempC),
 					fmt.Sprintf("%.1f", r.Sim.PeakTempC),
 					fmt.Sprintf("%d", r.Sim.ThrottleEvents),
 					fmt.Sprintf("%d", len(r.Sim.JobFinishes)),
-					status)
+					status}[off:]...)
 			}
 		}
 	}
 	var b strings.Builder
 	b.WriteString(t.Render())
-	for pi := range g.Cells {
-		for si := range g.Cells[pi] {
-			for gi := range g.Cells[pi][si] {
-				r := g.Cells[pi][si][gi]
+	for _, plane := range g.Cells {
+		for _, row := range plane {
+			for _, r := range row {
 				if r == nil {
 					continue
 				}
 				for _, v := range r.Violations {
-					fmt.Fprintf(&b, "  %s/%s under %s: %s\n", r.Platform, r.Scenario, r.Governor, v)
+					if g.Platforms != nil {
+						fmt.Fprintf(&b, "  %s/%s under %s: %s\n", r.Platform, r.Scenario, r.Governor, v)
+					} else {
+						fmt.Fprintf(&b, "  %s under %s: %s\n", r.Scenario, r.Governor, v)
+					}
 				}
 			}
 		}
@@ -802,13 +683,14 @@ func (g *PlatformGridResult) Render() string {
 	return b.String()
 }
 
-// Violations counts failed assertions across the cube.
+// Violations counts failed assertions across the grid (nil cells of a
+// cancelled partial grid count zero).
 func (g *PlatformGridResult) Violations() int {
 	n := 0
-	for pi := range g.Cells {
-		for si := range g.Cells[pi] {
-			for gi := range g.Cells[pi][si] {
-				if c := g.Cells[pi][si][gi]; c != nil {
+	for _, plane := range g.Cells {
+		for _, row := range plane {
+			for _, c := range row {
+				if c != nil {
 					n += len(c.Violations)
 				}
 			}
@@ -818,22 +700,16 @@ func (g *PlatformGridResult) Violations() int {
 }
 
 // Cell returns the result for a platform/scenario/governor triple (nil
-// if absent).
+// if absent). A grid with nil Platforms answers to the empty platform
+// name.
 func (g *PlatformGridResult) Cell(plat, scenario, gov string) *Result {
-	for pi, p := range g.Platforms {
-		if p != plat {
-			continue
-		}
-		for si, s := range g.Scenarios {
-			if s != scenario {
-				continue
-			}
-			for gi, gv := range g.Governors {
-				if gv == gov {
-					return g.Cells[pi][si][gi]
-				}
-			}
-		}
+	pi := 0
+	if g.Platforms != nil || plat != "" {
+		pi = slices.Index(g.Platforms, plat)
 	}
-	return nil
+	si, gi := slices.Index(g.Scenarios, scenario), slices.Index(g.Governors, gov)
+	if pi < 0 || si < 0 || gi < 0 || pi >= len(g.Cells) {
+		return nil
+	}
+	return g.Cells[pi][si][gi]
 }

@@ -11,8 +11,10 @@
 // A Scenario is plain data: build one with the fluent Builder, write it as
 // JSON (Save) or read it back (Load), or compile one from a recorded
 // arrival log (FromTrace — trace-driven replay). Run executes a scenario
-// against the sim engine's scheduling hooks; RunGrid fans a scenario ×
-// governor matrix out across the bounded worker pool with
+// against the sim engine's scheduling hooks. RunGrid fans a scenario ×
+// governor matrix out across the bounded worker pool on the configured
+// hardware, RunPlatformGrid across a list of catalog platforms too; both
+// fill the one grid type, PlatformGridResult, with
 // byte-identical-to-serial output.
 //
 // The JSON schema is one object per scenario:

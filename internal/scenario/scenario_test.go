@@ -309,9 +309,9 @@ func TestGridDeterminismBothIntegrators(t *testing.T) {
 		if serial.Render() != parallel.Render() {
 			t.Errorf("integrator %d: parallel grid output differs from serial", integ)
 		}
-		for si := range serial.Cells {
-			for gi := range serial.Cells[si] {
-				a, b := serial.Cells[si][gi], parallel.Cells[si][gi]
+		for si := range serial.Cells[0] {
+			for gi := range serial.Cells[0][si] {
+				a, b := serial.Cells[0][si][gi], parallel.Cells[0][si][gi]
 				if a.Sim.EnergyJ != b.Sim.EnergyJ || a.Sim.ExecTimeS != b.Sim.ExecTimeS ||
 					a.Sim.PeakTempC != b.Sim.PeakTempC {
 					t.Errorf("integrator %d: cell %s/%s metrics differ between serial and parallel",
@@ -342,7 +342,7 @@ func TestGridSurvivesBrokenCell(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunGrid aborted the whole grid on one broken cell: %v", err)
 	}
-	bad := g.Cell("broken", "performance")
+	bad := g.Cell("", "broken", "performance")
 	if bad == nil {
 		t.Fatal("broken cell missing from the grid")
 	}
@@ -352,7 +352,7 @@ func TestGridSurvivesBrokenCell(t *testing.T) {
 	if bad.Sim != nil {
 		t.Error("broken cell should carry no sim result")
 	}
-	ok := g.Cell("sunlight", "performance")
+	ok := g.Cell("", "sunlight", "performance")
 	if ok == nil || ok.Sim == nil || !ok.Passed() {
 		t.Errorf("healthy cell did not run/report alongside the broken one: %+v", ok)
 	}
@@ -389,6 +389,17 @@ func TestGridRaceHammer(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// The preset corpus must hold its assertions under every stock governor.
+func TestPresetsPassStockGovernors(t *testing.T) {
+	g, err := RunGrid(Presets(), GovernorNames(), quickConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := g.Violations(); n != 0 {
+		t.Errorf("preset grid reported %d assertion violations:\n%s", n, g.Render())
 	}
 }
 

@@ -173,6 +173,9 @@ func BenchmarkServiceSoak(b *testing.B) {
 		JournalPath: filepath.Join(b.TempDir(), "journal.ndjson"),
 		Faults:      &FaultConfig{PanicEvery: 7},
 		Retry:       RetryPolicy{BaseDelay: time.Millisecond},
+		// The injected panics log stack traces; discard them so they
+		// cannot split the benchmark's result line.
+		Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		b.Fatal(err)

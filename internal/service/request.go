@@ -357,12 +357,14 @@ type ResultSummary struct {
 	Violations int `json:"violations,omitempty"`
 }
 
-func summarizeGrid(g *scenario.GridResult) *ResultSummary {
+func summarizeGrid(g *scenario.PlatformGridResult) *ResultSummary {
 	sum := &ResultSummary{Violations: g.Violations()}
-	for si := range g.Cells {
-		for gi := range g.Cells[si] {
-			if g.Cells[si][gi] != nil {
-				sum.Cells++
+	for _, plane := range g.Cells {
+		for _, row := range plane {
+			for _, c := range row {
+				if c != nil {
+					sum.Cells++
+				}
 			}
 		}
 	}

@@ -364,7 +364,7 @@ func TestStreamLiveAndReplayAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(grid.Cells[0][0].Sim.Trace.Samples)
+	want := len(grid.Cells[0][0][0].Sim.Trace.Samples)
 	if samples != want {
 		t.Errorf("streamed %d samples, trace has %d", samples, want)
 	}

@@ -282,12 +282,12 @@ type ScenarioBuilder = scenario.Builder
 // governor override, custom governor registry).
 type ScenarioConfig = scenario.Config
 
-// ScenarioResult is one executed scenario × governor cell; GridResult a
-// whole matrix.
+// ScenarioResult is one executed scenario × governor cell;
+// ScenarioGridResult a whole platform × scenario × governor grid (nil
+// Platforms when it ran on the configured hardware).
 type (
-	ScenarioResult             = scenario.Result
-	ScenarioGridResult         = scenario.GridResult
-	ScenarioPlatformGridResult = scenario.PlatformGridResult
+	ScenarioResult     = scenario.Result
+	ScenarioGridResult = scenario.PlatformGridResult
 )
 
 // GovernorFactory builds a fresh governor per scenario run.
@@ -332,7 +332,7 @@ func RunScenarioGrid(scs []*Scenario, governors []string, rc ScenarioConfig, wor
 // RunScenarioPlatformGrid fans a scenario × governor matrix out across
 // every named catalog platform — the hardware axis of the grid. Output
 // is byte-identical serial vs parallel, like RunScenarioGrid.
-func RunScenarioPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc ScenarioConfig, workers int) (*ScenarioPlatformGridResult, error) {
+func RunScenarioPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc ScenarioConfig, workers int) (*ScenarioGridResult, error) {
 	return scenario.RunPlatformGrid(platforms, scs, governors, rc, workers)
 }
 
