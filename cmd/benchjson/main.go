@@ -5,10 +5,13 @@
 //
 // Usage:
 //
-//	go test -run='^$' -bench=... -benchmem ./... | benchjson -out BENCH_2026-07-28.json
+//	go test -run='^$' -bench=... -benchmem -count 5 ./... | benchjson -out BENCH_2026-07-28.json
 //
 // With -out "" the JSON goes to stdout. Non-benchmark lines are ignored, so
-// the full `go test` stream can be piped straight in.
+// the full `go test` stream can be piped straight in. A result line that a
+// benchmark's own log output split from its name is still recorded, and
+// the repeats of -count fold into one entry per benchmark: the median of
+// each measurement plus the fastest and slowest ns/op.
 package main
 
 import (
@@ -16,8 +19,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -25,11 +31,18 @@ import (
 	"teem/internal/buildinfo"
 )
 
-// Benchmark is one parsed benchmark result line.
+// Benchmark is one benchmark's result, folded over its -count runs.
 type Benchmark struct {
-	Name        string  `json:"name"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
+	Name string `json:"name"`
+	// Runs is the number of result lines folded into this entry.
+	Runs int `json:"runs"`
+	// Iterations, NsPerOp, BytesPerOp and AllocsPerOp are medians over
+	// the runs.
+	Iterations int64   `json:"iterations"`
+	NsPerOp    float64 `json:"ns_per_op"`
+	// NsPerOpMin and NsPerOpMax bound the runs' spread.
+	NsPerOpMin  float64 `json:"ns_per_op_min"`
+	NsPerOpMax  float64 `json:"ns_per_op_max"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// HasMem records whether -benchmem columns were present (so a true
@@ -63,13 +76,9 @@ func main() {
 		GOARCH:    runtime.GOARCH,
 		NumCPU:    runtime.NumCPU(),
 	}
-	sc := bufio.NewScanner(os.Stdin)
-	for sc.Scan() {
-		if b, ok := parseLine(sc.Text()); ok {
-			snap.Benchmarks = append(snap.Benchmarks, b)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	var err error
+	snap.Benchmarks, err = parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: reading stdin: %v\n", err)
 		os.Exit(1)
 	}
@@ -94,35 +103,90 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(snap.Benchmarks), *out)
 }
 
-// parseLine recognises benchmark result lines such as
+// parse reads a `go test -bench` stream and returns one folded entry per
+// benchmark, in the order the benchmarks first appear.
+//
+// Without -v, the testing package prints a benchmark's name before it
+// runs and its result after, so anything the benchmark writes to stdout
+// lands in between: the name line carries log text (or nothing else) and
+// the result follows on a later line of its own. Such a name is held
+// until the next line that parses as a result body.
+func parse(r io.Reader) ([]Benchmark, error) {
+	var groups [][]Benchmark
+	index := map[string]int{}
+	add := func(b Benchmark) {
+		i, ok := index[b.Name]
+		if !ok {
+			i = len(groups)
+			index[b.Name] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], b)
+	}
+	pending := ""
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		switch {
+		case len(f) > 0 && strings.HasPrefix(f[0], "Benchmark"):
+			if b, ok := parseResult(f[0], f[1:]); ok {
+				add(b)
+				pending = ""
+			} else {
+				pending = f[0]
+			}
+		case pending != "":
+			if b, ok := parseResult(pending, f); ok {
+				add(b)
+				pending = ""
+			}
+		}
+	}
+	out := make([]Benchmark, len(groups))
+	for i, runs := range groups {
+		out[i] = fold(runs)
+	}
+	return out, sc.Err()
+}
+
+// parseLine recognises a complete benchmark result line such as
 //
 //	BenchmarkSimRun-4   3360   347015 ns/op   186872 B/op   46 allocs/op
 func parseLine(line string) (Benchmark, bool) {
 	f := strings.Fields(line)
-	if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+	if len(f) == 0 || !strings.HasPrefix(f[0], "Benchmark") {
+		return Benchmark{}, false
+	}
+	return parseResult(f[0], f[1:])
+}
+
+// parseResult parses a result body — the iteration count, then
+// value/unit pairs — as one run of the named benchmark.
+func parseResult(name string, f []string) (Benchmark, bool) {
+	if len(f) < 3 {
 		return Benchmark{}, false
 	}
 	// Strip the -GOMAXPROCS suffix so names are stable across runners.
-	name := f[0]
 	if i := strings.LastIndex(name, "-"); i > 0 {
 		if _, err := strconv.Atoi(name[i+1:]); err == nil {
 			name = name[:i]
 		}
 	}
-	iters, err := strconv.ParseInt(f[1], 10, 64)
+	iters, err := strconv.ParseInt(f[0], 10, 64)
 	if err != nil {
 		return Benchmark{}, false
 	}
-	b := Benchmark{Name: name, Iterations: iters}
+	b := Benchmark{Name: name, Runs: 1, Iterations: iters}
 	// The remaining fields come in value/unit pairs.
-	for i := 2; i+1 < len(f); i += 2 {
+	for i := 1; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
 			return Benchmark{}, false
 		}
 		switch f[i+1] {
 		case "ns/op":
-			b.NsPerOp = v
+			b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = v, v, v
 		case "B/op":
 			b.BytesPerOp = int64(v)
 			b.HasMem = true
@@ -135,4 +199,34 @@ func parseLine(line string) (Benchmark, bool) {
 		return Benchmark{}, false
 	}
 	return b, true
+}
+
+// fold merges the runs of one benchmark: the median of each measurement,
+// plus the fastest and slowest ns/op.
+func fold(runs []Benchmark) Benchmark {
+	b := Benchmark{Name: runs[0].Name, Runs: len(runs)}
+	var iters, ns, bytes, allocs []float64
+	for _, r := range runs {
+		iters = append(iters, float64(r.Iterations))
+		ns = append(ns, r.NsPerOp)
+		bytes = append(bytes, float64(r.BytesPerOp))
+		allocs = append(allocs, float64(r.AllocsPerOp))
+		b.HasMem = b.HasMem || r.HasMem
+	}
+	b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+	b.Iterations = int64(math.Round(median(iters)))
+	b.BytesPerOp = int64(math.Round(median(bytes)))
+	b.AllocsPerOp = int64(math.Round(median(allocs)))
+	return b
+}
+
+// median sorts xs and returns its middle value (the mean of the middle
+// two for an even count).
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }

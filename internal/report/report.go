@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple aligned text table.
@@ -28,21 +29,40 @@ func (t *Table) Render() string {
 			cols = len(r)
 		}
 	}
+	// Widths count bytes, but each cell is padded to its column's width
+	// plus two in runes, as fmt's %-*s counts them: headers carry
+	// multi-byte symbols such as °C, × and δ. Every line is therefore
+	// total bytes plus its cells' bytes beyond one per rune (extra), which
+	// sizes the output exactly.
 	width := make([]int, cols)
+	extra := 0
 	measure := func(cells []string) {
 		for i, c := range cells {
-			if len(c) > width[i] {
-				width[i] = len(c)
-			}
+			width[i] = max(width[i], len(c))
+			extra += len(c) - utf8.RuneCountInString(c)
 		}
 	}
 	measure(t.Headers)
 	for _, r := range t.Rows {
 		measure(r)
 	}
-	var b strings.Builder
+	total := 0
+	for _, w := range width {
+		total += w + 2
+	}
+	lines := len(t.Rows)
+	if len(t.Headers) > 0 {
+		lines += 2
+	}
+	size := lines*(total+1) + extra
 	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+		size += len(t.Title) + 1
+	}
+	var b strings.Builder
+	b.Grow(size)
+	if t.Title != "" {
+		b.WriteString(t.Title)
+		b.WriteByte('\n')
 	}
 	line := func(cells []string) {
 		for i := 0; i < cols; i++ {
@@ -50,18 +70,17 @@ func (t *Table) Render() string {
 			if i < len(cells) {
 				c = cells[i]
 			}
-			fmt.Fprintf(&b, "%-*s", width[i]+2, c)
+			b.WriteString(c)
+			for pad := width[i] + 2 - utf8.RuneCountInString(c); pad > 0; pad-- {
+				b.WriteByte(' ')
+			}
 		}
-		b.WriteString("\n")
+		b.WriteByte('\n')
 	}
 	if len(t.Headers) > 0 {
 		line(t.Headers)
-		total := 0
-		for _, w := range width {
-			total += w + 2
-		}
 		b.WriteString(strings.Repeat("-", total))
-		b.WriteString("\n")
+		b.WriteByte('\n')
 	}
 	for _, r := range t.Rows {
 		line(r)

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -37,6 +38,76 @@ func TestTableRaggedRows(t *testing.T) {
 	out := tb.Render()
 	if !strings.Contains(out, "more") {
 		t.Error("ragged rows should still render")
+	}
+}
+
+// fmtTable is the fmt-based rendering Table.Render must reproduce byte
+// for byte: every cell written with %-*s at its column's byte width plus
+// two, which fmt counts in runes.
+func fmtTable(t *Table) string {
+	cols := len(t.Headers)
+	for _, r := range t.Rows {
+		cols = max(cols, len(r))
+	}
+	width := make([]int, cols)
+	for _, r := range append([][]string{t.Headers}, t.Rows...) {
+		for i, c := range r {
+			width[i] = max(width[i], len(c))
+		}
+	}
+	var b strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&b, "%s\n", t.Title)
+	}
+	line := func(cells []string) {
+		for i := 0; i < cols; i++ {
+			c := ""
+			if i < len(cells) {
+				c = cells[i]
+			}
+			fmt.Fprintf(&b, "%-*s", width[i]+2, c)
+		}
+		b.WriteString("\n")
+	}
+	if len(t.Headers) > 0 {
+		line(t.Headers)
+		total := 0
+		for _, w := range width {
+			total += w + 2
+		}
+		b.WriteString(strings.Repeat("-", total) + "\n")
+	}
+	for _, r := range t.Rows {
+		line(r)
+	}
+	return b.String()
+}
+
+// Render pads by runes exactly as fmt's width does, including multi-byte
+// headers and cells, ragged rows, and tables without a title or headers;
+// and it sizes its output up front, so a render of any size costs three
+// allocations (widths, output, header rule).
+func TestTableRenderMatchesFmt(t *testing.T) {
+	tables := []*Table{
+		{Title: "platform × scenario × governor grid",
+			Headers: []string{"scenario", "avg T (°C)", "peak T (°C)", "δ energy"},
+			Rows: [][]string{
+				{"sunlight", "61.2", "84.0", "−3.1%"},
+				{"rush-hour", "58.9", "96.4"},
+				{"×", "°", "δδδδδδδδδδδδ", "±0.2", "extra"},
+			}},
+		{Headers: []string{"a", "bb"}, Rows: [][]string{{"ccc", ""}, {}}},
+		{Title: "rows only", Rows: [][]string{{"x", "yy"}, {"zzz"}}},
+		{},
+	}
+	for i, tb := range tables {
+		got, want := tb.Render(), fmtTable(tb)
+		if got != want {
+			t.Errorf("table %d:\n--- Render ---\n%q\n--- fmt ---\n%q", i, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { _ = tb.Render() }); allocs > 3 {
+			t.Errorf("table %d: Render made %v allocations, want at most 3", i, allocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,5 +155,74 @@ func TestRunPlatformGridValidation(t *testing.T) {
 	}
 	if _, err := RunPlatformGrid([]string{"exynos5422"}, scs, []string{"teem"}, Config{PlatformName: "exynos5410"}, 1); err == nil {
 		t.Error("platform grid accepted a config that also selects a platform")
+	}
+}
+
+// hardwareErr is the violation a grid cell records when its hardware
+// reference names neither a catalog platform nor a readable file.
+func hardwareErr(scenario, ref string) string {
+	return fmt.Sprintf("error: scenario %s: platform: %q is neither a builtin platform (have %s) nor a readable file",
+		scenario, ref, strings.Join(platform.Names(), ", "))
+}
+
+// An unresolvable Config.PlatformName is a per-cell failure, not a grid
+// error: every cell keeps its identity, carries no sim result and reports
+// the resolution error under its own scenario name.
+func TestGridUnresolvableHardwarePerCell(t *testing.T) {
+	scs := []*Scenario{Sunlight(), CoreLoss()}
+	govs := []string{"ondemand", "teem"}
+	for _, workers := range []int{1, 4} {
+		g, err := RunGrid(scs, govs, Config{PlatformName: "no-such-board"}, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: grid error %v, want per-cell violations", workers, err)
+		}
+		for si, sc := range scs {
+			for gi, gov := range govs {
+				r := g.Cells[0][si][gi]
+				if r == nil {
+					t.Fatalf("workers=%d: cell %s/%s missing", workers, sc.Name, gov)
+				}
+				if r.Sim != nil {
+					t.Errorf("workers=%d: cell %s/%s ran without hardware", workers, sc.Name, gov)
+				}
+				if r.Scenario != sc.Name || r.Governor != gov || r.Platform != "" {
+					t.Errorf("workers=%d: cell identity = %q/%q/%q", workers, r.Platform, r.Scenario, r.Governor)
+				}
+				want := hardwareErr(sc.Name, "no-such-board")
+				if len(r.Violations) != 1 || r.Violations[0] != want {
+					t.Errorf("workers=%d: cell %s/%s violations = %q, want [%q]", workers, sc.Name, gov, r.Violations, want)
+				}
+			}
+		}
+	}
+}
+
+// A scenario that fails validation reports that failure even when the
+// grid's hardware does not resolve either: validation comes first, as in
+// Run, while the valid scenario beside it reports the hardware error.
+func TestGridValidationErrorBeatsHardwareError(t *testing.T) {
+	badGov := Sunlight()
+	badGov.Name = "bad-gov"
+	badGov.Governor = "nope"
+	g, err := RunGrid([]*Scenario{badGov, CoreLoss()}, []string{"teem"}, Config{PlatformName: "no-such-board"}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := g.Cell("", "bad-gov", "teem").Violations, `error: scenario bad-gov: unknown governor "nope"`; len(got) != 1 || got[0] != want {
+		t.Errorf("invalid scenario violations = %q, want [%q]", got, want)
+	}
+	if got, want := g.Cell("", "core-loss", "teem").Violations, hardwareErr("core-loss", "no-such-board"); len(got) != 1 || got[0] != want {
+		t.Errorf("valid scenario violations = %q, want [%q]", got, want)
+	}
+	// On the platform axis the invalid scenario's cell still reports its
+	// validation error, attributed to the plane's catalog name.
+	pg, err := RunPlatformGrid([]string{"sparrow-e1"}, []*Scenario{badGov}, []string{"teem"}, Config{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := pg.Cell("sparrow-e1", "bad-gov", "teem")
+	if r == nil || r.Platform != "sparrow-e1" || r.Sim != nil ||
+		len(r.Violations) != 1 || r.Violations[0] != `error: scenario bad-gov: unknown governor "nope"` {
+		t.Errorf("platform-grid invalid cell = %+v", r)
 	}
 }

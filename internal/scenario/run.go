@@ -127,10 +127,18 @@ func RunCtx(ctx context.Context, sc *Scenario, rc Config) (*Result, error) {
 	if err := sc.Validate(rc.Governors); err != nil {
 		return nil, err
 	}
-	plat, net, platName, err := resolveHardware(rc)
+	hw, err := resolveHardware(rc)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
+	return runOn(ctx, sc, rc, hw)
+}
+
+// runOn executes a validated scenario on resolved hardware, ignoring
+// rc's hardware fields. It only reads hw, so concurrent runs may share
+// one decoded platform.
+func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware) (*Result, error) {
+	plat, net := hw.plat, hw.net
 	registry := builtinGovernors()
 	//teem:order-insensitive map-to-map merge: the resulting registry is the same set whatever the iteration order
 	for name, f := range rc.Governors {
@@ -180,7 +188,7 @@ func RunCtx(ctx context.Context, sc *Scenario, rc Config) (*Result, error) {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
 
-	res := &Result{Scenario: sc.Name, Governor: govName, Platform: platName}
+	res := &Result{Scenario: sc.Name, Governor: govName, Platform: hw.name}
 	ambient := plat.AmbientC
 	// Job-handle bookkeeping for departures and deadlines. Events
 	// dispatch in timeline order on the single run goroutine, so the
@@ -384,31 +392,42 @@ func RunCtx(ctx context.Context, sc *Scenario, rc Config) (*Result, error) {
 	return res, nil
 }
 
-// resolveHardware turns a Config's platform selection into a concrete
-// SoC/network pair plus the name results report under. Exactly one of
-// three shapes is accepted: a catalog reference, an explicit pair, or
-// nothing (→ the default catalog platform). A half-specified pair is an
-// error — completing it with a preset is exactly the silent-mismatch
-// trap the catalog removes.
-func resolveHardware(rc Config) (*soc.Platform, *thermal.Network, string, error) {
+// hardware is a resolved platform selection: the SoC/network pair a run
+// simulates and the name its results report under.
+type hardware struct {
+	plat *soc.Platform
+	net  *thermal.Network
+	name string
+}
+
+// bundleHardware is the hardware a catalog bundle describes.
+func bundleHardware(b *platform.Bundle) hardware {
+	return hardware{plat: b.SoC, net: b.Net, name: b.Name}
+}
+
+// resolveHardware turns a Config's platform selection into concrete
+// hardware. Exactly one of three shapes is accepted: a catalog
+// reference, an explicit pair, or nothing (→ the default catalog
+// platform). A half-specified pair is an error — completing it with a
+// preset is exactly the silent-mismatch trap the catalog removes.
+func resolveHardware(rc Config) (hardware, error) {
 	if rc.PlatformName != "" {
 		if rc.Platform != nil || rc.Net != nil {
-			return nil, nil, "", errors.New("scenario: PlatformName and an explicit Platform/Net are mutually exclusive")
+			return hardware{}, errors.New("scenario: PlatformName and an explicit Platform/Net are mutually exclusive")
 		}
 		b, err := platform.Resolve(rc.PlatformName)
 		if err != nil {
-			return nil, nil, "", err
+			return hardware{}, err
 		}
-		return b.SoC, b.Net, b.Name, nil
+		return bundleHardware(b), nil
 	}
 	if (rc.Platform == nil) != (rc.Net == nil) {
-		return nil, nil, "", errors.New("scenario: Platform and Net must be set together (or select a catalog platform by name)")
+		return hardware{}, errors.New("scenario: Platform and Net must be set together (or select a catalog platform by name)")
 	}
 	if rc.Platform != nil {
-		return rc.Platform, rc.Net, rc.Platform.Name, nil
+		return hardware{plat: rc.Platform, net: rc.Net, name: rc.Platform.Name}, nil
 	}
-	b := platform.Default()
-	return b.SoC, b.Net, b.Name, nil
+	return bundleHardware(platform.Default()), nil
 }
 
 // Node aliases resolve per platform at scenario compile time, so one
@@ -491,7 +510,8 @@ type PlatformGridResult struct {
 // hardware rc names, across a bounded worker pool (workers: 0 = one per
 // CPU, 1 = serial). Cells are assembled by index, so parallel output is
 // byte-identical to serial output; every cell builds its own engine and
-// governor instance, so the grid is race-free by construction.
+// governor instance and only reads the hardware it shares with the other
+// cells, so the grid is race-free by construction.
 //
 // A cell whose run fails does not abort the grid: the error is captured
 // as that cell's violation (Sim stays nil) so every other cell still
@@ -516,8 +536,8 @@ func RunGridCtx(ctx context.Context, scs []*Scenario, governors []string, rc Con
 // every governor on every named platform, in one worker pool. Platform
 // references resolve through the catalog (name or bundle-file path) up
 // front, so an unknown platform fails the whole grid before any cell
-// runs; each cell then resolves its own fresh bundle, so nothing is
-// shared across concurrent cells. rc must leave the hardware unset.
+// runs; each platform is decoded once, and the cells of its plane share
+// that one bundle read-only. rc must leave the hardware unset.
 func RunPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
 	if len(platforms) == 0 {
 		return nil, errors.New("scenario: empty grid (no platforms)")
@@ -527,7 +547,9 @@ func RunPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc
 
 // runGrid is the one fan-out behind every grid entry point. A nil
 // platforms runs a single plane on rc's hardware; otherwise the grid
-// owns the platform axis. Cells are assembled by flat index.
+// owns the platform axis. Hardware resolves once per plane and the
+// plane's cells share it (runOn only reads it). Cells are assembled by
+// flat index.
 func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
 	if len(scs) == 0 {
 		return nil, errors.New("scenario: empty grid (no scenarios)")
@@ -536,6 +558,11 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 		return nil, errors.New("scenario: empty grid (no governors)")
 	}
 	out := &PlatformGridResult{Governors: append([]string(nil), governors...)}
+	var planes []hardware
+	// hwErr fails every cell of a single-plane grid whose hardware does
+	// not resolve; each cell reports it after its own validation, as
+	// RunCtx would.
+	var hwErr error
 	if platforms != nil {
 		if rc.PlatformName != "" || rc.Platform != nil || rc.Net != nil {
 			return nil, errors.New("scenario: platform grid owns the platform axis; leave Config.PlatformName/Platform/Net empty")
@@ -546,7 +573,11 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 				return nil, err
 			}
 			out.Platforms = append(out.Platforms, b.Name)
+			planes = append(planes, bundleHardware(b))
 		}
+	} else {
+		hw, err := resolveHardware(rc)
+		planes, hwErr = []hardware{hw}, err
 	}
 	for _, sc := range scs {
 		if sc == nil {
@@ -565,13 +596,17 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 	n := np * ns * ng
 	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
 		pi, si, gi := i/(ns*ng), i/ng%ns, i%ng
+		sc := scs[si]
 		cell := rc
-		plat := ""
-		if platforms != nil {
-			cell.PlatformName, plat = platforms[pi], out.Platforms[pi]
-		}
 		cell.Governor = governors[gi]
-		r, err := RunCtx(ctx, scs[si], cell)
+		var r *Result
+		err := sc.Validate(rc.Governors)
+		if err == nil && hwErr != nil {
+			err = fmt.Errorf("scenario %s: %w", sc.Name, hwErr)
+		}
+		if err == nil {
+			r, err = runOn(ctx, sc, cell, planes[pi])
+		}
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, sim.ErrAborted) {
 				// A cancelled cell is not a cell failure: abort the
@@ -579,10 +614,12 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 				return err
 			}
 			r = &Result{
-				Scenario:   scs[si].Name,
+				Scenario:   sc.Name,
 				Governor:   governors[gi],
-				Platform:   plat,
 				Violations: []string{fmt.Sprintf("error: %v", err)},
+			}
+			if platforms != nil {
+				r.Platform = out.Platforms[pi]
 			}
 		}
 		out.Cells[pi][si][gi] = r

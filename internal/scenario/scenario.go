@@ -15,7 +15,8 @@
 // governor matrix out across the bounded worker pool on the configured
 // hardware, RunPlatformGrid across a list of catalog platforms too; both
 // fill the one grid type, PlatformGridResult, with
-// byte-identical-to-serial output.
+// byte-identical-to-serial output. A grid decodes each platform once and
+// every cell on it shares that decoded hardware read-only.
 //
 // The JSON schema is one object per scenario:
 //
@@ -47,6 +48,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -185,6 +187,11 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 	if !knownGov(s.Governor) {
 		return fmt.Errorf("scenario %s: unknown governor %q", s.Name, s.Governor)
 	}
+	// NaN and ±Inf pass every ordered comparison below unnoticed: a NaN
+	// bound never fires and an infinite horizon runs no ticks at all.
+	if f, bad := nonFinite(numField{"horizon_s", s.HorizonS}); bad {
+		return fmt.Errorf("scenario %s: non-finite %s %g", s.Name, f.name, f.v)
+	}
 	if s.HorizonS < 0 {
 		return fmt.Errorf("scenario %s: negative horizon", s.Name)
 	}
@@ -193,6 +200,10 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 	depCount := map[string]int{}
 	for i := range s.Events {
 		ev := &s.Events[i]
+		if f, bad := nonFinite(numField{"at_s", ev.AtS}, numField{"ramp_s", ev.RampS}, numField{"to_c", ev.ToC},
+			numField{"max_c", ev.MaxC}, numField{"deadline_s", ev.DeadlineS}); bad {
+			return fmt.Errorf("scenario %s: event %d: non-finite %s %g", s.Name, i, f.name, f.v)
+		}
 		if ev.AtS < 0 {
 			return fmt.Errorf("scenario %s: event %d at t=%g before the run starts", s.Name, i, ev.AtS)
 		}
@@ -294,11 +305,30 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 		}
 	}
 	for i, fc := range s.Final {
+		if f, bad := nonFinite(numField{"peak_max_c", fc.PeakMaxC}, numField{"max_exec_s", fc.MaxExecS}); bad {
+			return fmt.Errorf("scenario %s: final check %d: non-finite %s %g", s.Name, i, f.name, f.v)
+		}
 		if fc.Node == "" && fc.PeakMaxC > 0 {
 			return fmt.Errorf("scenario %s: final check %d: peak bound without a node", s.Name, i)
 		}
 	}
 	return nil
+}
+
+// numField is a numeric schema field under its JSON name.
+type numField struct {
+	name string
+	v    float64
+}
+
+// nonFinite returns the first of fs that is NaN or ±Inf.
+func nonFinite(fs ...numField) (numField, bool) {
+	for _, f := range fs {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f, true
+		}
+	}
+	return numField{}, false
 }
 
 // EndS returns the time of the last timeline entry (ramp tails included).

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -74,6 +75,58 @@ func TestValidateSurplusDepartureDeterministic(t *testing.T) {
 		if !strings.Contains(err.Error(), "COVARIANCE") {
 			t.Fatalf("run %d: error reports %q, want the sorted-first app COVARIANCE every time", i, err)
 		}
+	}
+}
+
+// NaN and ±Inf slip past every ordered comparison: an infinite horizon
+// would run zero ticks with no error and no violations, a NaN assertion
+// bound could never fire, and a NaN event time would fail only inside the
+// engine's scheduler. Validate rejects them field by field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	base := func() *Scenario {
+		sc, err := New("numbers").
+			ArriveJob(0, "MVT", nil, 0, 30).
+			AmbientRamp(1, 2, 40).
+			AssertTempBelow(2, NodeBig, 95).
+			AssertPeakBelow(NodeBig, 96).
+			RequireExecUnder(60).
+			Horizon(5).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	cases := []struct {
+		field string
+		set   func(sc *Scenario, v float64)
+	}{
+		{"horizon_s", func(sc *Scenario, v float64) { sc.HorizonS = v }},
+		{"at_s", func(sc *Scenario, v float64) { sc.Events[2].AtS = v }},
+		{"ramp_s", func(sc *Scenario, v float64) { sc.Events[1].RampS = v }},
+		{"to_c", func(sc *Scenario, v float64) { sc.Events[1].ToC = v }},
+		{"max_c", func(sc *Scenario, v float64) { sc.Events[2].MaxC = v }},
+		{"deadline_s", func(sc *Scenario, v float64) { sc.Events[0].DeadlineS = v }},
+		{"peak_max_c", func(sc *Scenario, v float64) { sc.Final[0].PeakMaxC = v }},
+		{"max_exec_s", func(sc *Scenario, v float64) { sc.Final[1].MaxExecS = v }},
+	}
+	for _, c := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sc := base()
+			c.set(sc, v)
+			err := sc.Validate(nil)
+			if err == nil || !strings.Contains(err.Error(), "non-finite "+c.field) {
+				t.Errorf("%s = %v: Validate returned %v, want a non-finite %s error", c.field, v, err, c.field)
+			}
+			if _, err := Run(sc, Config{}); err == nil {
+				t.Errorf("%s = %v: Run accepted the scenario", c.field, v)
+			}
+		}
+	}
+	// Arrival logs compile through the same check.
+	tr := &ArrivalTrace{Name: "nan-log", Records: []TraceRecord{{App: "MVT", AtS: math.NaN()}}}
+	if _, err := FromTrace(tr); err == nil || !strings.Contains(err.Error(), "non-finite at_s") {
+		t.Errorf("FromTrace with a NaN arrival time returned %v", err)
 	}
 }
 
