@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate ci
+.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check perfbench-layout scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate ci
 
 build:
 	$(GO) build ./...
@@ -63,6 +63,23 @@ bench-json:
 perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
+# Benchmark layout report (ROADMAP item 5): perfbench scales every time
+# by main.refKernel, whose speed depends on its address mod 64, so a
+# change that moves the kernel moves every scaled time. This builds
+# perfbench as perfbench/run.sh does (cgo off) but without VCS stamping,
+# so two checkouts of the same code print the same report, then prints
+# the kernel's address, that address mod 64 and a SHA-256 of the
+# binary's .text section (read with binutils' objcopy). Run it on the
+# parent and on the change: equal hashes mean the gated binary's code
+# did not move.
+LAYOUT_BIN := $(CURDIR)/.bench_build/layout/perfbench
+perfbench-layout:
+	cd perfbench && CGO_ENABLED=0 GOFLAGS=-buildvcs=false GOWORK=off $(GO) build -o $(LAYOUT_BIN) .
+	@addr=$$($(GO) tool nm $(LAYOUT_BIN) | awk '$$3 == "main.refKernel" { print $$1 }'); \
+	echo "main.refKernel  0x$$addr"; \
+	echo "address mod 64  $$((0x$$addr % 64))"; \
+	echo ".text sha256    $$(objcopy -O binary --only-section=.text $(LAYOUT_BIN) /dev/stdout | sha256sum | cut -d' ' -f1)"
+
 # Curated scenario-corpus regression gate: every preset (hand-authored
 # and trace-replayed, preemption and departures included) under the
 # ondemand baseline and the TEEM controller. teemscenario exits non-zero
@@ -111,11 +128,16 @@ soak-gate:
 # /metrics JSON unchanged, Prometheus text exposition format-valid under
 # content negotiation, lifecycle spans with the job's trace id on /trace
 # and the telemetry stream, and pprof answering on its own port only.
-# The instrumented-tick alloc proof rides along: the engine flight
-# recorder must cost zero allocations even with wall clocks enabled.
+# The metrics goldens pin the JSON document, the exposition and the
+# teemd.* expvar names byte for byte for a fixed counter state, and the
+# obs package tests cover the exposition writer, its validator and the
+# histogram quantile behind the latency percentiles. The
+# instrumented-tick alloc proof rides along: the engine flight recorder
+# must cost zero allocations even with wall clocks enabled.
 obs-gate:
 	$(GO) test ./cmd/teemd -run TestObsGate -count=1 -v
 	$(GO) test ./internal/sim -run 'TestInstrumentedTickZeroAllocs|TestRunStatsConsistent' -count=1
-	$(GO) test ./internal/service -run 'TestMetricsPromExposition|TestTrace' -count=1
+	$(GO) test ./internal/service -run 'TestMetricsPromExposition|TestTrace|Golden|TestExpvar' -count=1
+	$(GO) test ./internal/obs -count=1
 
 ci: build vet lint fmt perfbench-check test race bench scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate vulncheck

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"os"
@@ -93,11 +92,6 @@ func runLoad(args []string) {
 	}
 	expected := expect(presetSc)
 
-	type outcome struct {
-		latency time.Duration
-		cached  bool
-		err     error
-	}
 	results := make(chan outcome, *clients**reqs)
 	for c := 0; c < *clients; c++ {
 		go func(c int) {
@@ -178,14 +172,18 @@ func indentLines(s string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// oneRequest submits, polls to terminal, fetches the result and compares
-// it against the CLI-equivalent bytes.
-func oneRequest(client *http.Client, addr string, c int, preset, platform string, governors []string,
-	unique bool, expect func(*scenario.Scenario) string, expected string) (o struct {
+// outcome is one load request's result: its submit→result latency,
+// whether the request cache answered it, or why it failed.
+type outcome struct {
 	latency time.Duration
 	cached  bool
 	err     error
-}) {
+}
+
+// oneRequest submits, polls to terminal, fetches the result and compares
+// it against the CLI-equivalent bytes. A 429 counts as a failed request.
+func oneRequest(client *http.Client, addr string, c int, preset, platform string, governors []string,
+	unique bool, expect func(*scenario.Scenario) string, expected string) (o outcome) {
 	req := service.JobRequest{Preset: preset, Governors: governors, Platform: platform}
 	want := expected
 	if unique {
@@ -212,63 +210,26 @@ func oneRequest(client *http.Client, addr string, c int, preset, platform string
 		return o
 	}
 	start := time.Now()
-	resp, err := client.Post(addr+"/v1/jobs", "application/json", bytes.NewReader(raw))
-	if err != nil {
-		o.err = err
+	js, retryAfter, err := submitJob(client, addr, raw)
+	switch {
+	case err != nil:
+		o.err = fmt.Errorf("submit: %w", err)
 		return o
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		o.err = err
-		return o
-	}
-	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
-		o.err = fmt.Errorf("submit: HTTP %d: %s", resp.StatusCode, body)
-		return o
-	}
-	var js service.JobStatus
-	if err := json.Unmarshal(body, &js); err != nil {
-		o.err = err
+	case retryAfter > 0:
+		o.err = fmt.Errorf("submit: HTTP %d (Retry-After %s)", http.StatusTooManyRequests, retryAfter)
 		return o
 	}
 	o.cached = js.Cached
-
-	for !js.Terminal() {
-		time.Sleep(5 * time.Millisecond)
-		sresp, err := client.Get(addr + "/v1/jobs/" + js.ID)
-		if err != nil {
-			o.err = err
-			return o
-		}
-		body, err := io.ReadAll(sresp.Body)
-		sresp.Body.Close()
-		if err != nil {
-			o.err = err
-			return o
-		}
-		if err := json.Unmarshal(body, &js); err != nil {
-			o.err = err
-			return o
-		}
+	if js, err = awaitJob(client, addr, js.ID, time.Time{}); err != nil {
+		o.err = err
+		return o
 	}
 	if js.Status != service.StatusDone {
 		o.err = fmt.Errorf("job %s ended %s: %s", js.ID, js.Status, js.Error)
 		return o
 	}
-	rresp, err := client.Get(addr + "/v1/jobs/" + js.ID + "/result")
-	if err != nil {
-		o.err = err
-		return o
-	}
-	text, err := io.ReadAll(rresp.Body)
-	rresp.Body.Close()
-	if err != nil {
-		o.err = err
-		return o
-	}
-	if string(text) != want {
-		o.err = fmt.Errorf("job %s result differs from the CLI render (%d vs %d bytes)", js.ID, len(text), len(want))
+	if err := checkResult(client, addr, js.ID, want); err != nil {
+		o.err = fmt.Errorf("job %s: %w", js.ID, err)
 		return o
 	}
 	o.latency = time.Since(start)

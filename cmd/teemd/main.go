@@ -58,6 +58,12 @@ func main() {
 	runServe(args)
 }
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers on either listener, so a connection that trickles or
+// never sends them cannot pin a server goroutine. Request bodies and
+// streamed responses are not bounded by it.
+const readHeaderTimeout = 5 * time.Second
+
 func runServe(args []string) {
 	fs := flag.NewFlagSet("teemd serve", flag.ExitOnError)
 	var (
@@ -146,10 +152,10 @@ func runServe(args []string) {
 		pmux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pmux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		log.Printf("pprof listening on %s", pln.Addr())
-		go func() { _ = (&http.Server{Handler: pmux}).Serve(pln) }()
+		go func() { _ = (&http.Server{Handler: pmux, ReadHeaderTimeout: readHeaderTimeout}).Serve(pln) }()
 	}
 
-	srv := &http.Server{Handler: svc.Handler()}
+	srv := &http.Server{Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

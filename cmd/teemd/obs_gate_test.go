@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strings"
 	"testing"
@@ -163,5 +165,39 @@ func TestObsGate(t *testing.T) {
 	}
 	if code, _ := d.get(t, "/debug/pprof/"); code == http.StatusOK {
 		t.Error("pprof is exposed on the API port; it must stay on its own listener")
+	}
+}
+
+// TestSlowHeadersTimeOut holds a connection open on each listener — the
+// API and the pprof one — with an unfinished request header, and
+// requires both servers to drop it once readHeaderTimeout passes.
+func TestSlowHeadersTimeOut(t *testing.T) {
+	d := startDaemon(t, "-pprof", "127.0.0.1:0")
+	addrs := []string{strings.TrimPrefix(d.base, "http://"), pprofAddr(t, d)}
+	errc := make(chan error, len(addrs))
+	for _, addr := range addrs {
+		go func() {
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				errc <- err
+				return
+			}
+			defer conn.Close()
+			if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+				errc <- err
+				return
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 10*time.Second))
+			if _, err := io.Copy(io.Discard, conn); err != nil {
+				errc <- fmt.Errorf("%s: connection with an unfinished header still open: %v", addr, err)
+				return
+			}
+			errc <- nil
+		}()
+	}
+	for range addrs {
+		if err := <-errc; err != nil {
+			t.Error(err)
+		}
 	}
 }

@@ -90,7 +90,7 @@ func runSoak(addr string, clients, tenants int, dur, sloP99 time.Duration) {
 				})
 
 				start := time.Now()
-				js, retryAfter, err := soakSubmit(client, addr, req)
+				js, retryAfter, err := submitJob(client, addr, req)
 				switch {
 				case err != nil:
 					fail("submit: %v", err)
@@ -124,7 +124,7 @@ func runSoak(addr string, clients, tenants int, dur, sloP99 time.Duration) {
 	client := &http.Client{Timeout: 2 * time.Minute}
 	settle := time.Now().Add(sloP99 + time.Minute)
 	for _, a := range jobs {
-		js, err := soakAwait(client, addr, a.id, settle)
+		js, err := awaitJob(client, addr, a.id, settle)
 		if err != nil {
 			fail("job %s never settled: %v", a.id, err)
 			continue
@@ -167,7 +167,7 @@ func runSoak(addr string, clients, tenants int, dur, sloP99 time.Duration) {
 	if p99 > sloP99 {
 		fail("p99 latency %s exceeds the %s SLO", p99.Round(time.Millisecond), sloP99)
 	}
-	if hz := soakHealthz(client, addr); hz != "ok" {
+	if hz := healthStatus(client, addr); hz != "ok" {
 		fail("healthz after soak: %q (want ok)", hz)
 	}
 	mu.Lock()
@@ -187,9 +187,13 @@ func runSoak(addr string, clients, tenants int, dur, sloP99 time.Duration) {
 	fmt.Println("  soak SLOs held ✔")
 }
 
-// soakSubmit posts one job. A 429 returns its Retry-After as a positive
+// pollInterval is how often the load and soak clients poll a job's
+// status while they wait for it to finish.
+const pollInterval = 5 * time.Millisecond
+
+// submitJob posts one job. A 429 returns its Retry-After as a positive
 // duration instead of an error.
-func soakSubmit(client *http.Client, addr string, body []byte) (service.JobStatus, time.Duration, error) {
+func submitJob(client *http.Client, addr string, body []byte) (service.JobStatus, time.Duration, error) {
 	var js service.JobStatus
 	resp, err := client.Post(addr+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -213,8 +217,9 @@ func soakSubmit(client *http.Client, addr string, body []byte) (service.JobStatu
 	return js, 0, json.Unmarshal(raw, &js)
 }
 
-// soakAwait polls a job until it is terminal or the deadline passes.
-func soakAwait(client *http.Client, addr, id string, deadline time.Time) (service.JobStatus, error) {
+// awaitJob polls a job until it is terminal or the deadline passes
+// (a zero deadline waits as long as the job runs).
+func awaitJob(client *http.Client, addr, id string, deadline time.Time) (service.JobStatus, error) {
 	var js service.JobStatus
 	for {
 		resp, err := client.Get(addr + "/v1/jobs/" + id)
@@ -232,10 +237,10 @@ func soakAwait(client *http.Client, addr, id string, deadline time.Time) (servic
 		if js.Terminal() {
 			return js, nil
 		}
-		if time.Now().After(deadline) {
+		if !deadline.IsZero() && time.Now().After(deadline) {
 			return js, fmt.Errorf("still %s at the settlement deadline", js.Status)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(pollInterval)
 	}
 }
 
@@ -252,17 +257,8 @@ type soakJob struct {
 // soakVerify checks a done job end to end: CLI-identical result bytes
 // and a telemetry stream that replays through to a "done" event.
 func soakVerify(client *http.Client, addr string, a *soakJob) error {
-	resp, err := client.Get(addr + "/v1/jobs/" + a.id + "/result")
-	if err != nil {
+	if err := checkResult(client, addr, a.id, a.want); err != nil {
 		return err
-	}
-	text, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if string(text) != a.want {
-		return fmt.Errorf("result differs from the CLI render (%d vs %d bytes)", len(text), len(a.want))
 	}
 	sresp, err := client.Get(addr + "/v1/jobs/" + a.id + "/stream")
 	if err != nil {
@@ -279,8 +275,26 @@ func soakVerify(client *http.Client, addr string, a *soakJob) error {
 	return nil
 }
 
-// soakHealthz returns the daemon's reported health status.
-func soakHealthz(client *http.Client, addr string) string {
+// checkResult fetches a done job's rendered result and requires it to
+// be byte-identical to want, the CLI render of the same work.
+func checkResult(client *http.Client, addr, id, want string) error {
+	resp, err := client.Get(addr + "/v1/jobs/" + id + "/result")
+	if err != nil {
+		return err
+	}
+	text, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	if string(text) != want {
+		return fmt.Errorf("result differs from the CLI render (%d vs %d bytes)", len(text), len(want))
+	}
+	return nil
+}
+
+// healthStatus returns the daemon's reported health status.
+func healthStatus(client *http.Client, addr string) string {
 	resp, err := client.Get(addr + "/healthz")
 	if err != nil {
 		return err.Error()

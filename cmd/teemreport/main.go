@@ -1,22 +1,31 @@
-// Command teemreport runs every paper experiment and emits a Markdown
-// report comparing the paper's numbers against the simulator's
-// measurements.
+// Command teemreport runs the paper evaluation on the simulated Exynos
+// 5422. Bare, it emits a Markdown report comparing the paper's numbers
+// against the simulator's measurements; `eval` prints each experiment's
+// own render (Fig. 1, Fig. 5, §V.D memory, Eqs. (1)–(2) design space,
+// ablations); `profile` runs TEEM's offline phase for one application
+// (Tables I and II, Figs. 3 and 4, the stored-model footprint).
 //
 // Usage:
 //
-//	teemreport > report.md
+//	teemreport > report.md              # the Markdown report
 //	teemreport -workers 8 > report.md   # bound the worker pool
+//	teemreport eval -only fig5 -big 3   # one experiment; Fig. 5 at 2L+3B
+//	teemreport profile -app SYRK -observations -save store.json
 //
 // The experiments fan out across a worker pool (default: one worker per
-// CPU); the report is byte-identical whatever the worker count.
+// CPU); every output is byte-identical whatever the worker count.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
+	"slices"
+	"strings"
 
 	"teem/internal/buildinfo"
+	"teem/internal/core"
 	"teem/internal/experiments"
 	"teem/internal/mapping"
 	"teem/internal/report"
@@ -25,18 +34,58 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("teemreport: ")
-	workers := flag.Int("workers", 0, "parallel experiment workers (0 = one per CPU, 1 = serial)")
-	version := flag.Bool("version", false, "print version and exit")
-	flag.Parse()
+	run, args := runReport, os.Args[1:]
+	if len(args) > 0 {
+		switch args[0] {
+		case "eval":
+			run, args = runEval, args[1:]
+		case "profile":
+			run, args = runProfile, args[1:]
+		}
+	}
+	run(args)
+}
+
+// parseFlags parses one command's flags plus the shared -version flag,
+// and exits after printing the banner when -version is set.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	version := fs.Bool("version", false, "print version and exit")
+	_ = fs.Parse(args)
 	if *version {
 		fmt.Println(buildinfo.String("teemreport"))
-		return
+		os.Exit(0)
 	}
+}
 
-	env, err := experiments.NewEnvWith(experiments.Options{Workers: *workers})
+// newEnv builds the Exynos 5422 evaluation environment.
+func newEnv(workers int) *experiments.Env {
+	env, err := experiments.NewEnvWith(experiments.Options{Workers: workers})
 	if err != nil {
 		log.Fatal(err)
 	}
+	return env
+}
+
+// ablations runs the three controller sweeps — software threshold,
+// step-down δ and frequency floor — that the report and eval render.
+func ablations(env *experiments.Env) (th, delta, floor []experiments.SweepPoint, err error) {
+	if th, err = env.ThresholdSweep([]float64{80, 83, 85, 88, 91, 94}); err != nil {
+		return nil, nil, nil, err
+	}
+	if delta, err = env.DeltaSweep([]int{100, 200, 400}); err != nil {
+		return nil, nil, nil, err
+	}
+	floor, err = env.FloorSweep([]int{1000, 1200, 1400, 1600, 1800})
+	return th, delta, floor, err
+}
+
+// runReport emits the Markdown report: every paper experiment, the
+// paper's numbers beside the simulator's measurements.
+func runReport(args []string) {
+	fs := flag.NewFlagSet("teemreport", flag.ExitOnError)
+	workers := fs.Int("workers", 0, "parallel experiment workers (0 = one per CPU, 1 = serial)")
+	parseFlags(fs, args)
+	env := newEnv(*workers)
 
 	fmt.Println("# EXPERIMENTS — paper vs measured")
 	fmt.Println()
@@ -192,15 +241,7 @@ func main() {
 	fmt.Printf("| diverse profiled subset | 10 368 | %d |\n\n", ds.DiverseSubset)
 
 	// --- ablations -----------------------------------------------------------
-	th, err := env.ThresholdSweep([]float64{80, 83, 85, 88, 91, 94})
-	if err != nil {
-		log.Fatal(err)
-	}
-	d, err := env.DeltaSweep([]int{100, 200, 400})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fl, err := env.FloorSweep([]int{1000, 1200, 1400, 1600, 1800})
+	th, d, fl, err := ablations(env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -215,4 +256,149 @@ func main() {
 	fmt.Println(experiments.RenderSweep("delta sweep", "δ (MHz)", d))
 	fmt.Println(experiments.RenderSweep("floor sweep", "floor (MHz)", fl))
 	fmt.Println("```")
+}
+
+// experimentNames are the values eval's -only accepts, in run order.
+var experimentNames = []string{"fig1", "fig5", "memory", "space", "ablations"}
+
+// runEval runs the paper experiments — all of them, or the one -only
+// names — and prints each experiment's own render.
+func runEval(args []string) {
+	fs := flag.NewFlagSet("teemreport eval", flag.ExitOnError)
+	var (
+		only    = fs.String("only", "", "run one experiment: "+strings.Join(experimentNames, ", "))
+		nBig    = fs.Int("big", 4, "Fig. 5 mapping: big cores")
+		nLittle = fs.Int("little", 2, "Fig. 5 mapping: LITTLE cores")
+		workers = fs.Int("workers", 0, "parallel experiment workers (0 = one per CPU, 1 = serial)")
+	)
+	parseFlags(fs, args)
+	if *only != "" && !slices.Contains(experimentNames, *only) {
+		log.Printf("unknown experiment %q for -only (want one of: %s)", *only, strings.Join(experimentNames, ", "))
+		os.Exit(2)
+	}
+	env := newEnv(*workers)
+	m := mapping.Mapping{Big: *nBig, Little: *nLittle, UseGPU: true}
+
+	run := func(name string, fn func() error) {
+		if *only != "" && *only != name {
+			return
+		}
+		if err := fn(); err != nil {
+			log.Fatalf("%s: %v", name, err)
+		}
+	}
+
+	run("fig1", func() error {
+		r, err := env.Fig1()
+		if err != nil {
+			return err
+		}
+		fmt.Println(r.Render())
+		return nil
+	})
+	run("fig5", func() error {
+		r, err := env.Fig5(m)
+		if err != nil {
+			return err
+		}
+		fmt.Println(r.RenderEnergy())
+		fmt.Println(r.RenderTemperature())
+		fmt.Println(r.RenderPerformance())
+		return nil
+	})
+	run("memory", func() error {
+		fmt.Println(env.Memory().Render())
+		return nil
+	})
+	run("space", func() error {
+		r, err := env.DesignSpace()
+		if err != nil {
+			return err
+		}
+		fmt.Println(r.Render())
+		return nil
+	})
+	run("ablations", func() error {
+		th, d, f, err := ablations(env)
+		if err != nil {
+			return err
+		}
+		fmt.Println(experiments.RenderSweep(
+			"Ablation — software thermal threshold (paper default 85 °C)", "threshold (°C)", th))
+		fmt.Println(experiments.RenderSweep(
+			"Ablation — step-down δ (paper default 200 MHz)", "δ (MHz)", d))
+		fmt.Println(experiments.RenderSweep(
+			"Ablation — frequency floor (paper default 1400 MHz)", "floor (MHz)", f))
+		return nil
+	})
+}
+
+// runProfile runs TEEM's offline phase for one application and shows
+// one online decision with the fitted model.
+func runProfile(args []string) {
+	fs := flag.NewFlagSet("teemreport profile", flag.ExitOnError)
+	var (
+		appName  = fs.String("app", "COVARIANCE", "Polybench application name")
+		showObs  = fs.Bool("observations", false, "print the raw profiling observations")
+		savePath = fs.String("save", "", "write the runtime model store (JSON) to this file")
+	)
+	parseFlags(fs, args)
+	env := newEnv(0)
+	m, err := env.ProfileApp(*appName)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	if *showObs {
+		t := &report.Table{
+			Title:   fmt.Sprintf("profiling observations (%s)", *appName),
+			Headers: []string{"mapping", "M", "AT (°C)", "PT (°C)", "ET (s)", "EC (J)"},
+		}
+		for _, o := range m.Model.Observations {
+			t.AddRow(o.Map.String(),
+				fmt.Sprintf("%.0f", o.M),
+				fmt.Sprintf("%.1f", o.ATC),
+				fmt.Sprintf("%.1f", o.PTC),
+				fmt.Sprintf("%.1f", o.ETS),
+				fmt.Sprintf("%.0f", o.ECJ))
+		}
+		fmt.Println(t.Render())
+	}
+
+	fmt.Println(m.Fig3())
+	fmt.Println(m.TableI())
+	fmt.Println(m.TableII())
+	fmt.Println(m.Fig4())
+
+	fmt.Printf("stored runtime model: %d bytes (%d coefficients + ETGPU %.1f s) — vs %d bytes for a %d-entry design-point table\n",
+		m.Model.StorageBytes(), mapping.ModelCoefficients, m.Model.ETGPUSec,
+		mapping.EEMPStorageBytes(), mapping.EEMPStoredItems())
+
+	// Demonstrate an online decision with the fitted model.
+	treq := m.Model.ETGPUSec / 2
+	dec, err := env.Manager().Decide(*appName, treq, core.DefaultParams().ThresholdC)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("online decision for TREQ=%.1fs, AT=85°C: mapping %s, partition %s (predicted M=%.2f, WGCPU=%.3f)\n",
+		treq, dec.Map, dec.Part, dec.PredictedM, dec.WGCPU)
+
+	if *savePath != "" {
+		st, err := env.Manager().Export()
+		if err != nil {
+			log.Fatal(err)
+		}
+		f, err := os.Create(*savePath)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if err := st.Save(f); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("runtime store written to %s (%d models; load with core.LoadStore + Manager.Import)\n",
+			*savePath, len(st.Models))
+	}
 }

@@ -1,4 +1,5 @@
-// Process-level tests for the teemeval CLI's flag contract.
+// Process-level tests for the teemreport CLI: byte-pinned outputs of
+// the report and both subcommands, and eval's -only flag contract.
 package main
 
 import (
@@ -14,19 +15,19 @@ import (
 var binPath string
 
 func TestMain(m *testing.M) {
-	dir, err := os.MkdirTemp("", "teemeval-smoke-")
+	dir, err := os.MkdirTemp("", "teemreport-smoke-")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	build := exec.Command("go", "build", "-o", dir, "teem/cmd/teemeval")
+	build := exec.Command("go", "build", "-o", dir, "teem/cmd/teemreport")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		fmt.Fprintf(os.Stderr, "building teemeval: %v\n", err)
+		fmt.Fprintf(os.Stderr, "building teemreport: %v\n", err)
 		os.RemoveAll(dir)
 		os.Exit(1)
 	}
-	binPath = filepath.Join(dir, "teemeval")
+	binPath = filepath.Join(dir, "teemreport")
 	code := m.Run()
 	os.RemoveAll(dir)
 	os.Exit(code)
@@ -51,10 +52,37 @@ func run(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
+// TestOutputsGolden pins the stdout of the Markdown report and of both
+// subcommands byte for byte. The goldens were generated by the separate
+// teemreport, teemeval and teemprofile commands these subcommands
+// replace.
+func TestOutputsGolden(t *testing.T) {
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"report.golden", []string{"-workers", "1"}},
+		{"eval.golden", []string{"eval", "-workers", "1"}},
+		{"profile.golden", []string{"profile", "-app", "SYRK", "-observations"}},
+	} {
+		out, errOut, code := run(t, c.args...)
+		if code != 0 {
+			t.Fatalf("teemreport %v exited %d: %s", c.args, code, errOut)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != string(want) {
+			t.Errorf("teemreport %v differs from %s\n--- got ---\n%s", c.args, c.golden, out)
+		}
+	}
+}
+
 // An unknown -only name must fail loudly, before any experiment runs,
 // and name the valid choices.
 func TestOnlyRejectsUnknownExperiment(t *testing.T) {
-	out, errOut, code := run(t, "-only", "bogus")
+	out, errOut, code := run(t, "eval", "-only", "bogus")
 	if code != 2 {
 		t.Fatalf("-only bogus exited %d, want 2", code)
 	}
@@ -70,7 +98,7 @@ func TestOnlyRejectsUnknownExperiment(t *testing.T) {
 
 // A valid name still runs just that experiment.
 func TestOnlyRunsOneExperiment(t *testing.T) {
-	out, errOut, code := run(t, "-only", "memory")
+	out, errOut, code := run(t, "eval", "-only", "memory")
 	if code != 0 {
 		t.Fatalf("-only memory exited %d: %s", code, errOut)
 	}

@@ -43,6 +43,30 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 }
 
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) the way Prometheus'
+// histogram_quantile does: it finds the first bucket whose cumulative
+// count reaches rank q·Count and interpolates linearly inside it, the
+// first bucket starting at 0. A rank past the last bound returns that
+// bound. q = 0 returns the lower edge of the first non-empty bucket
+// (where histogram_quantile divides 0 by 0), and an empty histogram
+// returns 0.
+func (h *Histogram) Quantile(q float64) float64 {
+	if h.count == 0 || len(h.bounds) == 0 {
+		return 0
+	}
+	rank := q * float64(h.count)
+	var cum int64
+	lower := 0.0
+	for i, ub := range h.bounds {
+		if n := h.counts[i]; n > 0 && float64(cum+n) >= rank {
+			return lower + (ub-lower)*(rank-float64(cum))/float64(n)
+		}
+		cum += h.counts[i]
+		lower = ub
+	}
+	return lower
+}
+
 // HistSnapshot is a point-in-time copy of a histogram, safe to render
 // after the guarding lock is released.
 type HistSnapshot struct {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"regexp"
 	"strings"
 	"testing"
@@ -154,6 +155,38 @@ func TestHistogramObserve(t *testing.T) {
 	// 100 s overflows the last bucket and lives only in _count/+Inf.
 	if inBuckets != 4 {
 		t.Errorf("bucketed observations = %d, want 4", inBuckets)
+	}
+}
+
+// Quantile must agree with Prometheus' histogram_quantile on the same
+// buckets, and stay defined where that function returns NaN.
+func TestHistogramQuantile(t *testing.T) {
+	cases := []struct {
+		name   string
+		bounds []float64
+		obs    []float64
+		q      float64
+		want   float64
+	}{
+		{"empty", []float64{1, 2, 4}, nil, 0.5, 0},
+		{"empty q=1", []float64{1, 2, 4}, nil, 1, 0},
+		{"one observation", []float64{1, 2, 4}, []float64{1.5}, 0.5, 1.5},
+		{"inside a bucket", []float64{1, 2, 4}, []float64{0.5, 1.5, 1.5, 3, 3}, 0.5, 1.75},
+		{"inside the last bucket", []float64{1, 2, 4}, []float64{0.5, 1.5, 1.5, 3, 3}, 0.9, 3.5},
+		{"first bucket starts at 0", []float64{1, 2, 4}, []float64{0.5, 0.5, 3, 3}, 0.25, 0.5},
+		{"rank in the overflow bucket", []float64{1, 2}, []float64{0.5, 5, 5, 5}, 0.5, 2},
+		{"q=0", []float64{1, 2, 4}, []float64{3, 3.5}, 0, 2},
+		{"q=1", []float64{1, 2, 4}, []float64{0.5, 1.5, 1.5, 3, 3}, 1, 4},
+		{"q=1 with overflow", []float64{1, 2, 4}, []float64{0.5, 9}, 1, 4},
+	}
+	for _, c := range cases {
+		h := NewHistogram(c.bounds...)
+		for _, v := range c.obs {
+			h.Observe(v)
+		}
+		if got := h.Quantile(c.q); math.Abs(got-c.want) > 1e-12 {
+			t.Errorf("%s: Quantile(%g) = %g, want %g", c.name, c.q, got, c.want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"teem/internal/buildinfo"
@@ -81,12 +82,22 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, code, apiError{Error: err.Error()})
 }
 
+// maxRequestBytes caps a submit body. Inline scenarios and arrival
+// traces are kilobytes; a larger body answers 413 before anything is
+// admitted, so it creates no job and no journal record.
+const maxRequestBytes = 1 << 20
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("decoding request: %v", err)})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{Error: fmt.Sprintf("decoding request: %v", err)})
 		return
 	}
 	j, cached, err := s.Submit(&req)
@@ -146,11 +157,18 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	serveNDJSON(w, r, j.stream, true)
+}
+
+// serveNDJSON writes an event log to the client as NDJSON, flushing
+// after every line: the replay, then — with live — everything new until
+// the log closes or the client disconnects.
+func serveNDJSON(w http.ResponseWriter, r *http.Request, l *eventLog, live bool) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	_ = j.Stream(r.Context(), func(line []byte) error {
+	_ = l.follow(r.Context(), live, func(line []byte) error {
 		if _, werr := w.Write(line); werr != nil {
 			return werr
 		}
@@ -183,24 +201,10 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 // the buffered spans, then — with ?follow=1 — everything new until the
 // client disconnects.
 func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	follow := r.URL.Query().Get("follow") == "1"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	_ = s.Trace(r.Context(), follow, func(line []byte) error {
-		if _, werr := w.Write(line); werr != nil {
-			return werr
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
-	})
+	serveNDJSON(w, r, s.spans, r.URL.Query().Get("follow") == "1")
 }
 
 func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	queued, running := s.Counts()
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -218,12 +222,13 @@ func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		status = "draining"
 		code = http.StatusServiceUnavailable
 	}
-	writeJSON(w, code, map[string]any{
-		"status":       status,
-		"version":      buildinfo.Version,
-		"jobs_queued":  queued,
-		"jobs_running": running,
-		"recoveries":   s.metrics.recoveries.Value(),
-		"journal":      jh,
-	})
+	body := map[string]any{"status": status, "version": buildinfo.Version, "journal": jh}
+	m := s.metrics
+	reported := []*expvar.Int{&m.queued, &m.running, &m.recoveries}
+	for _, c := range m.counters() {
+		if slices.Contains(reported, c.v) {
+			body[c.key] = c.v.Value()
+		}
+	}
+	writeJSON(w, code, body)
 }

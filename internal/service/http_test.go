@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -271,5 +273,44 @@ func TestHTTPListJobs(t *testing.T) {
 		if list[i-1].ID >= list[i].ID {
 			t.Errorf("listing out of submission order: %s then %s", list[i-1].ID, list[i].ID)
 		}
+	}
+}
+
+// An oversized submit body is refused with 413 in the JSON error shape
+// before admission: no job, no journal record.
+func TestHTTPSubmitTooLarge(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	_, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})
+	body := `{"preset":"sunlight","tenant":"` + strings.Repeat("a", maxRequestBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit = %d: %s", resp.StatusCode, raw)
+	}
+	var apiErr struct {
+		Error string `json:"error"`
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("413 Content-Type = %q, want application/json", ct)
+	}
+	if err := json.Unmarshal(raw, &apiErr); err != nil || apiErr.Error == "" {
+		t.Errorf("413 body %q is not the JSON error shape: %v", raw, err)
+	}
+	if _, list := getBody(t, ts.URL+"/v1/jobs"); strings.TrimSpace(string(list)) != "[]" {
+		t.Errorf("oversized submit created a job: %s", list)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(journal, []byte(`"submit"`)) {
+		t.Errorf("oversized submit reached the journal:\n%s", journal)
 	}
 }

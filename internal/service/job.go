@@ -52,7 +52,7 @@ type Job struct {
 
 	key    string
 	svc    *Service
-	stream *streamBuf
+	stream *eventLog
 	// plan is the resolved work (scenarios × governors), parsed once at
 	// submission.
 	plan *jobPlan
@@ -81,7 +81,7 @@ func newJob(id, traceID string, req *JobRequest, key string, svc *Service) *Job 
 		Req:         req,
 		key:         key,
 		svc:         svc,
-		stream:      newStreamBuf(),
+		stream:      newEventLog(0),
 		status:      StatusQueued,
 		submittedAt: now(),
 	}
@@ -547,7 +547,7 @@ func (j *Job) publishSample(s trace.Sample) {
 }
 
 // publishCell reports one completed grid cell (called from grid worker
-// goroutines; streamBuf serializes).
+// goroutines; the event log serializes).
 func (j *Job) publishCell(r *scenario.Result) {
 	ev := cellEvent{
 		Type:       "cell",
@@ -577,22 +577,5 @@ func (j *Job) publishDone(st Status) {
 // concurrent streamers are independent; late subscribers see the full
 // history.
 func (j *Job) Stream(ctx context.Context, emit func(line []byte) error) error {
-	stop := context.AfterFunc(ctx, j.stream.wake)
-	defer stop()
-	i := 0
-	for {
-		lines, closed := j.stream.waitFrom(ctx, i)
-		for _, ln := range lines {
-			if err := emit(ln); err != nil {
-				return err
-			}
-		}
-		i += len(lines)
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if closed && len(lines) == 0 {
-			return nil
-		}
-	}
+	return j.stream.follow(ctx, true, emit)
 }

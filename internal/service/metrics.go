@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,33 +15,45 @@ import (
 	"teem/internal/obs"
 )
 
-// latencyWindow bounds the sliding window the latency percentiles are
-// computed over: the last latencyWindow finished jobs.
-const latencyWindow = 512
+// counter is one metric declared once: the value it reads, its key in
+// the /metrics JSON document (for a service counter also its expvar
+// name, "teemd."+key), and its Prometheus family, type and help text.
+type counter struct {
+	v                        *expvar.Int
+	key, family, mtype, help string
+}
 
 // tenantStats are one tenant's admission counters: how much work it has
 // in the system right now and how admission control has treated it.
+// The tenant table (counters) says what each one counts; submitted
+// excludes cache hits.
 type tenantStats struct {
-	// queued is the tenant's non-terminal job gauge (queued + running).
-	queued expvar.Int
-	// submitted counts accepted new jobs (cache hits excluded).
-	submitted expvar.Int
-	// done counts successful completions.
-	done expvar.Int
-	// shed counts queued jobs displaced by higher-priority submissions.
-	shed expvar.Int
-	// quotaRejected counts submissions refused by the tenant's quota.
+	queued        expvar.Int
+	submitted     expvar.Int
+	done          expvar.Int
+	shed          expvar.Int
 	quotaRejected expvar.Int
 }
 
-func (t *tenantStats) vars() map[string]int64 {
-	return map[string]int64{
-		"queued":         t.queued.Value(),
-		"submitted":      t.submitted.Value(),
-		"done":           t.done.Value(),
-		"shed":           t.shed.Value(),
-		"quota_rejected": t.quotaRejected.Value(),
+// counters is the tenant table, in exposition order. Tenants appear in
+// the JSON document (under "tenants") and as tenant-labelled Prometheus
+// families, not as expvars.
+func (t *tenantStats) counters() []counter {
+	return []counter{
+		{&t.queued, "queued", "teemd_tenant_jobs_active", "gauge", "Per-tenant non-terminal jobs (queued + running)."},
+		{&t.submitted, "submitted", "teemd_tenant_submitted_total", "counter", "Per-tenant accepted submissions."},
+		{&t.done, "done", "teemd_tenant_done_total", "counter", "Per-tenant successful completions."},
+		{&t.shed, "shed", "teemd_tenant_shed_total", "counter", "Per-tenant jobs displaced from the queue."},
+		{&t.quotaRejected, "quota_rejected", "teemd_tenant_quota_rejected_total", "counter", "Per-tenant quota rejections."},
 	}
+}
+
+func (t *tenantStats) vars() map[string]int64 {
+	out := make(map[string]int64)
+	for _, c := range t.counters() {
+		out[c.key] = c.v.Value()
+	}
+	return out
 }
 
 // metrics are the service's operational counters, held as expvar types
@@ -72,23 +84,49 @@ type metrics struct {
 	tenants  map[string]*tenantStats //teem:guards tenantMu
 
 	mu sync.Mutex
-	// latencies is a ring of the last latencyWindow samples, in seconds.
-	latencies []float64 //teem:guards mu
-	latIdx    int       //teem:guards mu
-	// latHist and runHist are the Prometheus-facing distributions:
-	// submit→finish latency and start→finish run duration. The ring
-	// keeps serving the JSON percentiles; the histograms serve /metrics
-	// text exposition.
+	// latHist and runHist are the job latency distributions: submit→
+	// finish and start→finish. latHist is also the one source of the
+	// latency percentiles.
 	latHist *obs.Histogram //teem:guards mu
 	runHist *obs.Histogram //teem:guards mu
 }
 
+// counters is the service table, in exposition order.
+func (m *metrics) counters() []counter {
+	return []counter{
+		{&m.queued, "jobs_queued", "teemd_jobs_queued", "gauge", "Jobs accepted and waiting for a worker."},
+		{&m.running, "jobs_running", "teemd_jobs_running", "gauge", "Jobs currently executing."},
+		{&m.done, "jobs_done", "teemd_jobs_done_total", "counter", "Jobs finished successfully."},
+		{&m.failed, "jobs_failed", "teemd_jobs_failed_total", "counter", "Jobs finished in failure."},
+		{&m.cancelled, "jobs_cancelled", "teemd_jobs_cancelled_total", "counter", "Jobs cancelled before or during execution."},
+		{&m.shed, "jobs_shed", "teemd_jobs_shed_total", "counter", "Queued jobs displaced by higher-priority submissions."},
+		{&m.retried, "jobs_retried", "teemd_jobs_retried_total", "counter", "Transient-failure re-executions."},
+		{&m.cacheHits, "cache_hits", "teemd_cache_hits_total", "counter", "Submissions answered by the request-hash cache."},
+		{&m.quotaRejected, "quota_rejected", "teemd_quota_rejected_total", "counter", "Submissions refused by tenant quotas."},
+		{&m.recoveries, "recoveries", "teemd_recoveries_total", "counter", "Jobs re-run from the journal at startup."},
+		{&m.recoverySkipped, "recovery_skipped", "teemd_recovery_skipped_total", "counter", "Journal records skipped during recovery."},
+		{&m.journalAppends, "journal_appends", "teemd_journal_appends_total", "counter", "Fsynced journal batches."},
+		{&m.journalErrors, "journal_errors", "teemd_journal_errors_total", "counter", "Dropped or failed journal writes."},
+		{&m.journalCompactions, "journal_compactions", "teemd_journal_compactions_total", "counter", "Journal rewrites to the live image."},
+		{&m.journalBytes, "journal_bytes", "teemd_journal_bytes", "gauge", "Journal file size after the last flush."},
+	}
+}
+
+// readings are the JSON keys (and teemd.* expvars) computed on read
+// rather than counted.
+func (m *metrics) readings() map[string]func() any {
+	return map[string]func() any{
+		"version":       func() any { return buildinfo.Version },
+		"latency_p50_s": func() any { return m.latencyQuantile(0.50) },
+		"latency_p99_s": func() any { return m.latencyQuantile(0.99) },
+	}
+}
+
 func newMetrics() *metrics {
 	return &metrics{
-		latencies: make([]float64, 0, latencyWindow),
-		tenants:   make(map[string]*tenantStats),
-		latHist:   obs.NewHistogram(obs.LatencyBuckets()...),
-		runHist:   obs.NewHistogram(obs.LatencyBuckets()...),
+		tenants: make(map[string]*tenantStats),
+		latHist: obs.NewHistogram(obs.LatencyBuckets()...),
+		runHist: obs.NewHistogram(obs.LatencyBuckets()...),
 	}
 }
 
@@ -104,17 +142,11 @@ func (m *metrics) tenant(name string) *tenantStats {
 	return t
 }
 
+// observeLatency records one job's submit→finish latency.
 func (m *metrics) observeLatency(d time.Duration) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := d.Seconds()
-	m.latHist.Observe(s)
-	if len(m.latencies) < latencyWindow {
-		m.latencies = append(m.latencies, s)
-		return
-	}
-	m.latencies[m.latIdx] = s
-	m.latIdx = (m.latIdx + 1) % latencyWindow
+	m.latHist.Observe(d.Seconds())
+	m.mu.Unlock()
 }
 
 // observeRun records one job's start→finish run duration.
@@ -124,17 +156,12 @@ func (m *metrics) observeRun(d time.Duration) {
 	m.mu.Unlock()
 }
 
-// percentile computes the p-quantile (0..1) of the latency window.
-func (m *metrics) percentile(p float64) float64 {
+// latencyQuantile estimates the q-quantile of job submit→finish latency
+// in seconds, over every job since the service started.
+func (m *metrics) latencyQuantile(q float64) float64 {
 	m.mu.Lock()
-	buf := append([]float64(nil), m.latencies...)
-	m.mu.Unlock()
-	if len(buf) == 0 {
-		return 0
-	}
-	sort.Float64s(buf)
-	i := int(p * float64(len(buf)-1))
-	return buf[i]
+	defer m.mu.Unlock()
+	return m.latHist.Quantile(q)
 }
 
 // Metrics is the read-only view of a service's counters.
@@ -164,10 +191,12 @@ func (v *Metrics) JournalAppends() int64 { return v.m.journalAppends.Value() }
 func (v *Metrics) JournalErrors() int64  { return v.m.journalErrors.Value() }
 func (v *Metrics) JournalBytes() int64   { return v.m.journalBytes.Value() }
 
-// LatencyP50 and LatencyP99 are the job submit→finish latency
-// percentiles over the last latencyWindow finished jobs, in seconds.
-func (v *Metrics) LatencyP50() float64 { return v.m.percentile(0.50) }
-func (v *Metrics) LatencyP99() float64 { return v.m.percentile(0.99) }
+// LatencyP50 and LatencyP99 estimate the job submit→finish latency
+// percentiles, in seconds, from the teemd_job_latency_seconds histogram:
+// lifetime values, interpolated inside a bucket like Prometheus'
+// histogram_quantile.
+func (v *Metrics) LatencyP50() float64 { return v.m.latencyQuantile(0.50) }
+func (v *Metrics) LatencyP99() float64 { return v.m.latencyQuantile(0.99) }
 
 // Tenant returns the named tenant's counters as a map (queued,
 // submitted, done, shed, quota_rejected).
@@ -176,27 +205,14 @@ func (v *Metrics) Tenant(name string) map[string]int64 {
 }
 
 // vars returns the metric set as a JSON-marshalable map — served at
-// /metrics and published to expvar by PublishExpvar.
+// /metrics. Every top-level key but "tenants" is also a teemd.* expvar.
 func (v *Metrics) vars() map[string]any {
-	m := map[string]any{
-		"version":             buildinfo.Version,
-		"jobs_queued":         v.Queued(),
-		"jobs_running":        v.Running(),
-		"jobs_done":           v.Done(),
-		"jobs_failed":         v.Failed(),
-		"jobs_cancelled":      v.Cancelled(),
-		"jobs_shed":           v.Shed(),
-		"jobs_retried":        v.Retried(),
-		"cache_hits":          v.CacheHits(),
-		"quota_rejected":      v.QuotaRejected(),
-		"recoveries":          v.Recoveries(),
-		"recovery_skipped":    v.m.recoverySkipped.Value(),
-		"journal_appends":     v.JournalAppends(),
-		"journal_errors":      v.JournalErrors(),
-		"journal_compactions": v.m.journalCompactions.Value(),
-		"journal_bytes":       v.JournalBytes(),
-		"latency_p50_s":       v.LatencyP50(),
-		"latency_p99_s":       v.LatencyP99(),
+	out := map[string]any{}
+	for k, f := range v.m.readings() {
+		out[k] = f()
+	}
+	for _, c := range v.m.counters() {
+		out[c.key] = c.v.Value()
 	}
 	tenants := map[string]map[string]int64{}
 	v.m.tenantMu.Lock()
@@ -205,72 +221,38 @@ func (v *Metrics) vars() map[string]any {
 	}
 	v.m.tenantMu.Unlock()
 	if len(tenants) > 0 {
-		m["tenants"] = tenants
+		out["tenants"] = tenants
 	}
-	return m
+	return out
 }
 
 // prom renders the metric set in Prometheus text exposition format
-// 0.0.4: counters, gauges, per-tenant labelled families in sorted
-// tenant order (byte-stable output for a fixed counter state), and the
-// latency/run-duration histograms.
+// 0.0.4: the service table, the tenant table as tenant-labelled
+// families in sorted tenant order (byte-stable output for a fixed
+// counter state), and the latency/run-duration histograms.
 func (v *Metrics) prom() []byte {
 	m := v.m
 	var e obs.Exposition
 	e.Metric("teemd_build_info", "gauge",
 		"Build metadata; the version label carries the daemon version.").
 		Sample(1, "version", buildinfo.Version)
-	e.Metric("teemd_jobs_queued", "gauge", "Jobs accepted and waiting for a worker.").Sample(float64(m.queued.Value()))
-	e.Metric("teemd_jobs_running", "gauge", "Jobs currently executing.").Sample(float64(m.running.Value()))
-	for _, c := range []struct {
-		name, help string
-		v          *expvar.Int
-	}{
-		{"teemd_jobs_done_total", "Jobs finished successfully.", &m.done},
-		{"teemd_jobs_failed_total", "Jobs finished in failure.", &m.failed},
-		{"teemd_jobs_cancelled_total", "Jobs cancelled before or during execution.", &m.cancelled},
-		{"teemd_jobs_shed_total", "Queued jobs displaced by higher-priority submissions.", &m.shed},
-		{"teemd_jobs_retried_total", "Transient-failure re-executions.", &m.retried},
-		{"teemd_cache_hits_total", "Submissions answered by the request-hash cache.", &m.cacheHits},
-		{"teemd_quota_rejected_total", "Submissions refused by tenant quotas.", &m.quotaRejected},
-		{"teemd_recoveries_total", "Jobs re-run from the journal at startup.", &m.recoveries},
-		{"teemd_recovery_skipped_total", "Journal records skipped during recovery.", &m.recoverySkipped},
-		{"teemd_journal_appends_total", "Fsynced journal batches.", &m.journalAppends},
-		{"teemd_journal_errors_total", "Dropped or failed journal writes.", &m.journalErrors},
-		{"teemd_journal_compactions_total", "Journal rewrites to the live image.", &m.journalCompactions},
-	} {
-		e.Metric(c.name, "counter", c.help).Sample(float64(c.v.Value()))
+	for _, c := range m.counters() {
+		e.Metric(c.family, c.mtype, c.help).Sample(float64(c.v.Value()))
 	}
-	e.Metric("teemd_journal_bytes", "gauge", "Journal file size after the last flush.").
-		Sample(float64(m.journalBytes.Value()))
 
 	m.tenantMu.Lock()
-	tenants := make(map[string]*tenantStats, len(m.tenants))
-	for name, t := range m.tenants {
-		tenants[name] = t
-	}
+	tenants := maps.Clone(m.tenants)
 	m.tenantMu.Unlock()
-	if len(tenants) > 0 {
-		names := obs.SortedKeys(tenants)
-		families := []struct {
-			name, mtype, help string
-			v                 func(*tenantStats) int64
-		}{
-			{"teemd_tenant_jobs_active", "gauge", "Per-tenant non-terminal jobs (queued + running).",
-				func(t *tenantStats) int64 { return t.queued.Value() }},
-			{"teemd_tenant_submitted_total", "counter", "Per-tenant accepted submissions.",
-				func(t *tenantStats) int64 { return t.submitted.Value() }},
-			{"teemd_tenant_done_total", "counter", "Per-tenant successful completions.",
-				func(t *tenantStats) int64 { return t.done.Value() }},
-			{"teemd_tenant_shed_total", "counter", "Per-tenant jobs displaced from the queue.",
-				func(t *tenantStats) int64 { return t.shed.Value() }},
-			{"teemd_tenant_quota_rejected_total", "counter", "Per-tenant quota rejections.",
-				func(t *tenantStats) int64 { return t.quotaRejected.Value() }},
-		}
-		for _, fam := range families {
-			pm := e.Metric(fam.name, fam.mtype, fam.help)
-			for _, name := range names {
-				pm.Sample(float64(fam.v(tenants[name])), "tenant", name)
+	names := obs.SortedKeys(tenants)
+	rows := make([][]counter, len(names))
+	for i, name := range names {
+		rows[i] = tenants[name].counters()
+	}
+	if len(rows) > 0 {
+		for f, fam := range rows[0] {
+			pm := e.Metric(fam.family, fam.mtype, fam.help)
+			for i, name := range names {
+				pm.Sample(float64(rows[i][f].v.Value()), "tenant", name)
 			}
 		}
 	}
@@ -341,30 +323,17 @@ func (v *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 var publishOnce sync.Once
 
 // PublishExpvar publishes the service's counters into the process-wide
-// expvar registry under "teemd.*" (visible at /debug/vars). Only the
-// first service in the process binds; later calls are no-ops — the
+// expvar registry under "teemd.*" (visible at /debug/vars): every
+// top-level key of the /metrics JSON document except "tenants". Only
+// the first service in the process binds; later calls are no-ops — the
 // daemon use case, where exactly one service exists.
 func (v *Metrics) PublishExpvar() {
 	publishOnce.Do(func() {
-		m := v.m
-		for name, fn := range map[string]func() any{
-			"teemd.jobs_queued":    func() any { return m.queued.Value() },
-			"teemd.jobs_running":   func() any { return m.running.Value() },
-			"teemd.jobs_done":      func() any { return m.done.Value() },
-			"teemd.jobs_failed":    func() any { return m.failed.Value() },
-			"teemd.jobs_cancelled": func() any { return m.cancelled.Value() },
-			"teemd.jobs_shed":      func() any { return m.shed.Value() },
-			"teemd.jobs_retried":   func() any { return m.retried.Value() },
-			"teemd.cache_hits":     func() any { return m.cacheHits.Value() },
-			"teemd.quota_rejected": func() any { return m.quotaRejected.Value() },
-			"teemd.recoveries":     func() any { return m.recoveries.Value() },
-			"teemd.journal_errors": func() any { return m.journalErrors.Value() },
-			"teemd.journal_bytes":  func() any { return m.journalBytes.Value() },
-			"teemd.latency_p50_s":  func() any { return m.percentile(0.50) },
-			"teemd.latency_p99_s":  func() any { return m.percentile(0.99) },
-			"teemd.version":        func() any { return buildinfo.Version },
-		} {
-			expvar.Publish(name, expvar.Func(fn))
+		for _, c := range v.m.counters() {
+			expvar.Publish("teemd."+c.key, c.v)
+		}
+		for k, f := range v.m.readings() {
+			expvar.Publish("teemd."+k, expvar.Func(f))
 		}
 	})
 }

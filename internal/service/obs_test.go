@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -128,17 +130,17 @@ func TestWantsPromQualityNegotiation(t *testing.T) {
 // guard for that invariant.
 func TestTracerEvictionRace(t *testing.T) {
 	const total = 3 * traceKeep
-	tr := newTracer()
+	tr := newEventLog(traceKeep)
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			tr.emit(obs.Span{Trace: "deadbeefdeadbeef", Phase: "run", Attempt: i})
+			tr.publish(obs.Span{Trace: "deadbeefdeadbeef", Phase: "run", Attempt: i})
 		}
 	}()
 	read := func(seq int64) int64 {
-		lines, next := tr.waitFrom(context.Background(), seq, false)
+		lines, next, _ := tr.waitFrom(context.Background(), seq, false)
 		for _, ln := range lines {
 			var sp obs.Span
 			if err := json.Unmarshal(ln, &sp); err != nil {
@@ -397,6 +399,14 @@ func TestHealthzReportsJournal(t *testing.T) {
 	}
 	if h.Journal.RecordsSinceCompaction == 0 {
 		t.Error("records_since_compaction = 0 after journalled work")
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(w.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	keys := slices.Sorted(maps.Keys(doc))
+	if want := []string{"jobs_queued", "jobs_running", "journal", "recoveries", "status", "version"}; !slices.Equal(keys, want) {
+		t.Errorf("healthz keys = %v, want %v", keys, want)
 	}
 }
 

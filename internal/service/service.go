@@ -31,12 +31,13 @@
 // are retried with exponential backoff and jitter, classified apart
 // from deterministic request errors, which fail immediately.
 //
-// The service exports operational metrics (jobs queued/running/done/
-// failed/cancelled/shed/retried, per-tenant counters, journal health,
-// job-latency p50/p99) as expvar variables and drains gracefully on
-// shutdown: new submissions are rejected, pending retries fire at once,
-// running jobs either finish or — past the drain deadline — are
-// cancelled.
+// The service exports operational metrics — job, cache, quota, journal
+// and per-tenant counters, each declared once in a table, and lifetime
+// job-latency p50/p99 estimated from the latency histogram — as JSON or
+// Prometheus text at /metrics and as teemd.* expvars. It drains
+// gracefully on shutdown: new submissions are rejected, pending retries
+// fire at once, running jobs either finish or — past the drain deadline
+// — are cancelled.
 package service
 
 import (
@@ -155,7 +156,7 @@ type Service struct {
 	quotas  *quotas
 	retry   RetryPolicy
 	faults  *faultState
-	tracer  *tracer
+	spans   *eventLog
 	logf    func(format string, args ...any)
 
 	mu     sync.Mutex
@@ -206,7 +207,7 @@ func New(o Options) (*Service, error) {
 		quotas:  newQuotas(o.Quotas),
 		retry:   o.Retry.withDefaults(),
 		faults:  newFaultState(o.Faults),
-		tracer:  newTracer(),
+		spans:   newEventLog(traceKeep),
 		logf:    logf,
 		jobs:    make(map[string]*Job),
 		byKey:   make(map[string]string),
@@ -395,9 +396,9 @@ func (s *Service) admit(req *JobRequest) error {
 }
 
 // busyRetryAfter suggests a backoff for queue-pressure rejections: a
-// typical job latency, clamped to [1s, 30s].
+// typical job latency (the lifetime p50), clamped to [1s, 30s].
 func (s *Service) busyRetryAfter() time.Duration {
-	d := time.Duration(s.metrics.percentile(0.50) * float64(time.Second))
+	d := time.Duration(s.metrics.latencyQuantile(0.50) * float64(time.Second))
 	if d < time.Second {
 		d = time.Second
 	}
@@ -526,12 +527,6 @@ func (s *Service) Cancel(id string) error {
 		return err
 	}
 	return j.RequestCancel()
-}
-
-// Counts reports the queued/running totals the health endpoint and the
-// drain loop read.
-func (s *Service) Counts() (queued, running int64) {
-	return s.metrics.queued.Value(), s.metrics.running.Value()
 }
 
 // Metrics exposes the service's operational counters.

@@ -410,7 +410,7 @@ type (
 )
 
 // LoadStore reads a runtime-model store from JSON (write one with
-// Manager.Export + Store.Save, or teemprofile -save).
+// Manager.Export + Store.Save, or teemreport profile -save).
 func LoadStore(r io.Reader) (*Store, error) { return core.LoadStore(r) }
 
 // --- baselines (internal/baseline) ----------------------------------------------
@@ -558,8 +558,9 @@ const (
 type JobResultSummary = service.ResultSummary
 
 // ServiceMetrics is the read-only view of a Service's operational
-// counters: jobs queued/running/done/failed/cancelled, request-cache
-// hits, and job-latency p50/p99.
+// counters: jobs queued/running/done/failed/cancelled/shed/retried,
+// request-cache hits, quota, journal and recovery counters, and
+// job-latency p50/p99 — lifetime estimates from the latency histogram.
 type ServiceMetrics = service.Metrics
 
 // NewService builds a simulation service and starts its worker pool.
