@@ -233,3 +233,15 @@ func TestRunStatsAddAndString(t *testing.T) {
 		t.Error("zero-timing render should omit the phase wall line")
 	}
 }
+
+func TestRunStatsMixedDirectionReason(t *testing.T) {
+	var agg RunStats
+	agg.Add(RunStats{RejectWork: 2, RejectMixed: 5})
+	agg.Add(RunStats{RejectMixed: 1})
+	if agg.RejectMixed != 6 || agg.RejectWork != 2 || agg.Rejections() != 8 {
+		t.Errorf("aggregate = %+v, Rejections() = %d", agg, agg.Rejections())
+	}
+	if out := agg.String(); !strings.Contains(out, "work 2  mixed-direction 6") {
+		t.Errorf("render lacks the mixed-direction count:\n%s", out)
+	}
+}

@@ -24,7 +24,8 @@ type RunStats struct {
 	RejectEvent    int64 // scenario event or horizon too close
 	RejectGovernor int64 // governor epoch boundary or unstable epoch
 	RejectMeter    int64 // meter sampling instant inside the span
-	RejectWork     int64 // work depletion / mixed trajectory direction
+	RejectWork     int64 // a busy work chunk depletes inside the span
+	RejectMixed    int64 // trajectory direction mixed (near equilibrium)
 	RejectTMU      int64 // thermal protection tripped or trip risk
 	RejectLeakage  int64 // leakage linearisation regime boundary
 
@@ -61,6 +62,7 @@ func (s *RunStats) Add(o RunStats) {
 	s.RejectGovernor += o.RejectGovernor
 	s.RejectMeter += o.RejectMeter
 	s.RejectWork += o.RejectWork
+	s.RejectMixed += o.RejectMixed
 	s.RejectTMU += o.RejectTMU
 	s.RejectLeakage += o.RejectLeakage
 	s.PropCacheHits += o.PropCacheHits
@@ -81,7 +83,7 @@ func (s *RunStats) Add(o RunStats) {
 // Rejections is the total number of superstep guard rejections.
 func (s *RunStats) Rejections() int64 {
 	return s.RejectEvent + s.RejectGovernor + s.RejectMeter +
-		s.RejectWork + s.RejectTMU + s.RejectLeakage
+		s.RejectWork + s.RejectMixed + s.RejectTMU + s.RejectLeakage
 }
 
 // String renders the flight recorder as an indented multi-line block,
@@ -91,8 +93,8 @@ func (s *RunStats) String() string {
 	total := s.Ticks + s.SuperstepTicks
 	fmt.Fprintf(&b, "time: %d ticks advanced (%d stepped, %d jumped in %d supersteps, max jump %d)\n",
 		total, s.Ticks, s.SuperstepTicks, s.Supersteps, s.MaxJump)
-	fmt.Fprintf(&b, "superstep rejections: event %d  governor-epoch %d  meter %d  work %d  tmu %d  leakage-regime %d\n",
-		s.RejectEvent, s.RejectGovernor, s.RejectMeter, s.RejectWork, s.RejectTMU, s.RejectLeakage)
+	fmt.Fprintf(&b, "superstep rejections: event %d  governor-epoch %d  meter %d  work %d  mixed-direction %d  tmu %d  leakage-regime %d\n",
+		s.RejectEvent, s.RejectGovernor, s.RejectMeter, s.RejectWork, s.RejectMixed, s.RejectTMU, s.RejectLeakage)
 	fmt.Fprintf(&b, "caches (hit/miss): propagator %d/%d  jump-block %d/%d  superstep-pool %d/%d\n",
 		s.PropCacheHits, s.PropCacheMisses, s.JumpBlockHits, s.JumpBlockMisses, s.PoolHits, s.PoolMisses)
 	fmt.Fprintf(&b, "control: governor epochs %d  tmu trips %d  releases %d",

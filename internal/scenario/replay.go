@@ -98,6 +98,17 @@ func FromTrace(tr *ArrivalTrace) (*Scenario, error) {
 	if len(tr.Records) == 0 {
 		return nil, fmt.Errorf("scenario: arrival trace %q has no records", tr.Name)
 	}
+	// NaN passes every ordered check below (a NaN hold_s silently drops
+	// its departure), so reject non-finite values up front, naming the
+	// record by its position in the log.
+	if f, bad := nonFinite(numField{"horizon_s", tr.HorizonS}); bad {
+		return nil, fmt.Errorf("scenario: arrival trace %q: non-finite %s %g", tr.Name, f.name, f.v)
+	}
+	for i, r := range tr.Records {
+		if f, bad := nonFinite(numField{"at_s", r.AtS}, numField{"hold_s", r.HoldS}, numField{"deadline_s", r.DeadlineS}); bad {
+			return nil, fmt.Errorf("scenario: arrival trace %q: record %d: non-finite %s %g", tr.Name, i, f.name, f.v)
+		}
+	}
 	m := mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
 	if tr.Map != nil {
 		m = *tr.Map

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -61,6 +62,35 @@ func TestFromTraceRejectsBadLogs(t *testing.T) {
 	for _, c := range cases {
 		if _, err := FromTrace(c.tr); err == nil {
 			t.Errorf("%s: accepted", c.name)
+		}
+	}
+}
+
+// A non-finite number anywhere in an arrival log is rejected with an
+// error naming the field and the record's position in the log; a NaN
+// hold_s used to pass the negative-hold check and drop its departure.
+func TestFromTraceRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*ArrivalTrace)
+		want string
+	}{
+		{"nan hold", func(tr *ArrivalTrace) { tr.Records[1].HoldS = nan }, "record 1: non-finite hold_s"},
+		{"inf hold", func(tr *ArrivalTrace) { tr.Records[1].HoldS = inf }, "record 1: non-finite hold_s"},
+		{"nan at", func(tr *ArrivalTrace) { tr.Records[1].AtS = nan }, "record 1: non-finite at_s"},
+		{"inf deadline", func(tr *ArrivalTrace) { tr.Records[0].DeadlineS = inf }, "record 0: non-finite deadline_s"},
+		{"nan horizon", func(tr *ArrivalTrace) { tr.HorizonS = nan }, "non-finite horizon_s"},
+	}
+	for _, c := range cases {
+		tr := &ArrivalTrace{Name: "x", Records: []TraceRecord{
+			{App: "COVARIANCE", AtS: 0},
+			{App: "MVT", AtS: 5, HoldS: 3},
+		}}
+		c.mut(tr)
+		_, err := FromTrace(tr)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
 		}
 	}
 }

@@ -365,18 +365,14 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware) (*Result, 
 	for _, fc := range sc.Final {
 		if fc.Node != "" && fc.PeakMaxC > 0 {
 			node := resolveNode(plat, fc.Node)
-			n := sr.Trace.NodeIndex(node)
+			n := net.NodeIndex(node)
 			if n < 0 {
 				res.Violations = append(res.Violations, fmt.Sprintf("final: unknown node %q", node))
 				continue
 			}
 			// Exact per-tick peak (trace samples coarsen inside
 			// superstepped intervals; see docs/integrators.md).
-			peak := sr.Trace.PeakTemp(n)
-			if n < len(sr.PeakTempsC) {
-				peak = sr.PeakTempsC[n]
-			}
-			if peak > fc.PeakMaxC {
+			if peak := sr.PeakTempsC[n]; peak > fc.PeakMaxC {
 				res.Violations = append(res.Violations,
 					fmt.Sprintf("final: %s peak %.2f °C exceeds %.2f °C", node, peak, fc.PeakMaxC))
 			}

@@ -294,6 +294,26 @@ func TestAssertionUnknownNodeFlagged(t *testing.T) {
 	}
 }
 
+// A final peak check on a node the thermal network doesn't have is
+// flagged the same way.
+func TestFinalCheckUnknownNodeFlagged(t *testing.T) {
+	s, err := New("typo").
+		ArriveDefault(0, "COVARIANCE").
+		AssertPeakBelow("A15x", 95).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Run(s, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `final: unknown node "A15x"`
+	if len(r.Violations) != 1 || r.Violations[0] != want {
+		t.Errorf("violations = %q, want [%q]", r.Violations, want)
+	}
+}
+
 // A governor override reruns the same scenario under a different policy.
 func TestGovernorOverride(t *testing.T) {
 	rc := quickConfig()

@@ -136,3 +136,14 @@ func TestTickZeroAllocsEulerIntegrator(t *testing.T) {
 		t.Errorf("steady-state Euler tick allocates %.3f objects/op, want 0", avg)
 	}
 }
+
+// The steady-regime protocol allocates what its runs record, not what
+// their time budget could hold: one RunWarm of the Fig. 1 configuration
+// must stay under a fixed byte budget, so a buffer presized for the
+// 900 s MaxTimeS (~480 KB per RunWarm) cannot return unnoticed.
+func TestRunWarmAllocBudget(t *testing.T) {
+	const budget = 160 << 10
+	if got := testing.Benchmark(BenchmarkRunWarmCovariance).AllocedBytesPerOp(); got > budget {
+		t.Errorf("RunWarm allocates %d B/op, budget %d B", got, budget)
+	}
+}

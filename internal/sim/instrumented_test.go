@@ -130,3 +130,34 @@ func BenchmarkInstrumentedTick(b *testing.B) {
 		}
 	}
 }
+
+// A mixed-direction probe — some nodes heating while others cool, as
+// near equilibrium — is its own rejection reason, not work depletion:
+// an idle run has no work to deplete, so every refusal of that kind
+// must land under RejectMixed.
+func TestMixedDirectionRejectionsCounted(t *testing.T) {
+	plat := soc.Exynos5422()
+	amb := plat.AmbientC
+	e, err := New(Config{
+		Platform: plat,
+		Net:      thermal.Exynos5422Network(),
+		Map:      mapping.Mapping{Big: 4, Little: 4, UseGPU: true},
+		MinTimeS: 60,
+		// A hot big cluster cools while its idle neighbours warm up.
+		InitialTempsC: []float64{80, amb, amb, amb},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats
+	if st.RejectMixed == 0 {
+		t.Errorf("no mixed-direction rejection counted: %+v", st)
+	}
+	if st.RejectWork != 0 {
+		t.Errorf("idle run counted %d work-depletion rejections", st.RejectWork)
+	}
+}

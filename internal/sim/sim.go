@@ -12,7 +12,9 @@
 // a precomputed exact propagator (thermal.Stepper), power evaluation
 // writes into an engine-owned breakdown (power.EvaluateInto), node and
 // sensor lookups are index maps built once at New, and the trace and
-// meter are pre-sized for the configured run length.
+// meter are sized at the run's first sample from what the engine knows
+// of its length (a scenario horizon, or RunWarm's warm-up), growing
+// geometrically otherwise.
 //
 // On top of the fixed-tick loop sits an event-horizon superstep
 // scheduler: when the operating point is provably steady — no due
@@ -265,7 +267,16 @@ type Engine struct {
 	stepper *thermal.Stepper
 	pow     *power.Model
 	meter   *powermeter.Meter
+
+	// Recording. sum folds every recorded sample into the summaries
+	// Result reports; tr keeps the full series. Both are allocated at
+	// the first sample. noTrace drops the series where no caller can
+	// read it (RunWarm's discarded warm-up); inherit is the capacity a
+	// RunWarm measured run takes from its warm-up (see sizing).
+	sum     summary
 	tr      *trace.Trace
+	noTrace bool
+	inherit capacity
 
 	// cluster bookkeeping, indexed like plat.Clusters
 	freqs   []int
@@ -497,7 +508,6 @@ func New(cfg Config) (*Engine, error) {
 			e.stats.PropCacheMisses++
 		}
 	}
-	e.meter.Reserve(int(cfg.MaxTimeS) + 2)
 	e.nodeOf = make([]int, len(cfg.Platform.Clusters))
 	e.clusterIdx = make(map[string]int, len(cfg.Platform.Clusters))
 	for i := range cfg.Platform.Clusters {
@@ -568,16 +578,6 @@ func New(cfg Config) (*Engine, error) {
 	setDefault(e.gpuIdx, cfg.Freq.GPUMHz)
 
 	e.rebuildLoads()
-
-	nodeNames := make([]string, len(cfg.Net.Nodes))
-	for i, n := range cfg.Net.Nodes {
-		nodeNames[i] = n.Name
-	}
-	clusterNames := make([]string, len(cfg.Platform.Clusters))
-	for i := range cfg.Platform.Clusters {
-		clusterNames[i] = cfg.Platform.Clusters[i].Name
-	}
-	e.tr = trace.NewWithCap(nodeNames, clusterNames, int(cfg.MaxTimeS/cfg.RecordPeriodS)+2)
 
 	e.nextJobID = 1
 	if cfg.App != nil {
@@ -1148,6 +1148,7 @@ func (e *Engine) Run() (*Result, error) {
 	if e.recEvery < 1 {
 		e.recEvery = 1
 	}
+	e.meter.Reserve(e.sizing().meter)
 	// Round like ScheduleAt and minTicks do: truncation would let a
 	// horizon-clamped MaxTimeS end the loop one tick before a final
 	// scheduled event, leaving it undelivered.
@@ -1230,12 +1231,12 @@ func (e *Engine) Run() (*Result, error) {
 		ExecTimeS:       execTime,
 		EnergyJ:         e.meter.EnergyJ(),
 		AvgPowerW:       e.meter.AvgPowerW(),
-		AvgTempC:        e.tr.AvgTemp(bigNode),
+		AvgTempC:        e.sum.avgTemp(bigNode),
 		PeakTempC:       e.peakC[bigNode],
 		PeakTempsC:      append([]float64(nil), e.peakC...),
-		TempVarC2:       e.tr.TempVariance(bigNode),
-		TempGradCps:     e.tr.TempGradient(bigNode),
-		AvgBigFreqMHz:   e.tr.AvgFreqMHz(e.bigIdx),
+		TempVarC2:       e.sum.tempVariance(),
+		TempGradCps:     e.sum.tempGradient(),
+		AvgBigFreqMHz:   e.sum.avgFreqMHz(),
 		FreqTransitions: e.transitions,
 		ThrottleEvents:  e.throttleEvents,
 		JobFinishes:     e.jobFinishes,
@@ -1514,14 +1515,23 @@ func (e *Engine) stepThermal(dt float64) error {
 	return e.therm.Step(e.inj, dt)
 }
 
-// record appends a trace sample; Append copies, so the engine's scratch
-// buffers can be handed over directly.
+// record folds a sample into the run summaries and appends it to the
+// trace; Append copies, so the engine's scratch buffers can be handed
+// over directly.
 //
 //teem:hotpath
 func (e *Engine) record(totalW float64) error {
 	e.therm.CopyTemps(e.recTemps)
+	if e.sum.n == 0 {
+		e.beginRecording()
+	}
+	t := e.TimeS()
+	e.sum.add(t, e.recTemps, e.freqs[e.bigIdx])
+	if e.tr == nil {
+		return nil
+	}
 	err := e.tr.Append(trace.Sample{
-		TimeS:    e.TimeS(),
+		TimeS:    t,
 		TempsC:   e.recTemps,
 		FreqsMHz: e.freqs,
 		PowerW:   totalW,
@@ -1537,6 +1547,54 @@ func (e *Engine) record(totalW float64) error {
 		e.cfg.OnSample(e.tr.Samples[len(e.tr.Samples)-1])
 	}
 	return nil
+}
+
+// capacity is how many trace and power-meter samples a run is expected
+// to record (0: unknown).
+type capacity struct{ samples, meter int }
+
+// maxHorizonSamples bounds the trace samples reserved for a scenario
+// horizon: supersteps record no samples inside a jump, so a long horizon
+// can span far more record periods than the run records (the trace
+// bounds its arena blocks the same way). The meter samples every
+// interval, so its reservation needs no bound.
+const maxHorizonSamples = 1024
+
+// sizing is the recording capacity of this run, from what the engine
+// knows of its length instead of the MaxTimeS budget: a RunWarm measured
+// run inherits its warm-up's counts, a scenario run is sized for its
+// horizon (MinTimeS), and anything else starts small and grows
+// geometrically.
+func (e *Engine) sizing() capacity {
+	if e.inherit.samples > 0 {
+		return e.inherit
+	}
+	if h := e.cfg.MinTimeS; h > 0 {
+		return capacity{
+			samples: min(int(h/e.cfg.RecordPeriodS)+2, maxHorizonSamples),
+			meter:   int(h/e.meter.PeriodS) + 2,
+		}
+	}
+	return capacity{}
+}
+
+// beginRecording allocates the recording state at the run's first
+// sample, so an engine that never runs (WarmStartTemps) allocates none.
+func (e *Engine) beginRecording() {
+	n := e.sizing().samples
+	e.sum.init(len(e.cfg.Net.Nodes), e.nodeOf[e.bigIdx], n)
+	if e.noTrace {
+		return
+	}
+	nodeNames := make([]string, len(e.cfg.Net.Nodes))
+	for i, nd := range e.cfg.Net.Nodes {
+		nodeNames[i] = nd.Name
+	}
+	clusterNames := make([]string, len(e.plat.Clusters))
+	for i := range e.plat.Clusters {
+		clusterNames[i] = e.plat.Clusters[i].Name
+	}
+	e.tr = trace.NewWithCap(nodeNames, clusterNames, n)
 }
 
 // SteadyTemps computes the equilibrium temperatures of a hypothetical
@@ -1596,7 +1654,8 @@ func (e *Engine) PeakTemps() []float64 {
 // once as a discarded warm-up (starting from WarmStartTemps) so the
 // package reaches its operating regime, then run again from the resulting
 // temperatures and report that steady-regime run. The warm-up regime
-// comes from a single run's trace — engines run exactly once.
+// comes from a single run's summaries — engines run exactly once. The
+// warm-up records no trace unless cfg.OnSample subscribes to its samples.
 func RunWarm(cfg Config) (*Result, error) {
 	warm, err := WarmStartTemps(cfg)
 	if err != nil {
@@ -1607,21 +1666,24 @@ func RunWarm(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res1, err := e1.Run()
-	if err != nil {
+	e1.noTrace = cfg.OnSample == nil
+	if _, err := e1.Run(); err != nil {
 		return nil, err
 	}
 	// Start the measured run at the warm-up's time-averaged node
 	// temperatures: the thermal regime a continuous benchmarking
 	// campaign sits in (mid-sawtooth for throttling governors).
-	regime := make([]float64, len(res1.Trace.NodeNames))
+	regime := make([]float64, len(cfg.Net.Nodes))
 	for i := range regime {
-		regime[i] = res1.Trace.AvgTemp(i)
+		regime[i] = e1.sum.avgTemp(i)
 	}
 	cfg.InitialTempsC = regime
 	e2, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// The measured run repeats the warm-up's job, so it records about as
+	// many samples.
+	e2.inherit = capacity{samples: e1.sum.n, meter: int(e1.TimeS()/e1.meter.PeriodS) + 2}
 	return e2.Run()
 }

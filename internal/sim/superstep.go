@@ -102,7 +102,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		// A recent probe reported a mixed trajectory direction; the system
 		// is hovering near equilibrium and the probe outcome will not
 		// change until the horizon that jump was bounded by.
-		e.stats.RejectWork++
+		e.stats.RejectMixed++
 		return false, nil
 	}
 	// Keep the final tick before MaxTimeS an ordinary one so an aborted
@@ -332,7 +332,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		// Skip further attempts across this horizon — near equilibrium the
 		// probe stays mixed, and ticking is always correct.
 		e.ssSkipUntil = k + n
-		e.stats.RejectWork++
+		e.stats.RejectMixed++
 		return false, nil
 	}
 	if !e.cfg.DisableHWProtect && endTemps[bigNode] >= e.plat.TripC {

@@ -41,15 +41,18 @@ type Trace struct {
 	// Sample slices are carved out of block arenas so the steady-state
 	// record path stays allocation-free. A full block is replaced, never
 	// grown in place, keeping previously handed-out sub-slices valid.
+	// block is the first block's size in samples; later blocks follow
+	// the trace's length (see blockSamples).
 	block  int
 	fArena []float64
 	iArena []int
 }
 
-// Arena block bounds, in samples. The block size follows the expected
-// sample count of NewWithCap within these limits, so short runs stay
-// compact and long runs amortise allocation to one block per
-// maxBlockSamples records.
+// Arena block bounds, in samples. The first block follows the expected
+// sample count of NewWithCap and each later one the samples recorded so
+// far, within these limits, so short runs stay compact, runs of unknown
+// length grow geometrically and long runs amortise allocation to one
+// block per maxBlockSamples records.
 const (
 	minBlockSamples = 16
 	maxBlockSamples = 1024
@@ -61,29 +64,21 @@ func New(nodeNames, clusterNames []string) *Trace {
 }
 
 // NewWithCap creates an empty trace sized for an expected number of
-// samples (e.g. MaxTimeS/RecordPeriodS for a simulation run). The hint is
-// a capacity optimisation only: it sizes the arena blocks (bounded by
-// maxBlockSamples, so a huge hint cannot balloon one engine) and the
-// sample index, making appends allocation-free up to the first block and
-// allocation-amortised past it. The trace grows past the hint just fine;
-// zero means "unknown".
+// samples (a simulation run passes its scenario horizon, or a measured
+// run its warm-up's sample count). The hint is a capacity optimisation
+// only: it sizes the first arena block (bounded by maxBlockSamples, so a
+// huge hint cannot balloon one engine) and the sample index, making
+// appends allocation-free up to the hint. Past it the trace grows
+// geometrically, each new block as large as the samples recorded so far;
+// zero means "unknown" and starts at minBlockSamples.
 func NewWithCap(nodeNames, clusterNames []string, expectedSamples int) *Trace {
-	block := expectedSamples
-	if block < minBlockSamples {
-		block = minBlockSamples
-	}
-	if block > maxBlockSamples {
-		block = maxBlockSamples
-	}
-	t := &Trace{
+	block := min(max(expectedSamples, minBlockSamples), maxBlockSamples)
+	return &Trace{
 		NodeNames:    append([]string(nil), nodeNames...),
 		ClusterNames: append([]string(nil), clusterNames...),
 		block:        block,
+		Samples:      make([]Sample, 0, block),
 	}
-	if expectedSamples > 0 {
-		t.Samples = make([]Sample, 0, block)
-	}
-	return t
 }
 
 // Append adds a sample; series lengths must match the labels. The sample's
@@ -116,12 +111,9 @@ func (t *Trace) copyFloats(src []float64) []float64 {
 	if len(src) == 0 {
 		return nil
 	}
-	if t.block == 0 {
-		t.block = minBlockSamples
-	}
 	need := len(src)
 	if len(t.fArena)+need > cap(t.fArena) {
-		sz := t.block * (len(t.NodeNames) + len(t.ClusterNames))
+		sz := t.blockSamples() * (len(t.NodeNames) + len(t.ClusterNames))
 		if sz < need {
 			sz = need
 		}
@@ -142,12 +134,9 @@ func (t *Trace) copyInts(src []int) []int {
 	if len(src) == 0 {
 		return nil
 	}
-	if t.block == 0 {
-		t.block = minBlockSamples
-	}
 	need := len(src)
 	if len(t.iArena)+need > cap(t.iArena) {
-		sz := t.block * len(t.ClusterNames)
+		sz := t.blockSamples() * len(t.ClusterNames)
 		if sz < need {
 			sz = need
 		}
@@ -159,6 +148,19 @@ func (t *Trace) copyInts(src []int) []int {
 	dst := t.iArena[base : base+need : base+need]
 	copy(dst, src)
 	return dst
+}
+
+// blockSamples is the sample capacity of a new arena block: the
+// NewWithCap hint while the trace is empty, then as many samples as the
+// trace holds, which doubles its capacity.
+//
+//teem:hotpath
+func (t *Trace) blockSamples() int {
+	n := len(t.Samples)
+	if n == 0 {
+		n = t.block
+	}
+	return min(max(n, minBlockSamples), maxBlockSamples)
 }
 
 // Len returns the number of samples.

@@ -312,3 +312,23 @@ func TestAppendPreservesNilUtils(t *testing.T) {
 		t.Errorf("nil Utils became %v", tr.Samples[0].Utils)
 	}
 }
+
+// A trace of unknown length grows geometrically: each replacement arena
+// block holds as many samples as the trace already does (up to
+// maxBlockSamples), so a long unsized recording costs a few dozen
+// allocations, not one pair of blocks per minBlockSamples samples.
+func TestUnsizedTraceGrowsGeometrically(t *testing.T) {
+	const total = 4096
+	temps, freqs, utils := []float64{1, 2}, []int{3}, []float64{0.5}
+	allocs := testing.AllocsPerRun(1, func() {
+		tr := New([]string{"a", "b"}, []string{"c"})
+		for i := 0; i < total; i++ {
+			if err := tr.Append(Sample{TimeS: float64(i), TempsC: temps, FreqsMHz: freqs, Utils: utils}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 60 {
+		t.Errorf("%d unsized appends allocate %.0f times, want at most 60", total, allocs)
+	}
+}
