@@ -89,11 +89,14 @@ scenario-gate:
 	$(GO) run ./cmd/teemscenario -govs ondemand,teem
 
 # Integrator-agreement gate (docs/integrators.md): the superstep
-# agreement suites must hold uncached, and the preset corpus must keep
-# its assertions under both -integrator modes — euler here, exact above
-# in scenario-gate (where supersteps are live by default).
+# agreement suites must hold uncached, the contract fuzzer must find no
+# counterexample in 10 s beyond its preset × catalog seeds, and the
+# preset corpus must keep its assertions under both -integrator modes —
+# euler here, exact above in scenario-gate (where supersteps are live by
+# default).
 integrator-gate:
 	$(GO) test -count=1 -run 'TestSuperstep' ./internal/thermal ./internal/sim ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzSuperstepContract$$' -fuzztime 10s ./internal/scenario
 	$(GO) run ./cmd/teemscenario -govs ondemand,teem -integrator euler
 
 # Platform-catalog gate (docs/platforms.md): the catalog validation

@@ -53,10 +53,13 @@ func DefaultParams() Params {
 	return Params{ThresholdC: 85, DeltaMHz: 200, FloorMHz: 1400, PeriodS: 2.0}
 }
 
-// Validate reports an error for out-of-range parameters.
+// Validate reports an error for out-of-range parameters. The float knobs
+// must be finite and positive: NaN fails every ordered comparison, so a
+// NaN threshold would silently switch regulation off and a NaN or
+// infinite period would reach the engine's tick conversion.
 func (p Params) Validate() error {
-	if p.ThresholdC <= 0 {
-		return errors.New("core: ThresholdC must be positive")
+	if !finitePositive(p.ThresholdC) {
+		return fmt.Errorf("core: ThresholdC must be a finite positive temperature, got %g", p.ThresholdC)
 	}
 	if p.DeltaMHz <= 0 {
 		return errors.New("core: DeltaMHz must be positive")
@@ -64,11 +67,14 @@ func (p Params) Validate() error {
 	if p.FloorMHz <= 0 {
 		return errors.New("core: FloorMHz must be positive")
 	}
-	if p.PeriodS <= 0 {
-		return errors.New("core: PeriodS must be positive")
+	if !finitePositive(p.PeriodS) {
+		return fmt.Errorf("core: PeriodS must be a finite positive duration, got %g", p.PeriodS)
 	}
 	return nil
 }
+
+// finitePositive reports 0 < v < +Inf (false for NaN).
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // Controller is TEEM's online thermal regulator (a sim.Governor). It
 // monitors the big-CPU and GPU sensors — the two the paper reads — and

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"teem/internal/mapping"
@@ -353,5 +354,35 @@ func TestPipelineOnExynos5410(t *testing.T) {
 	}
 	if dec.Map.CPUCores() == 0 && dec.Part.Num > 0 {
 		t.Error("inconsistent 5410 decision")
+	}
+}
+
+// NaN fails every ordered comparison, so a `<= 0` guard accepted a NaN
+// threshold (regulation silently off) and a NaN or infinite period (an
+// implementation-defined tick conversion in the engine). Each rejection
+// must name its field.
+func TestParamsValidateRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		field string
+		mut   func(*Params)
+	}{
+		{"ThresholdC", func(p *Params) { p.ThresholdC = math.NaN() }},
+		{"ThresholdC", func(p *Params) { p.ThresholdC = math.Inf(1) }},
+		{"ThresholdC", func(p *Params) { p.ThresholdC = math.Inf(-1) }},
+		{"PeriodS", func(p *Params) { p.PeriodS = math.NaN() }},
+		{"PeriodS", func(p *Params) { p.PeriodS = math.Inf(1) }},
+		{"PeriodS", func(p *Params) { p.PeriodS = math.Inf(-1) }},
+	}
+	for _, c := range cases {
+		p := DefaultParams()
+		c.mut(&p)
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("non-finite %s accepted: %+v", c.field, p)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.field) {
+			t.Errorf("error %q does not name %s", err, c.field)
+		}
 	}
 }

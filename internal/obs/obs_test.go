@@ -245,3 +245,20 @@ func TestRunStatsMixedDirectionReason(t *testing.T) {
 		t.Errorf("render lacks the mixed-direction count:\n%s", out)
 	}
 }
+
+// Walked ticks are a subset of Ticks: Add folds them, the advanced total
+// stays Ticks + SuperstepTicks, and the render shows the walked count
+// beside the stepped one.
+func TestRunStatsWalkedTicks(t *testing.T) {
+	var agg RunStats
+	agg.Add(RunStats{Ticks: 100, WalkedTicks: 90, SuperstepTicks: 400})
+	agg.Add(RunStats{Ticks: 50, WalkedTicks: 20})
+	if agg.WalkedTicks != 110 || agg.Ticks != 150 || agg.SuperstepTicks != 400 {
+		t.Errorf("aggregate = %+v", agg)
+	}
+	agg = RunStats{Ticks: 171228, WalkedTicks: 164309, SuperstepTicks: 444353}
+	out := agg.String()
+	if want := "615581 ticks advanced (171228 stepped (164309 walked), 444353 jumped"; !strings.Contains(out, want) {
+		t.Errorf("render lacks %q:\n%s", want, out)
+	}
+}

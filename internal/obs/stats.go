@@ -14,8 +14,10 @@ import (
 // clock (sim.Config.Clock), so a default run performs no clock reads
 // and remains deterministic.
 type RunStats struct {
-	// Time advancement: plain ticks versus superstep jumps.
-	Ticks          int64 // single-dt engine ticks executed
+	// Time advancement: plain ticks versus superstep jumps. Ticks +
+	// SuperstepTicks is the simulated span advanced.
+	Ticks          int64 // single-dt engine ticks executed, walked ones included
+	WalkedTicks    int64 // of Ticks, those replayed by a steady walk
 	Supersteps     int64 // successful multi-tick jumps
 	SuperstepTicks int64 // ticks covered by those jumps
 	MaxJump        int64 // longest single jump, in ticks
@@ -53,6 +55,7 @@ type RunStats struct {
 // cells or load-generator runs.
 func (s *RunStats) Add(o RunStats) {
 	s.Ticks += o.Ticks
+	s.WalkedTicks += o.WalkedTicks
 	s.Supersteps += o.Supersteps
 	s.SuperstepTicks += o.SuperstepTicks
 	if o.MaxJump > s.MaxJump {
@@ -91,8 +94,8 @@ func (s *RunStats) Rejections() int64 {
 func (s *RunStats) String() string {
 	var b strings.Builder
 	total := s.Ticks + s.SuperstepTicks
-	fmt.Fprintf(&b, "time: %d ticks advanced (%d stepped, %d jumped in %d supersteps, max jump %d)\n",
-		total, s.Ticks, s.SuperstepTicks, s.Supersteps, s.MaxJump)
+	fmt.Fprintf(&b, "time: %d ticks advanced (%d stepped (%d walked), %d jumped in %d supersteps, max jump %d)\n",
+		total, s.Ticks, s.WalkedTicks, s.SuperstepTicks, s.Supersteps, s.MaxJump)
 	fmt.Fprintf(&b, "superstep rejections: event %d  governor-epoch %d  meter %d  work %d  mixed-direction %d  tmu %d  leakage-regime %d\n",
 		s.RejectEvent, s.RejectGovernor, s.RejectMeter, s.RejectWork, s.RejectMixed, s.RejectTMU, s.RejectLeakage)
 	fmt.Fprintf(&b, "caches (hit/miss): propagator %d/%d  jump-block %d/%d  superstep-pool %d/%d\n",

@@ -143,12 +143,26 @@ func (m *Model) ClusterPower(i int, l ClusterLoad) (dynW, leakW float64, err err
 	fHz := float64(l.FreqMHz) * 1e6
 	// CdynCoreNF is in nF = 1e-9 F.
 	dynW = float64(l.ActiveCores) * c.CdynCoreNF * 1e-9 * v * v * fHz * l.Utilization * act
-	dT := l.TempC - 25
+	leakW = Leakage(float64(l.OnCores)*c.LeakCoeff*v*v, c.LeakTempCoeff, l.TempC)
+	return dynW, leakW, nil
+}
+
+// Leakage is ClusterPower's temperature term: a cluster whose leakage
+// base OnCores·LeakCoeff·V² is baseW leaks baseW·(1 + tempCoeff·(T − 25))
+// at junction temperature tempC, clamped to baseW below the 25 °C
+// reference. At exactly 25 °C the factor is exactly 1, so ClusterPower
+// evaluated at TempC = 25 returns the base itself as its leakage; a
+// caller holding the operating point fixed (the simulator's steady walk)
+// takes the base from there once and re-applies only this factor per
+// temperature, bit-identically to ClusterPower.
+//
+//teem:hotpath
+func Leakage(baseW, tempCoeff, tempC float64) float64 {
+	dT := tempC - 25
 	if dT < 0 {
 		dT = 0
 	}
-	leakW = float64(l.OnCores) * c.LeakCoeff * v * v * (1 + c.LeakTempCoeff*dT)
-	return dynW, leakW, nil
+	return baseW * (1 + tempCoeff*dT)
 }
 
 // ClusterPowerAffine decomposes cluster i's power under load l into its

@@ -359,3 +359,32 @@ func TestClusterPowerAffineValidation(t *testing.T) {
 		t.Error("invalid core counts accepted")
 	}
 }
+
+// The steady walk evaluates leakage as Leakage(base, c, T) with the base
+// taken from ClusterPower at the 25 °C reference; that must equal
+// ClusterPower's own leakage with == at every temperature, on either side
+// of the reference.
+func TestLeakageMatchesClusterPower(t *testing.T) {
+	m := newModel(t)
+	p := m.Platform()
+	for i := range p.Clusters {
+		c := &p.Clusters[i]
+		for _, opp := range c.OPPs {
+			l := ClusterLoad{FreqMHz: opp.FreqMHz, VoltV: opp.VoltV, ActiveCores: c.NumCores, OnCores: c.NumCores, Utilization: 1, Activity: 0.7, TempC: 25}
+			_, base, err := m.ClusterPower(i, l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for temp := -10.0; temp <= 110; temp += 0.37 {
+				l.TempC = temp
+				_, leak, err := m.ClusterPower(i, l)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := Leakage(base, c.LeakTempCoeff, temp); got != leak {
+					t.Fatalf("%s at %d MHz, %g °C: Leakage %.17g, ClusterPower %.17g", c.Name, opp.FreqMHz, temp, got, leak)
+				}
+			}
+		}
+	}
+}

@@ -26,8 +26,11 @@
 // cannot certify the jump. The jump is the tick loop's own arithmetic
 // reassociated, so scheduling decisions and sampled energy are
 // bit-identical and temperatures agree to floating-point rounding; the
-// full integrator contract is docs/integrators.md. Disable with
-// Config.DisableSuperstep to force tick-by-tick execution.
+// full integrator contract is docs/integrators.md. A steady stretch that
+// a temperature guard keeps from being jumped (throttling, a hovering
+// equilibrium) is walked: ticked with only the arithmetic that can
+// change at a fixed operating point, bit for bit like the ordinary tick.
+// Disable with Config.DisableSuperstep to force tick-by-tick execution.
 //
 // Beyond single static runs the engine exposes the hooks the scenario
 // subsystem (internal/scenario) is built on: callbacks scheduled at tick
@@ -46,6 +49,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"teem/internal/mapping"
 	"teem/internal/obs"
@@ -157,22 +161,26 @@ type Config struct {
 	Integrator Integrator
 	// DisableSuperstep turns off the event-horizon fast path that jumps
 	// provably steady intervals (idle gaps, constant busy stretches) in a
-	// single exact propagator application. Supersteps are on by default
-	// with the exact integrator and reproduce the fixed-tick trajectory
-	// to floating-point rounding; disable them to force the classic
-	// tick-by-tick loop (reference runs, debugging). Euler runs never
-	// superstep. See docs/integrators.md for the legality contract.
+	// single exact propagator application, and walks the steady stretches
+	// it cannot jump. Supersteps are on by default with the exact
+	// integrator and reproduce the fixed-tick trajectory to
+	// floating-point rounding (walks reproduce it bit for bit); disable
+	// them to send every tick through the classic tick-by-tick loop
+	// (reference runs, debugging). Euler runs never superstep. See
+	// docs/integrators.md for the legality contract.
 	DisableSuperstep bool
 	// Done, when non-nil, makes the run cancellable: the engine polls
-	// the channel once per tick — a non-blocking receive, so the
-	// steady-state tick stays allocation-free — and aborts with an
-	// error wrapping ErrAborted within one tick of it closing. Wire a
-	// context's Done() channel here to cancel a simulation.
+	// the channel once per tick, jump or walk — a non-blocking receive,
+	// so the steady-state tick stays allocation-free — and aborts with an
+	// error wrapping ErrAborted within one tick of it closing, or within
+	// one meter period of simulated time when a jump or walk is under
+	// way. Wire a context's Done() channel here to cancel a simulation.
 	Done <-chan struct{}
 	// Clock, when non-nil, opts the flight recorder into per-phase wall
 	// timing: the engine reads it between the tick's phases (governor,
 	// queue, power, thermal) and accumulates the deltas into
-	// Result.Stats. Pass obs.Nanotime (teemscenario -stats does). The
+	// Result.Stats; a steady walk reads it twice and charges its whole
+	// time to thermal. Pass obs.Nanotime (teemscenario -stats does). The
 	// default nil performs zero clock reads, keeping runs deterministic
 	// and the instrumented tick free of timing overhead; the counters in
 	// Result.Stats are always maintained either way.
@@ -424,6 +432,16 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Platform == nil || cfg.Net == nil {
 		return nil, errors.New("sim: Platform, Net and App are required")
 	}
+	// NaN and ±Inf pass every ordered check below unnoticed, and the tick
+	// conversions int(x/dt + 0.5) are implementation-defined for them.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"TickS", cfg.TickS}, {"RecordPeriodS", cfg.RecordPeriodS}, {"MinTimeS", cfg.MinTimeS}, {"MaxTimeS", cfg.MaxTimeS}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return nil, fmt.Errorf("sim: %s must be finite, got %g", f.name, f.v)
+		}
+	}
 	if cfg.App == nil && cfg.MinTimeS <= 0 {
 		return nil, errors.New("sim: Platform, Net and App are required (App may be nil only with MinTimeS set)")
 	}
@@ -473,7 +491,7 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.PkgBaselineFrac == 0 {
 		cfg.PkgBaselineFrac = 0.5
 	}
-	if cfg.PkgBaselineFrac < 0 || cfg.PkgBaselineFrac > 1 {
+	if !(cfg.PkgBaselineFrac >= 0 && cfg.PkgBaselineFrac <= 1) {
 		return nil, errors.New("sim: PkgBaselineFrac outside [0,1]")
 	}
 
@@ -1033,18 +1051,35 @@ func (e *Engine) SetGovernor(g Governor) error {
 		e.govEvery = 0
 		return nil
 	}
-	p := g.PeriodS()
-	if p <= 0 {
-		return fmt.Errorf("sim: governor %s has non-positive period", g.Name())
+	every, err := periodTicks(g, e.cfg.TickS)
+	if err != nil {
+		return err
 	}
-	e.govEvery = int(p/e.cfg.TickS + 0.5)
-	if e.govEvery < 1 {
-		e.govEvery = 1
-	}
+	e.govEvery = every
 	if e.running {
 		return g.Start(e)
 	}
 	return nil
+}
+
+// maxPeriodTicks caps a governor period's tick count. A period that long
+// (2.9 million years of 10 ms ticks) acts only at t = 0 in any run, and
+// the cap keeps the conversion of a huge finite period well defined.
+const maxPeriodTicks = 1 << 53
+
+// periodTicks converts g's control period to whole ticks of dt, at least
+// one. The period must be a finite positive number of seconds: int() of
+// NaN or ±Inf is implementation-defined, and on amd64 a NaN or infinite
+// period made the governor act on every tick.
+func periodTicks(g Governor, dt float64) (int, error) {
+	p := g.PeriodS()
+	if !(p > 0) || math.IsInf(p, 1) {
+		return 0, fmt.Errorf("sim: governor %s has period %g s, want a finite positive duration", g.Name(), p)
+	}
+	if t := p/dt + 0.5; t < maxPeriodTicks {
+		return max(int(t), 1), nil
+	}
+	return maxPeriodTicks, nil
 }
 
 // SetMapping switches the CPU/GPU mapping mid-run (e.g. a core is taken
@@ -1132,14 +1167,11 @@ func (e *Engine) Run() (*Result, error) {
 	e.govEvery = 0
 	e.govPure = govIsPure(e.cfg.Governor)
 	if e.cfg.Governor != nil {
-		p := e.cfg.Governor.PeriodS()
-		if p <= 0 {
-			return nil, fmt.Errorf("sim: governor %s has non-positive period", e.cfg.Governor.Name())
+		every, err := periodTicks(e.cfg.Governor, dt)
+		if err != nil {
+			return nil, err
 		}
-		e.govEvery = int(p/dt + 0.5)
-		if e.govEvery < 1 {
-			e.govEvery = 1
-		}
+		e.govEvery = every
 		if err := e.cfg.Governor.Start(e); err != nil {
 			return nil, err
 		}
@@ -1157,12 +1189,12 @@ func (e *Engine) Run() (*Result, error) {
 
 	for e.timeTicks < maxTicks {
 		// Event-horizon fast path: replay a provably steady interval in
-		// one exact affine application instead of tick-by-tick. A
-		// declined jump (any legality guard failed) falls through to the
-		// ordinary tick below.
-		if jumped, err := e.superstep(dt, maxTicks, minTicks); err != nil {
+		// one exact affine application, or walk it when a temperature
+		// guard refuses the jump. When neither advanced, the ordinary
+		// tick below runs.
+		if advanced, err := e.superstep(dt, maxTicks, minTicks); err != nil {
 			return nil, err
-		} else if jumped {
+		} else if advanced {
 			if e.drained() && e.timeTicks >= minTicks {
 				break
 			}
@@ -1269,12 +1301,11 @@ func (e *Engine) collectStats() obs.RunStats {
 //teem:hotpath
 func (e *Engine) tick(dt float64) (finishedAt float64, err error) {
 	// Cancellation: one non-blocking receive per tick, so an abort is
-	// observed within a single simulation step.
+	// observed within a single simulation step. The nil check keeps the
+	// tick of a run that cannot be cancelled free of the call.
 	if e.cfg.Done != nil {
-		select {
-		case <-e.cfg.Done:
-			return -1, fmt.Errorf("aborted at t=%gs: %w", e.TimeS(), ErrAborted)
-		default:
+		if err := e.aborted(); err != nil {
+			return -1, err
 		}
 	}
 	// Scheduled scenario events: one compare when none are due.
@@ -1285,9 +1316,7 @@ func (e *Engine) tick(dt float64) (finishedAt float64, err error) {
 	}
 	// Hardware thermal protection (checked every tick, like the TMU
 	// interrupt).
-	if !e.cfg.DisableHWProtect {
-		e.hwProtect()
-	}
+	e.hwProtect()
 	// Flight recorder: one tick executed. Per-phase timing below reads
 	// the pre-acquired clock only when the caller opted in (clk != nil);
 	// the default run performs zero clock reads.
@@ -1315,20 +1344,10 @@ func (e *Engine) tick(dt float64) (finishedAt float64, err error) {
 		e.stats.GovernorNanos += t1 - t0
 		t0 = t1
 	}
-	// Advance workload. Only clusters the live mapping uses report the
-	// CPU busy fraction: governors must see idle silicon as idle, not
-	// inherit the busy clusters' utilisation.
+	// Advance workload.
 	cpuBusy, gpuBusy, rateCPU, rateGPU, finishedAt := e.advanceWork(dt)
-	bigBusy, litBusy := cpuBusy, cpuBusy
-	if e.curMap.Big == 0 {
-		bigBusy = 0
-	}
-	if e.curMap.Little == 0 {
-		litBusy = 0
-	}
-	e.utils[e.bigIdx] = bigBusy
-	e.utils[e.litIdx] = litBusy
-	e.utils[e.gpuIdx] = gpuBusy
+	bigBusy, litBusy := e.cpuUtils(cpuBusy)
+	e.setUtils(bigBusy, litBusy, gpuBusy)
 	if clk != nil {
 		t1 := clk()
 		e.stats.QueueNanos += t1 - t0
@@ -1350,19 +1369,7 @@ func (e *Engine) tick(dt float64) (finishedAt float64, err error) {
 	if clk != nil {
 		e.stats.ThermalNanos += clk() - t0
 	}
-	if t := e.therm.Temp(e.nodeOf[e.bigIdx]); t > e.peakBigC {
-		e.peakBigC = t
-		if e.peakTemps == nil {
-			//teem:alloc-ok lazy one-time snapshot buffer; the warm-up ticks of the alloc guard absorb it
-			e.peakTemps = make([]float64, len(e.cfg.Net.Nodes))
-		}
-		e.therm.CopyTemps(e.peakTemps)
-	}
-	for i := range e.peakC {
-		if t := e.therm.Temp(i); t > e.peakC[i] {
-			e.peakC[i] = t
-		}
-	}
+	e.foldPeaks()
 	total := e.bd.TotalW()
 	if err := e.meter.Observe(e.TimeS(), total); err != nil {
 		return -1, err
@@ -1375,30 +1382,109 @@ func (e *Engine) tick(dt float64) (finishedAt float64, err error) {
 	return finishedAt, nil
 }
 
+// aborted returns the error a run ends with once Config.Done has closed,
+// and nil before that or when the run is not cancellable: one
+// non-blocking receive, so polling allocates nothing.
+//
+//teem:hotpath
+func (e *Engine) aborted() error {
+	if e.cfg.Done == nil {
+		return nil
+	}
+	select {
+	case <-e.cfg.Done:
+		return fmt.Errorf("aborted at t=%gs: %w", e.TimeS(), ErrAborted)
+	default:
+		return nil
+	}
+}
+
+// tmuFires reports that the firmware protection check of the tick about
+// to run would change state: trip when unthrottled at or above TripC,
+// release when throttled below TripReleaseC. Never with
+// DisableHWProtect.
+//
+//teem:hotpath
+func (e *Engine) tmuFires() bool {
+	if e.cfg.DisableHWProtect {
+		return false
+	}
+	t := e.therm.Temp(e.nodeOf[e.bigIdx])
+	if e.throttled {
+		return t < e.plat.TripReleaseC
+	}
+	return t >= e.plat.TripC
+}
+
 // hwProtect applies the firmware trip/release behaviour on the big cluster.
 //
 //teem:hotpath
 func (e *Engine) hwProtect() {
-	bigNode := e.nodeOf[e.bigIdx]
-	t := e.therm.Temp(bigNode)
-	big := &e.plat.Clusters[e.bigIdx]
-	switch {
-	case !e.throttled && t >= e.plat.TripC:
-		e.throttled = true
-		e.throttleEvents++
-		e.stats.TMUTrips++
-		e.preThrottleMHz = e.freqs[e.bigIdx]
-		capMHz := big.FloorOPP(e.plat.TripCapMHz).FreqMHz
-		if e.freqs[e.bigIdx] > capMHz {
-			e.setFreq(e.bigIdx, capMHz)
-			e.transitions++
-		}
-	case e.throttled && t < e.plat.TripReleaseC:
+	if !e.tmuFires() {
+		return
+	}
+	if e.throttled {
 		e.throttled = false
 		e.stats.TMUReleases++
 		if e.preThrottleMHz > e.freqs[e.bigIdx] {
 			e.setFreq(e.bigIdx, e.preThrottleMHz)
 			e.transitions++
+		}
+		return
+	}
+	e.throttled = true
+	e.throttleEvents++
+	e.stats.TMUTrips++
+	e.preThrottleMHz = e.freqs[e.bigIdx]
+	capMHz := e.plat.Clusters[e.bigIdx].FloorOPP(e.plat.TripCapMHz).FreqMHz
+	if e.freqs[e.bigIdx] > capMHz {
+		e.setFreq(e.bigIdx, capMHz)
+		e.transitions++
+	}
+}
+
+// cpuUtils is the utilisation the big and LITTLE clusters report for a
+// CPU chunk busy fraction. Only clusters the live mapping uses report
+// it: governors must see idle silicon as idle, not inherit the busy
+// clusters' utilisation.
+//
+//teem:hotpath
+func (e *Engine) cpuUtils(cpuBusy float64) (big, lit float64) {
+	big, lit = cpuBusy, cpuBusy
+	if e.curMap.Big == 0 {
+		big = 0
+	}
+	if e.curMap.Little == 0 {
+		lit = 0
+	}
+	return big, lit
+}
+
+// setUtils publishes the cluster utilisations of a tick.
+//
+//teem:hotpath
+func (e *Engine) setUtils(bigBusy, litBusy, gpuBusy float64) {
+	e.utils[e.bigIdx] = bigBusy
+	e.utils[e.litIdx] = litBusy
+	e.utils[e.gpuIdx] = gpuBusy
+}
+
+// foldPeaks folds the post-step state into the exact peak bookkeeping:
+// the big-cluster peak snapshot and every node's running maximum.
+//
+//teem:hotpath
+func (e *Engine) foldPeaks() {
+	if t := e.therm.Temp(e.nodeOf[e.bigIdx]); t > e.peakBigC {
+		e.peakBigC = t
+		if e.peakTemps == nil {
+			//teem:alloc-ok lazy one-time snapshot buffer; the warm-up ticks of the alloc guard absorb it
+			e.peakTemps = make([]float64, len(e.cfg.Net.Nodes))
+		}
+		e.therm.CopyTemps(e.peakTemps)
+	}
+	for i := range e.peakC {
+		if t := e.therm.Temp(i); t > e.peakC[i] {
+			e.peakC[i] = t
 		}
 	}
 }
@@ -1464,36 +1550,52 @@ func (e *Engine) advanceWork(dt float64) (cpuBusy, gpuBusy, rateCPU, rateGPU, fi
 //teem:hotpath
 func (e *Engine) evalPower(cpuBusy, gpuBusy, rateCPU, rateGPU float64) error {
 	for i := range e.loads {
-		l := &e.loads[i]
-		l.FreqMHz = e.freqs[i]
-		l.VoltV = e.volts[i]
-		l.TempC = e.therm.Temp(e.nodeOf[i])
-		var busy float64
-		switch i {
-		case e.bigIdx, e.litIdx:
-			busy = cpuBusy
-		case e.gpuIdx:
-			busy = gpuBusy
-		}
-		if l.ActiveCores == 0 {
-			busy = 0
-		}
-		l.Utilization = busy
+		e.setLoad(&e.loads[i], i, cpuBusy, gpuBusy, e.therm.Temp(e.nodeOf[i]))
 	}
-	// Memory traffic follows the aggregate processing rate of the live
-	// app (an idle engine generates none).
-	memGBs := 0.0
-	if e.app != nil {
-		memRate := 0.0
-		if cpuBusy > 0 {
-			memRate += rateCPU * cpuBusy
-		}
-		if gpuBusy > 0 {
-			memRate += rateGPU * gpuBusy
-		}
-		memGBs = e.app.MemGBs(memRate)
+	return e.pow.EvaluateInto(&e.bd, e.loads, e.memGBs(cpuBusy, gpuBusy, rateCPU, rateGPU))
+}
+
+// setLoad refreshes the per-tick fields of l, cluster i's load, for the
+// current frequencies, the given chunk busy fractions and junction
+// temperature; a cluster running no cores reports idle. The
+// configuration-static fields are left as they are.
+//
+//teem:hotpath
+func (e *Engine) setLoad(l *power.ClusterLoad, i int, cpuBusy, gpuBusy, tempC float64) {
+	l.FreqMHz = e.freqs[i]
+	l.VoltV = e.volts[i]
+	l.TempC = tempC
+	var busy float64
+	switch i {
+	case e.bigIdx, e.litIdx:
+		busy = cpuBusy
+	case e.gpuIdx:
+		busy = gpuBusy
 	}
-	return e.pow.EvaluateInto(&e.bd, e.loads, memGBs)
+	if l.ActiveCores == 0 {
+		busy = 0
+	}
+	l.Utilization = busy
+}
+
+// memGBs is the DRAM traffic of a tick: it follows the aggregate
+// processing rate of the live app (an idle engine generates none).
+// rateCPU/rateGPU are consulted only when the matching busy fraction is
+// non-zero.
+//
+//teem:hotpath
+func (e *Engine) memGBs(cpuBusy, gpuBusy, rateCPU, rateGPU float64) float64 {
+	if e.app == nil {
+		return 0
+	}
+	memRate := 0.0
+	if cpuBusy > 0 {
+		memRate += rateCPU * cpuBusy
+	}
+	if gpuBusy > 0 {
+		memRate += rateGPU * gpuBusy
+	}
+	return e.app.MemGBs(memRate)
 }
 
 // stepThermal injects the power breakdown into the RC network. The exact

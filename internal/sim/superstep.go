@@ -7,14 +7,15 @@
 // one application of a precomputed (Ãⁿ, Sₙ) pair (thermal.Superstep).
 // The jump reproduces the fixed-tick trajectory to floating-point
 // rounding; every guard here is about proving the interval really is
-// steady, with a conservative fall-through to the ordinary tick whenever
-// it is not.
+// steady. Where the operating point is proven fixed but a temperature
+// guard refuses the jump, the engine walks the interval instead: the
+// ordinary tick's own arithmetic, minus everything that cannot change at
+// a fixed operating point. Anything else falls through to the ordinary
+// tick.
 
 package sim
 
 import (
-	"fmt"
-
 	"teem/internal/power"
 	"teem/internal/thermal"
 )
@@ -45,7 +46,8 @@ func govIsPure(g Governor) bool {
 }
 
 // superstepMinSpan is the smallest jump worth planning: below this the
-// affine setup costs more than the ticks it would replace.
+// affine setup costs more than the ticks it would replace. A shorter
+// proven horizon is walked instead (see walk).
 const superstepMinSpan = 4
 
 // ssPoolLimit bounds the per-engine recency pool of slope-keyed jump
@@ -53,180 +55,203 @@ const superstepMinSpan = 4
 // them all warm.
 const ssPoolLimit = 8
 
+// walkMaxClusters bounds the platforms a steady walk serves: it keeps
+// each cluster's leakage base on the stack for the walk's duration, so a
+// platform with more clusters ticks instead.
+const walkMaxClusters = 8
+
 // drained reports that no workload activity remains: no live job, no
 // queued job, no undelivered scheduled event.
 func (e *Engine) drained() bool {
 	return e.app == nil && e.QueuedJobs() == 0 && e.evIdx >= len(e.events)
 }
 
-// superstep attempts to jump the simulation across the steady interval
-// ahead. It returns (true, nil) after advancing e.timeTicks by the jumped
-// span with the model state exactly as the equivalent fixed ticks would
-// have left it, and (false, nil) when any legality condition fails — the
-// caller then runs an ordinary tick. The horizon is the earliest of:
+// steadyOp is the operating point a proven horizon holds fixed: the
+// work-item rates in effect, each chunk's busy fraction (1 fully busy, 0
+// idle) and the utilisations the CPU clusters report for it.
+type steadyOp struct {
+	rateCPU, rateGPU float64
+	cpuBusy, gpuBusy float64
+	bigBusy, litBusy float64
+}
+
+// horizon proves how many ticks from now run at one fixed operating
+// point. The span ends at the earliest of:
 //
+//   - the run horizon (MinTimeS when drained; the tick before MaxTimeS,
+//     so an aborted run's closing trace sample carries a freshly
+//     evaluated breakdown);
 //   - the next scheduled event (arrival, departure, ambient step, ...);
-//   - the next governor epoch, unless the policy is a marked util-only
-//     fixed point (UtilOnlyGovernor + an unchanged last epoch under the
-//     same utilisations);
 //   - the next power-meter sampling instant, which must latch a freshly
 //     evaluated power value, so it always runs as a real tick;
 //   - the depletion of a busy work chunk (one full tick of margin, so
-//     every jumped tick is provably fully busy);
-//   - the run horizon (MinTimeS when drained; the tick before MaxTimeS).
+//     every tick of the span is provably fully busy);
+//   - the next governor epoch, unless the policy is a marked util-only
+//     fixed point (UtilOnlyGovernor + an unchanged last epoch under the
+//     same utilisations).
 //
-// Temperature-dependent interactions — the TMU trip threshold and the
-// 25 °C leakage-linearity floor — are endpoint-checked, which the
-// monotone trajectory direction reported by thermal.Superstep.Jump makes
-// sufficient for the whole interval; a mixed-direction probe falls back
-// to fixed ticks.
+// It returns the span n (possibly ≤ 0), the operating point, and — when
+// n is shorter than superstepMinSpan — the flight-recorder counter of
+// the clamp that made it so, in the order the clamps apply (nil
+// otherwise).
+//
+//teem:hotpath
+func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp, short *int64) {
+	k := e.timeTicks
+	n = maxTicks - k - 1
+	if e.drained() {
+		n = min(n, minTicks-k)
+	}
+	if e.evIdx < len(e.events) {
+		n = min(n, e.events[e.evIdx].tick-k)
+	}
+	if n < superstepMinSpan {
+		short = &e.stats.RejectEvent
+	}
+	// Land exactly on the next meter instant (same tick arithmetic as
+	// TimeS), so it samples a real evaluation.
+	next := e.meter.NextSampleAtS()
+	kc := int(next / dt)
+	for float64(kc)*dt < next {
+		kc++
+	}
+	n = min(n, kc-k)
+	if short == nil && n < superstepMinSpan {
+		short = &e.stats.RejectMeter
+	}
+	// A busy chunk must stay fully busy for every tick of the span, with
+	// one tick of margin before depletion so sequential floating-point
+	// accounting cannot cross zero early.
+	if e.app != nil {
+		op.rateCPU, op.rateGPU = e.rates()
+		if e.remCPU > 0 && op.rateCPU > 0 {
+			op.cpuBusy = 1
+			if q := e.remCPU / (op.rateCPU * dt); q < float64(n)+2 {
+				n = min(n, int(q)-1)
+			}
+		}
+		if e.remGPU > 0 && op.rateGPU > 0 {
+			op.gpuBusy = 1
+			if q := e.remGPU / (op.rateGPU * dt); q < float64(n)+2 {
+				n = min(n, int(q)-1)
+			}
+		}
+	}
+	op.bigBusy, op.litBusy = e.cpuUtils(op.cpuBusy)
+	govClamped := false
+	if e.govEvery > 0 && !e.crossesEpochs(op) {
+		if r := k % e.govEvery; r == 0 {
+			// This tick is an epoch: it runs as an ordinary tick.
+			n = 0
+			if short == nil {
+				short = &e.stats.RejectGovernor
+			}
+		} else if m := e.govEvery - r; m < n {
+			n = m
+			govClamped = true
+		}
+	}
+	if short == nil && n < superstepMinSpan {
+		// The span died on whichever clamp shrank it last: a governor
+		// epoch boundary, or a work chunk about to deplete.
+		if govClamped {
+			short = &e.stats.RejectGovernor
+		} else {
+			short = &e.stats.RejectWork
+		}
+	}
+	return n, op, short
+}
+
+// crossesEpochs reports whether a span at op may cross governor epochs:
+// the policy is a marked pure fixed point AND the utilisations the
+// skipped epochs would see equal the ones the stable epoch saw
+// (frequency changes reset govStable through setFreq).
+//
+//teem:hotpath
+func (e *Engine) crossesEpochs(op steadyOp) bool {
+	if !e.govPure || !e.govStable {
+		return false
+	}
+	for i, u := range e.govUtils {
+		b := e.utils[i]
+		switch i {
+		case e.bigIdx:
+			b = op.bigBusy
+		case e.litIdx:
+			b = op.litBusy
+		case e.gpuIdx:
+			b = op.gpuBusy
+		}
+		if u != b {
+			return false
+		}
+	}
+	return true
+}
+
+// superstep advances the simulation across the steady horizon ahead, or
+// declines to. It returns true after advancing e.timeTicks — by a jump
+// or a walk — with the model state exactly as the equivalent ordinary
+// ticks would have left it, and false when the next tick must be an
+// ordinary one.
+//
+// The horizon (see horizon) proves the operating point constant; a
+// thermal certificate then decides whether the span may be jumped in one
+// closed-form application of thermal.Superstep. The certificate holds
+// when the chip is not throttled (the release check may fire on any
+// tick), no mixed-direction verdict is pending, the span is at least
+// superstepMinSpan, the TMU trip cannot fire on this tick, the 25 °C
+// leakage-linearity floor holds at the start, and the probed trajectory
+// is monotone with the trip and the floor clear at its landing point:
+// the monotone direction reported by thermal.Superstep.Jump makes those
+// endpoint checks sufficient for the whole interval.
+//
+// When the horizon holds but the certificate fails, the span is walked
+// instead (see walk), because re-planning on each of its ticks would
+// refuse each jump in turn: a throttled chip stays throttled until the
+// release the walk stops before, a mixed verdict holds until the span it
+// was probed over passes, a short span only shortens, and a landing
+// point past the trip or below the floor is the same state for every
+// later tick of the span. So jumps land on the ticks, with the spans, a
+// tick-by-tick planner gives them. A start below the 25 °C floor is the
+// exception: the next tick may warm past it and certify a jump, so it
+// re-plans there.
 //
 //teem:hotpath
 func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if e.ssOff || e.stepper == nil {
 		return false, nil
 	}
-	if !e.cfg.DisableHWProtect && e.throttled {
-		// While throttled the release check may fire on any tick.
+	k := e.timeTicks
+	n, op, short := e.horizon(dt, maxTicks, minTicks)
+	switch {
+	case !e.cfg.DisableHWProtect && e.throttled:
 		e.stats.RejectTMU++
-		return false, nil
-	}
-	if e.peakTemps == nil {
+		return e.walk(dt, n, op)
+	case e.peakTemps == nil:
 		// Let the first ordinary tick seed the peak-temperature snapshot;
 		// afterwards the falling-trajectory case needs no interior peak
 		// bookkeeping (the pre-jump state already bounds it).
 		return false, nil
-	}
-	k := e.timeTicks
-	if k < e.ssSkipUntil {
+	case k < e.ssSkipUntil:
 		// A recent probe reported a mixed trajectory direction; the system
 		// is hovering near equilibrium and the probe outcome will not
-		// change until the horizon that jump was bounded by.
+		// change until the horizon that probe was bounded by.
 		e.stats.RejectMixed++
-		return false, nil
-	}
-	// Keep the final tick before MaxTimeS an ordinary one so an aborted
-	// run's closing trace sample carries a freshly evaluated breakdown.
-	n := maxTicks - k - 1
-	if e.drained() {
-		if m := minTicks - k; m < n {
-			n = m
-		}
-	}
-	if e.evIdx < len(e.events) {
-		if m := e.events[e.evIdx].tick - k; m < n {
-			n = m
-		}
-	}
-	if n < superstepMinSpan {
-		e.stats.RejectEvent++
-		return false, nil
-	}
-	// The meter latches the instantaneous power at its sampling instants;
-	// land exactly on the next one (same tick arithmetic as TimeS) so it
-	// samples a real evaluation.
-	next := e.meter.NextSampleAtS()
-	kc := int(next / dt)
-	for float64(kc)*dt < next {
-		kc++
-	}
-	if m := kc - k; m < n {
-		n = m
-	}
-	if n < superstepMinSpan {
-		e.stats.RejectMeter++
-		return false, nil
-	}
-	// Steady-interval classification: a busy chunk must stay fully busy
-	// for every jumped tick, with one tick of margin before depletion so
-	// sequential floating-point accounting cannot cross zero early.
-	var rateCPU, rateGPU, cpuBusy, gpuBusy float64
-	if e.app != nil {
-		rateCPU, rateGPU = e.rates()
-		if e.remCPU > 0 && rateCPU > 0 {
-			cpuBusy = 1
-			if q := e.remCPU / (rateCPU * dt); q < float64(n)+2 {
-				if m := int(q) - 1; m < n {
-					n = m
-				}
-			}
-		}
-		if e.remGPU > 0 && rateGPU > 0 {
-			gpuBusy = 1
-			if q := e.remGPU / (rateGPU * dt); q < float64(n)+2 {
-				if m := int(q) - 1; m < n {
-					n = m
-				}
-			}
-		}
-	}
-	bigBusy, litBusy := cpuBusy, cpuBusy
-	if e.curMap.Big == 0 {
-		bigBusy = 0
-	}
-	if e.curMap.Little == 0 {
-		litBusy = 0
-	}
-	govClamped := false
-	if e.govEvery > 0 {
-		// Epochs may be crossed only when the policy is a marked pure
-		// fixed point AND the utilisations the skipped epochs would see
-		// equal the ones the stable epoch saw (frequency changes reset
-		// govStable through setFreq).
-		cross := e.govPure && e.govStable
-		if cross {
-			for i := range e.govUtils {
-				b := e.utils[i]
-				switch i {
-				case e.bigIdx:
-					b = bigBusy
-				case e.litIdx:
-					b = litBusy
-				case e.gpuIdx:
-					b = gpuBusy
-				}
-				if e.govUtils[i] != b {
-					cross = false
-					break
-				}
-			}
-		}
-		if !cross {
-			r := k % e.govEvery
-			if r == 0 {
-				e.stats.RejectGovernor++
-				return false, nil
-			}
-			if m := e.govEvery - r; m < n {
-				n = m
-				govClamped = true
-			}
-		}
-	}
-	if n < superstepMinSpan {
-		// The span died on whichever clamp shrank it last: a governor
-		// epoch boundary, or a work chunk about to deplete.
-		if govClamped {
-			e.stats.RejectGovernor++
-		} else {
-			e.stats.RejectWork++
-		}
-		return false, nil
-	}
-	bigNode := e.nodeOf[e.bigIdx]
-	if !e.cfg.DisableHWProtect && e.therm.Temp(bigNode) >= e.plat.TripC {
-		// The trip would fire on this tick's protection check.
+		return e.walk(dt, min(n, e.ssSkipUntil-k), op)
+	case short != nil:
+		*short++
+		return e.walk(dt, n, op)
+	case e.tmuFires():
+		// The trip fires on this tick's protection check.
 		e.stats.RejectTMU++
 		return false, nil
 	}
-	// Abort poll, once per jump — the same bound as one tick of the
-	// ordinary loop.
-	if e.cfg.Done != nil {
-		select {
-		case <-e.cfg.Done:
-			return false, fmt.Errorf("aborted at t=%gs: %w", e.TimeS(), ErrAborted)
-		default:
-		}
+	// Abort poll, once per jump or walk — the same wall-clock bound as
+	// one tick of the ordinary loop.
+	if err := e.aborted(); err != nil {
+		return false, err
 	}
 	// Affine power decomposition at the steady operating point: constant
 	// injection per node plus a leakage slope folded into the jump map.
@@ -234,34 +259,11 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	// the DRAM traffic, so a fingerprint match against the previous
 	// attempt reuses ssInj/ssSlopeCur/ss without touching the power
 	// model — the common case inside a long steady stretch.
-	memGBs := 0.0
-	if e.app != nil {
-		memRate := 0.0
-		if cpuBusy > 0 {
-			memRate += rateCPU * cpuBusy
-		}
-		if gpuBusy > 0 {
-			memRate += rateGPU * gpuBusy
-		}
-		memGBs = e.app.MemGBs(memRate)
-	}
-	for i := range e.plat.Clusters {
-		l := e.loads[i]
-		l.FreqMHz = e.freqs[i]
-		l.VoltV = e.volts[i]
-		l.TempC = 0 // ignored by the affine form; keep the fingerprint stable
-		var busy float64
-		switch i {
-		case e.bigIdx, e.litIdx:
-			busy = cpuBusy
-		case e.gpuIdx:
-			busy = gpuBusy
-		}
-		if l.ActiveCores == 0 {
-			busy = 0
-		}
-		l.Utilization = busy
-		e.ssLoads[i] = l
+	memGBs := e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)
+	for i := range e.ssLoads {
+		// TempC is ignored by the affine form; keep the fingerprint stable.
+		e.ssLoads[i] = e.loads[i]
+		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
 	}
 	if !e.ssOpValid || memGBs != e.ssOpMemGBs || !equalLoads(e.ssLoads, e.ssOpLoads) {
 		for i := range e.ssInj {
@@ -316,7 +318,8 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	}
 	// The affine leakage form holds only at or above the 25 °C reference;
 	// endpoint checks (start here, landing below) bound the monotone
-	// interior.
+	// interior. A cold start is not walked: the next tick may warm past
+	// the floor and certify a jump.
 	for i, s := range e.ssSlopeCur {
 		if s > 0 && e.therm.Temp(i) < 25 {
 			e.stats.RejectLeakage++
@@ -330,21 +333,22 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if dir == 0 {
 		// Mixed trajectory: endpoint guards would not bound the interior.
 		// Skip further attempts across this horizon — near equilibrium the
-		// probe stays mixed, and ticking is always correct.
+		// probe stays mixed — and walk it.
 		e.ssSkipUntil = k + n
 		e.stats.RejectMixed++
-		return false, nil
+		return e.walk(dt, n, op)
 	}
+	bigNode := e.nodeOf[e.bigIdx]
 	if !e.cfg.DisableHWProtect && endTemps[bigNode] >= e.plat.TripC {
-		// The trip would fire somewhere inside the interval; let fixed
-		// ticks find the exact crossing.
+		// The trip would fire somewhere inside the interval; the walk
+		// stops on the exact crossing.
 		e.stats.RejectTMU++
-		return false, nil
+		return e.walk(dt, n, op)
 	}
 	for i, s := range e.ssSlopeCur {
 		if s > 0 && endTemps[i] < 25 {
 			e.stats.RejectLeakage++
-			return false, nil
+			return e.walk(dt, n, op)
 		}
 	}
 	if err := e.ss.Commit(); err != nil {
@@ -366,25 +370,108 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		}
 	}
 	// Deplete work with the same per-tick arithmetic advanceWork would
-	// have used, so chunk-depletion times stay bit-identical.
-	if cpuBusy == 1 {
-		for j := 0; j < n; j++ {
-			e.remCPU -= rateCPU * dt
+	// have used, so chunk-depletion times stay bit-identical. The two
+	// chunks' subtraction chains are independent, so one loop over
+	// locals lets them overlap.
+	remCPU, remGPU := e.remCPU, e.remGPU
+	for j := 0; j < n; j++ {
+		if op.cpuBusy == 1 {
+			remCPU -= op.rateCPU * dt
+		}
+		if op.gpuBusy == 1 {
+			remGPU -= op.rateGPU * dt
 		}
 	}
-	if gpuBusy == 1 {
-		for j := 0; j < n; j++ {
-			e.remGPU -= rateGPU * dt
-		}
-	}
-	e.utils[e.bigIdx] = bigBusy
-	e.utils[e.litIdx] = litBusy
-	e.utils[e.gpuIdx] = gpuBusy
+	e.remCPU, e.remGPU = remCPU, remGPU
+	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
 	e.timeTicks += n
 	e.stats.Supersteps++
 	e.stats.SuperstepTicks += int64(n)
 	if int64(n) > e.stats.MaxJump {
 		e.stats.MaxJump = int64(n)
+	}
+	return true, nil
+}
+
+// walk advances up to n ticks of a proven horizon at its fixed operating
+// point op, redoing only what can change there: work depletion with
+// advanceWork's arithmetic, each cluster's leakage at its current
+// temperature, the thermal step, the peak fold and the trace record.
+// Dynamic, DRAM and baseline power and each cluster's leakage base are
+// evaluated once, by the power model itself at the 25 °C reference
+// (where the temperature factor is exactly 1); every tick then applies
+// power.Leakage — ClusterPower's own temperature term — so each
+// temperature, sample and decision equals the ordinary tick's bit for
+// bit. The walk stops before a governor epoch and before any tick whose
+// TMU check would trip or release; those run as ordinary ticks. It polls
+// cancellation once, and reports whether it advanced at all.
+//
+//teem:hotpath
+func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
+	k := e.timeTicks
+	if e.govEvery > 0 {
+		r := k % e.govEvery
+		if r == 0 {
+			return false, nil
+		}
+		n = min(n, e.govEvery-r)
+	}
+	nc := len(e.plat.Clusters)
+	if n < 1 || nc > walkMaxClusters || e.tmuFires() {
+		return false, nil
+	}
+	if err := e.aborted(); err != nil {
+		return false, err
+	}
+	clk := e.clock
+	var t0 int64
+	if clk != nil {
+		t0 = clk()
+	}
+	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
+	for i := range e.loads {
+		e.setLoad(&e.loads[i], i, op.cpuBusy, op.gpuBusy, 25)
+	}
+	if err := e.pow.EvaluateInto(&e.bd, e.loads, e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)); err != nil {
+		return false, err
+	}
+	var leakBase, leakCoeff [walkMaxClusters]float64
+	copy(leakBase[:nc], e.bd.LeakageW)
+	for i := range nc {
+		leakCoeff[i] = e.plat.Clusters[i].LeakTempCoeff
+	}
+	nextRec := k + (e.recEvery-k%e.recEvery)%e.recEvery
+	walked := 0
+	for {
+		if op.cpuBusy == 1 {
+			e.remCPU -= op.rateCPU * dt
+		}
+		if op.gpuBusy == 1 {
+			e.remGPU -= op.rateGPU * dt
+		}
+		for i := 0; i < nc; i++ {
+			e.bd.LeakageW[i] = power.Leakage(leakBase[i], leakCoeff[i], e.therm.Temp(e.nodeOf[i]))
+		}
+		if err := e.stepThermal(dt); err != nil {
+			return false, err
+		}
+		e.foldPeaks()
+		if e.timeTicks == nextRec {
+			if err := e.record(e.bd.TotalW()); err != nil {
+				return false, err
+			}
+			nextRec += e.recEvery
+		}
+		e.timeTicks++
+		walked++
+		if walked == n || e.tmuFires() {
+			break
+		}
+	}
+	e.stats.Ticks += int64(walked)
+	e.stats.WalkedTicks += int64(walked)
+	if clk != nil {
+		e.stats.ThermalNanos += clk() - t0
 	}
 	return true, nil
 }
