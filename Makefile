@@ -46,14 +46,14 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Measured snapshot of the core benchmarks (sim tick/run, the RunWarm
-# protocol, Fig. 5 serial/parallel, scenario engine, thermal stepping,
-# power evaluation) as BENCH_<date>.json. Each benchmark runs 5 times;
+# protocol, Fig. 5 serial/parallel, the offline profiling phase, scenario
+# engine, thermal stepping, power evaluation) as BENCH_<date>.json. Each benchmark runs 5 times;
 # benchjson records the median ns/op, B/op and allocs/op with the ns/op
 # min and max.
 # CI uploads it as a non-gating artifact so the perf trajectory is tracked
 # across PRs.
 BENCH_DATE := $(shell date -u +%Y-%m-%d)
-BENCH_CORE := 'BenchmarkSimRun|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkEvaluateInto|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
+BENCH_CORE := 'BenchmarkSimRun|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkEvaluateInto|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
 bench-json:
 	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem -count 5 ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/service . \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json

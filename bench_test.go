@@ -265,7 +265,8 @@ func BenchmarkAblationFloor(b *testing.B) {
 }
 
 // BenchmarkOfflineProfile measures the complete offline phase for one
-// application (17 profiling runs + ETGPU + two regression fits).
+// application (16 profiling runs, whose 2L+3B run doubles as the 17th
+// observation, + ETGPU + two regression fits).
 func BenchmarkOfflineProfile(b *testing.B) {
 	plat := teem.Exynos5422()
 	net := teem.Exynos5422Thermal()
@@ -277,6 +278,16 @@ func BenchmarkOfflineProfile(b *testing.B) {
 		if _, err := mgr.Profile(teem.Covariance()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// A profiling measurement is reduced to four numbers, so it keeps no
+// trace: the offline phase must stay under a fixed byte budget, or a
+// per-run time series (1.5 MB/op when every run kept one) has come back.
+func TestOfflineProfileAllocBudget(t *testing.T) {
+	const budget = 800 << 10
+	if got := testing.Benchmark(BenchmarkOfflineProfile).AllocedBytesPerOp(); got > budget {
+		t.Errorf("the offline phase allocates %d B/op, budget %d B", got, budget)
 	}
 }
 

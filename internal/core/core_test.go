@@ -174,6 +174,33 @@ func TestProfileBuildsPaperShapedModel(t *testing.T) {
 	}
 }
 
+// Profile takes its 17th observation, the 2L+3B replicate, from the
+// mapping loop's own measurement, which is sound only while a repeated
+// run equals the first one. Re-simulating 2L+3B after the whole
+// protocol must reproduce Observations[16] field for field; a
+// nondeterministic model (sensor noise, say) fails here instead of
+// silently duplicating a run.
+func TestProfileReplicateMatchesFreshRun(t *testing.T) {
+	mg := newManager(t)
+	part := mapping.Partition{Num: 4, Den: 8}
+	median := mapping.Mapping{Big: 3, Little: 2, UseGPU: true}
+	for _, app := range workload.Apps() {
+		am, err := mg.Profile(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := mg.profileRun(app, median, part)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := Observation{Map: median, M: float64(median.CPUCores()),
+			ATC: res.AvgTempC, PTC: res.PeakTempC, ETS: res.ExecTimeS, ECJ: res.EnergyJ}
+		if got := am.Observations[16]; got != fresh {
+			t.Errorf("%s: replicate %+v, a fresh 2L+3B run gives %+v", app.Name, got, fresh)
+		}
+	}
+}
+
 func TestFitModelRejectsTinyDatasets(t *testing.T) {
 	if _, err := FitModel("x", make([]Observation, 3)); err == nil {
 		t.Error("FitModel should reject < 6 observations")

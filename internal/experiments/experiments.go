@@ -529,14 +529,15 @@ type SweepPoint struct {
 
 // runTEEMWith runs COVARIANCE (2L+4B, CPU-bound partition 5/8 so the
 // regulated cluster is the execution-time pole) under modified controller
-// parameters.
+// parameters. A sweep point reads only summaries, so no trace is kept.
 func (e *Env) runTEEMWith(p core.Params) (*sim.Result, error) {
 	app := workload.Covariance()
 	m := mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
 	return sim.RunWarm(sim.Config{
 		Platform: e.Plat, Net: e.Net, App: app,
 		Map: m, Part: mapping.Partition{Num: 5, Den: 8},
-		Governor: core.NewController(p),
+		Governor:     core.NewController(p),
+		DiscardTrace: true,
 	})
 }
 

@@ -76,6 +76,16 @@ func BenchmarkScenarioGridPlatforms(b *testing.B) {
 	}
 }
 
+// Grid cells are reduced to table rows, so they keep no trace: the
+// catalog grid must stay under a fixed byte budget, or a per-cell time
+// series (2.0 MB/op when every cell kept one) has come back.
+func TestScenarioGridPlatformsAllocBudget(t *testing.T) {
+	const budget = 1 << 20
+	if got := testing.Benchmark(BenchmarkScenarioGridPlatforms).AllocedBytesPerOp(); got > budget {
+		t.Errorf("the catalog grid allocates %d B/op, budget %d B", got, budget)
+	}
+}
+
 // BenchmarkScenarioReplaySparse measures the event-horizon superstep
 // path on its canonical workload: the sparse-replay trace, where four
 // short jobs punctuate a ten-minute horizon of idle. Nearly every tick

@@ -94,7 +94,8 @@ type Result struct {
 	Scenario string
 	Governor string
 	Platform string
-	// Sim is the underlying run result (trace included).
+	// Sim is the underlying run result. Run and RunCtx keep its trace;
+	// grid cells carry none (see PlatformGridResult).
 	Sim *sim.Result
 	// Violations lists failed assertions in event order (empty = pass).
 	Violations []string
@@ -131,13 +132,14 @@ func RunCtx(ctx context.Context, sc *Scenario, rc Config) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	return runOn(ctx, sc, rc, hw)
+	return runOn(ctx, sc, rc, hw, false)
 }
 
 // runOn executes a validated scenario on resolved hardware, ignoring
 // rc's hardware fields. It only reads hw, so concurrent runs may share
-// one decoded platform.
-func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware) (*Result, error) {
+// one decoded platform. discardTrace sets sim.Config.DiscardTrace: the
+// result's Sim.Trace is nil.
+func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTrace bool) (*Result, error) {
 	plat, net := hw.plat, hw.net
 	registry := builtinGovernors()
 	//teem:order-insensitive map-to-map merge: the resulting registry is the same set whatever the iteration order
@@ -182,6 +184,7 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware) (*Result, 
 		Done:             ctx.Done(),
 		OnSample:         rc.OnSample,
 		Clock:            rc.Clock,
+		DiscardTrace:     discardTrace,
 	}
 	e, err := sim.New(cfg)
 	if err != nil {
@@ -494,6 +497,11 @@ func scheduleAmbient(e *sim.Engine, ambient *float64, ev Event) error {
 // Config names (RunGrid) has nil Platforms and a single plane, addressed
 // by the empty platform name; a platform sweep (RunPlatformGrid) lists
 // the catalog names it resolved.
+//
+// A grid is reduced to one table row per cell, so cells carry no time
+// series: every cell's Sim.Trace is nil, and its other fields are those
+// of the same scenario under Run. A caller that wants the samples
+// subscribes through Config.OnSample, as teemd does to stream them.
 type PlatformGridResult struct {
 	Platforms []string
 	Scenarios []string
@@ -513,7 +521,8 @@ type PlatformGridResult struct {
 // as that cell's violation (Sim stays nil) so every other cell still
 // runs and the grid — and the teemscenario exit-code gate built on
 // Violations — reports the full picture. Only structural misuse (an
-// empty or nil-bearing grid) returns an error.
+// empty or nil-bearing grid) returns an error. Cells carry no trace;
+// rc.OnSample streams their samples (see PlatformGridResult).
 func RunGrid(scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
 	return runGrid(context.Background(), nil, scs, governors, rc, workers)
 }
@@ -601,7 +610,7 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 			err = fmt.Errorf("scenario %s: %w", sc.Name, hwErr)
 		}
 		if err == nil {
-			r, err = runOn(ctx, sc, cell, planes[pi])
+			r, err = runOn(ctx, sc, cell, planes[pi], true)
 		}
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, sim.ErrAborted) {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"teem/internal/scenario"
+	"teem/internal/trace"
 )
 
 // tinyScenarioJSON builds a short inline scenario document with the
@@ -360,11 +361,11 @@ func TestStreamLiveAndReplayAgree(t *testing.T) {
 		t.Errorf("stream had %d start, %d cell, %d done events", starts, cells, dones)
 	}
 	// The single-cell job streams every recorded trace sample.
-	grid, err := scenario.RunGrid([]*scenario.Scenario{scenario.Sunlight()}, []string{"ondemand"}, scenario.Config{}, 1)
-	if err != nil {
+	want := 0
+	rc := scenario.Config{OnSample: func(trace.Sample) { want++ }}
+	if _, err := scenario.RunGrid([]*scenario.Scenario{scenario.Sunlight()}, []string{"ondemand"}, rc, 1); err != nil {
 		t.Fatal(err)
 	}
-	want := len(grid.Cells[0][0][0].Sim.Trace.Samples)
 	if samples != want {
 		t.Errorf("streamed %d samples, trace has %d", samples, want)
 	}

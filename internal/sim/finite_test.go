@@ -40,6 +40,42 @@ func TestNewRejectsNonFiniteTiming(t *testing.T) {
 	}
 }
 
+// A non-finite start temperature makes every summary NaN, and a NaN,
+// infinite or negative sensor quantum either reads NaN on every sensor
+// (no governor or TMU ever acts) or silently means "exact": New must
+// reject them, naming the field and, for InitialTempsC, the index.
+func TestNewRejectsBadThermalInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name, want string
+		set        func(*Config)
+	}{
+		{"InitialTempsC[0] NaN", "InitialTempsC[0]", func(c *Config) { c.InitialTempsC = []float64{nan, 40, 40, 40} }},
+		{"InitialTempsC[2] +Inf", "InitialTempsC[2]", func(c *Config) { c.InitialTempsC = []float64{40, 40, inf, 40} }},
+		{"InitialTempsC[3] -Inf", "InitialTempsC[3]", func(c *Config) { c.InitialTempsC = []float64{40, 40, 40, -inf} }},
+		{"SensorQuantizeC NaN", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = nan }},
+		{"SensorQuantizeC +Inf", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = inf }},
+		{"SensorQuantizeC -Inf", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = -inf }},
+		{"SensorQuantizeC -1", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = -1 }},
+	}
+	for _, c := range cases {
+		cfg := baseConfig()
+		c.set(&cfg)
+		_, err := New(cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+	for _, q := range []float64{0, 0.5} {
+		cfg := baseConfig()
+		cfg.SensorQuantizeC = q
+		cfg.InitialTempsC = []float64{40, 40, 40, 40}
+		if _, err := New(cfg); err != nil {
+			t.Errorf("SensorQuantizeC %g with finite start temperatures rejected: %v", q, err)
+		}
+	}
+}
+
 // periodGov is a do-nothing policy with a configurable control period.
 type periodGov struct{ p float64 }
 

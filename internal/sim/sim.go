@@ -169,6 +169,18 @@ type Config struct {
 	// (reference runs, debugging). Euler runs never superstep. See
 	// docs/integrators.md for the legality contract.
 	DisableSuperstep bool
+	// DiscardTrace returns the Result without its time series
+	// (Result.Trace is nil), for callers that read only the summaries:
+	// profiling measurements, ablation sweep points, scenario grid
+	// cells. Every other Result field, Stats and every OnSample sample
+	// are the same as without it (the summaries are folded online from
+	// the same samples), but the engine skips recording the series,
+	// which is most of a run's allocation. With OnSample set the engine
+	// still records internally, so subscribers keep OnSample's
+	// slice-lifetime contract. The default keeps the trace because
+	// renders (Fig. 1, teemsim's chart and CSV) and the facade's callers
+	// read the series.
+	DiscardTrace bool
 	// Done, when non-nil, makes the run cancellable: the engine polls
 	// the channel once per tick, jump or walk — a non-blocking receive,
 	// so the steady-state tick stays allocation-free — and aborts with an
@@ -259,7 +271,7 @@ type Result struct {
 	// Completed=true once the surviving work drains: the departed jobs
 	// left the system, they did not fail it.
 	JobCancels []JobCancel
-	// Trace is the recorded time series.
+	// Trace is the recorded time series (nil under Config.DiscardTrace).
 	Trace *trace.Trace
 	// Stats is the engine flight recorder: ticks vs supersteps, guard
 	// rejection reasons, cache hit rates, governor/TMU activity, and —
@@ -278,12 +290,10 @@ type Engine struct {
 
 	// Recording. sum folds every recorded sample into the summaries
 	// Result reports; tr keeps the full series. Both are allocated at
-	// the first sample. noTrace drops the series where no caller can
-	// read it (RunWarm's discarded warm-up); inherit is the capacity a
-	// RunWarm measured run takes from its warm-up (see sizing).
+	// the first sample. inherit is the capacity a RunWarm measured run
+	// takes from its warm-up (see sizing).
 	sum     summary
 	tr      *trace.Trace
-	noTrace bool
 	inherit capacity
 
 	// cluster bookkeeping, indexed like plat.Clusters
@@ -441,6 +451,18 @@ func New(cfg Config) (*Engine, error) {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return nil, fmt.Errorf("sim: %s must be finite, got %g", f.name, f.v)
 		}
+	}
+	// A non-finite start temperature turns every summary into NaN, and a
+	// non-finite quantum turns every sensor read into NaN, so governors
+	// and the TMU never act; a NaN or negative quantum would otherwise
+	// silently mean "exact".
+	for i, t := range cfg.InitialTempsC {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			return nil, fmt.Errorf("sim: InitialTempsC[%d] must be finite, got %g", i, t)
+		}
+	}
+	if q := cfg.SensorQuantizeC; !(q >= 0 && q <= math.MaxFloat64) {
+		return nil, fmt.Errorf("sim: SensorQuantizeC must be finite and non-negative, got %g", q)
 	}
 	if cfg.App == nil && cfg.MinTimeS <= 0 {
 		return nil, errors.New("sim: Platform, Net and App are required (App may be nil only with MinTimeS set)")
@@ -1273,8 +1295,10 @@ func (e *Engine) Run() (*Result, error) {
 		ThrottleEvents:  e.throttleEvents,
 		JobFinishes:     e.jobFinishes,
 		JobCancels:      e.jobCancels,
-		Trace:           e.tr,
 		Stats:           e.collectStats(),
+	}
+	if !e.cfg.DiscardTrace {
+		res.Trace = e.tr
 	}
 	return res, nil
 }
@@ -1685,7 +1709,9 @@ func (e *Engine) sizing() capacity {
 func (e *Engine) beginRecording() {
 	n := e.sizing().samples
 	e.sum.init(len(e.cfg.Net.Nodes), e.nodeOf[e.bigIdx], n)
-	if e.noTrace {
+	if e.cfg.DiscardTrace && e.cfg.OnSample == nil {
+		// No caller reads the series; a subscriber still needs the
+		// trace's arena-backed samples.
 		return
 	}
 	nodeNames := make([]string, len(e.cfg.Net.Nodes))
@@ -1763,12 +1789,12 @@ func RunWarm(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.InitialTempsC = warm
-	e1, err := New(cfg)
+	warmUp := cfg
+	warmUp.InitialTempsC, warmUp.DiscardTrace = warm, true
+	e1, err := New(warmUp)
 	if err != nil {
 		return nil, err
 	}
-	e1.noTrace = cfg.OnSample == nil
 	if _, err := e1.Run(); err != nil {
 		return nil, err
 	}
