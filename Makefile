@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check perfbench-layout scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate ci
+.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check perfbench-layout scenario-gate integrator-gate platform-gate repro-gate repro-golden serve-smoke soak-gate obs-gate ci
 
 build:
 	$(GO) build ./...
@@ -109,6 +109,23 @@ platform-gate:
 	$(GO) run ./cmd/teemscenario -platforms all -govs ondemand,teem
 	$(GO) run ./cmd/teemscenario -platforms all -govs ondemand,teem -integrator euler
 
+# Reproduction-output gate: testdata/repro.sh regenerates the outputs of
+# teemcal (every catalog platform), teemscenario (the corpus on one
+# platform, on the whole catalog under both integrators, on merlin-m3),
+# teemsim (CSV and charts) and the campaign, multiapp, adaptation and
+# motivation examples into a temporary directory, and the gate requires
+# them byte-identical to the goldens in testdata/repro/. A change that
+# moves an output on purpose regenerates them with `make repro-golden`
+# and commits the diff for review.
+repro-gate:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		bash testdata/repro.sh "$$tmp" && diff -r testdata/repro "$$tmp" && \
+		echo "repro-gate: outputs identical to testdata/repro"
+
+repro-golden:
+	rm -rf testdata/repro
+	bash testdata/repro.sh testdata/repro
+
 # Serving-path smoke gate: boot teemd on a random port, hit /healthz,
 # submit a preset scenario, stream its NDJSON telemetry, verify the
 # result is byte-identical to the teemscenario CLI, cancel a long run,
@@ -144,4 +161,4 @@ obs-gate:
 	$(GO) test ./internal/service -run 'TestMetricsPromExposition|TestTrace|Golden|TestExpvar' -count=1
 	$(GO) test ./internal/obs -count=1
 
-ci: build vet lint fmt perfbench-check test race bench scenario-gate integrator-gate platform-gate serve-smoke soak-gate obs-gate vulncheck
+ci: build vet lint fmt perfbench-check test race bench scenario-gate integrator-gate platform-gate repro-gate serve-smoke soak-gate obs-gate vulncheck

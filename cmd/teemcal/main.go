@@ -84,6 +84,7 @@ func main() {
 			app.Name, m),
 		Headers: []string{"big MHz", big.Name + " (°C)", gpu.Name + " (°C)", "pkg (°C)", "board (W)"},
 	}
+	bi, gi, pi := net.NodeIndex(big.Name), net.NodeIndex(gpu.Name), net.NodeIndex("pkg")
 	for _, f := range ladder {
 		cfg := sim.Config{
 			Platform: plat, Net: net, App: app,
@@ -98,9 +99,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bi := net.NodeIndex(big.Name)
-		gi := net.NodeIndex(gpu.Name)
-		pi := net.NodeIndex("pkg")
 		t.AddRow(
 			fmt.Sprintf("%d", f),
 			fmt.Sprintf("%.1f", st[bi]),
@@ -112,9 +110,9 @@ func main() {
 	fmt.Println(t.Render())
 
 	// Transient time scales against the platform's own trip points,
-	// under full load (every cluster maxed, big at the given frequency,
-	// leakage re-evaluated at the live temperatures each step).
-	bi := net.NodeIndex(big.Name)
+	// under full load (platform.FullLoadInjection: every cluster maxed,
+	// big at the given frequency, leakage re-evaluated at the live
+	// temperatures each step).
 	cross := func(start []float64, target float64, bigMHz int, cooling bool) float64 {
 		tm, err := thermal.NewModel(net, plat.AmbientC)
 		if err != nil {
@@ -126,12 +124,10 @@ func main() {
 			}
 		}
 		temps := make([]float64, len(net.Nodes))
+		inj := make([]float64, len(net.Nodes))
 		for ts := 0.0; ts < 600; ts += 0.05 {
-			for i := range temps {
-				temps[i] = tm.Temp(i)
-			}
-			inj, err := fullLoadInj(plat, net, pm, bigMHz, temps)
-			if err != nil {
+			tm.CopyTemps(temps)
+			if err := platform.FullLoadInjection(b, pm, bigMHz, temps, inj); err != nil {
 				log.Fatal(err)
 			}
 			if err := tm.Step(inj, 0.05); err != nil {
@@ -158,7 +154,7 @@ func main() {
 	// Cooling from a tripped chip (every node at most at the trip
 	// point) down to the release temperature, at the hardware cap.
 	tripped := make([]float64, len(net.Nodes))
-	hot, err := fullLoadSteady(plat, net, pm, maxMHz)
+	hot, err := platform.FullLoadSteady(b, pm, maxMHz)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -189,60 +185,4 @@ func oppLadder(c *soc.Cluster, fromMHz int, n int) []int {
 		}
 	}
 	return freqs
-}
-
-// fullLoadInj builds the node heat-injection vector for every cluster
-// fully loaded (big at bigMHz, others at max), with leakage evaluated at
-// the given node temperatures and half the board baseline on the
-// package, matching the simulator's default split.
-func fullLoadInj(plat *soc.Platform, net *thermal.Network, pm *power.Model, bigMHz int, temps []float64) ([]float64, error) {
-	inj := make([]float64, len(net.Nodes))
-	inj[net.NodeIndex("pkg")] += 0.5 * plat.BoardBaselineW
-	for i := range plat.Clusters {
-		c := &plat.Clusters[i]
-		f := c.MaxFreqMHz()
-		if c.Kind == soc.BigCPU {
-			f = bigMHz
-		}
-		node := net.NodeIndex(c.Name)
-		dyn, leak, err := pm.ClusterPower(i, power.ClusterLoad{
-			FreqMHz:     f,
-			ActiveCores: c.NumCores,
-			OnCores:     c.NumCores,
-			Utilization: 1,
-			Activity:    1,
-			TempC:       temps[node],
-		})
-		if err != nil {
-			return nil, err
-		}
-		inj[node] += dyn + leak
-	}
-	return inj, nil
-}
-
-// fullLoadSteady iterates the leakage/temperature fixed point to the
-// full-load steady state.
-func fullLoadSteady(plat *soc.Platform, net *thermal.Network, pm *power.Model, bigMHz int) ([]float64, error) {
-	tm, err := thermal.NewModel(net, plat.AmbientC)
-	if err != nil {
-		return nil, err
-	}
-	temps := make([]float64, len(net.Nodes))
-	for i := range temps {
-		temps[i] = plat.AmbientC
-	}
-	var st []float64
-	for round := 0; round < 8; round++ {
-		inj, err := fullLoadInj(plat, net, pm, bigMHz, temps)
-		if err != nil {
-			return nil, err
-		}
-		st, err = tm.SteadyState(inj)
-		if err != nil {
-			return nil, err
-		}
-		copy(temps, st)
-	}
-	return st, nil
 }

@@ -118,7 +118,7 @@ func (b *Bundle) Validate() error {
 	if err := b.Net.Validate(); err != nil {
 		return fmt.Errorf("platform %s: %w", b.Name, err)
 	}
-	if err := sim.CheckPlatformNet(b.SoC, b.Net); err != nil {
+	if _, _, err := sim.ResolveNodes(b.SoC, b.Net); err != nil {
 		return fmt.Errorf("platform %s: %w", b.Name, err)
 	}
 	// The engine indexes exactly one cluster per kind (and the node

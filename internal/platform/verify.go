@@ -5,6 +5,8 @@ import (
 	"math"
 
 	"teem/internal/power"
+	"teem/internal/sim"
+	"teem/internal/soc"
 	"teem/internal/thermal"
 )
 
@@ -201,7 +203,7 @@ func Verify(b *Bundle) []string {
 	// below the release point, otherwise a tripped part never cools
 	// enough to release and wedges at the cap forever.
 	capMHz := big.FloorOPP(b.SoC.TripCapMHz).FreqMHz
-	thr, err := steadyFullLoad(b, tm, pm, map[string]int{big.Name: capMHz})
+	thr, err := FullLoadSteady(b, pm, capMHz)
 	if err != nil {
 		addf("throttled steady state: %v", err)
 		return findings
@@ -213,7 +215,7 @@ func Verify(b *Bundle) []string {
 	}
 	// Full-tilt regime only needs to be finite (trip protection exists
 	// precisely because it may exceed TripC).
-	full, err := steadyFullLoad(b, tm, pm, nil)
+	full, err := FullLoadSteady(b, pm, big.MaxFreqMHz())
 	if err != nil {
 		addf("full-load steady state: %v", err)
 		return findings
@@ -226,69 +228,70 @@ func Verify(b *Bundle) []string {
 	return findings
 }
 
-// clusterFullLoadW evaluates cluster i fully loaded (all cores active,
-// utilization 1) at the given frequency and temperature.
-func clusterFullLoadW(pm *power.Model, i, freqMHz int, tempC float64) (float64, error) {
-	c := &pm.Platform().Clusters[i]
-	dyn, leak, err := pm.ClusterPower(i, power.ClusterLoad{
-		FreqMHz:     freqMHz,
-		ActiveCores: c.NumCores,
-		OnCores:     c.NumCores,
-		Utilization: 1,
-		Activity:    1,
-		TempC:       tempC,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return dyn + leak, nil
+// fullLoad is cluster c's load with every core busy at freqMHz and tempC.
+func fullLoad(c *soc.Cluster, freqMHz int, tempC float64) power.ClusterLoad {
+	return power.ClusterLoad{FreqMHz: freqMHz, ActiveCores: c.NumCores, OnCores: c.NumCores, Utilization: 1, Activity: 1, TempC: tempC}
 }
 
-// steadyFullLoad computes the self-consistent steady state of the bundle
-// under full load, with optional per-cluster frequency overrides (MHz;
-// missing clusters run at their maximum OPP). Leakage depends on
-// temperature and temperature on power, so the fixed point is found by
-// iterating power evaluation at the current node temperatures against
-// the linear steady-state solve — a handful of rounds converge to well
-// under the check tolerances. Half the board baseline heats the package
-// node, matching the simulator's default PkgBaselineFrac.
-func steadyFullLoad(b *Bundle, tm *thermal.Model, pm *power.Model, freqMHz map[string]int) ([]float64, error) {
+// clusterFullLoadW evaluates cluster i fully loaded at the given
+// frequency and temperature.
+func clusterFullLoadW(pm *power.Model, i, freqMHz int, tempC float64) (float64, error) {
+	dyn, leak, err := pm.ClusterPower(i, fullLoad(&pm.Platform().Clusters[i], freqMHz, tempC))
+	return dyn + leak, err
+}
+
+// FullLoadInjection writes into inj the node heat of bundle b with every
+// cluster fully loaded, the big cluster at bigMHz and the others at their
+// maximum OPP, leakage at the node temperatures temps and no DRAM
+// traffic. sim.InjectHeat turns that power into heat, so the package
+// takes the simulator's share of the board baseline. pm is b's power
+// model; temps and inj are indexed like b's nodes.
+func FullLoadInjection(b *Bundle, pm *power.Model, bigMHz int, temps, inj []float64) error {
+	nodeOf, pkg, err := sim.ResolveNodes(b.SoC, b.Net)
+	if err != nil {
+		return err
+	}
+	big := b.SoC.Big()
+	loads := make([]power.ClusterLoad, len(b.SoC.Clusters))
+	for i := range b.SoC.Clusters {
+		c := &b.SoC.Clusters[i]
+		f := c.MaxFreqMHz()
+		if c == big {
+			f = bigMHz
+		}
+		loads[i] = fullLoad(c, f, temps[nodeOf[i]])
+	}
+	bd, err := pm.Evaluate(loads, 0)
+	if err != nil {
+		return err
+	}
+	sim.InjectHeat(inj, bd, nodeOf, pkg)
+	return nil
+}
+
+// FullLoadSteady is the self-consistent steady state of bundle b under
+// FullLoadInjection's load with the big cluster at bigMHz. Leakage depends
+// on temperature and temperature on power, so the fixed point is found by
+// iterating the injection at the current node temperatures against the
+// linear steady-state solve from ambient; eight rounds converge to well
+// under the check tolerances. Verify's trip checks and teemcal share it.
+func FullLoadSteady(b *Bundle, pm *power.Model, bigMHz int) ([]float64, error) {
+	tm, err := thermal.NewModel(b.Net, b.SoC.AmbientC)
+	if err != nil {
+		return nil, err
+	}
 	n := len(b.Net.Nodes)
 	temps := make([]float64, n)
 	for i := range temps {
 		temps[i] = b.SoC.AmbientC
 	}
 	inj := make([]float64, n)
-	pkg := b.Net.NodeIndex("pkg")
 	var st []float64
 	for round := 0; round < 8; round++ {
-		for i := range inj {
-			inj[i] = 0
+		if err := FullLoadInjection(b, pm, bigMHz, temps, inj); err != nil {
+			return nil, err
 		}
-		inj[pkg] += 0.5 * b.SoC.BoardBaselineW
-		for i := range b.SoC.Clusters {
-			c := &b.SoC.Clusters[i]
-			f := c.MaxFreqMHz()
-			if over, ok := freqMHz[c.Name]; ok {
-				f = over
-			}
-			node := b.Net.NodeIndex(c.Name)
-			dyn, leak, err := pm.ClusterPower(i, power.ClusterLoad{
-				FreqMHz:     f,
-				ActiveCores: c.NumCores,
-				OnCores:     c.NumCores,
-				Utilization: 1,
-				Activity:    1,
-				TempC:       temps[node],
-			})
-			if err != nil {
-				return nil, err
-			}
-			inj[node] += dyn + leak
-		}
-		var err error
-		st, err = tm.SteadyState(inj)
-		if err != nil {
+		if st, err = tm.SteadyState(inj); err != nil {
 			return nil, err
 		}
 		copy(temps, st)

@@ -47,12 +47,14 @@ type Evaluator struct {
 	// sweeping a design space does not rebuild the RC system per point.
 	therm *thermal.Model
 	// nodeOf caches each cluster's thermal node; pkgNode the "pkg"
-	// node (-1 when absent).
+	// node (sim.ResolveNodes).
 	nodeOf  []int
 	pkgNode int
 }
 
-// NewEvaluator builds an evaluator.
+// NewEvaluator builds an evaluator. Like sim.New it rejects a network
+// that cannot carry the platform (a cluster without a node, or no "pkg"
+// node) with an error wrapping sim.ErrPlatformNetMismatch.
 func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) {
 	if err := plat.Validate(); err != nil {
 		return nil, err
@@ -71,13 +73,9 @@ func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) 
 	if err != nil {
 		return nil, err
 	}
-	nodeOf := make([]int, len(plat.Clusters))
-	for i := range plat.Clusters {
-		n := net.NodeIndex(plat.Clusters[i].Name)
-		if n < 0 {
-			return nil, fmt.Errorf("profile: thermal network lacks a node for cluster %s", plat.Clusters[i].Name)
-		}
-		nodeOf[i] = n
+	nodeOf, pkg, err := sim.ResolveNodes(plat, net)
+	if err != nil {
+		return nil, err
 	}
 	return &Evaluator{
 		plat:    plat,
@@ -85,7 +83,7 @@ func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) 
 		pow:     pm,
 		therm:   tm,
 		nodeOf:  nodeOf,
-		pkgNode: net.NodeIndex("pkg"),
+		pkgNode: pkg,
 	}, nil
 }
 
@@ -213,15 +211,7 @@ func (ev *Evaluator) steady(app *workload.App, dp mapping.DesignPoint, fb, fl, f
 		if err != nil {
 			return nil, nil, err
 		}
-		for i := range inj {
-			inj[i] = 0
-		}
-		for i := range ev.plat.Clusters {
-			inj[ev.nodeOf[i]] += bd.ClusterW(i)
-		}
-		if ev.pkgNode >= 0 {
-			inj[ev.pkgNode] += bd.DRAMW + 0.5*bd.BaselineW
-		}
+		sim.InjectHeat(inj, bd, ev.nodeOf, ev.pkgNode)
 		temps, err = ev.therm.SteadyState(inj)
 		if err != nil {
 			return nil, nil, err

@@ -1,11 +1,13 @@
 package profile
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
 
 	"teem/internal/mapping"
+	"teem/internal/sim"
 	"teem/internal/soc"
 	"teem/internal/thermal"
 	"teem/internal/workload"
@@ -38,6 +40,25 @@ func TestNewEvaluatorValidation(t *testing.T) {
 	bad.Name = ""
 	if _, err := NewEvaluator(bad, thermal.Exynos5422Network()); err == nil {
 		t.Error("invalid platform should be rejected")
+	}
+}
+
+// The evaluator resolves its nodes like the engine: a network that
+// cannot carry the platform is the same sentinel error. A network
+// without "pkg" used to be accepted, silently dropping the DRAM and
+// board-baseline heat from every prediction.
+func TestNewEvaluatorRejectsMismatchedNet(t *testing.T) {
+	if _, err := NewEvaluator(soc.Exynos5410(), thermal.Exynos5422Network()); !errors.Is(err, sim.ErrPlatformNetMismatch) {
+		t.Errorf("5410 on the 5422 network: %v, want ErrPlatformNetMismatch", err)
+	}
+	noPkg := thermal.Exynos5422Network()
+	for i := range noPkg.Nodes {
+		if noPkg.Nodes[i].Name == "pkg" {
+			noPkg.Nodes[i].Name = "substrate"
+		}
+	}
+	if _, err := NewEvaluator(soc.Exynos5422(), noPkg); !errors.Is(err, sim.ErrPlatformNetMismatch) {
+		t.Errorf("network without pkg: %v, want ErrPlatformNetMismatch", err)
 	}
 }
 

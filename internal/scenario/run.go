@@ -42,6 +42,8 @@ func GovernorNames() []string {
 
 // Config parameterises scenario execution. The zero value runs on the
 // default catalog platform (the Exynos 5422) with the exact integrator.
+// Every run steps on the engine's fixed sim.TickS and lasts until one
+// tick past Scenario.EndS (sim.Config.MinTimeS).
 type Config struct {
 	// PlatformName selects the hardware by catalog name or bundle-file
 	// path (platform.Resolve). It is mutually exclusive with the explicit
@@ -57,10 +59,6 @@ type Config struct {
 	Governor string
 	// Governors adds custom policies to the registry by name.
 	Governors map[string]GovernorFactory
-	// TickS and MaxTimeS default like sim.Config (MaxTimeS is raised to
-	// cover the scenario horizon when needed).
-	TickS    float64
-	MaxTimeS float64
 	// Integrator selects the thermal stepping scheme.
 	Integrator sim.Integrator
 	// DisableSuperstep forces the classic tick-by-tick loop instead of
@@ -158,25 +156,14 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTra
 		return nil, fmt.Errorf("scenario %s: unknown governor %q", sc.Name, govName)
 	}
 
-	tick := rc.TickS
-	if tick == 0 {
-		tick = 0.01
-	}
-	horizon := sc.EndS() + tick
-	maxTime := rc.MaxTimeS
-	if maxTime == 0 {
-		maxTime = 900
-	}
-	if maxTime < horizon {
-		maxTime = horizon
-	}
+	// The horizon ends one tick past the scenario; sim.New raises its
+	// default 900 s MaxTimeS to cover a longer one.
+	horizon := sc.EndS() + sim.TickS
 	cfg := sim.Config{
 		Platform:         plat,
 		Net:              net,
 		Map:              sc.Map,
 		Governor:         mk(),
-		TickS:            tick,
-		MaxTimeS:         maxTime,
 		MinTimeS:         horizon,
 		Integrator:       rc.Integrator,
 		DisableSuperstep: rc.DisableSuperstep,

@@ -28,8 +28,8 @@ func TestTickZeroAllocs(t *testing.T) {
 	const dt = 0.01
 	e.govEvery = 0
 	e.recEvery = 10
-	// Warm up a few ticks: the first peak-temperature snapshot and the
-	// lazily created first trace arena block may allocate once.
+	// Warm up a few ticks: the lazily created first trace arena block may
+	// allocate once.
 	for i := 0; i < 50; i++ {
 		if _, err := e.tick(dt); err != nil {
 			t.Fatal(err)

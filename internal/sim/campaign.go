@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 
 	"teem/internal/mapping"
@@ -39,12 +40,10 @@ type CampaignConfig struct {
 	// Platform and Net are the shared hardware (required).
 	Platform *soc.Platform
 	Net      *thermal.Network
-	// GapS is the idle time between consecutive jobs (default 0).
+	// GapS is the idle time between consecutive jobs (default 0); it
+	// must be finite and non-negative. Every job runs on the engine's
+	// fixed TickS with Config's default MaxTimeS.
 	GapS float64
-	// TickS, MaxTimeS and PkgBaselineFrac default like Config.
-	TickS           float64
-	MaxTimeS        float64
-	PkgBaselineFrac float64
 	// InitialTempsC presets the chip state before the first job
 	// (default: ambient — a cold campaign start). For Independent
 	// campaigns every job starts from this state.
@@ -81,7 +80,8 @@ type CampaignResult struct {
 // RunCampaign executes the jobs: sequentially with the thermal state
 // carried across job boundaries (the default), or — when cc.Independent
 // is set — as thermally non-carrying jobs scheduled across a bounded
-// worker pool.
+// worker pool. The configuration and every job are checked before any
+// job runs.
 func RunCampaign(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
 	if cc.Platform == nil || cc.Net == nil {
 		return nil, errors.New("sim: campaign needs Platform and Net")
@@ -89,8 +89,15 @@ func RunCampaign(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
 	if len(jobs) == 0 {
 		return nil, errors.New("sim: campaign has no jobs")
 	}
-	if cc.GapS < 0 {
-		return nil, errors.New("sim: negative campaign gap")
+	// A NaN gap would silently mean "no gap", and an infinite one would
+	// cool the chip forever.
+	if !(cc.GapS >= 0 && cc.GapS <= math.MaxFloat64) {
+		return nil, fmt.Errorf("sim: campaign GapS must be finite and non-negative, got %g", cc.GapS)
+	}
+	for i, j := range jobs {
+		if j.App == nil {
+			return nil, fmt.Errorf("sim: campaign job %d has no App", i)
+		}
 	}
 	if cc.Independent {
 		return runIndependent(cc, jobs)
@@ -98,21 +105,7 @@ func RunCampaign(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
 	temps := cc.InitialTempsC
 	out := &CampaignResult{}
 	for i, j := range jobs {
-		cfg := Config{
-			Platform:        cc.Platform,
-			Net:             cc.Net,
-			App:             j.App,
-			Map:             j.Map,
-			Part:            j.Part,
-			Freq:            j.Freq,
-			Governor:        j.Governor,
-			HotplugUnused:   j.HotplugUnused,
-			TickS:           cc.TickS,
-			MaxTimeS:        cc.MaxTimeS,
-			PkgBaselineFrac: cc.PkgBaselineFrac,
-			InitialTempsC:   temps,
-		}
-		e, err := New(cfg)
+		e, err := New(cc.jobConfig(j, temps))
 		if err != nil {
 			return nil, fmt.Errorf("sim: campaign job %d (%s): %w", i, j.App.Name, err)
 		}
@@ -174,20 +167,7 @@ func runIndependent(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
 	finals := make([][]float64, len(jobs))
 	if err := par.ForEach(cc.Workers, len(jobs), func(i int) error {
 		j := jobs[i]
-		e, err := New(Config{
-			Platform:        cc.Platform,
-			Net:             cc.Net,
-			App:             j.App,
-			Map:             j.Map,
-			Part:            j.Part,
-			Freq:            j.Freq,
-			Governor:        j.Governor,
-			HotplugUnused:   j.HotplugUnused,
-			TickS:           cc.TickS,
-			MaxTimeS:        cc.MaxTimeS,
-			PkgBaselineFrac: cc.PkgBaselineFrac,
-			InitialTempsC:   cc.InitialTempsC,
-		})
+		e, err := New(cc.jobConfig(j, cc.InitialTempsC))
 		if err != nil {
 			return fmt.Errorf("sim: campaign job %d (%s): %w", i, j.App.Name, err)
 		}
@@ -213,6 +193,22 @@ func runIndependent(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
 	return out, nil
 }
 
+// jobConfig is the engine configuration of campaign job j starting from
+// the node temperatures temps.
+func (cc CampaignConfig) jobConfig(j Job, temps []float64) Config {
+	return Config{
+		Platform:      cc.Platform,
+		Net:           cc.Net,
+		App:           j.App,
+		Map:           j.Map,
+		Part:          j.Part,
+		Freq:          j.Freq,
+		Governor:      j.Governor,
+		HotplugUnused: j.HotplugUnused,
+		InitialTempsC: temps,
+	}
+}
+
 // coolDown advances the thermal state through an idle period.
 func coolDown(cc CampaignConfig, temps []float64, gapS float64) ([]float64, error) {
 	tm, err := thermal.NewModel(cc.Net, cc.Platform.AmbientC)
@@ -226,34 +222,22 @@ func coolDown(cc CampaignConfig, temps []float64, gapS float64) ([]float64, erro
 	if err != nil {
 		return nil, err
 	}
-	frac := cc.PkgBaselineFrac
-	if frac == 0 {
-		frac = 0.5
+	nodeOf, pkg, err := ResolveNodes(cc.Platform, cc.Net)
+	if err != nil {
+		return nil, err
 	}
-	pkg := cc.Net.NodeIndex("pkg")
+	inj := make([]float64, len(cc.Net.Nodes))
 	// Idle leakage at the current temperatures, stepped at 100 ms.
 	for t := 0.0; t < gapS; t += 0.1 {
-		loads := power.IdleLoads(cc.Platform, tm.Temp(0))
+		loads := power.IdleLoads(cc.Platform, 0)
 		for i := range loads {
-			node := cc.Net.NodeIndex(cc.Platform.Clusters[i].Name)
-			if node >= 0 {
-				loads[i].TempC = tm.Temp(node)
-			}
+			loads[i].TempC = tm.Temp(nodeOf[i])
 		}
 		bd, err := pm.Evaluate(loads, 0)
 		if err != nil {
 			return nil, err
 		}
-		inj := make([]float64, len(cc.Net.Nodes))
-		for i := range cc.Platform.Clusters {
-			node := cc.Net.NodeIndex(cc.Platform.Clusters[i].Name)
-			if node >= 0 {
-				inj[node] += bd.ClusterW(i)
-			}
-		}
-		if pkg >= 0 {
-			inj[pkg] += frac * bd.BaselineW
-		}
+		InjectHeat(inj, bd, nodeOf, pkg)
 		if err := tm.Step(inj, 0.1); err != nil {
 			return nil, err
 		}

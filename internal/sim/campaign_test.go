@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"teem/internal/mapping"
 	"teem/internal/soc"
@@ -35,6 +38,62 @@ func TestCampaignValidation(t *testing.T) {
 	cc.GapS = -1
 	if _, err := RunCampaign(cc, []Job{job(workload.Covariance())}); err == nil {
 		t.Error("negative gap should error")
+	}
+}
+
+// RunCampaign checks every job and the gap before any job runs. A job
+// without an App used to panic while its error was formatted, an
+// infinite gap cooled the chip forever and a NaN gap silently meant "no
+// gap". Each call runs in a goroutine with a deadline, so a hang fails
+// the test instead of stalling it.
+func TestCampaignRejectsBadJobsAndGaps(t *testing.T) {
+	cv := job(workload.Covariance())
+	cases := []struct {
+		name        string
+		gapS        float64
+		independent bool
+		jobs        []Job
+		want        string
+	}{
+		{"nil App", 0, false, []Job{cv, {}}, "job 1"},
+		{"nil App independent", 0, true, []Job{{}, cv}, "job 0"},
+		{"GapS +Inf", math.Inf(1), false, []Job{cv, cv}, "GapS"},
+		{"GapS NaN", math.NaN(), false, []Job{cv, cv}, "GapS"},
+		{"GapS -Inf", math.Inf(-1), false, []Job{cv, cv}, "GapS"},
+		{"GapS -1", -1, false, []Job{cv, cv}, "GapS"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cc := campaignConfig()
+			cc.GapS = c.gapS
+			cc.Independent = c.independent
+			cc.Workers = 1
+			type outcome struct {
+				err   error
+				panic any
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- outcome{panic: r}
+					}
+				}()
+				_, err := RunCampaign(cc, c.jobs)
+				done <- outcome{err: err}
+			}()
+			select {
+			case o := <-done:
+				if o.panic != nil {
+					t.Fatalf("RunCampaign panicked: %v", o.panic)
+				}
+				if o.err == nil || !strings.Contains(o.err.Error(), c.want) {
+					t.Errorf("got %v, want an error naming %q", o.err, c.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("RunCampaign still running after 10 s")
+			}
+		})
 	}
 }
 

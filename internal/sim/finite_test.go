@@ -14,8 +14,6 @@ func TestNewRejectsNonFiniteTiming(t *testing.T) {
 		name string
 		set  func(*Config, float64)
 	}{
-		{"TickS", func(c *Config, v float64) { c.TickS = v }},
-		{"RecordPeriodS", func(c *Config, v float64) { c.RecordPeriodS = v }},
 		{"MinTimeS", func(c *Config, v float64) { c.MinTimeS = v }},
 		{"MaxTimeS", func(c *Config, v float64) { c.MaxTimeS = v }},
 	}
@@ -33,17 +31,25 @@ func TestNewRejectsNonFiniteTiming(t *testing.T) {
 			}
 		}
 	}
-	cfg := baseConfig()
-	cfg.PkgBaselineFrac = math.NaN()
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "PkgBaselineFrac") {
-		t.Errorf("PkgBaselineFrac = NaN: got %v, want an error naming the field", err)
+}
+
+// A negative MaxTimeS used to run no tick and return an empty aborted run
+// without an error, or, with MinTimeS set, be replaced by the horizon
+// unnoticed. New must reject it and name the field.
+func TestNewRejectsNegativeMaxTime(t *testing.T) {
+	for _, minT := range []float64{0, 5} {
+		cfg := baseConfig()
+		cfg.MinTimeS = minT
+		cfg.MaxTimeS = -5
+		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MaxTimeS") {
+			t.Errorf("MinTimeS %g, MaxTimeS -5: got %v, want an error naming MaxTimeS", minT, err)
+		}
 	}
 }
 
-// A non-finite start temperature makes every summary NaN, and a NaN,
-// infinite or negative sensor quantum either reads NaN on every sensor
-// (no governor or TMU ever acts) or silently means "exact": New must
-// reject them, naming the field and, for InitialTempsC, the index.
+// A non-finite start temperature makes every summary and sensor read NaN
+// (no governor or TMU ever acts): New must reject it, naming the field
+// and the index.
 func TestNewRejectsBadThermalInputs(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
@@ -53,10 +59,6 @@ func TestNewRejectsBadThermalInputs(t *testing.T) {
 		{"InitialTempsC[0] NaN", "InitialTempsC[0]", func(c *Config) { c.InitialTempsC = []float64{nan, 40, 40, 40} }},
 		{"InitialTempsC[2] +Inf", "InitialTempsC[2]", func(c *Config) { c.InitialTempsC = []float64{40, 40, inf, 40} }},
 		{"InitialTempsC[3] -Inf", "InitialTempsC[3]", func(c *Config) { c.InitialTempsC = []float64{40, 40, 40, -inf} }},
-		{"SensorQuantizeC NaN", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = nan }},
-		{"SensorQuantizeC +Inf", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = inf }},
-		{"SensorQuantizeC -Inf", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = -inf }},
-		{"SensorQuantizeC -1", "SensorQuantizeC", func(c *Config) { c.SensorQuantizeC = -1 }},
 	}
 	for _, c := range cases {
 		cfg := baseConfig()
@@ -66,13 +68,10 @@ func TestNewRejectsBadThermalInputs(t *testing.T) {
 			t.Errorf("%s: got %v, want an error naming %s", c.name, err, c.want)
 		}
 	}
-	for _, q := range []float64{0, 0.5} {
-		cfg := baseConfig()
-		cfg.SensorQuantizeC = q
-		cfg.InitialTempsC = []float64{40, 40, 40, 40}
-		if _, err := New(cfg); err != nil {
-			t.Errorf("SensorQuantizeC %g with finite start temperatures rejected: %v", q, err)
-		}
+	cfg := baseConfig()
+	cfg.InitialTempsC = []float64{40, 40, 40, 40}
+	if _, err := New(cfg); err != nil {
+		t.Errorf("finite start temperatures rejected: %v", err)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // TestNewRejectsMismatchedPlatformNet is the regression test for the
-// silent platform/network mismatch: before CheckPlatformNet ran in New,
+// silent platform/network mismatch: before New cross-validated the pair,
 // an Exynos 5410 platform paired with the 5422 network was accepted and
 // the SGX544 cluster simply read 0 °C from the missing sensor node for
 // the whole run (SensorC returns 0 for unknown names). This test fails
@@ -24,15 +24,15 @@ func TestNewRejectsMismatchedPlatformNet(t *testing.T) {
 	}
 }
 
-// TestCheckPlatformNet covers the cross-validation helper directly.
-func TestCheckPlatformNet(t *testing.T) {
-	if err := CheckPlatformNet(soc.Exynos5422(), thermal.Exynos5422Network()); err != nil {
+// TestResolveNodes covers the node resolver's cross-validation directly.
+func TestResolveNodes(t *testing.T) {
+	if _, _, err := ResolveNodes(soc.Exynos5422(), thermal.Exynos5422Network()); err != nil {
 		t.Fatalf("matched pair rejected: %v", err)
 	}
-	if err := CheckPlatformNet(soc.Exynos5410(), thermal.Exynos5410Network()); err != nil {
+	if _, _, err := ResolveNodes(soc.Exynos5410(), thermal.Exynos5410Network()); err != nil {
 		t.Fatalf("matched 5410 pair rejected: %v", err)
 	}
-	if err := CheckPlatformNet(soc.Exynos5410(), thermal.Exynos5422Network()); !errors.Is(err, ErrPlatformNetMismatch) {
+	if _, _, err := ResolveNodes(soc.Exynos5410(), thermal.Exynos5422Network()); !errors.Is(err, ErrPlatformNetMismatch) {
 		t.Fatalf("mismatched pair: %v, want ErrPlatformNetMismatch", err)
 	}
 	// A network without the required package node.
@@ -42,7 +42,7 @@ func TestCheckPlatformNet(t *testing.T) {
 			n.Nodes[i].Name = "substrate"
 		}
 	}
-	if err := CheckPlatformNet(soc.Exynos5422(), n); !errors.Is(err, ErrPlatformNetMismatch) {
+	if _, _, err := ResolveNodes(soc.Exynos5422(), n); !errors.Is(err, ErrPlatformNetMismatch) {
 		t.Fatalf("missing pkg node: %v, want ErrPlatformNetMismatch", err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package sim co-simulates workload execution, power and temperature on an
-// MPSoC platform. Each tick (default 10 ms) it advances the application's
+// MPSoC platform. Each tick (TickS, 10 ms) it advances the application's
 // CPU and GPU work-item chunks at rates given by the current DVFS state,
 // evaluates the power model, steps the thermal RC network, samples the
 // board power meter and — at its control period — invokes the DVFS
@@ -10,11 +10,12 @@
 //
 // The tick loop is allocation-free at steady state: thermal stepping uses
 // a precomputed exact propagator (thermal.Stepper), power evaluation
-// writes into an engine-owned breakdown (power.EvaluateInto), node and
-// sensor lookups are index maps built once at New, and the trace and
-// meter are sized at the run's first sample from what the engine knows
-// of its length (a scenario horizon, or RunWarm's warm-up), growing
-// geometrically otherwise.
+// writes into an engine-owned breakdown (power.EvaluateInto), heat
+// injection uses the node map ResolveNodes builds once at New, sensor
+// lookups an index map built there too, and the trace and meter are sized
+// at the run's first sample from what the engine knows of its length (a
+// scenario horizon, or RunWarm's warm-up), growing geometrically
+// otherwise.
 //
 // On top of the fixed-tick loop sits an event-horizon superstep
 // scheduler: when the operating point is provably steady — no due
@@ -112,6 +113,14 @@ const (
 	IntegratorEuler
 )
 
+// TickS is the engine's fixed simulation step in seconds (10 ms). Work,
+// power, temperature, governor epochs and scheduled events all advance
+// on this grid, and the exact propagator is built for it.
+const TickS = 0.01
+
+// recordPeriodS is the trace sampling period: every 10th tick.
+const recordPeriodS = 0.1
+
 // Config assembles a simulation.
 type Config struct {
 	// Platform is the hardware description (required).
@@ -138,24 +147,16 @@ type Config struct {
 	// HotplugUnused powers down unused cores (EEMP-style DPM) instead
 	// of leaving them idle and leaking.
 	HotplugUnused bool
-	// TickS is the simulation step (default 0.01 s).
-	TickS float64
-	// RecordPeriodS is the trace sampling period (default 0.1 s).
-	RecordPeriodS float64
-	// MaxTimeS aborts runaway runs (default 900 s).
+	// MaxTimeS aborts runaway runs (default 900 s, raised to MinTimeS
+	// when shorter; negative is rejected).
 	MaxTimeS float64
 	// MinTimeS keeps the simulation running (idle if need be) until this
 	// much simulated time has elapsed, even when all work has finished —
 	// the horizon of a scenario run. Zero preserves the classic
 	// behaviour: the run ends the moment the workload completes.
 	MinTimeS float64
-	// PkgBaselineFrac is the fraction of board baseline power that
-	// heats the package node (regulators near the SoC); default 0.5.
-	PkgBaselineFrac float64
 	// InitialTempsC presets node temperatures (default: ambient).
 	InitialTempsC []float64
-	// SensorQuantizeC quantises sensor reads (default 0 = exact).
-	SensorQuantizeC float64
 	// Integrator selects the thermal stepping scheme (default:
 	// IntegratorExact).
 	Integrator Integrator
@@ -305,9 +306,9 @@ type Engine struct {
 	gpuIdx  int
 	litIdx  int
 
-	// lookup caches built at New so governor reads and the tick loop
-	// never scan strings or construct sensors.
-	sensors    map[string]thermal.Sensor
+	// lookup caches built at New so governor reads never scan strings:
+	// sensors maps a node name to its index, clusterIdx a cluster name.
+	sensors    map[string]int
 	clusterIdx map[string]int
 
 	// per-tick scratch state, reused so the steady-state tick performs
@@ -404,13 +405,13 @@ type Engine struct {
 	throttleEvents int
 	throttled      bool
 	preThrottleMHz int
-	peakBigC       float64
-	peakTemps      []float64
 	// peakC is the per-node running maximum over every simulated tick —
 	// the exact whole-run peaks Result and the scenario assertions
-	// report. Superstep jumps maintain it from their endpoints, which the
-	// monotone trajectory direction makes exact (a rising jump's interior
-	// is bounded by its landing state, a falling one by its start).
+	// report. It starts at -Inf, so the first tick sets it whatever the
+	// temperature. Superstep jumps maintain it from their endpoints, which
+	// the monotone trajectory direction makes exact (a rising jump's
+	// interior is bounded by its landing state, a falling one by its
+	// start).
 	peakC []float64
 }
 
@@ -442,27 +443,22 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.Platform == nil || cfg.Net == nil {
 		return nil, errors.New("sim: Platform, Net and App are required")
 	}
-	// NaN and ±Inf pass every ordered check below unnoticed, and the tick
-	// conversions int(x/dt + 0.5) are implementation-defined for them.
+	// The tick conversions int(x/dt + 0.5) are implementation-defined for
+	// NaN and ±Inf, and a negative MaxTimeS would run no tick at all.
 	for _, f := range [...]struct {
 		name string
 		v    float64
-	}{{"TickS", cfg.TickS}, {"RecordPeriodS", cfg.RecordPeriodS}, {"MinTimeS", cfg.MinTimeS}, {"MaxTimeS", cfg.MaxTimeS}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return nil, fmt.Errorf("sim: %s must be finite, got %g", f.name, f.v)
+	}{{"MinTimeS", cfg.MinTimeS}, {"MaxTimeS", cfg.MaxTimeS}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("sim: %s must be finite and non-negative, got %g", f.name, f.v)
 		}
 	}
-	// A non-finite start temperature turns every summary into NaN, and a
-	// non-finite quantum turns every sensor read into NaN, so governors
-	// and the TMU never act; a NaN or negative quantum would otherwise
-	// silently mean "exact".
+	// A non-finite start temperature turns every summary and sensor read
+	// into NaN, so governors and the TMU never act.
 	for i, t := range cfg.InitialTempsC {
 		if math.IsNaN(t) || math.IsInf(t, 0) {
 			return nil, fmt.Errorf("sim: InitialTempsC[%d] must be finite, got %g", i, t)
 		}
-	}
-	if q := cfg.SensorQuantizeC; !(q >= 0 && q <= math.MaxFloat64) {
-		return nil, fmt.Errorf("sim: SensorQuantizeC must be finite and non-negative, got %g", q)
 	}
 	if cfg.App == nil && cfg.MinTimeS <= 0 {
 		return nil, errors.New("sim: Platform, Net and App are required (App may be nil only with MinTimeS set)")
@@ -479,7 +475,8 @@ func New(cfg Config) (*Engine, error) {
 	if big == nil || lit == nil || gpu == nil {
 		return nil, errors.New("sim: platform must have big, LITTLE and GPU clusters")
 	}
-	if err := CheckPlatformNet(cfg.Platform, cfg.Net); err != nil {
+	nodeOf, pkgNode, err := ResolveNodes(cfg.Platform, cfg.Net)
+	if err != nil {
 		return nil, err
 	}
 	if err := cfg.Map.Validate(big.NumCores, lit.NumCores); err != nil {
@@ -492,29 +489,11 @@ func New(cfg Config) (*Engine, error) {
 	if err := cfg.Part.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.TickS == 0 {
-		cfg.TickS = 0.01
-	}
-	if cfg.TickS <= 0 {
-		return nil, errors.New("sim: TickS must be positive")
-	}
-	if cfg.RecordPeriodS == 0 {
-		cfg.RecordPeriodS = 0.1
-	}
-	if cfg.MinTimeS < 0 {
-		return nil, errors.New("sim: MinTimeS must be non-negative")
-	}
 	if cfg.MaxTimeS == 0 {
 		cfg.MaxTimeS = 900
 	}
 	if cfg.MaxTimeS < cfg.MinTimeS {
 		cfg.MaxTimeS = cfg.MinTimeS
-	}
-	if cfg.PkgBaselineFrac == 0 {
-		cfg.PkgBaselineFrac = 0.5
-	}
-	if !(cfg.PkgBaselineFrac >= 0 && cfg.PkgBaselineFrac <= 1) {
-		return nil, errors.New("sim: PkgBaselineFrac outside [0,1]")
 	}
 
 	therm, err := thermal.NewModel(cfg.Net, cfg.Platform.AmbientC)
@@ -523,7 +502,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	var stepper *thermal.Stepper
 	if cfg.Integrator == IntegratorExact {
-		if stepper, err = therm.NewStepper(cfg.TickS); err != nil {
+		if stepper, err = therm.NewStepper(TickS); err != nil {
 			return nil, err
 		}
 	}
@@ -539,6 +518,8 @@ func New(cfg Config) (*Engine, error) {
 		stepper: stepper,
 		pow:     pow,
 		meter:   powermeter.New(),
+		nodeOf:  nodeOf,
+		pkgNode: pkgNode,
 	}
 	e.clock = cfg.Clock
 	if stepper != nil {
@@ -548,17 +529,9 @@ func New(cfg Config) (*Engine, error) {
 			e.stats.PropCacheMisses++
 		}
 	}
-	e.nodeOf = make([]int, len(cfg.Platform.Clusters))
 	e.clusterIdx = make(map[string]int, len(cfg.Platform.Clusters))
 	for i := range cfg.Platform.Clusters {
-		name := cfg.Platform.Clusters[i].Name
-		n := cfg.Net.NodeIndex(name)
-		if n < 0 {
-			// Unreachable after CheckPlatformNet above; kept defensive.
-			return nil, fmt.Errorf("%w: thermal network lacks a node for cluster %s", ErrPlatformNetMismatch, name)
-		}
-		e.nodeOf[i] = n
-		e.clusterIdx[name] = i
+		e.clusterIdx[cfg.Platform.Clusters[i].Name] = i
 		switch cfg.Platform.Clusters[i].Kind {
 		case soc.BigCPU:
 			e.bigIdx = i
@@ -568,14 +541,9 @@ func New(cfg Config) (*Engine, error) {
 			e.gpuIdx = i
 		}
 	}
-	e.pkgNode = cfg.Net.NodeIndex("pkg")
-	if e.pkgNode < 0 {
-		// Unreachable after CheckPlatformNet above; kept defensive.
-		return nil, fmt.Errorf(`%w: thermal network lacks a "pkg" node`, ErrPlatformNetMismatch)
-	}
-	e.sensors = make(map[string]thermal.Sensor, len(cfg.Net.Nodes))
+	e.sensors = make(map[string]int, len(cfg.Net.Nodes))
 	for i := range cfg.Net.Nodes {
-		e.sensors[cfg.Net.Nodes[i].Name] = thermal.Sensor{Node: i, QuantizeC: cfg.SensorQuantizeC}
+		e.sensors[cfg.Net.Nodes[i].Name] = i
 	}
 
 	if cfg.InitialTempsC != nil {
@@ -598,6 +566,9 @@ func New(cfg Config) (*Engine, error) {
 	e.inj = make([]float64, len(cfg.Net.Nodes))
 	e.recTemps = make([]float64, len(cfg.Net.Nodes))
 	e.peakC = make([]float64, len(cfg.Net.Nodes))
+	for i := range e.peakC {
+		e.peakC[i] = math.Inf(-1)
+	}
 	e.ssSlopeCur = make([]float64, len(cfg.Net.Nodes))
 	e.ssInj = make([]float64, len(cfg.Net.Nodes))
 	e.ssLoads = make([]power.ClusterLoad, len(cfg.Platform.Clusters))
@@ -718,18 +689,18 @@ func (e *Engine) rates() (rateCPU, rateGPU float64) {
 // --- Machine interface ------------------------------------------------------
 
 // TimeS implements Machine.
-func (e *Engine) TimeS() float64 { return float64(e.timeTicks) * e.cfg.TickS }
+func (e *Engine) TimeS() float64 { return float64(e.timeTicks) * TickS }
 
 // Platform implements Machine.
 func (e *Engine) Platform() *soc.Platform { return e.plat }
 
 // SensorC implements Machine.
 func (e *Engine) SensorC(node string) float64 {
-	s, ok := e.sensors[node]
+	i, ok := e.sensors[node]
 	if !ok {
 		return 0
 	}
-	return s.Read(e.therm)
+	return e.therm.Temp(i)
 }
 
 // ClusterFreqMHz implements Machine.
@@ -789,7 +760,7 @@ func (e *Engine) ScheduleAt(tS float64, fn func(*Engine) error) error {
 	if fn == nil {
 		return errors.New("sim: ScheduleAt needs a callback")
 	}
-	tick := int(tS/e.cfg.TickS + 0.5)
+	tick := int(tS/TickS + 0.5)
 	if tick < 0 {
 		return fmt.Errorf("sim: ScheduleAt(%g) is before t=0", tS)
 	}
@@ -987,28 +958,56 @@ var ErrAborted = errors.New("sim: run aborted")
 // other configuration mistakes. Detect it with errors.Is.
 var ErrPlatformNetMismatch = errors.New("sim: platform/thermal network mismatch")
 
-// CheckPlatformNet cross-validates that the thermal network can carry the
-// platform: every cluster needs a same-named node (its sensor and heat
-// injection site) and the network needs a "pkg" node (board baseline and
-// DRAM heat). Violations wrap ErrPlatformNetMismatch. sim.New runs this
-// check; the platform catalog runs it over every bundle it validates.
-func CheckPlatformNet(p *soc.Platform, n *thermal.Network) error {
+// ResolveNodes maps a platform onto the thermal network that carries it:
+// nodeOf[i] is the node of cluster i (its heat injection site and
+// sensor, the node named like the cluster), and pkg is the "pkg" node
+// that takes the DRAM and board-baseline heat. A cluster without a node,
+// or a network without "pkg", is an error wrapping
+// ErrPlatformNetMismatch. sim.New resolves its pair here, the platform
+// catalog validates every bundle with it, and every site that turns a
+// power breakdown into heat passes the map it returns to InjectHeat.
+func ResolveNodes(p *soc.Platform, n *thermal.Network) (nodeOf []int, pkg int, err error) {
 	if p == nil {
-		return errors.New("sim: Config.Platform is required")
+		return nil, 0, errors.New("sim: Config.Platform is required")
 	}
 	if n == nil {
-		return errors.New("sim: Config.Net is required")
+		return nil, 0, errors.New("sim: Config.Net is required")
 	}
+	nodeOf = make([]int, len(p.Clusters))
 	for i := range p.Clusters {
-		name := p.Clusters[i].Name
-		if n.NodeIndex(name) < 0 {
-			return fmt.Errorf("%w: thermal network lacks a node for cluster %s", ErrPlatformNetMismatch, name)
+		if nodeOf[i] = n.NodeIndex(p.Clusters[i].Name); nodeOf[i] < 0 {
+			return nil, 0, fmt.Errorf("%w: thermal network lacks a node for cluster %s", ErrPlatformNetMismatch, p.Clusters[i].Name)
 		}
 	}
-	if n.NodeIndex("pkg") < 0 {
-		return fmt.Errorf(`%w: thermal network lacks a "pkg" node`, ErrPlatformNetMismatch)
+	if pkg = n.NodeIndex("pkg"); pkg < 0 {
+		return nil, 0, fmt.Errorf(`%w: thermal network lacks a "pkg" node`, ErrPlatformNetMismatch)
 	}
-	return nil
+	return nodeOf, pkg, nil
+}
+
+// pkgBaselineShare is the fraction of the board baseline power
+// (regulators, idle memory, peripherals) that heats the "pkg" node: the
+// parts next to the SoC warm the package, the rest of the board warms no
+// modelled node. The catalog's networks are calibrated with this split.
+const pkgBaselineShare = 0.5
+
+// InjectHeat writes the node heat of the power breakdown bd into inj,
+// indexed like the network's nodes: each cluster's power on its node,
+// and the DRAM power plus pkgBaselineShare of the board baseline on pkg.
+// nodeOf and pkg come from ResolveNodes. It is the one place a power
+// breakdown becomes heat, for the engine's ticks and steady states, the
+// campaign gaps, the analytic evaluator and the catalog's full-load
+// checks alike.
+//
+//teem:hotpath
+func InjectHeat(inj []float64, bd *power.Breakdown, nodeOf []int, pkg int) {
+	for i := range inj {
+		inj[i] = 0
+	}
+	for i, n := range nodeOf {
+		inj[n] += bd.ClusterW(i)
+	}
+	inj[pkg] += bd.DRAMW + pkgBaselineShare*bd.BaselineW
 }
 
 // liveDoneFrac is the executed fraction of the live job's work-items.
@@ -1073,7 +1072,7 @@ func (e *Engine) SetGovernor(g Governor) error {
 		e.govEvery = 0
 		return nil
 	}
-	every, err := periodTicks(g, e.cfg.TickS)
+	every, err := periodTicks(g)
 	if err != nil {
 		return err
 	}
@@ -1089,16 +1088,15 @@ func (e *Engine) SetGovernor(g Governor) error {
 // the cap keeps the conversion of a huge finite period well defined.
 const maxPeriodTicks = 1 << 53
 
-// periodTicks converts g's control period to whole ticks of dt, at least
-// one. The period must be a finite positive number of seconds: int() of
+// periodTicks converts g's control period to whole ticks, at least one. The period must be a finite positive number of seconds: int() of
 // NaN or ±Inf is implementation-defined, and on amd64 a NaN or infinite
 // period made the governor act on every tick.
-func periodTicks(g Governor, dt float64) (int, error) {
+func periodTicks(g Governor) (int, error) {
 	p := g.PeriodS()
 	if !(p > 0) || math.IsInf(p, 1) {
 		return 0, fmt.Errorf("sim: governor %s has period %g s, want a finite positive duration", g.Name(), p)
 	}
-	if t := p/dt + 0.5; t < maxPeriodTicks {
+	if t := p/TickS + 0.5; t < maxPeriodTicks {
 		return max(int(t), 1), nil
 	}
 	return maxPeriodTicks, nil
@@ -1152,7 +1150,7 @@ func (e *Engine) dispatchEvents() error {
 		ev := e.events[e.evIdx]
 		e.evIdx++
 		if err := ev.fn(e); err != nil {
-			return fmt.Errorf("sim: event at t=%gs: %w", float64(ev.tick)*e.cfg.TickS, err)
+			return fmt.Errorf("sim: event at t=%gs: %w", float64(ev.tick)*TickS, err)
 		}
 	}
 	return nil
@@ -1169,7 +1167,7 @@ func (e *Engine) Run() (*Result, error) {
 		return nil, errors.New("sim: Run called twice on one engine (build a new engine per run)")
 	}
 	e.running = true
-	dt := e.cfg.TickS
+	dt := TickS
 	// Prime utilisation with the pending load so a utilisation-driven
 	// governor's first decision sees the work that is about to run
 	// (avoids a one-period dip to minimum frequency at t=0). Only
@@ -1189,7 +1187,7 @@ func (e *Engine) Run() (*Result, error) {
 	e.govEvery = 0
 	e.govPure = govIsPure(e.cfg.Governor)
 	if e.cfg.Governor != nil {
-		every, err := periodTicks(e.cfg.Governor, dt)
+		every, err := periodTicks(e.cfg.Governor)
 		if err != nil {
 			return nil, err
 		}
@@ -1198,10 +1196,7 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	e.recEvery = int(e.cfg.RecordPeriodS/dt + 0.5)
-	if e.recEvery < 1 {
-		e.recEvery = 1
-	}
+	e.recEvery = int(recordPeriodS/dt + 0.5)
 	e.meter.Reserve(e.sizing().meter)
 	// Round like ScheduleAt and minTicks do: truncation would let a
 	// horizon-clamped MaxTimeS end the loop one tick before a final
@@ -1493,19 +1488,10 @@ func (e *Engine) setUtils(bigBusy, litBusy, gpuBusy float64) {
 	e.utils[e.gpuIdx] = gpuBusy
 }
 
-// foldPeaks folds the post-step state into the exact peak bookkeeping:
-// the big-cluster peak snapshot and every node's running maximum.
+// foldPeaks folds the post-step state into every node's running maximum.
 //
 //teem:hotpath
 func (e *Engine) foldPeaks() {
-	if t := e.therm.Temp(e.nodeOf[e.bigIdx]); t > e.peakBigC {
-		e.peakBigC = t
-		if e.peakTemps == nil {
-			//teem:alloc-ok lazy one-time snapshot buffer; the warm-up ticks of the alloc guard absorb it
-			e.peakTemps = make([]float64, len(e.cfg.Net.Nodes))
-		}
-		e.therm.CopyTemps(e.peakTemps)
-	}
 	for i := range e.peakC {
 		if t := e.therm.Temp(i); t > e.peakC[i] {
 			e.peakC[i] = t
@@ -1622,20 +1608,14 @@ func (e *Engine) memGBs(cpuBusy, gpuBusy, rateCPU, rateGPU float64) float64 {
 	return e.app.MemGBs(memRate)
 }
 
-// stepThermal injects the power breakdown into the RC network. The exact
-// propagator covers the fixed tick; Euler handles explicitly requested
-// reference runs and any off-tick step.
+// stepThermal injects the power breakdown into the RC network for one
+// tick of dt: the exact propagator, or substepped Euler for
+// IntegratorEuler runs.
 //
 //teem:hotpath
 func (e *Engine) stepThermal(dt float64) error {
-	for i := range e.inj {
-		e.inj[i] = 0
-	}
-	for i := range e.plat.Clusters {
-		e.inj[e.nodeOf[i]] += e.bd.ClusterW(i)
-	}
-	e.inj[e.pkgNode] += e.bd.DRAMW + e.cfg.PkgBaselineFrac*e.bd.BaselineW
-	if e.stepper != nil && dt == e.stepper.Dt() {
+	InjectHeat(e.inj, &e.bd, e.nodeOf, e.pkgNode)
+	if e.stepper != nil {
 		return e.stepper.Step(e.inj)
 	}
 	return e.therm.Step(e.inj, dt)
@@ -1697,7 +1677,7 @@ func (e *Engine) sizing() capacity {
 	}
 	if h := e.cfg.MinTimeS; h > 0 {
 		return capacity{
-			samples: min(int(h/e.cfg.RecordPeriodS)+2, maxHorizonSamples),
+			samples: min(int(h/recordPeriodS)+2, maxHorizonSamples),
 			meter:   int(h/e.meter.PeriodS) + 2,
 		}
 	}
@@ -1728,21 +1708,15 @@ func (e *Engine) beginRecording() {
 // SteadyTemps computes the equilibrium temperatures of a hypothetical
 // constant operating point — used by warm-start helpers and calibration.
 func (e *Engine) SteadyTemps(cpuBusy, gpuBusy float64) ([]float64, error) {
-	app := e.app
-	if app == nil {
+	if e.app == nil {
 		return nil, errors.New("sim: SteadyTemps needs a live app")
 	}
-	m := e.curMap
-	rateCPU := app.CPURate(m.Big, m.Little, e.freqs[e.bigIdx], e.freqs[e.litIdx])
-	rateGPU := app.GPURate(e.plat.Clusters[e.gpuIdx].NumCores, e.freqs[e.gpuIdx])
+	rateCPU, rateGPU := e.rates()
 	if err := e.evalPower(cpuBusy, gpuBusy, rateCPU, rateGPU); err != nil {
 		return nil, err
 	}
 	inj := make([]float64, len(e.cfg.Net.Nodes))
-	for i := range e.plat.Clusters {
-		inj[e.nodeOf[i]] += e.bd.ClusterW(i)
-	}
-	inj[e.pkgNode] += e.bd.DRAMW + e.cfg.PkgBaselineFrac*e.bd.BaselineW
+	InjectHeat(inj, &e.bd, e.nodeOf, e.pkgNode)
 	return e.therm.SteadyState(inj)
 }
 
@@ -1767,16 +1741,6 @@ func (e *Engine) FinalTemps() []float64 { return e.therm.Temps() }
 // SetAmbientC changes the ambient temperature mid-run — e.g. to model the
 // device moving into direct sunlight while an online manager reacts.
 func (e *Engine) SetAmbientC(t float64) { e.therm.SetAmbientC(t) }
-
-// PeakTemps returns the node temperatures at the moment the big cluster
-// was hottest during the run (nil before Run). This is the thermal
-// operating regime a back-to-back benchmark campaign sits in.
-func (e *Engine) PeakTemps() []float64 {
-	if e.peakTemps == nil {
-		return nil
-	}
-	return append([]float64(nil), e.peakTemps...)
-}
 
 // RunWarm reproduces the paper's measurement protocol: execute the job
 // once as a discarded warm-up (starting from WarmStartTemps) so the

@@ -33,8 +33,6 @@ func TestNewValidation(t *testing.T) {
 		{"bad partition", func(c *Config) { c.Part = mapping.Partition{Num: 9, Den: 8} }},
 		{"cpu work no cores", func(c *Config) { c.Map = mapping.Mapping{UseGPU: true}; c.Part = mapping.Partition{Num: 4, Den: 8} }},
 		{"gpu work no gpu", func(c *Config) { c.Map = mapping.Mapping{Big: 2}; c.Part = mapping.Partition{Num: 4, Den: 8} }},
-		{"negative tick", func(c *Config) { c.TickS = -1 }},
-		{"bad baseline frac", func(c *Config) { c.PkgBaselineFrac = 2 }},
 		{"bad initial temps", func(c *Config) { c.InitialTempsC = []float64{1} }},
 	}
 	for _, c := range cases {
@@ -259,6 +257,52 @@ func TestWarmStartTemps(t *testing.T) {
 	// Warm state must be meaningfully above ambient and below trip.
 	if warm[0] < 50 || warm[0] > 95 {
 		t.Errorf("warm big temp = %g, want 50–95", warm[0])
+	}
+}
+
+// A run that never warms above 0 °C reports its real peaks: the running
+// maxima used to start at 0, so such a run reported 0 °C peaks the chip
+// never reached. Each node's peak must be below 0 and at least every
+// recorded sample of that node, with and without supersteps.
+func TestPeakTempsBelowZero(t *testing.T) {
+	plat := soc.Exynos5422()
+	plat.AmbientC = -20
+	net := thermal.Exynos5422Network()
+	start := make([]float64, len(net.Nodes))
+	for i := range start {
+		start[i] = -20
+	}
+	for _, disable := range []bool{false, true} {
+		e, err := New(Config{
+			Platform:         plat,
+			Net:              net,
+			Map:              mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+			MinTimeS:         30,
+			InitialTempsC:    start,
+			DisableSuperstep: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range res.PeakTempsC {
+			if !(p < 0) {
+				t.Errorf("DisableSuperstep=%v: node %s peak %g °C, want below 0", disable, net.Nodes[i].Name, p)
+			}
+			for _, s := range res.Trace.Samples {
+				if s.TempsC[i] > p {
+					t.Errorf("DisableSuperstep=%v: node %s sample %g °C at t=%gs above its peak %g °C",
+						disable, net.Nodes[i].Name, s.TempsC[i], s.TimeS, p)
+					break
+				}
+			}
+		}
+		if big := net.NodeIndex("A15"); res.PeakTempC != res.PeakTempsC[big] {
+			t.Errorf("DisableSuperstep=%v: PeakTempC %g, want the A15 peak %g", disable, res.PeakTempC, res.PeakTempsC[big])
+		}
 	}
 }
 

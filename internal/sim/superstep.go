@@ -229,8 +229,8 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	case !e.cfg.DisableHWProtect && e.throttled:
 		e.stats.RejectTMU++
 		return e.walk(dt, n, op)
-	case e.peakTemps == nil:
-		// Let the first ordinary tick seed the peak-temperature snapshot;
+	case k == 0:
+		// Let the first ordinary tick fold a state into the peaks;
 		// afterwards the falling-trajectory case needs no interior peak
 		// bookkeeping (the pre-jump state already bounds it).
 		return false, nil
@@ -278,7 +278,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 			e.ssInj[e.nodeOf[i]] += dyn + lkc
 			e.ssSlopeCur[e.nodeOf[i]] += lks
 		}
-		e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + e.cfg.PkgBaselineFrac*e.plat.BoardBaselineW
+		e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
 		// Bind the jump map for this slope vector, favouring the recency
 		// pool so alternating operating points (busy ↔ idle, DVFS ladders)
 		// reuse their powered propagators.
@@ -358,10 +358,6 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	// bounded by it, componentwise); a falling one cannot beat the
 	// pre-jump peak, which a real tick already folded in. This keeps the
 	// exact per-node running maxima identical to a fixed-tick run.
-	if t := endTemps[bigNode]; t > e.peakBigC {
-		e.peakBigC = t
-		e.therm.CopyTemps(e.peakTemps)
-	}
 	if dir > 0 {
 		for i := range e.peakC {
 			if endTemps[i] > e.peakC[i] {

@@ -183,7 +183,7 @@ func TestSuperstepZeroAllocs(t *testing.T) {
 	// Room for the samples the measured jumps will latch.
 	e.meter.Reserve(8000)
 	const maxTicks, minTicks = 50_000_000, 40_000_000
-	// Warm up: seed the peak snapshot, build the jump map and its blocks.
+	// Warm up: the first tick, the jump map and its blocks.
 	for i := 0; i < 300; i++ {
 		jumped, err := e.superstep(dt, maxTicks, minTicks)
 		if err != nil {

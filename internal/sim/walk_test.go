@@ -139,7 +139,7 @@ func TestSuperstepWalkZeroAllocs(t *testing.T) {
 			e.timeTicks++
 		}
 	}
-	// Warm up: seed the peak snapshot and the trace's first arena block.
+	// Warm up: the first ticks and the trace's first arena block.
 	for i := 0; i < 300; i++ {
 		step()
 	}

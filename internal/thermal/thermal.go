@@ -359,23 +359,3 @@ func solveLinear(a, b []float64, n int) error {
 	}
 	return nil
 }
-
-// Sensor reads one node's temperature the way firmware sees it.
-type Sensor struct {
-	// Node indexes the network node the sensor is attached to.
-	Node int
-	// QuantizeC rounds readings down to multiples of this many °C;
-	// 0 disables quantisation. The Exynos TMU reports whole degrees.
-	QuantizeC float64
-	// OffsetC is a calibration offset added to readings.
-	OffsetC float64
-}
-
-// Read returns the sensor value for the given model.
-func (s Sensor) Read(m *Model) float64 {
-	t := m.Temp(s.Node) + s.OffsetC
-	if s.QuantizeC > 0 {
-		t = math.Floor(t/s.QuantizeC) * s.QuantizeC
-	}
-	return t
-}

@@ -228,25 +228,6 @@ func TestStepValidation(t *testing.T) {
 	}
 }
 
-func TestSensorQuantization(t *testing.T) {
-	m, _ := NewModel(single(5, 1), 20)
-	if err := m.SetTemps([]float64{87.9}); err != nil {
-		t.Fatal(err)
-	}
-	s := Sensor{Node: 0, QuantizeC: 1}
-	if got := s.Read(m); got != 87 {
-		t.Errorf("quantised read = %g, want 87", got)
-	}
-	s = Sensor{Node: 0}
-	if got := s.Read(m); got != 87.9 {
-		t.Errorf("raw read = %g, want 87.9", got)
-	}
-	s = Sensor{Node: 0, OffsetC: 2, QuantizeC: 1}
-	if got := s.Read(m); got != 89 {
-		t.Errorf("offset read = %g, want 89", got)
-	}
-}
-
 // Property: with zero power all temperatures decay monotonically toward
 // ambient and never undershoot it.
 func TestCoolingMonotoneProperty(t *testing.T) {
