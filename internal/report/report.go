@@ -227,7 +227,8 @@ func scatterCell(xs, ys []float64, w, h int) []string {
 			yMax = yMin + 1
 		}
 		for i := range xs {
-			c := int(float64(w-1) * (xs[i] - xMin) / (xMax - xMin))
+			// The fraction first, so the largest x truncates to exactly w-1.
+			c := int(float64(w-1) * ((xs[i] - xMin) / (xMax - xMin)))
 			r := h - 1 - int(float64(h-1)*(ys[i]-yMin)/(yMax-yMin)+0.5)
 			if c >= 0 && c < w && r >= 0 && r < h {
 				grid[r][c] = '*'

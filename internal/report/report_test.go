@@ -202,3 +202,15 @@ func TestPctAndImprovement(t *testing.T) {
 		t.Errorf("Improvement with zero base = %g", got)
 	}
 }
+
+// The point with the largest x lands in the last column even where
+// scaling before dividing would round the quotient just below w-1
+// (0 and 1.7000000000000004 over 20 columns gave column 18).
+func TestScatterMaxXLastColumn(t *testing.T) {
+	for _, xs := range [][]float64{{0, 1.7000000000000004}, {0.1, 1.8000000000000005}, {0.5, 8.4999999999999858}} {
+		rows := scatterCell(xs, []float64{0, 1}, 20, 5)
+		if rows[0][19] != '*' {
+			t.Errorf("x %v: max-x point not in the last column:\n%s", xs, strings.Join(rows, "\n"))
+		}
+	}
+}

@@ -36,19 +36,24 @@ func RenderSeries(xs, ys []float64, opt ChartOptions) string {
 	if h <= 0 {
 		h = 16
 	}
+	// A point's row is its fraction of [lo, lo+span] mapped through the
+	// headroom, a constant: a fitted series' extremes are exactly 0 and 1
+	// of the data range, so their rows do not hang on last-bit ties.
 	yMin, yMax := opt.YMin, opt.YMax
+	lo, span, head := yMin, yMax-yMin, 0.0
 	if yMin == 0 && yMax == 0 {
-		yMin, yMax = math.Inf(1), math.Inf(-1)
+		lo, yMax = math.Inf(1), math.Inf(-1)
 		for _, y := range ys {
-			yMin = math.Min(yMin, y)
+			lo = math.Min(lo, y)
 			yMax = math.Max(yMax, y)
 		}
-		pad := 0.05 * (yMax - yMin)
-		if pad == 0 {
-			pad = 1
+		span, head = yMax-lo, 0.05
+		if span == 0 {
+			lo, span, head = lo-1, 2, 0
+			yMin, yMax = lo, lo+span
+		} else {
+			yMin, yMax = lo-head*span, yMax+head*span
 		}
-		yMin -= pad
-		yMax += pad
 	}
 	xMin, xMax := xs[0], xs[len(xs)-1]
 	if xMax == xMin {
@@ -60,8 +65,8 @@ func RenderSeries(xs, ys []float64, opt ChartOptions) string {
 		grid[r] = []byte(strings.Repeat(" ", w))
 	}
 	for i := range xs {
-		c := int(float64(w-1) * (xs[i] - xMin) / (xMax - xMin))
-		rf := (ys[i] - yMin) / (yMax - yMin)
+		c := int(float64(w-1) * ((xs[i] - xMin) / (xMax - xMin)))
+		rf := ((ys[i]-lo)/span + head) / (1 + 2*head)
 		r := h - 1 - int(rf*float64(h-1)+0.5)
 		if c < 0 || c >= w || r < 0 || r >= h {
 			continue

@@ -332,3 +332,27 @@ func TestUnsizedTraceGrowsGeometrically(t *testing.T) {
 		t.Errorf("%d unsized appends allocate %.0f times, want at most 60", total, allocs)
 	}
 }
+
+// A fitted chart's rows do not hang on the last bit of the series'
+// extremes: nudging the max or the min by one ulp renders the same bytes,
+// and the max sits on the top row. With the 5% headroom and height 12 the
+// extremes fall on row-rounding ties.
+func TestRenderSeriesExtremesStable(t *testing.T) {
+	opt := ChartOptions{Width: 20, Height: 12}
+	for _, hi := range []float64{20.7, 21.6, 22.7, 22.8} {
+		want := RenderSeries([]float64{0, 1, 2}, []float64{20, 20.5, hi}, opt)
+		if top := strings.Split(want, "\n")[0]; !strings.Contains(top, "*") {
+			t.Errorf("max %g not on the top row:\n%s", hi, want)
+		}
+		for _, ys := range [][]float64{
+			{20, 20.5, math.Nextafter(hi, math.Inf(1))},
+			{20, 20.5, math.Nextafter(hi, math.Inf(-1))},
+			{math.Nextafter(20, math.Inf(1)), 20.5, hi},
+			{math.Nextafter(20, math.Inf(-1)), 20.5, hi},
+		} {
+			if got := RenderSeries([]float64{0, 1, 2}, ys, opt); got != want {
+				t.Errorf("series %v renders differently from max %g:\n%s\nwant\n%s", ys, hi, got, want)
+			}
+		}
+	}
+}
