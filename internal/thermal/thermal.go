@@ -70,8 +70,8 @@ func (n *Network) Validate() error {
 			return fmt.Errorf("thermal: duplicate node name %q", nd.Name)
 		}
 		seen[nd.Name] = true
-		if nd.HeatCapJ <= 0 {
-			return fmt.Errorf("thermal: node %q has non-positive heat capacity", nd.Name)
+		if !(nd.HeatCapJ > 0) || math.IsInf(nd.HeatCapJ, 1) {
+			return fmt.Errorf("thermal: node %q has non-positive or non-finite heat capacity %g", nd.Name, nd.HeatCapJ)
 		}
 	}
 	grounded := false
@@ -85,8 +85,8 @@ func (n *Network) Validate() error {
 		if l.A == l.B {
 			return fmt.Errorf("thermal: link %d is a self loop", i)
 		}
-		if l.ResCW <= 0 {
-			return fmt.Errorf("thermal: link %d has non-positive resistance", i)
+		if !(l.ResCW > 0) || math.IsInf(l.ResCW, 1) {
+			return fmt.Errorf("thermal: link %d has non-positive or non-finite resistance %g", i, l.ResCW)
 		}
 		if l.B == Ambient {
 			grounded = true

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -33,6 +34,25 @@ func TestValidate(t *testing.T) {
 	for i, n := range bad {
 		if err := n.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted bad network", i)
+		}
+	}
+}
+
+// Non-finite capacities and resistances are rejected by Validate, naming
+// the node or link, instead of passing into the propagator (NaN failed
+// later as "propagator did not converge"; +Inf ran).
+func TestValidateRejectsNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		capNet := single(1, v)
+		if err := capNet.Validate(); err == nil || !strings.Contains(err.Error(), `node "n"`) {
+			t.Errorf("heat capacity %g: Validate = %v, want an error naming the node", v, err)
+		}
+		resNet := single(v, 1)
+		if err := resNet.Validate(); err == nil || !strings.Contains(err.Error(), "link 0") {
+			t.Errorf("resistance %g: Validate = %v, want an error naming the link", v, err)
+		}
+		if _, err := NewModel(capNet, 25); err == nil {
+			t.Errorf("heat capacity %g: NewModel accepted the network", v)
 		}
 	}
 }
