@@ -9,8 +9,9 @@
 # simulator's physics and are not pinned elsewhere (teemreport and the
 # scenario grid renders have their own golden tests): teemcal on every
 # catalog platform, the scenario corpus on one platform, on the whole
-# catalog under both integrators and on merlin-m3, teemsim's CSV and
-# charts, and the campaign, multiapp, adaptation and motivation examples.
+# catalog under both integrators and on merlin-m3, the engine flight
+# recorders of the catalog grid, teemsim's CSV and charts, and the
+# campaign, multiapp, adaptation and motivation examples.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -36,6 +37,11 @@ done
 "$bin/teemscenario" -platforms all -govs ondemand,teem >"$out/teemscenario.all.txt"
 "$bin/teemscenario" -platforms all -govs ondemand,teem -integrator euler >"$out/teemscenario.all.euler.txt"
 "$bin/teemscenario" -platform merlin-m3 -govs teem >"$out/teemscenario.merlin-m3.txt"
+# Tick, jump, walk, rejection and TMU counts pin every superstep decision.
+# Phase wall times are host timings and the cache hit/miss splits depend
+# on what ran before in the process, so those lines are dropped.
+"$bin/teemscenario" -stats -platforms all -govs ondemand,teem -workers 1 |
+	grep -v -e 'phase wall' -e 'caches (hit/miss)' >"$out/teemscenario.all.stats.txt"
 
 # Run from the output directory so the path teemsim reports is relative.
 (cd "$out" && "$bin/teemsim" -csv sim.csv >teemsim.csv.txt)
