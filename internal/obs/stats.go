@@ -34,7 +34,7 @@ type RunStats struct {
 	// Cache effectiveness.
 	PropCacheHits   int64 // thermal propagator cache (matrix exponentials)
 	PropCacheMisses int64
-	JumpBlockHits   int64 // power-of-two jump-block cache
+	JumpBlockHits   int64 // shared modal jump forms: reused (hit) or eigensolved (miss)
 	JumpBlockMisses int64
 	PoolHits        int64 // per-engine superstep pool, keyed by leakage slope
 	PoolMisses      int64

@@ -14,7 +14,7 @@ import (
 // scenario's default run on every Result field but Trace, Stats
 // included, and stream the same OnSample samples, on every preset,
 // every catalog platform and every stepping mode. A first run warms the
-// process-wide propagator and jump-block caches, so the compared runs
+// process-wide propagator and modal-form caches, so the compared runs
 // see the same cache state and the same hit/miss split.
 func TestDiscardTraceMatchesDefault(t *testing.T) {
 	modes := []struct {

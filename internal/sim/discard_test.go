@@ -13,7 +13,7 @@ import (
 // equal the default run's, for Engine.Run and RunWarm on the classic
 // runs (ondemand, TEEM, TMU trips from a warm start, a MaxTimeS abort)
 // under every stepping mode. A first run warms the process-wide
-// propagator and jump-block caches, so the compared runs see the same
+// propagator and modal-form caches, so the compared runs see the same
 // cache state and the same hit/miss split.
 func TestDiscardTraceMatchesDefault(t *testing.T) {
 	protocols := []struct {

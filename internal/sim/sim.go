@@ -1290,25 +1290,12 @@ func (e *Engine) Run() (*Result, error) {
 		ThrottleEvents:  e.throttleEvents,
 		JobFinishes:     e.jobFinishes,
 		JobCancels:      e.jobCancels,
-		Stats:           e.collectStats(),
+		Stats:           e.stats,
 	}
 	if !e.cfg.DiscardTrace {
 		res.Trace = e.tr
 	}
 	return res, nil
-}
-
-// collectStats snapshots the flight recorder, folding in the jump-block
-// cache counters of the pooled superstep maps (evicted maps folded their
-// counts in at eviction).
-func (e *Engine) collectStats() obs.RunStats {
-	s := e.stats
-	for _, ss := range e.ssPool {
-		h, m := ss.BlockCacheStats()
-		s.JumpBlockHits += h
-		s.JumpBlockMisses += m
-	}
-	return s
 }
 
 // tick advances one simulation step of dt seconds: scheduled events,

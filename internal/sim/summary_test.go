@@ -184,7 +184,7 @@ func TestRunWarmMatchesExplicitProtocol(t *testing.T) {
 }
 
 // sameResult compares every exported Result field, and the trace sample
-// by sample. The propagator and jump-block caches are process-wide, so
+// by sample. The propagator and modal-form caches are process-wide, so
 // their hit/miss split depends on what ran before; only their lookup
 // totals are compared.
 func sameResult(t *testing.T, label string, got, want *sim.Result) {

@@ -4,14 +4,13 @@
 // frequency, no hardware-protection interaction, no work-chunk depletion,
 // no meter sampling instant — the per-tick recurrence is a fixed affine
 // map of the temperature vector, and the engine replays n ticks of it in
-// one application of a precomputed (Ãⁿ, Sₙ) pair (thermal.Superstep).
-// The jump reproduces the fixed-tick trajectory to floating-point
-// rounding; every guard here is about proving the interval really is
-// steady. Where the operating point is proven fixed but a temperature
-// guard refuses the jump, the engine walks the interval instead: the
-// ordinary tick's own arithmetic, minus everything that cannot change at
-// a fixed operating point. Anything else falls through to the ordinary
-// tick.
+// one application of its shared modal form (thermal.Superstep). The jump
+// reproduces the fixed-tick trajectory to about 1e-10 °C; every guard
+// here is about proving the interval really is steady. Where the
+// operating point is proven fixed but a temperature guard refuses the
+// jump, the engine walks the interval instead: the ordinary tick's own
+// arithmetic, minus everything that cannot change at a fixed operating
+// point. Anything else falls through to the ordinary tick.
 
 package sim
 
@@ -281,7 +280,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
 		// Bind the jump map for this slope vector, favouring the recency
 		// pool so alternating operating points (busy ↔ idle, DVFS ladders)
-		// reuse their powered propagators.
+		// reuse their maps without a shared-form lookup.
 		e.ss = nil
 		for _, ss := range e.ssPool {
 			if equalFloats(ss.Slope(), e.ssSlopeCur) {
@@ -299,12 +298,12 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 				return false, nil
 			}
 			e.stats.PoolMisses++
+			if ss.Reused() {
+				e.stats.JumpBlockHits++
+			} else {
+				e.stats.JumpBlockMisses++
+			}
 			if len(e.ssPool) >= ssPoolLimit {
-				// Fold the evicted map's jump-block cache counters into
-				// the flight recorder before it goes unreachable.
-				h, m := e.ssPool[0].BlockCacheStats()
-				e.stats.JumpBlockHits += h
-				e.stats.JumpBlockMisses += m
 				copy(e.ssPool, e.ssPool[1:])
 				e.ssPool = e.ssPool[:len(e.ssPool)-1]
 			}

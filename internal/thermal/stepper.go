@@ -41,6 +41,8 @@ type Stepper struct {
 	// temperature each step, so SetAmbientC keeps working mid-run.
 	ambGain []float64
 	scratch []float64
+	// prop is the shared record a, bp and ambGain come from.
+	prop *propagator
 	// cacheHit records whether the propagator came out of propCache —
 	// surfaced through CacheHit for the engine flight recorder.
 	cacheHit bool
@@ -52,6 +54,14 @@ type Stepper struct {
 // once per distinct system and reused via propCache.
 type propagator struct {
 	a, bp, ambGain []float64
+	// The modal basis of its jump maps (superstep.go), computed on its
+	// first Superstep: Ê − I, F½, L = C⁻½·F½ and R = F⁻½·C½ (flat
+	// row-major n×n) and C⁻¹; forms holds the shared modal forms.
+	basisOnce          sync.Once
+	basisErr           error
+	em, fh, l, r, invC []float64
+	formMu             sync.RWMutex
+	forms              map[formKey]*modalForm //teem:guards formMu
 }
 
 // propCache maps the exact conductance-system content + dt (see propKey)
@@ -96,56 +106,41 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	}
 	n := m.n
 	key := propKey(m, dt)
-	if v, ok := propCache.Load(key); ok {
-		p := v.(*propagator)
-		return &Stepper{
-			m:        m,
-			dt:       dt,
-			a:        p.a,
-			bp:       p.bp,
-			ambGain:  p.ambGain,
-			scratch:  make([]float64, n),
-			cacheHit: true,
-		}, nil
-	}
-	// H = M·dt = −C⁻¹·G·dt.
-	h := make([]float64, n*n)
-	m.laplacian(h)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			h[i*n+j] *= -m.invC[i] * dt
+	v, hit := propCache.Load(key)
+	p, _ := v.(*propagator)
+	if !hit {
+		// H = M·dt = −C⁻¹·G·dt.
+		h := make([]float64, n*n)
+		m.laplacian(h)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				h[i*n+j] *= -m.invC[i] * dt
+			}
+		}
+		a, f, err := expmWithIntegral(h, n)
+		if err != nil {
+			return nil, err
+		}
+		// f is ∫₀^1 exp(H·u) du in the scaled time variable; the physical
+		// integral is dt·f, and folding in C⁻¹ gives the power-to-ΔT map.
+		p = &propagator{a: a, bp: f, ambGain: make([]float64, n)}
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				p.bp[i*n+j] *= dt * m.invC[j]
+			}
+			acc := 0.0
+			for j := 0; j < n; j++ {
+				acc += p.bp[i*n+j] * m.gAmb[j]
+			}
+			p.ambGain[i] = acc
+		}
+		if propCacheCount.Load() < propCacheLimit {
+			if _, loaded := propCache.LoadOrStore(key, p); !loaded {
+				propCacheCount.Add(1)
+			}
 		}
 	}
-	a, f, err := expmWithIntegral(h, n)
-	if err != nil {
-		return nil, err
-	}
-	// f is ∫₀^1 exp(H·u) du in the scaled time variable; the physical
-	// integral is dt·f, and folding in C⁻¹ gives the power-to-ΔT map.
-	s := &Stepper{
-		m:       m,
-		dt:      dt,
-		a:       a,
-		bp:      f,
-		ambGain: make([]float64, n),
-		scratch: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s.bp[i*n+j] *= dt * m.invC[j]
-		}
-		acc := 0.0
-		for j := 0; j < n; j++ {
-			acc += s.bp[i*n+j] * m.gAmb[j]
-		}
-		s.ambGain[i] = acc
-	}
-	if propCacheCount.Load() < propCacheLimit {
-		if _, loaded := propCache.LoadOrStore(key, &propagator{a: s.a, bp: s.bp, ambGain: s.ambGain}); !loaded {
-			propCacheCount.Add(1)
-		}
-	}
-	return s, nil
+	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
 }
 
 // Model returns the model this stepper advances.

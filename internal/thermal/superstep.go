@@ -9,135 +9,95 @@
 // base·(1 + c·(T−25)) — linear in T above 25 °C. Folding the per-node
 // leakage slope s (W/°C) into the propagator gives an affine map
 //
-//	T[k+1] = Ã·T[k] + b̃,   Ã = A + Bp·diag(s),
-//	b̃ = Bp·Pconst + ambGain·Tamb,
+//	T[k+1] = Ã·T[k] + b̃,   Ã = A + Bp·diag(s),   b̃ = Bp·Pconst + ambGain·Tamb.
 //
-// whose n-fold application has the closed form
+// With C the heat capacities, Ê = C½·A·C⁻½ and F = C½·Bp·C½ are
+// symmetric (F positive definite), so S = Ê + F½·diag(s/C)·F½ is too, and
+// its eigensolve S = U·Λ·Uᵀ gives the modal form Ã = Q·Λ·Q⁻¹ with
+// Q = C⁻½·F½·U and Q⁻¹ = Uᵀ·F⁻½·C½. The basis is kept on the system's
+// shared propagator, and each slope vector's form, one cyclic-Jacobi
+// eigensolve, is shared by every engine on the system. Any n ticks are
 //
-//	T[k+n] = Ãⁿ·T[k] + Sₙ·b̃,   Sₙ = Σ_{j<n} Ãʲ.
+//	T[k+n] = T[k] + Q·z,   z_m = (λ_mⁿ − 1)·(Q⁻¹·T[k])_m + (Σ_{j<n} λ_mʲ)·(Q⁻¹·b̃)_m,
 //
-// A Superstep precomputes (Ãⁿ, Sₙ) pairs by binary powering and replays n
-// ticks in one matrix-vector application — the same arithmetic the tick
-// loop would have performed, reassociated, so the jump agrees with fixed
-// stepping to floating-point rounding (~1e-13 °C), not to a model error.
+// O(N²) with no fixed point, so leakage runaway (λ ≥ 1) needs no special
+// case. The jump matches fixed stepping to about 1e-10 °C: eigenvalue
+// rounding is a small rate error on the slowest modes.
 //
 // Because Ã is entrywise non-negative (the propagator of a Metzler RC
 // system plus a non-negative leakage feedback), temperature increments
 // keep their sign under the map: a trajectory that starts rising rises
-// for the whole jump, one that starts falling keeps falling. Jump reports
-// that direction, which lets the caller validate interior-state
-// constraints (thermal trip thresholds, the T ≥ 25 °C leakage regime)
-// from the two endpoints alone.
+// for the whole jump, one that starts falling keeps falling. Jump probes
+// the first tick on Ã itself and reports that direction, which lets the
+// caller validate interior-state constraints (thermal trip thresholds,
+// the T ≥ 25 °C leakage regime) from the two endpoints alone.
 
 package thermal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 )
 
-// ssPair is one precomputed power-of-two jump block: p = Ã^(2^k) and
-// s = Σ_{j<2^k} Ãʲ, flat row-major n×n. Read-only after construction, so
-// pairs are shared freely across Supersteps of the same (system, dt,
-// slope). Jump decomposes an arbitrary horizon into these blocks and
-// applies them to the temperature vector directly — matrix-vector work
-// per jump, matrix-matrix work only once per block.
-type ssPair struct {
-	p, s []float64
+// A system's shared forms are keyed by slope vector, zero padded to a
+// fixed-size array, so a lookup neither allocates nor boxes (8 nodes cover
+// the catalog; a larger network builds its forms unshared). formCount
+// counts them across all systems, up to formCacheLimit.
+type formKey [8]float64
+
+var formCount atomic.Int64
+
+const formCacheLimit = 1024
+
+// modalForm is the jump map of one slope vector, read-only once built:
+// Ã = A + Bp·diag(slope) for the one-tick direction probe, Q and Q⁻¹
+// (flat row-major n×n) and mu[m] = λ_m − 1.
+type modalForm struct {
+	slope, at, q, qi, mu []float64
 }
-
-// superCache maps (conductance system, dt, leakage slope, block
-// exponent k) — see Superstep.keyPre — to its jump block, so repeated
-// runs over the same platform (service jobs, benchmark campaigns) reuse
-// the powered propagators the way propCache reuses the per-tick ones.
-// Bounded like propCache; a warm Superstep hits its per-instance table
-// first and never touches this cache.
-var (
-	superCache      sync.Map
-	superCacheCount atomic.Int64
-)
-
-const superCacheLimit = 1024
 
 // Superstep jumps a model across n identical ticks of its Stepper in one
-// affine application. It is bound to one leakage-slope vector; build a
-// new Superstep when a DVFS or mapping change alters the slopes. Not safe
-// for concurrent use.
+// application of a modal form. It is bound to one leakage-slope vector;
+// build a new Superstep when a DVFS or mapping change alters the slopes.
+// Not safe for concurrent use.
 type Superstep struct {
-	st    *Stepper
-	slope []float64
-	// at is Ã = A + Bp·diag(slope), flat row-major n×n.
-	at []float64
-	// blocks memoises the power-of-two jump blocks per instance (index k
-	// holds the 2^k-tick block); keyPre prefixes the process-wide
-	// superCache key (system + dt + slope).
-	blocks []*ssPair
-	keyPre string
-	// scratch: b̃, the one-tick image (for the direction probe) and the
-	// planned end temperatures.
-	bvec, t1, tn []float64
-	planned      bool
-	// blockHits/blockMisses count jump-block lookups through this
-	// instance (per-instance table or superCache hit vs a doubling
-	// build) for the engine flight recorder. Plain increments: the
-	// instance is single-goroutine by contract.
-	blockHits, blockMisses int64
+	st *Stepper
+	f  *modalForm
+	// buf is scratch, five n-vectors: b̃, the modal increments z, the
+	// planned end temperatures, and each mode's λⁿ − 1 and Σ_{j<n} λʲ
+	// for n = pn.
+	buf             []float64
+	pn              int
+	reused, planned bool
 }
 
-// NewSuperstep builds the affine jump map for the stepper's system and
-// the given per-node leakage slope (W/°C, entries ≥ 0). The slope vector
-// is copied.
+// NewSuperstep builds the jump map for the stepper's system and the
+// given per-node leakage slope (W/°C, entries ≥ 0), sharing the modal
+// form of an earlier Superstep over the same system and slope.
 func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
 	n := st.m.n
 	if len(slopeWPerC) != n {
 		return nil, fmt.Errorf("thermal: superstep got %d slopes, want %d", len(slopeWPerC), n)
 	}
-	at := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if slopeWPerC[j] < 0 {
-				return nil, fmt.Errorf("thermal: negative leakage slope %g on node %d", slopeWPerC[j], j)
-			}
-			v := st.a[i*n+j] + st.bp[i*n+j]*slopeWPerC[j]
-			// The monotonicity contract needs Ã ≥ 0. Entries of A and Bp
-			// are non-negative for a physical RC system up to the rounding
-			// dust of the matrix exponential; anything clearly negative
-			// means the system is not one this optimisation understands.
-			if v < -1e-12 {
-				return nil, fmt.Errorf("thermal: superstep propagator not monotone (entry %d,%d = %g)", i, j, v)
-			}
-			at[i*n+j] = v
+	for j, s := range slopeWPerC {
+		if s < 0 {
+			return nil, fmt.Errorf("thermal: negative leakage slope %g on node %d", s, j)
 		}
 	}
-	key := make([]byte, 0, len(st.m.g)*8+64)
-	key = append(key, propKey(st.m, st.dt)...)
-	for _, v := range slopeWPerC {
-		key = binary.LittleEndian.AppendUint64(key, math.Float64bits(v))
+	f, reused, err := st.prop.form(st.m.invC, slopeWPerC)
+	if err != nil {
+		return nil, err
 	}
-	return &Superstep{
-		st:     st,
-		slope:  append([]float64(nil), slopeWPerC...),
-		at:     at,
-		keyPre: string(key),
-		bvec:   make([]float64, n),
-		t1:     make([]float64, n),
-		tn:     make([]float64, n),
-	}, nil
+	return &Superstep{st: st, f: f, buf: make([]float64, 5*n), reused: reused}, nil
 }
 
 // Slope returns the leakage-slope vector the map was built for (read-only).
-func (ss *Superstep) Slope() []float64 { return ss.slope }
+func (ss *Superstep) Slope() []float64 { return ss.f.slope }
 
-// BlockCacheStats reports the jump-block lookups served from a cache
-// (the per-instance table or the process-wide superCache) versus built
-// by doubling, for the engine flight recorder.
-func (ss *Superstep) BlockCacheStats() (hits, misses int64) {
-	return ss.blockHits, ss.blockMisses
-}
+// Reused reports whether the modal form was shared, not eigensolved.
+func (ss *Superstep) Reused() bool { return ss.reused }
 
 // Jump plans an n-tick advance of the bound model under the constant
 // power injection constInjW (per node, watts — the temperature-independent
@@ -146,8 +106,7 @@ func (ss *Superstep) BlockCacheStats() (hits, misses int64) {
 // until the next Jump) and dir the componentwise trajectory direction —
 // +1 monotonically rising, −1 falling, 0 mixed (endTemps nil; the caller
 // must fall back to fixed ticks, endpoint guards would not bound the
-// interior). Call Commit to apply a planned jump. Allocation-free once
-// the horizon's pair is cached.
+// interior). Call Commit to apply a planned jump. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
@@ -159,28 +118,28 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	if len(constInjW) != n {
 		return nil, 0, fmt.Errorf("thermal: Jump got %d powers, want %d", len(constInjW), n)
 	}
-	m := ss.st.m
+	m, f := ss.st.m, ss.f
 	amb := m.ambientC
 	temps := m.temps[:n]
+	bvec, z, tn, pd, ps := ss.buf[:n:n], ss.buf[n:2*n:2*n], ss.buf[2*n:3*n:3*n], ss.buf[3*n:4*n:4*n], ss.buf[4*n:5*n:5*n]
 	for i := 0; i < n; i++ {
 		acc := ss.st.ambGain[i] * amb
 		br := ss.st.bp[i*n : i*n+n : i*n+n]
 		for j := range br {
 			acc += br[j] * constInjW[j]
 		}
-		ss.bvec[i] = acc
+		bvec[i] = acc
 	}
 	// One-tick probe: with Ã ≥ 0 the increment T[k+1]−T[k] keeps its
 	// componentwise sign, so the first step's direction is the whole
 	// jump's direction.
 	rising, falling := true, true
 	for i := 0; i < n; i++ {
-		acc := ss.bvec[i]
-		ar := ss.at[i*n : i*n+n : i*n+n]
+		acc := bvec[i]
+		ar := f.at[i*n : i*n+n : i*n+n]
 		for j := range ar {
 			acc += ar[j] * temps[j]
 		}
-		ss.t1[i] = acc
 		if acc > temps[i] {
 			falling = false
 		} else if acc < temps[i] {
@@ -195,44 +154,46 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	default:
 		return nil, 0, nil
 	}
-	// Apply the binary decomposition of nTicks to the temperature vector,
-	// smallest block first: each set bit contributes one affine
-	// application T ← P·T + S·b̃ with a cached power-of-two block. The 2⁰
-	// block's image is the probe already in t1.
-	cur, nxt := ss.tn, ss.t1
-	if nTicks&1 == 1 {
-		copy(cur, ss.t1)
-	} else {
-		copy(cur, temps)
-	}
-	inTn := true
-	for k, rem := 1, nTicks>>1; rem > 0; k, rem = k+1, rem>>1 {
-		if rem&1 == 0 {
-			continue
-		}
-		pr := ss.block(k)
-		for i := 0; i < n; i++ {
-			acc := 0.0
-			prow := pr.p[i*n : i*n+n : i*n+n]
-			srow := pr.s[i*n : i*n+n : i*n+n]
-			for j := range prow {
-				acc += prow[j]*cur[j] + srow[j]*ss.bvec[j]
+	// Per mode, d = λⁿ − 1 and s = Σ_{j<n} λʲ by binary powering (m and
+	// m' ticks compose to (d + d' + d·d', s + s' + d·s'); carrying λᵐ − 1
+	// keeps the slow modes' precision), kept for a repeated horizon.
+	if nTicks != ss.pn {
+		for k, mu := range f.mu {
+			d, s, bd, bs := 0.0, 0.0, mu, 1.0
+			for rem := nTicks; ; bd, bs = bd*(2+bd), bs*(2+bd) {
+				if rem&1 == 1 {
+					d, s = d+bd+d*bd, s+bs+d*bs
+				}
+				if rem >>= 1; rem == 0 {
+					break
+				}
 			}
-			nxt[i] = acc
+			pd[k], ps[k] = d, s
 		}
-		cur, nxt = nxt, cur
-		inTn = !inTn
+		ss.pn = nTicks
 	}
-	if !inTn {
-		copy(ss.tn, cur)
+	for k := 0; k < n; k++ {
+		qr := f.qi[k*n : k*n+n : k*n+n]
+		x, y := 0.0, 0.0
+		for j := range qr {
+			x += qr[j] * temps[j]
+			y += qr[j] * bvec[j]
+		}
+		z[k] = pd[k]*x + ps[k]*y
 	}
 	for i := 0; i < n; i++ {
-		if math.IsNaN(ss.tn[i]) || math.IsInf(ss.tn[i], 0) {
+		acc := temps[i]
+		qr := f.q[i*n : i*n+n : i*n+n]
+		for k := range qr {
+			acc += qr[k] * z[k]
+		}
+		if math.IsNaN(acc) || math.IsInf(acc, 0) {
 			return nil, 0, errors.New("thermal: superstep produced a non-finite temperature")
 		}
+		tn[i] = acc
 	}
 	ss.planned = true
-	return ss.tn, dir, nil
+	return tn, dir, nil
 }
 
 // Commit applies the temperatures of the last successful Jump to the
@@ -243,58 +204,173 @@ func (ss *Superstep) Commit() error {
 	if !ss.planned {
 		return errors.New("thermal: Commit without a planned Jump")
 	}
-	copy(ss.st.m.temps[:ss.st.m.n], ss.tn)
+	n := ss.st.m.n
+	copy(ss.st.m.temps[:n], ss.buf[2*n:3*n])
 	ss.planned = false
 	return nil
 }
 
-// block returns the 2^k-tick jump block (Ã^(2^k), Σ_{j<2^k} Ãʲ),
-// consulting the per-instance table, then the process-wide cache, then
-// doubling the previous block:
-//
-//	(P,S)_{2m} = (P_m², (P_m + I)·S_m),
-//
-// which follows from applying m+m steps in sequence,
-// (P,S)_{a+b} = (P_b·P_a, P_b·S_a + S_b). Only O(log n) blocks exist per
-// (system, dt, slope), so the cache stays small no matter how many
-// distinct horizons a run jumps.
-func (ss *Superstep) block(k int) *ssPair {
-	if k < len(ss.blocks) {
-		ss.blockHits++
-		return ss.blocks[k]
-	}
-	for len(ss.blocks) <= k {
-		kk := len(ss.blocks)
-		var kb [8]byte
-		binary.LittleEndian.PutUint64(kb[:], uint64(kk))
-		key := ss.keyPre + string(kb[:])
-		if v, ok := superCache.Load(key); ok {
-			ss.blockHits++
-			ss.blocks = append(ss.blocks, v.(*ssPair))
-			continue
+// form returns the modal form of slope over p's system: the shared one
+// (reused), or one built by an eigensolve and shared from then on while
+// the process-wide bound has room.
+func (p *propagator) form(invC, slope []float64) (f *modalForm, reused bool, err error) {
+	var key formKey
+	shared := len(slope) <= len(key)
+	if shared {
+		copy(key[:], slope)
+		p.formMu.RLock()
+		f = p.forms[key]
+		p.formMu.RUnlock()
+		if f != nil {
+			return f, true, nil
 		}
-		ss.blockMisses++
-		n := ss.st.m.n
-		var p *ssPair
-		if kk == 0 {
-			p = &ssPair{p: append([]float64(nil), ss.at...), s: identity(n)}
-		} else {
-			prev := ss.blocks[kk-1]
-			p = &ssPair{p: make([]float64, n*n), s: make([]float64, n*n)}
-			matMul(p.p, prev.p, prev.p, n)
-			matMul(p.s, prev.p, prev.s, n)
-			for i := range p.s {
-				p.s[i] += prev.s[i]
+	}
+	p.basisOnce.Do(func() { p.basisErr = p.newBasis(invC) })
+	if p.basisErr != nil {
+		return nil, false, p.basisErr
+	}
+	if f, err = p.newForm(slope); err != nil || !shared {
+		return f, false, err
+	}
+	p.formMu.Lock()
+	if g := p.forms[key]; g != nil {
+		f = g // a concurrent build won: share its form
+	} else if formCount.Load() < formCacheLimit {
+		if p.forms == nil {
+			p.forms = make(map[formKey]*modalForm)
+		}
+		p.forms[key] = f
+		formCount.Add(1)
+	}
+	p.formMu.Unlock()
+	return f, false, nil
+}
+
+// newBasis computes p's modal basis from its propagator and C⁻¹. Ê and F
+// are symmetric to rounding; averaging each with its transpose makes
+// them exactly so.
+func (p *propagator) newBasis(invC []float64) error {
+	n := len(invC)
+	rc := make([]float64, n) // C⁻½
+	for i, v := range invC {
+		rc[i] = math.Sqrt(v)
+	}
+	p.invC = append([]float64(nil), invC...)
+	p.em, p.fh, p.l, p.r = make([]float64, n*n), make([]float64, n*n), make([]float64, n*n), make([]float64, n*n)
+	f := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			p.em[i*n+j] = 0.5 * (p.a[i*n+j]*rc[j]/rc[i] + p.a[j*n+i]*rc[i]/rc[j])
+			f[i*n+j] = 0.5 * (p.bp[i*n+j] + p.bp[j*n+i]) / (rc[i] * rc[j])
+		}
+		p.em[i*n+i]--
+	}
+	v, err := jacobi(f, n)
+	if err != nil {
+		return err
+	}
+	for k := 0; k < n; k++ {
+		if !(f[k*n+k] > 0) {
+			return errors.New("thermal: superstep basis is not positive definite")
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			h, hi := 0.0, 0.0
+			for k := 0; k < n; k++ {
+				w, phi := v[i*n+k]*v[j*n+k], math.Sqrt(f[k*n+k])
+				h += w * phi
+				hi += w / phi
+			}
+			p.fh[i*n+j], p.l[i*n+j], p.r[i*n+j] = h, rc[i]*h, hi/rc[j]
+		}
+	}
+	return nil
+}
+
+// newForm builds the modal form of one slope vector: Ã with its
+// monotonicity check, the eigensolve of the symmetric S − I (whose
+// eigenvalues are λ − 1 directly), then Q = L·U and Q⁻¹ = Uᵀ·R.
+func (p *propagator) newForm(slope []float64) (*modalForm, error) {
+	n := len(slope)
+	buf := make([]float64, 2*n+3*n*n)
+	f := &modalForm{slope: buf[:n:n], mu: buf[n : 2*n : 2*n], at: buf[2*n : 2*n+n*n : 2*n+n*n]}
+	f.q, f.qi = buf[2*n+n*n:2*n+2*n*n:2*n+2*n*n], buf[2*n+2*n*n:]
+	copy(f.slope, slope)
+	s := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			// The monotonicity contract needs Ã ≥ 0. Entries of A and Bp
+			// are non-negative for a physical RC system up to the rounding
+			// dust of the matrix exponential; anything clearly negative
+			// means the system is not one this optimisation understands.
+			v := p.a[i*n+j] + p.bp[i*n+j]*slope[j]
+			if v < -1e-12 {
+				return nil, fmt.Errorf("thermal: superstep propagator not monotone (entry %d,%d = %g)", i, j, v)
+			}
+			f.at[i*n+j] = v
+			acc := p.em[i*n+j]
+			for k := 0; k < n; k++ {
+				acc += p.fh[i*n+k] * p.fh[j*n+k] * (slope[k] * p.invC[k])
+			}
+			s[i*n+j] = acc
+		}
+	}
+	u, err := jacobi(s, n)
+	if err != nil {
+		return nil, err
+	}
+	matMul(f.q, p.l, u, n)
+	for m := 0; m < n; m++ {
+		f.mu[m] = s[m*n+m]
+		for j := 0; j < n; j++ {
+			for k := 0; k < n; k++ {
+				f.qi[m*n+j] += u[k*n+m] * p.r[k*n+j]
 			}
 		}
-		if superCacheCount.Load() < superCacheLimit {
-			if v, loaded := superCache.LoadOrStore(key, p); loaded {
-				p = v.(*ssPair)
-			} else {
-				superCacheCount.Add(1)
+	}
+	return f, nil
+}
+
+// jacobi diagonalises the symmetric n×n matrix a (flat row-major) in
+// place by cyclic Jacobi rotations, leaving the eigenvalues on its
+// diagonal, and returns the orthogonal matrix whose columns are the
+// matching eigenvectors. A rotation mixes off-diagonal entries only with
+// each other, so their mass falls quadratically to nothing.
+func jacobi(a []float64, n int) ([]float64, error) {
+	v := identity(n)
+	rotate := func(m []float64, i, j int, c, s float64) { m[i], m[j] = c*m[i]-s*m[j], s*m[i]+c*m[j] }
+	for sweep := 0; sweep < 50; sweep++ {
+		off, all := 0.0, 0.0
+		for i, x := range a {
+			if all += x * x; i/n != i%n {
+				off += x * x
 			}
 		}
-		ss.blocks = append(ss.blocks, p)
+		if off <= 1e-36*all {
+			return v, nil
+		}
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				if a[p*n+q] == 0 {
+					continue
+				}
+				theta := (a[q*n+q] - a[p*n+p]) / (2 * a[p*n+q])
+				t := 1 / (math.Abs(theta) + math.Sqrt(theta*theta+1))
+				if theta < 0 {
+					t = -t
+				}
+				c := 1 / math.Sqrt(t*t+1)
+				for k := 0; k < n; k++ {
+					rotate(a, k*n+p, k*n+q, c, t*c) // columns p and q
+					rotate(v, k*n+p, k*n+q, c, t*c)
+				}
+				for k := 0; k < n; k++ {
+					rotate(a, p*n+k, q*n+k, c, t*c) // rows p and q
+				}
+				a[p*n+q], a[q*n+p] = 0, 0
+			}
+		}
 	}
-	return ss.blocks[k]
+	return nil, errors.New("thermal: superstep eigensolve did not converge")
 }

@@ -195,44 +195,64 @@ func TestNewSuperstepValidation(t *testing.T) {
 	}
 }
 
-// Two Supersteps over the same (system, dt, slope) share their jump
-// blocks through the process-wide cache — as long as the bounded cache
-// still has room (other tests in the package may have filled it).
-func TestSuperstepBlockSharing(t *testing.T) {
-	if superCacheCount.Load() >= superCacheLimit {
-		t.Skip("process-wide superstep cache already full")
-	}
+// Two steppers over one network and dt share one propagator, so their
+// Supersteps for one slope share one modal form — pointer-equal, built
+// by one eigensolve — and land on identical bits; another slope gets a
+// form of its own.
+func TestSuperstepFormSharing(t *testing.T) {
 	net := Exynos5422Network()
-	mkSS := func() *Superstep {
+	steppers := make([]*Stepper, 2)
+	for i := range steppers {
 		m, err := NewModel(net, 28)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := m.NewStepper(0.0137)
-		if err != nil {
+		if steppers[i], err = m.NewStepper(0.0137); err != nil {
 			t.Fatal(err)
 		}
-		slope := []float64{0.003, 0.001, 0.004, 0}
-		ss, err := NewSuperstep(st, slope)
-		if err != nil {
-			t.Fatal(err)
+		if i == 0 {
+			// The package's random-network tests fill the bounded
+			// propagator cache; admit this system directly so the second
+			// stepper finds the first one's propagator.
+			if _, loaded := propCache.LoadOrStore(propKey(m, 0.0137), steppers[0].prop); !loaded {
+				propCacheCount.Add(1)
+			}
 		}
-		return ss
 	}
-	a, b := mkSS(), mkSS()
+	if steppers[0].prop != steppers[1].prop {
+		t.Fatal("steppers over one system hold separate propagators")
+	}
+	slope := []float64{0.003, 0.001, 0.004, 0}
+	a, err := NewSuperstep(steppers[0], slope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSuperstep(steppers[1], slope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.f != b.f || a.Reused() || !b.Reused() {
+		t.Fatalf("form not shared: %p vs %p, reused %v/%v", a.f, b.f, a.Reused(), b.Reused())
+	}
 	p := []float64{2, 1, 2, 1}
-	if _, _, err := a.Jump(37, p); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := b.Jump(37, p); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.blocks) == 0 || len(a.blocks) != len(b.blocks) {
-		t.Fatalf("block tables differ: %d vs %d", len(a.blocks), len(b.blocks))
-	}
-	for k := range a.blocks {
-		if a.blocks[k] != b.blocks[k] {
-			t.Fatalf("block %d not shared through the cache", k)
+	for _, ss := range []*Superstep{a, b} {
+		if _, _, err := ss.Jump(37, p); err != nil {
+			t.Fatal(err)
 		}
+		if err := ss.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range p {
+		if x, y := steppers[0].Model().Temp(i), steppers[1].Model().Temp(i); math.Float64bits(x) != math.Float64bits(y) {
+			t.Errorf("node %d: %v vs %v", i, x, y)
+		}
+	}
+	c, err := NewSuperstep(steppers[1], []float64{0.003, 0.001, 0.004, 0.0005})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.f == a.f || c.Reused() {
+		t.Error("a different slope vector reused the form")
 	}
 }

@@ -15,12 +15,12 @@
 //
 // Superstep extends the exact propagator to whole intervals: when the
 // injected power is affine in temperature (a constant operating point
-// with its leakage slope folded into the map), n ticks collapse to one
-// affine application T[k+n] = Ãⁿ·T[k] + Sₙ·b̃ with power-of-two jump
-// blocks cached per (system, dt, slope). Because Ã is entrywise
-// non-negative, the trajectory direction of the first tick holds for
-// the whole jump, which lets callers check interior constraints from
-// the endpoints alone. See docs/integrators.md for the contract.
+// with its leakage slope folded into the map), n ticks collapse to the
+// closed form T[k+n] = Ãⁿ·T[k] + Sₙ·b̃, evaluated in O(N²) through Ã's
+// modal form (one symmetric eigensolve per slope vector, shared across
+// engines). Because Ã is entrywise non-negative, the first tick's
+// direction holds for the whole jump, so callers check interior
+// constraints from the endpoints alone. See docs/integrators.md.
 package thermal
 
 import (
