@@ -36,23 +36,25 @@ func RenderSeries(xs, ys []float64, opt ChartOptions) string {
 	if h <= 0 {
 		h = 16
 	}
-	// A point's row is its fraction of [lo, lo+span] mapped through the
-	// headroom, a constant: a fitted series' extremes are exactly 0 and 1
-	// of the data range, so their rows do not hang on last-bit ties.
+	// A row is the fraction f of [lo, lo+span] mapped through a constant
+	// affine map, so a fitted series' extremes (f exactly 0 and 1) land on
+	// the same rows whatever their last bits. With the 5% headroom the map
+	// is f ↦ (20f + 1)/22 of the h-1 row steps.
 	yMin, yMax := opt.YMin, opt.YMax
-	lo, span, head := yMin, yMax-yMin, 0.0
+	lo, span := yMin, yMax-yMin
+	scale, off := float64(h-1), 0.0
 	if yMin == 0 && yMax == 0 {
 		lo, yMax = math.Inf(1), math.Inf(-1)
 		for _, y := range ys {
 			lo = math.Min(lo, y)
 			yMax = math.Max(yMax, y)
 		}
-		span, head = yMax-lo, 0.05
-		if span == 0 {
-			lo, span, head = lo-1, 2, 0
+		if span = yMax - lo; span == 0 {
+			lo, span = lo-1, 2
 			yMin, yMax = lo, lo+span
 		} else {
-			yMin, yMax = lo-head*span, yMax+head*span
+			yMin, yMax = lo-0.05*span, yMax+0.05*span
+			scale, off = float64(20*(h-1))/22, float64(h-1)/22
 		}
 	}
 	xMin, xMax := xs[0], xs[len(xs)-1]
@@ -66,8 +68,7 @@ func RenderSeries(xs, ys []float64, opt ChartOptions) string {
 	}
 	for i := range xs {
 		c := int(float64(w-1) * ((xs[i] - xMin) / (xMax - xMin)))
-		rf := ((ys[i]-lo)/span + head) / (1 + 2*head)
-		r := h - 1 - int(rf*float64(h-1)+0.5)
+		r := h - 1 - int((ys[i]-lo)/span*scale+off+0.5)
 		if c < 0 || c >= w || r < 0 || r >= h {
 			continue
 		}
