@@ -54,6 +54,8 @@ type Stepper struct {
 // once per distinct system and reused via propCache.
 type propagator struct {
 	a, bp, ambGain []float64
+	// cached marks a propagator propCache holds; only those share forms.
+	cached bool
 	// The modal basis of its jump maps (superstep.go), computed on its
 	// first Superstep: Ê − I, F½, L = C⁻½·F½ and R = F⁻½·C½ (flat
 	// row-major n×n) and C⁻¹; forms holds the shared modal forms.
@@ -135,7 +137,10 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 			p.ambGain[i] = acc
 		}
 		if propCacheCount.Load() < propCacheLimit {
-			if _, loaded := propCache.LoadOrStore(key, p); !loaded {
+			p.cached = true // before the store publishes p
+			if _, loaded := propCache.LoadOrStore(key, p); loaded {
+				p.cached = false
+			} else {
 				propCacheCount.Add(1)
 			}
 		}

@@ -43,8 +43,9 @@ import (
 
 // A system's shared forms are keyed by slope vector, zero padded to a
 // fixed-size array, so a lookup neither allocates nor boxes (8 nodes cover
-// the catalog; a larger network builds its forms unshared). formCount
-// counts them across all systems, up to formCacheLimit.
+// the catalog; a larger network builds its forms unshared). Only systems
+// propCache holds share forms, so formCount, bounded by formCacheLimit,
+// counts forms that live as long as the process.
 type formKey [8]float64
 
 var formCount atomic.Int64
@@ -215,7 +216,7 @@ func (ss *Superstep) Commit() error {
 // the process-wide bound has room.
 func (p *propagator) form(invC, slope []float64) (f *modalForm, reused bool, err error) {
 	var key formKey
-	shared := len(slope) <= len(key)
+	shared := p.cached && len(slope) <= len(key)
 	if shared {
 		copy(key[:], slope)
 		p.formMu.RLock()

@@ -214,7 +214,10 @@ func TestSuperstepFormSharing(t *testing.T) {
 			// The package's random-network tests fill the bounded
 			// propagator cache; admit this system directly so the second
 			// stepper finds the first one's propagator.
-			if _, loaded := propCache.LoadOrStore(propKey(m, 0.0137), steppers[0].prop); !loaded {
+			p := steppers[0].prop
+			if !p.cached {
+				p.cached = true
+				propCache.Store(propKey(m, 0.0137), p)
 				propCacheCount.Add(1)
 			}
 		}
@@ -254,5 +257,20 @@ func TestSuperstepFormSharing(t *testing.T) {
 	}
 	if c.f == a.f || c.Reused() {
 		t.Error("a different slope vector reused the form")
+	}
+	// A propagator outside the cache keeps no forms: they would hold the
+	// process-wide budget after the system is gone.
+	private := *steppers[0]
+	private.prop = &propagator{a: private.a, bp: private.bp, ambGain: private.ambGain}
+	x, err := NewSuperstep(&private, slope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := NewSuperstep(&private, slope)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.f == y.f || x.Reused() || y.Reused() {
+		t.Error("an uncached propagator shared a form")
 	}
 }
