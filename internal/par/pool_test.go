@@ -9,6 +9,10 @@ import (
 	"time"
 )
 
+// The first index to run cancels, and every other index blocks until the
+// cancellation lands, so each worker holds at most one index when it
+// does. Without the wait, fast workers could finish all n indices first,
+// and ForEachCtx then rightly reports the complete work as a success.
 func TestForEachCtxCancelStopsScheduling(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -17,14 +21,16 @@ func TestForEachCtxCancelStopsScheduling(t *testing.T) {
 		err := ForEachCtx(ctx, workers, n, func(i int) error {
 			if atomic.AddInt32(&executed, 1) == 1 {
 				cancel()
+			} else {
+				<-ctx.Done()
 			}
 			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers=%d: got %v, want context.Canceled", workers, err)
 		}
-		if got := atomic.LoadInt32(&executed); got >= n {
-			t.Errorf("workers=%d: all %d indices ran despite cancellation at the first", workers, got)
+		if got := atomic.LoadInt32(&executed); got > int32(workers) {
+			t.Errorf("workers=%d: %d indices ran, want at most one per worker", workers, got)
 		}
 	}
 }
