@@ -10,6 +10,7 @@ package soc
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -96,8 +97,8 @@ func (c *Cluster) Validate() error {
 		if p.FreqMHz <= 0 {
 			return fmt.Errorf("soc: cluster %s: OPP %d has non-positive frequency %d", c.Name, i, p.FreqMHz)
 		}
-		if p.VoltV <= 0 {
-			return fmt.Errorf("soc: cluster %s: OPP %d has non-positive voltage %g", c.Name, i, p.VoltV)
+		if !(p.VoltV > 0 && p.VoltV <= math.MaxFloat64) {
+			return fmt.Errorf("soc: cluster %s: OPP %d VoltV must be positive and finite, got %g", c.Name, i, p.VoltV)
 		}
 		if i > 0 && c.OPPs[i-1].FreqMHz == p.FreqMHz {
 			return fmt.Errorf("soc: cluster %s: duplicate OPP frequency %d MHz", c.Name, p.FreqMHz)
@@ -106,11 +107,16 @@ func (c *Cluster) Validate() error {
 			return fmt.Errorf("soc: cluster %s: voltage must be non-decreasing with frequency (OPP %d)", c.Name, i)
 		}
 	}
-	if c.CdynCoreNF <= 0 {
-		return fmt.Errorf("soc: cluster %s: CdynCoreNF must be positive", c.Name)
+	if !(c.CdynCoreNF > 0 && c.CdynCoreNF <= math.MaxFloat64) {
+		return fmt.Errorf("soc: cluster %s: CdynCoreNF must be positive and finite, got %g", c.Name, c.CdynCoreNF)
 	}
-	if c.LeakCoeff < 0 || c.LeakTempCoeff < 0 {
-		return fmt.Errorf("soc: cluster %s: leakage coefficients must be non-negative", c.Name)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"LeakCoeff", c.LeakCoeff}, {"LeakTempCoeff", c.LeakTempCoeff}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("soc: cluster %s: %s must be finite and non-negative, got %g", c.Name, f.name, f.v)
+		}
 	}
 	return nil
 }
@@ -239,11 +245,26 @@ func (p *Platform) Validate() error {
 		}
 		seen[c.Name] = true
 	}
+	// A NaN trip never fires and a non-finite temperature or power
+	// coefficient turns every temperature of a run into NaN or ±Inf.
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"AmbientC", p.AmbientC}, {"TripC", p.TripC}, {"TripReleaseC", p.TripReleaseC}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("soc: platform %s: %s must be finite, got %g", p.Name, f.name, f.v)
+		}
+	}
 	if p.TripC <= p.TripReleaseC {
 		return fmt.Errorf("soc: platform %s: TripC (%g) must exceed TripReleaseC (%g)", p.Name, p.TripC, p.TripReleaseC)
 	}
-	if p.BoardBaselineW < 0 || p.DRAMPowerPerGBs < 0 {
-		return fmt.Errorf("soc: platform %s: negative board power coefficients", p.Name)
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"BoardBaselineW", p.BoardBaselineW}, {"DRAMPowerPerGBs", p.DRAMPowerPerGBs}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("soc: platform %s: %s must be finite and non-negative, got %g", p.Name, f.name, f.v)
+		}
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package soc
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -209,6 +211,50 @@ func TestValidateRejectsBadPlatforms(t *testing.T) {
 	for _, c := range cases {
 		if err := c.p.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted invalid platform", c.name)
+		}
+	}
+}
+
+// Every float of a platform must be finite. Before the check, a NaN trip
+// ran with the TMU never firing, and the other values failed late in a
+// run or ended it with a ±Inf peak. Each error names the cluster or OPP
+// and the field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(p *Platform)
+		want []string
+	}{
+		{"AmbientC NaN", func(p *Platform) { p.AmbientC = nan }, []string{"AmbientC"}},
+		{"AmbientC +Inf", func(p *Platform) { p.AmbientC = inf }, []string{"AmbientC"}},
+		{"TripC NaN", func(p *Platform) { p.TripC = nan }, []string{"TripC"}},
+		{"TripC +Inf", func(p *Platform) { p.TripC = inf }, []string{"TripC"}},
+		{"TripReleaseC -Inf", func(p *Platform) { p.TripReleaseC = -inf }, []string{"TripReleaseC"}},
+		{"BoardBaselineW NaN", func(p *Platform) { p.BoardBaselineW = nan }, []string{"BoardBaselineW"}},
+		{"DRAMPowerPerGBs +Inf", func(p *Platform) { p.DRAMPowerPerGBs = inf }, []string{"DRAMPowerPerGBs"}},
+		{"CdynCoreNF NaN", func(p *Platform) { p.Clusters[0].CdynCoreNF = nan }, []string{"A15", "CdynCoreNF"}},
+		{"CdynCoreNF +Inf", func(p *Platform) { p.Clusters[0].CdynCoreNF = inf }, []string{"A15", "CdynCoreNF"}},
+		{"LeakCoeff NaN", func(p *Platform) { p.Clusters[1].LeakCoeff = nan }, []string{"A7", "LeakCoeff"}},
+		{"LeakTempCoeff +Inf", func(p *Platform) { p.Clusters[2].LeakTempCoeff = inf }, []string{"MaliT628", "LeakTempCoeff"}},
+		{"OPP VoltV NaN", func(p *Platform) { p.Clusters[0].OPPs[3].VoltV = nan }, []string{"A15", "OPP 3", "VoltV"}},
+		{"top OPP VoltV +Inf", func(p *Platform) {
+			c := &p.Clusters[1]
+			c.OPPs[len(c.OPPs)-1].VoltV = inf
+		}, []string{"A7", "VoltV"}},
+	}
+	for _, c := range cases {
+		p := Exynos5422()
+		c.mut(p)
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the platform", c.name)
+			continue
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, w)
+			}
 		}
 	}
 }
