@@ -128,9 +128,6 @@ func TestMetricsUnknownNodeIndex(t *testing.T) {
 		if got := tr.Temps(idx); got != nil {
 			t.Errorf("Temps(%d) = %v, want nil", idx, got)
 		}
-		if got := tr.PeakTemp(idx); got != 0 {
-			t.Errorf("PeakTemp(%d) = %g, want 0", idx, got)
-		}
 		if got := tr.AvgTemp(idx); got != 0 {
 			t.Errorf("AvgTemp(%d) = %g, want 0", idx, got)
 		}

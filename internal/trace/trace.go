@@ -268,24 +268,6 @@ func (t *Trace) AvgTemp(i int) float64 {
 	return area / d
 }
 
-// PeakTemp returns the maximum temperature of node i (0 for an
-// out-of-range index or an empty trace).
-func (t *Trace) PeakTemp(i int) float64 {
-	if !t.validNode(i) {
-		return 0
-	}
-	peak := math.Inf(-1)
-	for _, s := range t.Samples {
-		if s.TempsC[i] > peak {
-			peak = s.TempsC[i]
-		}
-	}
-	if math.IsInf(peak, -1) {
-		return 0
-	}
-	return peak
-}
-
 // TempVariance returns the sample variance of node i's temperature — the
 // paper's "thermal variance / temporal thermal gradient" headline metric.
 func (t *Trace) TempVariance(i int) float64 {

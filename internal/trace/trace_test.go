@@ -93,9 +93,6 @@ func TestAvgAndPeakTemp(t *testing.T) {
 	if got := tr.AvgTemp(0); math.Abs(got-82) > 1e-12 {
 		t.Errorf("AvgTemp = %g, want 82", got)
 	}
-	if got := tr.PeakTemp(0); got != 84 {
-		t.Errorf("PeakTemp = %g, want 84", got)
-	}
 	if got := tr.AvgTemp(1); got != 70 {
 		t.Errorf("AvgTemp const = %g, want 70", got)
 	}
@@ -133,7 +130,7 @@ func TestAvgFreq(t *testing.T) {
 
 func TestEmptyTraceMetrics(t *testing.T) {
 	tr := New([]string{"a"}, []string{"c"})
-	if tr.EnergyJ() != 0 || tr.PeakTemp(0) != 0 || tr.AvgTemp(0) != 0 ||
+	if tr.EnergyJ() != 0 || tr.AvgTemp(0) != 0 ||
 		tr.TempGradient(0) != 0 || tr.AvgFreqMHz(0) != 0 {
 		t.Error("empty trace metrics should all be zero")
 	}
