@@ -996,8 +996,7 @@ const pkgBaselineShare = 0.5
 // and the DRAM power plus pkgBaselineShare of the board baseline on pkg.
 // nodeOf and pkg come from ResolveNodes. It is the one place a power
 // breakdown becomes heat, for the engine's ticks and steady states, the
-// campaign gaps, the analytic evaluator and the catalog's full-load
-// checks alike.
+// analytic evaluator and the catalog's full-load checks alike.
 //
 //teem:hotpath
 func InjectHeat(inj []float64, bd *power.Breakdown, nodeOf []int, pkg int) {
@@ -1722,7 +1721,9 @@ func WarmStartTemps(cfg Config) ([]float64, error) {
 	return e.SteadyTemps(1, 1)
 }
 
-// FinalTemps returns the node temperatures at the end of a run.
+// FinalTemps returns the node temperatures at the end of a run. Passed
+// as the next engine's InitialTempsC, they continue the chip's trajectory
+// across runs (see examples/campaign).
 func (e *Engine) FinalTemps() []float64 { return e.therm.Temps() }
 
 // SetAmbientC changes the ambient temperature mid-run — e.g. to model the

@@ -260,6 +260,57 @@ func TestWarmStartTemps(t *testing.T) {
 	}
 }
 
+// The chip's state carries across engines: an idle engine started from
+// another's FinalTemps continues its trajectory, so 2 s and then 3 s of
+// idle end where one 5 s idle run ends. Back-to-back runs and the gaps
+// between them are chained this way (examples/campaign). Fixed ticks
+// must agree exactly; supersteps plan from each engine's own start, so
+// they may differ by rounding.
+func TestStateCarriesAcrossEngines(t *testing.T) {
+	idle := func(minTimeS float64, temps []float64, disable bool) []float64 {
+		t.Helper()
+		p := soc.Exynos5422()
+		e, err := New(Config{
+			Platform: p,
+			Net:      thermal.Exynos5422Network(),
+			Map:      mapping.Mapping{Big: 4, Little: 2, UseGPU: true},
+			Freq: mapping.FreqSetting{
+				BigMHz:    p.Big().MinFreqMHz(),
+				LittleMHz: p.Little().MinFreqMHz(),
+				GPUMHz:    p.GPU().MinFreqMHz(),
+			},
+			MinTimeS:         minTimeS,
+			InitialTempsC:    temps,
+			DisableSuperstep: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return e.FinalTemps()
+	}
+	hot := []float64{95, 80, 85, 75}
+	for _, disable := range []bool{true, false} {
+		tol := 1e-9
+		if disable {
+			tol = 0
+		}
+		whole := idle(5, hot, disable)
+		chained := idle(3, idle(2, hot, disable), disable)
+		for i := range whole {
+			if d := math.Abs(chained[i] - whole[i]); !(d <= tol) {
+				t.Errorf("DisableSuperstep=%v: node %d ends at %.15g °C chained, %.15g °C in one run (tolerance %g)",
+					disable, i, chained[i], whole[i], tol)
+			}
+		}
+		if whole[0] >= hot[0] {
+			t.Errorf("DisableSuperstep=%v: idle A15 did not cool: %g °C", disable, whole[0])
+		}
+	}
+}
+
 // A run that never warms above 0 °C reports its real peaks: the running
 // maxima used to start at 0, so such a run reported 0 °C peaks the chip
 // never reached. Each node's peak must be below 0 and at least every

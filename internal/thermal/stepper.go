@@ -49,9 +49,10 @@ type Stepper struct {
 }
 
 // propagator holds the shared, read-only precomputed matrices of one
-// (conductance system, dt) pair. Campaign-style workloads construct many
-// engines over the same network, so the matrix exponential is computed
-// once per distinct system and reused via propCache.
+// (conductance system, dt) pair. Paper passes, scenario grids and
+// back-to-back runs construct many engines over the same network, so the
+// matrix exponential is computed once per distinct system and reused via
+// propCache.
 type propagator struct {
 	a, bp, ambGain []float64
 	// cached marks a propagator propCache holds; only those share forms.
@@ -71,8 +72,8 @@ type propagator struct {
 // Model can never see a stale entry. Admission is bounded by
 // propCacheLimit: a sweep over thousands of distinct candidate networks
 // computes its propagators directly instead of growing the cache without
-// bound (campaign workloads reuse a handful of systems, which is what the
-// cache is for).
+// bound (paper passes and scenario grids reuse a handful of systems,
+// which is what the cache is for).
 var (
 	propCache      sync.Map
 	propCacheCount atomic.Int64

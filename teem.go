@@ -243,25 +243,6 @@ func RunWarm(cfg SimConfig) (*SimResult, error) { return sim.RunWarm(cfg) }
 // benchmarking (steady state of a mid-frequency run of the same job).
 func WarmStartTemps(cfg SimConfig) ([]float64, error) { return sim.WarmStartTemps(cfg) }
 
-// Job is one entry of a back-to-back campaign.
-type Job = sim.Job
-
-// CampaignConfig paces a campaign; CampaignResult aggregates it.
-type (
-	CampaignConfig = sim.CampaignConfig
-	CampaignResult = sim.CampaignResult
-)
-
-// RunCampaign executes jobs sequentially with thermal state carried
-// across job boundaries (and optional idle gaps) — the thermal situation
-// a real device lives in. Setting CampaignConfig.Independent instead
-// schedules the jobs as thermally non-carrying experiments across a
-// bounded worker pool (CampaignConfig.Workers); results keep job order,
-// so parallel output is identical to serial output.
-func RunCampaign(cc CampaignConfig, jobs []Job) (*CampaignResult, error) {
-	return sim.RunCampaign(cc, jobs)
-}
-
 // --- scenarios (internal/scenario) --------------------------------------------
 
 // Scenario is a declarative dynamic-workload description: application

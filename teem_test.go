@@ -154,26 +154,6 @@ func TestPublicSecondPlatform(t *testing.T) {
 	}
 }
 
-func TestPublicCampaign(t *testing.T) {
-	res, err := teem.RunCampaign(teem.CampaignConfig{
-		Platform: teem.Exynos5422(),
-		Net:      teem.Exynos5422Thermal(),
-	}, []teem.Job{
-		{
-			App:      teem.Covariance(),
-			Map:      teem.Mapping{Big: 3, Little: 2, UseGPU: true},
-			Part:     teem.Partition{Num: 4, Den: 8},
-			Governor: teem.NewController(teem.DefaultParams()),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Jobs) != 1 || !res.Jobs[0].Completed {
-		t.Error("campaign job did not complete")
-	}
-}
-
 func TestPublicTraceCSV(t *testing.T) {
 	cfg := teem.SimConfig{
 		Platform: teem.Exynos5422(),

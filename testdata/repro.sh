@@ -48,7 +48,7 @@ done
 "$bin/teemsim" -cold -chart >"$out/teemsim.cold-chart.txt"
 "$bin/teemsim" -app SR -governor ondemand -chart >"$out/teemsim.SR-ondemand-chart.txt"
 
-"$bin/campaign" -workers 1 >"$out/example.campaign.txt"
+"$bin/campaign" >"$out/example.campaign.txt"
 "$bin/multiapp" >"$out/example.multiapp.txt"
 "$bin/adaptation" >"$out/example.adaptation.txt"
 "$bin/motivation" >"$out/example.motivation.txt"
