@@ -112,11 +112,12 @@ platform-gate:
 # Reproduction-output gate: testdata/repro.sh regenerates the outputs of
 # teemcal (every catalog platform), teemscenario (the corpus on one
 # platform, on the whole catalog under both integrators, on merlin-m3),
-# teemsim (CSV and charts) and the campaign, multiapp, adaptation and
-# motivation examples into a temporary directory, and the gate requires
-# them byte-identical to the goldens in testdata/repro/. A change that
-# moves an output on purpose regenerates them with `make repro-golden`
-# and commits the diff for review.
+# teemsim (CSV and charts) and the campaign, multiapp, adaptation,
+# motivation, quickstart, designspace and customplatform examples into a
+# temporary directory, and the gate requires them byte-identical to the
+# goldens in testdata/repro/. A change that moves an output on purpose
+# regenerates them with `make repro-golden` and commits the diff for
+# review.
 repro-gate:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 		bash testdata/repro.sh "$$tmp" && diff -r testdata/repro "$$tmp" && \

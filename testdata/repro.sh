@@ -11,7 +11,9 @@
 # catalog platform, the scenario corpus on one platform, on the whole
 # catalog under both integrators and on merlin-m3, the engine flight
 # recorders of the catalog grid, teemsim's CSV and charts, and the
-# campaign, multiapp, adaptation and motivation examples.
+# campaign, multiapp, adaptation, motivation, quickstart, designspace and
+# customplatform examples. examples/kernels is left out: it prints
+# wall-clock timings.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then
@@ -26,7 +28,8 @@ trap 'rm -rf "$bin"' EXIT
 
 cd "$root"
 go build -o "$bin/" ./cmd/teemcal ./cmd/teemscenario ./cmd/teemsim \
-	./examples/campaign ./examples/multiapp ./examples/adaptation ./examples/motivation
+	./examples/campaign ./examples/multiapp ./examples/adaptation ./examples/motivation \
+	./examples/quickstart ./examples/designspace ./examples/customplatform
 
 for p in $("$bin/teemscenario" -list | awk '/^platforms:/ { on = 1; next } /^[a-z]+:/ { on = 0 } on && NF { print $1 }'); do
 	"$bin/teemcal" -platform "$p" >"$out/teemcal.$p.txt"
@@ -52,3 +55,6 @@ done
 "$bin/multiapp" >"$out/example.multiapp.txt"
 "$bin/adaptation" >"$out/example.adaptation.txt"
 "$bin/motivation" >"$out/example.motivation.txt"
+"$bin/quickstart" >"$out/example.quickstart.txt"
+"$bin/designspace" >"$out/example.designspace.txt"
+"$bin/customplatform" >"$out/example.customplatform.txt"
