@@ -14,6 +14,9 @@ import (
 	"testing"
 
 	"teem"
+	"teem/internal/baseline"
+	"teem/internal/experiments"
+	"teem/internal/mapping"
 )
 
 // env is shared across benchmarks: experiment results are cached inside,
@@ -21,13 +24,13 @@ import (
 // profiling of prerequisites.
 var (
 	envOnce sync.Once
-	env     *teem.Experiments
+	env     *experiments.Env
 )
 
-func sharedEnv(b *testing.B) *teem.Experiments {
+func sharedEnv(b *testing.B) *experiments.Env {
 	b.Helper()
 	envOnce.Do(func() {
-		e, err := teem.NewExperiments()
+		e, err := experiments.NewEnv()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,7 +175,7 @@ func BenchmarkFig5cPerformance(b *testing.B) {
 // exposes the worker-pool speedup in the perf trajectory.
 func benchFig5Workers(b *testing.B, workers int) {
 	for i := 0; i < b.N; i++ {
-		e, err := teem.NewExperimentsWith(teem.ExperimentOptions{Workers: workers})
+		e, err := experiments.NewEnvWith(experiments.Options{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +219,7 @@ func BenchmarkDesignPointEnumeration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n := 0
-		sp.EnumerateAll(func(teem.DesignPoint) bool {
+		sp.EnumerateAll(func(mapping.DesignPoint) bool {
 			n++
 			return true
 		})
@@ -341,7 +344,7 @@ func BenchmarkTableLookupVsModel(b *testing.B) {
 		}
 	})
 	b.Run("table", func(b *testing.B) {
-		eemp, err := teem.NewEEMP(plat, net, fig5Mapping)
+		eemp, err := baseline.NewEEMP(plat, net, fig5Mapping)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -29,25 +29,25 @@
 //
 // # Reproducing the paper
 //
-//	env, err := teem.NewExperiments()
-//	fig1, err := env.Fig1()        // motivation traces + summary
-//	m, err := env.ProfileApp("COVARIANCE")
-//	fmt.Println(m.TableI(), m.TableII(), m.Fig3(), m.Fig4())
-//	fig5, err := env.Fig5(teem.Mapping{Big: 4, Little: 2, UseGPU: true})
-//	fmt.Println(fig5.RenderEnergy())
+// cmd/teemreport regenerates every table and figure on the parallel
+// experiment engine (internal/experiments):
+//
+//	go run ./cmd/teemreport                  # paper-vs-measured Markdown report
+//	go run ./cmd/teemreport eval -only fig5  # one experiment's own render
 //
 // # The platform catalog
 //
-// Hardware is a first-class axis: a PlatformBundle packages a SoC
-// description, the thermal network it is calibrated against and catalog
-// metadata (deployment class, accelerator slots) under one name,
-// validated as a unit. Six builtin platforms ship embedded in the
-// binary — resolve them with GetPlatform/ResolvePlatform, list them
-// with PlatformNames, sweep them with RunScenarioPlatformGrid, and
-// check a custom bundle with VerifyPlatform. Custom platforms are plain
-// data: describe one in a bundle JSON file (or wire a Platform and a
-// Network directly) and every governor, baseline and the TEEM manager
-// run unchanged (see examples/customplatform and docs/platforms.md).
+// Hardware is a first-class axis: a bundle (internal/platform) packages
+// a SoC description, the thermal network it is calibrated against and
+// catalog metadata (deployment class, accelerator slots) under one
+// name, validated as a unit. Six builtin platforms ship embedded in the
+// binary: teemscenario -list names them, -platform runs on one and
+// -platforms all sweeps the whole catalog, and ScenarioConfig.PlatformName
+// selects one for RunScenario. Custom platforms are plain data:
+// describe one in a bundle JSON file (or wire a Platform and a
+// ThermalNetwork directly) and every governor, baseline and the TEEM
+// manager run unchanged (see examples/customplatform and
+// docs/platforms.md).
 //
 // # Architecture
 //
@@ -81,9 +81,10 @@
 //	          job trace ids and lifecycle spans, and the Prometheus text
 //	          exposition writer + validator behind teemd's /metrics
 //
-// Package teem re-exports the stable surface of these internal packages
-// as type aliases and constructor wrappers; go doc on the individual
-// internal packages documents each layer in depth.
+// Package teem re-exports the part of these internal packages that the
+// examples use, as type aliases and constructor wrappers; the commands
+// call the internal packages directly, and go doc on each of them
+// documents its layer in depth.
 //
 // The invariants the layers rely on — determinism in the simulation
 // core, zero-allocation //teem:hotpath functions, //teem:guards mutex

@@ -4,11 +4,16 @@ package teem_test
 
 import (
 	"bytes"
-	"math"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"teem"
+	"teem/internal/governor"
+	"teem/internal/soc"
 )
 
 func TestPublicPipeline(t *testing.T) {
@@ -49,8 +54,8 @@ func TestPublicGovernorsRun(t *testing.T) {
 	for _, g := range []teem.Governor{
 		teem.NewOndemand(),
 		teem.NewPerformance(),
-		teem.NewConservative(),
-		teem.NewUserspace(1500, 1000, 480),
+		governor.NewConservative(),
+		&governor.Userspace{BigMHz: 1500, LittleMHz: 1000, GPUMHz: 480},
 		teem.NewController(teem.DefaultParams()),
 	} {
 		cfg.Governor = g
@@ -61,30 +66,6 @@ func TestPublicGovernorsRun(t *testing.T) {
 		if !res.Completed {
 			t.Errorf("%s: run did not complete", g.Name())
 		}
-	}
-}
-
-func TestPublicBaselines(t *testing.T) {
-	plat := teem.Exynos5422()
-	net := teem.Exynos5422Thermal()
-	m := teem.Mapping{Big: 4, Little: 2, UseGPU: true}
-	eemp, err := teem.NewEEMP(plat, net, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if eemp.StoredItems() != 128 {
-		t.Errorf("EEMP items = %d", eemp.StoredItems())
-	}
-	rmp, err := teem.NewRMP(plat, net, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := rmp.Decide(teem.Covariance())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dp.Part.Num == 0 {
-		t.Error("RMP should split COVARIANCE")
 	}
 }
 
@@ -111,35 +92,13 @@ func TestPublicDesignSpace(t *testing.T) {
 	if sp.MaxDesignPoints() != 28560 {
 		t.Errorf("Eq. 2 = %d", sp.MaxDesignPoints())
 	}
-	if len(teem.Partitions()) != 9 {
-		t.Error("partition grains != 9")
-	}
 	if p := teem.NearestPartition(0.5); p.Num != 4 {
 		t.Errorf("NearestPartition(0.5) = %s", p)
 	}
 }
 
-func TestPublicRegression(t *testing.T) {
-	d := &teem.Dataset{
-		ResponseName:   "y",
-		Response:       []float64{2.1, 3.9, 6.2, 7.8, 10.1},
-		PredictorNames: []string{"x"},
-		Predictors:     [][]float64{{1, 2, 3, 4, 5}},
-	}
-	m, err := teem.FitRegression(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Coefficients[1].Estimate-1.99) > 1e-9 {
-		t.Errorf("slope = %g", m.Coefficients[1].Estimate)
-	}
-	if !strings.Contains(m.Summary(), "R-squared") {
-		t.Error("summary incomplete")
-	}
-}
-
 func TestPublicSecondPlatform(t *testing.T) {
-	p := teem.Exynos5410()
+	p := soc.Exynos5410()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,59 +139,69 @@ func TestPublicTraceCSV(t *testing.T) {
 	}
 }
 
-func TestPublicStoreRoundTrip(t *testing.T) {
-	mgr, err := teem.NewManager(teem.Exynos5422(), teem.Exynos5422Thermal(), teem.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
+// The facade is the module's only importable surface, and no command or
+// internal package imports it: an exported name that no example reaches
+// is a second name for an internal identifier with no caller. A type
+// that the signature of an example-named function names stays, so the
+// function's godoc links resolve.
+func TestFacadeIsExampleSurface(t *testing.T) {
+	fset := token.NewFileSet()
+	examples, err := filepath.Glob("examples/*/main.go")
+	if err != nil || len(examples) == 0 {
+		t.Fatalf("no examples found (%v)", err)
 	}
-	if _, err := mgr.Profile(teem.Covariance()); err != nil {
-		t.Fatal(err)
+	used := map[string]bool{}
+	for _, path := range append(examples, "example_test.go") {
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "teem" {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
 	}
-	st, err := mgr.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := st.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := teem.LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr2, err := teem.NewManager(teem.Exynos5422(), teem.Exynos5422Thermal(), teem.DefaultParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr2.Import(loaded); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mgr2.Decide("COVARIANCE", 35, 85); err != nil {
-		t.Fatal(err)
-	}
-}
 
-func TestPublicPlatformJSON(t *testing.T) {
-	var buf bytes.Buffer
-	if err := teem.Exynos5422().Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	p, err := teem.LoadPlatform(&buf)
+	facade, err := parser.ParseFile(fset, "teem.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Name != "Exynos5422" {
-		t.Errorf("loaded %q", p.Name)
+	var exported []string
+	signature := map[string]bool{}
+	for _, d := range facade.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			exported = append(exported, d.Name.Name)
+			if !used[d.Name.Name] {
+				continue
+			}
+			ast.Inspect(d.Type, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					signature[id.Name] = true
+				}
+				return true
+			})
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				switch s := s.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, s.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						exported = append(exported, n.Name)
+					}
+				}
+			}
+		}
 	}
-	var nb bytes.Buffer
-	if err := teem.Exynos5422Thermal().Save(&nb); err != nil {
-		t.Fatal(err)
-	}
-	n, err := teem.LoadThermalNetwork(&nb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.NodeIndex("pkg") < 0 {
-		t.Error("loaded network missing pkg node")
+
+	for _, name := range exported {
+		if ast.IsExported(name) && !used[name] && !signature[name] {
+			t.Errorf("teem.%s: no example names it and no example-named function's signature uses it", name)
+		}
 	}
 }
