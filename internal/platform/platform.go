@@ -22,6 +22,7 @@ package platform
 
 import (
 	"fmt"
+	"math"
 
 	"teem/internal/sim"
 	"teem/internal/soc"
@@ -152,8 +153,14 @@ func (b *Bundle) Validate() error {
 			return fmt.Errorf("platform %s: duplicate accelerator slot %q", b.Name, a.Name)
 		}
 		seen[a.Name] = true
-		if a.TOPS < 0 || a.PeakW < 0 {
-			return fmt.Errorf("platform %s: accelerator %s has negative capacity", b.Name, a.Name)
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{{"TOPS", a.TOPS}, {"PeakW", a.PeakW}} {
+			if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+				return fmt.Errorf("platform %s: accelerator %s: %s must be finite and non-negative, got %g",
+					b.Name, a.Name, f.name, f.v)
+			}
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package platform
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -197,6 +198,42 @@ func TestValidateRejectsDuplicateKinds(t *testing.T) {
 	b.Net.Links = append(b.Net.Links, thermal.Link{A: len(b.Net.Nodes) - 1, B: b.Net.NodeIndex("pkg"), ResCW: 5})
 	if err := b.Validate(); err == nil || !strings.Contains(err.Error(), "exactly one big") {
 		t.Fatalf("Validate = %v, want duplicate-kind rejection", err)
+	}
+}
+
+// Accelerator capacities must be finite and non-negative. Catalog JSON
+// cannot carry NaN or ±Inf, but a bundle built in Go can, and before the
+// check NaN and ±Inf validated. Each error names the slot and the field.
+func TestValidateRejectsNonFiniteAccelerators(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(a *AcceleratorSlot)
+		want string
+	}{
+		{"TOPS NaN", func(a *AcceleratorSlot) { a.TOPS = nan }, "TOPS"},
+		{"TOPS +Inf", func(a *AcceleratorSlot) { a.TOPS = inf }, "TOPS"},
+		{"TOPS negative", func(a *AcceleratorSlot) { a.TOPS = -1 }, "TOPS"},
+		{"PeakW NaN", func(a *AcceleratorSlot) { a.PeakW = nan }, "PeakW"},
+		{"PeakW -Inf", func(a *AcceleratorSlot) { a.PeakW = -inf }, "PeakW"},
+		{"PeakW +Inf", func(a *AcceleratorSlot) { a.PeakW = inf }, "PeakW"},
+	}
+	for _, c := range cases {
+		b, err := Get("merlin-m3")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.mut(&b.Accelerators[0])
+		err = b.Validate()
+		if err == nil {
+			t.Errorf("%s: Validate accepted the bundle", c.name)
+			continue
+		}
+		for _, w := range []string{b.Accelerators[0].Name, c.want} {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %s", c.name, err, w)
+			}
+		}
 	}
 }
 
