@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -78,12 +77,6 @@ func (e *Exposition) Histogram(name, help string, h HistSnapshot, labels ...stri
 	m.sample("_bucket", float64(h.Count), append(append([]string{}, labels...), "le", "+Inf"))
 	m.sample("_sum", h.Sum, labels)
 	m.sample("_count", float64(h.Count), labels)
-}
-
-// WriteTo writes the accumulated exposition.
-func (e *Exposition) WriteTo(w io.Writer) (int64, error) {
-	n, err := w.Write(e.buf.Bytes())
-	return int64(n), err
 }
 
 // Bytes returns the accumulated exposition.

@@ -184,12 +184,8 @@ func (v *Metrics) Retried() int64       { return v.m.retried.Value() }
 func (v *Metrics) QuotaRejected() int64 { return v.m.quotaRejected.Value() }
 func (v *Metrics) Recoveries() int64    { return v.m.recoveries.Value() }
 
-// JournalAppends/JournalErrors/JournalBytes report write-ahead journal
-// health: fsynced batches, dropped or failed writes, and current file
-// size after compaction keeps it bounded.
-func (v *Metrics) JournalAppends() int64 { return v.m.journalAppends.Value() }
-func (v *Metrics) JournalErrors() int64  { return v.m.journalErrors.Value() }
-func (v *Metrics) JournalBytes() int64   { return v.m.journalBytes.Value() }
+// JournalErrors counts dropped or failed write-ahead journal writes.
+func (v *Metrics) JournalErrors() int64 { return v.m.journalErrors.Value() }
 
 // LatencyP50 and LatencyP99 estimate the job submit→finish latency
 // percentiles, in seconds, from the teemd_job_latency_seconds histogram:

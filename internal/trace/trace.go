@@ -228,15 +228,6 @@ func (t *Trace) Freqs(i int) []float64 {
 	return out
 }
 
-// Powers returns the board power series.
-func (t *Trace) Powers() []float64 {
-	out := make([]float64, len(t.Samples))
-	for k, s := range t.Samples {
-		out[k] = s.PowerW
-	}
-	return out
-}
-
 // EnergyJ integrates board power over time with the trapezoid rule.
 func (t *Trace) EnergyJ() float64 {
 	e := 0.0
