@@ -201,9 +201,9 @@ func TestValidateRejectsDuplicateKinds(t *testing.T) {
 	}
 }
 
-// Accelerator capacities must be finite and non-negative. Catalog JSON
-// cannot carry NaN or ±Inf, but a bundle built in Go can, and before the
-// check NaN and ±Inf validated. Each error names the slot and the field.
+// Accelerator capacities must be finite and non-negative: catalog JSON
+// cannot carry NaN or ±Inf, but a bundle built in Go can. Each error
+// names the slot and the field.
 func TestValidateRejectsNonFiniteAccelerators(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	cases := []struct {
