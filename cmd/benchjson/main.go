@@ -150,17 +150,6 @@ func parse(r io.Reader) ([]Benchmark, error) {
 	return out, sc.Err()
 }
 
-// parseLine recognises a complete benchmark result line such as
-//
-//	BenchmarkSimRun-4   3360   347015 ns/op   186872 B/op   46 allocs/op
-func parseLine(line string) (Benchmark, bool) {
-	f := strings.Fields(line)
-	if len(f) == 0 || !strings.HasPrefix(f[0], "Benchmark") {
-		return Benchmark{}, false
-	}
-	return parseResult(f[0], f[1:])
-}
-
 // parseResult parses a result body — the iteration count, then
 // value/unit pairs — as one run of the named benchmark.
 func parseResult(name string, f []string) (Benchmark, bool) {

@@ -3,14 +3,16 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
 func TestParseLine(t *testing.T) {
-	b, ok := parseLine("BenchmarkSimRun-4   \t3360\t   347015 ns/op\t  186872 B/op\t      46 allocs/op")
-	if !ok {
-		t.Fatal("parseLine rejected a valid -benchmem line")
+	got, err := parse(strings.NewReader("BenchmarkSimRun-4   \t3360\t   347015 ns/op\t  186872 B/op\t      46 allocs/op"))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("valid -benchmem line parsed as %+v, %v", got, err)
 	}
+	b := got[0]
 	if b.Name != "BenchmarkSimRun" {
 		t.Errorf("Name = %q, want BenchmarkSimRun (GOMAXPROCS suffix stripped)", b.Name)
 	}
@@ -18,9 +20,9 @@ func TestParseLine(t *testing.T) {
 		t.Errorf("parsed %+v", b)
 	}
 
-	b, ok = parseLine("BenchmarkStep \t15378547\t        71.54 ns/op")
-	if !ok || b.NsPerOp != 71.54 || b.HasMem {
-		t.Errorf("plain ns/op line parsed as %+v ok=%v", b, ok)
+	got, err = parse(strings.NewReader("BenchmarkStep \t15378547\t        71.54 ns/op"))
+	if err != nil || len(got) != 1 || got[0].NsPerOp != 71.54 || got[0].HasMem {
+		t.Errorf("plain ns/op line parsed as %+v, %v", got, err)
 	}
 
 	for _, line := range []string{
@@ -30,16 +32,16 @@ func TestParseLine(t *testing.T) {
 		"Benchmark",                   // no fields
 		"BenchmarkX notanint 3 ns/op", // bad iteration count
 	} {
-		if _, ok := parseLine(line); ok {
-			t.Errorf("parseLine accepted %q", line)
+		if got, _ := parse(strings.NewReader(line)); len(got) != 0 {
+			t.Errorf("parse accepted %q as %+v", line, got)
 		}
 	}
 }
 
 func TestParseLineKeepsNonNumericSuffix(t *testing.T) {
-	b, ok := parseLine("BenchmarkFig5-row-abc 10 5 ns/op")
-	if !ok || b.Name != "BenchmarkFig5-row-abc" {
-		t.Errorf("non-numeric suffix mangled: %+v ok=%v", b, ok)
+	got, err := parse(strings.NewReader("BenchmarkFig5-row-abc 10 5 ns/op"))
+	if err != nil || len(got) != 1 || got[0].Name != "BenchmarkFig5-row-abc" {
+		t.Errorf("non-numeric suffix mangled: %+v, %v", got, err)
 	}
 }
 

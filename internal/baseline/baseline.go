@@ -103,13 +103,6 @@ func (e *EEMP) BuildTable(app *workload.App) ([]profile.PointEval, error) {
 	return t, nil
 }
 
-// StorageBytes returns the per-application memory cost of the stored
-// table — the §V.D comparison number.
-func (e *EEMP) StorageBytes() int { return mapping.EEMPStorageBytes() }
-
-// StoredItems returns the per-application stored item count (128).
-func (e *EEMP) StoredItems() int { return mapping.EEMPStoredItems() }
-
 // Decide selects the design point: minimum predicted energy subject to the
 // performance constraint treqS (0 = unconstrained, pure energy minimum).
 // Per [15]'s dynamic power management the execution always happens at the

@@ -54,12 +54,6 @@ func TestEEMPTableSize(t *testing.T) {
 	if len(tab) != 128 {
 		t.Errorf("table has %d entries, want 128", len(tab))
 	}
-	if e.StoredItems() != 128 {
-		t.Errorf("StoredItems = %d", e.StoredItems())
-	}
-	if e.StorageBytes() != 128*mapping.DesignPointRecordBytes {
-		t.Errorf("StorageBytes = %d", e.StorageBytes())
-	}
 	// Cached on second call (same slice).
 	tab2, _ := e.BuildTable(workload.Covariance())
 	if &tab[0] != &tab2[0] {

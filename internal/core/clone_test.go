@@ -27,7 +27,7 @@ func TestManagerCloneSnapshotsModels(t *testing.T) {
 	if !ok || got != am {
 		t.Fatal("clone should carry the pre-clone model")
 	}
-	if clone.Params() != mgr.Params() {
+	if clone.params != mgr.params {
 		t.Error("clone should share the parameters")
 	}
 	// The clone can decide and run from the snapshot.

@@ -244,9 +244,6 @@ func NewManager(plat *soc.Platform, net *thermal.Network, params Params) (*Manag
 	}, nil
 }
 
-// Params returns the configured controller parameters.
-func (mg *Manager) Params() Params { return mg.params }
-
 // Model returns the stored model for an app, if profiled.
 func (mg *Manager) Model(appName string) (*AppModel, bool) {
 	mg.mu.RLock()

@@ -186,15 +186,17 @@ func TestConservativeStepsUp(t *testing.T) {
 // fakeMachine gives boundary tests exact control over the utilisation and
 // frequency a governor observes, without running a simulation.
 type fakeMachine struct {
-	plat  *soc.Platform
-	freqs map[string]int
-	utils map[string]float64
+	plat     *soc.Platform
+	clusters map[string]*soc.Cluster
+	freqs    map[string]int
+	utils    map[string]float64
 }
 
 func newFakeMachine() *fakeMachine {
 	p := soc.Exynos5422()
-	f := &fakeMachine{plat: p, freqs: map[string]int{}, utils: map[string]float64{}}
+	f := &fakeMachine{plat: p, clusters: map[string]*soc.Cluster{}, freqs: map[string]int{}, utils: map[string]float64{}}
 	for i := range p.Clusters {
+		f.clusters[p.Clusters[i].Name] = &p.Clusters[i]
 		f.freqs[p.Clusters[i].Name] = p.Clusters[i].MinFreqMHz()
 	}
 	return f
@@ -207,7 +209,7 @@ func (f *fakeMachine) ClusterFreqMHz(c string) int {
 	return f.freqs[c]
 }
 func (f *fakeMachine) SetClusterFreqMHz(c string, mhz int) error {
-	cl := f.plat.FindCluster(c)
+	cl := f.clusters[c]
 	if cl == nil {
 		return nil
 	}

@@ -79,9 +79,6 @@ type Partition struct {
 // CPUFrac returns the CPU work-item fraction in [0,1].
 func (p Partition) CPUFrac() float64 { return float64(p.Num) / float64(p.Den) }
 
-// GPUFrac returns 1 − CPUFrac.
-func (p Partition) GPUFrac() float64 { return 1 - p.CPUFrac() }
-
 // CPUItems returns the number of work-items (of total) on the CPU.
 func (p Partition) CPUItems(total int) int {
 	return p.Num * total / p.Den
@@ -157,10 +154,4 @@ func (d DesignPoint) String() string {
 // For the Exynos 5422 (Nb=NL=4, Fb=19, FL=13, Fg=7) this is 28 560.
 func MaxDesignPoints(nb, fb, nl, fl, fg int) int {
 	return (nb*fb + nl*fl + nb*fb*nl*fl) * fg
-}
-
-// TotalDesignPoints is MaxDesignPoints times the nine partition grains —
-// the paper's 257 040.
-func TotalDesignPoints(nb, fb, nl, fl, fg int) int {
-	return MaxDesignPoints(nb, fb, nl, fl, fg) * NumPartitionGrains
 }

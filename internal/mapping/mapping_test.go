@@ -85,9 +85,6 @@ func TestPartitions(t *testing.T) {
 		if want := float64(i) / 8; p.CPUFrac() != want {
 			t.Errorf("grain %d = %g, want %g", i, p.CPUFrac(), want)
 		}
-		if math.Abs(p.GPUFrac()-(1-p.CPUFrac())) > 1e-15 {
-			t.Errorf("grain %d: GPUFrac inconsistent", i)
-		}
 	}
 }
 
@@ -131,10 +128,6 @@ func TestMaxDesignPointsEq2(t *testing.T) {
 	// Paper Eq. (2): {(4·19)+(4·13)+(4·19·4·13)} × {1·7} = 28 560.
 	if got := MaxDesignPoints(4, 19, 4, 13, 7); got != 28560 {
 		t.Errorf("Eq. (2) = %d, want 28560", got)
-	}
-	// × 9 partitions = 257 040.
-	if got := TotalDesignPoints(4, 19, 4, 13, 7); got != 257040 {
-		t.Errorf("total design points = %d, want 257040", got)
 	}
 }
 

@@ -175,20 +175,3 @@ func (f *Flight[K, V]) Forget(key K) {
 	delete(f.calls, key)
 	f.mu.Unlock()
 }
-
-// Cached reports whether key currently holds a completed, successful
-// result (an in-flight computation does not count).
-func (f *Flight[K, V]) Cached(key K) bool {
-	f.mu.Lock()
-	c, ok := f.calls[key]
-	f.mu.Unlock()
-	if !ok {
-		return false
-	}
-	select {
-	case <-c.done:
-		return c.err == nil
-	default:
-		return false
-	}
-}

@@ -74,7 +74,7 @@ func (q *taskQueue) Pop() any {
 
 // Pool is a long-lived bounded worker pool — the job-manager substrate of
 // the service layer, as opposed to ForEach's one-shot fan-outs. Tasks are
-// queued by Submit/SubmitTask up to a fixed queue depth (admission
+// queued by SubmitTask up to a fixed queue depth (admission
 // control: a full queue rejects — or, for a higher-priority submission,
 // sheds its lowest-priority queued task) and executed by a fixed set of
 // workers, highest priority first and FIFO within a priority. Every task
@@ -90,11 +90,10 @@ type Pool struct {
 	cond *sync.Cond
 	// depth is immutable after NewPool; everything below the mutex is
 	// the admission state the workers and submitters race on.
-	depth   int
-	queue   taskQueue //teem:guards mu
-	seq     int64     //teem:guards mu
-	closed  bool      //teem:guards mu
-	running int       //teem:guards mu
+	depth  int
+	queue  taskQueue //teem:guards mu
+	seq    int64     //teem:guards mu
+	closed bool      //teem:guards mu
 }
 
 // NewPool starts workers goroutines servicing a queue of depth queue.
@@ -136,19 +135,10 @@ func (p *Pool) worker() {
 			return
 		}
 		t := heap.Pop(&p.queue).(*queuedTask)
-		p.running++
 		p.mu.Unlock()
 		t.Run(p.ctx)
 		p.mu.Lock()
-		p.running--
 	}
-}
-
-// Submit enqueues fn at priority 0 without blocking. It returns
-// ErrPoolFull when the queue is at capacity (the caller sheds load) and
-// ErrPoolClosed after Close or Drain.
-func (p *Pool) Submit(fn func(ctx context.Context)) error {
-	return p.SubmitTask(Task{Run: fn})
 }
 
 // SubmitTask enqueues t without blocking. A full queue admits t only by
@@ -197,12 +187,6 @@ func (p *Pool) SubmitTask(t Task) error {
 	}
 	return nil
 }
-
-// Queued returns the number of submitted-but-not-started tasks.
-func (p *Pool) Queued() int { p.mu.Lock(); defer p.mu.Unlock(); return len(p.queue) }
-
-// Running returns the number of tasks currently executing.
-func (p *Pool) Running() int { p.mu.Lock(); defer p.mu.Unlock(); return p.running }
 
 // Drain stops accepting tasks, lets every queued and running task finish,
 // and waits for the workers to exit. Safe to call more than once and

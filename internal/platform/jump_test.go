@@ -52,17 +52,20 @@ func TestCatalogJumpsMatchTicks(t *testing.T) {
 		for i := range pConst {
 			pConst[i] -= 25 * slope[i]
 		}
+		var ref *thermal.Model
 		steppers := make([]*thermal.Stepper, 2)
 		for i := range steppers {
 			m, err := thermal.NewModel(b.Net, b.SoC.AmbientC)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if i == 0 {
+				ref = m
+			}
 			if steppers[i], err = m.NewStepper(sim.TickS); err != nil {
 				t.Fatal(err)
 			}
 		}
-		ref := steppers[0].Model()
 		ss, err := thermal.NewSuperstep(steppers[1], slope)
 		if err != nil {
 			t.Fatal(err)

@@ -54,9 +54,6 @@ func (c Class) Valid() bool {
 	return false
 }
 
-// Classes lists the deployment classes in stable order.
-func Classes() []Class { return []Class{Edge, Mobile, Server} }
-
 // AcceleratorSlot records a fixed-function accelerator attached to the
 // SoC — an NPU, DSP or FPGA block. Slots are catalog metadata in the
 // lumos MPSoC composition style: the co-simulation models the CPU and

@@ -45,7 +45,7 @@ func TestCatalogSpansClasses(t *testing.T) {
 		}
 		have[b.Class]++
 	}
-	for _, c := range Classes() {
+	for _, c := range []Class{Edge, Mobile, Server} {
 		if have[c] == 0 {
 			t.Errorf("no %s-class platform in the catalog", c)
 		}

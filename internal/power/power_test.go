@@ -27,8 +27,7 @@ func TestNewModelRejectsInvalidPlatform(t *testing.T) {
 
 func TestBigClusterFullLoadEnvelope(t *testing.T) {
 	m := newModel(t)
-	bigIdx := m.Platform().ClusterIndex("A15")
-	dyn, leak, err := m.ClusterPower(bigIdx, ClusterLoad{
+	dyn, leak, err := m.ClusterPower(0, ClusterLoad{
 		FreqMHz: 2000, ActiveCores: 4, OnCores: 4, Utilization: 1, Activity: 1, TempC: 85,
 	})
 	if err != nil {
@@ -46,11 +45,10 @@ func TestBigClusterFullLoadEnvelope(t *testing.T) {
 
 func TestLittleClusterIsMuchMoreEfficient(t *testing.T) {
 	m := newModel(t)
-	p := m.Platform()
-	bigDyn, _, _ := m.ClusterPower(p.ClusterIndex("A15"), ClusterLoad{
+	bigDyn, _, _ := m.ClusterPower(0, ClusterLoad{
 		FreqMHz: 1400, ActiveCores: 4, OnCores: 4, Utilization: 1, Activity: 1, TempC: 70,
 	})
-	litDyn, _, _ := m.ClusterPower(p.ClusterIndex("A7"), ClusterLoad{
+	litDyn, _, _ := m.ClusterPower(1, ClusterLoad{
 		FreqMHz: 1400, ActiveCores: 4, OnCores: 4, Utilization: 1, Activity: 1, TempC: 70,
 	})
 	if litDyn >= bigDyn/2.5 {

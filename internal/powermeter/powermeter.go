@@ -37,14 +37,6 @@ func (m *Meter) Reserve(n int) {
 	}
 }
 
-// Reset clears accumulated samples.
-func (m *Meter) Reset() {
-	m.samples = nil
-	m.nextAt = 0
-	m.lastT = 0
-	m.started = false
-}
-
 // Observe feeds the continuous power waveform: callers report the
 // instantaneous board power at monotonically non-decreasing times. The
 // meter latches a sample whenever a sampling instant passes.
@@ -90,9 +82,6 @@ func (m *Meter) quantize(p float64) float64 {
 	return math.Round(p/m.ResolutionW) * m.ResolutionW
 }
 
-// Samples returns the recorded power samples in watts.
-func (m *Meter) Samples() []float64 { return append([]float64(nil), m.samples...) }
-
 // EnergyJ returns the accumulated energy in joules, computed as the sum of
 // samples times the period — exactly how a sampling meter integrates.
 func (m *Meter) EnergyJ() float64 {
@@ -102,9 +91,6 @@ func (m *Meter) EnergyJ() float64 {
 	}
 	return e
 }
-
-// EnergyKWh returns the energy in kilowatt-hours as displayed by the SP2.
-func (m *Meter) EnergyKWh() float64 { return m.EnergyJ() / 3.6e6 }
 
 // AvgPowerW returns the mean of the samples.
 func (m *Meter) AvgPowerW() float64 {

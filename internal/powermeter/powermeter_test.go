@@ -14,7 +14,7 @@ func TestConstantPowerEnergy(t *testing.T) {
 		}
 	}
 	// Samples at t=0..10 inclusive → 11 samples of 5 W × 1 s.
-	if n := len(m.Samples()); n != 11 {
+	if n := len(m.samples); n != 11 {
 		t.Errorf("got %d samples, want 11", n)
 	}
 	if got := m.EnergyJ(); math.Abs(got-55) > 1e-9 {
@@ -23,9 +23,6 @@ func TestConstantPowerEnergy(t *testing.T) {
 	if got := m.AvgPowerW(); math.Abs(got-5) > 1e-9 {
 		t.Errorf("AvgPowerW = %g, want 5", got)
 	}
-	if got := m.EnergyKWh(); math.Abs(got-55.0/3.6e6) > 1e-15 {
-		t.Errorf("EnergyKWh = %g", got)
-	}
 }
 
 func TestQuantization(t *testing.T) {
@@ -33,7 +30,7 @@ func TestQuantization(t *testing.T) {
 	if err := m.Observe(0, 5.123456); err != nil {
 		t.Fatal(err)
 	}
-	s := m.Samples()
+	s := m.samples
 	if len(s) != 1 || math.Abs(s[0]-5.12) > 1e-12 {
 		t.Errorf("sample = %v, want [5.12]", s)
 	}
@@ -41,7 +38,7 @@ func TestQuantization(t *testing.T) {
 	if err := raw.Observe(0, 5.123456); err != nil {
 		t.Fatal(err)
 	}
-	if raw.Samples()[0] != 5.123456 {
+	if raw.samples[0] != 5.123456 {
 		t.Error("zero resolution should not quantise")
 	}
 }
@@ -60,31 +57,13 @@ func TestObserveValidation(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	m := New()
-	if err := m.Observe(3, 7); err != nil {
-		t.Fatal(err)
-	}
-	m.Reset()
-	if len(m.Samples()) != 0 || m.EnergyJ() != 0 || m.AvgPowerW() != 0 {
-		t.Error("Reset should clear state")
-	}
-	// Observable again from t=0 after reset.
-	if err := m.Observe(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Samples()) != 1 {
-		t.Error("meter unusable after Reset")
-	}
-}
-
 func TestSparseObservationsCatchUp(t *testing.T) {
 	m := &Meter{PeriodS: 1}
 	// A single late observation at t=3.5 latches samples for t=0,1,2,3.
 	if err := m.Observe(3.5, 4); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(m.Samples()); n != 4 {
+	if n := len(m.samples); n != 4 {
 		t.Errorf("got %d samples, want 4", n)
 	}
 }
@@ -105,7 +84,7 @@ func TestMeterInvariantsProperty(t *testing.T) {
 		if len(steps) == 0 {
 			want = 0
 		}
-		if len(m.Samples()) != want {
+		if len(m.samples) != want {
 			return false
 		}
 		return math.Abs(m.EnergyJ()-3.0*float64(want)) < 1e-9

@@ -1,12 +1,10 @@
 // Package profile evaluates design points for applications on a platform
-// model. It offers two fidelities:
-//
-//   - Evaluate: fast analytic prediction (Eq. 3 execution time, power-model
-//     energy at thermal steady state) used to sweep large design spaces —
-//     the paper's 10 368-point diverse subset — and to fill the EEMP
-//     baseline's offline tables;
-//   - Simulate: full transient co-simulation through internal/sim for the
-//     measurements that become regression observations.
+// model. Evaluate is a fast analytic prediction (Eq. 3 execution time,
+// power-model energy at thermal steady state) used to sweep large design
+// spaces — the paper's 10 368-point diverse subset — and to fill the EEMP
+// baseline's offline tables. The measurements that become regression
+// observations are full transient runs through internal/sim
+// (core.Manager.Profile).
 //
 // The analytic path deliberately ignores transient throttling: that is
 // exactly the blind spot of offline-only approaches the paper exploits,
@@ -253,22 +251,6 @@ func (ev *Evaluator) EvaluateMany(app *workload.App, dps []mapping.DesignPoint) 
 		out = append(out, pe)
 	}
 	return out
-}
-
-// Simulate runs a full transient co-simulation of a design point with an
-// optional governor, using the paper's steady-regime protocol.
-func (ev *Evaluator) Simulate(app *workload.App, dp mapping.DesignPoint, gov sim.Governor, hotplug bool) (*sim.Result, error) {
-	cfg := sim.Config{
-		Platform:      ev.plat,
-		Net:           ev.net,
-		App:           app,
-		Map:           dp.Map,
-		Part:          dp.Part,
-		Freq:          dp.Freq,
-		Governor:      gov,
-		HotplugUnused: hotplug,
-	}
-	return sim.RunWarm(cfg)
 }
 
 // BestByET returns the evaluation with the lowest predicted execution

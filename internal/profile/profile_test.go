@@ -221,7 +221,10 @@ func TestAnalyticMatchesSimulatorWhenCool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ev.Simulate(mv, d, nil, true)
+	res, err := sim.RunWarm(sim.Config{
+		Platform: ev.plat, Net: ev.net, App: mv,
+		Map: d.Map, Part: d.Part, Freq: d.Freq, HotplugUnused: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

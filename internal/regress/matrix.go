@@ -42,15 +42,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
-	return out
-}
-
 // MulVec returns m·x.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {

@@ -247,19 +247,6 @@ func (m *Model) Coef(name string) (Coefficient, bool) {
 	return Coefficient{}, false
 }
 
-// Predict evaluates the fitted model on one observation given in predictor
-// order.
-func (m *Model) Predict(xs ...float64) (float64, error) {
-	if len(xs) != len(m.PredictorNames) {
-		return 0, fmt.Errorf("regress: Predict got %d values, want %d", len(xs), len(m.PredictorNames))
-	}
-	y := m.Coefficients[0].Estimate
-	for i, x := range xs {
-		y += m.Coefficients[i+1].Estimate * x
-	}
-	return y, nil
-}
-
 // MaxAbsResidualIndex returns the index of the observation with the largest
 // absolute residual — the outlier-drop heuristic used between the paper's
 // Table I and Table II fits.

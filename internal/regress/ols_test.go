@@ -165,6 +165,39 @@ func TestSelect(t *testing.T) {
 	}
 }
 
+// The profiling-shaped collinearity story: in a dataset where PT tracks
+// AT and EC tracks ET, the reduced model without PT and EC keeps its fit.
+func TestCollinearityWorkflow(t *testing.T) {
+	n := 16
+	ds := &Dataset{
+		ResponseName:   "M",
+		PredictorNames: []string{"AT", "ET", "PT", "EC"},
+		Predictors:     make([][]float64, 4),
+	}
+	for i := 0; i < n; i++ {
+		x := float64(i)
+		jit := float64((i*5)%3) / 5
+		at := 82 + 0.6*x + jit
+		et := 60 - 2.2*x + 0.05*x*x
+		ds.Response = append(ds.Response, 2+0.35*x+jit/3)
+		ds.Predictors[0] = append(ds.Predictors[0], at)
+		ds.Predictors[1] = append(ds.Predictors[1], et)
+		ds.Predictors[2] = append(ds.Predictors[2], at+4+jit/2)
+		ds.Predictors[3] = append(ds.Predictors[3], 9*et+30+jit)
+	}
+	reduced, err := ds.Select("AT", "ET")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Fit(reduced)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RSquared < 0.9 {
+		t.Errorf("reduced model R² = %g, want > 0.9", m.RSquared)
+	}
+}
+
 func TestLog10Response(t *testing.T) {
 	d := &Dataset{
 		ResponseName:   "M",
@@ -210,26 +243,6 @@ func TestDropRow(t *testing.T) {
 	}
 	if _, err := d.DropRow(5); err == nil {
 		t.Error("DropRow should reject out-of-range index")
-	}
-}
-
-func TestPredict(t *testing.T) {
-	d := &Dataset{
-		ResponseName:   "y",
-		Response:       []float64{3, 5, 7, 9},
-		PredictorNames: []string{"x"},
-		Predictors:     [][]float64{{1, 2, 3, 4}},
-	}
-	m, err := Fit(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := m.Predict(10)
-	if err != nil || !almost(got, 21, 1e-9) {
-		t.Errorf("Predict(10) = %g, want 21", got)
-	}
-	if _, err := m.Predict(1, 2); err == nil {
-		t.Error("Predict should reject wrong arity")
 	}
 }
 

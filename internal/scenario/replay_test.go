@@ -177,11 +177,12 @@ func TestReplayRunEndToEnd(t *testing.T) {
 func TestDeadlineViolations(t *testing.T) {
 	// COVARIANCE cannot finish in 1 s.
 	late, err := New("late").
-		ArriveJob(0, "COVARIANCE", nil, 0, 1).
+		ArriveDefault(0, "COVARIANCE").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	late.Events[0].DeadlineS = 1
 	r, err := Run(late, quickConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -192,13 +193,14 @@ func TestDeadlineViolations(t *testing.T) {
 	// The same impossible deadline is exempt when the tenant departs
 	// before it would have mattered.
 	gone, err := New("gone").
-		ArriveJob(0, "COVARIANCE", nil, 0, 1).
+		ArriveDefault(0, "COVARIANCE").
 		ArriveDefault(0, "MVT").
 		Depart(0.5, "COVARIANCE").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	gone.Events[0].DeadlineS = 1
 	r2, err := Run(gone, quickConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +210,12 @@ func TestDeadlineViolations(t *testing.T) {
 	}
 	// A generous deadline passes.
 	fine, err := New("fine").
-		ArriveJob(0, "COVARIANCE", nil, 0, 300).
+		ArriveDefault(0, "COVARIANCE").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	fine.Events[0].DeadlineS = 300
 	r3, err := Run(fine, quickConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -364,13 +367,14 @@ func TestReplayOverlappingHoldsCancelTheRecordedTenant(t *testing.T) {
 // to late drops.
 func TestDeadlineMissBeforeLateDeparture(t *testing.T) {
 	s, err := New("late-drop").
-		ArriveJob(0, "COVARIANCE", nil, 0, 1). // impossible 1 s deadline
+		ArriveDefault(0, "COVARIANCE").
 		ArriveDefault(0, "MVT").
 		Depart(5, "COVARIANCE"). // departs 4 s after the deadline passed
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Events[0].DeadlineS = 1 // impossible for COVARIANCE
 	r, err := Run(s, quickConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -380,18 +380,6 @@ func New(name string) *Builder {
 	}}
 }
 
-// Mapping sets the initial CPU/GPU mapping.
-func (b *Builder) Mapping(m mapping.Mapping) *Builder {
-	b.s.Map = m
-	return b
-}
-
-// Governor sets the initial DVFS policy name.
-func (b *Builder) Governor(name string) *Builder {
-	b.s.Governor = name
-	return b
-}
-
 // Horizon keeps the run alive until tS even when all work has drained.
 func (b *Builder) Horizon(tS float64) *Builder {
 	b.s.HorizonS = tS
@@ -415,17 +403,6 @@ func (b *Builder) ArriveDefault(tS float64, app string) *Builder {
 // (higher preempts lower; the mapping's natural split).
 func (b *Builder) ArrivePriority(tS float64, app string, priority int) *Builder {
 	b.s.Events = append(b.s.Events, Event{AtS: tS, Kind: KindArrival, App: app, Priority: priority})
-	return b
-}
-
-// ArriveJob is the general arrival: explicit or nil (natural) partition,
-// priority class, and an optional completion deadline in seconds after
-// arrival (0 = none).
-func (b *Builder) ArriveJob(tS float64, app string, part *mapping.Partition, priority int, deadlineS float64) *Builder {
-	b.s.Events = append(b.s.Events, Event{
-		AtS: tS, Kind: KindArrival, App: app,
-		Part: part, Priority: priority, DeadlineS: deadlineS,
-	})
 	return b
 }
 
@@ -483,12 +460,6 @@ func (b *Builder) AssertPeakBelow(node string, maxC float64) *Builder {
 // RequireCompletion requires every submitted job to finish.
 func (b *Builder) RequireCompletion() *Builder {
 	b.s.Final = append(b.s.Final, FinalCheck{Completed: true})
-	return b
-}
-
-// RequireExecUnder bounds the total execution time.
-func (b *Builder) RequireExecUnder(maxS float64) *Builder {
-	b.s.Final = append(b.s.Final, FinalCheck{MaxExecS: maxS})
 	return b
 }
 

@@ -26,7 +26,9 @@ func TestBuilderAndValidation(t *testing.T) {
 		{"no arrivals", func() (*Scenario, error) { return New("x").AmbientStep(1, 40).Build() }},
 		{"unknown app", func() (*Scenario, error) { return New("x").ArriveDefault(0, "NOPE").Build() }},
 		{"unknown governor", func() (*Scenario, error) {
-			return New("x").ArriveDefault(0, "COVARIANCE").Governor("nope").Build()
+			b := New("x").ArriveDefault(0, "COVARIANCE")
+			b.s.Governor = "nope"
+			return b.Build()
 		}},
 		{"unknown switch target", func() (*Scenario, error) {
 			return New("x").ArriveDefault(0, "COVARIANCE").SwitchGovernor(5, "nope").Build()
@@ -39,7 +41,9 @@ func TestBuilderAndValidation(t *testing.T) {
 			return New("x").ArriveDefault(0, "COVARIANCE").AssertTempBelow(1, "", 95).Build()
 		}},
 		{"negative deadline", func() (*Scenario, error) {
-			return New("x").ArriveJob(0, "COVARIANCE", nil, 0, -5).Build()
+			b := New("x")
+			b.s.Events = append(b.s.Events, Event{Kind: KindArrival, App: "COVARIANCE", DeadlineS: -5})
+			return b.Build()
 		}},
 		{"departure without app", func() (*Scenario, error) {
 			return New("x").ArriveDefault(0, "COVARIANCE").Depart(5, "").Build()
@@ -85,16 +89,17 @@ func TestValidateSurplusDepartureDeterministic(t *testing.T) {
 func TestValidateRejectsNonFinite(t *testing.T) {
 	base := func() *Scenario {
 		sc, err := New("numbers").
-			ArriveJob(0, "MVT", nil, 0, 30).
+			ArriveDefault(0, "MVT").
 			AmbientRamp(1, 2, 40).
 			AssertTempBelow(2, NodeBig, 95).
 			AssertPeakBelow(NodeBig, 96).
-			RequireExecUnder(60).
 			Horizon(5).
 			Build()
 		if err != nil {
 			t.Fatal(err)
 		}
+		sc.Events[0].DeadlineS = 30
+		sc.Final = append(sc.Final, FinalCheck{MaxExecS: 60})
 		return sc
 	}
 	cases := []struct {

@@ -100,7 +100,7 @@ func assertSuperstepContract(t *testing.T, rJ, rF *Result) {
 	// fixed-tick trace thinned to a subset of its record instants (the
 	// closing sample, the final model state, included), with the same
 	// committed states there.
-	sub := trace.New(sF.Trace.NodeNames, sF.Trace.ClusterNames)
+	sub := trace.NewWithCap(sF.Trace.NodeNames, sF.Trace.ClusterNames, 0)
 	fixed := sF.Trace.Samples
 	for _, s := range sJ.Trace.Samples {
 		for len(fixed) > 0 && fixed[0].TimeS < s.TimeS {

@@ -145,11 +145,3 @@ func (s *Service) span(j *Job, phase, detail string, attempt int) {
 		Detail:  detail,
 	})
 }
-
-// Trace replays the service-wide span ring from the beginning, invoking
-// emit for every NDJSON line. With follow it then blocks for new spans
-// until ctx is cancelled or emit fails; without, it returns after the
-// replay.
-func (s *Service) Trace(ctx context.Context, follow bool, emit func(line []byte) error) error {
-	return s.spans.follow(ctx, follow, emit)
-}

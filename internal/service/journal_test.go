@@ -271,7 +271,7 @@ func TestJournalWriteErrorsDegradeNotFail(t *testing.T) {
 			t.Fatalf("job ended %s with journal faults: %s", js.Status, js.Error)
 		}
 	}
-	if got := s.Metrics().JournalErrors(); got == 0 {
+	if got := s.metrics.journalErrors.Value(); got == 0 {
 		t.Error("journal error faults fired but journal_errors stayed 0")
 	}
 }

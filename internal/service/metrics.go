@@ -176,16 +176,11 @@ func (v *Metrics) Cancelled() int64 { return v.m.cancelled.Value() }
 func (v *Metrics) CacheHits() int64 { return v.m.cacheHits.Value() }
 
 // Shed counts queued jobs displaced by higher-priority submissions;
-// Retried counts transient-failure re-executions; QuotaRejected counts
-// submissions refused by tenant quotas; Recoveries counts jobs re-run
-// from the journal at startup.
-func (v *Metrics) Shed() int64          { return v.m.shed.Value() }
-func (v *Metrics) Retried() int64       { return v.m.retried.Value() }
-func (v *Metrics) QuotaRejected() int64 { return v.m.quotaRejected.Value() }
-func (v *Metrics) Recoveries() int64    { return v.m.recoveries.Value() }
-
-// JournalErrors counts dropped or failed write-ahead journal writes.
-func (v *Metrics) JournalErrors() int64 { return v.m.journalErrors.Value() }
+// Retried counts transient-failure re-executions; Recoveries counts jobs
+// re-run from the journal at startup.
+func (v *Metrics) Shed() int64       { return v.m.shed.Value() }
+func (v *Metrics) Retried() int64    { return v.m.retried.Value() }
+func (v *Metrics) Recoveries() int64 { return v.m.recoveries.Value() }
 
 // LatencyP50 and LatencyP99 estimate the job submit→finish latency
 // percentiles, in seconds, from the teemd_job_latency_seconds histogram:
@@ -193,12 +188,6 @@ func (v *Metrics) JournalErrors() int64 { return v.m.journalErrors.Value() }
 // histogram_quantile.
 func (v *Metrics) LatencyP50() float64 { return v.m.latencyQuantile(0.50) }
 func (v *Metrics) LatencyP99() float64 { return v.m.latencyQuantile(0.99) }
-
-// Tenant returns the named tenant's counters as a map (queued,
-// submitted, done, shed, quota_rejected).
-func (v *Metrics) Tenant(name string) map[string]int64 {
-	return v.m.tenant(name).vars()
-}
 
 // vars returns the metric set as a JSON-marshalable map — served at
 // /metrics. Every top-level key but "tenants" is also a teemd.* expvar.

@@ -221,7 +221,7 @@ func TestTraceSpansLifecycle(t *testing.T) {
 	}
 
 	var spans []obs.Span
-	if err := s.Trace(context.Background(), false, func(line []byte) error {
+	if err := s.spans.follow(context.Background(), false, func(line []byte) error {
 		var sp obs.Span
 		if err := json.Unmarshal(line, &sp); err != nil {
 			return fmt.Errorf("bad span line %q: %v", line, err)
@@ -268,7 +268,7 @@ func TestTraceFollowDeliversLive(t *testing.T) {
 	got := make(chan obs.Span, 64)
 	errc := make(chan error, 1)
 	go func() {
-		errc <- s.Trace(ctx, true, func(line []byte) error {
+		errc <- s.spans.follow(ctx, true, func(line []byte) error {
 			var sp obs.Span
 			if err := json.Unmarshal(line, &sp); err != nil {
 				return err
@@ -323,7 +323,7 @@ func TestTraceIDSurvivesRecovery(t *testing.T) {
 		t.Errorf("recovered trace id = %q, want the journalled 00aa11bb22cc33dd", js.TraceID)
 	}
 	var phases []string
-	_ = s.Trace(context.Background(), false, func(line []byte) error {
+	_ = s.spans.follow(context.Background(), false, func(line []byte) error {
 		var sp obs.Span
 		if err := json.Unmarshal(line, &sp); err != nil {
 			return err

@@ -56,10 +56,10 @@ func TestQuotaRateLimitPerTenant(t *testing.T) {
 	if _, _, err := s.Submit(&JobRequest{Scenario: tinyScenarioJSON(t, "q3"), Tenant: "beta"}); err != nil {
 		t.Fatalf("other tenant's submission: %v", err)
 	}
-	if got := s.Metrics().QuotaRejected(); got != 1 {
+	if got := s.metrics.quotaRejected.Value(); got != 1 {
 		t.Errorf("quota_rejected = %d, want 1", got)
 	}
-	if got := s.Metrics().Tenant("alpha")["quota_rejected"]; got != 1 {
+	if got := s.metrics.tenant("alpha").vars()["quota_rejected"]; got != 1 {
 		t.Errorf("tenant alpha quota_rejected = %d, want 1", got)
 	}
 	// A cache hit costs no token: repeating q1 succeeds from the cache
@@ -138,7 +138,7 @@ func TestFloodingTenantCannotStarveHigherPriority(t *testing.T) {
 	if got := s.Metrics().Shed(); got != 1 {
 		t.Errorf("jobs_shed = %d, want 1", got)
 	}
-	if got := s.Metrics().Tenant("noisy")["shed"]; got != 1 {
+	if got := s.metrics.tenant("noisy").vars()["shed"]; got != 1 {
 		t.Errorf("tenant noisy shed = %d, want 1", got)
 	}
 

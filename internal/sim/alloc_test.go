@@ -69,7 +69,7 @@ func TestTickZeroAllocsBetweenEvents(t *testing.T) {
 	}
 	// A queued arrival, a suspended preemptee and far-future events: the
 	// hot loop must not pay for any of them until they come due.
-	if err := e.EnqueueApp(workload.Syrk(), mapping.Partition{Num: 4, Den: 8}); err != nil {
+	if _, err := e.EnqueueAppPriority(workload.Syrk(), mapping.Partition{Num: 4, Den: 8}, 0); err != nil {
 		t.Fatal(err)
 	}
 	// A high-priority arrival preempts the live COVARIANCE, parking it in

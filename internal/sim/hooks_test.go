@@ -292,7 +292,7 @@ func TestEnqueueAppRunsFIFO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EnqueueApp(workload.Syrk(), mapping.Partition{Num: 4, Den: 8}); err != nil {
+	if _, err := e.EnqueueAppPriority(workload.Syrk(), mapping.Partition{Num: 4, Den: 8}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if e.QueuedJobs() != 1 {
@@ -332,7 +332,8 @@ func TestIdleStartArrivalAndHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e.ScheduleAt(2, func(e *Engine) error {
-		return e.EnqueueApp(workload.Covariance(), mapping.Partition{Num: 4, Den: 8})
+		_, err := e.EnqueueAppPriority(workload.Covariance(), mapping.Partition{Num: 4, Den: 8}, 0)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +402,8 @@ func TestArrivalPrimesUtil(t *testing.T) {
 	}
 	var actUtil float64 = -1
 	if err := e.ScheduleAt(0, func(e *Engine) error {
-		return e.EnqueueApp(workload.Covariance(), mapping.Partition{Num: 4, Den: 8})
+		_, err := e.EnqueueAppPriority(workload.Covariance(), mapping.Partition{Num: 4, Den: 8}, 0)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

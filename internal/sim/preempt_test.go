@@ -318,7 +318,8 @@ func TestExecTimeAllJobsCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := e2.ScheduleAt(1, func(e *Engine) error {
-		return e.EnqueueApp(workload.Covariance(), mapping.Partition{Num: 4, Den: 8})
+		_, err := e.EnqueueAppPriority(workload.Covariance(), mapping.Partition{Num: 4, Den: 8}, 0)
+		return err
 	}); err != nil {
 		t.Fatal(err)
 	}

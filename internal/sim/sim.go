@@ -36,10 +36,10 @@
 // Beyond single static runs the engine exposes the hooks the scenario
 // subsystem (internal/scenario) is built on: callbacks scheduled at tick
 // granularity (ScheduleAt), a priority-aware preemptive job queue on top
-// of the remaining-work machinery (EnqueueApp, EnqueueAppPriority,
-// CancelJob), and mid-run switches of governor, mapping, partition and
-// ambient temperature (SetGovernor, SetMapping, SetPartition,
-// SetAmbientC). A higher-priority arrival suspends the live job — its
+// of the remaining-work machinery (EnqueueAppPriority, CancelJob), and
+// mid-run switches of governor, mapping, partition and ambient
+// temperature (SetGovernor, SetMapping, SetPartition, SetAmbientC). A
+// higher-priority arrival suspends the live job — its
 // remaining CPU/GPU work-items are parked in the queue and resume intact
 // once the preemptor drains — and a cancellation drops a queued or live
 // job, charging only the work already done. Event dispatch costs a single
@@ -130,7 +130,8 @@ type Config struct {
 	Net *thermal.Network
 	// App is the workload started at t=0. It may be nil only when
 	// MinTimeS is positive: the engine then starts idle and runs work
-	// enqueued by scheduled events (EnqueueApp) — the scenario regime.
+	// enqueued by scheduled events (EnqueueAppPriority) — the scenario
+	// regime.
 	App *workload.App
 	// Map selects the CPU cores used; Part splits work-items between
 	// CPU and GPU.
@@ -781,13 +782,6 @@ func (e *Engine) ScheduleAt(tS float64, fn func(*Engine) error) error {
 	return nil
 }
 
-// EnqueueApp submits an application at the default priority 0 — the
-// classic FIFO arrival. See EnqueueAppPriority for the full contract.
-func (e *Engine) EnqueueApp(app *workload.App, part mapping.Partition) error {
-	_, err := e.EnqueueAppPriority(app, part, 0)
-	return err
-}
-
 // EnqueueAppPriority submits an application with its work-item partition
 // and a scheduling priority (higher runs first; equal priorities run FIFO
 // in arrival order). The returned id is the job's handle for CancelJob
@@ -802,7 +796,7 @@ func (e *Engine) EnqueueApp(app *workload.App, part mapping.Partition) error {
 // in between.
 func (e *Engine) EnqueueAppPriority(app *workload.App, part mapping.Partition, priority int) (int, error) {
 	if app == nil {
-		return 0, errors.New("sim: EnqueueApp needs an app")
+		return 0, errors.New("sim: EnqueueAppPriority needs an app")
 	}
 	if err := app.Validate(); err != nil {
 		return 0, err

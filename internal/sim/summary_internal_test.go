@@ -23,7 +23,7 @@ func TestSummaryMatchesTraceEdgeCases(t *testing.T) {
 	for name, recs := range cases {
 		var s summary
 		s.init(2, 0, 0)
-		tr := trace.New([]string{"big", "pkg"}, []string{"big"})
+		tr := trace.NewWithCap([]string{"big", "pkg"}, []string{"big"}, 0)
 		for _, r := range recs {
 			s.add(r.t, r.temps, r.freq)
 			if err := tr.Append(trace.Sample{TimeS: r.t, TempsC: r.temps, FreqsMHz: []int{r.freq}}); err != nil {

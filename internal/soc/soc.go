@@ -177,13 +177,6 @@ func (c *Cluster) CeilOPP(freqMHz int) OPP {
 	return c.OPPs[len(c.OPPs)-1]
 }
 
-// StepDown returns the OPP delta MHz below the given frequency, clamped to
-// the cluster minimum and snapped to a supported point. This implements the
-// paper's "reduce the frequency level of the A15 core by a delta value".
-func (c *Cluster) StepDown(freqMHz, deltaMHz int) OPP {
-	return c.FloorOPP(freqMHz - deltaMHz)
-}
-
 // VoltageAt returns the rail voltage required for the given frequency,
 // snapping up to the next supported OPP.
 func (c *Cluster) VoltageAt(freqMHz int) float64 {
@@ -202,8 +195,8 @@ type Platform struct {
 	// Name identifies the SoC, e.g. "Exynos5422".
 	Name string
 	// Clusters lists the voltage/frequency islands. By convention CPU
-	// clusters come first; use FindCluster or the Kind helpers for
-	// order-independent access.
+	// clusters come first; use FirstOfKind or the Big, Little and GPU
+	// helpers for order-independent access.
 	Clusters []Cluster
 	// BoardBaselineW is the constant power draw of the rest of the
 	// board (regulators, memory at idle, peripherals) in watts, as seen
@@ -269,26 +262,6 @@ func (p *Platform) Validate() error {
 	return nil
 }
 
-// FindCluster returns the cluster with the given name, or nil.
-func (p *Platform) FindCluster(name string) *Cluster {
-	for i := range p.Clusters {
-		if p.Clusters[i].Name == name {
-			return &p.Clusters[i]
-		}
-	}
-	return nil
-}
-
-// ClusterIndex returns the index of the named cluster, or -1.
-func (p *Platform) ClusterIndex(name string) int {
-	for i := range p.Clusters {
-		if p.Clusters[i].Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // FirstOfKind returns the first cluster of the given kind, or nil.
 func (p *Platform) FirstOfKind(k ClusterKind) *Cluster {
 	for i := range p.Clusters {
@@ -307,15 +280,3 @@ func (p *Platform) Little() *Cluster { return p.FirstOfKind(LittleCPU) }
 
 // GPU returns the GPU cluster (nil if the platform has none).
 func (p *Platform) GPU() *Cluster { return p.FirstOfKind(GPU) }
-
-// TotalCPUCores returns the number of CPU cores across big and LITTLE
-// clusters.
-func (p *Platform) TotalCPUCores() int {
-	n := 0
-	for i := range p.Clusters {
-		if p.Clusters[i].Kind == BigCPU || p.Clusters[i].Kind == LittleCPU {
-			n += p.Clusters[i].NumCores
-		}
-	}
-	return n
-}

@@ -19,18 +19,18 @@ func TestExynos5422OPPCounts(t *testing.T) {
 	// The paper: 19 big OPPs, 13 LITTLE OPPs, 7 GPU OPPs.
 	cases := []struct {
 		name string
+		cl   *Cluster
 		want int
 	}{
-		{"A15", 19},
-		{"A7", 13},
-		{"MaliT628", 7},
+		{"A15", p.Big(), 19},
+		{"A7", p.Little(), 13},
+		{"MaliT628", p.GPU(), 7},
 	}
 	for _, c := range cases {
-		cl := p.FindCluster(c.name)
-		if cl == nil {
+		if c.cl == nil || c.cl.Name != c.name {
 			t.Fatalf("cluster %s missing", c.name)
 		}
-		if got := cl.NumOPPs(); got != c.want {
+		if got := c.cl.NumOPPs(); got != c.want {
 			t.Errorf("%s: got %d OPPs, want %d", c.name, got, c.want)
 		}
 	}
@@ -103,25 +103,6 @@ func TestOPPLookups(t *testing.T) {
 	}
 }
 
-func TestStepDown(t *testing.T) {
-	big := Exynos5422().Big()
-	// The paper's online loop: step the A15 down by delta=200 MHz.
-	cases := []struct {
-		from, delta, want int
-	}{
-		{2000, 200, 1800},
-		{1800, 200, 1600},
-		{1500, 200, 1300},
-		{300, 200, 200},
-		{200, 200, 200}, // cannot go below the minimum OPP
-	}
-	for _, c := range cases {
-		if got := big.StepDown(c.from, c.delta).FreqMHz; got != c.want {
-			t.Errorf("StepDown(%d, %d) = %d, want %d", c.from, c.delta, got, c.want)
-		}
-	}
-}
-
 func TestVoltageMonotonic(t *testing.T) {
 	p := Exynos5422()
 	for _, cl := range p.Clusters {
@@ -148,17 +129,12 @@ func TestVoltageAt(t *testing.T) {
 
 func TestPlatformAccessors(t *testing.T) {
 	p := Exynos5422()
-	if p.FindCluster("nope") != nil {
-		t.Error("FindCluster should return nil for unknown name")
+	if p.Big() != &p.Clusters[0] || p.Little() != &p.Clusters[1] || p.GPU() != &p.Clusters[2] {
+		t.Error("Big, Little and GPU should return the A15, A7 and Mali clusters")
 	}
-	if p.ClusterIndex("A7") != 1 {
-		t.Errorf("ClusterIndex(A7) = %d, want 1", p.ClusterIndex("A7"))
-	}
-	if p.ClusterIndex("nope") != -1 {
-		t.Error("ClusterIndex should return -1 for unknown name")
-	}
-	if p.TotalCPUCores() != 8 {
-		t.Errorf("TotalCPUCores = %d, want 8", p.TotalCPUCores())
+	p.Clusters = p.Clusters[:2]
+	if p.GPU() != nil {
+		t.Error("GPU should return nil on a platform without one")
 	}
 }
 
@@ -292,20 +268,6 @@ func TestCeilOPPProperty(t *testing.T) {
 			return false
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: StepDown never increases frequency and never leaves the OPP
-// table.
-func TestStepDownProperty(t *testing.T) {
-	big := Exynos5422().Big()
-	f := func(fromIdx uint8, delta uint16) bool {
-		from := big.OPPs[int(fromIdx)%len(big.OPPs)].FreqMHz
-		got := big.StepDown(from, int(delta))
-		return got.FreqMHz <= from && big.OPPIndex(got.FreqMHz) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

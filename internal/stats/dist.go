@@ -145,30 +145,6 @@ func FTestPValue(f, df1, df2 float64) float64 {
 	return p
 }
 
-// NormalCDF returns P(Z ≤ z) for a standard normal variable.
-func NormalCDF(z float64) float64 {
-	return 0.5 * math.Erfc(-z/math.Sqrt2)
-}
-
-// StudentTQuantile returns the t value such that P(T ≤ t) = p for df
-// degrees of freedom, found by bisection on the CDF. It is used for
-// confidence intervals on regression coefficients.
-func StudentTQuantile(p, df float64) float64 {
-	if df <= 0 || p <= 0 || p >= 1 {
-		return math.NaN()
-	}
-	lo, hi := -1e6, 1e6
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if StudentTCDF(mid, df) < p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // SignifCode returns R's significance stars for a p-value:
 // "***" ≤0.001, "**" ≤0.01, "*" ≤0.05, "." ≤0.1, "" otherwise.
 func SignifCode(p float64) string {

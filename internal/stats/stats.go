@@ -1,8 +1,7 @@
 // Package stats provides the descriptive statistics and probability
 // distributions required by the regression engine and the evaluation
-// metrics: means, variances, R-compatible quantiles, Pearson correlation,
-// and the Student-t, Fisher F and normal distributions (via the regularised
-// incomplete beta and gamma functions).
+// metrics: means, variances, R-compatible quantiles, and the Student-t and
+// Fisher F distributions (via the regularised incomplete beta function).
 //
 // Everything is implemented from scratch on the standard library so the
 // module stays dependency-free.
@@ -17,8 +16,7 @@ import (
 // ErrEmpty is returned by descriptive statistics on empty input.
 var ErrEmpty = errors.New("stats: empty input")
 
-// Mean returns the arithmetic mean of xs. It returns 0 for empty input;
-// callers that must distinguish use MeanErr.
+// Mean returns the arithmetic mean of xs. It returns 0 for empty input.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -28,14 +26,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// MeanErr is Mean with an explicit empty-input error.
-func MeanErr(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	return Mean(xs), nil
 }
 
 // Variance returns the unbiased sample variance (divisor n-1) of xs.
@@ -52,24 +42,6 @@ func Variance(xs []float64) float64 {
 		ss += d * d
 	}
 	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// PopVariance returns the population variance (divisor n) of xs.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	m := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(n)
 }
 
 // MinMax returns the smallest and largest values of xs.
@@ -122,27 +94,4 @@ func FiveNum(xs []float64) (min, q1, med, q3, max float64, err error) {
 	med, _ = Quantile(xs, 0.50)
 	q3, _ = Quantile(xs, 0.75)
 	return min, q1, med, q3, max, nil
-}
-
-// Pearson returns the Pearson product-moment correlation coefficient of
-// paired samples xs, ys.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: Pearson inputs have different lengths")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: Pearson input has zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
 }

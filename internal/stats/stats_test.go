@@ -16,9 +16,6 @@ func TestMean(t *testing.T) {
 	if got := Mean(nil); got != 0 {
 		t.Errorf("Mean(nil) = %g, want 0", got)
 	}
-	if _, err := MeanErr(nil); !errors.Is(err, ErrEmpty) {
-		t.Errorf("MeanErr(nil) err = %v, want ErrEmpty", err)
-	}
 }
 
 func TestVariance(t *testing.T) {
@@ -27,14 +24,8 @@ func TestVariance(t *testing.T) {
 	if got := Variance(xs); !almost(got, 32.0/7.0, 1e-12) {
 		t.Errorf("Variance = %g, want %g", got, 32.0/7.0)
 	}
-	if got := PopVariance(xs); !almost(got, 4.0, 1e-12) {
-		t.Errorf("PopVariance = %g, want 4", got)
-	}
 	if Variance([]float64{5}) != 0 {
 		t.Error("Variance of singleton should be 0")
-	}
-	if !almost(StdDev(xs), math.Sqrt(32.0/7.0), 1e-12) {
-		t.Error("StdDev inconsistent with Variance")
 	}
 }
 
@@ -95,26 +86,6 @@ func TestFiveNum(t *testing.T) {
 	}
 	if _, _, _, _, _, err := FiveNum(nil); !errors.Is(err, ErrEmpty) {
 		t.Error("FiveNum(nil) should return ErrEmpty")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || !almost(r, 1, 1e-12) {
-		t.Errorf("Pearson perfect positive = %g, want 1", r)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, _ = Pearson(xs, neg)
-	if !almost(r, -1, 1e-12) {
-		t.Errorf("Pearson perfect negative = %g, want -1", r)
-	}
-	if _, err := Pearson(xs, xs[:3]); err == nil {
-		t.Error("Pearson length mismatch should error")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Error("Pearson zero-variance input should error")
 	}
 }
 
@@ -200,32 +171,6 @@ func TestFCDFEdgeCases(t *testing.T) {
 	}
 	if !math.IsNaN(FCDF(1, 0, 10)) {
 		t.Error("FCDF with df1=0 should be NaN")
-	}
-}
-
-func TestNormalCDF(t *testing.T) {
-	if got := NormalCDF(0); !almost(got, 0.5, 1e-12) {
-		t.Errorf("Φ(0) = %g", got)
-	}
-	if got := NormalCDF(1.959964); !almost(got, 0.975, 1e-6) {
-		t.Errorf("Φ(1.96) = %g, want 0.975", got)
-	}
-}
-
-func TestStudentTQuantile(t *testing.T) {
-	// Round-trip: CDF(Quantile(p)) == p.
-	for _, p := range []float64{0.025, 0.5, 0.975} {
-		q := StudentTQuantile(p, 13)
-		if got := StudentTCDF(q, 13); !almost(got, p, 1e-9) {
-			t.Errorf("CDF(Quantile(%g)) = %g", p, got)
-		}
-	}
-	// Known value: t_{0.975, 10} ≈ 2.2281.
-	if q := StudentTQuantile(0.975, 10); !almost(q, 2.2281, 1e-3) {
-		t.Errorf("t_{0.975,10} = %g, want ≈2.2281", q)
-	}
-	if !math.IsNaN(StudentTQuantile(0, 10)) || !math.IsNaN(StudentTQuantile(0.5, -1)) {
-		t.Error("invalid quantile arguments should give NaN")
 	}
 }
 

@@ -30,8 +30,7 @@ import (
 // and updates that model's temperatures in place; Step performs zero heap
 // allocations. A Stepper must not be shared across goroutines.
 type Stepper struct {
-	m  *Model
-	dt float64
+	m *Model
 	// a is exp(M·dt), flat row-major n×n.
 	a []float64
 	// bp maps the power vector to its temperature contribution:
@@ -146,18 +145,12 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 			}
 		}
 	}
-	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
+	return &Stepper{m: m, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
 }
-
-// Model returns the model this stepper advances.
-func (s *Stepper) Model() *Model { return s.m }
 
 // CacheHit reports whether this stepper reused a cached propagator
 // instead of computing the matrix exponential.
 func (s *Stepper) CacheHit() bool { return s.cacheHit }
-
-// Dt returns the fixed step the propagator was built for.
-func (s *Stepper) Dt() float64 { return s.dt }
 
 // Step advances the bound model by the stepper's fixed dt with the given
 // per-node power injection in watts. It allocates nothing.

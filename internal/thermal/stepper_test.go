@@ -190,9 +190,6 @@ func TestStepperValidation(t *testing.T) {
 	if err := st.Step([]float64{1, 2}); err == nil {
 		t.Error("Step should reject a wrong-length power vector")
 	}
-	if st.Dt() != 0.01 {
-		t.Errorf("Dt() = %g, want 0.01", st.Dt())
-	}
 }
 
 // Allocation-regression guards: the hot-path integrators must not touch

@@ -11,7 +11,7 @@ import (
 // step — the arithmetic a fixed-tick simulation performs.
 func affineReference(t *testing.T, st *Stepper, pConst, slope []float64, ticks int) []float64 {
 	t.Helper()
-	m := st.Model()
+	m := st.m
 	n := len(pConst)
 	inj := make([]float64, n)
 	for k := 0; k < ticks; k++ {
@@ -247,7 +247,7 @@ func TestSuperstepFormSharing(t *testing.T) {
 		}
 	}
 	for i := range p {
-		if x, y := steppers[0].Model().Temp(i), steppers[1].Model().Temp(i); math.Float64bits(x) != math.Float64bits(y) {
+		if x, y := steppers[0].m.Temp(i), steppers[1].m.Temp(i); math.Float64bits(x) != math.Float64bits(y) {
 			t.Errorf("node %d: %v vs %v", i, x, y)
 		}
 	}

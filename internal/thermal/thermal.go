@@ -110,7 +110,6 @@ func (n *Network) NodeIndex(name string) int {
 
 // Model integrates node temperatures over time.
 type Model struct {
-	net      *Network
 	ambientC float64
 	temps    []float64
 	n        int
@@ -138,7 +137,6 @@ func NewModel(net *Network, ambientC float64) (*Model, error) {
 	}
 	n := len(net.Nodes)
 	m := &Model{
-		net:      net,
 		ambientC: ambientC,
 		temps:    make([]float64, n),
 		n:        n,
@@ -189,12 +187,6 @@ func NewModel(net *Network, ambientC float64) (*Model, error) {
 	return m, nil
 }
 
-// Network returns the model topology.
-func (m *Model) Network() *Network { return m.net }
-
-// AmbientC returns the boundary temperature.
-func (m *Model) AmbientC() float64 { return m.ambientC }
-
 // SetAmbientC changes the boundary temperature (e.g. to model the device
 // moving into sunlight); node temperatures are unaffected until stepped.
 func (m *Model) SetAmbientC(t float64) { m.ambientC = t }
@@ -216,13 +208,6 @@ func (m *Model) SetTemps(t []float64) error {
 	}
 	copy(m.temps, t)
 	return nil
-}
-
-// Reset returns all nodes to ambient.
-func (m *Model) Reset() {
-	for i := range m.temps {
-		m.temps[i] = m.ambientC
-	}
 }
 
 // Step advances the model by dt seconds with the given per-node power

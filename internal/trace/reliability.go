@@ -4,10 +4,9 @@ import "math"
 
 // Reliability-oriented thermal metrics. The paper argues thermal cycling
 // and gradients "impair the reliability of the device" ([1], [6]–[8]);
-// these metrics quantify that: thermal cycle counting (peak/valley
+// these metrics quantify cycling: thermal cycle counting (peak/valley
 // excursions beyond a hysteresis, the input to Coffin-Manson style
-// lifetime models), cycle amplitude, and the spatial gradient between die
-// locations that drives thermo-mechanical stress.
+// lifetime models).
 
 // ThermalCycle is one detected temperature excursion.
 type ThermalCycle struct {
@@ -80,47 +79,4 @@ func (t *Trace) ThermalCycles(i int, minAmplitudeC float64) []ThermalCycle {
 // fewer and shallower cycles mean a longer-lived chip.
 func (t *Trace) CycleCount(i int, minAmplitudeC float64) int {
 	return len(t.ThermalCycles(i, minAmplitudeC))
-}
-
-// MeanCycleAmplitude returns the average swing of detected cycles (0 when
-// none).
-func (t *Trace) MeanCycleAmplitude(i int, minAmplitudeC float64) float64 {
-	cs := t.ThermalCycles(i, minAmplitudeC)
-	if len(cs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, c := range cs {
-		s += c.AmplitudeC
-	}
-	return s / float64(len(cs))
-}
-
-// SpatialGradient returns the time-averaged absolute temperature
-// difference between two nodes — the on-die gradient that drives
-// thermo-mechanical stress (0 when either index is out of range).
-func (t *Trace) SpatialGradient(i, j int) float64 {
-	if !t.validNode(i) || !t.validNode(j) || t.Len() == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, smp := range t.Samples {
-		s += math.Abs(smp.TempsC[i] - smp.TempsC[j])
-	}
-	return s / float64(t.Len())
-}
-
-// MaxSpatialGradient returns the largest instantaneous gradient between
-// two nodes (0 when either index is out of range).
-func (t *Trace) MaxSpatialGradient(i, j int) float64 {
-	if !t.validNode(i) || !t.validNode(j) {
-		return 0
-	}
-	m := 0.0
-	for _, smp := range t.Samples {
-		if d := math.Abs(smp.TempsC[i] - smp.TempsC[j]); d > m {
-			m = d
-		}
-	}
-	return m
 }

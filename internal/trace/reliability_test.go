@@ -9,7 +9,7 @@ import (
 // number of full cycles.
 func sawtooth(t *testing.T, lo, hi float64, cycles int) *Trace {
 	t.Helper()
-	tr := New([]string{"big", "gpu"}, []string{"c"})
+	tr := NewWithCap([]string{"big", "gpu"}, []string{"c"}, 0)
 	tm := 0.0
 	add := func(v float64) {
 		if err := tr.Append(Sample{TimeS: tm, TempsC: []float64{v, v - 10}, FreqsMHz: []int{1}}); err != nil {
@@ -45,9 +45,6 @@ func TestThermalCyclesSawtooth(t *testing.T) {
 	if got := tr.CycleCount(0, 2); got != 8 {
 		t.Errorf("CycleCount = %d", got)
 	}
-	if got := tr.MeanCycleAmplitude(0, 2); math.Abs(got-5) > 1e-9 {
-		t.Errorf("MeanCycleAmplitude = %g", got)
-	}
 }
 
 func TestThermalCyclesHysteresis(t *testing.T) {
@@ -59,7 +56,7 @@ func TestThermalCyclesHysteresis(t *testing.T) {
 }
 
 func TestThermalCyclesFlat(t *testing.T) {
-	tr := New([]string{"n"}, []string{"c"})
+	tr := NewWithCap([]string{"n"}, []string{"c"}, 0)
 	for i := 0; i < 10; i++ {
 		if err := tr.Append(Sample{TimeS: float64(i), TempsC: []float64{85}, FreqsMHz: []int{1}}); err != nil {
 			t.Fatal(err)
@@ -68,34 +65,16 @@ func TestThermalCyclesFlat(t *testing.T) {
 	if got := tr.CycleCount(0, 1); got != 0 {
 		t.Errorf("flat trace cycles = %d", got)
 	}
-	if got := tr.MeanCycleAmplitude(0, 1); got != 0 {
-		t.Errorf("flat trace amplitude = %g", got)
-	}
 }
 
 func TestThermalCyclesEdgeCases(t *testing.T) {
-	tr := New([]string{"n"}, []string{"c"})
+	tr := NewWithCap([]string{"n"}, []string{"c"}, 0)
 	if cs := tr.ThermalCycles(0, 1); cs != nil {
 		t.Error("empty trace should have no cycles")
 	}
 	tr = sawtooth(t, 90, 95, 1)
 	if cs := tr.ThermalCycles(0, 0); cs != nil {
 		t.Error("non-positive hysteresis should return nil")
-	}
-}
-
-func TestSpatialGradient(t *testing.T) {
-	tr := sawtooth(t, 90, 95, 2)
-	// Node 1 tracks node 0 minus 10 by construction.
-	if got := tr.SpatialGradient(0, 1); math.Abs(got-10) > 1e-9 {
-		t.Errorf("SpatialGradient = %g, want 10", got)
-	}
-	if got := tr.MaxSpatialGradient(0, 1); math.Abs(got-10) > 1e-9 {
-		t.Errorf("MaxSpatialGradient = %g, want 10", got)
-	}
-	empty := New([]string{"a", "b"}, nil)
-	if empty.SpatialGradient(0, 1) != 0 || empty.MaxSpatialGradient(0, 1) != 0 {
-		t.Error("empty trace gradients should be 0")
 	}
 }
 
@@ -110,15 +89,6 @@ func TestMetricsUnknownNodeIndex(t *testing.T) {
 		t.Fatalf("NodeIndex on an unknown node = %d, want -1", bad)
 	}
 	for _, idx := range []int{bad, len(tr.NodeNames)} {
-		if got := tr.SpatialGradient(idx, 0); got != 0 {
-			t.Errorf("SpatialGradient(%d, 0) = %g, want 0", idx, got)
-		}
-		if got := tr.SpatialGradient(0, idx); got != 0 {
-			t.Errorf("SpatialGradient(0, %d) = %g, want 0", idx, got)
-		}
-		if got := tr.MaxSpatialGradient(idx, 0); got != 0 {
-			t.Errorf("MaxSpatialGradient(%d, 0) = %g, want 0", idx, got)
-		}
 		if got := tr.ThermalCycles(idx, 2); got != nil {
 			t.Errorf("ThermalCycles(%d) = %v, want nil", idx, got)
 		}

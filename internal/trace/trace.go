@@ -58,11 +58,6 @@ const (
 	maxBlockSamples = 1024
 )
 
-// New creates an empty trace with the given series labels.
-func New(nodeNames, clusterNames []string) *Trace {
-	return NewWithCap(nodeNames, clusterNames, 0)
-}
-
 // NewWithCap creates an empty trace sized for an expected number of
 // samples (a simulation run passes its scenario horizon, or a measured
 // run its warm-up's sample count). The hint is a capacity optimisation
@@ -226,16 +221,6 @@ func (t *Trace) Freqs(i int) []float64 {
 		out[k] = float64(s.FreqsMHz[i])
 	}
 	return out
-}
-
-// EnergyJ integrates board power over time with the trapezoid rule.
-func (t *Trace) EnergyJ() float64 {
-	e := 0.0
-	for i := 1; i < len(t.Samples); i++ {
-		dt := t.Samples[i].TimeS - t.Samples[i-1].TimeS
-		e += 0.5 * (t.Samples[i].PowerW + t.Samples[i-1].PowerW) * dt
-	}
-	return e
 }
 
 // AvgTemp returns the time-weighted mean temperature of node i (0 for an

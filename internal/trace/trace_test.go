@@ -9,7 +9,7 @@ import (
 
 func mkTrace(t *testing.T) *Trace {
 	t.Helper()
-	tr := New([]string{"A15", "MaliT628"}, []string{"A15", "A7"})
+	tr := NewWithCap([]string{"A15", "MaliT628"}, []string{"A15", "A7"}, 0)
 	for i := 0; i < 5; i++ {
 		err := tr.Append(Sample{
 			TimeS:    float64(i),
@@ -26,7 +26,7 @@ func mkTrace(t *testing.T) *Trace {
 }
 
 func TestAppendValidation(t *testing.T) {
-	tr := New([]string{"a"}, []string{"c"})
+	tr := NewWithCap([]string{"a"}, []string{"c"}, 0)
 	if err := tr.Append(Sample{TimeS: 0, TempsC: []float64{1, 2}, FreqsMHz: []int{1}}); err == nil {
 		t.Error("Append should reject wrong temp count")
 	}
@@ -42,7 +42,7 @@ func TestAppendValidation(t *testing.T) {
 }
 
 func TestAppendCopiesSlices(t *testing.T) {
-	tr := New([]string{"a"}, []string{"c"})
+	tr := NewWithCap([]string{"a"}, []string{"c"}, 0)
 	temps := []float64{50}
 	freqs := []int{1000}
 	if err := tr.Append(Sample{TimeS: 0, TempsC: temps, FreqsMHz: freqs}); err != nil {
@@ -73,17 +73,9 @@ func TestDurationAndLen(t *testing.T) {
 	if tr.Duration() != 4 {
 		t.Errorf("Duration = %g, want 4", tr.Duration())
 	}
-	empty := New(nil, nil)
+	empty := NewWithCap(nil, nil, 0)
 	if empty.Duration() != 0 {
 		t.Error("empty trace Duration should be 0")
-	}
-}
-
-func TestEnergyConstantPower(t *testing.T) {
-	tr := mkTrace(t)
-	// 10 W over 4 s = 40 J.
-	if got := tr.EnergyJ(); math.Abs(got-40) > 1e-12 {
-		t.Errorf("EnergyJ = %g, want 40", got)
 	}
 }
 
@@ -129,8 +121,8 @@ func TestAvgFreq(t *testing.T) {
 }
 
 func TestEmptyTraceMetrics(t *testing.T) {
-	tr := New([]string{"a"}, []string{"c"})
-	if tr.EnergyJ() != 0 || tr.AvgTemp(0) != 0 ||
+	tr := NewWithCap([]string{"a"}, []string{"c"}, 0)
+	if tr.AvgTemp(0) != 0 ||
 		tr.TempGradient(0) != 0 || tr.AvgFreqMHz(0) != 0 {
 		t.Error("empty trace metrics should all be zero")
 	}
@@ -178,37 +170,13 @@ func TestRenderTempAndFreq(t *testing.T) {
 	}
 }
 
-// Property: energy of a constant-power trace equals P×duration for any
-// sampling pattern.
-func TestEnergyConstantPowerProperty(t *testing.T) {
-	f := func(steps []uint8, praw uint8) bool {
-		if len(steps) == 0 {
-			return true
-		}
-		p := 1 + float64(praw%20)
-		tr := New([]string{"n"}, []string{"c"})
-		tm := 0.0
-		for _, s := range steps {
-			tm += 0.1 + float64(s%50)/100
-			if err := tr.Append(Sample{TimeS: tm, TempsC: []float64{50}, FreqsMHz: []int{1}, PowerW: p}); err != nil {
-				return false
-			}
-		}
-		want := p * tr.Duration()
-		return math.Abs(tr.EnergyJ()-want) < 1e-9*math.Max(1, want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: AvgTemp lies within [min, max] of the series.
 func TestAvgTempBoundedProperty(t *testing.T) {
 	f := func(temps []uint8) bool {
 		if len(temps) < 2 {
 			return true
 		}
-		tr := New([]string{"n"}, []string{"c"})
+		tr := NewWithCap([]string{"n"}, []string{"c"}, 0)
 		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, raw := range temps {
 			v := 20 + float64(raw%80)
@@ -301,7 +269,7 @@ func TestAppendZeroAllocsWithinCap(t *testing.T) {
 // Nil series stay nil (e.g. Utils on legacy traces), matching the
 // pre-arena copying behaviour.
 func TestAppendPreservesNilUtils(t *testing.T) {
-	tr := New([]string{"n"}, []string{"c"})
+	tr := NewWithCap([]string{"n"}, []string{"c"}, 0)
 	if err := tr.Append(Sample{TimeS: 0, TempsC: []float64{1}, FreqsMHz: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +286,7 @@ func TestUnsizedTraceGrowsGeometrically(t *testing.T) {
 	const total = 4096
 	temps, freqs, utils := []float64{1, 2}, []int{3}, []float64{0.5}
 	allocs := testing.AllocsPerRun(1, func() {
-		tr := New([]string{"a", "b"}, []string{"c"})
+		tr := NewWithCap([]string{"a", "b"}, []string{"c"}, 0)
 		for i := 0; i < total; i++ {
 			if err := tr.Append(Sample{TimeS: float64(i), TempsC: temps, FreqsMHz: freqs, Utils: utils}); err != nil {
 				t.Fatal(err)

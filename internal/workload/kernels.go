@@ -468,14 +468,6 @@ func NewKernel(appName string, n int) (Kernel, error) {
 		return NewCovarianceKernel(n), nil
 	case "CORRELATION":
 		return NewCorrelationKernel(n), nil
-	case "ATAX":
-		return NewAtaxKernel(n), nil
-	case "BICG":
-		return NewBicgKernel(n), nil
-	case "GESUMMV":
-		return NewGesummvKernel(n), nil
-	case "3MM":
-		return NewThreeMMKernel(n), nil
 	default:
 		return nil, fmt.Errorf("workload: no kernel for app %q", appName)
 	}
