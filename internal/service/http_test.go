@@ -13,6 +13,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"teem/internal/mapping"
 )
 
 func newTestServer(t *testing.T, o Options) (*Service, *httptest.Server) {
@@ -278,6 +280,39 @@ func TestHTTPListJobs(t *testing.T) {
 
 // An oversized submit body is refused with 413 in the JSON error shape
 // before admission: no job, no journal record.
+// A fig5 map that does not fit the platform, or leaves EEMP and RMP no
+// CPU core, is a malformed request: it answers 400 at submission and
+// leaves no job, journal record or cache entry behind.
+func TestHTTPFig5MapOutOfRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	s, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})
+	for _, m := range []mapping.Mapping{
+		{Big: 99, Little: 2, UseGPU: true},
+		{Big: 0, Little: 0, UseGPU: true},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Kind: KindFig5, Map: &m})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("fig5 map %s = %d, want 400: %s", m, resp.StatusCode, body)
+		}
+	}
+	if _, list := getBody(t, ts.URL+"/v1/jobs"); strings.TrimSpace(string(list)) != "[]" {
+		t.Errorf("rejected fig5 maps created a job: %s", list)
+	}
+	journal, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(journal, []byte(`"submit"`)) {
+		t.Errorf("rejected fig5 maps reached the journal:\n%s", journal)
+	}
+	s.mu.Lock()
+	keys := len(s.byKey)
+	s.mu.Unlock()
+	if keys != 0 {
+		t.Errorf("rejected fig5 maps left %d cache keys", keys)
+	}
+}
+
 func TestHTTPSubmitTooLarge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	_, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})

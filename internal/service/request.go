@@ -194,6 +194,15 @@ func (s *Service) normalize(req *JobRequest) (*JobRequest, string, *jobPlan, err
 		if n.Map == nil {
 			n.Map = &mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
 		}
+		// The evaluation builds EEMP and RMP on this mapping, and both
+		// need it to fit the platform with at least one CPU core.
+		big, lit := s.env.Plat.Big(), s.env.Plat.Little()
+		if err := n.Map.Validate(big.NumCores, lit.NumCores); err != nil {
+			return nil, "", nil, fmt.Errorf("service: fig5 map: %w", err)
+		}
+		if n.Map.CPUCores() == 0 {
+			return nil, "", nil, fmt.Errorf("service: fig5 map %s uses no CPU cores", n.Map)
+		}
 	}
 	scs, govs, err := s.planFor(&n)
 	if err != nil {

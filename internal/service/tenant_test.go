@@ -12,8 +12,9 @@ import (
 	"testing"
 	"time"
 
-	"teem/internal/mapping"
+	"teem/internal/experiments"
 	"teem/internal/scenario"
+	"teem/internal/thermal"
 )
 
 // longNamedScenarioJSON is longScenarioJSON with a caller-chosen name,
@@ -236,17 +237,23 @@ func TestTransientRetryBudgetExhausted(t *testing.T) {
 // A deterministic failure never retries: re-running it would only
 // reproduce the same error.
 func TestDeterministicFailureDoesNotRetry(t *testing.T) {
-	s := newTestService(t, Options{Workers: 1, Retry: RetryPolicy{BaseDelay: time.Millisecond}})
-	// A fig5 job with an impossible mapping fails inside execution —
-	// deterministically, every attempt — so it must fail once, without
-	// burning the retry budget.
-	j, _, err := s.Submit(&JobRequest{Kind: KindFig5, Map: &mapping.Mapping{Big: 400, Little: 0, UseGPU: true}})
+	// A fig5 job on an environment whose thermal network lacks the
+	// platform's GPU node fails inside execution — deterministically,
+	// every attempt — so it must fail once, without burning the retry
+	// budget.
+	env, err := experiments.NewEnv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Net = thermal.Exynos5410Network()
+	s := newTestService(t, Options{Env: env, Workers: 1, Retry: RetryPolicy{BaseDelay: time.Millisecond}})
+	j, _, err := s.Submit(&JobRequest{Kind: KindFig5})
 	if err != nil {
 		t.Fatalf("submission rejected, want a run-time failure: %v", err)
 	}
 	js := waitTerminal(t, j, 30*time.Second)
-	if js.Status != StatusFailed {
-		t.Fatalf("job ended %s, want failed (impossible mapping)", js.Status)
+	if js.Status != StatusFailed || !strings.Contains(js.Error, "MaliT628") {
+		t.Fatalf("job ended %s (%q), want failed on the missing GPU node", js.Status, js.Error)
 	}
 	if js.Retries != 0 {
 		t.Errorf("deterministic failure retried %d times", js.Retries)
