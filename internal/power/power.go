@@ -177,36 +177,17 @@ func Leakage(baseW, tempCoeff, tempC float64) float64 {
 // the true leakage is the constant base (the temperature term clamps to
 // zero) and the affine form overestimates, so callers — the simulator's
 // superstep planner — must hold trajectories to the T ≥ 25 °C regime or
-// fall back to per-tick evaluation. l.TempC is ignored.
+// fall back to per-tick evaluation. l.TempC is ignored: the base is
+// ClusterPower's leakage at the 25 °C reference, where Leakage returns it
+// exactly.
 func (m *Model) ClusterPowerAffine(i int, l ClusterLoad) (dynW, leakConstW, leakSlopeWPerC float64, err error) {
-	if i < 0 || i >= len(m.plat.Clusters) {
-		return 0, 0, 0, fmt.Errorf("power: cluster index %d out of range", i)
+	l.TempC = 25
+	dynW, base, err := m.ClusterPower(i, l)
+	if err != nil {
+		return 0, 0, 0, err
 	}
-	c := &m.plat.Clusters[i]
-	if l.ActiveCores < 0 || l.OnCores < l.ActiveCores || l.OnCores > c.NumCores {
-		return 0, 0, 0, fmt.Errorf("power: cluster %s: invalid core counts active=%d on=%d (max %d)",
-			c.Name, l.ActiveCores, l.OnCores, c.NumCores)
-	}
-	if l.Utilization < 0 || l.Utilization > 1 {
-		return 0, 0, 0, fmt.Errorf("power: cluster %s: utilization %g outside [0,1]", c.Name, l.Utilization)
-	}
-	act := l.Activity
-	if act == 0 {
-		act = 1
-	}
-	if act < 0 || act > 1 {
-		return 0, 0, 0, fmt.Errorf("power: cluster %s: activity %g outside (0,1]", c.Name, act)
-	}
-	v := l.VoltV
-	if v == 0 {
-		v = m.voltageFor(i, l.FreqMHz)
-	}
-	fHz := float64(l.FreqMHz) * 1e6
-	dynW = float64(l.ActiveCores) * c.CdynCoreNF * 1e-9 * v * v * fHz * l.Utilization * act
-	base := float64(l.OnCores) * c.LeakCoeff * v * v
-	leakSlopeWPerC = base * c.LeakTempCoeff
-	leakConstW = base - 25*leakSlopeWPerC
-	return dynW, leakConstW, leakSlopeWPerC, nil
+	leakSlopeWPerC = base * m.plat.Clusters[i].LeakTempCoeff
+	return dynW, base - 25*leakSlopeWPerC, leakSlopeWPerC, nil
 }
 
 // Evaluate computes the full board power breakdown. loads must have one
