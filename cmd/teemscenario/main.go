@@ -197,18 +197,7 @@ func main() {
 		}
 	}
 	if len(governors) == 0 {
-		// Grid over the union of the scenarios' initial policies.
-		seen := map[string]bool{}
-		for _, s := range scs {
-			name := s.Governor
-			if name == "" {
-				name = "ondemand"
-			}
-			if !seen[name] {
-				seen[name] = true
-				governors = append(governors, name)
-			}
-		}
+		governors = scenario.DefaultGovernors(scs)
 	}
 
 	// A nil platform list runs on the hardware selected above.

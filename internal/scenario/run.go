@@ -40,6 +40,19 @@ func GovernorNames() []string {
 	return []string{"ondemand", "conservative", "performance", "powersave", "teem"}
 }
 
+// DefaultGovernors returns the governor columns of a grid over scs when
+// the caller names none: the union of the scenarios' initial policies
+// (ondemand for a scenario that sets none), in first-seen order.
+func DefaultGovernors(scs []*Scenario) []string {
+	var govs []string
+	for _, sc := range scs {
+		if name := sc.initialGovernor(); !slices.Contains(govs, name) {
+			govs = append(govs, name)
+		}
+	}
+	return govs
+}
+
 // Config parameterises scenario execution. The zero value runs on the
 // default catalog platform (the Exynos 5422) with the exact integrator.
 // Every run steps on the engine's fixed sim.TickS and lasts until one
@@ -144,12 +157,9 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTra
 	for name, f := range rc.Governors {
 		registry[name] = f
 	}
-	govName := sc.Governor
+	govName := sc.initialGovernor()
 	if rc.Governor != "" {
 		govName = rc.Governor
-	}
-	if govName == "" {
-		govName = "ondemand"
 	}
 	mk, ok := registry[govName]
 	if !ok {

@@ -343,6 +343,15 @@ func (s *Scenario) EndS() float64 {
 	return end
 }
 
+// initialGovernor is the policy the scenario starts under: Governor, or
+// ondemand when it names none.
+func (s *Scenario) initialGovernor() string {
+	if s.Governor == "" {
+		return "ondemand"
+	}
+	return s.Governor
+}
+
 // sortedEvents returns the timeline ordered by (time, index) — a stable
 // copy, so identical scenarios always replay identically.
 func (s *Scenario) sortedEvents() []Event {

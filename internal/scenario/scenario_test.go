@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,6 +54,19 @@ func TestBuilderAndValidation(t *testing.T) {
 		if _, err := c.build(); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+}
+
+// A grid with no named columns runs each scenario's initial policy once,
+// in first-seen order, with ondemand for a scenario that names none.
+func TestDefaultGovernors(t *testing.T) {
+	var scs []*Scenario
+	for _, g := range []string{"", "teem", "ondemand", "conservative", "teem"} {
+		scs = append(scs, &Scenario{Governor: g})
+	}
+	got := DefaultGovernors(scs)
+	if want := []string{"ondemand", "teem", "conservative"}; !slices.Equal(got, want) {
+		t.Errorf("DefaultGovernors = %v, want %v", got, want)
 	}
 }
 

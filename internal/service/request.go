@@ -50,8 +50,8 @@ type JobRequest struct {
 	// preset corpus).
 	Presets []string `json:"presets,omitempty"`
 
-	// Governors are the grid columns (default: the union of the
-	// selected scenarios' initial policies — the teemscenario default).
+	// Governors are the grid columns (default: scenario.DefaultGovernors
+	// of the selected scenarios, as in teemscenario).
 	Governors []string `json:"governors,omitempty"`
 	// Integrator selects the thermal stepping scheme: "exact" (default)
 	// or "euler".
@@ -276,23 +276,9 @@ func (s *Service) planFor(req *JobRequest) ([]*scenario.Scenario, []string, erro
 			}
 		}
 	}
-	govs := req.Governors
+	govs := append([]string(nil), req.Governors...)
 	if len(govs) == 0 {
-		// The teemscenario default: the union of the scenarios'
-		// initial policies, in first-seen order.
-		seen := map[string]bool{}
-		for _, sc := range scs {
-			name := sc.Governor
-			if name == "" {
-				name = "ondemand"
-			}
-			if !seen[name] {
-				seen[name] = true
-				govs = append(govs, name)
-			}
-		}
-	} else {
-		govs = append([]string(nil), govs...)
+		govs = scenario.DefaultGovernors(scs)
 	}
 	known := map[string]bool{}
 	for _, g := range scenario.GovernorNames() {
