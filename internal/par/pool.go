@@ -90,10 +90,11 @@ type Pool struct {
 	cond *sync.Cond
 	// depth is immutable after NewPool; everything below the mutex is
 	// the admission state the workers and submitters race on.
-	depth  int
-	queue  taskQueue //teem:guards mu
-	seq    int64     //teem:guards mu
-	closed bool      //teem:guards mu
+	depth   int
+	queue   taskQueue //teem:guards mu
+	seq     int64     //teem:guards mu
+	closed  bool      //teem:guards mu
+	running int       //teem:guards mu
 }
 
 // NewPool starts workers goroutines servicing a queue of depth queue.
@@ -135,9 +136,11 @@ func (p *Pool) worker() {
 			return
 		}
 		t := heap.Pop(&p.queue).(*queuedTask)
+		p.running++
 		p.mu.Unlock()
 		t.Run(p.ctx)
 		p.mu.Lock()
+		p.running--
 	}
 }
 

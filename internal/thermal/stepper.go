@@ -30,7 +30,8 @@ import (
 // and updates that model's temperatures in place; Step performs zero heap
 // allocations. A Stepper must not be shared across goroutines.
 type Stepper struct {
-	m *Model
+	m  *Model
+	dt float64
 	// a is exp(M·dt), flat row-major n×n.
 	a []float64
 	// bp maps the power vector to its temperature contribution:
@@ -145,7 +146,7 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 			}
 		}
 	}
-	return &Stepper{m: m, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
+	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
 }
 
 // CacheHit reports whether this stepper reused a cached propagator

@@ -110,6 +110,7 @@ func (n *Network) NodeIndex(name string) int {
 
 // Model integrates node temperatures over time.
 type Model struct {
+	net      *Network
 	ambientC float64
 	temps    []float64
 	n        int
@@ -137,6 +138,7 @@ func NewModel(net *Network, ambientC float64) (*Model, error) {
 	}
 	n := len(net.Nodes)
 	m := &Model{
+		net:      net,
 		ambientC: ambientC,
 		temps:    make([]float64, n),
 		n:        n,
