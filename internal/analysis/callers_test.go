@@ -73,10 +73,8 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		scope := p.Types.Scope()
 		for _, name := range scope.Names() {
 			obj := scope.Lookup(name)
-			if obj.Exported() {
-				if _, ok := obj.(*types.Func); ok {
-					check(exportKey(obj))
-				}
+			if fn, ok := obj.(*types.Func); ok && fn.Exported() {
+				check(exportKey(fn))
 			}
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
