@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"teem/internal/mapping"
+	"teem/internal/scenario"
 )
 
 func newTestServer(t *testing.T, o Options) (*Service, *httptest.Server) {
@@ -295,21 +296,74 @@ func TestHTTPFig5MapOutOfRange(t *testing.T) {
 			t.Errorf("fig5 map %s = %d, want 400: %s", m, resp.StatusCode, body)
 		}
 	}
+	requireNothingAdmitted(t, s, ts, path, "rejected fig5 maps")
+}
+
+// A scenario job's initial map and its mapping events must fit the job's
+// platform: one that does not answers 400 at submission, like a fig5 map,
+// instead of running to a cell error.
+func TestHTTPScenarioMapOutOfRange(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	s, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})
+	doc := func(initial mapping.Mapping, switchTo *mapping.Mapping) json.RawMessage {
+		b := scenario.New("maps").ArriveDefault(0, "MVT").Horizon(5)
+		if switchTo != nil {
+			b.SwitchMapping(1, *switchTo)
+		}
+		sc, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Map = initial
+		var buf bytes.Buffer
+		if err := sc.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	fits := mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
+	eightBig := mapping.Mapping{Big: 8, Little: 2, UseGPU: true}
+	for _, c := range []struct {
+		name string
+		doc  json.RawMessage
+	}{
+		{"initial map, 99 big cores", doc(mapping.Mapping{Big: 99, Little: 2, UseGPU: true}, nil)},
+		{"8 big cores on exynos5422", doc(eightBig, nil)},
+		{"mapping event, 9 LITTLE cores", doc(fits, &mapping.Mapping{Big: 2, Little: 9, UseGPU: true})},
+		{"mapping event, no resources", doc(fits, &mapping.Mapping{})},
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Scenario: c.doc})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400: %s", c.name, resp.StatusCode, body)
+		}
+	}
+	requireNothingAdmitted(t, s, ts, path, "rejected scenario maps")
+	// The check reads the job's platform: harrier-s16 has eight big cores.
+	resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Scenario: doc(eightBig, nil), Platform: "harrier-s16"})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("8 big cores on harrier-s16 = %d, want 202: %s", resp.StatusCode, body)
+	}
+}
+
+// requireNothingAdmitted fails unless the service behind ts holds no job,
+// no journal submit record in the journal at path, and no cache key.
+func requireNothingAdmitted(t *testing.T, s *Service, ts *httptest.Server, path, what string) {
+	t.Helper()
 	if _, list := getBody(t, ts.URL+"/v1/jobs"); strings.TrimSpace(string(list)) != "[]" {
-		t.Errorf("rejected fig5 maps created a job: %s", list)
+		t.Errorf("%s created a job: %s", what, list)
 	}
 	journal, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Contains(journal, []byte(`"submit"`)) {
-		t.Errorf("rejected fig5 maps reached the journal:\n%s", journal)
+		t.Errorf("%s reached the journal:\n%s", what, journal)
 	}
 	s.mu.Lock()
 	keys := len(s.byKey)
 	s.mu.Unlock()
 	if keys != 0 {
-		t.Errorf("rejected fig5 maps left %d cache keys", keys)
+		t.Errorf("%s left %d cache keys", what, keys)
 	}
 }
 

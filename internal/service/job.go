@@ -450,8 +450,9 @@ func (j *Job) fireRetryNow() {
 
 // The stream's wire format is one typed NDJSON object per line. Each
 // event type has its own encode struct so legitimately zero values
-// (t=0, 0 W, a 0 s execution time) are never dropped from the wire;
-// streamEvent below is the decode-side union.
+// (t=0, 0 W, a 0 s execution time) are never dropped from the wire. A
+// client decodes each line into one union of their fields and reads the
+// type field to tell them apart.
 
 // lifecycleEvent announces "start" and "done". Trace carries the job's
 // lifecycle-trace id so stream consumers can join telemetry against the
@@ -496,36 +497,6 @@ type cellEvent struct {
 	ExecTimeS  float64  `json:"exec_time_s"`
 	EnergyJ    float64  `json:"energy_j"`
 	PeakTempC  float64  `json:"peak_temp_c"`
-}
-
-// streamEvent is the decode-side union of every stream line — what
-// clients (and the tests) unmarshal into.
-type streamEvent struct {
-	// Type is "start", "sample", "cell", "retry" or "done".
-	Type  string `json:"type"`
-	Job   string `json:"job,omitempty"`
-	Trace string `json:"trace,omitempty"`
-	Kind  string `json:"kind,omitempty"`
-
-	TimeS    float64   `json:"t_s,omitempty"`
-	TempsC   []float64 `json:"temps_c,omitempty"`
-	FreqsMHz []int     `json:"freqs_mhz,omitempty"`
-	Utils    []float64 `json:"utils,omitempty"`
-	PowerW   float64   `json:"power_w,omitempty"`
-
-	Scenario   string   `json:"scenario,omitempty"`
-	Governor   string   `json:"governor,omitempty"`
-	Passed     *bool    `json:"passed,omitempty"`
-	Violations []string `json:"violations,omitempty"`
-	ExecTimeS  float64  `json:"exec_time_s,omitempty"`
-	EnergyJ    float64  `json:"energy_j,omitempty"`
-	PeakTempC  float64  `json:"peak_temp_c,omitempty"`
-
-	Attempt int     `json:"attempt,omitempty"`
-	DelayS  float64 `json:"delay_s,omitempty"`
-
-	Status Status `json:"status,omitempty"`
-	Error  string `json:"error,omitempty"`
 }
 
 func (j *Job) publishStart() {

@@ -208,6 +208,11 @@ func (s *Service) normalize(req *JobRequest) (*JobRequest, string, *jobPlan, err
 	if err != nil {
 		return nil, "", nil, err
 	}
+	if n.Kind == KindScenario {
+		if err := checkMaps(scs[0], n.Platform); err != nil {
+			return nil, "", nil, err
+		}
+	}
 	n.Governors = govs
 
 	// The cache key hashes the resolved plan: tenant, kind, integrator,
@@ -228,6 +233,30 @@ func (s *Service) normalize(req *JobRequest) (*JobRequest, string, *jobPlan, err
 		fmt.Fprintf(h, "map=%s\n", n.Map.String())
 	}
 	return &n, hex.EncodeToString(h.Sum(nil)), &jobPlan{scs: scs, govs: govs}, nil
+}
+
+// checkMaps checks a scenario job's mappings — the initial one and each
+// mapping event's — against the core counts of the job's platform, as
+// the fig5 map is checked above, so that an out-of-range one is refused
+// at submission instead of failing the cell at run time.
+func checkMaps(sc *scenario.Scenario, platformName string) error {
+	b, err := platform.Get(platformName)
+	if err != nil {
+		return err
+	}
+	big, lit := b.SoC.Big().NumCores, b.SoC.Little().NumCores
+	if err := sc.Map.Validate(big, lit); err != nil {
+		return fmt.Errorf("service: scenario %s map: %w", sc.Name, err)
+	}
+	for i, ev := range sc.Events {
+		if ev.Kind != scenario.KindMapping {
+			continue
+		}
+		if err := ev.Map.Validate(big, lit); err != nil {
+			return fmt.Errorf("service: scenario %s: event %d: %w", sc.Name, i, err)
+		}
+	}
+	return nil
 }
 
 // planFor resolves the request's scenarios and governor columns — the

@@ -105,6 +105,53 @@ func TestTickZeroAllocsBetweenEvents(t *testing.T) {
 	}
 }
 
+// The warm walk must not touch the heap: like the ordinary tick it
+// replaces, it only rewrites engine-owned buffers.
+func TestSuperstepWalkZeroAllocs(t *testing.T) {
+	done := make(chan struct{})
+	defer close(done)
+	e, err := New(Config{
+		Platform: soc.Exynos5422(),
+		Net:      thermal.Exynos5422Network(),
+		Map:      mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		MinTimeS: 600,
+		Governor: periodGov{p: 0.03},
+		Done:     done,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt = 0.01
+	e.govEvery = 3
+	e.recEvery = 10
+	// Room for the samples the measured steps will latch.
+	e.meter.Reserve(8000)
+	const maxTicks, minTicks = 60_000, 60_000
+	step := func() {
+		advanced, err := e.superstep(dt, maxTicks, minTicks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !advanced {
+			if _, err := e.tick(dt); err != nil {
+				t.Fatal(err)
+			}
+			e.timeTicks++
+		}
+	}
+	// Warm up: the first ticks and the trace's first arena block.
+	for i := 0; i < 300; i++ {
+		step()
+	}
+	before := e.stats.WalkedTicks
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Errorf("warm walk allocates %.3f objects/op, want 0", avg)
+	}
+	if e.stats.WalkedTicks == before {
+		t.Error("the measured steps walked no tick")
+	}
+}
+
 // The Euler reference integrator path must stay allocation-free too.
 func TestTickZeroAllocsEulerIntegrator(t *testing.T) {
 	e, err := New(Config{

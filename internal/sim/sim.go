@@ -1405,10 +1405,16 @@ func (e *Engine) aborted() error {
 //
 //teem:hotpath
 func (e *Engine) tmuFires() bool {
+	return e.tmuFiresAt(e.therm.Temp(e.nodeOf[e.bigIdx]))
+}
+
+// tmuFiresAt is tmuFires at big-node temperature t.
+//
+//teem:hotpath
+func (e *Engine) tmuFiresAt(t float64) bool {
 	if e.cfg.DisableHWProtect {
 		return false
 	}
-	t := e.therm.Temp(e.nodeOf[e.bigIdx])
 	if e.throttled {
 		return t < e.plat.TripReleaseC
 	}

@@ -397,9 +397,11 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 // (where the temperature factor is exactly 1); every tick then applies
 // power.Leakage — ClusterPower's own temperature term — so each
 // temperature, sample and decision equals the ordinary tick's bit for
-// bit. The walk stops before a governor epoch and before any tick whose
-// TMU check would trip or release; those run as ordinary ticks. It polls
-// cancellation once, and reports whether it advanced at all.
+// bit. On a 4-node network it runs the fused loop walk4; other networks
+// step through stepThermal. The walk stops before a governor epoch and
+// before any tick whose TMU check would trip or release; those run as
+// ordinary ticks. It polls cancellation once, and reports whether it
+// advanced at all.
 //
 //teem:hotpath
 func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
@@ -437,30 +439,37 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 	}
 	nextRec := k + (e.recEvery-k%e.recEvery)%e.recEvery
 	walked := 0
-	for {
-		if op.cpuBusy == 1 {
-			e.remCPU -= op.rateCPU * dt
-		}
-		if op.gpuBusy == 1 {
-			e.remGPU -= op.rateGPU * dt
-		}
-		for i := 0; i < nc; i++ {
-			e.bd.LeakageW[i] = power.Leakage(leakBase[i], leakCoeff[i], e.therm.Temp(e.nodeOf[i]))
-		}
-		if err := e.stepThermal(dt); err != nil {
+	if e.fusedWalk() {
+		var err error
+		if walked, err = e.walk4(dt, n, nextRec, &op, &leakBase, &leakCoeff); err != nil {
 			return false, err
 		}
-		e.foldPeaks()
-		if e.timeTicks == nextRec {
-			if err := e.record(e.bd.TotalW()); err != nil {
+	} else {
+		for {
+			if op.cpuBusy == 1 {
+				e.remCPU -= op.rateCPU * dt
+			}
+			if op.gpuBusy == 1 {
+				e.remGPU -= op.rateGPU * dt
+			}
+			for i := 0; i < nc; i++ {
+				e.bd.LeakageW[i] = power.Leakage(leakBase[i], leakCoeff[i], e.therm.Temp(e.nodeOf[i]))
+			}
+			if err := e.stepThermal(dt); err != nil {
 				return false, err
 			}
-			nextRec += e.recEvery
-		}
-		e.timeTicks++
-		walked++
-		if walked == n || e.tmuFires() {
-			break
+			e.foldPeaks()
+			if e.timeTicks == nextRec {
+				if err := e.record(e.bd.TotalW()); err != nil {
+					return false, err
+				}
+				nextRec += e.recEvery
+			}
+			e.timeTicks++
+			walked++
+			if walked == n || e.tmuFires() {
+				break
+			}
 		}
 	}
 	e.stats.Ticks += int64(walked)
@@ -469,6 +478,94 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 		e.stats.ThermalNanos += clk() - t0
 	}
 	return true, nil
+}
+
+// fusedWalk reports whether walk runs walk4: a 4-node network whose three
+// clusters each heat their own non-package node, as on every 4-node
+// catalog platform. Cluster and node names are unique, so the clusters'
+// nodes differ; only a cluster named "pkg" shares the package node.
+// Other networks keep the general loop.
+func (e *Engine) fusedWalk() bool {
+	if len(e.peakC) != 4 || len(e.nodeOf) != 3 {
+		return false
+	}
+	pkg := e.pkgNode
+	return e.nodeOf[0] != pkg && e.nodeOf[1] != pkg && e.nodeOf[2] != pkg
+}
+
+// walk4 is walk's loop on a network fusedWalk accepts, with each
+// cluster's leakage base and temperature coefficient in leakBase and
+// leakCoeff, and the dynamic, DRAM and baseline power in e.bd. It keeps
+// the node temperatures, the cluster leakages and the running peaks in
+// locals and writes them back — to the thermal model, e.bd.LeakageW and
+// e.peakC — only on a record tick, before the record, and on its last
+// tick. Each tick performs the ordinary tick's floating-point operations
+// on the same operands in the same order: advanceWork's subtraction,
+// power.Leakage, InjectHeat's sums (each node takes one term, and 0 + x
+// is exact, so the zeroing goes) and thermal.Row4 in Step's row order.
+// It returns the ticks walked.
+//
+//teem:hotpath
+func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leakBase, leakCoeff *[walkMaxClusters]float64) (int, error) {
+	pa, pb, pg, amb := e.stepper.Propagator()
+	a, b, g := (*[16]float64)(pa), (*[16]float64)(pb), (*[4]float64)(pg)
+	a0, a1, a2, a3 := (*[4]float64)(a[0:4]), (*[4]float64)(a[4:8]), (*[4]float64)(a[8:12]), (*[4]float64)(a[12:16])
+	b0, b1, b2, b3 := (*[4]float64)(b[0:4]), (*[4]float64)(b[4:8]), (*[4]float64)(b[8:12]), (*[4]float64)(b[12:16])
+	ga0, ga1, ga2, ga3 := g[0]*amb, g[1]*amb, g[2]*amb, g[3]*amb
+	n0, n1, n2, big := e.nodeOf[0], e.nodeOf[1], e.nodeOf[2], e.nodeOf[e.bigIdx]
+	d0, d1, d2 := e.bd.DynamicW[0], e.bd.DynamicW[1], e.bd.DynamicW[2]
+	// t, p and peak are indexed by node; the package node's injection
+	// holds for the whole walk.
+	var t, p, peak [4]float64
+	e.therm.CopyTemps(t[:])
+	copy(peak[:], e.peakC)
+	p[e.pkgNode] = e.bd.DRAMW + pkgBaselineShare*e.bd.BaselineW
+	remCPU, remGPU := e.remCPU, e.remGPU
+	walked := 0
+	for {
+		if op.cpuBusy == 1 {
+			remCPU -= op.rateCPU * dt
+		}
+		if op.gpuBusy == 1 {
+			remGPU -= op.rateGPU * dt
+		}
+		l0 := power.Leakage(leakBase[0], leakCoeff[0], t[n0])
+		l1 := power.Leakage(leakBase[1], leakCoeff[1], t[n1])
+		l2 := power.Leakage(leakBase[2], leakCoeff[2], t[n2])
+		p[n0], p[n1], p[n2] = d0+l0, d1+l1, d2+l2
+		t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
+		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]
+		t[0] = thermal.Row4(ga0, a0, b0, t0, t1, t2, t3, p0, p1, p2, p3)
+		t[1] = thermal.Row4(ga1, a1, b1, t0, t1, t2, t3, p0, p1, p2, p3)
+		t[2] = thermal.Row4(ga2, a2, b2, t0, t1, t2, t3, p0, p1, p2, p3)
+		t[3] = thermal.Row4(ga3, a3, b3, t0, t1, t2, t3, p0, p1, p2, p3)
+		for i := range peak {
+			if t[i] > peak[i] {
+				peak[i] = t[i]
+			}
+		}
+		walked++
+		last := walked == n || e.tmuFiresAt(t[big])
+		if e.timeTicks == nextRec || last {
+			if err := e.therm.SetTemps(t[:]); err != nil {
+				return walked, err
+			}
+			e.bd.LeakageW[0], e.bd.LeakageW[1], e.bd.LeakageW[2] = l0, l1, l2
+			copy(e.peakC, peak[:])
+			if e.timeTicks == nextRec {
+				if err := e.record(e.bd.TotalW()); err != nil {
+					return walked, err
+				}
+				nextRec += e.recEvery
+			}
+		}
+		e.timeTicks++
+		if last {
+			break
+		}
+	}
+	e.remCPU, e.remGPU = remCPU, remGPU
+	return walked, nil
 }
 
 // equalFloats compares two equal-length float vectors exactly.

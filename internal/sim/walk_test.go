@@ -1,4 +1,4 @@
-package sim
+package sim_test
 
 import (
 	"reflect"
@@ -6,21 +6,21 @@ import (
 
 	"teem/internal/mapping"
 	"teem/internal/obs"
-	"teem/internal/soc"
-	"teem/internal/thermal"
+	"teem/internal/platform"
+	"teem/internal/sim"
 	"teem/internal/workload"
 )
 
 // maxGov re-requests every cluster's maximum frequency every 30 ms. It is
-// deliberately not util-only and its period is shorter than
-// superstepMinSpan ticks, so no horizon ever reaches a jump: every tick
-// of a run under it is either an ordinary tick or a walked one.
+// deliberately not util-only and its period is shorter than the shortest
+// jump, so no horizon ever reaches one: every tick of a run under it is
+// either an ordinary tick or a walked one.
 type maxGov struct{}
 
-func (maxGov) Name() string          { return "test-max" }
-func (maxGov) PeriodS() float64      { return 0.03 }
-func (maxGov) Start(m Machine) error { return maxGov{}.Act(m) }
-func (maxGov) Act(m Machine) error {
+func (maxGov) Name() string              { return "test-max" }
+func (maxGov) PeriodS() float64          { return 0.03 }
+func (maxGov) Start(m sim.Machine) error { return maxGov{}.Act(m) }
+func (maxGov) Act(m sim.Machine) error {
 	for _, c := range m.Platform().Clusters {
 		if err := m.SetClusterFreqMHz(c.Name, c.MaxFreqMHz()); err != nil {
 			return err
@@ -29,125 +29,168 @@ func (maxGov) Act(m Machine) error {
 	return nil
 }
 
-// walkConfig is a run that only walks or ticks: maxGov holds maximum
-// frequency from a start just under a lowered trip point, so the TMU
-// trips and releases repeatedly, while the LITTLE cluster and the GPU
-// start cold and stay below the 25 °C leakage reference for the first
-// second.
-func walkConfig(disable bool) Config {
-	plat := soc.Exynos5422()
-	plat.TripC, plat.TripReleaseC = 85, 80
-	return Config{
+// walkStarts holds each catalog platform's start for walkConfig: the
+// big node's temperature and that of every node no cluster heats. Each
+// puts the lowered trip within reach, so every platform trips, and all
+// but harrier-s16, whose capped big node stays above the release point,
+// release too.
+var walkStarts = map[string]struct{ bigC, boardC float64 }{
+	"exynos5410":  {70, 46},
+	"exynos5422":  {84, 60},
+	"harrier-s16": {30, 25},
+	"kestrel-e2":  {55, 31},
+	"merlin-m3":   {65, 41},
+	"sparrow-e1":  {55, 31},
+}
+
+// walkConfig is a run on the named catalog platform that only walks or
+// ticks: maxGov holds maximum frequency from a start just under a trip
+// lowered to the big node's start + 1 °C (release 5 °C lower), while the
+// other clusters start cold, below the 25 °C leakage reference.
+func walkConfig(t testing.TB, name string, disable bool) sim.Config {
+	t.Helper()
+	b, err := platform.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, ok := walkStarts[name]
+	if !ok {
+		t.Fatalf("no walk start for catalog platform %s", name)
+	}
+	plat := b.SoC
+	plat.TripC, plat.TripReleaseC = start.bigC+1, start.bigC-4
+	temps := make([]float64, len(b.Net.Nodes))
+	for i := range temps {
+		temps[i] = start.boardC
+	}
+	for _, c := range plat.Clusters {
+		temps[b.Net.NodeIndex(c.Name)] = 10
+	}
+	temps[b.Net.NodeIndex(plat.Big().Name)] = start.bigC
+	return sim.Config{
 		Platform:         plat,
-		Net:              thermal.Exynos5422Network(),
+		Net:              b.Net,
 		App:              workload.Covariance(),
 		Map:              mapping.Mapping{Big: 4, Little: 1, UseGPU: true},
 		Part:             mapping.Partition{Num: 6, Den: 8},
 		Governor:         maxGov{},
-		InitialTempsC:    []float64{84, 10, 10, 60},
+		InitialTempsC:    temps,
 		DisableSuperstep: disable,
 	}
 }
 
 // A steady walk is the ordinary tick's own arithmetic, not an
-// approximation of it: a run that walks must equal its
-// DisableSuperstep twin with == on every Result field and every trace
-// sample, through TMU trips and releases and below the leakage
-// reference.
+// approximation of it: on every catalog platform — the fused 4-node
+// loop and the general loop on 5 and 8 nodes — a run that walks must
+// equal its DisableSuperstep twin with == on every Result field and
+// every trace sample, through TMU trips and releases and below the
+// leakage reference.
 func TestSuperstepWalkMatchesTick(t *testing.T) {
-	run := func(disable bool) (*Engine, *Result) {
-		e, err := New(walkConfig(disable))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, r
-	}
-	eW, rW := run(false)
-	eT, rT := run(true)
-	if rW.ThrottleEvents == 0 {
-		t.Fatal("the run never tripped the TMU; the walk's trip and release stops are untested")
-	}
-	if rW.Stats.WalkedTicks == 0 {
-		t.Fatal("no tick was walked")
-	}
-	if rW.Stats.Supersteps != 0 {
-		t.Fatalf("%d supersteps fired in a run built to jump nothing", rW.Stats.Supersteps)
-	}
-	if rW.Stats.Ticks != rT.Stats.Ticks || rW.Stats.GovernorEpochs != rT.Stats.GovernorEpochs ||
-		rW.Stats.TMUTrips != rT.Stats.TMUTrips || rW.Stats.TMUReleases != rT.Stats.TMUReleases {
-		t.Errorf("flight recorders disagree: walked %+v, ticked %+v", rW.Stats, rT.Stats)
-	}
-	// Every Result field but the flight recorder and the trace pointer,
-	// compared with == (reflect.DeepEqual compares floats exactly).
-	w, k := *rW, *rT
-	w.Stats, k.Stats = obs.RunStats{}, obs.RunStats{}
-	w.Trace, k.Trace = nil, nil
-	if !reflect.DeepEqual(w, k) {
-		t.Errorf("results differ:\nwalked %+v\nticked %+v", w, k)
-	}
-	if !reflect.DeepEqual(eW.FinalTemps(), eT.FinalTemps()) {
-		t.Errorf("final temperatures differ: walked %v, ticked %v", eW.FinalTemps(), eT.FinalTemps())
-	}
-	sw, st := rW.Trace.Samples, rT.Trace.Samples
-	if len(sw) != len(st) {
-		t.Fatalf("trace lengths differ: walked %d, ticked %d", len(sw), len(st))
-	}
-	for i := range sw {
-		a, b := sw[i], st[i]
-		if a.TimeS != b.TimeS || a.PowerW != b.PowerW || !reflect.DeepEqual(a.TempsC, b.TempsC) ||
-			!reflect.DeepEqual(a.FreqsMHz, b.FreqsMHz) || !reflect.DeepEqual(a.Utils, b.Utils) {
-			t.Fatalf("sample %d differs:\nwalked %+v\nticked %+v", i, a, b)
-		}
+	for _, name := range platform.Names() {
+		t.Run(name, func(t *testing.T) {
+			run := func(disable bool) (*sim.Engine, *sim.Result) {
+				e, err := sim.New(walkConfig(t, name, disable))
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, r
+			}
+			eW, rW := run(false)
+			eT, rT := run(true)
+			if rW.ThrottleEvents == 0 {
+				t.Fatal("the run never tripped the TMU; the walk's trip stop is untested")
+			}
+			if rW.Stats.WalkedTicks == 0 {
+				t.Fatal("no tick was walked")
+			}
+			if rW.Stats.Supersteps != 0 {
+				t.Fatalf("%d supersteps fired in a run built to jump nothing", rW.Stats.Supersteps)
+			}
+			if rW.Stats.Ticks != rT.Stats.Ticks || rW.Stats.GovernorEpochs != rT.Stats.GovernorEpochs ||
+				rW.Stats.TMUTrips != rT.Stats.TMUTrips || rW.Stats.TMUReleases != rT.Stats.TMUReleases {
+				t.Errorf("flight recorders disagree: walked %+v, ticked %+v", rW.Stats, rT.Stats)
+			}
+			// Every Result field but the flight recorder and the trace
+			// pointer, compared with == (reflect.DeepEqual compares
+			// floats exactly).
+			w, k := *rW, *rT
+			w.Stats, k.Stats = obs.RunStats{}, obs.RunStats{}
+			w.Trace, k.Trace = nil, nil
+			if !reflect.DeepEqual(w, k) {
+				t.Errorf("results differ:\nwalked %+v\nticked %+v", w, k)
+			}
+			if !reflect.DeepEqual(eW.FinalTemps(), eT.FinalTemps()) {
+				t.Errorf("final temperatures differ: walked %v, ticked %v", eW.FinalTemps(), eT.FinalTemps())
+			}
+			sw, st := rW.Trace.Samples, rT.Trace.Samples
+			if len(sw) != len(st) {
+				t.Fatalf("trace lengths differ: walked %d, ticked %d", len(sw), len(st))
+			}
+			for i := range sw {
+				a, b := sw[i], st[i]
+				if a.TimeS != b.TimeS || a.PowerW != b.PowerW || !reflect.DeepEqual(a.TempsC, b.TempsC) ||
+					!reflect.DeepEqual(a.FreqsMHz, b.FreqsMHz) || !reflect.DeepEqual(a.Utils, b.Utils) {
+					t.Fatalf("sample %d differs:\nwalked %+v\nticked %+v", i, a, b)
+				}
+			}
+		})
 	}
 }
 
-// The warm walk must not touch the heap: like the ordinary tick it
-// replaces, it only rewrites engine-owned buffers.
-func TestSuperstepWalkZeroAllocs(t *testing.T) {
-	done := make(chan struct{})
-	defer close(done)
-	e, err := New(Config{
-		Platform: soc.Exynos5422(),
-		Net:      thermal.Exynos5422Network(),
-		Map:      mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
-		MinTimeS: 600,
-		Governor: maxGov{},
-		Done:     done,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const dt = 0.01
-	e.govEvery = 3
-	e.recEvery = 10
-	// Room for the samples the measured steps will latch.
-	e.meter.Reserve(8000)
-	const maxTicks, minTicks = 60_000, 60_000
-	step := func() {
-		advanced, err := e.superstep(dt, maxTicks, minTicks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !advanced {
-			if _, err := e.tick(dt); err != nil {
-				t.Fatal(err)
+// BenchmarkSteadyWalk reports what one walked tick costs, in ns per
+// walked tick, on a 4-node network (exynos5422, the fused loop) and an
+// 8-node one (harrier-s16, the general loop). The trip is lowered under
+// the chip's temperature, so the TMU trips on the first tick and holds
+// its clamp: every span is refused a jump and walked, and ordinary ticks
+// only latch the 1 s meter samples. Engine construction is not timed.
+func BenchmarkSteadyWalk(b *testing.B) {
+	for _, name := range []string{"exynos5422", "harrier-s16"} {
+		b.Run(name, func(b *testing.B) {
+			bundle, err := platform.Get(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-			e.timeTicks++
-		}
-	}
-	// Warm up: the first ticks and the trace's first arena block.
-	for i := 0; i < 300; i++ {
-		step()
-	}
-	before := e.stats.WalkedTicks
-	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
-		t.Errorf("warm walk allocates %.3f objects/op, want 0", avg)
-	}
-	if e.stats.WalkedTicks == before {
-		t.Error("the measured steps walked no tick")
+			plat := bundle.SoC
+			plat.TripC, plat.TripReleaseC = 30, 26
+			temps := make([]float64, len(bundle.Net.Nodes))
+			for i := range temps {
+				temps[i] = 40
+			}
+			cfg := sim.Config{
+				Platform:      plat,
+				Net:           bundle.Net,
+				App:           workload.Covariance(),
+				Map:           mapping.Mapping{Big: 4, Little: 2, UseGPU: true},
+				Part:          mapping.Partition{Num: 4, Den: 8},
+				InitialTempsC: temps,
+				MaxTimeS:      10,
+				DiscardTrace:  true,
+			}
+			var walked, ticks int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := sim.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				res, err := e.Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				walked += res.Stats.WalkedTicks
+				ticks += res.Stats.Ticks
+			}
+			if walked == 0 {
+				b.Fatal("no tick was walked")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(walked), "ns/walked-tick")
+			b.ReportMetric(float64(walked)/float64(ticks), "walked/tick")
+		})
 	}
 }

@@ -153,6 +153,27 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 // instead of computing the matrix exponential.
 func (s *Stepper) CacheHit() bool { return s.cacheHit }
 
+// Propagator returns what one step applies, for a caller that steps a
+// 4-node model itself through Row4: a = exp(M·dt) and bp (flat row-major
+// n×n), each row's ambient gain, and the bound model's ambient
+// temperature. The slices are shared by every stepper over the same
+// system and must not be written.
+func (s *Stepper) Propagator() (a, bp, ambGain []float64, ambientC float64) {
+	return s.a, s.bp, s.ambGain, s.m.ambientC
+}
+
+// Row4 is one row of a 4-node step: node i's new temperature from its
+// ambient term ga = ambGain[i]·Tamb, its rows a and b of the propagator
+// and bp, the pre-step temperatures t0…t3 and the node injection p0…p3.
+// The terms are summed in this order, left to right. Step and the
+// engine's steady walk both call it, so every 4-node step sums in one
+// order and the two agree bit for bit; it is small enough to inline.
+//
+//teem:hotpath
+func Row4(ga float64, a, b *[4]float64, t0, t1, t2, t3, p0, p1, p2, p3 float64) float64 {
+	return ga + a[0]*t0 + a[1]*t1 + a[2]*t2 + a[3]*t3 + b[0]*p0 + b[1]*p1 + b[2]*p2 + b[3]*p3
+}
+
 // Step advances the bound model by the stepper's fixed dt with the given
 // per-node power injection in watts. It allocates nothing.
 //
@@ -171,11 +192,11 @@ func (s *Stepper) Step(powerW []float64) error {
 		// (big, LITTLE, GPU, package).
 		t0, t1, t2, t3 := temps[0], temps[1], temps[2], temps[3]
 		p0, p1, p2, p3 := powerW[0], powerW[1], powerW[2], powerW[3]
-		a, b, g := s.a, s.bp, s.ambGain
-		temps[0] = g[0]*amb + a[0]*t0 + a[1]*t1 + a[2]*t2 + a[3]*t3 + b[0]*p0 + b[1]*p1 + b[2]*p2 + b[3]*p3
-		temps[1] = g[1]*amb + a[4]*t0 + a[5]*t1 + a[6]*t2 + a[7]*t3 + b[4]*p0 + b[5]*p1 + b[6]*p2 + b[7]*p3
-		temps[2] = g[2]*amb + a[8]*t0 + a[9]*t1 + a[10]*t2 + a[11]*t3 + b[8]*p0 + b[9]*p1 + b[10]*p2 + b[11]*p3
-		temps[3] = g[3]*amb + a[12]*t0 + a[13]*t1 + a[14]*t2 + a[15]*t3 + b[12]*p0 + b[13]*p1 + b[14]*p2 + b[15]*p3
+		a, b, g := (*[16]float64)(s.a), (*[16]float64)(s.bp), (*[4]float64)(s.ambGain)
+		temps[0] = Row4(g[0]*amb, (*[4]float64)(a[0:4]), (*[4]float64)(b[0:4]), t0, t1, t2, t3, p0, p1, p2, p3)
+		temps[1] = Row4(g[1]*amb, (*[4]float64)(a[4:8]), (*[4]float64)(b[4:8]), t0, t1, t2, t3, p0, p1, p2, p3)
+		temps[2] = Row4(g[2]*amb, (*[4]float64)(a[8:12]), (*[4]float64)(b[8:12]), t0, t1, t2, t3, p0, p1, p2, p3)
+		temps[3] = Row4(g[3]*amb, (*[4]float64)(a[12:16]), (*[4]float64)(b[12:16]), t0, t1, t2, t3, p0, p1, p2, p3)
 		return nil
 	}
 	for i := 0; i < n; i++ {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -23,10 +24,25 @@ func TestCatalogValid(t *testing.T) {
 	}
 }
 
+// Every catalog app is found by its name and by its short code, and each
+// lookup builds a fresh app: a caller that mutates one does not change
+// the next.
 func TestLookups(t *testing.T) {
-	for _, code := range []string{"2D", "CV", "CR", "GM", "2M", "MV", "S2", "SR"} {
-		if _, err := ByShort(code); err != nil {
-			t.Errorf("ByShort(%s): %v", code, err)
+	for _, want := range Apps() {
+		byName, err := ByName(want.Name)
+		if err != nil || !reflect.DeepEqual(byName, want) {
+			t.Errorf("ByName(%s) = %+v, %v; want %+v", want.Name, byName, err, want)
+		}
+		byShort, err := ByShort(want.Short)
+		if err != nil || !reflect.DeepEqual(byShort, want) {
+			t.Errorf("ByShort(%s) = %+v, %v; want %+v", want.Short, byShort, err, want)
+		}
+		if byName == byShort {
+			t.Errorf("%s: ByName and ByShort returned the same *App", want.Name)
+		}
+		byName.WorkItems, byName.BigSecPerWI = 1, 99
+		if again, err := ByName(want.Name); err != nil || !reflect.DeepEqual(again, want) {
+			t.Errorf("ByName(%s) after mutating an earlier result = %+v, %v", want.Name, again, err)
 		}
 	}
 	// GE is the paper's in-text alias for GEMM.

@@ -27,25 +27,41 @@ func Apps() []*App {
 	}
 }
 
-// ByShort returns the app with the given short code (2D, CV, GM/GE, 2M,
-// MV, S2, SR, CR), or an error.
+// lookup names each app's constructor by its Polybench name and short
+// code, so ByName and ByShort build only the app they return.
+var lookup = [...]struct {
+	name, short string
+	build       func() *App
+}{
+	{"2DCONV", "2D", TwoDConv},
+	{"COVARIANCE", "CV", Covariance},
+	{"GEMM", "GM", Gemm},
+	{"2MM", "2M", TwoMM},
+	{"MVT", "MV", Mvt},
+	{"SYR2K", "S2", Syr2k},
+	{"SYRK", "SR", Syrk},
+	{"CORRELATION", "CR", Correlation},
+}
+
+// ByShort returns a new app with the given short code (2D, CV, GM/GE,
+// 2M, MV, S2, SR, CR), or an error.
 func ByShort(code string) (*App, error) {
 	if code == "GE" { // the paper uses GE in text and GM in figures
 		code = "GM"
 	}
-	for _, a := range Apps() {
-		if a.Short == code {
-			return a, nil
+	for _, c := range lookup {
+		if c.short == code {
+			return c.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown app code %q", code)
 }
 
-// ByName returns the app with the given Polybench name, or an error.
+// ByName returns a new app with the given Polybench name, or an error.
 func ByName(name string) (*App, error) {
-	for _, a := range Apps() {
-		if a.Name == name {
-			return a, nil
+	for _, c := range lookup {
+		if c.name == name {
+			return c.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("workload: unknown app %q", name)
