@@ -50,7 +50,7 @@ bench:
 # profiling phase, scenario engine, thermal stepping and superstep jumps,
 # power evaluation) as BENCH_<date>.json. Each benchmark runs 5 times;
 # benchjson records the median ns/op, B/op and allocs/op with the ns/op
-# min and max.
+# min and max, and the median of every custom b.ReportMetric unit.
 # CI uploads it as a non-gating artifact so the perf trajectory is tracked
 # across PRs.
 BENCH_DATE := $(shell date -u +%Y-%m-%d)

@@ -11,7 +11,8 @@
 // the full `go test` stream can be piped straight in. A result line that a
 // benchmark's own log output split from its name is still recorded, and
 // the repeats of -count fold into one entry per benchmark: the median of
-// each measurement plus the fastest and slowest ns/op.
+// each measurement, custom b.ReportMetric units included, plus the
+// fastest and slowest ns/op.
 package main
 
 import (
@@ -48,6 +49,9 @@ type Benchmark struct {
 	// HasMem records whether -benchmem columns were present (so a true
 	// zero allocs/op is distinguishable from "not measured").
 	HasMem bool `json:"has_mem"`
+	// Metrics holds the median of every other unit the benchmark
+	// reports (b.ReportMetric), keyed by unit, e.g. "ns/walked-tick".
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 // Snapshot is the emitted document.
@@ -182,6 +186,11 @@ func parseResult(name string, f []string) (Benchmark, bool) {
 		case "allocs/op":
 			b.AllocsPerOp = int64(v)
 			b.HasMem = true
+		default:
+			if b.Metrics == nil {
+				b.Metrics = map[string]float64{}
+			}
+			b.Metrics[f[i+1]] = v
 		}
 	}
 	if b.NsPerOp == 0 && !b.HasMem {
@@ -195,12 +204,22 @@ func parseResult(name string, f []string) (Benchmark, bool) {
 func fold(runs []Benchmark) Benchmark {
 	b := Benchmark{Name: runs[0].Name, Runs: len(runs)}
 	var iters, ns, bytes, allocs []float64
+	metrics := map[string][]float64{}
 	for _, r := range runs {
 		iters = append(iters, float64(r.Iterations))
 		ns = append(ns, r.NsPerOp)
 		bytes = append(bytes, float64(r.BytesPerOp))
 		allocs = append(allocs, float64(r.AllocsPerOp))
 		b.HasMem = b.HasMem || r.HasMem
+		for unit, v := range r.Metrics {
+			metrics[unit] = append(metrics[unit], v)
+		}
+	}
+	if len(metrics) > 0 {
+		b.Metrics = make(map[string]float64, len(metrics))
+		for unit, vs := range metrics {
+			b.Metrics[unit] = median(vs)
+		}
 	}
 	b.NsPerOp, b.NsPerOpMin, b.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
 	b.Iterations = int64(math.Round(median(iters)))

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -62,7 +64,7 @@ func checkFixture(t *testing.T, name string, want []Benchmark) {
 		t.Fatalf("%s: parsed %d benchmarks, want %d: %+v", name, len(got), len(want), got)
 	}
 	for i := range want {
-		if got[i] != want[i] {
+		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("%s entry %d:\n got %+v\nwant %+v", name, i, got[i], want[i])
 		}
 	}
@@ -94,4 +96,21 @@ func TestParseFoldsRepeats(t *testing.T) {
 			BytesPerOp: 189100, AllocsPerOp: 77, HasMem: true},
 		{Name: "BenchmarkStep", Runs: 5, Iterations: 15300000, NsPerOp: 71.54, NsPerOpMin: 70.10, NsPerOpMax: 73.30},
 	})
+}
+
+// Units a benchmark reports with b.ReportMetric are kept, folded to
+// their median like the standard columns.
+func TestParseKeepsCustomMetrics(t *testing.T) {
+	const run = "BenchmarkSteadyWalk/exynos5422-2         \t       3\t     %s ns/op\t        %s ns/walked-tick\t         0.9890 walked/tick\t    2560 B/op\t      11 allocs/op\n"
+	in := fmt.Sprintf(run, "56900", "56.73") + fmt.Sprintf(run, "58100", "57.91") + fmt.Sprintf(run, "57200", "57.05")
+	got, err := parse(strings.NewReader(in))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("parsed %+v, %v", got, err)
+	}
+	want := Benchmark{Name: "BenchmarkSteadyWalk/exynos5422", Runs: 3, Iterations: 3, NsPerOp: 57200, NsPerOpMin: 56900, NsPerOpMax: 58100,
+		BytesPerOp: 2560, AllocsPerOp: 11, HasMem: true,
+		Metrics: map[string]float64{"ns/walked-tick": 57.05, "walked/tick": 0.9890}}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Errorf("\n got %+v\nwant %+v", got[0], want)
+	}
 }

@@ -38,7 +38,7 @@ func main() {
 		appCode = flag.String("app", "CV", "application used for the load cases")
 		nBig    = flag.Int("big", 3, "big cores in the load mapping")
 		nLittle = flag.Int("little", 2, "LITTLE cores in the load mapping")
-		platRef = flag.String("platform", "", "platform: builtin catalog name or bundle JSON file (default exynos5422)")
+		platRef = flag.String("platform", platform.DefaultName, "platform: builtin catalog name or bundle JSON file")
 		version = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -47,13 +47,9 @@ func main() {
 		return
 	}
 
-	b := platform.Default()
-	if *platRef != "" {
-		var err error
-		b, err = platform.Resolve(*platRef)
-		if err != nil {
-			log.Fatal(err)
-		}
+	b, err := platform.Resolve(*platRef)
+	if err != nil {
+		log.Fatal(err)
 	}
 	plat, net := b.SoC, b.Net
 	app, err := workload.ByShort(*appCode)

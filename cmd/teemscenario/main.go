@@ -41,8 +41,6 @@ import (
 	"teem/internal/platform"
 	"teem/internal/scenario"
 	"teem/internal/sim"
-	"teem/internal/soc"
-	"teem/internal/thermal"
 )
 
 func main() {
@@ -57,9 +55,8 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker pool bound (0 = one per CPU, 1 = serial)")
 		integrator = flag.String("integrator", "exact", "thermal integrator: exact or euler")
 		supersteps = flag.Bool("supersteps", true, "jump provably steady intervals in one exact propagator application (exact integrator only)")
-		platRef    = flag.String("platform", "", "platform: builtin catalog name or bundle JSON file (with -thermal: a bare SoC description JSON)")
+		platRef    = flag.String("platform", "", "platform: builtin catalog name or bundle JSON file (default exynos5422)")
 		platforms  = flag.String("platforms", "", `comma-separated catalog platforms to grid over, or "all" for the whole catalog`)
-		netPath    = flag.String("thermal", "", "custom thermal network (JSON); requires -platform with a bare SoC description")
 		stats      = flag.Bool("stats", false, "print the per-cell engine flight recorder (tick/superstep counts, cache hits, phase wall time) after the grid")
 		list       = flag.Bool("list", false, "list built-in presets, platforms and governors, then exit")
 		dump       = flag.Bool("dump", false, "print the selected scenarios as JSON, then exit")
@@ -155,40 +152,11 @@ func main() {
 	default:
 		log.Fatalf("unknown integrator %q (want exact or euler)", *integrator)
 	}
-	switch {
-	case *platforms != "":
-		if *platRef != "" || *netPath != "" {
-			log.Fatal("-platforms owns the platform axis; it cannot combine with -platform or -thermal")
-		}
-	case *netPath != "":
-		// Explicit pair: a bare SoC description plus its network. The
-		// half-specified forms the old flags accepted are rejected by
-		// the scenario layer now — the silent Exynos completion is gone.
-		if *platRef == "" {
-			log.Fatal("-thermal requires -platform with a bare SoC description JSON")
-		}
-		f, err := os.Open(*platRef)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rc.Platform, err = soc.LoadPlatform(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err = os.Open(*netPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rc.Net, err = thermal.LoadNetwork(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	case *platRef != "":
-		// Catalog name or bundle file, resolved by the scenario layer.
-		rc.PlatformName = *platRef
+	if *platforms != "" && *platRef != "" {
+		log.Fatal("-platforms owns the platform axis; it cannot combine with -platform")
 	}
+	// Catalog name or bundle file, resolved by the scenario layer.
+	rc.PlatformName = *platRef
 
 	var governors []string
 	if *govs != "" {

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"teem/internal/platform"
 )
 
 var binPath string
@@ -154,6 +156,37 @@ func TestReplayFlag(t *testing.T) {
 	}
 }
 
+// -platform takes a bundle file as well as a catalog name, and a catalog
+// bundle saved to a file runs exactly as its name does.
+func TestPlatformBundleFile(t *testing.T) {
+	b, err := platform.Get("merlin-m3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "merlin-m3.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	byName, stderr, code := run(t, "-platform", "merlin-m3", "-preset", "sunlight", "-govs", "teem")
+	if code != 0 {
+		t.Fatalf("-platform merlin-m3 exited %d: %s", code, stderr)
+	}
+	byFile, stderr, code := run(t, "-platform", path, "-preset", "sunlight", "-govs", "teem")
+	if code != 0 {
+		t.Fatalf("-platform %s exited %d: %s", path, code, stderr)
+	}
+	if byFile != byName {
+		t.Errorf("bundle file output differs from the catalog name's:\n%s\nwant:\n%s", byFile, byName)
+	}
+}
+
 // Flag misuse and bad inputs must exit non-zero with a diagnostic.
 func TestBadInputsExitNonZero(t *testing.T) {
 	cases := [][]string{
@@ -161,6 +194,8 @@ func TestBadInputsExitNonZero(t *testing.T) {
 		{"-integrator", "rk4", "-preset", "sunlight"},
 		{"-f", "/nonexistent/scenario.json"},
 		{"-replay", "/nonexistent/trace.json"},
+		{"-platform", "/nonexistent/bundle.json"},
+		{"-platforms", "all", "-platform", "merlin-m3"},
 		{"-not-a-flag"},
 	}
 	for _, args := range cases {

@@ -2,8 +2,7 @@
 // under a chosen DVFS policy and prints the run summary, optionally with
 // Fig. 1 style temperature/frequency charts or a CSV trace. The hardware
 // comes from the builtin platform catalog (-platform by name, default
-// exynos5422), a bundle JSON file, or a bare SoC description paired with
-// -thermal.
+// exynos5422) or a bundle JSON file.
 //
 // Usage:
 //
@@ -24,8 +23,6 @@ import (
 	"teem/internal/mapping"
 	"teem/internal/platform"
 	"teem/internal/sim"
-	"teem/internal/soc"
-	"teem/internal/thermal"
 	"teem/internal/workload"
 )
 
@@ -46,8 +43,7 @@ func main() {
 		chart     = flag.Bool("chart", false, "print temperature/frequency charts")
 		csvPath   = flag.String("csv", "", "write the trace as CSV to this file")
 		cold      = flag.Bool("cold", false, "start from ambient instead of the steady-regime protocol")
-		platRef   = flag.String("platform", "", "platform: builtin catalog name or bundle JSON file (with -thermal: a bare SoC description JSON); default exynos5422")
-		netPath   = flag.String("thermal", "", "custom thermal network (JSON); requires -platform with a bare SoC description")
+		platRef   = flag.String("platform", platform.DefaultName, "platform: builtin catalog name or bundle JSON file")
 		version   = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Parse()
@@ -60,48 +56,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var (
-		plat *soc.Platform
-		net  *thermal.Network
-	)
-	switch {
-	case *netPath != "":
-		// Explicit pair: a bare SoC description plus its network. Half a
-		// pair no longer completes silently with an Exynos preset.
-		if *platRef == "" {
-			log.Fatal("-thermal requires -platform with a bare SoC description JSON")
-		}
-		f, err := os.Open(*platRef)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plat, err = soc.LoadPlatform(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		f, err = os.Open(*netPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		net, err = thermal.LoadNetwork(f)
-		f.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-	case *platRef != "":
-		b, err := platform.Resolve(*platRef)
-		if err != nil {
-			log.Fatal(err)
-		}
-		plat, net = b.SoC, b.Net
-	default:
-		b := platform.Default()
-		plat, net = b.SoC, b.Net
+	b, err := platform.Resolve(*platRef)
+	if err != nil {
+		log.Fatal(err)
 	}
 	cfg := sim.Config{
-		Platform:         plat,
-		Net:              net,
+		Platform:         b.SoC,
+		Net:              b.Net,
 		App:              app,
 		Map:              mapping.Mapping{Big: *nBig, Little: *nLittle, UseGPU: *partNum < 8},
 		Part:             mapping.Partition{Num: *partNum, Den: 8},
@@ -156,7 +117,7 @@ func main() {
 
 	if *chart {
 		fmt.Println()
-		bigName := plat.Big().Name
+		bigName := b.SoC.Big().Name
 		fmt.Print(res.Trace.RenderTempAndFreq(bigName, bigName, 72, 14))
 	}
 	if *csvPath != "" {

@@ -24,8 +24,6 @@ var keptExports = map[string]string{
 	"thermal.Exynos5410Network":  "the catalog generator internal/platform/gen.go (//go:build ignore) builds a bundle from it",
 	"platform.Bundle.Save":       "the catalog generator internal/platform/gen.go (//go:build ignore) writes the catalog with it",
 	"platform.Verify":            "the catalog physics gate that make platform-gate runs",
-	"soc.Platform.Save":          "writes the file teemscenario -platform reads",
-	"thermal.Network.Save":       "writes the file teemscenario -thermal reads",
 	"scenario.ArrivalTrace.Save": "writes the file teemscenario -replay reads",
 	"core.LoadStore":             "reads the store teemreport profile -save writes",
 	"service.Job.Stream":         "the job stream ExampleNewService documents",

@@ -233,9 +233,6 @@ func NewManager(plat *soc.Platform, net *thermal.Network, params Params) (*Manag
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	if plat.Big() == nil || plat.Little() == nil || plat.GPU() == nil {
-		return nil, errors.New("core: platform must have big, LITTLE and GPU clusters")
-	}
 	return &Manager{
 		plat:   plat,
 		net:    net,

@@ -12,8 +12,8 @@ import (
 
 // jsonBundle mirrors Bundle with explicit JSON tags. The soc and thermal
 // descriptions nest through their own MarshalJSON/UnmarshalJSON codecs,
-// so a bundle file embeds the exact schemas `teemsim -platform` and
-// `-thermal` already accept — one document instead of two coupled ones.
+// so the SoC and its network travel as one document instead of two
+// coupled ones.
 type jsonBundle struct {
 	Name         string            `json:"name"`
 	Class        Class             `json:"class"`

@@ -95,8 +95,7 @@ type Bundle struct {
 
 // Validate reports an error if the bundle is structurally inconsistent:
 // missing pieces, an invalid SoC or network, a platform/network pair
-// that cannot carry each other, duplicate-kind clusters, or malformed
-// accelerator slots.
+// that cannot carry each other, or malformed accelerator slots.
 func (b *Bundle) Validate() error {
 	if b.Name == "" {
 		return fmt.Errorf("platform: bundle has empty name")
@@ -118,24 +117,6 @@ func (b *Bundle) Validate() error {
 	}
 	if _, _, err := sim.ResolveNodes(b.SoC, b.Net); err != nil {
 		return fmt.Errorf("platform %s: %w", b.Name, err)
-	}
-	// The engine indexes exactly one cluster per kind (and the node
-	// aliases @big/@little/@gpu resolve to one cluster), so a catalog
-	// bundle must carry exactly one of each.
-	var nBig, nLit, nGPU int
-	for i := range b.SoC.Clusters {
-		switch b.SoC.Clusters[i].Kind {
-		case soc.BigCPU:
-			nBig++
-		case soc.LittleCPU:
-			nLit++
-		case soc.GPU:
-			nGPU++
-		}
-	}
-	if nBig != 1 || nLit != 1 || nGPU != 1 {
-		return fmt.Errorf("platform %s: want exactly one big, LITTLE and GPU cluster, got %d/%d/%d",
-			b.Name, nBig, nLit, nGPU)
 	}
 	seen := make(map[string]bool, len(b.Accelerators))
 	for i := range b.Accelerators {

@@ -8,7 +8,6 @@ package powermeter
 import (
 	"errors"
 	"math"
-	"slices"
 )
 
 // Meter is a sampling power meter.
@@ -19,23 +18,16 @@ type Meter struct {
 	// decimals, i.e. 0.01 W). Zero disables quantisation.
 	ResolutionW float64
 
-	samples []float64
-	nextAt  float64
-	lastT   float64
-	started bool
+	// energyJ and sumW fold the latched samples in order; n counts them.
+	energyJ, sumW float64
+	n             int
+	nextAt        float64
+	lastT         float64
+	started       bool
 }
 
 // New returns a meter with the Smart Power 2 defaults: 1 Hz, 0.01 W.
 func New() *Meter { return &Meter{PeriodS: 1.0, ResolutionW: 0.01} }
-
-// Reserve pre-sizes the sample buffer for about n further samples, so a
-// caller that knows its run length (MaxTimeS / PeriodS) can keep the
-// observe path allocation-free.
-func (m *Meter) Reserve(n int) {
-	if n > 0 {
-		m.samples = slices.Grow(m.samples, n)
-	}
-}
 
 // Observe feeds the continuous power waveform: callers report the
 // instantaneous board power at monotonically non-decreasing times. The
@@ -54,8 +46,10 @@ func (m *Meter) Observe(tS, powerW float64) error {
 	for m.nextAt <= tS {
 		// Sample-and-hold of the most recent value at the sampling
 		// instant.
-		p := powerW
-		m.samples = append(m.samples, m.quantize(p))
+		q := m.quantize(powerW)
+		m.energyJ += q * m.PeriodS
+		m.sumW += q
+		m.n++
 		m.nextAt += m.PeriodS
 	}
 	m.lastT = tS
@@ -84,22 +78,12 @@ func (m *Meter) quantize(p float64) float64 {
 
 // EnergyJ returns the accumulated energy in joules, computed as the sum of
 // samples times the period — exactly how a sampling meter integrates.
-func (m *Meter) EnergyJ() float64 {
-	e := 0.0
-	for _, p := range m.samples {
-		e += p * m.PeriodS
-	}
-	return e
-}
+func (m *Meter) EnergyJ() float64 { return m.energyJ }
 
 // AvgPowerW returns the mean of the samples.
 func (m *Meter) AvgPowerW() float64 {
-	if len(m.samples) == 0 {
+	if m.n == 0 {
 		return 0
 	}
-	s := 0.0
-	for _, p := range m.samples {
-		s += p
-	}
-	return s / float64(len(m.samples))
+	return m.sumW / float64(m.n)
 }

@@ -60,9 +60,6 @@ func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) 
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
-	if plat.Big() == nil || plat.Little() == nil || plat.GPU() == nil {
-		return nil, errors.New("profile: platform must have big, LITTLE and GPU clusters")
-	}
 	pm, err := power.NewModel(plat)
 	if err != nil {
 		return nil, err

@@ -120,6 +120,10 @@ func (r *Result) Passed() bool { return len(r.Violations) == 0 }
 // ramp stays a sparse event sequence.
 const ambientRampStepS = 0.1
 
+// maxRampSteps caps the ambient-ramp steps one scenario compiles to
+// (Validate): 10,000 s of ramps. The presets compile 50.
+const maxRampSteps = 100_000
+
 // Run executes one scenario. The timeline is compiled to engine events
 // before the run starts, so execution is fully deterministic: same
 // scenario, same config, same output.

@@ -54,6 +54,7 @@ import (
 	"strings"
 
 	"teem/internal/mapping"
+	"teem/internal/sim"
 	"teem/internal/workload"
 )
 
@@ -195,7 +196,7 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 	if s.HorizonS < 0 {
 		return fmt.Errorf("scenario %s: negative horizon", s.Name)
 	}
-	arrivals := 0
+	arrivals, rampSteps := 0, 0.0
 	arrCount := map[string]int{}
 	depCount := map[string]int{}
 	for i := range s.Events {
@@ -259,6 +260,10 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 			if ev.RampS < 0 {
 				return fmt.Errorf("scenario %s: event %d: negative ramp", s.Name, i)
 			}
+			// A ramp compiles to one engine event per ambientRampStepS.
+			if rampSteps += ev.RampS / ambientRampStepS; rampSteps > maxRampSteps {
+				return fmt.Errorf("scenario %s: event %d: ambient ramps compile to over %d steps", s.Name, i, maxRampSteps)
+			}
 		case KindGovernor:
 			if ev.Governor == "" || !knownGov(ev.Governor) {
 				return fmt.Errorf("scenario %s: event %d: unknown governor %q", s.Name, i, ev.Governor)
@@ -287,6 +292,11 @@ func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
 	}
 	if arrivals == 0 {
 		return fmt.Errorf("scenario %s: no application arrivals", s.Name)
+	}
+	// A run lasts one tick past EndS (Run), and the engine refuses one
+	// that reaches sim.MaxRunS.
+	if end := s.EndS(); end+sim.TickS >= sim.MaxRunS {
+		return fmt.Errorf("scenario %s: timeline ends at %g s, past the engine's %g s limit", s.Name, end, sim.MaxRunS)
 	}
 	// Each departure consumes one submission: more departures than
 	// arrivals of an app (or of one tagged instance) can never all

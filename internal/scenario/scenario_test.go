@@ -149,6 +149,31 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// A finite timeline can still be too long to run: a 1e17 s horizon
+// overflowed the engine's tick count, and a 1e9 s ramp compiled to 1e10
+// ambient events before the first tick. Validate rejects both, so a
+// service refuses them at submission.
+func TestValidateRejectsUnrunnableLengths(t *testing.T) {
+	cases := []struct {
+		name, want string
+		set        func(sc *Scenario)
+	}{
+		{"horizon_s 1e17", "limit", func(sc *Scenario) { sc.HorizonS = 1e17 }},
+		{"at_s 1e17", "limit", func(sc *Scenario) { sc.Events[0].AtS = 1e17 }},
+		{"ramp_s 1e9", "steps", func(sc *Scenario) { sc.Events[1].RampS = 1e9 }},
+	}
+	for _, c := range cases {
+		sc, err := New("lengths").ArriveDefault(0, "MVT").AmbientRamp(1, 2, 40).Horizon(5).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.set(sc)
+		if err := sc.Validate(nil); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Validate returned %v, want an error naming the %s", c.name, err, c.want)
+		}
+	}
+}
+
 func TestJSONRoundTrip(t *testing.T) {
 	s := RushHour()
 	var buf bytes.Buffer

@@ -279,8 +279,6 @@ func TestHTTPListJobs(t *testing.T) {
 	}
 }
 
-// An oversized submit body is refused with 413 in the JSON error shape
-// before admission: no job, no journal record.
 // A fig5 map that does not fit the platform, or leaves EEMP and RMP no
 // CPU core, is a malformed request: it answers 400 at submission and
 // leaves no job, journal record or cache entry behind.
@@ -367,6 +365,39 @@ func requireNothingAdmitted(t *testing.T, s *Service, ts *httptest.Server, path,
 	}
 }
 
+// A scenario too long to run — a horizon past sim.MaxRunS, or ramps
+// that compile to more ambient events than Validate allows — is a
+// malformed request. A 1e17 s horizon used to be admitted, journalled and
+// retried as a transient failure when its run panicked.
+func TestHTTPScenarioTooLong(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	s, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})
+	for _, c := range []struct {
+		name string
+		set  func(sc *scenario.Scenario)
+	}{
+		{"horizon_s 1e17", func(sc *scenario.Scenario) { sc.HorizonS = 1e17 }},
+		{"ramp_s 1e9", func(sc *scenario.Scenario) { sc.Events[1].RampS = 1e9 }},
+	} {
+		sc, err := scenario.New("long").ArriveDefault(0, "MVT").AmbientRamp(1, 2, 40).Horizon(5).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.set(sc)
+		var buf bytes.Buffer
+		if err := sc.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		resp, body := postJSON(t, ts.URL+"/v1/jobs", JobRequest{Scenario: buf.Bytes()})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400: %s", c.name, resp.StatusCode, body)
+		}
+	}
+	requireNothingAdmitted(t, s, ts, path, "rejected scenario lengths")
+}
+
+// An oversized submit body is refused with 413 in the JSON error shape
+// before admission: no job, no journal record.
 func TestHTTPSubmitTooLarge(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.ndjson")
 	_, ts := newTestServer(t, Options{Workers: 1, JournalPath: path})

@@ -124,8 +124,6 @@ func TestSuperstepWalkZeroAllocs(t *testing.T) {
 	const dt = 0.01
 	e.govEvery = 3
 	e.recEvery = 10
-	// Room for the samples the measured steps will latch.
-	e.meter.Reserve(8000)
 	const maxTicks, minTicks = 60_000, 60_000
 	step := func() {
 		advanced, err := e.superstep(dt, maxTicks, minTicks)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -44,6 +46,53 @@ func TestNewRejectsNegativeMaxTime(t *testing.T) {
 		if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "MaxTimeS") {
 			t.Errorf("MinTimeS %g, MaxTimeS -5: got %v, want an error naming MaxTimeS", minT, err)
 		}
+	}
+}
+
+// A run length past MaxRunS overflowed the tick count: at MaxTimeS 1e17
+// Run executed no tick and returned Completed=false, 0 s and 0 J with no
+// error. New must reject it and name the field.
+func TestNewRejectsRunPastMaxRunS(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"MinTimeS", func(c *Config, v float64) { c.MinTimeS = v }},
+		{"MaxTimeS", func(c *Config, v float64) { c.MaxTimeS = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{MaxRunS, 1e17} {
+			cfg := baseConfig()
+			f.set(&cfg, v)
+			if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %g: got %v, want an error naming the field", f.name, v, err)
+			}
+		}
+	}
+}
+
+// Nothing a run reserves grows with its length: the engine used to
+// reserve one power-meter sample per second of MinTimeS (8 MB at 1e6 s)
+// before its first tick, and a long enough scenario horizon ended the
+// process with an out-of-memory fatal error.
+func TestRunReservesNothingPerSecond(t *testing.T) {
+	done := make(chan struct{})
+	close(done)
+	cfg := baseConfig()
+	cfg.MinTimeS, cfg.Done = 1e6, done
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = e.Run()
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("Run = %v, want ErrAborted", err)
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+		t.Errorf("Run allocated %d B, want under 64 KiB", n)
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"teem/internal/soc"
@@ -44,5 +45,22 @@ func TestResolveNodes(t *testing.T) {
 	}
 	if _, _, err := ResolveNodes(soc.Exynos5422(), n); !errors.Is(err, ErrPlatformNetMismatch) {
 		t.Fatalf("missing pkg node: %v, want ErrPlatformNetMismatch", err)
+	}
+}
+
+// A second big cluster used to pass New: the mapping was checked against
+// the first big cluster (4 cores) while the engine indexed the last one
+// (2 cores), and Run then failed with "invalid core counts". New must
+// reject a platform without exactly one cluster of each kind.
+func TestNewRejectsSecondBigCluster(t *testing.T) {
+	cfg := baseConfig()
+	cfg.Map.Big = 4
+	extra := cfg.Platform.Clusters[0]
+	extra.Name, extra.NumCores = "A15b", 2
+	cfg.Platform.Clusters = append(cfg.Platform.Clusters, extra)
+	cfg.Net.Nodes = append(cfg.Net.Nodes, thermal.Node{Name: "A15b", HeatCapJ: 1})
+	cfg.Net.Links = append(cfg.Net.Links, thermal.Link{A: len(cfg.Net.Nodes) - 1, B: cfg.Net.NodeIndex("pkg"), ResCW: 5})
+	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "exactly one big") {
+		t.Fatalf("New = %v, want a rejection of the second big cluster", err)
 	}
 }

@@ -12,10 +12,10 @@
 // a precomputed exact propagator (thermal.Stepper), power evaluation
 // writes into an engine-owned breakdown (power.EvaluateInto), heat
 // injection uses the node map ResolveNodes builds once at New, sensor
-// lookups an index map built there too, and the trace and meter are sized
-// at the run's first sample from what the engine knows of its length (a
-// scenario horizon, or RunWarm's warm-up), growing geometrically
-// otherwise.
+// lookups an index map built there too, the power meter folds each
+// sample as it latches it, and the trace is sized at the run's first
+// sample from what the engine knows of its length (a scenario horizon,
+// or RunWarm's warm-up), growing geometrically otherwise.
 //
 // On top of the fixed-tick loop sits an event-horizon superstep
 // scheduler: when the operating point is provably steady — no due
@@ -292,11 +292,11 @@ type Engine struct {
 
 	// Recording. sum folds every recorded sample into the summaries
 	// Result reports; tr keeps the full series. Both are allocated at
-	// the first sample. inherit is the capacity a RunWarm measured run
-	// takes from its warm-up (see sizing).
+	// the first sample. inherit is the sample count a RunWarm measured
+	// run takes from its warm-up (see sizing).
 	sum     summary
 	tr      *trace.Trace
-	inherit capacity
+	inherit int
 
 	// cluster bookkeeping, indexed like plat.Clusters
 	freqs   []int
@@ -445,13 +445,14 @@ func New(cfg Config) (*Engine, error) {
 		return nil, errors.New("sim: Platform, Net and App are required")
 	}
 	// The tick conversions int(x/dt + 0.5) are implementation-defined for
-	// NaN and ±Inf, and a negative MaxTimeS would run no tick at all.
+	// NaN and ±Inf and overflow past MaxRunS, and a negative MaxTimeS
+	// would run no tick at all.
 	for _, f := range [...]struct {
 		name string
 		v    float64
 	}{{"MinTimeS", cfg.MinTimeS}, {"MaxTimeS", cfg.MaxTimeS}} {
-		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
-			return nil, fmt.Errorf("sim: %s must be finite and non-negative, got %g", f.name, f.v)
+		if !(f.v >= 0 && f.v < MaxRunS) {
+			return nil, fmt.Errorf("sim: %s must be non-negative and below %g s, got %g", f.name, MaxRunS, f.v)
 		}
 	}
 	// A non-finite start temperature turns every summary and sensor read
@@ -472,10 +473,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	big, lit, gpu := cfg.Platform.Big(), cfg.Platform.Little(), cfg.Platform.GPU()
-	if big == nil || lit == nil || gpu == nil {
-		return nil, errors.New("sim: platform must have big, LITTLE and GPU clusters")
-	}
+	big, lit := cfg.Platform.Big(), cfg.Platform.Little()
 	nodeOf, pkgNode, err := ResolveNodes(cfg.Platform, cfg.Net)
 	if err != nil {
 		return nil, err
@@ -1081,6 +1079,11 @@ func (e *Engine) SetGovernor(g Governor) error {
 // the cap keeps the conversion of a huge finite period well defined.
 const maxPeriodTicks = 1 << 53
 
+// MaxRunS bounds a run's MinTimeS and MaxTimeS (New rejects either at or
+// past it): maxPeriodTicks ticks, so a run's tick counts convert exactly.
+// A scenario's timeline is checked against it too.
+const MaxRunS = maxPeriodTicks * TickS
+
 // periodTicks converts g's control period to whole ticks, at least one. The period must be a finite positive number of seconds: int() of
 // NaN or ±Inf is implementation-defined, and on amd64 a NaN or infinite
 // period made the governor act on every tick.
@@ -1190,7 +1193,6 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 	e.recEvery = int(recordPeriodS/dt + 0.5)
-	e.meter.Reserve(e.sizing().meter)
 	// Round like ScheduleAt and minTicks do: truncation would let a
 	// horizon-clamped MaxTimeS end the loop one tick before a final
 	// scheduled event, leaving it undelivered.
@@ -1641,39 +1643,31 @@ func (e *Engine) record(totalW float64) error {
 	return nil
 }
 
-// capacity is how many trace and power-meter samples a run is expected
-// to record (0: unknown).
-type capacity struct{ samples, meter int }
-
 // maxHorizonSamples bounds the trace samples reserved for a scenario
 // horizon: supersteps record no samples inside a jump, so a long horizon
 // can span far more record periods than the run records (the trace
-// bounds its arena blocks the same way). The meter samples every
-// interval, so its reservation needs no bound.
+// bounds its arena blocks the same way).
 const maxHorizonSamples = 1024
 
-// sizing is the recording capacity of this run, from what the engine
-// knows of its length instead of the MaxTimeS budget: a RunWarm measured
-// run inherits its warm-up's counts, a scenario run is sized for its
-// horizon (MinTimeS), and anything else starts small and grows
-// geometrically.
-func (e *Engine) sizing() capacity {
-	if e.inherit.samples > 0 {
+// sizing is how many trace samples this run is expected to record (0:
+// unknown), from what the engine knows of its length instead of the
+// MaxTimeS budget: a RunWarm measured run inherits its warm-up's count,
+// a scenario run is sized for its horizon (MinTimeS), and anything else
+// starts small and grows geometrically.
+func (e *Engine) sizing() int {
+	if e.inherit > 0 {
 		return e.inherit
 	}
 	if h := e.cfg.MinTimeS; h > 0 {
-		return capacity{
-			samples: min(int(h/recordPeriodS)+2, maxHorizonSamples),
-			meter:   int(h/e.meter.PeriodS) + 2,
-		}
+		return min(int(h/recordPeriodS)+2, maxHorizonSamples)
 	}
-	return capacity{}
+	return 0
 }
 
 // beginRecording allocates the recording state at the run's first
 // sample, so an engine that never runs (WarmStartTemps) allocates none.
 func (e *Engine) beginRecording() {
-	n := e.sizing().samples
+	n := e.sizing()
 	e.sum.init(len(e.cfg.Net.Nodes), e.nodeOf[e.bigIdx], n)
 	if e.cfg.DiscardTrace && e.cfg.OnSample == nil {
 		// No caller reads the series; a subscriber still needs the
@@ -1764,6 +1758,6 @@ func RunWarm(cfg Config) (*Result, error) {
 	}
 	// The measured run repeats the warm-up's job, so it records about as
 	// many samples.
-	e2.inherit = capacity{samples: e1.sum.n, meter: int(e1.TimeS()/e1.meter.PeriodS) + 2}
+	e2.inherit = e1.sum.n
 	return e2.Run()
 }

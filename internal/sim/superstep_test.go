@@ -180,8 +180,6 @@ func TestSuperstepZeroAllocs(t *testing.T) {
 	const dt = 0.01
 	e.govEvery = 0
 	e.recEvery = 10
-	// Room for the samples the measured jumps will latch.
-	e.meter.Reserve(8000)
 	const maxTicks, minTicks = 50_000_000, 40_000_000
 	// Warm up: the first tick, the jump map and its blocks.
 	for i := 0; i < 300; i++ {

@@ -3,12 +3,12 @@ package soc
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // Platform descriptions are plain data, so they serialise directly: a
-// downstream user can define custom hardware in a JSON file and load it at
-// runtime (teemsim -platform custom.json) instead of recompiling.
+// platform bundle file nests one as its "soc" object, which is how custom
+// hardware is defined in JSON and loaded at runtime (teemsim -platform
+// custom.json) instead of recompiled.
 
 // jsonCluster mirrors Cluster with explicit JSON tags and a string kind.
 type jsonCluster struct {
@@ -37,8 +37,6 @@ type jsonPlatform struct {
 	TripCapMHz      int           `json:"trip_cap_mhz"`
 }
 
-func kindToString(k ClusterKind) string { return k.String() }
-
 func kindFromString(s string) (ClusterKind, error) {
 	switch s {
 	case "big":
@@ -52,8 +50,9 @@ func kindFromString(s string) (ClusterKind, error) {
 	}
 }
 
-// toJSON converts the platform to its wire mirror.
-func (p *Platform) toJSON() jsonPlatform {
+// MarshalJSON encodes the platform as the "soc" object of a platform
+// bundle file (internal/platform). It performs no validation.
+func (p *Platform) MarshalJSON() ([]byte, error) {
 	jp := jsonPlatform{
 		Name:            p.Name,
 		BoardBaselineW:  p.BoardBaselineW,
@@ -67,7 +66,7 @@ func (p *Platform) toJSON() jsonPlatform {
 		c := &p.Clusters[i]
 		jc := jsonCluster{
 			Name:          c.Name,
-			Kind:          kindToString(c.Kind),
+			Kind:          c.Kind.String(),
 			NumCores:      c.NumCores,
 			CdynCoreNF:    c.CdynCoreNF,
 			LeakCoeff:     c.LeakCoeff,
@@ -78,15 +77,18 @@ func (p *Platform) toJSON() jsonPlatform {
 		}
 		jp.Clusters = append(jp.Clusters, jc)
 	}
-	return jp
+	return json.Marshal(jp)
 }
 
-// platformFromJSON converts the wire mirror back into a Platform. The
-// result is structurally decoded but not yet validated — callers decide
-// when Validate runs (LoadPlatform validates immediately; a bundle
-// validates the pair as a whole).
-func platformFromJSON(jp jsonPlatform) (*Platform, error) {
-	p := &Platform{
+// UnmarshalJSON decodes the schema MarshalJSON writes. Like MarshalJSON
+// it is a pure codec: run Validate on untrusted input (platform.Load
+// validates the bundle as a whole).
+func (p *Platform) UnmarshalJSON(data []byte) error {
+	var jp jsonPlatform
+	if err := json.Unmarshal(data, &jp); err != nil {
+		return fmt.Errorf("soc: decoding platform: %w", err)
+	}
+	np := Platform{
 		Name:            jp.Name,
 		BoardBaselineW:  jp.BoardBaselineW,
 		DRAMPowerPerGBs: jp.DRAMPowerPerGBs,
@@ -98,7 +100,7 @@ func platformFromJSON(jp jsonPlatform) (*Platform, error) {
 	for _, jc := range jp.Clusters {
 		kind, err := kindFromString(jc.Kind)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c := Cluster{
 			Name:          jc.Name,
@@ -111,55 +113,8 @@ func platformFromJSON(jp jsonPlatform) (*Platform, error) {
 		for _, o := range jc.OPPs {
 			c.OPPs = append(c.OPPs, OPP{FreqMHz: o.FreqMHz, VoltV: o.VoltV})
 		}
-		p.Clusters = append(p.Clusters, c)
+		np.Clusters = append(np.Clusters, c)
 	}
-	return p, nil
-}
-
-// MarshalJSON encodes the platform through the same schema Save writes,
-// so a platform nests inside larger JSON documents (notably the platform
-// catalog's bundle files). It performs no validation — Save does.
-func (p *Platform) MarshalJSON() ([]byte, error) {
-	return json.Marshal(p.toJSON())
-}
-
-// UnmarshalJSON decodes the Save/LoadPlatform schema. Like MarshalJSON it
-// is a pure codec: run Validate (or LoadPlatform) on untrusted input.
-func (p *Platform) UnmarshalJSON(data []byte) error {
-	var jp jsonPlatform
-	if err := json.Unmarshal(data, &jp); err != nil {
-		return fmt.Errorf("soc: decoding platform: %w", err)
-	}
-	np, err := platformFromJSON(jp)
-	if err != nil {
-		return err
-	}
-	*p = *np
+	*p = np
 	return nil
-}
-
-// Save writes the platform as indented JSON.
-func (p *Platform) Save(w io.Writer) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(p.toJSON())
-}
-
-// LoadPlatform reads and validates a platform from JSON.
-func LoadPlatform(r io.Reader) (*Platform, error) {
-	var jp jsonPlatform
-	if err := json.NewDecoder(r).Decode(&jp); err != nil {
-		return nil, fmt.Errorf("soc: decoding platform: %w", err)
-	}
-	p, err := platformFromJSON(jp)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

@@ -1,20 +1,19 @@
 package soc
 
 import (
-	"bytes"
+	"encoding/json"
 	"reflect"
-	"strings"
 	"testing"
 )
 
 func TestPlatformJSONRoundTrip(t *testing.T) {
 	for _, orig := range []*Platform{Exynos5422(), Exynos5410()} {
-		var buf bytes.Buffer
-		if err := orig.Save(&buf); err != nil {
+		data, err := json.Marshal(orig)
+		if err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
-		loaded, err := LoadPlatform(&buf)
-		if err != nil {
+		loaded := new(Platform)
+		if err := json.Unmarshal(data, loaded); err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
 		if !reflect.DeepEqual(orig, loaded) {
@@ -23,24 +22,16 @@ func TestPlatformJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadPlatformRejectsBadInput(t *testing.T) {
+// Unmarshal rejects what cannot be decoded; structurally valid but
+// inconsistent platforms are Validate's (TestValidateRejectsBadPlatforms).
+func TestUnmarshalPlatformRejectsBadInput(t *testing.T) {
 	cases := []string{
 		`{not json`,
 		`{"name":"x","clusters":[{"name":"c","kind":"weird","num_cores":1,"opps":[{"freq_mhz":100,"volt_v":1}],"cdyn_core_nf":1}],"trip_c":90,"trip_release_c":85}`,
-		`{"name":"","clusters":[]}`, // fails Validate
 	}
 	for i, c := range cases {
-		if _, err := LoadPlatform(strings.NewReader(c)); err == nil {
+		if err := json.Unmarshal([]byte(c), new(Platform)); err == nil {
 			t.Errorf("case %d: accepted invalid platform", i)
 		}
-	}
-}
-
-func TestSaveRejectsInvalidPlatform(t *testing.T) {
-	p := Exynos5422()
-	p.Name = ""
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err == nil {
-		t.Error("Save should validate first")
 	}
 }

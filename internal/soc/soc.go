@@ -224,10 +224,8 @@ func (p *Platform) Validate() error {
 	if p.Name == "" {
 		return fmt.Errorf("soc: platform has empty name")
 	}
-	if len(p.Clusters) == 0 {
-		return fmt.Errorf("soc: platform %s: no clusters", p.Name)
-	}
 	seen := make(map[string]bool, len(p.Clusters))
+	var perKind [GPU + 1]int
 	for i := range p.Clusters {
 		c := &p.Clusters[i]
 		if err := c.Validate(); err != nil {
@@ -237,6 +235,16 @@ func (p *Platform) Validate() error {
 			return fmt.Errorf("soc: platform %s: duplicate cluster name %q", p.Name, c.Name)
 		}
 		seen[c.Name] = true
+		if c.Kind < BigCPU || c.Kind > GPU {
+			return fmt.Errorf("soc: platform %s: cluster %s has unknown kind %s", p.Name, c.Name, c.Kind)
+		}
+		perKind[c.Kind]++
+	}
+	// The engine, the power model and the governors address one cluster
+	// per kind (as do the node aliases @big, @little and @gpu).
+	if perKind != [...]int{1, 1, 1} {
+		return fmt.Errorf("soc: platform %s: want exactly one big, LITTLE and GPU cluster, got %d/%d/%d",
+			p.Name, perKind[BigCPU], perKind[LittleCPU], perKind[GPU])
 	}
 	// A NaN trip never fires and a non-finite temperature or power
 	// coefficient turns every temperature of a run into NaN or ±Inf.

@@ -3,11 +3,11 @@ package thermal
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
-// Thermal topologies serialise like platforms: custom RC networks can be
-// defined in JSON files and loaded at runtime instead of recompiled.
+// Thermal topologies serialise like platforms: a platform bundle file
+// nests the RC network as its "thermal" object, so custom networks are
+// defined in JSON and loaded at runtime instead of recompiled.
 
 type jsonNode struct {
 	Name     string  `json:"name"`
@@ -26,9 +26,10 @@ type jsonNetwork struct {
 	Links []jsonLink `json:"links"`
 }
 
-// toJSON converts the network to its wire mirror. Link endpoints are
-// emitted by node name so the format is robust to reordering.
-func (n *Network) toJSON() jsonNetwork {
+// MarshalJSON encodes the network as the "thermal" object of a platform
+// bundle file (internal/platform). Link endpoints are emitted by node
+// name so the format is robust to reordering. It performs no validation.
+func (n *Network) MarshalJSON() ([]byte, error) {
 	jn := jsonNetwork{}
 	for _, nd := range n.Nodes {
 		jn.Nodes = append(jn.Nodes, jsonNode{Name: nd.Name, HeatCapJ: nd.HeatCapJ})
@@ -40,81 +41,38 @@ func (n *Network) toJSON() jsonNetwork {
 		}
 		jn.Links = append(jn.Links, jsonLink{A: n.Nodes[l.A].Name, B: b, ResCW: l.ResCW})
 	}
-	return jn
+	return json.Marshal(jn)
 }
 
-// networkFromJSON converts the wire mirror back into a Network without
-// validating it — LoadNetwork validates immediately, a platform bundle
-// validates the assembled pair.
-func networkFromJSON(jn jsonNetwork) (*Network, error) {
-	n := &Network{}
-	index := map[string]int{}
-	for i, nd := range jn.Nodes {
-		n.Nodes = append(n.Nodes, Node{Name: nd.Name, HeatCapJ: nd.HeatCapJ})
-		index[nd.Name] = i
-	}
-	for _, l := range jn.Links {
-		a, ok := index[l.A]
-		if !ok {
-			return nil, fmt.Errorf("thermal: link endpoint %q is not a node", l.A)
-		}
-		b := Ambient
-		if l.B != "ambient" {
-			bi, ok := index[l.B]
-			if !ok {
-				return nil, fmt.Errorf("thermal: link endpoint %q is not a node", l.B)
-			}
-			b = bi
-		}
-		n.Links = append(n.Links, Link{A: a, B: b, ResCW: l.ResCW})
-	}
-	return n, nil
-}
-
-// MarshalJSON encodes the network through the same schema Save writes, so
-// a network nests inside larger JSON documents (the platform catalog's
-// bundle files). It performs no validation — Save does.
-func (n *Network) MarshalJSON() ([]byte, error) {
-	return json.Marshal(n.toJSON())
-}
-
-// UnmarshalJSON decodes the Save/LoadNetwork schema. Like MarshalJSON it
-// is a pure codec: run Validate (or LoadNetwork) on untrusted input.
+// UnmarshalJSON decodes the schema MarshalJSON writes. Like MarshalJSON
+// it is a pure codec: run Validate on untrusted input (platform.Load
+// validates the bundle as a whole).
 func (n *Network) UnmarshalJSON(data []byte) error {
 	var jn jsonNetwork
 	if err := json.Unmarshal(data, &jn); err != nil {
 		return fmt.Errorf("thermal: decoding network: %w", err)
 	}
-	nn, err := networkFromJSON(jn)
-	if err != nil {
-		return err
+	nn := Network{}
+	index := make(map[string]int, len(jn.Nodes))
+	for i, nd := range jn.Nodes {
+		nn.Nodes = append(nn.Nodes, Node{Name: nd.Name, HeatCapJ: nd.HeatCapJ})
+		index[nd.Name] = i
 	}
-	*n = *nn
+	for _, l := range jn.Links {
+		a, ok := index[l.A]
+		if !ok {
+			return fmt.Errorf("thermal: link endpoint %q is not a node", l.A)
+		}
+		b := Ambient
+		if l.B != "ambient" {
+			bi, ok := index[l.B]
+			if !ok {
+				return fmt.Errorf("thermal: link endpoint %q is not a node", l.B)
+			}
+			b = bi
+		}
+		nn.Links = append(nn.Links, Link{A: a, B: b, ResCW: l.ResCW})
+	}
+	*n = nn
 	return nil
-}
-
-// Save writes the network as indented JSON with name-based link endpoints.
-func (n *Network) Save(w io.Writer) error {
-	if err := n.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(n.toJSON())
-}
-
-// LoadNetwork reads and validates an RC network from JSON.
-func LoadNetwork(r io.Reader) (*Network, error) {
-	var jn jsonNetwork
-	if err := json.NewDecoder(r).Decode(&jn); err != nil {
-		return nil, fmt.Errorf("thermal: decoding network: %w", err)
-	}
-	n, err := networkFromJSON(jn)
-	if err != nil {
-		return nil, err
-	}
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	return n, nil
 }

@@ -10,8 +10,8 @@
 // linear time-invariant within a control interval, so one matrix-vector
 // product per tick replaces the substep loop with zero error and zero heap
 // allocations. A direct linear steady-state solver cross-checks both and
-// powers calibration tests. Sensors mimic the Exynos TMU: per-node
-// readings with optional 1 °C quantisation.
+// powers calibration tests. A sensor reads its node's temperature
+// exactly, like one Exynos TMU probe per node, with no quantisation.
 //
 // Superstep extends the exact propagator to whole intervals: when the
 // injected power is affine in temperature (a constant operating point

@@ -30,6 +30,7 @@ func TestValidate(t *testing.T) {
 		{Nodes: []Node{{Name: "a", HeatCapJ: 1}}, Links: []Link{{0, 0, 1}}},
 		{Nodes: []Node{{Name: "a", HeatCapJ: 1}}, Links: []Link{{0, Ambient, 0}}},
 		{Nodes: []Node{{Name: "a", HeatCapJ: 1}, {Name: "b", HeatCapJ: 1}}, Links: []Link{{0, 1, 1}}}, // no ambient
+		{Nodes: []Node{{Name: "a", HeatCapJ: 1}}},                                                     // no links
 	}
 	for i, n := range bad {
 		if err := n.Validate(); err == nil {
