@@ -46,7 +46,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Measured snapshot of the core benchmarks (sim tick/run, the steady
-# walk, the RunWarm protocol, Fig. 5 serial/parallel, the offline
+# walk and record segments, the RunWarm protocol, Fig. 5 serial/parallel, the offline
 # profiling phase, scenario engine, thermal stepping and superstep jumps,
 # power evaluation) as BENCH_<date>.json. Each benchmark runs 5 times;
 # benchjson records the median ns/op, B/op and allocs/op with the ns/op
@@ -54,7 +54,7 @@ bench:
 # CI uploads it as a non-gating artifact so the perf trajectory is tracked
 # across PRs.
 BENCH_DATE := $(shell date -u +%Y-%m-%d)
-BENCH_CORE := 'BenchmarkSimRun|BenchmarkSteadyWalk|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
+BENCH_CORE := 'BenchmarkSimRun|BenchmarkSteadyWalk|BenchmarkSteadySegments|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
 bench-json:
 	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem -count 5 ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/service . \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
@@ -91,13 +91,15 @@ scenario-gate:
 
 # Integrator-agreement gate (docs/integrators.md): the superstep
 # agreement suites must hold uncached, the contract fuzzer must find no
-# counterexample in 10 s beyond its preset × catalog seeds, and the
-# preset corpus must keep its assertions under both -integrator modes —
-# euler here, exact above in scenario-gate (where supersteps are live by
-# default).
+# counterexample in 10 s beyond its preset × catalog seeds, the record
+# segments' monotonicity certificate must survive 10 s of fuzzing, and
+# the preset corpus must keep its assertions under both -integrator
+# modes — euler here, exact above in scenario-gate (where supersteps are
+# live by default).
 integrator-gate:
 	$(GO) test -count=1 -run 'TestSuperstep' ./internal/thermal ./internal/sim ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSuperstepContract$$' -fuzztime 10s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzSuperstepSegment$$' -fuzztime 10s ./internal/thermal
 	$(GO) run ./cmd/teemscenario -govs ondemand,teem -integrator euler
 
 # Platform-catalog gate (docs/platforms.md): the catalog validation

@@ -155,7 +155,14 @@ func main() {
 	if *platforms != "" && *platRef != "" {
 		log.Fatal("-platforms owns the platform axis; it cannot combine with -platform")
 	}
-	// Catalog name or bundle file, resolved by the scenario layer.
+	// Catalog name or bundle file. Resolve it here, as teemsim and teemcal
+	// do, so a bad reference fails with its own error before the grid
+	// runs; the scenario layer resolves the name again for each cell.
+	if *platRef != "" {
+		if _, err := platform.Resolve(*platRef); err != nil {
+			log.Fatal(err)
+		}
+	}
 	rc.PlatformName = *platRef
 
 	var governors []string

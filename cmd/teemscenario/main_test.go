@@ -207,4 +207,14 @@ func TestBadInputsExitNonZero(t *testing.T) {
 			t.Errorf("%v produced no diagnostic", args)
 		}
 	}
+	// An unresolvable platform fails up front with the resolve error: no
+	// grid is rendered and nothing is counted as a violation.
+	const missing = "/nonexistent/bundle.json"
+	stdout, stderr, _ := run(t, "-platform", missing, "-preset", "sunlight", "-govs", "teem")
+	if stdout != "" {
+		t.Errorf("-platform %s rendered output:\n%s", missing, stdout)
+	}
+	if !strings.Contains(stderr, missing) || strings.Contains(stderr, "assertion violation") {
+		t.Errorf("-platform %s: stderr %q should name the path and report no assertion violation", missing, stderr)
+	}
 }

@@ -130,13 +130,23 @@ func (e *EEMP) Decide(app *workload.App, treqS float64) (mapping.DesignPoint, er
 
 // Run executes the application under EEMP: the selected fixed
 // voltage/frequency, unused cores hotplugged off, no thermal policy (the
-// firmware TMU still trips).
+// firmware TMU still trips). The Result carries no Trace: Fig. 5 reads
+// its summaries only.
 func (e *EEMP) Run(app *workload.App, treqS float64) (*sim.Result, mapping.DesignPoint, error) {
 	dp, err := e.Decide(app, treqS)
 	if err != nil {
 		return nil, mapping.DesignPoint{}, err
 	}
-	cfg := sim.Config{
+	res, err := sim.RunWarm(e.runConfig(app, dp))
+	if err != nil {
+		return nil, dp, err
+	}
+	return res, dp, nil
+}
+
+// runConfig is the engine configuration Run executes app with at dp.
+func (e *EEMP) runConfig(app *workload.App, dp mapping.DesignPoint) sim.Config {
+	return sim.Config{
 		Platform: e.plat,
 		Net:      e.net,
 		App:      app,
@@ -149,12 +159,8 @@ func (e *EEMP) Run(app *workload.App, treqS float64) (*sim.Result, mapping.Desig
 			GPUMHz:    dp.Freq.GPUMHz,
 		},
 		HotplugUnused: true,
+		DiscardTrace:  true,
 	}
-	res, err := sim.RunWarm(cfg)
-	if err != nil {
-		return nil, dp, err
-	}
-	return res, dp, nil
 }
 
 // RMP is the reliable (temperature-aware) mapping and partitioning
@@ -238,13 +244,23 @@ func (r *RMP) Decide(app *workload.App) (mapping.DesignPoint, error) {
 }
 
 // Run executes the application under RMP: fixed design point at maximum
-// frequencies, no online adaptation (the firmware TMU still trips).
+// frequencies, no online adaptation (the firmware TMU still trips). The
+// Result carries no Trace: Fig. 5 reads its summaries only.
 func (r *RMP) Run(app *workload.App) (*sim.Result, mapping.DesignPoint, error) {
 	dp, err := r.Decide(app)
 	if err != nil {
 		return nil, mapping.DesignPoint{}, err
 	}
-	cfg := sim.Config{
+	res, err := sim.RunWarm(r.runConfig(app, dp))
+	if err != nil {
+		return nil, dp, err
+	}
+	return res, dp, nil
+}
+
+// runConfig is the engine configuration Run executes app with at dp.
+func (r *RMP) runConfig(app *workload.App, dp mapping.DesignPoint) sim.Config {
+	return sim.Config{
 		Platform:      r.plat,
 		Net:           r.net,
 		App:           app,
@@ -252,10 +268,6 @@ func (r *RMP) Run(app *workload.App) (*sim.Result, mapping.DesignPoint, error) {
 		Part:          dp.Part,
 		Governor:      governor.Performance{},
 		HotplugUnused: true,
+		DiscardTrace:  true,
 	}
-	res, err := sim.RunWarm(cfg)
-	if err != nil {
-		return nil, dp, err
-	}
-	return res, dp, nil
 }

@@ -1,9 +1,12 @@
 package baseline
 
 import (
+	"reflect"
 	"testing"
 
 	"teem/internal/mapping"
+	"teem/internal/obs"
+	"teem/internal/sim"
 	"teem/internal/soc"
 	"teem/internal/thermal"
 	"teem/internal/workload"
@@ -207,6 +210,49 @@ func TestRMPSlackBoundary(t *testing.T) {
 		}
 		if dp.Part.Num == 0 {
 			t.Errorf("%s: unit slack should never pick GPU-only", app.Name)
+		}
+	}
+}
+
+// Fig. 5 reads only the summaries of the baseline runs, so Run keeps no
+// trace: EEMP's and RMP's Results carry a nil Trace and equal a traced
+// run of the same configuration on every other field but the flight
+// recorder.
+func TestRunsDiscardTrace(t *testing.T) {
+	app := workload.Syrk()
+	etCPU := app.ETCPUOnly(4, 2, 2000, 1400)
+	etGPU := app.ETGPUOnly(6, 600)
+	treq := 1.15 * etCPU * etGPU / (etCPU + etGPU)
+	e, r := newEEMP(t), newRMP(t)
+	eres, edp, err := e.Run(app, treq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rres, rdp, err := r.Run(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		res  *sim.Result
+		cfg  sim.Config
+	}{{"EEMP", eres, e.runConfig(app, edp)}, {"RMP", rres, r.runConfig(app, rdp)}} {
+		if c.res.Trace != nil {
+			t.Errorf("%s: Run kept a trace", c.name)
+		}
+		c.cfg.DiscardTrace = false
+		traced, err := sim.RunWarm(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced.Trace == nil {
+			t.Fatalf("%s: the traced reference run has no trace", c.name)
+		}
+		got, want := *c.res, *traced
+		got.Stats, want.Stats = obs.RunStats{}, obs.RunStats{}
+		want.Trace = nil
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: results differ from a traced run:\ngot  %+v\nwant %+v", c.name, got, want)
 		}
 	}
 }

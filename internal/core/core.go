@@ -509,16 +509,22 @@ func (mg *Manager) Run(app *workload.App, treqS, atC float64) (*sim.Result, Deci
 }
 
 // RunAt executes an application under TEEM with an explicit design point
-// (used by the Fig. 1 motivation experiment, which pins 2L+3B at
-// partition 1024).
+// (Fig. 5 pins the CPU mapping and takes the partition from
+// DecidePartition). The Result carries no Trace: its callers read the
+// summaries only.
 func (mg *Manager) RunAt(app *workload.App, m mapping.Mapping, part mapping.Partition) (*sim.Result, error) {
-	cfg := sim.Config{
-		Platform: mg.plat,
-		Net:      mg.net,
-		App:      app,
-		Map:      m,
-		Part:     part,
-		Governor: NewController(mg.params),
+	return sim.RunWarm(mg.runAtConfig(app, m, part))
+}
+
+// runAtConfig is the engine configuration RunAt executes app with.
+func (mg *Manager) runAtConfig(app *workload.App, m mapping.Mapping, part mapping.Partition) sim.Config {
+	return sim.Config{
+		Platform:     mg.plat,
+		Net:          mg.net,
+		App:          app,
+		Map:          m,
+		Part:         part,
+		Governor:     NewController(mg.params),
+		DiscardTrace: true,
 	}
-	return sim.RunWarm(cfg)
 }

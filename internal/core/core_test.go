@@ -2,10 +2,12 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"teem/internal/mapping"
+	"teem/internal/obs"
 	"teem/internal/sim"
 	"teem/internal/soc"
 	"teem/internal/thermal"
@@ -332,6 +334,36 @@ func TestRunAtPinned(t *testing.T) {
 	}
 	if res.AvgTempC > 88.5 || res.PeakTempC > 92 {
 		t.Errorf("pinned TEEM run temps avg=%g peak=%g out of regulation band", res.AvgTempC, res.PeakTempC)
+	}
+}
+
+// Fig. 5 reads only the summaries of RunAt, so it keeps no trace: its
+// Result carries a nil Trace and equals a traced run of the same
+// configuration on every other field but the flight recorder.
+func TestRunAtDiscardsTrace(t *testing.T) {
+	mg := newManager(t)
+	app, m, part := workload.Covariance(), mapping.Mapping{Big: 4, Little: 2, UseGPU: true}, mapping.Partition{Num: 5, Den: 8}
+	res, err := mg.RunAt(app, m, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace != nil {
+		t.Error("RunAt kept a trace")
+	}
+	cfg := mg.runAtConfig(app, m, part)
+	cfg.DiscardTrace = false
+	traced, err := sim.RunWarm(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced.Trace == nil {
+		t.Fatal("the traced reference run has no trace")
+	}
+	got, want := *res, *traced
+	got.Stats, want.Stats = obs.RunStats{}, obs.RunStats{}
+	want.Trace = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("results differ from a traced run:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

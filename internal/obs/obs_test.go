@@ -262,3 +262,17 @@ func TestRunStatsWalkedTicks(t *testing.T) {
 		t.Errorf("render lacks %q:\n%s", want, out)
 	}
 }
+
+// Segment ticks are a subset of SuperstepTicks: Add folds them and the
+// render prints them beside the jumped count.
+func TestRunStatsSegmentTicks(t *testing.T) {
+	var agg RunStats
+	agg.Add(RunStats{Ticks: 40, WalkedTicks: 15, Supersteps: 30, SuperstepTicks: 1386, SegmentTicks: 162})
+	agg.Add(RunStats{SuperstepTicks: 10, SegmentTicks: 10, Supersteps: 1})
+	if agg.SegmentTicks != 172 || agg.SuperstepTicks != 1396 || agg.Supersteps != 31 {
+		t.Errorf("aggregate = %+v", agg)
+	}
+	if want := "(40 stepped (15 walked), 1396 jumped (172 in segments) in 31 supersteps"; !strings.Contains(agg.String(), want) {
+		t.Errorf("render lacks %q:\n%s", want, agg.String())
+	}
+}

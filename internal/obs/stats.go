@@ -18,8 +18,9 @@ type RunStats struct {
 	// SuperstepTicks is the simulated span advanced.
 	Ticks          int64 // single-dt engine ticks executed, walked ones included
 	WalkedTicks    int64 // of Ticks, those replayed by a steady walk
-	Supersteps     int64 // successful multi-tick jumps
+	Supersteps     int64 // successful multi-tick jumps, record segments included
 	SuperstepTicks int64 // ticks covered by those jumps
+	SegmentTicks   int64 // of SuperstepTicks, those advanced in record segments
 	MaxJump        int64 // longest single jump, in ticks
 
 	// Per-reason superstep guard rejections: why a jump did NOT fire.
@@ -58,6 +59,7 @@ func (s *RunStats) Add(o RunStats) {
 	s.WalkedTicks += o.WalkedTicks
 	s.Supersteps += o.Supersteps
 	s.SuperstepTicks += o.SuperstepTicks
+	s.SegmentTicks += o.SegmentTicks
 	if o.MaxJump > s.MaxJump {
 		s.MaxJump = o.MaxJump
 	}
@@ -94,8 +96,8 @@ func (s *RunStats) Rejections() int64 {
 func (s *RunStats) String() string {
 	var b strings.Builder
 	total := s.Ticks + s.SuperstepTicks
-	fmt.Fprintf(&b, "time: %d ticks advanced (%d stepped (%d walked), %d jumped in %d supersteps, max jump %d)\n",
-		total, s.Ticks, s.WalkedTicks, s.SuperstepTicks, s.Supersteps, s.MaxJump)
+	fmt.Fprintf(&b, "time: %d ticks advanced (%d stepped (%d walked), %d jumped (%d in segments) in %d supersteps, max jump %d)\n",
+		total, s.Ticks, s.WalkedTicks, s.SuperstepTicks, s.SegmentTicks, s.Supersteps, s.MaxJump)
 	fmt.Fprintf(&b, "superstep rejections: event %d  governor-epoch %d  meter %d  work %d  mixed-direction %d  tmu %d  leakage-regime %d\n",
 		s.RejectEvent, s.RejectGovernor, s.RejectMeter, s.RejectWork, s.RejectMixed, s.RejectTMU, s.RejectLeakage)
 	fmt.Fprintf(&b, "caches (hit/miss): propagator %d/%d  jump-block %d/%d  superstep-pool %d/%d\n",

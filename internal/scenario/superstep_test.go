@@ -46,7 +46,7 @@ func TestSuperstepPresetCorpusAgreement(t *testing.T) {
 // a superstepped run rJ and its fixed-tick twin rF of the same scenario:
 // scheduling decisions, sampled energy and assertion outcomes with ==;
 // committed temperatures (peaks, every recorded sample, the final state)
-// to 1e-9; and the trace-derived aggregates as the same statistics of
+// and every sample's power to 1e-9; and the trace-derived aggregates as the same statistics of
 // the fixed-tick run's samples at the superstepped run's record instants.
 // The 0.01 °C corpus bound against the fixed-tick aggregates is
 // TestSuperstepPresetCorpusAgreement's, not a general clause.
@@ -114,6 +114,9 @@ func assertSuperstepContract(t *testing.T, rJ, rF *Result) {
 			if d := math.Abs(s.TempsC[i] - f.TempsC[i]); d > 1e-9 {
 				t.Errorf("t=%gs node %d: |Δ|=%.3g beyond rounding", s.TimeS, i, d)
 			}
+		}
+		if d := math.Abs(s.PowerW - f.PowerW); d > 1e-9 {
+			t.Errorf("t=%gs power: |Δ|=%.3g W beyond rounding", s.TimeS, d)
 		}
 		if !slices.Equal(s.FreqsMHz, f.FreqsMHz) || !slices.Equal(s.Utils, f.Utils) {
 			t.Errorf("t=%gs: frequencies %v utilisations %v, fixed %v %v", s.TimeS, s.FreqsMHz, s.Utils, f.FreqsMHz, f.Utils)

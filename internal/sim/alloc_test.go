@@ -150,6 +150,110 @@ func TestSuperstepWalkZeroAllocs(t *testing.T) {
 	}
 }
 
+// The warm segment path must not touch the heap: a chip held throttled
+// (its trip lowered under its start, its release under ambient) has
+// every span refused a jump and advanced in record segments, which only
+// rewrite engine-owned and jump-map buffers.
+func TestSuperstepSegmentZeroAllocs(t *testing.T) {
+	done := make(chan struct{})
+	defer close(done)
+	plat, net := soc.Exynos5422(), thermal.Exynos5422Network()
+	plat.TripC, plat.TripReleaseC = 30, 26
+	temps := make([]float64, len(net.Nodes))
+	for i := range temps {
+		temps[i] = 40
+	}
+	e, err := New(Config{
+		Platform:      plat,
+		Net:           net,
+		Map:           mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		InitialTempsC: temps,
+		MinTimeS:      600,
+		DiscardTrace:  true,
+		Done:          done,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dt = 0.01
+	e.govEvery = 0
+	e.recEvery = 10
+	const maxTicks, minTicks = 50_000_000, 40_000_000
+	step := func() {
+		advanced, err := e.superstep(dt, maxTicks, minTicks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !advanced {
+			if _, err := e.tick(dt); err != nil {
+				t.Fatal(err)
+			}
+			e.timeTicks++
+		}
+	}
+	// Warm up: the first ticks, the trip and the jump map.
+	for i := 0; i < 300; i++ {
+		step()
+	}
+	if !e.throttled {
+		t.Fatal("the chip is not throttled; its spans would be jumped")
+	}
+	before := e.stats.SegmentTicks
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Errorf("warm segment path allocates %.3f objects/op, want 0", avg)
+	}
+	if e.stats.SegmentTicks == before {
+		t.Error("the measured steps advanced no tick in a segment")
+	}
+}
+
+// A full jump-map pool rebinds its oldest map in place: cycling through
+// one operating point more than ssPoolLimit holds misses the pool on
+// every binding, and once every shared form exists a binding allocates
+// nothing.
+func TestSuperstepPoolRebindZeroAllocs(t *testing.T) {
+	e, err := New(Config{
+		Platform: soc.Exynos5422(),
+		Net:      thermal.Exynos5422Network(),
+		Map:      mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		MinTimeS: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Big-cluster frequencies with distinct voltages: each has its own
+	// leakage slope, hence its own jump map.
+	var freqs []int
+	lastV := -1.0
+	for _, o := range e.plat.Clusters[e.bigIdx].OPPs {
+		if o.VoltV != lastV {
+			freqs, lastV = append(freqs, o.FreqMHz), o.VoltV
+		}
+	}
+	if len(freqs) <= ssPoolLimit {
+		t.Fatalf("%d distinct big-cluster voltages; the pool never fills", len(freqs))
+	}
+	freqs = freqs[:ssPoolLimit+1]
+	i := 0
+	bind := func() {
+		e.setFreq(e.bigIdx, freqs[i%len(freqs)])
+		i++
+		if ok, err := e.bindJumpMap(steadyOp{}); err != nil || !ok {
+			t.Fatalf("binding %d: ok %v, err %v", i, ok, err)
+		}
+	}
+	for range 2 * len(freqs) {
+		bind()
+	}
+	misses := e.stats.PoolMisses
+	if avg := testing.AllocsPerRun(100, bind); avg != 0 {
+		t.Errorf("rebinding a full pool allocates %.3f objects/op, want 0", avg)
+	}
+	if len(e.ssPool) != ssPoolLimit || e.stats.PoolMisses-misses < 100 {
+		t.Errorf("pool of %d maps, %d misses measured; want %d maps missed on every binding", len(e.ssPool), e.stats.PoolMisses-misses, ssPoolLimit)
+	}
+}
+
 // The Euler reference integrator path must stay allocation-free too.
 func TestTickZeroAllocsEulerIntegrator(t *testing.T) {
 	e, err := New(Config{

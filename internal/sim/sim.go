@@ -29,9 +29,13 @@
 // bit-identical and temperatures agree to floating-point rounding; the
 // full integrator contract is docs/integrators.md. A steady stretch that
 // a temperature guard keeps from being jumped (throttling, a hovering
-// equilibrium) is walked: ticked with only the arithmetic that can
-// change at a fixed operating point, bit for bit like the ordinary tick.
-// Disable with Config.DisableSuperstep to force tick-by-tick execution.
+// equilibrium) is advanced in record segments: closed-form steps that end
+// on each trace record tick, each certified monotone on every node, so
+// no sample is skipped. A segment the certificate refuses, and a stretch
+// too short to segment, is walked: ticked with only the arithmetic that
+// can change at a fixed operating point, bit for bit like the ordinary
+// tick. Disable with Config.DisableSuperstep to force tick-by-tick
+// execution.
 //
 // Beyond single static runs the engine exposes the hooks the scenario
 // subsystem (internal/scenario) is built on: callbacks scheduled at tick
@@ -163,10 +167,11 @@ type Config struct {
 	Integrator Integrator
 	// DisableSuperstep turns off the event-horizon fast path that jumps
 	// provably steady intervals (idle gaps, constant busy stretches) in a
-	// single exact propagator application, and walks the steady stretches
-	// it cannot jump. Supersteps are on by default with the exact
-	// integrator and reproduce the fixed-tick trajectory to
-	// floating-point rounding (walks reproduce it bit for bit); disable
+	// single exact propagator application, and advances the steady
+	// stretches it cannot jump in record segments or walks. Supersteps
+	// are on by default with the exact integrator and reproduce the
+	// fixed-tick trajectory to floating-point rounding (walks reproduce
+	// it bit for bit); disable
 	// them to send every tick through the classic tick-by-tick loop
 	// (reference runs, debugging). Euler runs never superstep. See
 	// docs/integrators.md for the legality contract.
@@ -184,17 +189,17 @@ type Config struct {
 	// read the series.
 	DiscardTrace bool
 	// Done, when non-nil, makes the run cancellable: the engine polls
-	// the channel once per tick, jump or walk — a non-blocking receive,
-	// so the steady-state tick stays allocation-free — and aborts with an
-	// error wrapping ErrAborted within one tick of it closing, or within
-	// one meter period of simulated time when a jump or walk is under
-	// way. Wire a context's Done() channel here to cancel a simulation.
+	// the channel once per tick, jump, segmented span or walk — a
+	// non-blocking receive, so the steady-state tick stays
+	// allocation-free — and aborts with an error wrapping ErrAborted
+	// within one tick of it closing, or within one meter period of
+	// simulated time when a jump, segmented span or walk is under way. Wire a context's Done() channel here to cancel a simulation.
 	Done <-chan struct{}
 	// Clock, when non-nil, opts the flight recorder into per-phase wall
 	// timing: the engine reads it between the tick's phases (governor,
 	// queue, power, thermal) and accumulates the deltas into
-	// Result.Stats; a steady walk reads it twice and charges its whole
-	// time to thermal. Pass obs.Nanotime (teemscenario -stats does). The
+	// Result.Stats; a steady walk or segmented span reads it twice and
+	// charges its whole time to thermal. Pass obs.Nanotime (teemscenario -stats does). The
 	// default nil performs zero clock reads, keeping runs deterministic
 	// and the instrumented tick free of timing overhead; the counters in
 	// Result.Stats are always maintained either way.
@@ -1201,9 +1206,9 @@ func (e *Engine) Run() (*Result, error) {
 
 	for e.timeTicks < maxTicks {
 		// Event-horizon fast path: replay a provably steady interval in
-		// one exact affine application, or walk it when a temperature
-		// guard refuses the jump. When neither advanced, the ordinary
-		// tick below runs.
+		// one exact affine application, or advance it in record segments
+		// or walk it when a temperature guard refuses the jump. When
+		// none advanced, the ordinary tick below runs.
 		if advanced, err := e.superstep(dt, maxTicks, minTicks); err != nil {
 			return nil, err
 		} else if advanced {

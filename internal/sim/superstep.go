@@ -8,9 +8,13 @@
 // reproduces the fixed-tick trajectory to about 1e-10 °C; every guard
 // here is about proving the interval really is steady. Where the
 // operating point is proven fixed but a temperature guard refuses the
-// jump, the engine walks the interval instead: the ordinary tick's own
-// arithmetic, minus everything that cannot change at a fixed operating
-// point. Anything else falls through to the ordinary tick.
+// jump, the engine advances the interval in record segments instead:
+// closed-form steps of at most one trace record period, each certified
+// monotone on every node, so every record sample is still taken. A
+// segment the certificate refuses, and a span too short to segment, is
+// walked: the ordinary tick's own arithmetic, minus everything that
+// cannot change at a fixed operating point. Anything else falls through
+// to the ordinary tick.
 
 package sim
 
@@ -46,17 +50,18 @@ func govIsPure(g Governor) bool {
 
 // superstepMinSpan is the smallest jump worth planning: below this the
 // affine setup costs more than the ticks it would replace. A shorter
-// proven horizon is walked instead (see walk).
+// proven horizon is walked instead (see walk), and so is one the governor
+// clamp shortens below it (see advance).
 const superstepMinSpan = 4
 
-// ssPoolLimit bounds the per-engine recency pool of slope-keyed jump
-// maps; a run alternating between a handful of operating points keeps
-// them all warm.
+// ssPoolLimit bounds the per-engine pool of slope-keyed jump maps; a run
+// alternating between a handful of operating points keeps them all warm,
+// and a full pool rebinds its oldest map in place.
 const ssPoolLimit = 8
 
-// walkMaxClusters bounds the platforms a steady walk serves: it keeps
-// each cluster's leakage base on the stack for the walk's duration, so a
-// platform with more clusters ticks instead.
+// walkMaxClusters bounds the platforms a steady walk or segment serves:
+// each keeps every cluster's leakage base on the stack for its duration,
+// so a platform with more clusters ticks instead.
 const walkMaxClusters = 8
 
 // drained reports that no workload activity remains: no live job, no
@@ -190,10 +195,11 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 }
 
 // superstep advances the simulation across the steady horizon ahead, or
-// declines to. It returns true after advancing e.timeTicks — by a jump
-// or a walk — with the model state exactly as the equivalent ordinary
-// ticks would have left it, and false when the next tick must be an
-// ordinary one.
+// declines to. It returns true after advancing e.timeTicks — by a jump,
+// record segments or a walk — with the model state as the equivalent
+// ordinary ticks would have left it (bit for bit after a walk, to
+// rounding after a jump or segment), and false when the next tick must
+// be an ordinary one.
 //
 // The horizon (see horizon) proves the operating point constant; a
 // thermal certificate then decides whether the span may be jumped in one
@@ -206,16 +212,16 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 // the monotone direction reported by thermal.Superstep.Jump makes those
 // endpoint checks sufficient for the whole interval.
 //
-// When the horizon holds but the certificate fails, the span is walked
-// instead (see walk), because re-planning on each of its ticks would
-// refuse each jump in turn: a throttled chip stays throttled until the
-// release the walk stops before, a mixed verdict holds until the span it
-// was probed over passes, a short span only shortens, and a landing
-// point past the trip or below the floor is the same state for every
-// later tick of the span. So jumps land on the ticks, with the spans, a
-// tick-by-tick planner gives them. A start below the 25 °C floor is the
-// exception: the next tick may warm past it and certify a jump, so it
-// re-plans there.
+// When the horizon holds but the certificate fails, the span is advanced
+// in record segments or walked instead (see advance), because re-planning
+// on each of its ticks would refuse each jump in turn: a throttled chip
+// stays throttled until the release the advance stops before, a mixed
+// verdict holds until the span it was probed over passes, a short span
+// only shortens, and a landing point past the trip or below the floor is
+// the same state for every later tick of the span. So jumps land on the
+// ticks, with the spans, a tick-by-tick planner gives them. A start below
+// the 25 °C floor is the exception: the next tick may warm past it and
+// certify a jump, so it re-plans there.
 //
 //teem:hotpath
 func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
@@ -227,7 +233,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	switch {
 	case !e.cfg.DisableHWProtect && e.throttled:
 		e.stats.RejectTMU++
-		return e.walk(dt, n, op)
+		return e.advance(dt, n, op)
 	case k == 0:
 		// Let the first ordinary tick fold a state into the peaks;
 		// afterwards the falling-trajectory case needs no interior peak
@@ -238,7 +244,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		// is hovering near equilibrium and the probe outcome will not
 		// change until the horizon that probe was bounded by.
 		e.stats.RejectMixed++
-		return e.walk(dt, min(n, e.ssSkipUntil-k), op)
+		return e.advance(dt, min(n, e.ssSkipUntil-k), op)
 	case short != nil:
 		*short++
 		return e.walk(dt, n, op)
@@ -252,68 +258,8 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if err := e.aborted(); err != nil {
 		return false, err
 	}
-	// Affine power decomposition at the steady operating point: constant
-	// injection per node plus a leakage slope folded into the jump map.
-	// The decomposition is a pure function of the per-cluster loads and
-	// the DRAM traffic, so a fingerprint match against the previous
-	// attempt reuses ssInj/ssSlopeCur/ss without touching the power
-	// model — the common case inside a long steady stretch.
-	memGBs := e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)
-	for i := range e.ssLoads {
-		// TempC is ignored by the affine form; keep the fingerprint stable.
-		e.ssLoads[i] = e.loads[i]
-		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
-	}
-	if !e.ssOpValid || memGBs != e.ssOpMemGBs || !equalLoads(e.ssLoads, e.ssOpLoads) {
-		for i := range e.ssInj {
-			e.ssInj[i] = 0
-			e.ssSlopeCur[i] = 0
-		}
-		for i := range e.plat.Clusters {
-			dyn, lkc, lks, err := e.pow.ClusterPowerAffine(i, e.ssLoads[i])
-			if err != nil {
-				return false, err
-			}
-			e.ssInj[e.nodeOf[i]] += dyn + lkc
-			e.ssSlopeCur[e.nodeOf[i]] += lks
-		}
-		e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
-		// Bind the jump map for this slope vector, favouring the recency
-		// pool so alternating operating points (busy ↔ idle, DVFS ladders)
-		// reuse their maps without a shared-form lookup.
-		e.ss = nil
-		for _, ss := range e.ssPool {
-			if equalFloats(ss.Slope(), e.ssSlopeCur) {
-				e.ss = ss
-				e.stats.PoolHits++
-				break
-			}
-		}
-		if e.ss == nil {
-			ss, err := thermal.NewSuperstep(e.stepper, e.ssSlopeCur)
-			if err != nil {
-				// A system the jump map cannot certify as monotone: fall
-				// back to fixed ticks for the rest of the run.
-				e.ssOff = true
-				return false, nil
-			}
-			e.stats.PoolMisses++
-			if ss.Reused() {
-				e.stats.JumpBlockHits++
-			} else {
-				e.stats.JumpBlockMisses++
-			}
-			if len(e.ssPool) >= ssPoolLimit {
-				copy(e.ssPool, e.ssPool[1:])
-				e.ssPool = e.ssPool[:len(e.ssPool)-1]
-			}
-			//teem:alloc-ok bounded propagator pool (ssPoolLimit entries), filled once per operating point
-			e.ssPool = append(e.ssPool, ss)
-			e.ss = ss
-		}
-		copy(e.ssOpLoads, e.ssLoads)
-		e.ssOpMemGBs = memGBs
-		e.ssOpValid = true
+	if ok, err := e.bindJumpMap(op); err != nil || !ok {
+		return false, err
 	}
 	// The affine leakage form holds only at or above the 25 °C reference;
 	// endpoint checks (start here, landing below) bound the monotone
@@ -332,22 +278,22 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if dir == 0 {
 		// Mixed trajectory: endpoint guards would not bound the interior.
 		// Skip further attempts across this horizon — near equilibrium the
-		// probe stays mixed — and walk it.
+		// probe stays mixed — and advance it in segments.
 		e.ssSkipUntil = k + n
 		e.stats.RejectMixed++
-		return e.walk(dt, n, op)
+		return e.advance(dt, n, op)
 	}
 	bigNode := e.nodeOf[e.bigIdx]
 	if !e.cfg.DisableHWProtect && endTemps[bigNode] >= e.plat.TripC {
-		// The trip would fire somewhere inside the interval; the walk
+		// The trip would fire somewhere inside the interval; the advance
 		// stops on the exact crossing.
 		e.stats.RejectTMU++
-		return e.walk(dt, n, op)
+		return e.advance(dt, n, op)
 	}
 	for i, s := range e.ssSlopeCur {
 		if s > 0 && endTemps[i] < 25 {
 			e.stats.RejectLeakage++
-			return e.walk(dt, n, op)
+			return e.advance(dt, n, op)
 		}
 	}
 	if err := e.ss.Commit(); err != nil {
@@ -364,20 +310,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 			}
 		}
 	}
-	// Deplete work with the same per-tick arithmetic advanceWork would
-	// have used, so chunk-depletion times stay bit-identical. The two
-	// chunks' subtraction chains are independent, so one loop over
-	// locals lets them overlap.
-	remCPU, remGPU := e.remCPU, e.remGPU
-	for j := 0; j < n; j++ {
-		if op.cpuBusy == 1 {
-			remCPU -= op.rateCPU * dt
-		}
-		if op.gpuBusy == 1 {
-			remGPU -= op.rateGPU * dt
-		}
-	}
-	e.remCPU, e.remGPU = remCPU, remGPU
+	e.deplete(dt, n, &op)
 	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
 	e.timeTicks += n
 	e.stats.Supersteps++
@@ -388,34 +321,188 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	return true, nil
 }
 
-// walk advances up to n ticks of a proven horizon at its fixed operating
-// point op, redoing only what can change there: work depletion with
-// advanceWork's arithmetic, each cluster's leakage at its current
-// temperature, the thermal step, the peak fold and the trace record.
-// Dynamic, DRAM and baseline power and each cluster's leakage base are
-// evaluated once, by the power model itself at the 25 °C reference
-// (where the temperature factor is exactly 1); every tick then applies
-// power.Leakage — ClusterPower's own temperature term — so each
-// temperature, sample and decision equals the ordinary tick's bit for
-// bit. On a 4-node network it runs the fused loop walk4; other networks
-// step through stepThermal. The walk stops before a governor epoch and
-// before any tick whose TMU check would trip or release; those run as
-// ordinary ticks. It polls cancellation once, and reports whether it
-// advanced at all.
+// deplete drains the busy work chunks across n ticks at op with the same
+// per-tick arithmetic advanceWork would have used, so chunk-depletion
+// times stay bit-identical. The two chunks' subtraction chains are
+// independent, so one loop over locals lets them overlap.
 //
 //teem:hotpath
-func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
-	k := e.timeTicks
+func (e *Engine) deplete(dt float64, n int, op *steadyOp) {
+	remCPU, remGPU := e.remCPU, e.remGPU
+	for j := 0; j < n; j++ {
+		if op.cpuBusy == 1 {
+			remCPU -= op.rateCPU * dt
+		}
+		if op.gpuBusy == 1 {
+			remGPU -= op.rateGPU * dt
+		}
+	}
+	e.remCPU, e.remGPU = remCPU, remGPU
+}
+
+// epochClamp shortens a span of n ticks from now to end before the next
+// governor epoch, and reports false when this tick is one: it must run as
+// an ordinary tick. Walks and segments never cross an epoch.
+//
+//teem:hotpath
+func (e *Engine) epochClamp(n int) (int, bool) {
 	if e.govEvery > 0 {
-		r := k % e.govEvery
+		r := e.timeTicks % e.govEvery
 		if r == 0 {
-			return false, nil
+			return n, false
 		}
 		n = min(n, e.govEvery-r)
 	}
+	return n, true
+}
+
+// advance moves a proven horizon of n ticks at op that a temperature
+// guard refused to jump: after the epoch clamp, a span of at least
+// superstepMinSpan ticks in record segments (see segments), a shorter
+// one by walk.
+//
+//teem:hotpath
+func (e *Engine) advance(dt float64, n int, op steadyOp) (bool, error) {
+	if m, ok := e.epochClamp(n); ok && m >= superstepMinSpan {
+		return e.segments(dt, m, op)
+	}
+	return e.walk(dt, n, op)
+}
+
+// bindJumpMap points e.ss at the jump map of op's leakage-slope vector,
+// with op's constant per-node injection in e.ssInj, and reports false
+// when the system cannot be certified (the fast path then latches off).
+// The affine power decomposition is a pure function of the per-cluster
+// loads and the DRAM traffic, so a fingerprint match against the
+// previous binding reuses ssInj/ssSlopeCur/ss without touching the power
+// model — the common case inside a long steady stretch. The map comes
+// from the pool when one holds the slope vector, so alternating
+// operating points (busy ↔ idle, DVFS ladders) reuse their maps without
+// a shared-form lookup; a full pool rebinds its oldest map in place.
+//
+//teem:hotpath
+func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
+	memGBs := e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)
+	for i := range e.ssLoads {
+		// TempC is ignored by the affine form; keep the fingerprint stable.
+		e.ssLoads[i] = e.loads[i]
+		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
+	}
+	if e.ssOpValid && memGBs == e.ssOpMemGBs && equalLoads(e.ssLoads, e.ssOpLoads) {
+		return true, nil
+	}
+	for i := range e.ssInj {
+		e.ssInj[i] = 0
+		e.ssSlopeCur[i] = 0
+	}
+	for i := range e.plat.Clusters {
+		dyn, lkc, lks, err := e.pow.ClusterPowerAffine(i, e.ssLoads[i])
+		if err != nil {
+			return false, err
+		}
+		e.ssInj[e.nodeOf[i]] += dyn + lkc
+		e.ssSlopeCur[e.nodeOf[i]] += lks
+	}
+	e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
+	e.ss = nil
+	for _, ss := range e.ssPool {
+		if equalFloats(ss.Slope(), e.ssSlopeCur) {
+			e.ss = ss
+			e.stats.PoolHits++
+			break
+		}
+	}
+	if e.ss == nil {
+		var ss *thermal.Superstep
+		var err error
+		if len(e.ssPool) < ssPoolLimit {
+			if ss, err = thermal.NewSuperstep(e.stepper, e.ssSlopeCur); err == nil {
+				//teem:alloc-ok bounded jump-map pool (ssPoolLimit entries), filled once per operating point
+				e.ssPool = append(e.ssPool, ss)
+			}
+		} else {
+			ss = e.ssPool[0]
+			copy(e.ssPool, e.ssPool[1:])
+			e.ssPool[len(e.ssPool)-1] = ss
+			err = ss.Rebind(e.ssSlopeCur)
+		}
+		if err != nil {
+			// A system the jump map cannot certify as monotone: fall
+			// back to fixed ticks for the rest of the run.
+			e.ssOff = true
+			return false, nil
+		}
+		e.stats.PoolMisses++
+		if ss.Reused() {
+			e.stats.JumpBlockHits++
+		} else {
+			e.stats.JumpBlockMisses++
+		}
+		e.ss = ss
+	}
+	copy(e.ssOpLoads, e.ssLoads)
+	e.ssOpMemGBs = memGBs
+	e.ssOpValid = true
+	return true, nil
+}
+
+// steadyLeak is each cluster's leakage base and temperature coefficient
+// at a fixed operating point, indexed like the platform's clusters.
+type steadyLeak struct {
+	base, coeff [walkMaxClusters]float64
+}
+
+// steadyPower publishes op's utilisations and evaluates its power once,
+// by the power model itself at the 25 °C reference (where the
+// temperature factor is exactly 1): the dynamic, DRAM and baseline power
+// into e.bd, and each cluster's leakage base into leak with its
+// coefficient. power.Leakage then turns a base into ClusterPower's own
+// leakage at any temperature, bit for bit.
+//
+//teem:hotpath
+func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
+	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
+	for i := range e.loads {
+		e.setLoad(&e.loads[i], i, op.cpuBusy, op.gpuBusy, 25)
+	}
+	if err := e.pow.EvaluateInto(&e.bd, e.loads, e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)); err != nil {
+		return err
+	}
 	nc := len(e.plat.Clusters)
-	if n < 1 || nc > walkMaxClusters || e.tmuFires() {
+	copy(leak.base[:nc], e.bd.LeakageW)
+	for i := range nc {
+		leak.coeff[i] = e.plat.Clusters[i].LeakTempCoeff
+	}
+	return nil
+}
+
+// segments advances n ticks of a proven horizon at op in record
+// segments: each ends on the next record tick or the span's end, so it
+// is at most recEvery ticks (thermal.SegmentMaxTicks), and is evaluated
+// in closed form from op's jump map (thermal.Superstep.Segment). A
+// segment is taken when every node is certified monotone over it, its
+// end state T(L) passes the TMU trip or release check, and every node
+// with a leakage slope starts and ends it at or above the 25 °C floor:
+// its endpoints then bound each node's interior, so no interior tick
+// trips, releases or leaves the affine leakage regime, and the peaks
+// fold T(L). The busy chunks deplete with advanceWork's per-tick
+// subtraction, and a segment that ends on a record tick samples it
+// through record, with that tick's power from T(L−1) (see
+// segmentPowerW). A refused segment is walked (see walkTicks), and the
+// segments stop where that walk stops before a TMU transition. The
+// running peaks already bound T(0): a throttled chip or a probed span
+// follows a real tick. Segments count as supersteps, and leave e.bd to
+// the next tick's evaluation. It polls cancellation once.
+//
+//teem:hotpath
+func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
+	if len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
 		return false, nil
+	}
+	if ok, err := e.bindJumpMap(op); err != nil {
+		return false, err
+	} else if !ok {
+		return e.walk(dt, n, op)
 	}
 	if err := e.aborted(); err != nil {
 		return false, err
@@ -426,23 +513,151 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 		t0 = clk()
 	}
 	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
-	for i := range e.loads {
-		e.setLoad(&e.loads[i], i, op.cpuBusy, op.gpuBusy, 25)
-	}
-	if err := e.pow.EvaluateInto(&e.bd, e.loads, e.memGBs(op.cpuBusy, op.gpuBusy, op.rateCPU, op.rateGPU)); err != nil {
+	ss, big := e.ss, e.nodeOf[e.bigIdx]
+	if err := ss.BeginSegments(e.ssInj); err != nil {
 		return false, err
 	}
-	var leakBase, leakCoeff [walkMaxClusters]float64
-	copy(leakBase[:nc], e.bd.LeakageW)
-	for i := range nc {
-		leakCoeff[i] = e.plat.Clusters[i].LeakTempCoeff
+	// The walk's power, evaluated at the first refused segment.
+	var leak steadyLeak
+	powered := false
+	for end := e.timeTicks + n; e.timeTicks < end; {
+		k := e.timeTicks
+		rec := k + (e.recEvery-k%e.recEvery)%e.recEvery
+		l := min(rec+1, end) - k
+		if next, ok := ss.Segment(l); ok && !e.tmuFiresAt(next[big]) && e.aboveFloor(next) {
+			recorded := k+l > rec
+			var powW float64
+			if recorded {
+				powW = e.segmentPowerW(ss.SegmentSlopeW())
+			}
+			if err := ss.CommitSegment(); err != nil {
+				return false, err
+			}
+			for i, t := range next {
+				if t > e.peakC[i] {
+					e.peakC[i] = t
+				}
+			}
+			e.deplete(dt, l, &op)
+			if recorded {
+				e.timeTicks = rec
+				if err := e.record(powW); err != nil {
+					return false, err
+				}
+			}
+			e.timeTicks = k + l
+			e.stats.Supersteps++
+			e.stats.SuperstepTicks += int64(l)
+			e.stats.SegmentTicks += int64(l)
+			e.stats.MaxJump = max(e.stats.MaxJump, int64(l))
+			continue
+		}
+		if !powered {
+			if err := e.steadyPower(&op, &leak); err != nil {
+				return false, err
+			}
+			powered = true
+		}
+		if err := e.walkTicks(dt, l, &op, &leak); err != nil {
+			return false, err
+		}
+		if e.tmuFires() {
+			break
+		}
+		if err := ss.BeginSegments(e.ssInj); err != nil {
+			return false, err
+		}
 	}
+	if clk != nil {
+		e.stats.ThermalNanos += clk() - t0
+	}
+	return true, nil
+}
+
+// segmentPowerW is the board power of a tick at the bound operating
+// point whose leakage slopes contribute slopeW (Σ slope·T at its start
+// state, every sloped node at or above 25 °C): the jump map's constant
+// injection, slopeW, and the share of the board baseline InjectHeat puts
+// on no node. It equals the breakdown a tick evaluates there to
+// rounding.
+//
+//teem:hotpath
+func (e *Engine) segmentPowerW(slopeW float64) float64 {
+	p := (1-pkgBaselineShare)*e.plat.BoardBaselineW + slopeW
+	for _, w := range e.ssInj {
+		p += w
+	}
+	return p
+}
+
+// aboveFloor reports that every node with a leakage slope sits at or
+// above the 25 °C reference, where the jump map's affine leakage form
+// holds, both now and in the segment end state end.
+//
+//teem:hotpath
+func (e *Engine) aboveFloor(end []float64) bool {
+	for i, s := range e.ssSlopeCur {
+		if s > 0 && (end[i] < 25 || e.therm.Temp(i) < 25) {
+			return false
+		}
+	}
+	return true
+}
+
+// walk advances up to n ticks of a proven horizon at its fixed operating
+// point op, redoing only what can change there: work depletion with
+// advanceWork's arithmetic, each cluster's leakage at its current
+// temperature, the thermal step, the peak fold and the trace record.
+// Dynamic, DRAM and baseline power and each cluster's leakage base are
+// evaluated once (see steadyPower); every tick then applies power.Leakage
+// — ClusterPower's own temperature term — so each temperature, sample and
+// decision equals the ordinary tick's bit for bit. The walk stops before
+// a governor epoch and before any tick whose TMU check would trip or
+// release; those run as ordinary ticks. It polls cancellation once, and
+// reports whether it advanced at all.
+//
+//teem:hotpath
+func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
+	n, ok := e.epochClamp(n)
+	if !ok || n < 1 || len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
+		return false, nil
+	}
+	if err := e.aborted(); err != nil {
+		return false, err
+	}
+	clk := e.clock
+	var t0 int64
+	if clk != nil {
+		t0 = clk()
+	}
+	var leak steadyLeak
+	if err := e.steadyPower(&op, &leak); err != nil {
+		return false, err
+	}
+	if err := e.walkTicks(dt, n, &op, &leak); err != nil {
+		return false, err
+	}
+	if clk != nil {
+		e.stats.ThermalNanos += clk() - t0
+	}
+	return true, nil
+}
+
+// walkTicks is walk's loop from the current tick, with op's power already
+// in e.bd and leak (see steadyPower): up to n ticks, stopping early after
+// a tick whose successor's TMU check would trip or release. On a 4-node
+// network it runs the fused loop walk4; other networks step through
+// stepThermal.
+//
+//teem:hotpath
+func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) error {
+	k := e.timeTicks
 	nextRec := k + (e.recEvery-k%e.recEvery)%e.recEvery
 	walked := 0
 	if e.fusedWalk() {
 		var err error
-		if walked, err = e.walk4(dt, n, nextRec, &op, &leakBase, &leakCoeff); err != nil {
-			return false, err
+		if walked, err = e.walk4(dt, n, nextRec, op, leak); err != nil {
+			return err
 		}
 	} else {
 		for {
@@ -452,16 +667,16 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 			if op.gpuBusy == 1 {
 				e.remGPU -= op.rateGPU * dt
 			}
-			for i := 0; i < nc; i++ {
-				e.bd.LeakageW[i] = power.Leakage(leakBase[i], leakCoeff[i], e.therm.Temp(e.nodeOf[i]))
+			for i := range e.nodeOf {
+				e.bd.LeakageW[i] = power.Leakage(leak.base[i], leak.coeff[i], e.therm.Temp(e.nodeOf[i]))
 			}
 			if err := e.stepThermal(dt); err != nil {
-				return false, err
+				return err
 			}
 			e.foldPeaks()
 			if e.timeTicks == nextRec {
 				if err := e.record(e.bd.TotalW()); err != nil {
-					return false, err
+					return err
 				}
 				nextRec += e.recEvery
 			}
@@ -474,10 +689,7 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 	}
 	e.stats.Ticks += int64(walked)
 	e.stats.WalkedTicks += int64(walked)
-	if clk != nil {
-		e.stats.ThermalNanos += clk() - t0
-	}
-	return true, nil
+	return nil
 }
 
 // fusedWalk reports whether walk runs walk4: a 4-node network whose three
@@ -494,8 +706,8 @@ func (e *Engine) fusedWalk() bool {
 }
 
 // walk4 is walk's loop on a network fusedWalk accepts, with each
-// cluster's leakage base and temperature coefficient in leakBase and
-// leakCoeff, and the dynamic, DRAM and baseline power in e.bd. It keeps
+// cluster's leakage base and temperature coefficient in leak, and the
+// dynamic, DRAM and baseline power in e.bd. It keeps
 // the node temperatures, the cluster leakages and the running peaks in
 // locals and writes them back — to the thermal model, e.bd.LeakageW and
 // e.peakC — only on a record tick, before the record, and on its last
@@ -506,7 +718,7 @@ func (e *Engine) fusedWalk() bool {
 // It returns the ticks walked.
 //
 //teem:hotpath
-func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leakBase, leakCoeff *[walkMaxClusters]float64) (int, error) {
+func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leak *steadyLeak) (int, error) {
 	pa, pb, pg, amb := e.stepper.Propagator()
 	a, b, g := (*[16]float64)(pa), (*[16]float64)(pb), (*[4]float64)(pg)
 	a0, a1, a2, a3 := (*[4]float64)(a[0:4]), (*[4]float64)(a[4:8]), (*[4]float64)(a[8:12]), (*[4]float64)(a[12:16])
@@ -529,9 +741,9 @@ func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leakBase, leakC
 		if op.gpuBusy == 1 {
 			remGPU -= op.rateGPU * dt
 		}
-		l0 := power.Leakage(leakBase[0], leakCoeff[0], t[n0])
-		l1 := power.Leakage(leakBase[1], leakCoeff[1], t[n1])
-		l2 := power.Leakage(leakBase[2], leakCoeff[2], t[n2])
+		l0 := power.Leakage(leak.base[0], leak.coeff[0], t[n0])
+		l1 := power.Leakage(leak.base[1], leak.coeff[1], t[n1])
+		l2 := power.Leakage(leak.base[2], leak.coeff[2], t[n2])
 		p[n0], p[n1], p[n2] = d0+l0, d1+l1, d2+l2
 		t0, t1, t2, t3 := t[0], t[1], t[2], t[3]
 		p0, p1, p2, p3 := p[0], p[1], p[2], p[3]

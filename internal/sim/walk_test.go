@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -141,36 +143,161 @@ func TestSuperstepWalkMatchesTick(t *testing.T) {
 	}
 }
 
+// Record segments advance what a throttled chip would otherwise walk, to
+// rounding: on every catalog platform, an idle board whose big node
+// starts at 90 °C under a clamp that never releases has every span
+// refused a jump. The hot node warms the others, which peak and cool
+// inside segmented spans; in a 15 °C room the cluster nodes also start
+// below the 25 °C leakage reference, where the floor check refuses
+// segments and they are walked. Against the DisableSuperstep twin, the
+// throttle events and every sample instant are equal, and the per-node
+// peaks, the final temperatures and every sample's temperatures and
+// power agree within 1e-9.
+func TestSuperstepSegmentsMatchTicks(t *testing.T) {
+	for _, name := range platform.Names() {
+		for _, cold := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/cold=%v", name, cold), func(t *testing.T) {
+				testSegmentsMatchTicks(t, name, cold)
+			})
+		}
+	}
+}
+
+func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
+	run := func(disable bool) (*sim.Engine, *sim.Result) {
+		b, err := platform.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plat := b.SoC
+		if cold {
+			plat.AmbientC = 15
+		}
+		plat.TripC, plat.TripReleaseC = 60, 10
+		temps := make([]float64, len(b.Net.Nodes))
+		for i := range temps {
+			temps[i] = plat.AmbientC
+		}
+		temps[b.Net.NodeIndex(plat.Big().Name)] = 90
+		e, err := sim.New(sim.Config{
+			Platform:         plat,
+			Net:              b.Net,
+			Map:              mapping.Mapping{Big: 1, UseGPU: true},
+			InitialTempsC:    temps,
+			MinTimeS:         60,
+			DisableSuperstep: disable,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, r
+	}
+	eS, rS := run(false)
+	eT, rT := run(true)
+	if (!cold && rS.Stats.SegmentTicks == 0) || (cold && rS.Stats.WalkedTicks == 0) {
+		t.Fatalf("want segmented ticks in a warm room and walked ones in a cold room, got %+v", rS.Stats)
+	}
+	if rS.ThrottleEvents != 1 || rT.ThrottleEvents != 1 || rS.Stats.TMUReleases != rT.Stats.TMUReleases {
+		t.Errorf("throttle events %d/%d, releases %d/%d", rS.ThrottleEvents, rT.ThrottleEvents, rS.Stats.TMUReleases, rT.Stats.TMUReleases)
+	}
+	near := func(what string, a, b []float64) {
+		for i := range a {
+			if d := math.Abs(a[i] - b[i]); d > 1e-9 {
+				t.Errorf("%s[%d]: segmented %.12g, ticked %.12g", what, i, a[i], b[i])
+			}
+		}
+	}
+	near("PeakTempsC", rS.PeakTempsC, rT.PeakTempsC)
+	near("final temperature", eS.FinalTemps(), eT.FinalTemps())
+	ss, st := rS.Trace.Samples, rT.Trace.Samples
+	if len(ss) != len(st) {
+		t.Fatalf("trace lengths differ: segmented %d, ticked %d", len(ss), len(st))
+	}
+	for i := range ss {
+		if ss[i].TimeS != st[i].TimeS {
+			t.Fatalf("sample %d at t=%g s, ticked at %g s", i, ss[i].TimeS, st[i].TimeS)
+		}
+		near(fmt.Sprintf("t=%gs temperature", ss[i].TimeS), ss[i].TempsC, st[i].TempsC)
+		near(fmt.Sprintf("t=%gs power", ss[i].TimeS), []float64{ss[i].PowerW}, []float64{st[i].PowerW})
+	}
+}
+
+// throttledConfig is a 10 s run on the named catalog platform whose TMU
+// trips on its first tick and holds its clamp: the trip is lowered under
+// the chip's 40 °C start and the release under ambient, so every proven
+// span is refused a jump, and ordinary ticks only latch the 1 s meter
+// samples.
+func throttledConfig(b *testing.B, name string) sim.Config {
+	b.Helper()
+	bundle, err := platform.Get(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plat := bundle.SoC
+	plat.TripC, plat.TripReleaseC = 30, 26
+	temps := make([]float64, len(bundle.Net.Nodes))
+	for i := range temps {
+		temps[i] = 40
+	}
+	return sim.Config{
+		Platform:      plat,
+		Net:           bundle.Net,
+		App:           workload.Covariance(),
+		Map:           mapping.Mapping{Big: 4, Little: 2, UseGPU: true},
+		Part:          mapping.Partition{Num: 4, Den: 8},
+		InitialTempsC: temps,
+		MaxTimeS:      10,
+		DiscardTrace:  true,
+	}
+}
+
 // BenchmarkSteadyWalk reports what one walked tick costs, in ns per
 // walked tick, on a 4-node network (exynos5422, the fused loop) and an
-// 8-node one (harrier-s16, the general loop). The trip is lowered under
-// the chip's temperature, so the TMU trips on the first tick and holds
-// its clamp: every span is refused a jump and walked, and ordinary ticks
-// only latch the 1 s meter samples. Engine construction is not timed.
+// 8-node one (harrier-s16, the general loop), on throttledConfig's run.
+// Run would advance those spans in record segments, so sim.WalkRun
+// hands every span to the walk itself. Engine construction is not timed.
 func BenchmarkSteadyWalk(b *testing.B) {
 	for _, name := range []string{"exynos5422", "harrier-s16"} {
 		b.Run(name, func(b *testing.B) {
-			bundle, err := platform.Get(name)
-			if err != nil {
-				b.Fatal(err)
-			}
-			plat := bundle.SoC
-			plat.TripC, plat.TripReleaseC = 30, 26
-			temps := make([]float64, len(bundle.Net.Nodes))
-			for i := range temps {
-				temps[i] = 40
-			}
-			cfg := sim.Config{
-				Platform:      plat,
-				Net:           bundle.Net,
-				App:           workload.Covariance(),
-				Map:           mapping.Mapping{Big: 4, Little: 2, UseGPU: true},
-				Part:          mapping.Partition{Num: 4, Den: 8},
-				InitialTempsC: temps,
-				MaxTimeS:      10,
-				DiscardTrace:  true,
-			}
+			cfg := throttledConfig(b, name)
 			var walked, ticks int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				e, err := sim.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				st, err := sim.WalkRun(e, cfg.MaxTimeS)
+				if err != nil {
+					b.Fatal(err)
+				}
+				walked += st.WalkedTicks
+				ticks += st.Ticks
+			}
+			if walked == 0 {
+				b.Fatal("no tick was walked")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(walked), "ns/walked-tick")
+			b.ReportMetric(float64(walked)/float64(ticks), "walked/tick")
+		})
+	}
+}
+
+// BenchmarkSteadySegments runs throttledConfig's run through Run, which
+// advances its refused spans in record segments, and reports the cost of
+// an advanced tick (ordinary, walked, segmented or jumped) and the share
+// of ticks advanced in segments. Engine construction is not timed.
+func BenchmarkSteadySegments(b *testing.B) {
+	for _, name := range []string{"exynos5422", "harrier-s16"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := throttledConfig(b, name)
+			var segmented, advanced int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -183,14 +310,14 @@ func BenchmarkSteadyWalk(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				walked += res.Stats.WalkedTicks
-				ticks += res.Stats.Ticks
+				segmented += res.Stats.SegmentTicks
+				advanced += res.Stats.Ticks + res.Stats.SuperstepTicks
 			}
-			if walked == 0 {
-				b.Fatal("no tick was walked")
+			if segmented == 0 {
+				b.Fatal("no tick was advanced in a segment")
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(walked), "ns/walked-tick")
-			b.ReportMetric(float64(walked)/float64(ticks), "walked/tick")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(advanced), "ns/advanced-tick")
+			b.ReportMetric(float64(segmented)/float64(advanced), "segmented/tick")
 		})
 	}
 }

@@ -31,6 +31,14 @@
 // the first tick on Ã itself and reports that direction, which lets the
 // caller validate interior-state constraints (thermal trip thresholds,
 // the T ≥ 25 °C leakage regime) from the two endpoints alone.
+//
+// A span too close to equilibrium for one direction to hold overall can
+// still be advanced in short segments of L ≤ SegmentMaxTicks ticks, each
+// certified on its own. With u = Q⁻¹·T and w = (Λ − I)·u + Q⁻¹·b̃, the
+// increment of tick j is Q·(λʲ ⊙ w). When every λ_m > 0, each λ_mʲ·w_m
+// over j < L lies between w_m and w′_m = λ_m^(L−1)·w_m, so a node with
+// |Q·(w + w′)| > |Q|·|w − w′| keeps the sign of its increment on every
+// tick of the segment: it is monotone there, and its endpoints bound it.
 
 package thermal
 
@@ -52,46 +60,97 @@ var formCount atomic.Int64
 
 const formCacheLimit = 1024
 
+// SegmentMaxTicks is the longest segment Segment evaluates: the modal
+// forms tabulate their modes' powers up to it. It is the engine's trace
+// record period (0.1 s of 10 ms ticks), so a segment can end on every
+// record tick.
+const SegmentMaxTicks = 10
+
 // modalForm is the jump map of one slope vector, read-only once built:
-// Ã = A + Bp·diag(slope) for the one-tick direction probe, Q and Q⁻¹
-// (flat row-major n×n) and mu[m] = λ_m − 1.
+// Ã = A + Bp·diag(slope) for the one-tick direction probe, Q, |Q| and Q⁻¹
+// (flat row-major n×n) and mu[m] = λ_m − 1. For the segments, row L of
+// segD and segS (n entries each, L = 0…SegmentMaxTicks) holds each mode's
+// λᴸ − 1 and Σ_{j<L} λʲ, sq = Qᵀ·slope weighs modal increments into the
+// power law's slope term, and segOK reports that every λ_m > 0.
 type modalForm struct {
-	slope, at, q, qi, mu []float64
+	slope, at, q, absQ, qi, mu, segD, segS, sq []float64
+	segOK                                      bool
 }
 
 // Superstep jumps a model across n identical ticks of its Stepper in one
-// application of a modal form. It is bound to one leakage-slope vector;
-// build a new Superstep when a DVFS or mapping change alters the slopes.
-// Not safe for concurrent use.
+// application of a modal form, or advances it through certified segments
+// of at most SegmentMaxTicks ticks. It is bound to one leakage-slope vector;
+// build a new Superstep, or Rebind one, when a DVFS or mapping change
+// alters the slopes. Not safe for concurrent use.
 type Superstep struct {
 	st *Stepper
 	f  *modalForm
-	// buf is scratch, five n-vectors: b̃, the modal increments z, the
-	// planned end temperatures, and each mode's λⁿ − 1 and Σ_{j<n} λʲ
-	// for n = pn.
-	buf             []float64
-	pn              int
+	// buf holds numVecs scratch n-vectors (see vec).
+	buf []float64
+	// pn is the horizon vPowD and vPowS hold the powers for; injAmb and
+	// injOK key vB and vC to the injection in vInj at that ambient.
+	pn     int
+	injAmb float64
+	injOK  bool
+	// planned marks a Jump awaiting Commit, segL (> 0) a certified
+	// Segment of that many ticks awaiting CommitSegment.
 	reused, planned bool
+	segL            int
+}
+
+// The scratch vectors of a Superstep.
+const (
+	vInj   = iota // the constant injection vB and vC were computed for
+	vB            // b̃
+	vC            // Q⁻¹·b̃
+	vZ            // modal increments of the planned jump or segment
+	vEnd          // planned end temperatures
+	vPowD         // each mode's λⁿ − 1 for n = pn
+	vPowS         // each mode's Σ_{j<n} λʲ for n = pn
+	vU            // the segments' carried modal state Q⁻¹·T
+	vSum          // segment certificate: w + w′
+	vDev          // segment certificate: |w − w′|
+	vZPrev        // modal increments to T(L−1)
+	numVecs
+)
+
+// vec is scratch vector i.
+func (ss *Superstep) vec(i int) []float64 {
+	n := ss.st.m.n
+	return ss.buf[i*n : (i+1)*n : (i+1)*n]
 }
 
 // NewSuperstep builds the jump map for the stepper's system and the
 // given per-node leakage slope (W/°C, entries ≥ 0), sharing the modal
 // form of an earlier Superstep over the same system and slope.
 func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
-	n := st.m.n
-	if len(slopeWPerC) != n {
-		return nil, fmt.Errorf("thermal: superstep got %d slopes, want %d", len(slopeWPerC), n)
+	ss := &Superstep{st: st, buf: make([]float64, numVecs*st.m.n)}
+	if err := ss.Rebind(slopeWPerC); err != nil {
+		return nil, err
+	}
+	return ss, nil
+}
+
+// Rebind binds ss to another slope vector in place, as NewSuperstep
+// would build it but keeping its buffers, so a pool that recycles its
+// maps allocates nothing beyond a new form's eigensolve. On error ss is
+// unchanged.
+func (ss *Superstep) Rebind(slopeWPerC []float64) error {
+	st := ss.st
+	if len(slopeWPerC) != st.m.n {
+		return fmt.Errorf("thermal: superstep got %d slopes, want %d", len(slopeWPerC), st.m.n)
 	}
 	for j, s := range slopeWPerC {
 		if s < 0 {
-			return nil, fmt.Errorf("thermal: negative leakage slope %g on node %d", s, j)
+			return fmt.Errorf("thermal: negative leakage slope %g on node %d", s, j)
 		}
 	}
 	f, reused, err := st.prop.form(st.m.invC, slopeWPerC)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &Superstep{st: st, f: f, buf: make([]float64, 5*n), reused: reused}, nil
+	ss.f, ss.reused, ss.pn, ss.injOK, ss.planned, ss.segL = f, reused, 0, false, false, 0
+	return nil
 }
 
 // Slope returns the leakage-slope vector the map was built for (read-only).
@@ -100,29 +159,23 @@ func (ss *Superstep) Slope() []float64 { return ss.f.slope }
 // Reused reports whether the modal form was shared, not eigensolved.
 func (ss *Superstep) Reused() bool { return ss.reused }
 
-// Jump plans an n-tick advance of the bound model under the constant
-// power injection constInjW (per node, watts — the temperature-independent
-// part; the leakage slopes are already folded into the map). It does not
-// modify the model: endTemps is the planned state after n ticks (valid
-// until the next Jump) and dir the componentwise trajectory direction —
-// +1 monotonically rising, −1 falling, 0 mixed (endTemps nil; the caller
-// must fall back to fixed ticks, endpoint guards would not bound the
-// interior). Call Commit to apply a planned jump. Allocation-free.
+// inject returns b̃ = Bp·constInjW + ambGain·Tamb and c = Q⁻¹·b̃, reusing
+// the last ones while the injection and the ambient are unchanged — the
+// common case across the spans of one operating point.
 //
 //teem:hotpath
-func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
-	ss.planned = false
-	n := ss.st.m.n
-	if nTicks < 1 {
-		return nil, 0, fmt.Errorf("thermal: superstep of %d ticks", nTicks)
+func (ss *Superstep) inject(constInjW []float64) (bvec, c []float64) {
+	n, amb := ss.st.m.n, ss.st.m.ambientC
+	key, bvec, c := ss.vec(vInj), ss.vec(vB), ss.vec(vC)
+	if ss.injOK && amb == ss.injAmb {
+		same := true
+		for i, v := range constInjW[:n] {
+			same = same && v == key[i]
+		}
+		if same {
+			return bvec, c
+		}
 	}
-	if len(constInjW) != n {
-		return nil, 0, fmt.Errorf("thermal: Jump got %d powers, want %d", len(constInjW), n)
-	}
-	m, f := ss.st.m, ss.f
-	amb := m.ambientC
-	temps := m.temps[:n]
-	bvec, z, tn, pd, ps := ss.buf[:n:n], ss.buf[n:2*n:2*n], ss.buf[2*n:3*n:3*n], ss.buf[3*n:4*n:4*n], ss.buf[4*n:5*n:5*n]
 	for i := 0; i < n; i++ {
 		acc := ss.st.ambGain[i] * amb
 		br := ss.st.bp[i*n : i*n+n : i*n+n]
@@ -131,6 +184,43 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 		}
 		bvec[i] = acc
 	}
+	for k := 0; k < n; k++ {
+		qr := ss.f.qi[k*n : k*n+n : k*n+n]
+		y := 0.0
+		for j := range qr {
+			y += qr[j] * bvec[j]
+		}
+		c[k] = y
+	}
+	copy(key, constInjW)
+	ss.injAmb, ss.injOK = amb, true
+	return bvec, c
+}
+
+// Jump plans an n-tick advance of the bound model under the constant
+// power injection constInjW (per node, watts — the temperature-independent
+// part; the leakage slopes are already folded into the map). It does not
+// modify the model: endTemps is the planned state after n ticks (valid
+// until the next Jump or Segment) and dir the componentwise trajectory
+// direction — +1 monotonically rising, −1 falling, 0 mixed (endTemps nil;
+// the caller must fall back to fixed ticks, endpoint guards would not
+// bound the interior). Call Commit to apply a planned jump.
+// Allocation-free.
+//
+//teem:hotpath
+func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
+	ss.planned, ss.segL = false, 0
+	n := ss.st.m.n
+	if nTicks < 1 {
+		return nil, 0, fmt.Errorf("thermal: superstep of %d ticks", nTicks)
+	}
+	if len(constInjW) != n {
+		return nil, 0, fmt.Errorf("thermal: Jump got %d powers, want %d", len(constInjW), n)
+	}
+	f := ss.f
+	temps := ss.st.m.temps[:n]
+	bvec, c := ss.inject(constInjW)
+	z, tn, pd, ps := ss.vec(vZ), ss.vec(vEnd), ss.vec(vPowD), ss.vec(vPowS)
 	// One-tick probe: with Ã ≥ 0 the increment T[k+1]−T[k] keeps its
 	// componentwise sign, so the first step's direction is the whole
 	// jump's direction.
@@ -175,12 +265,11 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	}
 	for k := 0; k < n; k++ {
 		qr := f.qi[k*n : k*n+n : k*n+n]
-		x, y := 0.0, 0.0
+		x := 0.0
 		for j := range qr {
 			x += qr[j] * temps[j]
-			y += qr[j] * bvec[j]
 		}
-		z[k] = pd[k]*x + ps[k]*y
+		z[k] = pd[k]*x + ps[k]*c[k]
 	}
 	for i := 0; i < n; i++ {
 		acc := temps[i]
@@ -205,9 +294,160 @@ func (ss *Superstep) Commit() error {
 	if !ss.planned {
 		return errors.New("thermal: Commit without a planned Jump")
 	}
-	n := ss.st.m.n
-	copy(ss.st.m.temps[:n], ss.buf[2*n:3*n])
+	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
 	ss.planned = false
+	return nil
+}
+
+// BeginSegments starts advancing the bound model in segments under the
+// constant injection constInjW (as for Jump): it takes the modal state
+// u = Q⁻¹·T of the model's temperatures, which Segment reads and
+// CommitSegment carries forward. Call it again after anything else moves
+// the model. Allocation-free.
+//
+//teem:hotpath
+func (ss *Superstep) BeginSegments(constInjW []float64) error {
+	ss.planned, ss.segL = false, 0
+	n := ss.st.m.n
+	if len(constInjW) != n {
+		return fmt.Errorf("thermal: BeginSegments got %d powers, want %d", len(constInjW), n)
+	}
+	ss.inject(constInjW)
+	temps, u := ss.st.m.temps[:n], ss.vec(vU)[:n]
+	for k := 0; k < n; k++ {
+		qr := ss.f.qi[k*n:][:n]
+		x := 0.0
+		for j := 0; j < n; j++ {
+			x += qr[j] * temps[j]
+		}
+		u[k] = x
+	}
+	return nil
+}
+
+// Segment evaluates the next nTicks (1…SegmentMaxTicks) ticks from the
+// carried modal state without modifying the model. It returns the state
+// T(L) the segment ends in (valid until the next Jump or Segment) and ok
+// when every node is certified monotone over the segment: all λ_m > 0
+// and, per node, |Q·(w + w′)| > |Q|·|w − w′|. Only then do the endpoints
+// bound each node's interior. A segment outside the tabulated lengths is
+// refused. SegmentSlopeW gives the slope term of the power law at a
+// certified segment's T(L−1); CommitSegment applies it. Allocation-free.
+//
+//teem:hotpath
+func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
+	ss.planned, ss.segL = false, 0
+	n := ss.st.m.n
+	if nTicks < 1 || nTicks > SegmentMaxTicks || !ss.f.segOK {
+		return nil, false
+	}
+	if r := (nTicks - 1) * n; n == 4 {
+		ok = ss.segment4(r)
+	} else {
+		ok = ss.segmentN(r)
+	}
+	if !ok {
+		return nil, false
+	}
+	ss.segL = nTicks
+	return ss.vec(vEnd), true
+}
+
+// segmentN is Segment's arithmetic on an n-node system, for the segment
+// whose tabulated powers start at row offset r: the modal increments to
+// T(L−1) and T(L), the certificate, and T(L).
+//
+//teem:hotpath
+func (ss *Superstep) segmentN(r int) bool {
+	f, n := ss.f, ss.st.m.n
+	buf := ss.buf[:numVecs*n]
+	temps, mu := ss.st.m.temps[:n], f.mu[:n]
+	u, c, z, tn := buf[vU*n:][:n], buf[vC*n:][:n], buf[vZ*n:][:n], buf[vEnd*n:][:n]
+	sum, dev, zp := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vZPrev*n:][:n]
+	dPrev, sPrev, sEnd := f.segD[r:][:n], f.segS[r:][:n], f.segS[r+n:][:n]
+	for m := 0; m < n; m++ {
+		// w is the first tick's modal increment and v = w′ − w.
+		w := mu[m]*u[m] + c[m]
+		v := dPrev[m] * w
+		sum[m], dev[m], zp[m], z[m] = 2*w+v, math.Abs(v), sPrev[m]*w, sEnd[m]*w
+	}
+	ok := true
+	for i := 0; i < n; i++ {
+		qr, ar := f.q[i*n:][:n], f.absQ[i*n:][:n]
+		a, b, e := 0.0, 0.0, temps[i]
+		for k := 0; k < n; k++ {
+			a += qr[k] * sum[k]
+			b += ar[k] * dev[k]
+			e += qr[k] * z[k]
+		}
+		ok = ok && math.Abs(a) > b
+		tn[i] = e
+	}
+	return ok
+}
+
+// segment4 is segmentN on a 4-node system, over fixed-size arrays.
+//
+//teem:hotpath
+func (ss *Superstep) segment4(r int) bool {
+	f := ss.f
+	mu, q, aq := (*[4]float64)(f.mu), (*[16]float64)(f.q), (*[16]float64)(f.absQ)
+	dPrev, sPrev, sEnd := (*[4]float64)(f.segD[r:]), (*[4]float64)(f.segS[r:]), (*[4]float64)(f.segS[r+4:])
+	v := (*[numVecs * 4]float64)(ss.buf)
+	t := (*[4]float64)(ss.st.m.temps)
+	var sum, dev [4]float64
+	for m := range 4 {
+		w := mu[m]*v[vU*4+m] + v[vC*4+m]
+		d := dPrev[m] * w
+		sum[m], dev[m] = 2*w+d, math.Abs(d)
+		v[vZPrev*4+m], v[vZ*4+m] = sPrev[m]*w, sEnd[m]*w
+	}
+	z := (*[4]float64)(v[vZ*4:])
+	ok := true
+	for i := range 4 {
+		qr, ar := (*[4]float64)(q[4*i:]), (*[4]float64)(aq[4*i:])
+		a := qr[0]*sum[0] + qr[1]*sum[1] + qr[2]*sum[2] + qr[3]*sum[3]
+		b := ar[0]*dev[0] + ar[1]*dev[1] + ar[2]*dev[2] + ar[3]*dev[3]
+		ok = ok && math.Abs(a) > b
+		v[vEnd*4+i] = t[i] + qr[0]*z[0] + qr[1]*z[1] + qr[2]*z[2] + qr[3]*z[3]
+	}
+	return ok
+}
+
+// SegmentSlopeW returns Σ_i slope_i·T_i at T(L−1) of the certified
+// Segment awaiting CommitSegment — the temperature-dependent part of the
+// power law under which its last tick starts — in watts, or 0 when none
+// awaits. It weighs the modal increments through Qᵀ·slope, so it costs
+// O(N), not the O(N²) of T(L−1) itself.
+//
+//teem:hotpath
+func (ss *Superstep) SegmentSlopeW() float64 {
+	if ss.segL == 0 {
+		return 0
+	}
+	f, temps, zp := ss.f, ss.st.m.temps[:ss.st.m.n], ss.vec(vZPrev)
+	p := 0.0
+	for i, s := range f.slope {
+		p += s*temps[i] + f.sq[i]*zp[i]
+	}
+	return p
+}
+
+// CommitSegment applies the last certified Segment: the model takes its
+// end temperatures and the carried modal state advances with them. It
+// fails when no certified Segment awaits.
+//
+//teem:hotpath
+func (ss *Superstep) CommitSegment() error {
+	if ss.segL == 0 {
+		return errors.New("thermal: CommitSegment without a certified Segment")
+	}
+	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
+	u, z := ss.vec(vU), ss.vec(vZ)
+	for m := range u {
+		u[m] += z[m]
+	}
+	ss.segL = 0
 	return nil
 }
 
@@ -294,9 +534,15 @@ func (p *propagator) newBasis(invC []float64) error {
 // eigenvalues are λ − 1 directly), then Q = L·U and Q⁻¹ = Uᵀ·R.
 func (p *propagator) newForm(slope []float64) (*modalForm, error) {
 	n := len(slope)
-	buf := make([]float64, 2*n+3*n*n)
-	f := &modalForm{slope: buf[:n:n], mu: buf[n : 2*n : 2*n], at: buf[2*n : 2*n+n*n : 2*n+n*n]}
-	f.q, f.qi = buf[2*n+n*n:2*n+2*n*n:2*n+2*n*n], buf[2*n+2*n*n:]
+	rows := (SegmentMaxTicks + 1) * n
+	buf := make([]float64, 3*n+4*n*n+2*rows)
+	next := func(size int) []float64 {
+		s := buf[:size:size]
+		buf = buf[size:]
+		return s
+	}
+	f := &modalForm{slope: next(n), mu: next(n), at: next(n * n), q: next(n * n), absQ: next(n * n), qi: next(n * n)}
+	f.segD, f.segS, f.sq = next(rows), next(rows), next(n)
 	copy(f.slope, slope)
 	s := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -322,12 +568,25 @@ func (p *propagator) newForm(slope []float64) (*modalForm, error) {
 		return nil, err
 	}
 	matMul(f.q, p.l, u, n)
+	for i, v := range f.q {
+		f.absQ[i] = math.Abs(v)
+		f.sq[i%n] += slope[i/n] * v
+	}
+	f.segOK = true
 	for m := 0; m < n; m++ {
-		f.mu[m] = s[m*n+m]
+		mu := s[m*n+m]
+		f.mu[m] = mu
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				f.qi[m*n+j] += u[k*n+m] * p.r[k*n+j]
 			}
+		}
+		// L ticks and one more compose to (d + mu + d·mu, s + 1 + d).
+		f.segOK = f.segOK && mu > -1
+		d, sum := 0.0, 0.0
+		for l := 1; l <= SegmentMaxTicks; l++ {
+			d, sum = d+mu+d*mu, sum+1+d
+			f.segD[l*n+m], f.segS[l*n+m] = d, sum
 		}
 	}
 	return f, nil
