@@ -85,13 +85,10 @@ type modalForm struct {
 type Superstep struct {
 	st *Stepper
 	f  *modalForm
-	// buf holds numVecs scratch n-vectors (see vec).
+	// buf holds numVecs scratch n-vectors (see vec); pn is the horizon
+	// vPowD and vPowS hold the powers for.
 	buf []float64
-	// pn is the horizon vPowD and vPowS hold the powers for; injAmb and
-	// injOK key vB and vC to the injection in vInj at that ambient.
-	pn     int
-	injAmb float64
-	injOK  bool
+	pn  int
 	// planned marks a Jump awaiting Commit, segL (> 0) a certified
 	// Segment of that many ticks awaiting CommitSegment.
 	reused, planned bool
@@ -100,9 +97,8 @@ type Superstep struct {
 
 // The scratch vectors of a Superstep.
 const (
-	vInj   = iota // the constant injection vB and vC were computed for
-	vB            // b̃
-	vC            // Q⁻¹·b̃
+	vB     = iota // b̃
+	vC            // the segments' Q⁻¹·b̃
 	vZ            // modal increments of the planned jump or segment
 	vEnd          // planned end temperatures
 	vPowD         // each mode's λⁿ − 1 for n = pn
@@ -149,7 +145,7 @@ func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 	if err != nil {
 		return err
 	}
-	ss.f, ss.reused, ss.pn, ss.injOK, ss.planned, ss.segL = f, reused, 0, false, false, 0
+	ss.f, ss.reused, ss.pn, ss.planned, ss.segL = f, reused, 0, false, 0
 	return nil
 }
 
@@ -159,23 +155,12 @@ func (ss *Superstep) Slope() []float64 { return ss.f.slope }
 // Reused reports whether the modal form was shared, not eigensolved.
 func (ss *Superstep) Reused() bool { return ss.reused }
 
-// inject returns b̃ = Bp·constInjW + ambGain·Tamb and c = Q⁻¹·b̃, reusing
-// the last ones while the injection and the ambient are unchanged — the
-// common case across the spans of one operating point.
+// inject returns b̃ = Bp·constInjW + ambGain·Tamb in scratch vector vB.
 //
 //teem:hotpath
-func (ss *Superstep) inject(constInjW []float64) (bvec, c []float64) {
+func (ss *Superstep) inject(constInjW []float64) []float64 {
 	n, amb := ss.st.m.n, ss.st.m.ambientC
-	key, bvec, c := ss.vec(vInj), ss.vec(vB), ss.vec(vC)
-	if ss.injOK && amb == ss.injAmb {
-		same := true
-		for i, v := range constInjW[:n] {
-			same = same && v == key[i]
-		}
-		if same {
-			return bvec, c
-		}
-	}
+	bvec := ss.vec(vB)
 	for i := 0; i < n; i++ {
 		acc := ss.st.ambGain[i] * amb
 		br := ss.st.bp[i*n : i*n+n : i*n+n]
@@ -184,17 +169,7 @@ func (ss *Superstep) inject(constInjW []float64) (bvec, c []float64) {
 		}
 		bvec[i] = acc
 	}
-	for k := 0; k < n; k++ {
-		qr := ss.f.qi[k*n : k*n+n : k*n+n]
-		y := 0.0
-		for j := range qr {
-			y += qr[j] * bvec[j]
-		}
-		c[k] = y
-	}
-	copy(key, constInjW)
-	ss.injAmb, ss.injOK = amb, true
-	return bvec, c
+	return bvec
 }
 
 // Jump plans an n-tick advance of the bound model under the constant
@@ -219,7 +194,7 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	}
 	f := ss.f
 	temps := ss.st.m.temps[:n]
-	bvec, c := ss.inject(constInjW)
+	bvec := ss.inject(constInjW)
 	z, tn, pd, ps := ss.vec(vZ), ss.vec(vEnd), ss.vec(vPowD), ss.vec(vPowS)
 	// One-tick probe: with Ã ≥ 0 the increment T[k+1]−T[k] keeps its
 	// componentwise sign, so the first step's direction is the whole
@@ -265,11 +240,12 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	}
 	for k := 0; k < n; k++ {
 		qr := f.qi[k*n : k*n+n : k*n+n]
-		x := 0.0
+		x, y := 0.0, 0.0
 		for j := range qr {
 			x += qr[j] * temps[j]
+			y += qr[j] * bvec[j]
 		}
-		z[k] = pd[k]*x + ps[k]*c[k]
+		z[k] = pd[k]*x + ps[k]*y
 	}
 	for i := 0; i < n; i++ {
 		acc := temps[i]
@@ -302,8 +278,8 @@ func (ss *Superstep) Commit() error {
 // BeginSegments starts advancing the bound model in segments under the
 // constant injection constInjW (as for Jump): it takes the modal state
 // u = Q⁻¹·T of the model's temperatures, which Segment reads and
-// CommitSegment carries forward. Call it again after anything else moves
-// the model. Allocation-free.
+// CommitSegment carries forward, and the injection's Q⁻¹·b̃. Call it
+// again after anything else moves the model. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) BeginSegments(constInjW []float64) error {
@@ -312,15 +288,16 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 	if len(constInjW) != n {
 		return fmt.Errorf("thermal: BeginSegments got %d powers, want %d", len(constInjW), n)
 	}
-	ss.inject(constInjW)
-	temps, u := ss.st.m.temps[:n], ss.vec(vU)[:n]
+	bvec := ss.inject(constInjW)
+	temps, u, c := ss.st.m.temps[:n], ss.vec(vU), ss.vec(vC)
 	for k := 0; k < n; k++ {
-		qr := ss.f.qi[k*n:][:n]
-		x := 0.0
-		for j := 0; j < n; j++ {
+		qr := ss.f.qi[k*n : k*n+n : k*n+n]
+		x, y := 0.0, 0.0
+		for j := range qr {
 			x += qr[j] * temps[j]
+			y += qr[j] * bvec[j]
 		}
-		u[k] = x
+		u[k], c[k] = x, y
 	}
 	return nil
 }
@@ -337,33 +314,16 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 //teem:hotpath
 func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 	ss.planned, ss.segL = false, 0
-	n := ss.st.m.n
-	if nTicks < 1 || nTicks > SegmentMaxTicks || !ss.f.segOK {
-		return nil, false
-	}
-	if r := (nTicks - 1) * n; n == 4 {
-		ok = ss.segment4(r)
-	} else {
-		ok = ss.segmentN(r)
-	}
-	if !ok {
-		return nil, false
-	}
-	ss.segL = nTicks
-	return ss.vec(vEnd), true
-}
-
-// segmentN is Segment's arithmetic on an n-node system, for the segment
-// whose tabulated powers start at row offset r: the modal increments to
-// T(L−1) and T(L), the certificate, and T(L).
-//
-//teem:hotpath
-func (ss *Superstep) segmentN(r int) bool {
 	f, n := ss.f, ss.st.m.n
+	if nTicks < 1 || nTicks > SegmentMaxTicks || !f.segOK {
+		return nil, false
+	}
 	buf := ss.buf[:numVecs*n]
 	temps, mu := ss.st.m.temps[:n], f.mu[:n]
 	u, c, z, tn := buf[vU*n:][:n], buf[vC*n:][:n], buf[vZ*n:][:n], buf[vEnd*n:][:n]
 	sum, dev, zp := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vZPrev*n:][:n]
+	// Row L−1 of the tables gives T(L−1), row L gives T(L).
+	r := (nTicks - 1) * n
 	dPrev, sPrev, sEnd := f.segD[r:][:n], f.segS[r:][:n], f.segS[r+n:][:n]
 	for m := 0; m < n; m++ {
 		// w is the first tick's modal increment and v = w′ − w.
@@ -371,7 +331,7 @@ func (ss *Superstep) segmentN(r int) bool {
 		v := dPrev[m] * w
 		sum[m], dev[m], zp[m], z[m] = 2*w+v, math.Abs(v), sPrev[m]*w, sEnd[m]*w
 	}
-	ok := true
+	ok = true
 	for i := 0; i < n; i++ {
 		qr, ar := f.q[i*n:][:n], f.absQ[i*n:][:n]
 		a, b, e := 0.0, 0.0, temps[i]
@@ -383,35 +343,11 @@ func (ss *Superstep) segmentN(r int) bool {
 		ok = ok && math.Abs(a) > b
 		tn[i] = e
 	}
-	return ok
-}
-
-// segment4 is segmentN on a 4-node system, over fixed-size arrays.
-//
-//teem:hotpath
-func (ss *Superstep) segment4(r int) bool {
-	f := ss.f
-	mu, q, aq := (*[4]float64)(f.mu), (*[16]float64)(f.q), (*[16]float64)(f.absQ)
-	dPrev, sPrev, sEnd := (*[4]float64)(f.segD[r:]), (*[4]float64)(f.segS[r:]), (*[4]float64)(f.segS[r+4:])
-	v := (*[numVecs * 4]float64)(ss.buf)
-	t := (*[4]float64)(ss.st.m.temps)
-	var sum, dev [4]float64
-	for m := range 4 {
-		w := mu[m]*v[vU*4+m] + v[vC*4+m]
-		d := dPrev[m] * w
-		sum[m], dev[m] = 2*w+d, math.Abs(d)
-		v[vZPrev*4+m], v[vZ*4+m] = sPrev[m]*w, sEnd[m]*w
+	if !ok {
+		return nil, false
 	}
-	z := (*[4]float64)(v[vZ*4:])
-	ok := true
-	for i := range 4 {
-		qr, ar := (*[4]float64)(q[4*i:]), (*[4]float64)(aq[4*i:])
-		a := qr[0]*sum[0] + qr[1]*sum[1] + qr[2]*sum[2] + qr[3]*sum[3]
-		b := ar[0]*dev[0] + ar[1]*dev[1] + ar[2]*dev[2] + ar[3]*dev[3]
-		ok = ok && math.Abs(a) > b
-		v[vEnd*4+i] = t[i] + qr[0]*z[0] + qr[1]*z[1] + qr[2]*z[2] + qr[3]*z[3]
-	}
-	return ok
+	ss.segL = nTicks
+	return tn, true
 }
 
 // SegmentSlopeW returns Σ_i slope_i·T_i at T(L−1) of the certified
