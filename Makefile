@@ -92,14 +92,15 @@ scenario-gate:
 # Integrator-agreement gate (docs/integrators.md): the superstep
 # agreement suites must hold uncached, the contract fuzzer must find no
 # counterexample in 10 s beyond its preset × catalog seeds, the record
-# segments' monotonicity certificate must survive 10 s of fuzzing, and
-# the preset corpus must keep its assertions under both -integrator
-# modes — euler here, exact above in scenario-gate (where supersteps are
-# live by default).
+# segments' monotonicity certificate and the closed-form work drain must
+# each survive 10 s of fuzzing, and the preset corpus must keep its
+# assertions under both -integrator modes — euler here, exact above in
+# scenario-gate (where supersteps are live by default).
 integrator-gate:
 	$(GO) test -count=1 -run 'TestSuperstep' ./internal/thermal ./internal/sim ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSuperstepContract$$' -fuzztime 10s ./internal/scenario
 	$(GO) test -run '^$$' -fuzz '^FuzzSuperstepSegment$$' -fuzztime 10s ./internal/thermal
+	$(GO) test -run '^$$' -fuzz '^FuzzDrain$$' -fuzztime 10s ./internal/sim
 	$(GO) run ./cmd/teemscenario -govs ondemand,teem -integrator euler
 
 # Platform-catalog gate (docs/platforms.md): the catalog validation

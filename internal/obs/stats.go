@@ -26,7 +26,7 @@ type RunStats struct {
 	// Per-reason superstep guard rejections: why a jump did NOT fire.
 	RejectEvent    int64 // scenario event or horizon too close
 	RejectGovernor int64 // governor epoch boundary or unstable epoch
-	RejectMeter    int64 // meter sampling instant inside the span
+	RejectMeter    int64 // meter instant a span would start on, or whose closed-form sample a segment left to the walk (rounding guard band)
 	RejectWork     int64 // a busy work chunk depletes inside the span
 	RejectMixed    int64 // trajectory direction mixed (near equilibrium)
 	RejectTMU      int64 // thermal protection tripped or trip risk

@@ -58,15 +58,28 @@ func (m *Meter) Observe(tS, powerW float64) error {
 
 // NextSampleAtS returns the time of the next sampling instant: the
 // earliest tS at which Observe would latch a sample (0 before the first
-// observation — the device samples at t=0). Simulation loops that skip
-// ahead use it to land a real evaluation on every sampling instant, so a
-// jumped run feeds the meter the same waveform values a per-tick run
-// would.
+// observation — the device samples at t=0); later instants follow every
+// PeriodS. Simulation loops that skip ahead use it to find the instants
+// they cross, so a jumped run feeds the meter the waveform values a
+// per-tick run would.
 func (m *Meter) NextSampleAtS() float64 {
 	if !m.started {
 		return 0
 	}
 	return m.nextAt
+}
+
+// Robust reports whether any power within tolQ quanta of powerW latches
+// the same sample as powerW: it lies more than tolQ·ResolutionW from a
+// rounding boundary. A caller that knows a power only to within that
+// band may latch it in place of the exact value. Without quantisation no
+// value is robust.
+func (m *Meter) Robust(powerW, tolQ float64) bool {
+	if m.ResolutionW <= 0 {
+		return false
+	}
+	q := powerW / m.ResolutionW
+	return math.Abs(q-math.Floor(q)-0.5) > tolQ
 }
 
 func (m *Meter) quantize(p float64) float64 {

@@ -92,3 +92,37 @@ func TestMeterInvariantsProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Robust accepts a power whose whole tolerance band quantises to one
+// sample and rejects one within the band of a rounding boundary; with
+// no quantisation nothing is robust.
+func TestRobust(t *testing.T) {
+	m := New()
+	for _, c := range []struct {
+		p    float64
+		want bool
+	}{
+		{5.123456, true},
+		{5.12, true},
+		{5.125, false},
+		{5.1250009, false},
+		{5.1249991, false},
+		{5.1250011, true},
+		{5.1249989, true},
+	} {
+		if got := m.Robust(c.p, 1e-4); got != c.want {
+			t.Errorf("Robust(%v) = %v, want %v", c.p, got, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		// A robust value quantises like every value in its band.
+		lo, hi := m.quantize(c.p-0.99e-6), m.quantize(c.p+0.99e-6)
+		if q := m.quantize(c.p); q != lo || q != hi {
+			t.Errorf("%v quantises to %v, its band to %v and %v", c.p, q, lo, hi)
+		}
+	}
+	if (&Meter{PeriodS: 1}).Robust(5.123456, 1e-4) {
+		t.Error("a meter without quantisation called a value robust")
+	}
+}

@@ -59,9 +59,10 @@ func assertSuperstepContract(t *testing.T, rJ, rF *Result) {
 	if sJ.ExecTimeS != sF.ExecTimeS {
 		t.Errorf("ExecTimeS: superstep %g vs fixed %g", sJ.ExecTimeS, sF.ExecTimeS)
 	}
-	// The energy-accounting regression gate: superstep jumps are
-	// capped at meter sampling instants, so the sampled waveform
-	// — and with it the integrated energy — is identical.
+	// The energy-accounting regression gate: a span latches each meter
+	// instant it crosses with the tick's own power or a closed-form one
+	// clear of the quantisation boundaries, so the sampled waveform —
+	// and with it the integrated energy — is identical.
 	if sJ.EnergyJ != sF.EnergyJ {
 		t.Errorf("EnergyJ: superstep %.15g vs fixed %.15g", sJ.EnergyJ, sF.EnergyJ)
 	}

@@ -145,3 +145,49 @@ func TestOnSampleSlicesStayValid(t *testing.T) {
 		}
 	}
 }
+
+// A segmented span crosses meter instants now, so it polls cancellation
+// at each of them: an abort raised from OnSample during a long throttled
+// stretch (the trip lowered under the chip's start, the release under
+// ambient, so every span is refused a jump and advanced in record
+// segments) is observed within one meter period of simulated time.
+func TestRunAbortsWithinOneMeterPeriodOfSegments(t *testing.T) {
+	done := make(chan struct{})
+	plat, net := soc.Exynos5422(), thermal.Exynos5422Network()
+	plat.TripC, plat.TripReleaseC = 30, 26
+	temps := make([]float64, len(net.Nodes))
+	for i := range temps {
+		temps[i] = 40
+	}
+	const closeAtS = 20.05
+	closedAt := -1.0
+	e, err := New(Config{
+		Platform:      plat,
+		Net:           net,
+		Map:           mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		InitialTempsC: temps,
+		MinTimeS:      600,
+		Done:          done,
+		OnSample: func(s trace.Sample) {
+			if closedAt < 0 && s.TimeS >= closeAtS {
+				closedAt = s.TimeS
+				close(done)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); !errors.Is(err, ErrAborted) {
+		t.Fatalf("got %v, want ErrAborted", err)
+	}
+	if closedAt < 0 {
+		t.Fatal("Done was never closed")
+	}
+	if e.stats.SegmentTicks == 0 || e.stats.TMUTrips != 1 {
+		t.Fatalf("want a throttled run advanced in segments, got %+v", e.stats)
+	}
+	if got := e.TimeS(); got > closedAt+e.meter.PeriodS+1e-9 {
+		t.Errorf("abort observed at t=%gs, want within one meter period of %gs", got, closedAt)
+	}
+}

@@ -19,15 +19,16 @@
 //
 // On top of the fixed-tick loop sits an event-horizon superstep
 // scheduler: when the operating point is provably steady — no due
-// events, no governor epoch whose decision could change, no meter
-// sampling instant, no thermal-trip or leakage-regime crossing inside
-// the interval — the engine replays the whole interval in one affine
-// propagator application (thermal.Superstep) instead of ticking through
-// it, then falls back to fixed ticks whenever any of those guards
-// cannot certify the jump. The jump is the tick loop's own arithmetic
-// reassociated, so scheduling decisions and sampled energy are
-// bit-identical and temperatures agree to floating-point rounding; the
-// full integrator contract is docs/integrators.md. A steady stretch that
+// events, no governor epoch whose decision could change, no
+// thermal-trip or leakage-regime crossing inside the interval — the
+// engine replays the whole interval in one affine propagator
+// application (thermal.Superstep) instead of ticking through it,
+// latching the power-meter samples inside it in closed form, then falls
+// back to fixed ticks whenever any of those guards cannot certify the
+// jump. The jump is the tick loop's own arithmetic reassociated, so
+// scheduling decisions and sampled energy are bit-identical and
+// temperatures agree to floating-point rounding; the full integrator
+// contract is docs/integrators.md. A steady stretch that
 // a temperature guard keeps from being jumped (throttling, a hovering
 // equilibrium) is advanced in record segments: closed-form steps that end
 // on each trace record tick, each certified monotone on every node, so
@@ -189,11 +190,14 @@ type Config struct {
 	// read the series.
 	DiscardTrace bool
 	// Done, when non-nil, makes the run cancellable: the engine polls
-	// the channel once per tick, jump, segmented span or walk — a
+	// the channel once per tick, jump, segmented span or walk, and at
+	// every meter instant a segmented span or walk crosses — a
 	// non-blocking receive, so the steady-state tick stays
 	// allocation-free — and aborts with an error wrapping ErrAborted
-	// within one tick of it closing, or within one meter period of
-	// simulated time when a jump, segmented span or walk is under way. Wire a context's Done() channel here to cancel a simulation.
+	// within one tick of it closing, within one meter period of
+	// simulated time when a segmented span or walk is under way, and
+	// within 64 when a jump is (a few microseconds of wall time). Wire a
+	// context's Done() channel here to cancel a simulation.
 	Done <-chan struct{}
 	// Clock, when non-nil, opts the flight recorder into per-phase wall
 	// timing: the engine reads it between the tick's phases (governor,
@@ -1510,7 +1514,7 @@ func (e *Engine) advanceWork(dt float64) (cpuBusy, gpuBusy, rateCPU, rateGPU, fi
 		if rateCPU > 0 {
 			need := e.remCPU / rateCPU
 			if need >= dt {
-				e.remCPU -= rateCPU * dt
+				e.remCPU -= float64(rateCPU * dt)
 				cpuBusy = 1
 			} else {
 				e.remCPU = 0
@@ -1525,7 +1529,7 @@ func (e *Engine) advanceWork(dt float64) (cpuBusy, gpuBusy, rateCPU, rateGPU, fi
 		if rateGPU > 0 {
 			need := e.remGPU / rateGPU
 			if need >= dt {
-				e.remGPU -= rateGPU * dt
+				e.remGPU -= float64(rateGPU * dt)
 				gpuBusy = 1
 			} else {
 				e.remGPU = 0
@@ -1621,10 +1625,19 @@ func (e *Engine) stepThermal(dt float64) error {
 //teem:hotpath
 func (e *Engine) record(totalW float64) error {
 	e.therm.CopyTemps(e.recTemps)
+	return e.sample(e.timeTicks, totalW)
+}
+
+// sample records the sample of tick k with the state in e.recTemps, the
+// state the tick leaves, and power totalW: record's work for a tick a
+// jump crossed.
+//
+//teem:hotpath
+func (e *Engine) sample(k int, totalW float64) error {
 	if e.sum.n == 0 {
 		e.beginRecording()
 	}
-	t := e.TimeS()
+	t := float64(k) * TickS
 	e.sum.add(t, e.recTemps, e.freqs[e.bigIdx])
 	if e.tr == nil {
 		return nil
@@ -1649,9 +1662,9 @@ func (e *Engine) record(totalW float64) error {
 }
 
 // maxHorizonSamples bounds the trace samples reserved for a scenario
-// horizon: supersteps record no samples inside a jump, so a long horizon
-// can span far more record periods than the run records (the trace
-// bounds its arena blocks the same way).
+// horizon: a jump records only the meter instants inside it, so a long
+// horizon can span far more record periods than the run records (the
+// trace bounds its arena blocks the same way).
 const maxHorizonSamples = 1024
 
 // sizing is how many trace samples this run is expected to record (0:

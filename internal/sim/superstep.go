@@ -1,14 +1,16 @@
 // Event-horizon superstepping: the engine's fast path across provably
 // steady intervals. When nothing that could change the operating point is
 // pending — no scheduled event, no governor decision that could move a
-// frequency, no hardware-protection interaction, no work-chunk depletion,
-// no meter sampling instant — the per-tick recurrence is a fixed affine
-// map of the temperature vector, and the engine replays n ticks of it in
-// one application of its shared modal form (thermal.Superstep). The jump
-// reproduces the fixed-tick trajectory to about 1e-10 °C; every guard
-// here is about proving the interval really is steady. Where the
-// operating point is proven fixed but a temperature guard refuses the
-// jump, the engine advances the interval in record segments instead:
+// frequency, no hardware-protection interaction, no work-chunk depletion
+// — the per-tick recurrence is a fixed affine map of the temperature
+// vector, and the engine replays n ticks of it in one application of its
+// shared modal form (thermal.Superstep). The jump reproduces the
+// fixed-tick trajectory to about 1e-10 °C; every guard here is about
+// proving the interval really is steady. The power-meter sampling
+// instants inside a span are evaluated in closed form from the same
+// modal form, and latched as the ordinary tick would latch them. Where
+// the operating point is proven fixed but a temperature guard refuses
+// the jump, the engine advances the interval in record segments instead:
 // closed-form steps of at most one trace record period, each certified
 // monotone on every node, so every record sample is still taken. A
 // segment the certificate refuses, and a span too short to segment, is
@@ -19,6 +21,8 @@
 package sim
 
 import (
+	"math"
+
 	"teem/internal/power"
 	"teem/internal/thermal"
 )
@@ -59,6 +63,18 @@ const superstepMinSpan = 4
 // and a full pool rebinds its oldest map in place.
 const ssPoolLimit = 8
 
+// maxSpanInstants bounds the power-meter sampling instants one span
+// crosses: a jump polls cancellation once, so this bounds how much
+// simulated time an abort waits for.
+const maxSpanInstants = 64
+
+// meterGuard is the guard band, in meter quanta, around the meter's
+// rounding boundaries: a closed-form power this close to one is not
+// latched (powermeter.Meter.Robust). The closed form agrees with the
+// tick's own power to about 1e-10 W, far inside the 1e-6 W the band
+// spans at the modelled meter's 0.01 W resolution.
+const meterGuard = 1e-4
+
 // walkMaxClusters bounds the platforms a steady walk or segment serves:
 // each keeps every cluster's leakage base on the stack for its duration,
 // so a platform with more clusters ticks instead.
@@ -86,13 +102,12 @@ type steadyOp struct {
 //     so an aborted run's closing trace sample carries a freshly
 //     evaluated breakdown);
 //   - the next scheduled event (arrival, departure, ambient step, ...);
-//   - the next power-meter sampling instant, which must latch a freshly
-//     evaluated power value, so it always runs as a real tick;
 //   - the depletion of a busy work chunk (one full tick of margin, so
 //     every tick of the span is provably fully busy);
 //   - the next governor epoch, unless the policy is a marked util-only
 //     fixed point (UtilOnlyGovernor + an unchanged last epoch under the
-//     same utilisations).
+//     same utilisations);
+//   - the tick after the maxSpanInstants-th power-meter sampling instant.
 //
 // It returns the span n (possibly ≤ 0), the operating point, and — when
 // n is shorter than superstepMinSpan — the flight-recorder counter of
@@ -112,17 +127,8 @@ func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp
 	if n < superstepMinSpan {
 		short = &e.stats.RejectEvent
 	}
-	// Land exactly on the next meter instant (same tick arithmetic as
-	// TimeS), so it samples a real evaluation.
-	next := e.meter.NextSampleAtS()
-	kc := int(next / dt)
-	for float64(kc)*dt < next {
-		kc++
-	}
-	n = min(n, kc-k)
-	if short == nil && n < superstepMinSpan {
-		short = &e.stats.RejectMeter
-	}
+	last := e.meter.NextSampleAtS() + (maxSpanInstants-1)*e.meter.PeriodS
+	n = min(n, tickAt(last, dt)-k+1)
 	// A busy chunk must stay fully busy for every tick of the span, with
 	// one tick of margin before depletion so sequential floating-point
 	// accounting cannot cross zero early.
@@ -167,6 +173,38 @@ func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp
 	return n, op, short
 }
 
+// tickAt is the first tick whose start time (TimeS's arithmetic) is at or
+// past tS: the tick whose ordinary evaluation latches a meter sampling
+// instant at tS.
+//
+//teem:hotpath
+func tickAt(tS, dt float64) int {
+	k := int(tS / dt)
+	for float64(k)*dt < tS {
+		k++
+	}
+	return k
+}
+
+// meterTick is the tick that latches the meter's next sampling instant.
+//
+//teem:hotpath
+func (e *Engine) meterTick() int {
+	return tickAt(e.meter.NextSampleAtS(), TickS)
+}
+
+// latch feeds the meter the power e.bd holds for the tick a walk is on,
+// a sampling instant, as the ordinary tick does, then polls
+// cancellation: walks and segments poll at every instant they cross.
+//
+//teem:hotpath
+func (e *Engine) latch() error {
+	if err := e.meter.Observe(e.TimeS(), e.bd.TotalW()); err != nil {
+		return err
+	}
+	return e.aborted()
+}
+
 // crossesEpochs reports whether a span at op may cross governor epochs:
 // the policy is a marked pure fixed point AND the utilisations the
 // skipped epochs would see equal the ones the stable epoch saw
@@ -203,14 +241,14 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 //
 // The horizon (see horizon) proves the operating point constant; a
 // thermal certificate then decides whether the span may be jumped in one
-// closed-form application of thermal.Superstep. The certificate holds
-// when the chip is not throttled (the release check may fire on any
-// tick), no mixed-direction verdict is pending, the span is at least
-// superstepMinSpan, the TMU trip cannot fire on this tick, the 25 °C
-// leakage-linearity floor holds at the start, and the probed trajectory
-// is monotone with the trip and the floor clear at its landing point:
-// the monotone direction reported by thermal.Superstep.Jump makes those
-// endpoint checks sufficient for the whole interval.
+// closed-form application of thermal.Superstep (see jump). The
+// certificate holds when the chip is not throttled (the release check
+// may fire on any tick), no mixed-direction verdict is pending, the span
+// is at least superstepMinSpan, the TMU trip cannot fire on this tick,
+// the 25 °C leakage-linearity floor holds at the start, and the probed
+// trajectory is monotone: the monotone direction reported by
+// thermal.Superstep.Jump makes endpoint checks sufficient for the whole
+// interval.
 //
 // When the horizon holds but the certificate fails, the span is advanced
 // in record segments or walked instead (see advance), because re-planning
@@ -218,9 +256,10 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 // stays throttled until the release the advance stops before, a mixed
 // verdict holds until the span it was probed over passes, a short span
 // only shortens, and a landing point past the trip or below the floor is
-// the same state for every later tick of the span. So jumps land on the
-// ticks, with the spans, a tick-by-tick planner gives them. A start below
-// the 25 °C floor is the exception: the next tick may warm past it and
+// the same state for every later tick of the span. A mixed or refused
+// span ends before the next meter instant after this tick, where a
+// planner that stopped at every instant probed again. A start below the
+// 25 °C floor is the exception: the next tick may warm past it and
 // certify a jump, so it re-plans there.
 //
 //teem:hotpath
@@ -228,7 +267,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if e.ssOff || e.stepper == nil {
 		return false, nil
 	}
-	k := e.timeTicks
+	k, km := e.timeTicks, e.meterTick()
 	n, op, short := e.horizon(dt, maxTicks, minTicks)
 	switch {
 	case !e.cfg.DisableHWProtect && e.throttled:
@@ -245,6 +284,12 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		// change until the horizon that probe was bounded by.
 		e.stats.RejectMixed++
 		return e.advance(dt, min(n, e.ssSkipUntil-k), op)
+	case k == km:
+		// A span does not start on a meter instant: the span before
+		// ended there, and its tick latches the meter and leads to the
+		// probe a planner that stopped at every instant would take.
+		e.stats.RejectMeter++
+		return false, nil
 	case short != nil:
 		*short++
 		return e.walk(dt, n, op)
@@ -271,32 +316,86 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 			return false, nil
 		}
 	}
-	endTemps, dir, err := e.ss.Jump(n, e.ssInj)
+	end, dir, err := e.ss.Jump(n, e.ssInj)
 	if err != nil {
 		return false, err
 	}
+	// The span up to the next meter instant.
+	n1 := min(n, km-k)
 	if dir == 0 {
 		// Mixed trajectory: endpoint guards would not bound the interior.
-		// Skip further attempts across this horizon — near equilibrium the
-		// probe stays mixed — and advance it in segments.
-		e.ssSkipUntil = k + n
+		// Skip further attempts up to the next meter instant — near
+		// equilibrium the probe stays mixed — and advance it in segments.
+		e.ssSkipUntil = k + n1
 		e.stats.RejectMixed++
-		return e.advance(dt, n, op)
+		return e.advance(dt, n1, op)
 	}
-	bigNode := e.nodeOf[e.bigIdx]
-	if !e.cfg.DisableHWProtect && endTemps[bigNode] >= e.plat.TripC {
-		// The trip would fire somewhere inside the interval; the advance
-		// stops on the exact crossing.
-		e.stats.RejectTMU++
-		return e.advance(dt, n, op)
+	return e.jump(dt, n, n1, km, op, end, dir)
+}
+
+// jump takes a monotone span of n ticks planned on e.ss, landing in end,
+// or refuses it into an advance of n1 ticks, the span up to its first
+// meter instant km. Each meter instant k_m the jump crosses is latched as an
+// ordinary tick would latch it: the power law at T(k_m), evaluated in
+// closed form from the carried modal state (thermal.Superstep's
+// InstantSlopeW, O(N) per instant), and on a record tick the sample of
+// time k_m·dt, state T(k_m+1) and that power.
+//
+// When the landing state fails the TMU trip or 25 °C floor check, the
+// jump ends after the last instant whose state T(k_m) passes, where a
+// planner that stopped at every instant and ticked it would have probed
+// next; when the first instant fails too, the span is refused. A
+// closed-form power within meterGuard quanta of a rounding boundary is
+// not latched: the jump lands on that instant, whose tick then runs as
+// an ordinary one and latches its own power.
+//
+//teem:hotpath
+func (e *Engine) jump(dt float64, n, n1, km int, op steadyOp, end []float64, dir int) (bool, error) {
+	k, ss := e.timeTicks, e.ss
+	refused := e.landReject(end)
+	if refused != nil && n1 == n {
+		*refused++
+		return e.advance(dt, n1, op)
 	}
-	for i, s := range e.ssSlopeCur {
-		if s > 0 && endTemps[i] < 25 {
-			e.stats.RejectLeakage++
-			return e.advance(dt, n, op)
+	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
+	land := n
+	for first := true; km < k+n; km, first = e.meterTick(), false {
+		slopeW := ss.InstantSlopeW(km - k)
+		if refused != nil {
+			ss.InstantTemps(e.recTemps, 0)
+			if r := e.landReject(e.recTemps); r != nil {
+				if first {
+					*r++
+					return e.advance(dt, n1, op)
+				}
+				break
+			}
+		}
+		p := e.segmentPowerW(slopeW)
+		if !e.meter.Robust(p, meterGuard) {
+			land = km - k
+			break
+		}
+		if err := e.meter.Observe(float64(km)*dt, p); err != nil {
+			return false, err
+		}
+		if km%e.recEvery == 0 {
+			ss.InstantTemps(e.recTemps, 1)
+			if err := e.sample(km, p); err != nil {
+				return false, err
+			}
+		}
+		if refused != nil {
+			land = km - k + 1
 		}
 	}
-	if err := e.ss.Commit(); err != nil {
+	if land != n {
+		var err error
+		if end, _, err = ss.Jump(land, e.ssInj); err != nil {
+			return false, err
+		}
+	}
+	if err := ss.Commit(); err != nil {
 		return false, err
 	}
 	// A rising interval's peak is its landing state (the interior is
@@ -305,39 +404,92 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	// exact per-node running maxima identical to a fixed-tick run.
 	if dir > 0 {
 		for i := range e.peakC {
-			if endTemps[i] > e.peakC[i] {
-				e.peakC[i] = endTemps[i]
+			if end[i] > e.peakC[i] {
+				e.peakC[i] = end[i]
 			}
 		}
 	}
-	e.deplete(dt, n, &op)
-	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
-	e.timeTicks += n
+	e.deplete(dt, land, &op)
+	e.timeTicks += land
 	e.stats.Supersteps++
-	e.stats.SuperstepTicks += int64(n)
-	if int64(n) > e.stats.MaxJump {
-		e.stats.MaxJump = int64(n)
-	}
+	e.stats.SuperstepTicks += int64(land)
+	e.stats.MaxJump = max(e.stats.MaxJump, int64(land))
 	return true, nil
 }
 
-// deplete drains the busy work chunks across n ticks at op with the same
-// per-tick arithmetic advanceWork would have used, so chunk-depletion
-// times stay bit-identical. The two chunks' subtraction chains are
-// independent, so one loop over locals lets them overlap.
+// landReject returns the rejection counter of a monotone span whose
+// landing state t would trip the TMU or put a node with a leakage slope
+// below the 25 °C floor, or nil when the span may land there.
+//
+//teem:hotpath
+func (e *Engine) landReject(t []float64) *int64 {
+	if !e.cfg.DisableHWProtect && t[e.nodeOf[e.bigIdx]] >= e.plat.TripC {
+		return &e.stats.RejectTMU
+	}
+	for i, s := range e.ssSlopeCur {
+		if s > 0 && t[i] < 25 {
+			return &e.stats.RejectLeakage
+		}
+	}
+	return nil
+}
+
+// deplete drains the busy work chunks across n ticks at op, as
+// advanceWork's per-tick subtraction would drain them (see drain), so
+// chunk-depletion times stay bit-identical.
 //
 //teem:hotpath
 func (e *Engine) deplete(dt float64, n int, op *steadyOp) {
-	remCPU, remGPU := e.remCPU, e.remGPU
-	for j := 0; j < n; j++ {
-		if op.cpuBusy == 1 {
-			remCPU -= op.rateCPU * dt
-		}
-		if op.gpuBusy == 1 {
-			remGPU -= op.rateGPU * dt
-		}
+	if op.cpuBusy == 1 {
+		e.remCPU = drain(e.remCPU, float64(op.rateCPU*dt), n)
 	}
-	e.remCPU, e.remGPU = remCPU, remGPU
+	if op.gpuBusy == 1 {
+		e.remGPU = drain(e.remGPU, float64(op.rateGPU*dt), n)
+	}
+}
+
+// drain returns rem after n steps of rem -= c, bit for bit, in time that
+// grows with the binades rem crosses, not with n. A binade [2^e, 2^(e+1))
+// holds the multiples of one ulp u, so a step whose exact result stays
+// in it rounds to a multiple of u and removes RoundToEven(c/u)·u: the
+// same amount every step, once the value is even in units of u where
+// c/u ends in one half (round-half-even makes it so, and an even step
+// keeps it so). That holds after any real step, so drain takes one, then
+// as many equal steps as keep each exact result at or above 2^e, in
+// integer arithmetic, and repeats in the next binade. Values outside the
+// positive normal range, and a c that is not positive and finite, take
+// real steps only.
+//
+//teem:hotpath
+func drain(rem, c float64, n int) float64 {
+	for n > 0 {
+		rem -= c
+		n--
+		// rem = r·u with r in [2^52, 2^53), read off the bits of a
+		// positive normal float whose ulp u is normal too.
+		bits := math.Float64bits(rem)
+		e := bits >> 52
+		if n == 0 || e <= 52 || e >= 0x7ff {
+			continue
+		}
+		u := math.Float64frombits((e - 52) << 52)
+		r := int64(bits&(1<<52-1) | 1<<52)
+		cu := c / u
+		// A step from r·u is one of the equal steps while r − c/u ≥ 2^52,
+		// that is while r − 2^52 ≥ ⌈c/u⌉, which is at least 1 for c > 0.
+		ceil := math.Ceil(cu)
+		if !(1 <= ceil && ceil <= float64(r-1<<52)) {
+			continue
+		}
+		d := int64(math.RoundToEven(cu))
+		if d == 0 {
+			return rem
+		}
+		steps := min(int64(n), (r-1<<52-int64(ceil))/d+1)
+		rem = float64(r-steps*d) * u
+		n -= int(steps)
+	}
+	return rem
 }
 
 // epochClamp shortens a span of n ticks from now to end before the next
@@ -477,22 +629,25 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 }
 
 // segments advances n ticks of a proven horizon at op in record
-// segments: each ends on the next record tick or the span's end, so it
-// is at most recEvery ticks (thermal.SegmentMaxTicks), and is evaluated
-// in closed form from op's jump map (thermal.Superstep.Segment). A
-// segment is taken when every node is certified monotone over it, its
-// end state T(L) passes the TMU trip or release check, and every node
-// with a leakage slope starts and ends it at or above the 25 °C floor:
-// its endpoints then bound each node's interior, so no interior tick
-// trips, releases or leaves the affine leakage regime, and the peaks
-// fold T(L). The busy chunks deplete with advanceWork's per-tick
-// subtraction, and a segment that ends on a record tick samples it
-// through record, with that tick's power from T(L−1) (see
-// segmentPowerW). A refused segment is walked (see walkTicks), and the
+// segments: each ends on the next record tick, the next meter instant or
+// the span's end, so it is at most recEvery ticks
+// (thermal.SegmentMaxTicks), and is evaluated in closed form from op's
+// jump map (thermal.Superstep.Segment). A segment is taken when every
+// node is certified monotone over it, its end state T(L) passes the TMU
+// trip or release check, and every node with a leakage slope starts and
+// ends it at or above the 25 °C floor: its endpoints then bound each
+// node's interior, so no interior tick trips, releases or leaves the
+// affine leakage regime, and the peaks fold T(L). A segment that ends on
+// a record tick samples it through record, and one that ends on a meter
+// instant latches it, both with that tick's power from T(L−1) (see
+// segmentPowerW) — unless that power lies within meterGuard quanta of a
+// rounding boundary, when the segment is walked so the walk latches the
+// tick's own power. A refused segment is walked (see walkTicks), and the
 // segments stop where that walk stops before a TMU transition. The
-// running peaks already bound T(0): a throttled chip or a probed span
-// follows a real tick. Segments count as supersteps, and leave e.bd to
-// the next tick's evaluation. It polls cancellation once.
+// busy chunks drain the segmented ticks once per span (see deplete). The running peaks already bound T(0): a
+// throttled chip or a probed span follows a real tick. Segments count as
+// supersteps, and leave e.bd to the next tick's evaluation. It polls
+// cancellation once and after every meter instant.
 //
 //teem:hotpath
 func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
@@ -517,40 +672,56 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 	if err := ss.BeginSegments(e.ssInj); err != nil {
 		return false, err
 	}
-	// The walk's power, evaluated at the first refused segment.
+	// The walk's power, evaluated at the first refused segment, and the
+	// segmented ticks to drain. Every tick subtracts the same step, so
+	// they drain after the walks' ticks to the same bits.
 	var leak steadyLeak
-	powered := false
-	for end := e.timeTicks + n; e.timeTicks < end; {
+	powered, undrained := false, 0
+	for end, km := e.timeTicks+n, e.meterTick(); e.timeTicks < end; {
 		k := e.timeTicks
 		rec := k + (e.recEvery-k%e.recEvery)%e.recEvery
-		l := min(rec+1, end) - k
+		l := min(rec+1, km+1, end) - k
 		if next, ok := ss.Segment(l); ok && !e.tmuFiresAt(next[big]) && e.aboveFloor(next) {
-			recorded := k+l > rec
+			onRec, onMeter := k+l-1 == rec, k+l-1 == km
 			var powW float64
-			if recorded {
+			if onRec || onMeter {
 				powW = e.segmentPowerW(ss.SegmentSlopeW())
 			}
-			if err := ss.CommitSegment(); err != nil {
-				return false, err
-			}
-			for i, t := range next {
-				if t > e.peakC[i] {
-					e.peakC[i] = t
-				}
-			}
-			e.deplete(dt, l, &op)
-			if recorded {
-				e.timeTicks = rec
-				if err := e.record(powW); err != nil {
+			if !onMeter || e.meter.Robust(powW, meterGuard) {
+				if err := ss.CommitSegment(); err != nil {
 					return false, err
 				}
+				for i, t := range next {
+					if t > e.peakC[i] {
+						e.peakC[i] = t
+					}
+				}
+				undrained += l
+				if onMeter {
+					if err := e.meter.Observe(float64(km)*dt, powW); err != nil {
+						return false, err
+					}
+					km = e.meterTick()
+				}
+				if onRec {
+					e.timeTicks = rec
+					if err := e.record(powW); err != nil {
+						return false, err
+					}
+				}
+				e.timeTicks = k + l
+				e.stats.Supersteps++
+				e.stats.SuperstepTicks += int64(l)
+				e.stats.SegmentTicks += int64(l)
+				e.stats.MaxJump = max(e.stats.MaxJump, int64(l))
+				if onMeter {
+					if err := e.aborted(); err != nil {
+						return false, err
+					}
+				}
+				continue
 			}
-			e.timeTicks = k + l
-			e.stats.Supersteps++
-			e.stats.SuperstepTicks += int64(l)
-			e.stats.SegmentTicks += int64(l)
-			e.stats.MaxJump = max(e.stats.MaxJump, int64(l))
-			continue
+			e.stats.RejectMeter++
 		}
 		if !powered {
 			if err := e.steadyPower(&op, &leak); err != nil {
@@ -561,6 +732,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 		if err := e.walkTicks(dt, l, &op, &leak); err != nil {
 			return false, err
 		}
+		km = e.meterTick()
 		if e.tmuFires() {
 			break
 		}
@@ -568,6 +740,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 			return false, err
 		}
 	}
+	e.deplete(dt, undrained, &op)
 	if clk != nil {
 		e.stats.ThermalNanos += clk() - t0
 	}
@@ -607,14 +780,15 @@ func (e *Engine) aboveFloor(end []float64) bool {
 // walk advances up to n ticks of a proven horizon at its fixed operating
 // point op, redoing only what can change there: work depletion with
 // advanceWork's arithmetic, each cluster's leakage at its current
-// temperature, the thermal step, the peak fold and the trace record.
+// temperature, the thermal step, the peak fold, the meter sample on a
+// sampling instant and the trace record.
 // Dynamic, DRAM and baseline power and each cluster's leakage base are
 // evaluated once (see steadyPower); every tick then applies power.Leakage
 // — ClusterPower's own temperature term — so each temperature, sample and
 // decision equals the ordinary tick's bit for bit. The walk stops before
 // a governor epoch and before any tick whose TMU check would trip or
-// release; those run as ordinary ticks. It polls cancellation once, and
-// reports whether it advanced at all.
+// release; those run as ordinary ticks. It polls cancellation once and
+// after every meter instant, and reports whether it advanced at all.
 //
 //teem:hotpath
 func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
@@ -645,9 +819,9 @@ func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
 
 // walkTicks is walk's loop from the current tick, with op's power already
 // in e.bd and leak (see steadyPower): up to n ticks, stopping early after
-// a tick whose successor's TMU check would trip or release. On a 4-node
-// network it runs the fused loop walk4; other networks step through
-// stepThermal.
+// a tick whose successor's TMU check would trip or release, and latching
+// each meter instant it crosses (see latch). On a 4-node network it runs
+// the fused loop walk4; other networks step through stepThermal.
 //
 //teem:hotpath
 func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) error {
@@ -660,12 +834,13 @@ func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) er
 			return err
 		}
 	} else {
+		km := e.meterTick()
 		for {
 			if op.cpuBusy == 1 {
-				e.remCPU -= op.rateCPU * dt
+				e.remCPU -= float64(op.rateCPU * dt)
 			}
 			if op.gpuBusy == 1 {
-				e.remGPU -= op.rateGPU * dt
+				e.remGPU -= float64(op.rateGPU * dt)
 			}
 			for i := range e.nodeOf {
 				e.bd.LeakageW[i] = power.Leakage(leak.base[i], leak.coeff[i], e.therm.Temp(e.nodeOf[i]))
@@ -674,6 +849,12 @@ func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) er
 				return err
 			}
 			e.foldPeaks()
+			if e.timeTicks == km {
+				if err := e.latch(); err != nil {
+					return err
+				}
+				km = e.meterTick()
+			}
 			if e.timeTicks == nextRec {
 				if err := e.record(e.bd.TotalW()); err != nil {
 					return err
@@ -710,8 +891,8 @@ func (e *Engine) fusedWalk() bool {
 // dynamic, DRAM and baseline power in e.bd. It keeps
 // the node temperatures, the cluster leakages and the running peaks in
 // locals and writes them back — to the thermal model, e.bd.LeakageW and
-// e.peakC — only on a record tick, before the record, and on its last
-// tick. Each tick performs the ordinary tick's floating-point operations
+// e.peakC — only on a record tick or a meter instant, before the sample,
+// and on its last tick. Each tick performs the ordinary tick's floating-point operations
 // on the same operands in the same order: advanceWork's subtraction,
 // power.Leakage, InjectHeat's sums (each node takes one term, and 0 + x
 // is exact, so the zeroing goes) and thermal.Row4 in Step's row order.
@@ -733,13 +914,14 @@ func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leak *steadyLea
 	copy(peak[:], e.peakC)
 	p[e.pkgNode] = e.bd.DRAMW + pkgBaselineShare*e.bd.BaselineW
 	remCPU, remGPU := e.remCPU, e.remGPU
+	km := e.meterTick()
 	walked := 0
 	for {
 		if op.cpuBusy == 1 {
-			remCPU -= op.rateCPU * dt
+			remCPU -= float64(op.rateCPU * dt)
 		}
 		if op.gpuBusy == 1 {
-			remGPU -= op.rateGPU * dt
+			remGPU -= float64(op.rateGPU * dt)
 		}
 		l0 := power.Leakage(leak.base[0], leak.coeff[0], t[n0])
 		l1 := power.Leakage(leak.base[1], leak.coeff[1], t[n1])
@@ -758,12 +940,18 @@ func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leak *steadyLea
 		}
 		walked++
 		last := walked == n || e.tmuFiresAt(t[big])
-		if e.timeTicks == nextRec || last {
+		if e.timeTicks == nextRec || e.timeTicks == km || last {
 			if err := e.therm.SetTemps(t[:]); err != nil {
 				return walked, err
 			}
 			e.bd.LeakageW[0], e.bd.LeakageW[1], e.bd.LeakageW[2] = l0, l1, l2
 			copy(e.peakC, peak[:])
+			if e.timeTicks == km {
+				if err := e.latch(); err != nil {
+					return walked, err
+				}
+				km = e.meterTick()
+			}
 			if e.timeTicks == nextRec {
 				if err := e.record(e.bd.TotalW()); err != nil {
 					return walked, err

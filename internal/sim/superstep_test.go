@@ -209,3 +209,86 @@ func TestSuperstepZeroAllocs(t *testing.T) {
 		t.Errorf("warm superstep path allocates %.3f objects/op, want 0", avg)
 	}
 }
+
+// Jumps cross meter sampling instants: the idle tail of superstepConfig's
+// run is jumped across many of them, each latched from the closed-form
+// power, yet the meter reads exactly what the fixed-tick run's does, and
+// every instant is sampled in the trace as the instant's own tick
+// samples it.
+func TestSuperstepJumpsCrossMeterInstants(t *testing.T) {
+	run := func(disable bool) *Result {
+		e, err := New(superstepConfig(disable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rJ, rF := run(false), run(true)
+	if rJ.Stats.MaxJump <= 100 {
+		t.Fatalf("longest jump %d ticks; no jump crossed a meter instant", rJ.Stats.MaxJump)
+	}
+	if rJ.EnergyJ != rF.EnergyJ || rJ.AvgPowerW != rF.AvgPowerW {
+		t.Errorf("meter: superstep %.15g J, %.15g W; fixed %.15g J, %.15g W", rJ.EnergyJ, rJ.AvgPowerW, rF.EnergyJ, rF.AvgPowerW)
+	}
+	jumped := make(map[float64]int, len(rJ.Trace.Samples))
+	for i, s := range rJ.Trace.Samples {
+		jumped[s.TimeS] = i
+	}
+	instants := 0
+	for _, f := range rF.Trace.Samples {
+		if f.TimeS != math.Trunc(f.TimeS) {
+			continue
+		}
+		instants++
+		i, ok := jumped[f.TimeS]
+		if !ok {
+			t.Fatalf("meter instant t=%gs was not sampled", f.TimeS)
+		}
+		s := rJ.Trace.Samples[i]
+		if d := math.Abs(s.PowerW - f.PowerW); d > 1e-9 {
+			t.Errorf("t=%gs power: superstep %.12g, fixed %.12g", f.TimeS, s.PowerW, f.PowerW)
+		}
+		for k := range s.TempsC {
+			if d := math.Abs(s.TempsC[k] - f.TempsC[k]); d > 1e-9 {
+				t.Errorf("t=%gs node %d: superstep %.12g, fixed %.12g", f.TimeS, k, s.TempsC[k], f.TempsC[k])
+			}
+		}
+	}
+	if instants < 100 {
+		t.Fatalf("only %d meter instants in the fixed-tick trace", instants)
+	}
+}
+
+// Where a closed-form meter sample is not robust — here every one, on a
+// meter that does not quantise — a jump lands on the instant and its
+// tick latches the tick's own power, and a segment is walked: the run
+// still jumps, but no jump crosses an instant, and its meter agrees with
+// the fixed-tick run's to rounding.
+func TestSuperstepGuardBandTicksInstants(t *testing.T) {
+	run := func(disable bool) *Result {
+		e, err := New(superstepConfig(disable))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.meter.ResolutionW = 0
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	rJ, rF := run(false), run(true)
+	if st := rJ.Stats; st.Supersteps == 0 || st.RejectMeter == 0 || st.MaxJump > 100 {
+		t.Fatalf("want jumps that each stop at a meter instant, got %d supersteps, %d meter rejections, longest %d ticks", st.Supersteps, st.RejectMeter, st.MaxJump)
+	}
+	if rJ.ExecTimeS != rF.ExecTimeS {
+		t.Errorf("ExecTimeS: superstep %g, fixed %g", rJ.ExecTimeS, rF.ExecTimeS)
+	}
+	if d := math.Abs(rJ.EnergyJ - rF.EnergyJ); d > 1e-9*rF.EnergyJ {
+		t.Errorf("EnergyJ: superstep %.15g, fixed %.15g", rJ.EnergyJ, rF.EnergyJ)
+	}
+}

@@ -229,8 +229,7 @@ func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
 // throttledConfig is a 10 s run on the named catalog platform whose TMU
 // trips on its first tick and holds its clamp: the trip is lowered under
 // the chip's 40 °C start and the release under ambient, so every proven
-// span is refused a jump, and ordinary ticks only latch the 1 s meter
-// samples.
+// span is refused a jump.
 func throttledConfig(b *testing.B, name string) sim.Config {
 	b.Helper()
 	bundle, err := platform.Get(name)
@@ -255,6 +254,32 @@ func throttledConfig(b *testing.B, name string) sim.Config {
 	}
 }
 
+// timeEngines times run on b.N fresh engines of cfg. It builds them in
+// batches with the timer stopped, so neither the construction nor the
+// memory-statistics read each timer toggle makes lands in the timed
+// region or grows with the iteration count.
+func timeEngines(b *testing.B, cfg sim.Config, run func(e *sim.Engine)) {
+	const batch = 64
+	engines := make([]*sim.Engine, 0, batch)
+	b.ResetTimer()
+	b.StopTimer()
+	for left := b.N; left > 0; left -= len(engines) {
+		engines = engines[:0]
+		for range min(batch, left) {
+			e, err := sim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			engines = append(engines, e)
+		}
+		b.StartTimer()
+		for _, e := range engines {
+			run(e)
+		}
+		b.StopTimer()
+	}
+}
+
 // BenchmarkSteadyWalk reports what one walked tick costs, in ns per
 // walked tick, on a 4-node network (exynos5422, the fused loop) and an
 // 8-node one (harrier-s16, the general loop), on throttledConfig's run.
@@ -265,21 +290,14 @@ func BenchmarkSteadyWalk(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := throttledConfig(b, name)
 			var walked, ticks int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+			timeEngines(b, cfg, func(e *sim.Engine) {
 				st, err := sim.WalkRun(e, cfg.MaxTimeS)
 				if err != nil {
 					b.Fatal(err)
 				}
 				walked += st.WalkedTicks
 				ticks += st.Ticks
-			}
+			})
 			if walked == 0 {
 				b.Fatal("no tick was walked")
 			}
@@ -298,21 +316,14 @@ func BenchmarkSteadySegments(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			cfg := throttledConfig(b, name)
 			var segmented, advanced int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				e, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
+			timeEngines(b, cfg, func(e *sim.Engine) {
 				res, err := e.Run()
 				if err != nil {
 					b.Fatal(err)
 				}
 				segmented += res.Stats.SegmentTicks
 				advanced += res.Stats.Ticks + res.Stats.SuperstepTicks
-			}
+			})
 			if segmented == 0 {
 				b.Fatal("no tick was advanced in a segment")
 			}

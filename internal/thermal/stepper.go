@@ -40,7 +40,10 @@ type Stepper struct {
 	// ambGain[i] = Σ_j bp[i][j]·gAmb[j]; multiplied by the ambient
 	// temperature each step, so SetAmbientC keeps working mid-run.
 	ambGain []float64
+	// scratch is Step's n-vector, then the numVecs vectors of the
+	// Supersteps bound to this stepper, whose state js holds.
 	scratch []float64
+	js      jumpState
 	// prop is the shared record a, bp and ambGain come from.
 	prop *propagator
 	// cacheHit records whether the propagator came out of propCache —
@@ -146,7 +149,7 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 			}
 		}
 	}
-	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, n), prop: p, cacheHit: hit}, nil
+	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, (1+numVecs)*n), prop: p, cacheHit: hit}, nil
 }
 
 // CacheHit reports whether this stepper reused a cached propagator

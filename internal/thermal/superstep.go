@@ -32,6 +32,11 @@
 // caller validate interior-state constraints (thermal trip thresholds,
 // the T ≥ 25 °C leakage regime) from the two endpoints alone.
 //
+// A planned jump's interior is read at increasing offsets j by carrying
+// u = Q⁻¹·T(j) forward in modal space (InstantSlopeW): the power law's
+// slope term Σ s_i·T_i(j) = s·T(0) + (Qᵀ·s)·(u − u(0)) costs O(N) per
+// offset, and T(j) or T(j+1) itself one O(N²) product (InstantTemps).
+//
 // A span too close to equilibrium for one direction to hold overall can
 // still be advanced in short segments of L ≤ SegmentMaxTicks ticks, each
 // certified on its own. With u = Q⁻¹·T and w = (Λ − I)·u + Q⁻¹·b̃, the
@@ -81,46 +86,74 @@ type modalForm struct {
 // application of a modal form, or advances it through certified segments
 // of at most SegmentMaxTicks ticks. It is bound to one leakage-slope vector;
 // build a new Superstep, or Rebind one, when a DVFS or mapping change
-// alters the slopes. Not safe for concurrent use.
+// alters the slopes. Everything but the form lives in its Stepper's
+// scratch state (see jumpState), which the Supersteps of one Stepper
+// share: only the last Jump, BeginSegments or Segment of any of them may
+// be committed or continued. Not safe for concurrent use.
 type Superstep struct {
-	st *Stepper
-	f  *modalForm
-	// buf holds numVecs scratch n-vectors (see vec); pn is the horizon
-	// vPowD and vPowS hold the powers for.
-	buf []float64
-	pn  int
-	// planned marks a Jump awaiting Commit, segL (> 0) a certified
-	// Segment of that many ticks awaiting CommitSegment.
-	reused, planned bool
-	segL            int
+	st     *Stepper
+	f      *modalForm
+	reused bool
 }
 
-// The scratch vectors of a Superstep.
+// jumpState is the transient state of the Supersteps bound to one
+// Stepper, which an engine uses one at a time: the map that last wrote
+// the stepper's numVecs scratch n-vectors (see vec), and what they hold
+// for it.
+type jumpState struct {
+	owner *Superstep
+	// planned marks a Jump awaiting Commit, segL (> 0) a certified
+	// Segment of that many ticks awaiting CommitSegment, and at the
+	// planned Jump's interior offset vAcc is carried to.
+	planned bool
+	segL    int
+	at      int
+	// vPowD and vPowS hold the powers of horizon pn for map pOwner, and
+	// vStepD and vStepS those of the interior step sn for map sOwner.
+	pOwner, sOwner *Superstep
+	pn, sn         int
+}
+
+// The scratch vectors of a Stepper's jump maps. A planned Jump and a
+// segmented span never coexist — each claims the scratch — so the
+// segment certificate's vectors double as a jump's interior state.
 const (
-	vB     = iota // b̃
-	vC            // the segments' Q⁻¹·b̃
+	vC     = iota // Q⁻¹·b̃
+	vU            // Q⁻¹·T at the start of the jump or the next segment
 	vZ            // modal increments of the planned jump or segment
-	vEnd          // planned end temperatures
+	vEnd          // b̃, then the planned end temperatures
 	vPowD         // each mode's λⁿ − 1 for n = pn
 	vPowS         // each mode's Σ_{j<n} λʲ for n = pn
-	vU            // the segments' carried modal state Q⁻¹·T
 	vSum          // segment certificate: w + w′
 	vDev          // segment certificate: |w − w′|
 	vZPrev        // modal increments to T(L−1)
 	numVecs
+
+	vAcc   = vSum   // modal increments to the planned jump's interior offset
+	vStepD = vDev   // each mode's λⁿ − 1 for the interior step n = sn
+	vStepS = vZPrev // each mode's Σ_{j<n} λʲ for n = sn
 )
 
-// vec is scratch vector i.
+// vec is scratch vector i: the stepper's scratch holds them after the
+// n entries Step uses.
 func (ss *Superstep) vec(i int) []float64 {
 	n := ss.st.m.n
-	return ss.buf[i*n : (i+1)*n : (i+1)*n]
+	return ss.st.scratch[(i+1)*n : (i+2)*n : (i+2)*n]
+}
+
+// claim makes ss the owner of its stepper's scratch state, dropping any
+// plan or segment another map left there, and returns that state.
+func (ss *Superstep) claim() *jumpState {
+	js := &ss.st.js
+	js.owner, js.planned, js.segL = ss, false, 0
+	return js
 }
 
 // NewSuperstep builds the jump map for the stepper's system and the
 // given per-node leakage slope (W/°C, entries ≥ 0), sharing the modal
 // form of an earlier Superstep over the same system and slope.
 func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
-	ss := &Superstep{st: st, buf: make([]float64, numVecs*st.m.n)}
+	ss := &Superstep{st: st}
 	if err := ss.Rebind(slopeWPerC); err != nil {
 		return nil, err
 	}
@@ -128,9 +161,9 @@ func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
 }
 
 // Rebind binds ss to another slope vector in place, as NewSuperstep
-// would build it but keeping its buffers, so a pool that recycles its
-// maps allocates nothing beyond a new form's eigensolve. On error ss is
-// unchanged.
+// would build it, so a pool that recycles its maps allocates nothing
+// beyond a new form's eigensolve. A plan, segment or powers of ss in the
+// stepper's scratch state are dropped. On error ss is unchanged.
 func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 	st := ss.st
 	if len(slopeWPerC) != st.m.n {
@@ -145,7 +178,11 @@ func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 	if err != nil {
 		return err
 	}
-	ss.f, ss.reused, ss.pn, ss.planned, ss.segL = f, reused, 0, false, 0
+	ss.f, ss.reused = f, reused
+	// The scratch state may hold ss's plan or powers of its old form.
+	if js := &st.js; js.owner == ss || js.pOwner == ss || js.sOwner == ss {
+		*js = jumpState{}
+	}
 	return nil
 }
 
@@ -155,12 +192,12 @@ func (ss *Superstep) Slope() []float64 { return ss.f.slope }
 // Reused reports whether the modal form was shared, not eigensolved.
 func (ss *Superstep) Reused() bool { return ss.reused }
 
-// inject returns b̃ = Bp·constInjW + ambGain·Tamb in scratch vector vB.
+// inject returns b̃ = Bp·constInjW + ambGain·Tamb in scratch vector vEnd.
 //
 //teem:hotpath
 func (ss *Superstep) inject(constInjW []float64) []float64 {
 	n, amb := ss.st.m.n, ss.st.m.ambientC
-	bvec := ss.vec(vB)
+	bvec := ss.vec(vEnd)
 	for i := 0; i < n; i++ {
 		acc := ss.st.ambGain[i] * amb
 		br := ss.st.bp[i*n : i*n+n : i*n+n]
@@ -172,6 +209,34 @@ func (ss *Superstep) inject(constInjW []float64) []float64 {
 	return bvec
 }
 
+// powers writes each mode's λⁿ − 1 into d and Σ_{j<n} λʲ into s, by
+// binary powering: m and m' ticks compose to (d + d' + d·d',
+// s + s' + d·s'), and carrying λᵐ − 1 instead of λᵐ keeps the slow modes'
+// precision.
+//
+//teem:hotpath
+func powers(mu, d, s []float64, n int) {
+	for k, m := range mu {
+		d[k], s[k] = power(m, n)
+	}
+}
+
+// power returns λⁿ − 1 and Σ_{j<n} λʲ of one mode with λ − 1 = mu (see
+// powers).
+//
+//teem:hotpath
+func power(mu float64, n int) (d, s float64) {
+	bd, bs := mu, 1.0
+	for rem := n; ; bd, bs = bd*(2+bd), bs*(2+bd) {
+		if rem&1 == 1 {
+			d, s = d+bd+d*bd, s+bs+d*bs
+		}
+		if rem >>= 1; rem == 0 {
+			return d, s
+		}
+	}
+}
+
 // Jump plans an n-tick advance of the bound model under the constant
 // power injection constInjW (per node, watts — the temperature-independent
 // part; the leakage slopes are already folded into the map). It does not
@@ -179,12 +244,13 @@ func (ss *Superstep) inject(constInjW []float64) []float64 {
 // until the next Jump or Segment) and dir the componentwise trajectory
 // direction — +1 monotonically rising, −1 falling, 0 mixed (endTemps nil;
 // the caller must fall back to fixed ticks, endpoint guards would not
-// bound the interior). Call Commit to apply a planned jump.
+// bound the interior). Call Commit to apply a planned jump, and
+// InstantSlopeW and InstantTemps to read its interior first.
 // Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
-	ss.planned, ss.segL = false, 0
+	js := ss.claim()
 	n := ss.st.m.n
 	if nTicks < 1 {
 		return nil, 0, fmt.Errorf("thermal: superstep of %d ticks", nTicks)
@@ -195,7 +261,8 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	f := ss.f
 	temps := ss.st.m.temps[:n]
 	bvec := ss.inject(constInjW)
-	z, tn, pd, ps := ss.vec(vZ), ss.vec(vEnd), ss.vec(vPowD), ss.vec(vPowS)
+	u, c, z, tn := ss.vec(vU), ss.vec(vC), ss.vec(vZ), ss.vec(vEnd)
+	pd, ps := ss.vec(vPowD), ss.vec(vPowS)
 	// One-tick probe: with Ã ≥ 0 the increment T[k+1]−T[k] keeps its
 	// componentwise sign, so the first step's direction is the whole
 	// jump's direction.
@@ -220,23 +287,10 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	default:
 		return nil, 0, nil
 	}
-	// Per mode, d = λⁿ − 1 and s = Σ_{j<n} λʲ by binary powering (m and
-	// m' ticks compose to (d + d' + d·d', s + s' + d·s'); carrying λᵐ − 1
-	// keeps the slow modes' precision), kept for a repeated horizon.
-	if nTicks != ss.pn {
-		for k, mu := range f.mu {
-			d, s, bd, bs := 0.0, 0.0, mu, 1.0
-			for rem := nTicks; ; bd, bs = bd*(2+bd), bs*(2+bd) {
-				if rem&1 == 1 {
-					d, s = d+bd+d*bd, s+bs+d*bs
-				}
-				if rem >>= 1; rem == 0 {
-					break
-				}
-			}
-			pd[k], ps[k] = d, s
-		}
-		ss.pn = nTicks
+	// The powers are kept for a repeated horizon.
+	if js.pOwner != ss || js.pn != nTicks {
+		powers(f.mu, pd, ps, nTicks)
+		js.pOwner, js.pn = ss, nTicks
 	}
 	for k := 0; k < n; k++ {
 		qr := f.qi[k*n : k*n+n : k*n+n]
@@ -245,6 +299,7 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 			x += qr[j] * temps[j]
 			y += qr[j] * bvec[j]
 		}
+		u[k], c[k] = x, y
 		z[k] = pd[k]*x + ps[k]*y
 	}
 	for i := 0; i < n; i++ {
@@ -258,7 +313,8 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 		}
 		tn[i] = acc
 	}
-	ss.planned = true
+	clear(ss.vec(vAcc))
+	js.planned, js.at = true, 0
 	return tn, dir, nil
 }
 
@@ -267,12 +323,90 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 //
 //teem:hotpath
 func (ss *Superstep) Commit() error {
-	if !ss.planned {
+	js := &ss.st.js
+	if js.owner != ss || !js.planned {
 		return errors.New("thermal: Commit without a planned Jump")
 	}
 	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
-	ss.planned = false
+	// The model moved: segments start over from BeginSegments.
+	js.owner, js.planned = nil, false
 	return nil
+}
+
+// InstantSlopeW carries the planned Jump's interior state to j ticks past
+// its start, at or after the offset it was last carried to (0 after
+// Jump), and returns Σ_i slope_i·T_i(j) there: the temperature-dependent
+// part of the power law under which tick j of the jump starts, in watts,
+// or NaN when no Jump is planned. It carries u = Q⁻¹·T(j) forward in
+// modal space, so an offset costs O(N), plus the eigenvalue powers of
+// the step from the last one: those of a later step are kept, since they
+// repeat when the offsets are evenly spaced.
+//
+//teem:hotpath
+func (ss *Superstep) InstantSlopeW(j int) float64 {
+	js := &ss.st.js
+	if js.owner != ss || !js.planned || j < js.at {
+		return math.NaN()
+	}
+	f, n := ss.f, ss.st.m.n
+	acc := ss.vec(vAcc)
+	if step := j - js.at; step > 0 {
+		u, c := ss.vec(vU), ss.vec(vC)
+		if js.at == 0 {
+			// The first step varies from jump to jump; the later ones
+			// repeat the caller's period, so only they keep their powers.
+			for m, mu := range f.mu {
+				d, s := power(mu, step)
+				acc[m] += d*(u[m]+acc[m]) + s*c[m]
+			}
+		} else {
+			sd, sS := ss.vec(vStepD), ss.vec(vStepS)
+			if js.sOwner != ss || js.sn != step {
+				powers(f.mu, sd, sS, step)
+				js.sOwner, js.sn = ss, step
+			}
+			for m := range acc {
+				acc[m] += sd[m]*(u[m]+acc[m]) + sS[m]*c[m]
+			}
+		}
+		js.at = j
+	}
+	temps := ss.st.m.temps[:n]
+	p := 0.0
+	for i, s := range f.slope {
+		p += s*temps[i] + f.sq[i]*acc[i]
+	}
+	return p
+}
+
+// InstantTemps writes into dst the planned Jump's state at the offset
+// InstantSlopeW last carried it to, shifted by next ticks (0 or 1): with
+// next = 1 that is the post-step state of the tick at that offset. It
+// costs O(N²) and does nothing when no Jump is planned.
+//
+//teem:hotpath
+func (ss *Superstep) InstantTemps(dst []float64, next int) {
+	js := &ss.st.js
+	if js.owner != ss || !js.planned {
+		return
+	}
+	f, n := ss.f, ss.st.m.n
+	temps, u, c, acc, w := ss.st.m.temps[:n], ss.vec(vU), ss.vec(vC), ss.vec(vAcc), ss.vec(vZ)
+	for m := range w {
+		w[m] = acc[m]
+		if next == 1 {
+			// One more tick: λ − 1 times the carried state plus Q⁻¹·b̃.
+			w[m] += f.mu[m]*(u[m]+acc[m]) + c[m]
+		}
+	}
+	for i := range dst[:n] {
+		e := temps[i]
+		qr := f.q[i*n:][:n]
+		for k := range qr {
+			e += qr[k] * w[k]
+		}
+		dst[i] = e
+	}
 }
 
 // BeginSegments starts advancing the bound model in segments under the
@@ -283,7 +417,7 @@ func (ss *Superstep) Commit() error {
 //
 //teem:hotpath
 func (ss *Superstep) BeginSegments(constInjW []float64) error {
-	ss.planned, ss.segL = false, 0
+	ss.claim()
 	n := ss.st.m.n
 	if len(constInjW) != n {
 		return fmt.Errorf("thermal: BeginSegments got %d powers, want %d", len(constInjW), n)
@@ -307,18 +441,23 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 // T(L) the segment ends in (valid until the next Jump or Segment) and ok
 // when every node is certified monotone over the segment: all λ_m > 0
 // and, per node, |Q·(w + w′)| > |Q|·|w − w′|. Only then do the endpoints
-// bound each node's interior. A segment outside the tabulated lengths is
-// refused. SegmentSlopeW gives the slope term of the power law at a
-// certified segment's T(L−1); CommitSegment applies it. Allocation-free.
+// bound each node's interior. A segment outside the tabulated lengths,
+// or one whose map did not call BeginSegments last, is refused.
+// SegmentSlopeW gives the slope term of the power law at a certified
+// segment's T(L−1); CommitSegment applies it. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
-	ss.planned, ss.segL = false, 0
+	js := &ss.st.js
 	f, n := ss.f, ss.st.m.n
+	if js.owner != ss || js.planned {
+		return nil, false
+	}
+	js.segL, js.sOwner = 0, nil
 	if nTicks < 1 || nTicks > SegmentMaxTicks || !f.segOK {
 		return nil, false
 	}
-	buf := ss.buf[:numVecs*n]
+	buf := ss.st.scratch[n : (1+numVecs)*n]
 	temps, mu := ss.st.m.temps[:n], f.mu[:n]
 	u, c, z, tn := buf[vU*n:][:n], buf[vC*n:][:n], buf[vZ*n:][:n], buf[vEnd*n:][:n]
 	sum, dev, zp := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vZPrev*n:][:n]
@@ -346,7 +485,7 @@ func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	ss.segL = nTicks
+	js.segL = nTicks
 	return tn, true
 }
 
@@ -358,7 +497,8 @@ func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 //
 //teem:hotpath
 func (ss *Superstep) SegmentSlopeW() float64 {
-	if ss.segL == 0 {
+	js := &ss.st.js
+	if js.owner != ss || js.segL == 0 {
 		return 0
 	}
 	f, temps, zp := ss.f, ss.st.m.temps[:ss.st.m.n], ss.vec(vZPrev)
@@ -375,7 +515,8 @@ func (ss *Superstep) SegmentSlopeW() float64 {
 //
 //teem:hotpath
 func (ss *Superstep) CommitSegment() error {
-	if ss.segL == 0 {
+	js := &ss.st.js
+	if js.owner != ss || js.segL == 0 {
 		return errors.New("thermal: CommitSegment without a certified Segment")
 	}
 	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
@@ -383,7 +524,7 @@ func (ss *Superstep) CommitSegment() error {
 	for m := range u {
 		u[m] += z[m]
 	}
-	ss.segL = 0
+	js.segL = 0
 	return nil
 }
 

@@ -274,3 +274,137 @@ func TestSuperstepFormSharing(t *testing.T) {
 		t.Error("an uncached propagator shared a form")
 	}
 }
+
+// Property: a planned Jump's interior — the slope term of the power law
+// at an offset j and the states T(j) and T(j+1) — matches the
+// tick-by-tick affine trajectory to floating-point rounding, with the
+// state carried in modal space across offsets of varying spacing, and
+// reading the interior leaves the planned landing state as Jump gave it.
+func TestSuperstepInstantsMatchTicks(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 25; trial++ {
+		net := randomNetwork(rng)
+		n := len(net.Nodes)
+		mRef, err := NewModel(net, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mJmp, err := NewModel(net, 28)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stRef, err := mRef.NewStepper(0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stJmp, err := mJmp.NewStepper(0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pConst := randomPowers(rng, n)
+		slope := make([]float64, n)
+		for i := range slope {
+			slope[i] = 0.01 * rng.Float64()
+		}
+		ss, err := NewSuperstep(stJmp, slope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		horizon := 300 + rng.Intn(3000)
+		end, dir, err := ss.Jump(horizon, pConst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dir == 0 {
+			continue
+		}
+		landing := append([]float64(nil), end...)
+		got := make([]float64, n)
+		check := func(what string, j int, ref []float64) {
+			for i := range got {
+				if d := math.Abs(got[i] - ref[i]); d > 1e-9 {
+					t.Fatalf("trial %d %s at offset %d node %d: %.15g, ticks %.15g (|Δ|=%.3g)", trial, what, j, i, got[i], ref[i], d)
+				}
+			}
+		}
+		// at is the reference model's offset from the jump's start.
+		at := 0
+		for j := rng.Intn(100); j < horizon; j = at + rng.Intn(150) {
+			ref := affineReference(t, stRef, pConst, slope, j-at)
+			slopeW, want := ss.InstantSlopeW(j), 0.0
+			for i, s := range slope {
+				want += s * ref[i]
+			}
+			if d := math.Abs(slopeW - want); d > 1e-9 {
+				t.Fatalf("trial %d offset %d: slope term %.15g, ticks %.15g (|Δ|=%.3g)", trial, j, slopeW, want, d)
+			}
+			ss.InstantTemps(got, 0)
+			check("T(j)", j, ref)
+			ref = affineReference(t, stRef, pConst, slope, 1)
+			at = j + 1
+			ss.InstantTemps(got, 1)
+			check("T(j+1)", j, ref)
+		}
+		if s := ss.InstantSlopeW(at - 2); !math.IsNaN(s) {
+			t.Errorf("trial %d: an offset behind the carried one was read (%g)", trial, s)
+		}
+		if err := ss.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range mJmp.Temps() {
+			if v != landing[i] {
+				t.Fatalf("trial %d node %d: committed %.15g, planned %.15g", trial, i, v, landing[i])
+			}
+		}
+	}
+}
+
+// The Supersteps of one Stepper share its scratch state: planning on
+// one drops the other's plan, so a stale Commit, CommitSegment or
+// interior read fails instead of applying another map's state.
+func TestSuperstepSharedScratch(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	net := randomNetwork(rng)
+	n := len(net.Nodes)
+	m, err := NewModel(net, 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := m.NewStepper(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slopeA, slopeB := make([]float64, n), make([]float64, n)
+	for i := range slopeA {
+		slopeA[i], slopeB[i] = 0.001, 0.002
+	}
+	a, err := NewSuperstep(st, slopeA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewSuperstep(st, slopeB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := randomPowers(rng, n)
+	if _, dir, err := a.Jump(50, p); err != nil || dir == 0 {
+		t.Fatalf("Jump: dir %d, err %v", dir, err)
+	}
+	if err := b.BeginSegments(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err == nil {
+		t.Error("Commit of a plan another map overwrote did not fail")
+	}
+	if s := a.InstantSlopeW(10); !math.IsNaN(s) {
+		t.Errorf("interior read of a dropped plan returned %g", s)
+	}
+	if _, ok := a.Segment(5); ok {
+		t.Error("Segment on another map's segment state was certified")
+	}
+	if _, ok := b.Segment(5); ok {
+		if err := b.CommitSegment(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
