@@ -66,20 +66,22 @@ perfbench-check:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmark layout report (ROADMAP item 5): perfbench scales every time
-# by main.refKernel, whose speed depends on its address mod 64, so a
-# change that moves the kernel moves every scaled time. This builds
-# perfbench as perfbench/run.sh does (cgo off) but without VCS stamping,
-# so two checkouts of the same code print the same report, then prints
-# the kernel's address, that address mod 64 and a SHA-256 of the
-# binary's .text section (read with binutils' objcopy). Run it on the
-# parent and on the change: equal hashes mean the gated binary's code
-# did not move.
+# by main.refKernel, whose speed depends on its address mod 64 and, for
+# the single-lane paper-repro kernel, mod 128 (it read slower at ≡ 64
+# mod 128), so a change that moves the kernel moves every scaled time.
+# This builds perfbench as perfbench/run.sh does (cgo off) but without
+# VCS stamping, so two checkouts of the same code print the same report,
+# then prints the kernel's address, that address mod 64 and mod 128 and
+# a SHA-256 of the binary's .text section (read with binutils' objcopy).
+# Run it on the parent and on the change: equal hashes mean the gated
+# binary's code did not move.
 LAYOUT_BIN := $(CURDIR)/.bench_build/layout/perfbench
 perfbench-layout:
 	cd perfbench && CGO_ENABLED=0 GOFLAGS=-buildvcs=false GOWORK=off $(GO) build -o $(LAYOUT_BIN) .
 	@addr=$$($(GO) tool nm $(LAYOUT_BIN) | awk '$$3 == "main.refKernel" { print $$1 }'); \
 	echo "main.refKernel  0x$$addr"; \
 	echo "address mod 64  $$((0x$$addr % 64))"; \
+	echo "address mod 128 $$((0x$$addr % 128))"; \
 	echo ".text sha256    $$(objcopy -O binary --only-section=.text $(LAYOUT_BIN) /dev/stdout | sha256sum | cut -d' ' -f1)"
 
 # Curated scenario-corpus regression gate: every preset (hand-authored

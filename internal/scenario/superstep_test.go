@@ -11,15 +11,17 @@ import (
 )
 
 // Corpus-wide integrator-agreement gate (docs/integrators.md): every
-// preset, under both a util-only baseline and the sensor-driven TEEM
-// policy, must produce the same scheduling decisions, the same meter
-// energy to machine precision, and temperatures within floating-point
-// rounding whether steady intervals are superstepped or ticked. The
-// trace legitimately coarsens inside jumps, so trace-derived thermal
-// aggregates are held to the documented 0.01 °C bound instead.
+// preset, under every governor a grid can name — the util-only
+// baselines, whose stable epochs jumps, segments and walks cross, and
+// the sensor-driven TEEM policy, whose epochs they do not — must produce
+// the same scheduling decisions, the same meter energy to machine
+// precision, and temperatures within floating-point rounding whether
+// steady intervals are superstepped or ticked. The trace legitimately
+// coarsens inside jumps, so trace-derived thermal aggregates are held to
+// the documented 0.01 °C bound instead.
 func TestSuperstepPresetCorpusAgreement(t *testing.T) {
 	for _, sc := range Presets() {
-		for _, gov := range []string{"ondemand", "teem"} {
+		for _, gov := range GovernorNames() {
 			t.Run(sc.Name+"/"+gov, func(t *testing.T) {
 				rJ, err := Run(sc, Config{Governor: gov})
 				if err != nil {

@@ -54,8 +54,7 @@ func govIsPure(g Governor) bool {
 
 // superstepMinSpan is the smallest jump worth planning: below this the
 // affine setup costs more than the ticks it would replace. A shorter
-// proven horizon is walked instead (see walk), and so is one the governor
-// clamp shortens below it (see advance).
+// proven horizon is walked instead (see walk and advance).
 const superstepMinSpan = 4
 
 // ssPoolLimit bounds the per-engine pool of slope-keyed jump maps; a run
@@ -106,7 +105,8 @@ type steadyOp struct {
 //     every tick of the span is provably fully busy);
 //   - the next governor epoch, unless the policy is a marked util-only
 //     fixed point (UtilOnlyGovernor + an unchanged last epoch under the
-//     same utilisations);
+//     same utilisations, see crossesEpochs) — the only epoch bound a
+//     jump, a record segment or a walk has;
 //   - the tick after the maxSpanInstants-th power-meter sampling instant.
 //
 // It returns the span n (possibly ≤ 0), the operating point, and — when
@@ -207,14 +207,24 @@ func (e *Engine) latch() error {
 
 // crossesEpochs reports whether a span at op may cross governor epochs:
 // the policy is a marked pure fixed point AND the utilisations the
-// skipped epochs would see equal the ones the stable epoch saw
-// (frequency changes reset govStable through setFreq).
+// skipped epochs would see equal the ones the stable epoch saw: op's,
+// and for an epoch on this tick also the ones the last tick left, which
+// differ after a job that ended inside it (frequency changes reset
+// govStable through setFreq). It is the one epoch rule of every advance
+// path: horizon clamps any other span at the next epoch, and jumps,
+// record segments and walks all run on horizon's span. It holds on a
+// throttled chip too: each skipped epoch would make the stable epoch's
+// SetClusterFreqMHz calls on the same utilisations and capped
+// frequencies, which rewrite preThrottleMHz with the value it holds and
+// change no frequency, while trips and releases still run as ordinary
+// ticks because segments and walks stop before them.
 //
 //teem:hotpath
 func (e *Engine) crossesEpochs(op steadyOp) bool {
 	if !e.govPure || !e.govStable {
 		return false
 	}
+	now := e.timeTicks%e.govEvery == 0
 	for i, u := range e.govUtils {
 		b := e.utils[i]
 		switch i {
@@ -225,7 +235,7 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 		case e.gpuIdx:
 			b = op.gpuBusy
 		}
-		if u != b {
+		if u != b || (now && u != e.utils[i]) {
 			return false
 		}
 	}
@@ -492,31 +502,16 @@ func drain(rem, c float64, n int) float64 {
 	return rem
 }
 
-// epochClamp shortens a span of n ticks from now to end before the next
-// governor epoch, and reports false when this tick is one: it must run as
-// an ordinary tick. Walks and segments never cross an epoch.
-//
-//teem:hotpath
-func (e *Engine) epochClamp(n int) (int, bool) {
-	if e.govEvery > 0 {
-		r := e.timeTicks % e.govEvery
-		if r == 0 {
-			return n, false
-		}
-		n = min(n, e.govEvery-r)
-	}
-	return n, true
-}
-
 // advance moves a proven horizon of n ticks at op that a temperature
-// guard refused to jump: after the epoch clamp, a span of at least
-// superstepMinSpan ticks in record segments (see segments), a shorter
-// one by walk.
+// guard refused to jump: a span of at least superstepMinSpan ticks in
+// record segments (see segments), a shorter one by walk. The horizon
+// already bounds it by the one epoch rule jumps follow, so it crosses
+// governor epochs exactly where a jump would.
 //
 //teem:hotpath
 func (e *Engine) advance(dt float64, n int, op steadyOp) (bool, error) {
-	if m, ok := e.epochClamp(n); ok && m >= superstepMinSpan {
-		return e.segments(dt, m, op)
+	if n >= superstepMinSpan {
+		return e.segments(dt, n, op)
 	}
 	return e.walk(dt, n, op)
 }
@@ -643,9 +638,11 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 // segmentPowerW) — unless that power lies within meterGuard quanta of a
 // rounding boundary, when the segment is walked so the walk latches the
 // tick's own power. A refused segment is walked (see walkTicks), and the
-// segments stop where that walk stops before a TMU transition. The
-// busy chunks drain the segmented ticks once per span (see deplete). The running peaks already bound T(0): a
-// throttled chip or a probed span follows a real tick. Segments count as
+// segments stop where that walk stops before a TMU transition. The span
+// crosses governor epochs where the horizon lets it (see crossesEpochs),
+// as a jump does. The busy chunks drain the segmented ticks once per
+// span (see deplete). The running peaks already bound T(0): a throttled
+// chip or a probed span follows a real tick. Segments count as
 // supersteps, and leave e.bd to the next tick's evaluation. It polls
 // cancellation once and after every meter instant.
 //
@@ -786,14 +783,14 @@ func (e *Engine) aboveFloor(end []float64) bool {
 // evaluated once (see steadyPower); every tick then applies power.Leakage
 // — ClusterPower's own temperature term — so each temperature, sample and
 // decision equals the ordinary tick's bit for bit. The walk stops before
-// a governor epoch and before any tick whose TMU check would trip or
-// release; those run as ordinary ticks. It polls cancellation once and
-// after every meter instant, and reports whether it advanced at all.
+// any tick whose TMU check would trip or release; those run as ordinary
+// ticks. It crosses a governor epoch only where the horizon lets a jump
+// cross it (see crossesEpochs). It polls cancellation once and after
+// every meter instant, and reports whether it advanced at all.
 //
 //teem:hotpath
 func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
-	n, ok := e.epochClamp(n)
-	if !ok || n < 1 || len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
+	if n < 1 || len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
 		return false, nil
 	}
 	if err := e.aborted(); err != nil {

@@ -6,10 +6,12 @@ import (
 	"reflect"
 	"testing"
 
+	"teem/internal/governor"
 	"teem/internal/mapping"
 	"teem/internal/obs"
 	"teem/internal/platform"
 	"teem/internal/sim"
+	"teem/internal/trace"
 	"teem/internal/workload"
 )
 
@@ -143,6 +145,26 @@ func TestSuperstepWalkMatchesTick(t *testing.T) {
 	}
 }
 
+// segmentGovs are the policies TestSuperstepSegmentsMatchTicks runs
+// under: none, each stock util-only policy, and maxGov, which is not
+// util-only.
+var segmentGovs = []sim.Governor{
+	nil,
+	governor.Performance{},
+	governor.NewOndemand(),
+	governor.NewConservative(),
+	&governor.Userspace{},
+	maxGov{},
+}
+
+// govName names a segmentGovs case.
+func govName(g sim.Governor) string {
+	if g == nil {
+		return "none"
+	}
+	return g.Name()
+}
+
 // Record segments advance what a throttled chip would otherwise walk, to
 // rounding: on every catalog platform, an idle board whose big node
 // starts at 90 °C under a clamp that never releases has every span
@@ -150,20 +172,32 @@ func TestSuperstepWalkMatchesTick(t *testing.T) {
 // inside segmented spans; in a 15 °C room the cluster nodes also start
 // below the 25 °C leakage reference, where the floor check refuses
 // segments and they are walked. Against the DisableSuperstep twin, the
-// throttle events and every sample instant are equal, and the per-node
-// peaks, the final temperatures and every sample's temperatures and
-// power agree within 1e-9.
+// throttle events, every frequency decision and every sample instant,
+// frequency and utilisation are equal, and the per-node peaks, the final
+// temperatures and every sample's temperatures and power agree within
+// 1e-9. Under each governor the spans cross epochs by the rule jumps
+// follow (see agreeGoverned). A last case per platform trips and
+// releases under a util-only policy (see testTripReleaseMatchesTicks).
 func TestSuperstepSegmentsMatchTicks(t *testing.T) {
 	for _, name := range platform.Names() {
-		for _, cold := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/cold=%v", name, cold), func(t *testing.T) {
-				testSegmentsMatchTicks(t, name, cold)
-			})
+		for _, gov := range segmentGovs {
+			for _, cold := range []bool{false, true} {
+				sub := fmt.Sprintf("%s/cold=%v", name, cold)
+				if gov != nil {
+					sub = fmt.Sprintf("%s/%s/cold=%v", name, gov.Name(), cold)
+				}
+				t.Run(sub, func(t *testing.T) {
+					testSegmentsMatchTicks(t, name, gov, cold)
+				})
+			}
 		}
+		t.Run(name+"/performance/trip-release", func(t *testing.T) {
+			testTripReleaseMatchesTicks(t, name)
+		})
 	}
 }
 
-func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
+func testSegmentsMatchTicks(t *testing.T, name string, gov sim.Governor, cold bool) {
 	run := func(disable bool) (*sim.Engine, *sim.Result) {
 		b, err := platform.Get(name)
 		if err != nil {
@@ -183,6 +217,7 @@ func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
 			Platform:         plat,
 			Net:              b.Net,
 			Map:              mapping.Mapping{Big: 1, UseGPU: true},
+			Governor:         gov,
 			InitialTempsC:    temps,
 			MinTimeS:         60,
 			DisableSuperstep: disable,
@@ -198,21 +233,17 @@ func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
 	}
 	eS, rS := run(false)
 	eT, rT := run(true)
-	if (!cold && rS.Stats.SegmentTicks == 0) || (cold && rS.Stats.WalkedTicks == 0) {
-		t.Fatalf("want segmented ticks in a warm room and walked ones in a cold room, got %+v", rS.Stats)
+	// maxGov's epochs leave no span long enough to segment: its runs walk.
+	segmented := !cold && gov != sim.Governor(maxGov{})
+	if (segmented && rS.Stats.SegmentTicks == 0) || (!segmented && rS.Stats.WalkedTicks == 0) {
+		t.Fatalf("want segmented ticks in a warm room and walked ones in a cold room or under %s, got %+v", govName(maxGov{}), rS.Stats)
 	}
-	if rS.ThrottleEvents != 1 || rT.ThrottleEvents != 1 || rS.Stats.TMUReleases != rT.Stats.TMUReleases {
-		t.Errorf("throttle events %d/%d, releases %d/%d", rS.ThrottleEvents, rT.ThrottleEvents, rS.Stats.TMUReleases, rT.Stats.TMUReleases)
+	if rS.ThrottleEvents != 1 || rT.ThrottleEvents != 1 {
+		t.Errorf("throttle events %d/%d", rS.ThrottleEvents, rT.ThrottleEvents)
 	}
-	near := func(what string, a, b []float64) {
-		for i := range a {
-			if d := math.Abs(a[i] - b[i]); d > 1e-9 {
-				t.Errorf("%s[%d]: segmented %.12g, ticked %.12g", what, i, a[i], b[i])
-			}
-		}
-	}
-	near("PeakTempsC", rS.PeakTempsC, rT.PeakTempsC)
-	near("final temperature", eS.FinalTemps(), eT.FinalTemps())
+	agreeGoverned(t, gov, rS, rT)
+	near(t, "PeakTempsC", rS.PeakTempsC, rT.PeakTempsC)
+	near(t, "final temperature", eS.FinalTemps(), eT.FinalTemps())
 	ss, st := rS.Trace.Samples, rT.Trace.Samples
 	if len(ss) != len(st) {
 		t.Fatalf("trace lengths differ: segmented %d, ticked %d", len(ss), len(st))
@@ -221,8 +252,168 @@ func testSegmentsMatchTicks(t *testing.T, name string, cold bool) {
 		if ss[i].TimeS != st[i].TimeS {
 			t.Fatalf("sample %d at t=%g s, ticked at %g s", i, ss[i].TimeS, st[i].TimeS)
 		}
-		near(fmt.Sprintf("t=%gs temperature", ss[i].TimeS), ss[i].TempsC, st[i].TempsC)
-		near(fmt.Sprintf("t=%gs power", ss[i].TimeS), []float64{ss[i].PowerW}, []float64{st[i].PowerW})
+		agreeSample(t, ss[i], st[i])
+	}
+}
+
+// walkConfig's starts trip and release the TMU under a util-only policy
+// too: under performance, which re-requests the maximum as maxGov does,
+// the spans of each throttled stretch cross its epochs once an epoch has
+// left the capped frequency alone. Each run agrees with its
+// DisableSuperstep twin (see agreeThinned).
+func testTripReleaseMatchesTicks(t *testing.T, name string) {
+	gov := governor.Performance{}
+	run := func(disable bool) (*sim.Engine, *sim.Result) {
+		cfg := walkConfig(t, name, disable)
+		cfg.Governor = gov
+		e, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, r
+	}
+	eS, rS := run(false)
+	eT, rT := run(true)
+	if rS.Stats.TMUTrips == 0 || (name != "harrier-s16" && rS.Stats.TMUReleases == 0) {
+		t.Fatalf("want a trip and, but on harrier-s16, a release; got %+v", rS.Stats)
+	}
+	agreeThinned(t, gov, eS, rS, eT, rT)
+}
+
+// An epoch sees the utilisations the tick before it left. A job shorter
+// than one control period that ends mostly busy in the tick before an
+// epoch leaves 80% or more there, and conservative steps up on it, while
+// the idle span after the job matches the stable idle epoch before its
+// arrival: a span may start on an epoch only when the last tick's
+// utilisations match the stable epoch's too. GPU-only jobs arriving on
+// exynos5422's second tick and ending around t = 0.1 s each agree with
+// their DisableSuperstep twins (see agreeThinned).
+func TestSuperstepEpochSeesLastTick(t *testing.T) {
+	b, err := platform.Get("exynos5422")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gov := governor.NewConservative()
+	busyEnd := false
+	for i := 320; i <= 350; i++ {
+		app := *workload.Covariance()
+		app.WorkItems, app.GPUSecPerWI = 1, float64(i)*0.0005
+		run := func(disable bool) (*sim.Engine, *sim.Result) {
+			e, err := sim.New(sim.Config{
+				Platform:         b.SoC,
+				Net:              b.Net,
+				Map:              mapping.Mapping{Big: 1, UseGPU: true},
+				Governor:         gov,
+				MinTimeS:         5,
+				DisableSuperstep: disable,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.ScheduleAt(sim.TickS, func(e *sim.Engine) error {
+				_, err := e.EnqueueAppPriority(&app, mapping.Partition{Num: 0, Den: 8}, 0)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			r, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e, r
+		}
+		t.Run(fmt.Sprintf("gpu-s-per-item=%g", app.GPUSecPerWI), func(t *testing.T) {
+			eS, rS := run(false)
+			eT, rT := run(true)
+			if len(rT.JobFinishes) != 1 {
+				t.Fatalf("want one finished job, got %+v", rT.JobFinishes)
+			}
+			if at := rT.JobFinishes[0].AtS; at >= 0.098 && at < 0.1 {
+				busyEnd = true
+			}
+			agreeThinned(t, gov, eS, rS, eT, rT)
+		})
+	}
+	if !busyEnd {
+		t.Fatal("no job ended at least 80% busy in the tick before the t = 0.1 s epoch")
+	}
+}
+
+// agreeThinned holds a run that may jump to its fixed-tick twin: the
+// meter, the schedule, every frequency decision and the TMU transitions
+// are equal, with the epochs ticked as agreeGoverned requires, and the
+// peaks, the final temperatures and every sample the run records agree
+// within 1e-9 with the twin's sample at the same instant. Jumps thin the
+// trace, so only shared instants are compared.
+func agreeThinned(t *testing.T, gov sim.Governor, eS *sim.Engine, rS *sim.Result, eT *sim.Engine, rT *sim.Result) {
+	t.Helper()
+	agreeGoverned(t, gov, rS, rT)
+	if rS.Completed != rT.Completed || rS.ExecTimeS != rT.ExecTimeS || rS.EnergyJ != rT.EnergyJ ||
+		rS.AvgPowerW != rT.AvgPowerW || rS.ThrottleEvents != rT.ThrottleEvents ||
+		!reflect.DeepEqual(rS.JobFinishes, rT.JobFinishes) {
+		t.Errorf("summaries differ:\nsuperstepped %+v\nticked       %+v", *rS, *rT)
+	}
+	near(t, "PeakTempsC", rS.PeakTempsC, rT.PeakTempsC)
+	near(t, "final temperature", eS.FinalTemps(), eT.FinalTemps())
+	at := make(map[float64]int, len(rT.Trace.Samples))
+	for i, s := range rT.Trace.Samples {
+		at[s.TimeS] = i
+	}
+	for _, s := range rS.Trace.Samples {
+		i, ok := at[s.TimeS]
+		if !ok {
+			t.Fatalf("sample at t=%g s has no ticked twin", s.TimeS)
+		}
+		agreeSample(t, s, rT.Trace.Samples[i])
+	}
+}
+
+// agreeGoverned holds a run to its fixed-tick twin on everything its
+// governor and the TMU decided: frequency transitions, trips and
+// releases are equal. The epochs it ticks follow the one epoch rule:
+// under a util-only policy, spans cross the epochs after one that
+// changed nothing, so fewer are ticked; under any other policy, or none,
+// every epoch is.
+func agreeGoverned(t *testing.T, gov sim.Governor, rS, rT *sim.Result) {
+	t.Helper()
+	if rS.FreqTransitions != rT.FreqTransitions || rS.Stats.TMUTrips != rT.Stats.TMUTrips || rS.Stats.TMUReleases != rT.Stats.TMUReleases {
+		t.Errorf("transitions %d/%d, trips %d/%d, releases %d/%d", rS.FreqTransitions, rT.FreqTransitions,
+			rS.Stats.TMUTrips, rT.Stats.TMUTrips, rS.Stats.TMUReleases, rT.Stats.TMUReleases)
+	}
+	eS, eT := rS.Stats.GovernorEpochs, rT.Stats.GovernorEpochs
+	if u, ok := gov.(sim.UtilOnlyGovernor); ok && u.UtilOnly() {
+		if eS >= eT {
+			t.Errorf("util-only %s ticked %d of the twin's %d epochs; spans crossed none", govName(gov), eS, eT)
+		}
+	} else if eS != eT {
+		t.Errorf("%s ticked %d epochs, its twin %d", govName(gov), eS, eT)
+	}
+}
+
+// agreeSample compares a sample with its fixed-tick twin at the same
+// instant: frequencies and utilisations with ==, temperatures and power
+// within 1e-9.
+func agreeSample(t *testing.T, s, f trace.Sample) {
+	t.Helper()
+	if !reflect.DeepEqual(s.FreqsMHz, f.FreqsMHz) || !reflect.DeepEqual(s.Utils, f.Utils) {
+		t.Errorf("t=%gs: frequencies %v, utilisations %v; ticked %v, %v", s.TimeS, s.FreqsMHz, s.Utils, f.FreqsMHz, f.Utils)
+	}
+	near(t, fmt.Sprintf("t=%gs temperature", s.TimeS), s.TempsC, f.TempsC)
+	near(t, fmt.Sprintf("t=%gs power", s.TimeS), []float64{s.PowerW}, []float64{f.PowerW})
+}
+
+// near reports every element of a that differs from b's by more than
+// 1e-9.
+func near(t *testing.T, what string, a, b []float64) {
+	t.Helper()
+	for i := range a {
+		if d := math.Abs(a[i] - b[i]); d > 1e-9 {
+			t.Errorf("%s[%d]: superstepped %.12g, ticked %.12g", what, i, a[i], b[i])
+		}
 	}
 }
 
@@ -309,26 +500,38 @@ func BenchmarkSteadyWalk(b *testing.B) {
 
 // BenchmarkSteadySegments runs throttledConfig's run through Run, which
 // advances its refused spans in record segments, and reports the cost of
-// an advanced tick (ordinary, walked, segmented or jumped) and the share
-// of ticks advanced in segments. Engine construction is not timed.
+// an advanced tick (ordinary, walked, segmented or jumped), the share of
+// ticks advanced in segments and the governor epochs ticked per run. The
+// governed case runs under performance, a util-only policy: once an
+// epoch has left the capped frequency alone, the throttled spans cross
+// the epochs after it. Engine construction is not timed.
 func BenchmarkSteadySegments(b *testing.B) {
 	for _, name := range []string{"exynos5422", "harrier-s16"} {
-		b.Run(name, func(b *testing.B) {
-			cfg := throttledConfig(b, name)
-			var segmented, advanced int64
-			timeEngines(b, cfg, func(e *sim.Engine) {
-				res, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				segmented += res.Stats.SegmentTicks
-				advanced += res.Stats.Ticks + res.Stats.SuperstepTicks
-			})
-			if segmented == 0 {
-				b.Fatal("no tick was advanced in a segment")
+		for _, gov := range []sim.Governor{nil, governor.Performance{}} {
+			sub := name
+			if gov != nil {
+				sub += "/" + gov.Name()
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(advanced), "ns/advanced-tick")
-			b.ReportMetric(float64(segmented)/float64(advanced), "segmented/tick")
-		})
+			b.Run(sub, func(b *testing.B) {
+				cfg := throttledConfig(b, name)
+				cfg.Governor = gov
+				var segmented, advanced, epochs int64
+				timeEngines(b, cfg, func(e *sim.Engine) {
+					res, err := e.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					segmented += res.Stats.SegmentTicks
+					advanced += res.Stats.Ticks + res.Stats.SuperstepTicks
+					epochs += res.Stats.GovernorEpochs
+				})
+				if segmented == 0 {
+					b.Fatal("no tick was advanced in a segment")
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(advanced), "ns/advanced-tick")
+				b.ReportMetric(float64(segmented)/float64(advanced), "segmented/tick")
+				b.ReportMetric(float64(epochs)/float64(b.N), "epochs/run")
+			})
+		}
 	}
 }
