@@ -45,18 +45,19 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Measured snapshot of the core benchmarks (sim tick/run, the steady
-# walk and record segments, the RunWarm protocol, Fig. 5 serial/parallel, the offline
-# profiling phase, scenario engine, thermal stepping and superstep jumps,
-# power evaluation) as BENCH_<date>.json. Each benchmark runs 5 times;
+# Measured snapshot of the core benchmarks (sim tick/run, engine
+# construction, the steady walk and record segments, the RunWarm
+# protocol, Fig. 5 serial/parallel, the offline profiling phase, scenario
+# engine, thermal stepping and superstep jumps, power evaluation, one
+# analytic design point) as BENCH_<date>.json. Each benchmark runs 5 times;
 # benchjson records the median ns/op, B/op and allocs/op with the ns/op
 # min and max, and the median of every custom b.ReportMetric unit.
 # CI uploads it as a non-gating artifact so the perf trajectory is tracked
 # across PRs.
 BENCH_DATE := $(shell date -u +%Y-%m-%d)
-BENCH_CORE := 'BenchmarkSimRun|BenchmarkSteadyWalk|BenchmarkSteadySegments|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
+BENCH_CORE := 'BenchmarkSimRun|BenchmarkEngineNew|BenchmarkSteadyWalk|BenchmarkSteadySegments|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkEvaluatorPoint|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
 bench-json:
-	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem -count 5 ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/service . \
+	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem -count 5 ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/profile ./internal/service . \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json
 
 # Benchmark-harness compile gate: perfbench/ (BENCHMARK.json) is its own

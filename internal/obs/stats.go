@@ -33,7 +33,7 @@ type RunStats struct {
 	RejectLeakage  int64 // leakage linearisation regime boundary
 
 	// Cache effectiveness.
-	PropCacheHits   int64 // thermal propagator cache (matrix exponentials)
+	PropCacheHits   int64 // tick propagator: kept by the engine's shared system (hit) or computed (miss)
 	PropCacheMisses int64
 	JumpBlockHits   int64 // shared modal jump forms: reused (hit) or eigensolved (miss)
 	JumpBlockMisses int64

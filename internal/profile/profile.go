@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"teem/internal/mapping"
 	"teem/internal/power"
@@ -35,31 +36,38 @@ type PointEval struct {
 }
 
 // Evaluator predicts design-point behaviour on a platform. It is safe for
-// concurrent use: the cached thermal model is only read (SteadyState works
-// on its own copies).
+// concurrent use: the thermal model is only read (steady states replay
+// its system's elimination into caller buffers) and each evaluation
+// works in buffers of its own.
 type Evaluator struct {
 	plat *soc.Platform
-	net  *thermal.Network
 	pow  *power.Model
-	// therm is built once; SteadyState never mutates model state, so
+	// therm is built once; SteadyStateInto never mutates model state, so
 	// sweeping a design space does not rebuild the RC system per point.
 	therm *thermal.Model
 	// nodeOf caches each cluster's thermal node; pkgNode the "pkg"
-	// node (sim.ResolveNodes).
-	nodeOf  []int
-	pkgNode int
+	// node (sim.ResolveNodes) and bigNode the big cluster's; nodes is
+	// the node count.
+	nodeOf                  []int
+	pkgNode, bigNode, nodes int
+	// free holds the buffers of the evaluations not under way: each
+	// evaluation takes one, or builds one when none is free, and returns
+	// it, so a sweep allocates nothing after its first point.
+	mu   sync.Mutex
+	free []*steadyScratch //teem:guards mu
+}
+
+// steadyScratch is one evaluation's working state.
+type steadyScratch struct {
+	temps, inj []float64
+	loads      []power.ClusterLoad
+	bd         power.Breakdown
 }
 
 // NewEvaluator builds an evaluator. Like sim.New it rejects a network
 // that cannot carry the platform (a cluster without a node, or no "pkg"
 // node) with an error wrapping sim.ErrPlatformNetMismatch.
 func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) {
-	if err := plat.Validate(); err != nil {
-		return nil, err
-	}
-	if err := net.Validate(); err != nil {
-		return nil, err
-	}
 	pm, err := power.NewModel(plat)
 	if err != nil {
 		return nil, err
@@ -74,12 +82,38 @@ func NewEvaluator(plat *soc.Platform, net *thermal.Network) (*Evaluator, error) 
 	}
 	return &Evaluator{
 		plat:    plat,
-		net:     net,
 		pow:     pm,
 		therm:   tm,
 		nodeOf:  nodeOf,
 		pkgNode: pkg,
+		bigNode: net.NodeIndex(plat.Big().Name),
+		nodes:   len(net.Nodes),
 	}, nil
+}
+
+// takeScratch returns free buffers for one evaluation; putScratch hands
+// them back.
+func (ev *Evaluator) takeScratch() *steadyScratch {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	if n := len(ev.free); n > 0 {
+		sc := ev.free[n-1]
+		ev.free = ev.free[:n-1]
+		return sc
+	}
+	nc := len(ev.plat.Clusters)
+	return &steadyScratch{
+		temps: make([]float64, ev.nodes),
+		inj:   make([]float64, ev.nodes),
+		loads: make([]power.ClusterLoad, nc),
+		bd:    power.Breakdown{DynamicW: make([]float64, nc), LeakageW: make([]float64, nc)},
+	}
+}
+
+func (ev *Evaluator) putScratch(sc *steadyScratch) {
+	ev.mu.Lock()
+	defer ev.mu.Unlock()
+	ev.free = append(ev.free, sc)
 }
 
 // Evaluate analytically predicts one design point: chunk times from the
@@ -127,17 +161,17 @@ func (ev *Evaluator) Evaluate(app *workload.App, dp mapping.DesignPoint) (PointE
 
 	// Steady-state temperatures and power with both chunks active
 	// (leakage evaluated at a two-pass fixed point).
-	bd, temps, err := ev.steady(app, dp, fb, fl, fg, cpuWI > 0, gpuWI > 0)
-	if err != nil {
+	sc := ev.takeScratch()
+	defer ev.putScratch(sc)
+	if err := ev.steady(sc, app, dp, fb, fl, fg, cpuWI > 0, gpuWI > 0); err != nil {
 		return PointEval{}, err
 	}
-	bigNode := ev.net.NodeIndex(big.Name)
-	at := temps[bigNode]
+	at := sc.temps[ev.bigNode]
 
 	return PointEval{
 		DP:  dp,
 		ETS: et,
-		ECJ: bd.TotalW() * et,
+		ECJ: sc.bd.TotalW() * et,
 		ATC: at,
 		// The analytic peak adds the transient overshoot margin the
 		// integrator exhibits near regime change; steady state is
@@ -154,19 +188,13 @@ func snap(c *soc.Cluster, mhz int) int {
 }
 
 // steady computes the fixed-point power/temperature for a fully loaded
-// design point.
-func (ev *Evaluator) steady(app *workload.App, dp mapping.DesignPoint, fb, fl, fg int, cpuBusy, gpuBusy bool) (*power.Breakdown, []float64, error) {
+// design point into sc.bd and sc.temps.
+func (ev *Evaluator) steady(sc *steadyScratch, app *workload.App, dp mapping.DesignPoint, fb, fl, fg int, cpuBusy, gpuBusy bool) error {
 	gpu := ev.plat.GPU()
-	temps := make([]float64, len(ev.net.Nodes))
+	temps := sc.temps
 	for i := range temps {
 		temps[i] = 60 // reasonable operating seed
 	}
-	var (
-		bd    *power.Breakdown
-		err   error
-		loads = make([]power.ClusterLoad, len(ev.plat.Clusters))
-		inj   = make([]float64, len(ev.net.Nodes))
-	)
 	for iter := 0; iter < 4; iter++ {
 		for i := range ev.plat.Clusters {
 			c := &ev.plat.Clusters[i]
@@ -193,7 +221,7 @@ func (ev *Evaluator) steady(app *workload.App, dp mapping.DesignPoint, fb, fl, f
 			if l.ActiveCores == 0 {
 				l.Utilization = 0
 			}
-			loads[i] = l
+			sc.loads[i] = l
 		}
 		rate := 0.0
 		if cpuBusy {
@@ -202,17 +230,15 @@ func (ev *Evaluator) steady(app *workload.App, dp mapping.DesignPoint, fb, fl, f
 		if gpuBusy && dp.Map.UseGPU {
 			rate += app.GPURate(gpu.NumCores, fg)
 		}
-		bd, err = ev.pow.Evaluate(loads, app.MemGBs(rate))
-		if err != nil {
-			return nil, nil, err
+		if err := ev.pow.EvaluateInto(&sc.bd, sc.loads, app.MemGBs(rate)); err != nil {
+			return err
 		}
-		sim.InjectHeat(inj, bd, ev.nodeOf, ev.pkgNode)
-		temps, err = ev.therm.SteadyState(inj)
-		if err != nil {
-			return nil, nil, err
+		sim.InjectHeat(sc.inj, &sc.bd, ev.nodeOf, ev.pkgNode)
+		if err := ev.therm.SteadyStateInto(temps, sc.inj); err != nil {
+			return err
 		}
 	}
-	return bd, temps, nil
+	return nil
 }
 
 func maxFreqFor(c *soc.Cluster, fb, fl, fg int) int {

@@ -13,7 +13,7 @@ import (
 	"teem/internal/workload"
 )
 
-func newEvaluator(t *testing.T) *Evaluator {
+func newEvaluator(t testing.TB) *Evaluator {
 	t.Helper()
 	ev, err := NewEvaluator(soc.Exynos5422(), thermal.Exynos5422Network())
 	if err != nil {
@@ -222,7 +222,7 @@ func TestAnalyticMatchesSimulatorWhenCool(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := sim.RunWarm(sim.Config{
-		Platform: ev.plat, Net: ev.net, App: mv,
+		Platform: ev.plat, Net: thermal.Exynos5422Network(), App: mv,
 		Map: d.Map, Part: d.Part, Freq: d.Freq, HotplugUnused: true,
 	})
 	if err != nil {

@@ -11,8 +11,9 @@
 // The tick loop is allocation-free at steady state: thermal stepping uses
 // a precomputed exact propagator (thermal.Stepper), power evaluation
 // writes into an engine-owned breakdown (power.EvaluateInto), heat
-// injection uses the node map ResolveNodes builds once at New, sensor
-// lookups an index map built there too, the power meter folds each
+// injection uses the node map ResolveNodes builds, sensor lookups an
+// index map — both built once per platform and network and shared by
+// every engine over them, like the propagator — the power meter folds each
 // sample as it latches it, and the trace is sized at the run's first
 // sample from what the engine knows of its length (a scenario horizon,
 // or RunWarm's warm-up), growing geometrically otherwise.
@@ -73,7 +74,8 @@ import (
 type Machine interface {
 	// TimeS is the current simulation time in seconds.
 	TimeS() float64
-	// Platform describes the hardware.
+	// Platform describes the hardware. Every engine over the same
+	// hardware shares it: read it, never write it.
 	Platform() *soc.Platform
 	// SensorC reads the thermal sensor on the named node (°C). Unknown
 	// nodes read as 0.
@@ -131,7 +133,9 @@ type Config struct {
 	// Platform is the hardware description (required).
 	Platform *soc.Platform
 	// Net is the thermal topology; nodes must be named after the
-	// clusters they carry, plus a "pkg" node (required).
+	// clusters they carry, plus a "pkg" node (required). New reads
+	// Platform and Net once: the engine runs on a private copy of both,
+	// so changing them afterwards does not reach it.
 	Net *thermal.Network
 	// App is the workload started at t=0. It may be nil only when
 	// MinTimeS is positive: the engine then starts idle and runs work
@@ -292,7 +296,11 @@ type Result struct {
 
 // Engine executes one configured run.
 type Engine struct {
-	cfg     Config
+	cfg Config
+	// sys is the shared state derived from the platform and network;
+	// plat, pow, nodeOf, pkgNode, the cluster indices, sensors and
+	// clusterIdx are its values, copied here for the hot paths.
+	sys     *system
 	plat    *soc.Platform
 	therm   *thermal.Model
 	stepper *thermal.Stepper
@@ -302,10 +310,13 @@ type Engine struct {
 	// Recording. sum folds every recorded sample into the summaries
 	// Result reports; tr keeps the full series. Both are allocated at
 	// the first sample. inherit is the sample count a RunWarm measured
-	// run takes from its warm-up (see sizing).
+	// run takes from its warm-up (see sizing); warmUp marks RunWarm's
+	// warm-up, whose summary keeps no series because only its mean
+	// temperatures are read.
 	sum     summary
 	tr      *trace.Trace
 	inherit int
+	warmUp  bool
 
 	// cluster bookkeeping, indexed like plat.Clusters
 	freqs   []int
@@ -316,8 +327,8 @@ type Engine struct {
 	gpuIdx  int
 	litIdx  int
 
-	// lookup caches built at New so governor reads never scan strings:
-	// sensors maps a node name to its index, clusterIdx a cluster name.
+	// lookup tables so governor reads never scan strings: sensors maps
+	// a node name to its index, clusterIdx a cluster name.
 	sensors    map[string]int
 	clusterIdx map[string]int
 
@@ -474,7 +485,8 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.App == nil && cfg.MinTimeS <= 0 {
 		return nil, errors.New("sim: Platform, Net and App are required (App may be nil only with MinTimeS set)")
 	}
-	if err := cfg.Platform.Validate(); err != nil {
+	sys, err := systemFor(cfg.Platform, cfg.Net)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.App != nil {
@@ -482,12 +494,7 @@ func New(cfg Config) (*Engine, error) {
 			return nil, err
 		}
 	}
-	big, lit := cfg.Platform.Big(), cfg.Platform.Little()
-	nodeOf, pkgNode, err := ResolveNodes(cfg.Platform, cfg.Net)
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Map.Validate(big.NumCores, lit.NumCores); err != nil {
+	if err := cfg.Map.Validate(sys.plat.Clusters[sys.bigIdx].NumCores, sys.plat.Clusters[sys.litIdx].NumCores); err != nil {
 		return nil, err
 	}
 	if cfg.App == nil && cfg.Part == (mapping.Partition{}) {
@@ -504,30 +511,29 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxTimeS = cfg.MinTimeS
 	}
 
-	therm, err := thermal.NewModel(cfg.Net, cfg.Platform.AmbientC)
-	if err != nil {
-		return nil, err
-	}
+	therm := sys.therm.NewModel(sys.plat.AmbientC)
 	var stepper *thermal.Stepper
 	if cfg.Integrator == IntegratorExact {
 		if stepper, err = therm.NewStepper(TickS); err != nil {
 			return nil, err
 		}
 	}
-	pow, err := power.NewModel(cfg.Platform)
-	if err != nil {
-		return nil, err
-	}
 
 	e := &Engine{
-		cfg:     cfg,
-		plat:    cfg.Platform,
-		therm:   therm,
-		stepper: stepper,
-		pow:     pow,
-		meter:   powermeter.New(),
-		nodeOf:  nodeOf,
-		pkgNode: pkgNode,
+		cfg:        cfg,
+		sys:        sys,
+		plat:       sys.plat,
+		therm:      therm,
+		stepper:    stepper,
+		pow:        sys.pow,
+		meter:      powermeter.New(),
+		nodeOf:     sys.nodeOf,
+		pkgNode:    sys.pkgNode,
+		bigIdx:     sys.bigIdx,
+		litIdx:     sys.litIdx,
+		gpuIdx:     sys.gpuIdx,
+		sensors:    sys.sensors,
+		clusterIdx: sys.clusterIdx,
 	}
 	e.clock = cfg.Clock
 	if stepper != nil {
@@ -536,22 +542,6 @@ func New(cfg Config) (*Engine, error) {
 		} else {
 			e.stats.PropCacheMisses++
 		}
-	}
-	e.clusterIdx = make(map[string]int, len(cfg.Platform.Clusters))
-	for i := range cfg.Platform.Clusters {
-		e.clusterIdx[cfg.Platform.Clusters[i].Name] = i
-		switch cfg.Platform.Clusters[i].Kind {
-		case soc.BigCPU:
-			e.bigIdx = i
-		case soc.LittleCPU:
-			e.litIdx = i
-		case soc.GPU:
-			e.gpuIdx = i
-		}
-	}
-	e.sensors = make(map[string]int, len(cfg.Net.Nodes))
-	for i := range cfg.Net.Nodes {
-		e.sensors[cfg.Net.Nodes[i].Name] = i
 	}
 
 	if cfg.InitialTempsC != nil {
@@ -563,25 +553,26 @@ func New(cfg Config) (*Engine, error) {
 	e.app = cfg.App
 	e.curMap = cfg.Map
 	e.curPart = cfg.Part
-	e.freqs = make([]int, len(cfg.Platform.Clusters))
-	e.volts = make([]float64, len(cfg.Platform.Clusters))
-	e.utils = make([]float64, len(cfg.Platform.Clusters))
-	e.loads = make([]power.ClusterLoad, len(cfg.Platform.Clusters))
+	nc, nn := len(sys.plat.Clusters), len(sys.net.Nodes)
+	e.freqs = make([]int, nc)
+	e.volts = make([]float64, nc)
+	e.utils = make([]float64, nc)
+	e.loads = make([]power.ClusterLoad, nc)
 	e.bd = power.Breakdown{
-		DynamicW: make([]float64, len(cfg.Platform.Clusters)),
-		LeakageW: make([]float64, len(cfg.Platform.Clusters)),
+		DynamicW: make([]float64, nc),
+		LeakageW: make([]float64, nc),
 	}
-	e.inj = make([]float64, len(cfg.Net.Nodes))
-	e.recTemps = make([]float64, len(cfg.Net.Nodes))
-	e.peakC = make([]float64, len(cfg.Net.Nodes))
+	e.inj = make([]float64, nn)
+	e.recTemps = make([]float64, nn)
+	e.peakC = make([]float64, nn)
 	for i := range e.peakC {
 		e.peakC[i] = math.Inf(-1)
 	}
-	e.ssSlopeCur = make([]float64, len(cfg.Net.Nodes))
-	e.ssInj = make([]float64, len(cfg.Net.Nodes))
-	e.ssLoads = make([]power.ClusterLoad, len(cfg.Platform.Clusters))
-	e.ssOpLoads = make([]power.ClusterLoad, len(cfg.Platform.Clusters))
-	e.govUtils = make([]float64, len(cfg.Platform.Clusters))
+	e.ssSlopeCur = make([]float64, nn)
+	e.ssInj = make([]float64, nn)
+	e.ssLoads = make([]power.ClusterLoad, nc)
+	e.ssOpLoads = make([]power.ClusterLoad, nc)
+	e.govUtils = make([]float64, nc)
 	e.ssOff = cfg.DisableSuperstep
 	e.ratesDirty = true
 	setDefault := func(idx, req int) {
@@ -1686,14 +1677,14 @@ func (e *Engine) sizing() int {
 // sample, so an engine that never runs (WarmStartTemps) allocates none.
 func (e *Engine) beginRecording() {
 	n := e.sizing()
-	e.sum.init(len(e.cfg.Net.Nodes), e.nodeOf[e.bigIdx], n)
+	e.sum.init(len(e.sys.net.Nodes), e.nodeOf[e.bigIdx], n, !e.warmUp)
 	if e.cfg.DiscardTrace && e.cfg.OnSample == nil {
 		// No caller reads the series; a subscriber still needs the
 		// trace's arena-backed samples.
 		return
 	}
-	nodeNames := make([]string, len(e.cfg.Net.Nodes))
-	for i, nd := range e.cfg.Net.Nodes {
+	nodeNames := make([]string, len(e.sys.net.Nodes))
+	for i, nd := range e.sys.net.Nodes {
 		nodeNames[i] = nd.Name
 	}
 	clusterNames := make([]string, len(e.plat.Clusters))
@@ -1713,9 +1704,8 @@ func (e *Engine) SteadyTemps(cpuBusy, gpuBusy float64) ([]float64, error) {
 	if err := e.evalPower(cpuBusy, gpuBusy, rateCPU, rateGPU); err != nil {
 		return nil, err
 	}
-	inj := make([]float64, len(e.cfg.Net.Nodes))
-	InjectHeat(inj, &e.bd, e.nodeOf, e.pkgNode)
-	return e.therm.SteadyState(inj)
+	InjectHeat(e.inj, &e.bd, e.nodeOf, e.pkgNode)
+	return e.therm.SteadyState(e.inj)
 }
 
 // WarmStartTemps returns a realistic pre-heated state: the steady
@@ -1747,7 +1737,8 @@ func (e *Engine) SetAmbientC(t float64) { e.therm.SetAmbientC(t) }
 // package reaches its operating regime, then run again from the resulting
 // temperatures and report that steady-regime run. The warm-up regime
 // comes from a single run's summaries — engines run exactly once. The
-// warm-up records no trace unless cfg.OnSample subscribes to its samples.
+// warm-up records no trace unless cfg.OnSample subscribes to its samples,
+// and no series for a temperature variance nobody reads.
 func RunWarm(cfg Config) (*Result, error) {
 	warm, err := WarmStartTemps(cfg)
 	if err != nil {
@@ -1759,6 +1750,7 @@ func RunWarm(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	e1.warmUp = true
 	if _, err := e1.Run(); err != nil {
 		return nil, err
 	}

@@ -27,7 +27,8 @@ type summary struct {
 	bigNode   int
 
 	first, prev, area []float64 // per node
-	big               []float64 // the big node's series
+	big               []float64 // the big node's series, if series
+	series            bool
 
 	gradSum float64
 	gradN   int
@@ -37,12 +38,15 @@ type summary struct {
 }
 
 // init sizes the accumulators for nodes thermal nodes and about expect
-// samples (0: unknown; the series then grows geometrically).
-func (s *summary) init(nodes, bigNode, expect int) {
+// samples (0: unknown; the series then grows geometrically). Without
+// series the big node's series is not kept, and tempVariance reads 0.
+func (s *summary) init(nodes, bigNode, expect int, series bool) {
 	buf := make([]float64, 3*nodes)
 	s.first, s.prev, s.area = buf[:nodes], buf[nodes:2*nodes], buf[2*nodes:]
 	s.bigNode = bigNode
-	s.big = make([]float64, 0, expect)
+	if s.series = series; series {
+		s.big = make([]float64, 0, expect)
+	}
 }
 
 // add folds one sample: its time, node temperatures and big-cluster
@@ -66,8 +70,10 @@ func (s *summary) add(t float64, temps []float64, freq int) {
 	}
 	copy(s.prev, temps)
 	s.tPrev, s.freqPrev = t, freq
-	//teem:alloc-ok amortized series growth, presized from the run's expected sample count
-	s.big = append(s.big, temps[s.bigNode])
+	if s.series {
+		//teem:alloc-ok amortized series growth, presized from the run's expected sample count
+		s.big = append(s.big, temps[s.bigNode])
+	}
 	s.n++
 }
 

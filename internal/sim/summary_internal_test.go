@@ -21,11 +21,15 @@ func TestSummaryMatchesTraceEdgeCases(t *testing.T) {
 		"repeated time": {{0, []float64{70, 50}, 1800}, {0, []float64{71, 50}, 1800}, {0.1, []float64{73.5, 51}, 900}, {0.3, []float64{72, 52}, 1400}},
 	}
 	for name, recs := range cases {
-		var s summary
-		s.init(2, 0, 0)
+		// bare keeps no series, as RunWarm's warm-up: every other
+		// summary must not change.
+		var s, bare summary
+		s.init(2, 0, 0, true)
+		bare.init(2, 0, 0, false)
 		tr := trace.NewWithCap([]string{"big", "pkg"}, []string{"big"}, 0)
 		for _, r := range recs {
 			s.add(r.t, r.temps, r.freq)
+			bare.add(r.t, r.temps, r.freq)
 			if err := tr.Append(trace.Sample{TimeS: r.t, TempsC: r.temps, FreqsMHz: []int{r.freq}}); err != nil {
 				t.Fatal(err)
 			}
@@ -34,6 +38,12 @@ func TestSummaryMatchesTraceEdgeCases(t *testing.T) {
 			if got, want := s.avgTemp(i), tr.AvgTemp(i); got != want {
 				t.Errorf("%s: avgTemp(%d) = %v, trace gives %v", name, i, got, want)
 			}
+			if got, want := bare.avgTemp(i), s.avgTemp(i); got != want {
+				t.Errorf("%s: avgTemp(%d) without series = %v, want %v", name, i, got, want)
+			}
+		}
+		if bare.big != nil || bare.tempGradient() != s.tempGradient() || bare.avgFreqMHz() != s.avgFreqMHz() {
+			t.Errorf("%s: summary without series kept %d samples or moved a mean", name, len(bare.big))
 		}
 		for _, f := range []struct {
 			name      string

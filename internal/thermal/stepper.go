@@ -17,12 +17,10 @@
 package thermal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 )
 
 // Stepper advances a Model by a fixed time step using the exact
@@ -30,8 +28,7 @@ import (
 // and updates that model's temperatures in place; Step performs zero heap
 // allocations. A Stepper must not be shared across goroutines.
 type Stepper struct {
-	m  *Model
-	dt float64
+	m *Model
 	// a is exp(M·dt), flat row-major n×n.
 	a []float64
 	// bp maps the power vector to its temperature contribution:
@@ -46,20 +43,21 @@ type Stepper struct {
 	js      jumpState
 	// prop is the shared record a, bp and ambGain come from.
 	prop *propagator
-	// cacheHit records whether the propagator came out of propCache —
+	// cacheHit records whether the system already kept the propagator —
 	// surfaced through CacheHit for the engine flight recorder.
 	cacheHit bool
 }
 
-// propagator holds the shared, read-only precomputed matrices of one
-// (conductance system, dt) pair. Paper passes, scenario grids and
-// back-to-back runs construct many engines over the same network, so the
-// matrix exponential is computed once per distinct system and reused via
-// propCache.
+// propagator holds the read-only precomputed matrices of one (System,
+// dt) pair. A System keeps the propagator of the first step it is asked
+// for, so the matrix exponential is computed once per system and every
+// engine over it steps with the same matrices.
 type propagator struct {
+	dt             float64
 	a, bp, ambGain []float64
-	// cached marks a propagator propCache holds; only those share forms.
-	cached bool
+	// shared marks the propagator a shared System keeps; only those
+	// share forms.
+	shared bool
 	// The modal basis of its jump maps (superstep.go), computed on its
 	// first Superstep: Ê − I, F½, L = C⁻½·F½ and R = F⁻½·C½ (flat
 	// row-major n×n) and C⁻¹; forms holds the shared modal forms.
@@ -70,90 +68,72 @@ type propagator struct {
 	forms              map[formKey]*modalForm //teem:guards formMu
 }
 
-// propCache maps the exact conductance-system content + dt (see propKey)
-// to its propagator. Content-keyed, so mutating a Network and rebuilding a
-// Model can never see a stale entry. Admission is bounded by
-// propCacheLimit: a sweep over thousands of distinct candidate networks
-// computes its propagators directly instead of growing the cache without
-// bound (paper passes and scenario grids reuse a handful of systems,
-// which is what the cache is for).
-var (
-	propCache      sync.Map
-	propCacheCount atomic.Int64
-)
-
-const propCacheLimit = 64
-
-// propKey serialises the full discrete-time system definition: dt, the
-// conductance matrix, ambient conductances and inverse heat capacities.
-func propKey(m *Model, dt float64) string {
-	buf := make([]byte, 0, 8*(len(m.g)+2*len(m.gAmb)+1))
-	put := func(v float64) {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+// propagator returns the propagator of the step dt and whether s already
+// kept it. s keeps the first one it computes (the engines' tick); a
+// stepper for any other step gets one of its own.
+func (s *System) propagator(dt float64) (p *propagator, hit bool, err error) {
+	if p = s.prop.Load(); p != nil && p.dt == dt {
+		return p, true, nil
 	}
-	put(dt)
-	for _, v := range m.g {
-		put(v)
+	if p, err = s.newPropagator(dt); err != nil {
+		return nil, false, err
 	}
-	for _, v := range m.gAmb {
-		put(v)
+	p.shared = s.shared // before the swap publishes p
+	if !s.prop.CompareAndSwap(nil, p) {
+		if q := s.prop.Load(); q.dt == dt {
+			return q, false, nil // a concurrent build won: share its forms
+		}
+		p.shared = false
 	}
-	for _, v := range m.invC {
-		put(v)
-	}
-	return string(buf)
+	return p, false, nil
 }
 
-// NewStepper precomputes the exact propagator of the model's RC system for
-// the given fixed step (seconds).
+// newPropagator computes the exact propagator of s for the step dt.
+func (s *System) newPropagator(dt float64) (*propagator, error) {
+	n := s.n
+	// H = M·dt = −C⁻¹·G·dt.
+	h := make([]float64, n*n)
+	s.laplacian(h)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			h[i*n+j] *= -s.invC[i] * dt
+		}
+	}
+	a, f, err := expmWithIntegral(h, n)
+	if err != nil {
+		return nil, err
+	}
+	// f is ∫₀^1 exp(H·u) du in the scaled time variable; the physical
+	// integral is dt·f, and folding in C⁻¹ gives the power-to-ΔT map.
+	p := &propagator{dt: dt, a: a, bp: f, ambGain: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			p.bp[i*n+j] *= dt * s.invC[j]
+		}
+		acc := 0.0
+		for j := 0; j < n; j++ {
+			acc += p.bp[i*n+j] * s.gAmb[j]
+		}
+		p.ambGain[i] = acc
+	}
+	return p, nil
+}
+
+// NewStepper returns a stepper over the exact propagator of the model's
+// RC system for the given fixed step (seconds).
 func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	if dt <= 0 {
 		return nil, errors.New("thermal: stepper needs a positive time step")
 	}
-	n := m.n
-	key := propKey(m, dt)
-	v, hit := propCache.Load(key)
-	p, _ := v.(*propagator)
-	if !hit {
-		// H = M·dt = −C⁻¹·G·dt.
-		h := make([]float64, n*n)
-		m.laplacian(h)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				h[i*n+j] *= -m.invC[i] * dt
-			}
-		}
-		a, f, err := expmWithIntegral(h, n)
-		if err != nil {
-			return nil, err
-		}
-		// f is ∫₀^1 exp(H·u) du in the scaled time variable; the physical
-		// integral is dt·f, and folding in C⁻¹ gives the power-to-ΔT map.
-		p = &propagator{a: a, bp: f, ambGain: make([]float64, n)}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				p.bp[i*n+j] *= dt * m.invC[j]
-			}
-			acc := 0.0
-			for j := 0; j < n; j++ {
-				acc += p.bp[i*n+j] * m.gAmb[j]
-			}
-			p.ambGain[i] = acc
-		}
-		if propCacheCount.Load() < propCacheLimit {
-			p.cached = true // before the store publishes p
-			if _, loaded := propCache.LoadOrStore(key, p); loaded {
-				p.cached = false
-			} else {
-				propCacheCount.Add(1)
-			}
-		}
+	p, hit, err := m.sys.propagator(dt)
+	if err != nil {
+		return nil, err
 	}
-	return &Stepper{m: m, dt: dt, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, (1+numVecs)*n), prop: p, cacheHit: hit}, nil
+	return &Stepper{m: m, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, (1+numVecs)*m.n), prop: p, cacheHit: hit}, nil
 }
 
-// CacheHit reports whether this stepper reused a cached propagator
-// instead of computing the matrix exponential.
+// CacheHit reports whether this stepper reused the propagator its
+// system kept instead of computing the matrix exponential.
 func (s *Stepper) CacheHit() bool { return s.cacheHit }
 
 // Propagator returns what one step applies, for a caller that steps a

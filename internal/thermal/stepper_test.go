@@ -228,9 +228,96 @@ func TestModelStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// solveLinear's singularity test must be scale-relative: uniformly scaling
-// a well-conditioned system must not flip it between singular and
-// non-singular, and the solution must scale correctly.
+func TestSteadyStateIntoZeroAllocs(t *testing.T) {
+	m, err := NewModel(Exynos5422Network(), 28)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, dst := []float64{4.5, 0.4, 2.6, 1.85}, make([]float64, 4)
+	if avg := testing.AllocsPerRun(1000, func() {
+		if err := m.SteadyStateInto(dst, p); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Model.SteadyStateInto allocates %.2f objects/op, want 0", avg)
+	}
+}
+
+// solveTogether solves a·x = b in place by one Gaussian elimination of a
+// and b together, with partial pivoting: the solver the recorded
+// elimination replaces, kept as the reference it must match.
+func solveTogether(a, b []float64, n int) {
+	for col := 0; col < n; col++ {
+		piv := col
+		for r := col + 1; r < n; r++ {
+			if math.Abs(a[r*n+col]) > math.Abs(a[piv*n+col]) {
+				piv = r
+			}
+		}
+		if piv != col {
+			for c := 0; c < n; c++ {
+				a[col*n+c], a[piv*n+c] = a[piv*n+c], a[col*n+c]
+			}
+			b[col], b[piv] = b[piv], b[col]
+		}
+		for r := col + 1; r < n; r++ {
+			f := a[r*n+col] / a[col*n+col]
+			if f == 0 {
+				continue
+			}
+			for c := col; c < n; c++ {
+				a[r*n+c] -= f * a[col*n+c]
+			}
+			b[r] -= f * b[col]
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := b[i]
+		for j := i + 1; j < n; j++ {
+			s -= a[i*n+j] * b[j]
+		}
+		b[i] = s / a[i*n+i]
+	}
+}
+
+// Property: every steady state, replayed from the system's recorded
+// elimination, is bit-identical to eliminating its right-hand side
+// together with the matrix, across random networks, powers and ambients
+// and repeated solves on one model.
+func TestSteadyStateReplaysElimination(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		net := randomNetwork(rng)
+		amb := 10 + 40*rng.Float64()
+		m, err := NewModel(net, amb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(net.Nodes)
+		for rep := 0; rep < 3; rep++ {
+			p := randomPowers(rng, n)
+			got, err := m.SteadyState(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, want := make([]float64, n*n), make([]float64, n)
+			m.sys.laplacian(a)
+			for i := range want {
+				want[i] = p[i] + m.sys.gAmb[i]*amb
+			}
+			solveTogether(a, want, n)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d solve %d node %d: %v, one elimination gives %v", trial, rep, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// The steady-state solver's singularity test must be scale-relative:
+// uniformly scaling a well-conditioned system must not flip it between
+// singular and non-singular, and the solution must scale correctly.
 func TestSolveLinearScaleInvariance(t *testing.T) {
 	base := Exynos5422Network()
 	for _, scale := range []float64{1e-9, 1e-6, 1, 1e6, 1e9} {
@@ -273,15 +360,14 @@ func TestSolveLinearRejectsSingular(t *testing.T) {
 		1, 2,
 		2, 4, // rank 1
 	}
-	b := []float64{1, 2}
-	if err := solveLinear(a, b, 2); err == nil {
-		t.Error("solveLinear accepted a rank-deficient matrix")
+	if _, err := eliminate(a, 2); err == nil {
+		t.Error("eliminate accepted a rank-deficient matrix")
 	}
 	a2 := []float64{
 		1e-30, 2e-30,
 		2e-30, 4e-30,
 	}
-	if err := solveLinear(a2, []float64{1, 2}, 2); err == nil {
-		t.Error("solveLinear accepted a tiny rank-deficient matrix")
+	if _, err := eliminate(a2, 2); err == nil {
+		t.Error("eliminate accepted a tiny rank-deficient matrix")
 	}
 }

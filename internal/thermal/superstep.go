@@ -56,9 +56,9 @@ import (
 
 // A system's shared forms are keyed by slope vector, zero padded to a
 // fixed-size array, so a lookup neither allocates nor boxes (8 nodes cover
-// the catalog; a larger network builds its forms unshared). Only systems
-// propCache holds share forms, so formCount, bounded by formCacheLimit,
-// counts forms that live as long as the process.
+// the catalog; a larger network builds its forms unshared). Only shared
+// Systems (System.Share) share forms, so formCount, bounded by
+// formCacheLimit, counts forms that live as long as the process.
 type formKey [8]float64
 
 var formCount atomic.Int64
@@ -174,7 +174,7 @@ func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 			return fmt.Errorf("thermal: negative leakage slope %g on node %d", s, j)
 		}
 	}
-	f, reused, err := st.prop.form(st.m.invC, slopeWPerC)
+	f, reused, err := st.prop.form(st.m.sys.invC, slopeWPerC)
 	if err != nil {
 		return err
 	}
@@ -533,7 +533,7 @@ func (ss *Superstep) CommitSegment() error {
 // the process-wide bound has room.
 func (p *propagator) form(invC, slope []float64) (f *modalForm, reused bool, err error) {
 	var key formKey
-	shared := p.cached && len(slope) <= len(key)
+	shared := p.shared && len(slope) <= len(key)
 	if shared {
 		copy(key[:], slope)
 		p.formMu.RLock()

@@ -195,35 +195,27 @@ func TestNewSuperstepValidation(t *testing.T) {
 	}
 }
 
-// Two steppers over one network and dt share one propagator, so their
-// Supersteps for one slope share one modal form — pointer-equal, built
-// by one eigensolve — and land on identical bits; another slope gets a
-// form of its own.
+// Two steppers over one shared System and dt share one propagator, so
+// their Supersteps for one slope share one modal form — pointer-equal,
+// built by one eigensolve — and land on identical bits; another slope
+// gets a form of its own.
 func TestSuperstepFormSharing(t *testing.T) {
-	net := Exynos5422Network()
+	sys, err := Compile(Exynos5422Network())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Share()
 	steppers := make([]*Stepper, 2)
 	for i := range steppers {
-		m, err := NewModel(net, 28)
-		if err != nil {
+		if steppers[i], err = sys.NewModel(28).NewStepper(0.0137); err != nil {
 			t.Fatal(err)
-		}
-		if steppers[i], err = m.NewStepper(0.0137); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			// The package's random-network tests fill the bounded
-			// propagator cache; admit this system directly so the second
-			// stepper finds the first one's propagator.
-			p := steppers[0].prop
-			if !p.cached {
-				p.cached = true
-				propCache.Store(propKey(m, 0.0137), p)
-				propCacheCount.Add(1)
-			}
 		}
 	}
 	if steppers[0].prop != steppers[1].prop {
 		t.Fatal("steppers over one system hold separate propagators")
+	}
+	if steppers[0].CacheHit() || !steppers[1].CacheHit() {
+		t.Errorf("propagator hits %v/%v, want false/true", steppers[0].CacheHit(), steppers[1].CacheHit())
 	}
 	slope := []float64{0.003, 0.001, 0.004, 0}
 	a, err := NewSuperstep(steppers[0], slope)
@@ -258,8 +250,8 @@ func TestSuperstepFormSharing(t *testing.T) {
 	if c.f == a.f || c.Reused() {
 		t.Error("a different slope vector reused the form")
 	}
-	// A propagator outside the cache keeps no forms: they would hold the
-	// process-wide budget after the system is gone.
+	// A propagator that no shared System keeps holds no forms: they would hold
+	// the process-wide budget after the system is gone.
 	private := *steppers[0]
 	private.prop = &propagator{a: private.a, bp: private.bp, ambGain: private.ambGain}
 	x, err := NewSuperstep(&private, slope)

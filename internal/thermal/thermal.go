@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // Node is one lumped thermal mass.
@@ -108,12 +109,15 @@ func (n *Network) NodeIndex(name string) int {
 	return -1
 }
 
-// Model integrates node temperatures over time.
-type Model struct {
-	net      *Network
-	ambientC float64
-	temps    []float64
-	n        int
+// System is the read-only form of one thermal network that the models
+// over it share: the conductances and inverse heat capacities the
+// integrators read, the neighbour lists of the Euler loop, the
+// steady-state solver's recorded elimination and the exact propagator of
+// one step. Compile derives it once per network; a Model over a System
+// owns only its temperatures, ambient and scratch, so any number of
+// models, on any goroutines, can run over one System.
+type System struct {
+	n int
 	// Conductance matrix, flat row-major: g[i*n+j] = 1/R between i and
 	// j; gAmb[i] to ambient. Precomputed from links.
 	g    []float64
@@ -127,66 +131,104 @@ type Model struct {
 	nbrG     []float64
 	// maxSubstep is the largest stable Euler step (s).
 	maxSubstep float64
-	// scratch holds the next-state vector during a substep.
-	scratch []float64
+	// lu is the elimination of the conductance Laplacian every steady
+	// state replays, or luErr when the Laplacian is singular.
+	lu    *elimination
+	luErr error
+	// prop is the propagator of the first step a Stepper asked for.
+	// shared marks a System kept for the life of the process (see
+	// Share): only its propagator shares modal forms.
+	prop   atomic.Pointer[propagator]
+	shared bool
 }
 
-// NewModel builds a model with every node starting at ambient temperature.
-func NewModel(net *Network, ambientC float64) (*Model, error) {
+// Compile validates the network and derives its System.
+func Compile(net *Network) (*System, error) {
 	if err := net.Validate(); err != nil {
 		return nil, err
 	}
 	n := len(net.Nodes)
-	m := &Model{
-		net:      net,
-		ambientC: ambientC,
-		temps:    make([]float64, n),
-		n:        n,
-		g:        make([]float64, n*n),
-		gAmb:     make([]float64, n),
-		invC:     make([]float64, n),
-		scratch:  make([]float64, n),
-	}
+	// g, gAmb, invC and the matrix the steady-state solver eliminates.
+	buf := make([]float64, 2*n*n+2*n)
+	s := &System{n: n, g: buf[:n*n], gAmb: buf[n*n : n*n+n], invC: buf[n*n+n : n*n+2*n]}
 	for _, l := range net.Links {
 		c := 1 / l.ResCW
 		if l.B == Ambient {
-			m.gAmb[l.A] += c
+			s.gAmb[l.A] += c
 		} else {
-			m.g[l.A*n+l.B] += c
-			m.g[l.B*n+l.A] += c
+			s.g[l.A*n+l.B] += c
+			s.g[l.B*n+l.A] += c
 		}
 	}
-	m.nbrStart = make([]int32, n+1)
+	s.nbrStart = make([]int32, n+1)
 	for i := 0; i < n; i++ {
-		m.nbrStart[i] = int32(len(m.nbrIdx))
+		s.nbrStart[i] = int32(len(s.nbrIdx))
 		for j := 0; j < n; j++ {
-			if g := m.g[i*n+j]; g != 0 {
-				m.nbrIdx = append(m.nbrIdx, int32(j))
-				m.nbrG = append(m.nbrG, g)
+			if g := s.g[i*n+j]; g != 0 {
+				s.nbrIdx = append(s.nbrIdx, int32(j))
+				s.nbrG = append(s.nbrG, g)
 			}
 		}
 	}
-	m.nbrStart[n] = int32(len(m.nbrIdx))
+	s.nbrStart[n] = int32(len(s.nbrIdx))
 	// Stability: explicit Euler needs dt < C_i / Σg_i for every node;
 	// use a 5x margin.
 	minTau := math.Inf(1)
 	for i := range net.Nodes {
-		sum := m.gAmb[i]
+		sum := s.gAmb[i]
 		for j := 0; j < n; j++ {
-			sum += m.g[i*n+j]
+			sum += s.g[i*n+j]
 		}
 		if sum > 0 {
 			if tau := net.Nodes[i].HeatCapJ / sum; tau < minTau {
 				minTau = tau
 			}
 		}
-		m.invC[i] = 1 / net.Nodes[i].HeatCapJ
+		s.invC[i] = 1 / net.Nodes[i].HeatCapJ
 	}
-	m.maxSubstep = minTau / 5
+	s.maxSubstep = minTau / 5
+	// G · T = P + gAmb·Tamb, where G is the conductance Laplacian plus
+	// ambient conductances on the diagonal.
+	a := buf[n*n+2*n:]
+	s.laplacian(a)
+	s.lu, s.luErr = eliminate(a, n)
+	return s, nil
+}
+
+// Share marks s as kept for the life of the process by a cache of
+// systems. The propagator s keeps then shares its jump maps' modal forms
+// with every model over s, within the process-wide bound formCacheLimit.
+// Call it before s reaches another goroutine.
+func (s *System) Share() { s.shared = true }
+
+// NewModel returns a model over the system with every node at ambientC.
+func (s *System) NewModel(ambientC float64) *Model {
+	n := s.n
+	buf := make([]float64, 2*n)
+	m := &Model{sys: s, n: n, ambientC: ambientC, temps: buf[:n:n], scratch: buf[n:]}
 	for i := range m.temps {
 		m.temps[i] = ambientC
 	}
-	return m, nil
+	return m
+}
+
+// Model integrates node temperatures over time.
+type Model struct {
+	sys      *System
+	n        int
+	ambientC float64
+	temps    []float64
+	// scratch holds the next-state vector during a substep.
+	scratch []float64
+}
+
+// NewModel builds a model with every node starting at ambient temperature.
+func NewModel(net *Network, ambientC float64) (*Model, error) {
+	s, err := Compile(net)
+	if err != nil {
+		return nil, err
+	}
+	return s.NewModel(ambientC), nil
 }
 
 // SetAmbientC changes the boundary temperature (e.g. to model the device
@@ -228,7 +270,7 @@ func (m *Model) Step(powerW []float64, dt float64) error {
 	}
 	remaining := dt
 	for remaining > 1e-12 {
-		h := m.maxSubstep
+		h := m.sys.maxSubstep
 		if h > remaining {
 			h = remaining
 		}
@@ -240,27 +282,28 @@ func (m *Model) Step(powerW []float64, dt float64) error {
 
 //teem:hotpath
 func (m *Model) eulerStep(powerW []float64, h float64) {
+	s := m.sys
 	for i := 0; i < m.n; i++ {
 		ti := m.temps[i]
-		q := powerW[i] + m.gAmb[i]*(m.ambientC-ti)
-		for k := m.nbrStart[i]; k < m.nbrStart[i+1]; k++ {
-			q += m.nbrG[k] * (m.temps[m.nbrIdx[k]] - ti)
+		q := powerW[i] + s.gAmb[i]*(m.ambientC-ti)
+		for k := s.nbrStart[i]; k < s.nbrStart[i+1]; k++ {
+			q += s.nbrG[k] * (m.temps[s.nbrIdx[k]] - ti)
 		}
-		m.scratch[i] = ti + h*q*m.invC[i]
+		m.scratch[i] = ti + h*q*s.invC[i]
 	}
 	copy(m.temps, m.scratch)
 }
 
 // laplacian writes the conductance Laplacian (off-diagonal −g[i][j],
 // diagonal gAmb[i]+Σ_j g[i][j]) into dst, a flat row-major n×n slice.
-func (m *Model) laplacian(dst []float64) {
-	n := m.n
+func (s *System) laplacian(dst []float64) {
+	n := s.n
 	for i := 0; i < n; i++ {
-		diag := m.gAmb[i]
+		diag := s.gAmb[i]
 		for j := 0; j < n; j++ {
 			if i != j {
-				dst[i*n+j] = -m.g[i*n+j]
-				diag += m.g[i*n+j]
+				dst[i*n+j] = -s.g[i*n+j]
+				diag += s.g[i*n+j]
 			}
 		}
 		dst[i*n+i] = diag
@@ -270,30 +313,54 @@ func (m *Model) laplacian(dst []float64) {
 // SteadyState solves the equilibrium temperatures for constant power
 // injection without touching the model state.
 func (m *Model) SteadyState(powerW []float64) ([]float64, error) {
-	n := m.n
-	if len(powerW) != n {
-		return nil, fmt.Errorf("thermal: SteadyState got %d powers, want %d", len(powerW), n)
-	}
-	// G · T = P + gAmb·Tamb, where G is the conductance Laplacian plus
-	// ambient conductances on the diagonal.
-	a := make([]float64, n*n)
-	b := make([]float64, n)
-	m.laplacian(a)
-	for i := 0; i < n; i++ {
-		b[i] = powerW[i] + m.gAmb[i]*m.ambientC
-	}
-	if err := solveLinear(a, b, n); err != nil {
+	t := make([]float64, m.n)
+	if err := m.SteadyStateInto(t, powerW); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return t, nil
 }
 
-// solveLinear solves a·x = b in place by Gaussian elimination with partial
-// pivoting; a is flat row-major n×n and b receives the solution. The
-// singularity test is relative to the matrix magnitude (a pivot below
-// 1e-12 × ‖A‖∞ counts as zero), so uniformly large conductance matrices
-// don't false-pass and uniformly tiny ones don't false-fail.
-func solveLinear(a, b []float64, n int) error {
+// SteadyStateInto is SteadyState writing the temperatures into dst, which
+// may be powerW itself. It replays the system's recorded elimination, so
+// it allocates nothing, and it only reads the model, so any number of
+// goroutines may call it on one model at once.
+//
+//teem:hotpath
+func (m *Model) SteadyStateInto(dst, powerW []float64) error {
+	s := m.sys
+	if len(powerW) != s.n {
+		return fmt.Errorf("thermal: SteadyState got %d powers, want %d", len(powerW), s.n)
+	}
+	if len(dst) != s.n {
+		return fmt.Errorf("thermal: SteadyState got %d temperatures to fill, want %d", len(dst), s.n)
+	}
+	if s.luErr != nil {
+		return s.luErr
+	}
+	for i := range dst {
+		dst[i] = powerW[i] + s.gAmb[i]*m.ambientC
+	}
+	s.lu.solve(dst)
+	return nil
+}
+
+// elimination is Gaussian elimination with partial pivoting of one n×n
+// matrix, recorded so that every right-hand side replays it: step col
+// swapped row piv[col] into row col and eliminated each row r below it
+// with the factor mult[r*n+col] (0: the row was skipped), leaving the
+// upper triangle u (flat row-major n×n) that back-substitution reads.
+type elimination struct {
+	n       int
+	piv     []int
+	mult, u []float64
+}
+
+// eliminate eliminates a (flat row-major n×n, overwritten) and records
+// the steps. The singularity test is relative to the matrix magnitude (a
+// pivot below 1e-12 × ‖A‖∞ counts as zero), so uniformly large
+// conductance matrices don't false-pass and uniformly tiny ones don't
+// false-fail.
+func eliminate(a []float64, n int) (*elimination, error) {
 	anorm := 0.0
 	for i := 0; i < n; i++ {
 		row := 0.0
@@ -305,9 +372,10 @@ func solveLinear(a, b []float64, n int) error {
 		}
 	}
 	if anorm == 0 {
-		return errors.New("thermal: singular conductance matrix")
+		return nil, errors.New("thermal: singular conductance matrix")
 	}
 	tol := 1e-12 * anorm
+	e := &elimination{n: n, piv: make([]int, n), mult: make([]float64, n*n), u: a}
 	for col := 0; col < n; col++ {
 		// Pivot.
 		piv := col
@@ -317,13 +385,13 @@ func solveLinear(a, b []float64, n int) error {
 			}
 		}
 		if math.Abs(a[piv*n+col]) < tol {
-			return errors.New("thermal: singular conductance matrix")
+			return nil, errors.New("thermal: singular conductance matrix")
 		}
+		e.piv[col] = piv
 		if piv != col {
 			for c := 0; c < n; c++ {
 				a[col*n+c], a[piv*n+c] = a[piv*n+c], a[col*n+c]
 			}
-			b[col], b[piv] = b[piv], b[col]
 		}
 		// Eliminate.
 		for r := col + 1; r < n; r++ {
@@ -333,6 +401,30 @@ func solveLinear(a, b []float64, n int) error {
 			}
 			for c := col; c < n; c++ {
 				a[r*n+c] -= f * a[col*n+c]
+			}
+			e.mult[r*n+col] = f
+		}
+	}
+	return e, nil
+}
+
+// solve overwrites b with the solution of a·x = b for the matrix a that
+// e eliminated: the row swaps and eliminations in the order eliminate
+// made them, then back-substitution. Each operation on b is the one a
+// single elimination of a and b together performs, in the same order, so
+// the solution is bit-identical to it.
+//
+//teem:hotpath
+func (e *elimination) solve(b []float64) {
+	n, a := e.n, e.u
+	for col := 0; col < n; col++ {
+		if piv := e.piv[col]; piv != col {
+			b[col], b[piv] = b[piv], b[col]
+		}
+		for r := col + 1; r < n; r++ {
+			f := e.mult[r*n+col]
+			if f == 0 {
+				continue
 			}
 			b[r] -= f * b[col]
 		}
@@ -344,5 +436,4 @@ func solveLinear(a, b []float64, n int) error {
 		}
 		b[i] = s / a[i*n+i]
 	}
-	return nil
 }
