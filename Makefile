@@ -55,7 +55,7 @@ bench:
 # CI uploads it as a non-gating artifact so the perf trajectory is tracked
 # across PRs.
 BENCH_DATE := $(shell date -u +%Y-%m-%d)
-BENCH_CORE := 'BenchmarkSimRun|BenchmarkEngineNew|BenchmarkSteadyWalk|BenchmarkSteadySegments|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkEvaluatorPoint|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
+BENCH_CORE := 'BenchmarkSimRun|BenchmarkEngineNew|BenchmarkSteadyWalk|BenchmarkSteadySegments|BenchmarkRunWarmCovariance|BenchmarkInstrumentedTick|BenchmarkEngineSecond|BenchmarkFig5Serial|BenchmarkFig5Parallel|BenchmarkOfflineProfile|BenchmarkScenarioRun|BenchmarkScenarioPreempt|BenchmarkScenarioGrid|BenchmarkScenarioGridPlatforms|BenchmarkScenarioSweepSerial|BenchmarkScenarioReplaySparse|BenchmarkStep$$|BenchmarkStepperStep|BenchmarkSuperstepJump|BenchmarkEvaluateInto|BenchmarkEvaluatorPoint|BenchmarkServiceSubmit|BenchmarkServiceStream|BenchmarkServiceSoak|BenchmarkJournalReplay|BenchmarkPromExposition'
 bench-json:
 	$(GO) test -run='^$$' -bench=$(BENCH_CORE) -benchmem -count 5 ./internal/sim ./internal/scenario ./internal/thermal ./internal/power ./internal/profile ./internal/service . \
 		| $(GO) run ./cmd/benchjson -out BENCH_$(BENCH_DATE).json

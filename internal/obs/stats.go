@@ -37,7 +37,7 @@ type RunStats struct {
 	PropCacheMisses int64
 	JumpBlockHits   int64 // shared modal jump forms: reused (hit) or eigensolved (miss)
 	JumpBlockMisses int64
-	PoolHits        int64 // per-engine superstep pool, keyed by leakage slope
+	PoolHits        int64 // engine's jump map: already held the new operating point's leakage slope (hit) or was built or rebound (miss)
 	PoolMisses      int64
 
 	// Control-plane events.

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"teem/internal/sim"
@@ -112,20 +113,69 @@ func TestCatalogRoundTrip(t *testing.T) {
 	}
 }
 
+// Get decodes each builtin once and returns deep copies of it: mutating
+// every slice and field a returned bundle reaches, from several
+// goroutines at once, never reaches another Get, which stays equal to a
+// fresh decode of the embedded file.
 func TestGetReturnsFreshCopies(t *testing.T) {
-	a, err := Get(DefaultName)
-	if err != nil {
-		t.Fatal(err)
+	want := make(map[string]*Bundle)
+	for _, name := range Names() {
+		data, err := catalogFS.ReadFile("catalog/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[name], err = Load(bytes.NewReader(data)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	a.SoC.TripC = 1.0
-	a.Net.Nodes[0].Name = "mutated"
-	b, err := Get(DefaultName)
-	if err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, name := range Names() {
+				a, err := Get(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mutate(a)
+				b, err := Get(name)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(b, want[name]) {
+					t.Errorf("%s: a mutation of one Get result reached another", name)
+				}
+			}
+		}()
 	}
-	if b.SoC.TripC == 1.0 || b.Net.Nodes[0].Name == "mutated" {
-		t.Fatal("Get returned an aliased bundle — mutation leaked between resolutions")
+	wg.Wait()
+}
+
+// mutate writes every field and slice element b reaches.
+func mutate(b *Bundle) {
+	b.Name, b.Class, b.Description = "mutated", Server, "mutated"
+	b.SoC.Name, b.SoC.TripC, b.SoC.TripCapMHz = "mutated", 1, 1
+	for i := range b.SoC.Clusters {
+		c := &b.SoC.Clusters[i]
+		c.Name, c.NumCores, c.LeakCoeff = "mutated", 99, 9
+		for j := range c.OPPs {
+			c.OPPs[j] = soc.OPP{FreqMHz: 1, VoltV: 9}
+		}
 	}
+	for i := range b.Net.Nodes {
+		b.Net.Nodes[i] = thermal.Node{Name: "mutated", HeatCapJ: 9}
+	}
+	for i := range b.Net.Links {
+		b.Net.Links[i].ResCW = 9
+	}
+	for i := range b.Accelerators {
+		b.Accelerators[i] = AcceleratorSlot{Name: "mutated", Kind: "mutated"}
+	}
+	b.SoC.Clusters = b.SoC.Clusters[:1]
+	b.Net.Nodes = append(b.Net.Nodes, thermal.Node{Name: "extra", HeatCapJ: 1})
 }
 
 func TestGetUnknownName(t *testing.T) {

@@ -5,8 +5,10 @@ import (
 	"embed"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // The builtin catalog ships inside the binary: one JSON bundle per
@@ -41,20 +43,46 @@ func Names() []string {
 	return names
 }
 
+// builtins maps each catalog name to its bundle, decoded at most once per
+// process.
+var builtins = func() map[string]func() (*Bundle, error) {
+	m := make(map[string]func() (*Bundle, error))
+	for _, name := range Names() {
+		m[name] = sync.OnceValues(func() (*Bundle, error) { return decodeBuiltin(name) })
+	}
+	return m
+}()
+
 // Has reports whether name is a builtin catalog platform.
 func Has(name string) bool {
-	_, err := catalogFS.ReadFile("catalog/" + name + ".json")
-	return err == nil
+	return builtins[name] != nil
 }
 
-// Get resolves a builtin platform by catalog name, returning a freshly
-// decoded copy — callers own the result and may mutate it freely without
-// aliasing other resolutions.
+// Get resolves a builtin platform by catalog name. Each bundle is decoded
+// once per process and every call returns a deep copy of it — callers
+// own the result and may mutate it freely without aliasing other
+// resolutions.
 func Get(name string) (*Bundle, error) {
-	data, err := catalogFS.ReadFile("catalog/" + name + ".json")
-	if err != nil {
+	decoded := builtins[name]
+	if decoded == nil {
 		return nil, fmt.Errorf("platform: unknown platform %q (builtin: %s)",
 			name, strings.Join(Names(), ", "))
+	}
+	b, err := decoded()
+	if err != nil {
+		return nil, err
+	}
+	c := *b
+	c.SoC, c.Net, c.Accelerators = b.SoC.Clone(), b.Net.Clone(), slices.Clone(b.Accelerators)
+	return &c, nil
+}
+
+// decodeBuiltin decodes and validates the embedded bundle of a catalog
+// name.
+func decodeBuiltin(name string) (*Bundle, error) {
+	data, err := catalogFS.ReadFile("catalog/" + name + ".json")
+	if err != nil {
+		return nil, err
 	}
 	b, err := Load(bytes.NewReader(data))
 	if err != nil {

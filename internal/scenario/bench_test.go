@@ -76,6 +76,19 @@ func BenchmarkScenarioGridPlatforms(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioSweepSerial runs the whole catalog × Presets() ×
+// GovernorNames() grid on one worker: the engine work of one
+// scenario-sweep pass, without the fan-out or a host-speed scale.
+func BenchmarkScenarioSweepSerial(b *testing.B) {
+	plats, scs, govs := platform.Names(), Presets(), GovernorNames()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPlatformGrid(plats, scs, govs, Config{}, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // Grid cells are reduced to table rows, so they keep no trace, and the
 // engines share one modal form per operating point: the catalog grid
 // must stay under a fixed byte budget, or a per-cell time series (2.0

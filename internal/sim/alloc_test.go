@@ -207,11 +207,11 @@ func TestSuperstepSegmentZeroAllocs(t *testing.T) {
 	}
 }
 
-// A full jump-map pool rebinds its oldest map in place: cycling through
-// one operating point more than ssPoolLimit holds misses the pool on
-// every binding, and once every shared form exists a binding allocates
-// nothing.
-func TestSuperstepPoolRebindZeroAllocs(t *testing.T) {
+// The engine keeps one jump map and rebinds it in place: cycling one
+// engine through more big-cluster voltages than a pool of eight maps
+// could hold rebinds that map on every binding, and once every shared
+// form exists a binding allocates nothing.
+func TestSuperstepRebindZeroAllocs(t *testing.T) {
 	e, err := New(Config{
 		Platform: soc.Exynos5422(),
 		Net:      thermal.Exynos5422Network(),
@@ -222,7 +222,7 @@ func TestSuperstepPoolRebindZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Big-cluster frequencies with distinct voltages: each has its own
-	// leakage slope, hence its own jump map.
+	// leakage slope, hence its own modal form.
 	var freqs []int
 	lastV := -1.0
 	for _, o := range e.plat.Clusters[e.bigIdx].OPPs {
@@ -230,10 +230,9 @@ func TestSuperstepPoolRebindZeroAllocs(t *testing.T) {
 			freqs, lastV = append(freqs, o.FreqMHz), o.VoltV
 		}
 	}
-	if len(freqs) <= ssPoolLimit {
-		t.Fatalf("%d distinct big-cluster voltages; the pool never fills", len(freqs))
+	if len(freqs) <= 8 {
+		t.Fatalf("%d distinct big-cluster voltages, want more than 8", len(freqs))
 	}
-	freqs = freqs[:ssPoolLimit+1]
 	i := 0
 	bind := func() {
 		e.setFreq(e.bigIdx, freqs[i%len(freqs)])
@@ -245,12 +244,13 @@ func TestSuperstepPoolRebindZeroAllocs(t *testing.T) {
 	for range 2 * len(freqs) {
 		bind()
 	}
-	misses := e.stats.PoolMisses
+	ss, hits, misses := e.ss, e.stats.PoolHits, e.stats.PoolMisses
 	if avg := testing.AllocsPerRun(100, bind); avg != 0 {
-		t.Errorf("rebinding a full pool allocates %.3f objects/op, want 0", avg)
+		t.Errorf("rebinding the jump map allocates %.3f objects/op, want 0", avg)
 	}
-	if len(e.ssPool) != ssPoolLimit || e.stats.PoolMisses-misses < 100 {
-		t.Errorf("pool of %d maps, %d misses measured; want %d maps missed on every binding", len(e.ssPool), e.stats.PoolMisses-misses, ssPoolLimit)
+	if e.ss != ss || e.stats.PoolHits != hits || e.stats.PoolMisses-misses < 100 {
+		t.Errorf("%d hits and %d rebinds measured, map replaced %v; want the one map rebound on every binding",
+			e.stats.PoolHits-hits, e.stats.PoolMisses-misses, e.ss != ss)
 	}
 }
 

@@ -378,26 +378,23 @@ type Engine struct {
 	events []schedEvent
 	evIdx  int
 
-	// event-horizon superstepping (superstep.go): ss is the affine jump
-	// map of the current leakage-slope vector, drawn from ssPool — a
-	// small recency pool keyed by slope, so alternating operating points
-	// (busy ↔ idle) reuse their maps instead of rebuilding them.
-	// ssOpLoads/ssOpMemGBs fingerprint the operating point whose affine
-	// decomposition sits in ssInj/ssSlopeCur (valid when ssOpValid):
-	// a jump attempt at the same point skips the power model entirely.
+	// event-horizon superstepping (superstep.go): ss is the engine's one
+	// affine jump map, built at its first binding (nil before) and
+	// rebound in place when the leakage-slope vector changes.
+	// ssOpLoads/ssOpMemGBs fingerprint the operating point of the last
+	// binding, whose affine decomposition sits in ssInj/ssSlopeCur: a
+	// jump attempt at the same point skips the power model entirely.
 	// ssLoads is per-attempt scratch; ssOff latches the fast path off
 	// (config knob, Euler runs, or an uncertifiable system). govPure
 	// marks a UtilOnlyGovernor; govStable that its last epoch changed
 	// nothing, with govUtils the utilisations that epoch saw — together
 	// the fixed-point certificate that lets a jump cross control periods.
 	ss         *thermal.Superstep
-	ssPool     []*thermal.Superstep
 	ssSlopeCur []float64
 	ssInj      []float64
 	ssLoads    []power.ClusterLoad
 	ssOpLoads  []power.ClusterLoad
 	ssOpMemGBs float64
-	ssOpValid  bool
 	// ssSkipUntil suppresses jump attempts below this tick: a probe that
 	// reported a mixed trajectory direction stays mixed while the system
 	// hovers near equilibrium, so re-probing every tick until the next

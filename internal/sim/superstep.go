@@ -24,6 +24,7 @@ import (
 	"math"
 
 	"teem/internal/power"
+	"teem/internal/soc"
 	"teem/internal/thermal"
 )
 
@@ -57,11 +58,6 @@ func govIsPure(g Governor) bool {
 // proven horizon is walked instead (see walk and advance).
 const superstepMinSpan = 4
 
-// ssPoolLimit bounds the per-engine pool of slope-keyed jump maps; a run
-// alternating between a handful of operating points keeps them all warm,
-// and a full pool rebinds its oldest map in place.
-const ssPoolLimit = 8
-
 // maxSpanInstants bounds the power-meter sampling instants one span
 // crosses: a jump polls cancellation once, so this bounds how much
 // simulated time an abort waits for.
@@ -73,11 +69,6 @@ const maxSpanInstants = 64
 // tick's own power to about 1e-10 W, far inside the 1e-6 W the band
 // spans at the modelled meter's 0.01 W resolution.
 const meterGuard = 1e-4
-
-// walkMaxClusters bounds the platforms a steady walk or segment serves:
-// each keeps every cluster's leakage base on the stack for its duration,
-// so a platform with more clusters ticks instead.
-const walkMaxClusters = 8
 
 // drained reports that no workload activity remains: no live job, no
 // queued job, no undelivered scheduled event.
@@ -516,16 +507,17 @@ func (e *Engine) advance(dt float64, n int, op steadyOp) (bool, error) {
 	return e.walk(dt, n, op)
 }
 
-// bindJumpMap points e.ss at the jump map of op's leakage-slope vector,
-// with op's constant per-node injection in e.ssInj, and reports false
-// when the system cannot be certified (the fast path then latches off).
-// The affine power decomposition is a pure function of the per-cluster
-// loads and the DRAM traffic, so a fingerprint match against the
-// previous binding reuses ssInj/ssSlopeCur/ss without touching the power
-// model — the common case inside a long steady stretch. The map comes
-// from the pool when one holds the slope vector, so alternating
-// operating points (busy ↔ idle, DVFS ladders) reuse their maps without
-// a shared-form lookup; a full pool rebinds its oldest map in place.
+// bindJumpMap binds the engine's jump map e.ss to op's leakage-slope
+// vector, with op's constant per-node injection in e.ssInj, and reports
+// false when the system cannot be certified (the fast path then latches
+// off). The affine power decomposition is a pure function of the
+// per-cluster loads and the DRAM traffic, so a fingerprint match against
+// the previous binding reuses ssInj/ssSlopeCur/ss without touching the
+// power model — the common case inside a long steady stretch. Otherwise
+// the map is built at the engine's first binding and rebound in place
+// (thermal.Superstep.Rebind) when the slope vector changed, which takes
+// the system's shared form for it; an unchanged slope keeps the map as
+// it is.
 //
 //teem:hotpath
 func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
@@ -535,7 +527,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssLoads[i] = e.loads[i]
 		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
 	}
-	if e.ssOpValid && memGBs == e.ssOpMemGBs && equalLoads(e.ssLoads, e.ssOpLoads) {
+	if e.ss != nil && memGBs == e.ssOpMemGBs && equalLoads(e.ssLoads, e.ssOpLoads) {
 		return true, nil
 	}
 	for i := range e.ssInj {
@@ -551,27 +543,14 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssSlopeCur[e.nodeOf[i]] += lks
 	}
 	e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
-	e.ss = nil
-	for _, ss := range e.ssPool {
-		if equalFloats(ss.Slope(), e.ssSlopeCur) {
-			e.ss = ss
-			e.stats.PoolHits++
-			break
-		}
-	}
-	if e.ss == nil {
-		var ss *thermal.Superstep
+	if e.ss != nil && equalFloats(e.ss.Slope(), e.ssSlopeCur) {
+		e.stats.PoolHits++
+	} else {
 		var err error
-		if len(e.ssPool) < ssPoolLimit {
-			if ss, err = thermal.NewSuperstep(e.stepper, e.ssSlopeCur); err == nil {
-				//teem:alloc-ok bounded jump-map pool (ssPoolLimit entries), filled once per operating point
-				e.ssPool = append(e.ssPool, ss)
-			}
+		if e.ss == nil {
+			e.ss, err = thermal.NewSuperstep(e.stepper, e.ssSlopeCur)
 		} else {
-			ss = e.ssPool[0]
-			copy(e.ssPool, e.ssPool[1:])
-			e.ssPool[len(e.ssPool)-1] = ss
-			err = ss.Rebind(e.ssSlopeCur)
+			err = e.ss.Rebind(e.ssSlopeCur)
 		}
 		if err != nil {
 			// A system the jump map cannot certify as monotone: fall
@@ -580,23 +559,21 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 			return false, nil
 		}
 		e.stats.PoolMisses++
-		if ss.Reused() {
+		if e.ss.Reused() {
 			e.stats.JumpBlockHits++
 		} else {
 			e.stats.JumpBlockMisses++
 		}
-		e.ss = ss
 	}
 	copy(e.ssOpLoads, e.ssLoads)
 	e.ssOpMemGBs = memGBs
-	e.ssOpValid = true
 	return true, nil
 }
 
 // steadyLeak is each cluster's leakage base and temperature coefficient
 // at a fixed operating point, indexed like the platform's clusters.
 type steadyLeak struct {
-	base, coeff [walkMaxClusters]float64
+	base, coeff [soc.GPU + 1]float64
 }
 
 // steadyPower publishes op's utilisations and evaluates its power once,
@@ -648,7 +625,7 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 //
 //teem:hotpath
 func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
-	if len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
+	if e.tmuFires() {
 		return false, nil
 	}
 	if ok, err := e.bindJumpMap(op); err != nil {
@@ -790,7 +767,7 @@ func (e *Engine) aboveFloor(end []float64) bool {
 //
 //teem:hotpath
 func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
-	if n < 1 || len(e.plat.Clusters) > walkMaxClusters || e.tmuFires() {
+	if n < 1 || e.tmuFires() {
 		return false, nil
 	}
 	if err := e.aborted(); err != nil {

@@ -117,7 +117,7 @@ func (c *systemCache) admit(s *system) *system {
 // compileSystem validates the pair and derives its system from private
 // copies of it.
 func compileSystem(p *soc.Platform, n *thermal.Network) (*system, error) {
-	plat, net := clonePlatform(p), cloneNetwork(n)
+	plat, net := p.Clone(), n.Clone()
 	if err := plat.Validate(); err != nil {
 		return nil, err
 	}
@@ -155,22 +155,6 @@ func compileSystem(p *soc.Platform, n *thermal.Network) (*system, error) {
 		s.sensors[net.Nodes[i].Name] = i
 	}
 	return s, nil
-}
-
-func clonePlatform(p *soc.Platform) *soc.Platform {
-	c := *p
-	c.Clusters = append([]soc.Cluster(nil), p.Clusters...)
-	for i := range c.Clusters {
-		c.Clusters[i].OPPs = append([]soc.OPP(nil), p.Clusters[i].OPPs...)
-	}
-	return &c
-}
-
-func cloneNetwork(n *thermal.Network) *thermal.Network {
-	return &thermal.Network{
-		Nodes: append([]thermal.Node(nil), n.Nodes...),
-		Links: append([]thermal.Link(nil), n.Links...),
-	}
 }
 
 // appendKey appends the content key of the pair to k: every field as a

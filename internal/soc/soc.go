@@ -11,6 +11,7 @@ package soc
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -217,6 +218,17 @@ type Platform struct {
 	// TripCapMHz is the frequency cap applied by hardware protection to
 	// the big CPU cluster (900 MHz on the stock Exynos 5422 firmware).
 	TripCapMHz int
+}
+
+// Clone returns a deep copy of p: the copy's clusters and OPP tables are
+// its own, so either may be mutated without touching the other.
+func (p *Platform) Clone() *Platform {
+	c := *p
+	c.Clusters = slices.Clone(p.Clusters)
+	for i := range c.Clusters {
+		c.Clusters[i].OPPs = slices.Clone(p.Clusters[i].OPPs)
+	}
+	return &c
 }
 
 // Validate reports an error if the platform description is inconsistent.

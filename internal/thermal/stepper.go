@@ -37,10 +37,7 @@ type Stepper struct {
 	// ambGain[i] = Σ_j bp[i][j]·gAmb[j]; multiplied by the ambient
 	// temperature each step, so SetAmbientC keeps working mid-run.
 	ambGain []float64
-	// scratch is Step's n-vector, then the numVecs vectors of the
-	// Supersteps bound to this stepper, whose state js holds.
 	scratch []float64
-	js      jumpState
 	// prop is the shared record a, bp and ambGain come from.
 	prop *propagator
 	// cacheHit records whether the system already kept the propagator —
@@ -129,7 +126,7 @@ func (m *Model) NewStepper(dt float64) (*Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Stepper{m: m, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, (1+numVecs)*m.n), prop: p, cacheHit: hit}, nil
+	return &Stepper{m: m, a: p.a, bp: p.bp, ambGain: p.ambGain, scratch: make([]float64, m.n), prop: p, cacheHit: hit}, nil
 }
 
 // CacheHit reports whether this stepper reused the propagator its

@@ -86,37 +86,26 @@ type modalForm struct {
 // application of a modal form, or advances it through certified segments
 // of at most SegmentMaxTicks ticks. It is bound to one leakage-slope vector;
 // build a new Superstep, or Rebind one, when a DVFS or mapping change
-// alters the slopes. Everything but the form lives in its Stepper's
-// scratch state (see jumpState), which the Supersteps of one Stepper
-// share: only the last Jump, BeginSegments or Segment of any of them may
-// be committed or continued. Not safe for concurrent use.
+// alters the slopes. Not safe for concurrent use.
 type Superstep struct {
-	st     *Stepper
-	f      *modalForm
-	reused bool
+	st *Stepper
+	f  *modalForm
+	// buf holds numVecs scratch n-vectors (see vec).
+	buf []float64
+	// planned marks a Jump awaiting Commit, with at the interior offset
+	// vAcc is carried to; begun marks segments BeginSegments started, with
+	// segL (> 0) a certified Segment of that many ticks awaiting
+	// CommitSegment.
+	reused, planned, begun bool
+	at, segL               int
+	// pn is the horizon vPowD and vPowS hold powers for, sn the interior
+	// step vStepD and vStepS hold them for (0: none).
+	pn, sn int
 }
 
-// jumpState is the transient state of the Supersteps bound to one
-// Stepper, which an engine uses one at a time: the map that last wrote
-// the stepper's numVecs scratch n-vectors (see vec), and what they hold
-// for it.
-type jumpState struct {
-	owner *Superstep
-	// planned marks a Jump awaiting Commit, segL (> 0) a certified
-	// Segment of that many ticks awaiting CommitSegment, and at the
-	// planned Jump's interior offset vAcc is carried to.
-	planned bool
-	segL    int
-	at      int
-	// vPowD and vPowS hold the powers of horizon pn for map pOwner, and
-	// vStepD and vStepS those of the interior step sn for map sOwner.
-	pOwner, sOwner *Superstep
-	pn, sn         int
-}
-
-// The scratch vectors of a Stepper's jump maps. A planned Jump and a
-// segmented span never coexist — each claims the scratch — so the
-// segment certificate's vectors double as a jump's interior state.
+// The scratch vectors of a Superstep. A planned Jump and a segment run
+// never coexist, so the segment certificate's vectors double as a jump's
+// interior state.
 const (
 	vC     = iota // Q⁻¹·b̃
 	vU            // Q⁻¹·T at the start of the jump or the next segment
@@ -134,26 +123,17 @@ const (
 	vStepS = vZPrev // each mode's Σ_{j<n} λʲ for n = sn
 )
 
-// vec is scratch vector i: the stepper's scratch holds them after the
-// n entries Step uses.
+// vec is scratch vector i.
 func (ss *Superstep) vec(i int) []float64 {
 	n := ss.st.m.n
-	return ss.st.scratch[(i+1)*n : (i+2)*n : (i+2)*n]
-}
-
-// claim makes ss the owner of its stepper's scratch state, dropping any
-// plan or segment another map left there, and returns that state.
-func (ss *Superstep) claim() *jumpState {
-	js := &ss.st.js
-	js.owner, js.planned, js.segL = ss, false, 0
-	return js
+	return ss.buf[i*n : (i+1)*n : (i+1)*n]
 }
 
 // NewSuperstep builds the jump map for the stepper's system and the
 // given per-node leakage slope (W/°C, entries ≥ 0), sharing the modal
 // form of an earlier Superstep over the same system and slope.
 func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
-	ss := &Superstep{st: st}
+	ss := &Superstep{st: st, buf: make([]float64, numVecs*st.m.n)}
 	if err := ss.Rebind(slopeWPerC); err != nil {
 		return nil, err
 	}
@@ -161,9 +141,9 @@ func NewSuperstep(st *Stepper, slopeWPerC []float64) (*Superstep, error) {
 }
 
 // Rebind binds ss to another slope vector in place, as NewSuperstep
-// would build it, so a pool that recycles its maps allocates nothing
-// beyond a new form's eigensolve. A plan, segment or powers of ss in the
-// stepper's scratch state are dropped. On error ss is unchanged.
+// would build it but keeping its buffers, so a caller that rebinds one
+// map allocates nothing beyond a new form's eigensolve. A plan, segments
+// or powers of the old form are dropped. On error ss is unchanged.
 func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 	st := ss.st
 	if len(slopeWPerC) != st.m.n {
@@ -178,11 +158,7 @@ func (ss *Superstep) Rebind(slopeWPerC []float64) error {
 	if err != nil {
 		return err
 	}
-	ss.f, ss.reused = f, reused
-	// The scratch state may hold ss's plan or powers of its old form.
-	if js := &st.js; js.owner == ss || js.pOwner == ss || js.sOwner == ss {
-		*js = jumpState{}
-	}
+	*ss = Superstep{st: st, f: f, buf: ss.buf, reused: reused}
 	return nil
 }
 
@@ -250,7 +226,7 @@ func power(mu float64, n int) (d, s float64) {
 //
 //teem:hotpath
 func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
-	js := ss.claim()
+	ss.planned, ss.begun, ss.segL = false, false, 0
 	n := ss.st.m.n
 	if nTicks < 1 {
 		return nil, 0, fmt.Errorf("thermal: superstep of %d ticks", nTicks)
@@ -288,9 +264,9 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 		return nil, 0, nil
 	}
 	// The powers are kept for a repeated horizon.
-	if js.pOwner != ss || js.pn != nTicks {
+	if ss.pn != nTicks {
 		powers(f.mu, pd, ps, nTicks)
-		js.pOwner, js.pn = ss, nTicks
+		ss.pn = nTicks
 	}
 	for k := 0; k < n; k++ {
 		qr := f.qi[k*n : k*n+n : k*n+n]
@@ -314,7 +290,7 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 		tn[i] = acc
 	}
 	clear(ss.vec(vAcc))
-	js.planned, js.at = true, 0
+	ss.planned, ss.at = true, 0
 	return tn, dir, nil
 }
 
@@ -323,13 +299,11 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 //
 //teem:hotpath
 func (ss *Superstep) Commit() error {
-	js := &ss.st.js
-	if js.owner != ss || !js.planned {
+	if !ss.planned {
 		return errors.New("thermal: Commit without a planned Jump")
 	}
 	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
-	// The model moved: segments start over from BeginSegments.
-	js.owner, js.planned = nil, false
+	ss.planned = false
 	return nil
 }
 
@@ -344,15 +318,14 @@ func (ss *Superstep) Commit() error {
 //
 //teem:hotpath
 func (ss *Superstep) InstantSlopeW(j int) float64 {
-	js := &ss.st.js
-	if js.owner != ss || !js.planned || j < js.at {
+	if !ss.planned || j < ss.at {
 		return math.NaN()
 	}
 	f, n := ss.f, ss.st.m.n
 	acc := ss.vec(vAcc)
-	if step := j - js.at; step > 0 {
+	if step := j - ss.at; step > 0 {
 		u, c := ss.vec(vU), ss.vec(vC)
-		if js.at == 0 {
+		if ss.at == 0 {
 			// The first step varies from jump to jump; the later ones
 			// repeat the caller's period, so only they keep their powers.
 			for m, mu := range f.mu {
@@ -361,15 +334,15 @@ func (ss *Superstep) InstantSlopeW(j int) float64 {
 			}
 		} else {
 			sd, sS := ss.vec(vStepD), ss.vec(vStepS)
-			if js.sOwner != ss || js.sn != step {
+			if ss.sn != step {
 				powers(f.mu, sd, sS, step)
-				js.sOwner, js.sn = ss, step
+				ss.sn = step
 			}
 			for m := range acc {
 				acc[m] += sd[m]*(u[m]+acc[m]) + sS[m]*c[m]
 			}
 		}
-		js.at = j
+		ss.at = j
 	}
 	temps := ss.st.m.temps[:n]
 	p := 0.0
@@ -386,8 +359,7 @@ func (ss *Superstep) InstantSlopeW(j int) float64 {
 //
 //teem:hotpath
 func (ss *Superstep) InstantTemps(dst []float64, next int) {
-	js := &ss.st.js
-	if js.owner != ss || !js.planned {
+	if !ss.planned {
 		return
 	}
 	f, n := ss.f, ss.st.m.n
@@ -417,7 +389,7 @@ func (ss *Superstep) InstantTemps(dst []float64, next int) {
 //
 //teem:hotpath
 func (ss *Superstep) BeginSegments(constInjW []float64) error {
-	ss.claim()
+	ss.planned, ss.begun, ss.segL = false, false, 0
 	n := ss.st.m.n
 	if len(constInjW) != n {
 		return fmt.Errorf("thermal: BeginSegments got %d powers, want %d", len(constInjW), n)
@@ -433,6 +405,7 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 		}
 		u[k], c[k] = x, y
 	}
+	ss.begun = true
 	return nil
 }
 
@@ -448,16 +421,15 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 //
 //teem:hotpath
 func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
-	js := &ss.st.js
 	f, n := ss.f, ss.st.m.n
-	if js.owner != ss || js.planned {
+	if !ss.begun {
 		return nil, false
 	}
-	js.segL, js.sOwner = 0, nil
+	ss.segL, ss.sn = 0, 0
 	if nTicks < 1 || nTicks > SegmentMaxTicks || !f.segOK {
 		return nil, false
 	}
-	buf := ss.st.scratch[n : (1+numVecs)*n]
+	buf := ss.buf[:numVecs*n]
 	temps, mu := ss.st.m.temps[:n], f.mu[:n]
 	u, c, z, tn := buf[vU*n:][:n], buf[vC*n:][:n], buf[vZ*n:][:n], buf[vEnd*n:][:n]
 	sum, dev, zp := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vZPrev*n:][:n]
@@ -485,7 +457,7 @@ func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	js.segL = nTicks
+	ss.segL = nTicks
 	return tn, true
 }
 
@@ -497,8 +469,7 @@ func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 //
 //teem:hotpath
 func (ss *Superstep) SegmentSlopeW() float64 {
-	js := &ss.st.js
-	if js.owner != ss || js.segL == 0 {
+	if ss.segL == 0 {
 		return 0
 	}
 	f, temps, zp := ss.f, ss.st.m.temps[:ss.st.m.n], ss.vec(vZPrev)
@@ -515,8 +486,7 @@ func (ss *Superstep) SegmentSlopeW() float64 {
 //
 //teem:hotpath
 func (ss *Superstep) CommitSegment() error {
-	js := &ss.st.js
-	if js.owner != ss || js.segL == 0 {
+	if ss.segL == 0 {
 		return errors.New("thermal: CommitSegment without a certified Segment")
 	}
 	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
@@ -524,7 +494,7 @@ func (ss *Superstep) CommitSegment() error {
 	for m := range u {
 		u[m] += z[m]
 	}
-	js.segL = 0
+	ss.segL = 0
 	return nil
 }
 

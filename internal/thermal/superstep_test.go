@@ -351,52 +351,61 @@ func TestSuperstepInstantsMatchTicks(t *testing.T) {
 	}
 }
 
-// The Supersteps of one Stepper share its scratch state: planning on
-// one drops the other's plan, so a stale Commit, CommitSegment or
-// interior read fails instead of applying another map's state.
-func TestSuperstepSharedScratch(t *testing.T) {
+// Each Superstep owns its scratch state: a plan on one map survives
+// another map's BeginSegments and Segment on the same stepper, reads the
+// same interior, and commits the bits the jump commits on a stepper of
+// its own.
+func TestSuperstepPlanSurvivesOtherMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	net := randomNetwork(rng)
 	n := len(net.Nodes)
-	m, err := NewModel(net, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.NewStepper(0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := randomPowers(rng, n)
 	slopeA, slopeB := make([]float64, n), make([]float64, n)
 	for i := range slopeA {
 		slopeA[i], slopeB[i] = 0.001, 0.002
 	}
-	a, err := NewSuperstep(st, slopeA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSuperstep(st, slopeB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := randomPowers(rng, n)
-	if _, dir, err := a.Jump(50, p); err != nil || dir == 0 {
-		t.Fatalf("Jump: dir %d, err %v", dir, err)
-	}
-	if err := b.BeginSegments(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Commit(); err == nil {
-		t.Error("Commit of a plan another map overwrote did not fail")
-	}
-	if s := a.InstantSlopeW(10); !math.IsNaN(s) {
-		t.Errorf("interior read of a dropped plan returned %g", s)
-	}
-	if _, ok := a.Segment(5); ok {
-		t.Error("Segment on another map's segment state was certified")
-	}
-	if _, ok := b.Segment(5); ok {
-		if err := b.CommitSegment(); err != nil {
+	jump := func(other bool) (temps []float64, slopeW float64) {
+		m, err := NewModel(net, 28)
+		if err != nil {
 			t.Fatal(err)
+		}
+		st, err := m.NewStepper(0.01)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := NewSuperstep(st, slopeA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, dir, err := a.Jump(50, p); err != nil || dir == 0 {
+			t.Fatalf("Jump: dir %d, err %v", dir, err)
+		}
+		if other {
+			b, err := NewSuperstep(st, slopeB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.BeginSegments(p); err != nil {
+				t.Fatal(err)
+			}
+			for l := 1; l <= SegmentMaxTicks; l++ {
+				b.Segment(l)
+			}
+		}
+		slopeW = a.InstantSlopeW(10)
+		if err := a.Commit(); err != nil {
+			t.Fatalf("other map %v: %v", other, err)
+		}
+		return m.Temps(), slopeW
+	}
+	lone, loneW := jump(false)
+	got, gotW := jump(true)
+	if math.Float64bits(gotW) != math.Float64bits(loneW) {
+		t.Errorf("interior slope term %v, alone %v", gotW, loneW)
+	}
+	for i := range lone {
+		if math.Float64bits(got[i]) != math.Float64bits(lone[i]) {
+			t.Errorf("node %d: committed %v, alone %v", i, got[i], lone[i])
 		}
 	}
 }

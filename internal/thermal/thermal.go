@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 )
 
@@ -55,6 +56,11 @@ const Ambient = -1
 type Network struct {
 	Nodes []Node
 	Links []Link
+}
+
+// Clone returns a deep copy of n, whose node and link slices are its own.
+func (n *Network) Clone() *Network {
+	return &Network{Nodes: slices.Clone(n.Nodes), Links: slices.Clone(n.Links)}
 }
 
 // Validate reports an error on malformed topologies.
