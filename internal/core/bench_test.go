@@ -26,9 +26,13 @@ func BenchmarkControllerDecision(b *testing.B) {
 	}
 }
 
+// stubMachine is a sim.Machine on exynos5422 whose big sensor reads temp
+// and whose clusters run at freq; it counts SetClusterFreqMHz calls.
 type stubMachine struct {
-	freq int
-	temp float64
+	freq      int
+	temp      float64
+	throttled bool
+	calls     int
 }
 
 func (s *stubMachine) TimeS() float64             { return 0 }
@@ -36,9 +40,10 @@ func (s *stubMachine) Platform() *soc.Platform    { return exynosOnce() }
 func (s *stubMachine) SensorC(string) float64     { return s.temp }
 func (s *stubMachine) ClusterFreqMHz(string) int  { return s.freq }
 func (s *stubMachine) ClusterUtil(string) float64 { return 1 }
-func (s *stubMachine) Throttled() bool            { return false }
+func (s *stubMachine) Throttled() bool            { return s.throttled }
 func (s *stubMachine) SetClusterFreqMHz(_ string, f int) error {
 	s.freq = f
+	s.calls++
 	return nil
 }
 

@@ -152,6 +152,25 @@ func (c *Controller) Act(m sim.Machine) error {
 	return nil
 }
 
+// QuietBand implements sim.QuietGovernor: the big sensor's side of
+// ThresholdC on which Act changes nothing at the current big frequency.
+// At the maximum frequency a reading below the threshold is quiet; at or
+// below the floor a reading at or above it is (the step-down clamps to
+// the floor). Between the two, and while the chip is throttled, no
+// reading is.
+func (c *Controller) QuietBand(m sim.Machine) (sensor string, thresholdC float64, quietBelow, ok bool) {
+	if c.bigName == "" || m.Throttled() {
+		return "", 0, false, false
+	}
+	switch cur := m.ClusterFreqMHz(c.bigName); {
+	case cur == c.maxBig:
+		return c.bigName, c.Params.ThresholdC, true, true
+	case cur <= c.floorMHz:
+		return c.bigName, c.Params.ThresholdC, false, true
+	}
+	return "", 0, false, false
+}
+
 // Observation is one offline profiling measurement.
 type Observation struct {
 	// Map is the profiled CPU mapping.

@@ -78,15 +78,34 @@ func BenchmarkScenarioGridPlatforms(b *testing.B) {
 
 // BenchmarkScenarioSweepSerial runs the whole catalog × Presets() ×
 // GovernorNames() grid on one worker: the engine work of one
-// scenario-sweep pass, without the fan-out or a host-speed scale.
+// scenario-sweep pass, without the fan-out or a host-speed scale. Beside
+// the time it reports, summed over the cells of a pass, the ordinary
+// ticks (ticks neither jumped, segmented nor walked) and the governor
+// epochs ticked: the re-planning the superstep path leaves, which repeats
+// exactly from run to run.
 func BenchmarkScenarioSweepSerial(b *testing.B) {
 	plats, scs, govs := platform.Names(), Presets(), GovernorNames()
 	b.ReportAllocs()
+	var ordinary, epochs int64
 	for i := 0; i < b.N; i++ {
-		if _, err := RunPlatformGrid(plats, scs, govs, Config{}, 1); err != nil {
+		g, err := RunPlatformGrid(plats, scs, govs, Config{}, 1)
+		if err != nil {
 			b.Fatal(err)
 		}
+		for _, plane := range g.Cells {
+			for _, row := range plane {
+				for _, c := range row {
+					if c.Sim == nil {
+						b.Fatalf("cell %s/%s/%s failed: %v", c.Platform, c.Scenario, c.Governor, c.Violations)
+					}
+					ordinary += c.Sim.Stats.Ticks - c.Sim.Stats.WalkedTicks
+					epochs += c.Sim.Stats.GovernorEpochs
+				}
+			}
+		}
 	}
+	b.ReportMetric(float64(ordinary)/float64(b.N), "ordinary-ticks/op")
+	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
 }
 
 // Grid cells are reduced to table rows, so they keep no trace, and the

@@ -20,7 +20,7 @@ func WalkRun(e *Engine, maxTimeS float64) (obs.RunStats, error) {
 	e.recEvery = int(recordPeriodS/dt + 0.5)
 	maxTicks := int(maxTimeS/dt + 0.5)
 	for e.timeTicks < maxTicks {
-		n, op, _ := e.horizon(dt, maxTicks, maxTicks)
+		_, n, op, _ := e.horizon(dt, maxTicks, maxTicks)
 		advanced, err := e.walk(dt, n, op)
 		if err != nil {
 			return e.stats, err

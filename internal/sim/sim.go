@@ -395,15 +395,21 @@ type Engine struct {
 	ssLoads    []power.ClusterLoad
 	ssOpLoads  []power.ClusterLoad
 	ssOpMemGBs float64
-	// ssSkipUntil suppresses jump attempts below this tick: a probe that
-	// reported a mixed trajectory direction stays mixed while the system
-	// hovers near equilibrium, so re-probing every tick until the next
-	// horizon boundary would pay the full guard cost for nothing.
+	// ssSkipUntil suppresses jump attempts below this tick: the meter
+	// instant after the last probe that found a mixed trajectory
+	// direction, clamped to its span's end. A mixed stretch cut short
+	// before it by a TMU transition resumes advancing up to it without
+	// probing, as one that stopped at every instant would have.
 	ssSkipUntil int
 	ssOff       bool
 	govPure     bool
 	govStable   bool
 	govUtils    []float64
+	// govQuiet is the policy as a QuietGovernor whose epochs are meter
+	// instants (nil otherwise), and band its quiet band at the frequencies
+	// of the last horizon that let a jump cross its epochs.
+	govQuiet QuietGovernor
+	band     quietBand
 
 	// stats is the flight recorder: plain int64 counters bumped on the
 	// hot paths (never through an interface or atomic, so increments are
@@ -472,12 +478,8 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("sim: %s must be non-negative and below %g s, got %g", f.name, MaxRunS, f.v)
 		}
 	}
-	// A non-finite start temperature turns every summary and sensor read
-	// into NaN, so governors and the TMU never act.
-	for i, t := range cfg.InitialTempsC {
-		if math.IsNaN(t) || math.IsInf(t, 0) {
-			return nil, fmt.Errorf("sim: InitialTempsC[%d] must be finite, got %g", i, t)
-		}
+	if err := finiteTemps(cfg.InitialTempsC); err != nil {
+		return nil, err
 	}
 	if cfg.App == nil && cfg.MinTimeS <= 0 {
 		return nil, errors.New("sim: Platform, Net and App are required (App may be nil only with MinTimeS set)")
@@ -572,17 +574,7 @@ func New(cfg Config) (*Engine, error) {
 	e.govUtils = make([]float64, nc)
 	e.ssOff = cfg.DisableSuperstep
 	e.ratesDirty = true
-	setDefault := func(idx, req int) {
-		c := &e.plat.Clusters[idx]
-		if req == 0 {
-			e.setFreq(idx, c.MaxFreqMHz())
-		} else {
-			e.setFreq(idx, c.NearestOPP(req).FreqMHz)
-		}
-	}
-	setDefault(e.bigIdx, cfg.Freq.BigMHz)
-	setDefault(e.litIdx, cfg.Freq.LittleMHz)
-	setDefault(e.gpuIdx, cfg.Freq.GPUMHz)
+	e.setFreqs(cfg.Freq)
 
 	e.rebuildLoads()
 
@@ -605,6 +597,31 @@ func New(cfg Config) (*Engine, error) {
 		e.nextSeq++
 	}
 	return e, nil
+}
+
+// finiteTemps reports an error for a non-finite start temperature, which
+// turns every summary and sensor read into NaN, so governors and the TMU
+// never act.
+func finiteTemps(t []float64) error {
+	for i, v := range t {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("sim: InitialTempsC[%d] must be finite, got %g", i, v)
+		}
+	}
+	return nil
+}
+
+// setFreqs sets each CPU and GPU cluster to the OPP nearest fs's request,
+// 0 meaning the cluster's maximum frequency.
+func (e *Engine) setFreqs(fs mapping.FreqSetting) {
+	for _, r := range [...]struct{ idx, mhz int }{{e.bigIdx, fs.BigMHz}, {e.litIdx, fs.LittleMHz}, {e.gpuIdx, fs.GPUMHz}} {
+		c := &e.plat.Clusters[r.idx]
+		if r.mhz == 0 {
+			e.setFreq(r.idx, c.MaxFreqMHz())
+		} else {
+			e.setFreq(r.idx, c.NearestOPP(r.mhz).FreqMHz)
+		}
+	}
 }
 
 // rebuildLoads recomputes the configuration-static load fields (core
@@ -1057,7 +1074,7 @@ func (e *Engine) SetGovernor(g Governor) error {
 	e.govPure = govIsPure(g)
 	e.govStable = false
 	if g == nil {
-		e.govEvery = 0
+		e.govEvery, e.govQuiet = 0, nil
 		return nil
 	}
 	every, err := periodTicks(g)
@@ -1065,6 +1082,7 @@ func (e *Engine) SetGovernor(g Governor) error {
 		return err
 	}
 	e.govEvery = every
+	e.setQuietGov(g, every)
 	if e.running {
 		return g.Start(e)
 	}
@@ -1185,6 +1203,7 @@ func (e *Engine) Run() (*Result, error) {
 			return nil, err
 		}
 		e.govEvery = every
+		e.setQuietGov(e.cfg.Governor, every)
 		if err := e.cfg.Governor.Start(e); err != nil {
 			return nil, err
 		}
@@ -1705,19 +1724,40 @@ func (e *Engine) SteadyTemps(cpuBusy, gpuBusy float64) ([]float64, error) {
 	return e.therm.SteadyState(e.inj)
 }
 
+// warmStartFreq is the operating point of the warm start: a mid-level
+// big frequency, as after back-to-back benchmark runs.
+var warmStartFreq = mapping.FreqSetting{BigMHz: 1400, LittleMHz: 1400, GPUMHz: 600}
+
+// warmStart sets e, an engine built at ambient that has not run, to
+// the warm-start state: the steady temperatures of its job, fully busy,
+// at warmStartFreq. It leaves e at its configured frequencies.
+func (e *Engine) warmStart() error {
+	e.setFreqs(warmStartFreq)
+	t, err := e.SteadyTemps(1, 1)
+	e.setFreqs(e.cfg.Freq)
+	if err != nil {
+		return err
+	}
+	if err := finiteTemps(t); err != nil {
+		return err
+	}
+	return e.therm.SetTemps(t)
+}
+
 // WarmStartTemps returns a realistic pre-heated state: the steady
 // temperatures of running the configured job at a mid-level big frequency
 // (1400 MHz), as after back-to-back benchmark runs — the experimental
 // protocol of the paper.
 func WarmStartTemps(cfg Config) ([]float64, error) {
-	cfg.Governor = nil
 	cfg.InitialTempsC = nil
-	cfg.Freq = mapping.FreqSetting{BigMHz: 1400, LittleMHz: 1400, GPUMHz: 600}
 	e, err := New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return e.SteadyTemps(1, 1)
+	if err := e.warmStart(); err != nil {
+		return nil, err
+	}
+	return e.FinalTemps(), nil
 }
 
 // FinalTemps returns the node temperatures at the end of a run. Passed
@@ -1732,19 +1772,19 @@ func (e *Engine) SetAmbientC(t float64) { e.therm.SetAmbientC(t) }
 // RunWarm reproduces the paper's measurement protocol: execute the job
 // once as a discarded warm-up (starting from WarmStartTemps) so the
 // package reaches its operating regime, then run again from the resulting
-// temperatures and report that steady-regime run. The warm-up regime
-// comes from a single run's summaries — engines run exactly once. The
-// warm-up records no trace unless cfg.OnSample subscribes to its samples,
-// and no series for a temperature variance nobody reads.
+// temperatures and report that steady-regime run. The warm-up engine
+// solves its own warm start before it runs, and its regime comes from a
+// single run's summaries — engines run exactly once. The warm-up records
+// no trace unless cfg.OnSample subscribes to its samples, and no series
+// for a temperature variance nobody reads.
 func RunWarm(cfg Config) (*Result, error) {
-	warm, err := WarmStartTemps(cfg)
+	warmUp := cfg
+	warmUp.InitialTempsC, warmUp.DiscardTrace = nil, true
+	e1, err := New(warmUp)
 	if err != nil {
 		return nil, err
 	}
-	warmUp := cfg
-	warmUp.InitialTempsC, warmUp.DiscardTrace = warm, true
-	e1, err := New(warmUp)
-	if err != nil {
+	if err := e1.warmStart(); err != nil {
 		return nil, err
 	}
 	e1.warmUp = true

@@ -115,15 +115,30 @@ func TestSummariesMatchTraceClassic(t *testing.T) {
 	}
 }
 
-// explicitRunWarm is RunWarm's measurement protocol spelled out step by
-// step, with the warm-up regime taken from the warm-up's trace.
-func explicitRunWarm(t *testing.T, cfg sim.Config) *sim.Result {
+// explicitWarmStart is WarmStartTemps spelled out on an engine of its
+// own: the steady state of cfg's job, fully busy, from ambient at the
+// warm-start frequencies.
+func explicitWarmStart(t *testing.T, cfg sim.Config) []float64 {
 	t.Helper()
-	warm, err := sim.WarmStartTemps(cfg)
+	cfg.Governor, cfg.InitialTempsC = nil, nil
+	cfg.Freq = mapping.FreqSetting{BigMHz: 1400, LittleMHz: 1400, GPUMHz: 600}
+	e, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.InitialTempsC = warm
+	warm, err := e.SteadyTemps(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return warm
+}
+
+// explicitRunWarm is RunWarm's measurement protocol spelled out step by
+// step on three engines: the warm start, the warm-up run from it, and the
+// measured run from the warm-up regime, taken from the warm-up's trace.
+func explicitRunWarm(t *testing.T, cfg sim.Config) *sim.Result {
+	t.Helper()
+	cfg.InitialTempsC = explicitWarmStart(t, cfg)
 	e1, err := sim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -224,5 +239,47 @@ func sameSamples(t *testing.T, label string, got, want []trace.Sample) {
 		if !reflect.DeepEqual(got[k], want[k]) {
 			t.Fatalf("%s: sample %d = %+v, explicit protocol has %+v", label, k, got[k], want[k])
 		}
+	}
+}
+
+// RunWarm solves its warm start on the warm-up engine, at the warm-start
+// frequencies, and restores the configured ones before the warm-up runs.
+// It must equal the three-engine protocol field for field, and
+// WarmStartTemps the separate warm-start engine, on EEMP's configuration
+// (a Freq under a userspace governor, unused cores unplugged), and on a
+// Freq and on no Freq without a governor, whose Start would otherwise set
+// the frequencies again before the first tick: there a restore that
+// ignored Freq, or its 0 → maximum rule, runs the warm-up at other
+// frequencies.
+func TestRunWarmSolvesWarmStartOnWarmUpEngine(t *testing.T) {
+	base := sim.Config{
+		Platform: soc.Exynos5422(),
+		Net:      thermal.Exynos5422Network(),
+		App:      workload.Covariance(),
+		Map:      mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		Part:     mapping.Partition{Num: 4, Den: 8},
+	}
+	eemp := base
+	eemp.Freq = mapping.FreqSetting{BigMHz: 1800, LittleMHz: 1000, GPUMHz: 420}
+	eemp.Governor = &governor.Userspace{BigMHz: 1800, LittleMHz: 1000, GPUMHz: 420}
+	eemp.HotplugUnused = true
+	pinned := base
+	pinned.Freq = eemp.Freq
+	for _, c := range []struct {
+		name string
+		cfg  sim.Config
+	}{{"eemp", eemp}, {"freq", pinned}, {"no-freq", base}} {
+		warm, err := sim.WarmStartTemps(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := explicitWarmStart(t, c.cfg); !reflect.DeepEqual(warm, want) {
+			t.Errorf("%s: WarmStartTemps = %v, a separate engine gives %v", c.name, warm, want)
+		}
+		got, err := sim.RunWarm(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, c.name, got, explicitRunWarm(t, c.cfg))
 	}
 }

@@ -36,10 +36,11 @@ import (
 // every further epoch is provably a no-op, so the engine may jump across
 // control periods instead of replaying them. All stock Linux baselines in
 // internal/governor qualify; the TEEM controller does not (it reads
-// thermal sensors), so its epochs always bound a superstep. Implement
-// UtilOnly to return true only if the policy honours this contract —
-// a policy that reads anything else must not be marked, or supersteps
-// will skip decisions it would have made.
+// thermal sensors), so its epochs bound every record segment and walk,
+// and a jump crosses them only by its quiet band (QuietGovernor).
+// Implement UtilOnly to return true only if the policy honours this
+// contract — a policy that reads anything else must not be marked, or
+// supersteps will skip decisions it would have made.
 type UtilOnlyGovernor interface {
 	Governor
 	// UtilOnly reports that Act depends only on ClusterUtil and
@@ -51,6 +52,49 @@ type UtilOnlyGovernor interface {
 func govIsPure(g Governor) bool {
 	u, ok := g.(UtilOnlyGovernor)
 	return ok && u.UtilOnly()
+}
+
+// QuietGovernor is an optional interface for Governor implementations
+// whose Act compares one thermal sensor with one threshold and reads
+// nothing else but the current frequencies. QuietBand reports, at the
+// machine's current frequencies and throttle state, the sensor and the
+// side of the threshold on which Act changes nothing: given such a
+// reading it makes no SetClusterFreqMHz call and changes no state of its
+// own. quietBelow means readings below thresholdC are quiet, otherwise
+// readings at or above it are; ok = false means no reading is. The TEEM
+// controller (internal/core) implements it. When the policy's period is
+// a whole number of power-meter periods, its epochs are meter instants,
+// and a jump reads the sensor at each epoch it crosses and lands on the
+// first one whose reading leaves the band (see horizon and jump).
+type QuietGovernor interface {
+	Governor
+	QuietBand(m Machine) (sensor string, thresholdC float64, quietBelow, ok bool)
+}
+
+// quietBand is the band of a QuietGovernor a planned jump reads at the
+// epochs it crosses: readings of node below thresholdC are quiet when
+// below is set, readings at or above it otherwise.
+type quietBand struct {
+	node       int
+	thresholdC float64
+	below      bool
+}
+
+// quiet reports whether reading t lies in the band.
+//
+//teem:hotpath
+func (b *quietBand) quiet(t float64) bool {
+	return (t < b.thresholdC) == b.below
+}
+
+// setQuietGov records g as the engine's QuietGovernor when it is one and
+// its period, every ticks, is a whole number of meter periods, so its
+// epochs are meter instants; otherwise it clears it.
+func (e *Engine) setQuietGov(g Governor, every int) {
+	e.govQuiet = nil
+	if q, ok := g.(QuietGovernor); ok && every%tickAt(e.meter.PeriodS, TickS) == 0 {
+		e.govQuiet = q
+	}
 }
 
 // superstepMinSpan is the smallest jump worth planning: below this the
@@ -96,17 +140,20 @@ type steadyOp struct {
 //     every tick of the span is provably fully busy);
 //   - the next governor epoch, unless the policy is a marked util-only
 //     fixed point (UtilOnlyGovernor + an unchanged last epoch under the
-//     same utilisations, see crossesEpochs) — the only epoch bound a
-//     jump, a record segment or a walk has;
+//     same utilisations, see crossesEpochs) — the one epoch bound a jump,
+//     a record segment and a walk share — or, for a jump alone, a
+//     QuietGovernor with a quiet band at the current frequencies (see
+//     quietEpochs), whose epochs the jump reads;
 //   - the tick after the maxSpanInstants-th power-meter sampling instant.
 //
-// It returns the span n (possibly ≤ 0), the operating point, and — when
-// n is shorter than superstepMinSpan — the flight-recorder counter of
-// the clamp that made it so, in the order the clamps apply (nil
-// otherwise).
+// It returns the span n a jump may take (possibly ≤ 0), the span na ≤ n
+// record segments and walks may take, which ends at the first epoch of a
+// quiet band's policy, the operating point, and — when n is shorter
+// than superstepMinSpan — the flight-recorder counter of the clamp that
+// made it so, in the order the clamps apply (nil otherwise).
 //
 //teem:hotpath
-func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp, short *int64) {
+func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n, na int, op steadyOp, short *int64) {
 	k := e.timeTicks
 	n = maxTicks - k - 1
 	if e.drained() {
@@ -140,16 +187,20 @@ func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp
 	}
 	op.bigBusy, op.litBusy = e.cpuUtils(op.cpuBusy)
 	govClamped := false
+	na = n
 	if e.govEvery > 0 && !e.crossesEpochs(op) {
 		if r := k % e.govEvery; r == 0 {
 			// This tick is an epoch: it runs as an ordinary tick.
-			n = 0
+			n, na = 0, 0
 			if short == nil {
 				short = &e.stats.RejectGovernor
 			}
 		} else if m := e.govEvery - r; m < n {
-			n = m
-			govClamped = true
+			na = m
+			if !e.quietEpochs() {
+				n = m
+				govClamped = true
+			}
 		}
 	}
 	if short == nil && n < superstepMinSpan {
@@ -161,7 +212,30 @@ func (e *Engine) horizon(dt float64, maxTicks, minTicks int) (n int, op steadyOp
 			short = &e.stats.RejectWork
 		}
 	}
-	return n, op, short
+	return n, na, op, short
+}
+
+// quietEpochs reports whether a jump may cross the policy's epochs,
+// reading its quiet band at each: the policy is a QuietGovernor whose
+// epochs are meter instants (see setQuietGov) and it reports a band on a
+// sensor the platform has at the current frequencies. It records that
+// band in e.band for jump.
+//
+//teem:hotpath
+func (e *Engine) quietEpochs() bool {
+	if e.govQuiet == nil {
+		return false
+	}
+	sensor, thresholdC, below, ok := e.govQuiet.QuietBand(e)
+	if !ok {
+		return false
+	}
+	node, ok := e.sensors[sensor]
+	if !ok {
+		return false
+	}
+	e.band = quietBand{node: node, thresholdC: thresholdC, below: below}
+	return true
 }
 
 // tickAt is the first tick whose start time (TimeS's arithmetic) is at or
@@ -255,13 +329,16 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 // in record segments or walked instead (see advance), because re-planning
 // on each of its ticks would refuse each jump in turn: a throttled chip
 // stays throttled until the release the advance stops before, a mixed
-// verdict holds until the span it was probed over passes, a short span
-// only shortens, and a landing point past the trip or below the floor is
-// the same state for every later tick of the span. A mixed or refused
-// span ends before the next meter instant after this tick, where a
-// planner that stopped at every instant probed again. A start below the
-// 25 °C floor is the exception: the next tick may warm past it and
-// certify a jump, so it re-plans there.
+// verdict holds until a re-probe at a meter instant turns monotone, a
+// short span only shortens, and a landing point past the trip or below
+// the floor is the same state for every later tick of the span. A mixed
+// span runs to the end of its horizon, re-probing at each meter instant
+// it crosses and stopping after the first where a planner that stopped
+// at every instant would not have found it mixed again (see reprobe); a
+// refused span ends before the next meter instant after this tick, where
+// such a planner probed again. A start below the 25 °C floor is the
+// exception: the next tick may warm past it and certify a jump, so it
+// re-plans there.
 //
 //teem:hotpath
 func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
@@ -269,22 +346,22 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		return false, nil
 	}
 	k, km := e.timeTicks, e.meterTick()
-	n, op, short := e.horizon(dt, maxTicks, minTicks)
+	n, na, op, short := e.horizon(dt, maxTicks, minTicks)
 	switch {
 	case !e.cfg.DisableHWProtect && e.throttled:
 		e.stats.RejectTMU++
-		return e.advance(dt, n, op)
+		return e.advance(dt, na, op, false)
 	case k == 0:
 		// Let the first ordinary tick fold a state into the peaks;
 		// afterwards the falling-trajectory case needs no interior peak
 		// bookkeeping (the pre-jump state already bounds it).
 		return false, nil
 	case k < e.ssSkipUntil:
-		// A recent probe reported a mixed trajectory direction; the system
-		// is hovering near equilibrium and the probe outcome will not
-		// change until the horizon that probe was bounded by.
+		// A mixed stretch was cut short by a TMU transition before the
+		// next meter instant: its verdict holds up to that instant,
+		// where the re-probe would have run.
 		e.stats.RejectMixed++
-		return e.advance(dt, min(n, e.ssSkipUntil-k), op)
+		return e.advance(dt, min(na, e.ssSkipUntil-k), op, false)
 	case k == km:
 		// A span does not start on a meter instant: the span before
 		// ended there, and its tick latches the meter and leads to the
@@ -293,7 +370,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		return false, nil
 	case short != nil:
 		*short++
-		return e.walk(dt, n, op)
+		return e.walk(dt, na, op)
 	case e.tmuFires():
 		// The trip fires on this tick's protection check.
 		e.stats.RejectTMU++
@@ -311,32 +388,28 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	// endpoint checks (start here, landing below) bound the monotone
 	// interior. A cold start is not walked: the next tick may warm past
 	// the floor and certify a jump.
-	for i, s := range e.ssSlopeCur {
-		if s > 0 && e.therm.Temp(i) < 25 {
-			e.stats.RejectLeakage++
-			return false, nil
-		}
+	if e.belowFloor() {
+		e.stats.RejectLeakage++
+		return false, nil
 	}
 	end, dir, err := e.ss.Jump(n, e.ssInj)
 	if err != nil {
 		return false, err
 	}
-	// The span up to the next meter instant.
-	n1 := min(n, km-k)
 	if dir == 0 {
 		// Mixed trajectory: endpoint guards would not bound the interior.
-		// Skip further attempts up to the next meter instant — near
-		// equilibrium the probe stays mixed — and advance it in segments.
-		e.ssSkipUntil = k + n1
+		// Advance the span in segments, which re-probe at each meter
+		// instant they cross; attempts up to the next one are skipped.
+		e.ssSkipUntil = k + min(na, km-k)
 		e.stats.RejectMixed++
-		return e.advance(dt, n1, op)
+		return e.advance(dt, na, op, true)
 	}
-	return e.jump(dt, n, n1, km, op, end, dir)
+	return e.jump(dt, n, na < n, km, op, end, dir)
 }
 
 // jump takes a monotone span of n ticks planned on e.ss, landing in end,
-// or refuses it into an advance of n1 ticks, the span up to its first
-// meter instant km. Each meter instant k_m the jump crosses is latched as an
+// or refuses it into an advance of the span up to its first meter
+// instant km. Each meter instant k_m the jump crosses is latched as an
 // ordinary tick would latch it: the power law at T(k_m), evaluated in
 // closed form from the carried modal state (thermal.Superstep's
 // InstantSlopeW, O(N) per instant), and on a record tick the sample of
@@ -345,32 +418,45 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 // When the landing state fails the TMU trip or 25 °C floor check, the
 // jump ends after the last instant whose state T(k_m) passes, where a
 // planner that stopped at every instant and ticked it would have probed
-// next; when the first instant fails too, the span is refused. A
-// closed-form power within meterGuard quanta of a rounding boundary is
-// not latched: the jump lands on that instant, whose tick then runs as
-// an ordinary one and latches its own power.
+// next; when the first instant fails too, the span is refused. When
+// epochs is set the span crosses governor epochs by the policy's quiet
+// band (see quietEpochs): each is a meter instant, and the jump reads the
+// band's sensor in T(k_m) there and lands on the first epoch whose
+// reading leaves the band, which then runs as an ordinary tick, as the
+// epoch of a span clamped at it does. A closed-form power within
+// meterGuard quanta of a rounding boundary is not latched: the jump lands
+// on that instant, whose tick then runs as an ordinary one and latches
+// its own power.
 //
 //teem:hotpath
-func (e *Engine) jump(dt float64, n, n1, km int, op steadyOp, end []float64, dir int) (bool, error) {
+func (e *Engine) jump(dt float64, n int, epochs bool, km int, op steadyOp, end []float64, dir int) (bool, error) {
 	k, ss := e.timeTicks, e.ss
+	n1 := min(n, km-k)
 	refused := e.landReject(end)
 	if refused != nil && n1 == n {
 		*refused++
-		return e.advance(dt, n1, op)
+		return e.advance(dt, n1, op, false)
 	}
 	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
 	land := n
 	for first := true; km < k+n; km, first = e.meterTick(), false {
 		slopeW := ss.InstantSlopeW(km - k)
-		if refused != nil {
+		epoch := epochs && km%e.govEvery == 0
+		if refused != nil || epoch {
 			ss.InstantTemps(e.recTemps, 0)
+		}
+		if refused != nil {
 			if r := e.landReject(e.recTemps); r != nil {
 				if first {
 					*r++
-					return e.advance(dt, n1, op)
+					return e.advance(dt, n1, op, false)
 				}
 				break
 			}
+		}
+		if epoch && !e.band.quiet(e.recTemps[e.band.node]) {
+			land = km - k
+			break
 		}
 		p := e.segmentPowerW(slopeW)
 		if !e.meter.Robust(p, meterGuard) {
@@ -496,13 +582,16 @@ func drain(rem, c float64, n int) float64 {
 // advance moves a proven horizon of n ticks at op that a temperature
 // guard refused to jump: a span of at least superstepMinSpan ticks in
 // record segments (see segments), a shorter one by walk. The horizon
-// already bounds it by the one epoch rule jumps follow, so it crosses
-// governor epochs exactly where a jump would.
+// already bounds it by the one epoch rule, so it crosses governor epochs
+// exactly where a jump on the same rule would, and stops at the first
+// epoch of a quiet band's policy. A mixed span's segments re-probe at
+// the meter instants they cross (see reprobe); a mixed span too short to
+// segment ends before the next instant.
 //
 //teem:hotpath
-func (e *Engine) advance(dt float64, n int, op steadyOp) (bool, error) {
+func (e *Engine) advance(dt float64, n int, op steadyOp, mixed bool) (bool, error) {
 	if n >= superstepMinSpan {
-		return e.segments(dt, n, op)
+		return e.segments(dt, n, op, mixed)
 	}
 	return e.walk(dt, n, op)
 }
@@ -617,14 +706,16 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 // tick's own power. A refused segment is walked (see walkTicks), and the
 // segments stop where that walk stops before a TMU transition. The span
 // crosses governor epochs where the horizon lets it (see crossesEpochs),
-// as a jump does. The busy chunks drain the segmented ticks once per
-// span (see deplete). The running peaks already bound T(0): a throttled
-// chip or a probed span follows a real tick. Segments count as
+// as a jump does. A mixed span's segments also stop after a meter
+// instant they or their walks cross where the re-probe does not find the
+// stretch mixed (see reprobe). The busy chunks drain the segmented ticks
+// once per span (see deplete). The running peaks already bound T(0): a
+// throttled chip or a probed span follows a real tick. Segments count as
 // supersteps, and leave e.bd to the next tick's evaluation. It polls
 // cancellation once and after every meter instant.
 //
 //teem:hotpath
-func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
+func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) (bool, error) {
 	if e.tmuFires() {
 		return false, nil
 	}
@@ -692,6 +783,9 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 					if err := e.aborted(); err != nil {
 						return false, err
 					}
+					if mixed && !e.reprobe(end) {
+						break
+					}
 				}
 				continue
 			}
@@ -706,6 +800,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 		if err := e.walkTicks(dt, l, &op, &leak); err != nil {
 			return false, err
 		}
+		crossed := e.meterTick() != km
 		km = e.meterTick()
 		if e.tmuFires() {
 			break
@@ -713,12 +808,51 @@ func (e *Engine) segments(dt float64, n int, op steadyOp) (bool, error) {
 		if err := ss.BeginSegments(e.ssInj); err != nil {
 			return false, err
 		}
+		if mixed && crossed && !e.reprobe(end) {
+			break
+		}
 	}
 	e.deplete(dt, undrained, &op)
 	if clk != nil {
 		e.stats.ThermalNanos += clk() - t0
 	}
 	return true, nil
+}
+
+// reprobe reports whether a mixed stretch advancing to tick end goes on
+// past the meter instant its segments or walks just crossed: it does
+// while the span lasts, every node with a leakage slope is at or above
+// the 25 °C floor and Jump's one-tick probe, re-run on the committed
+// state under the injection BeginSegments took, stays mixed, and then
+// ssSkipUntil moves to the next instant, clamped to end. Otherwise the
+// stretch stops here, where a planner that ticked the instant would not
+// have advanced a mixed span next: it would have jumped a monotone
+// trajectory, or re-planned on each tick below the floor.
+//
+//teem:hotpath
+func (e *Engine) reprobe(end int) bool {
+	if e.timeTicks >= end {
+		return true
+	}
+	if e.belowFloor() || e.ss.Direction() != 0 {
+		return false
+	}
+	e.ssSkipUntil = min(e.meterTick(), end)
+	return true
+}
+
+// belowFloor reports that a node with a leakage slope sits below the
+// 25 °C reference, where the jump map's affine leakage form does not
+// hold.
+//
+//teem:hotpath
+func (e *Engine) belowFloor() bool {
+	for i, s := range e.ssSlopeCur {
+		if s > 0 && e.therm.Temp(i) < 25 {
+			return true
+		}
+	}
+	return false
 }
 
 // segmentPowerW is the board power of a tick at the bound operating

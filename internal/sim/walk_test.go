@@ -6,11 +6,13 @@ import (
 	"reflect"
 	"testing"
 
+	"teem/internal/core"
 	"teem/internal/governor"
 	"teem/internal/mapping"
 	"teem/internal/obs"
 	"teem/internal/platform"
 	"teem/internal/sim"
+	"teem/internal/thermal"
 	"teem/internal/trace"
 	"teem/internal/workload"
 )
@@ -146,8 +148,9 @@ func TestSuperstepWalkMatchesTick(t *testing.T) {
 }
 
 // segmentGovs are the policies TestSuperstepSegmentsMatchTicks runs
-// under: none, each stock util-only policy, and maxGov, which is not
-// util-only.
+// under: none, each stock util-only policy, maxGov, which is not
+// util-only, and the TEEM controller, whose 85 °C threshold the big node
+// cools through from its 90 °C start.
 var segmentGovs = []sim.Governor{
 	nil,
 	governor.Performance{},
@@ -155,6 +158,7 @@ var segmentGovs = []sim.Governor{
 	governor.NewConservative(),
 	&governor.Userspace{},
 	maxGov{},
+	core.NewController(core.DefaultParams()),
 }
 
 // govName names a segmentGovs case.
@@ -176,8 +180,10 @@ func govName(g sim.Governor) string {
 // frequency and utilisation are equal, and the per-node peaks, the final
 // temperatures and every sample's temperatures and power agree within
 // 1e-9. Under each governor the spans cross epochs by the rule jumps
-// follow (see agreeGoverned). A last case per platform trips and
-// releases under a util-only policy (see testTripReleaseMatchesTicks).
+// follow (see agreeGoverned). Two last cases per platform trip and
+// release under a util-only policy (see testTripReleaseMatchesTicks) and
+// jump across the TEEM controller's quiet epochs (see
+// testQuietEpochsMatchTicks).
 func TestSuperstepSegmentsMatchTicks(t *testing.T) {
 	for _, name := range platform.Names() {
 		for _, gov := range segmentGovs {
@@ -193,6 +199,9 @@ func TestSuperstepSegmentsMatchTicks(t *testing.T) {
 		}
 		t.Run(name+"/performance/trip-release", func(t *testing.T) {
 			testTripReleaseMatchesTicks(t, name)
+		})
+		t.Run(name+"/teem/quiet-epochs", func(t *testing.T) {
+			testQuietEpochsMatchTicks(t, name)
 		})
 	}
 }
@@ -241,12 +250,24 @@ func testSegmentsMatchTicks(t *testing.T, name string, gov sim.Governor, cold bo
 	if rS.ThrottleEvents != 1 || rT.ThrottleEvents != 1 {
 		t.Errorf("throttle events %d/%d", rS.ThrottleEvents, rT.ThrottleEvents)
 	}
+	agreeSampled(t, gov, eS, rS, eT, rT)
+}
+
+// agreeSampled holds a run that jumps no sample away to its fixed-tick
+// twin: the decisions agreeGoverned compares, the meter and the
+// schedule are equal, the peaks and final temperatures agree within
+// 1e-9, and the run records the twin's samples, each agreeing with it.
+func agreeSampled(t *testing.T, gov sim.Governor, eS *sim.Engine, rS *sim.Result, eT *sim.Engine, rT *sim.Result) {
+	t.Helper()
 	agreeGoverned(t, gov, rS, rT)
+	if rS.EnergyJ != rT.EnergyJ || rS.ExecTimeS != rT.ExecTimeS {
+		t.Errorf("meter or schedule differ: %g J at %g s, ticked %g J at %g s", rS.EnergyJ, rS.ExecTimeS, rT.EnergyJ, rT.ExecTimeS)
+	}
 	near(t, "PeakTempsC", rS.PeakTempsC, rT.PeakTempsC)
 	near(t, "final temperature", eS.FinalTemps(), eT.FinalTemps())
 	ss, st := rS.Trace.Samples, rT.Trace.Samples
 	if len(ss) != len(st) {
-		t.Fatalf("trace lengths differ: segmented %d, ticked %d", len(ss), len(st))
+		t.Fatalf("trace lengths differ: superstepped %d, ticked %d", len(ss), len(st))
 	}
 	for i := range ss {
 		if ss[i].TimeS != st[i].TimeS {
@@ -280,6 +301,38 @@ func testTripReleaseMatchesTicks(t *testing.T, name string) {
 	eT, rT := run(true)
 	if rS.Stats.TMUTrips == 0 || (name != "harrier-s16" && rS.Stats.TMUReleases == 0) {
 		t.Fatalf("want a trip and, but on harrier-s16, a release; got %+v", rS.Stats)
+	}
+	agreeThinned(t, gov, eS, rS, eT, rT)
+}
+
+// walkConfig's runs under the TEEM controller with its threshold 2 °C
+// below the big node's start: the controller moves the big cluster's
+// frequency as the node crosses the threshold, and the jumps in between
+// cross the epochs whose reading stays in its quiet band, so fewer
+// epochs are ticked than in the DisableSuperstep twin, which the run
+// otherwise agrees with (see agreeThinned).
+func testQuietEpochsMatchTicks(t *testing.T, name string) {
+	p := core.DefaultParams()
+	p.ThresholdC = walkStarts[name].bigC - 2
+	gov := core.NewController(p)
+	run := func(disable bool) (*sim.Engine, *sim.Result) {
+		cfg := walkConfig(t, name, disable)
+		cfg.Governor = gov
+		e, err := sim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, r
+	}
+	eS, rS := run(false)
+	eT, rT := run(true)
+	if rS.FreqTransitions == 0 || rS.Stats.GovernorEpochs >= rT.Stats.GovernorEpochs {
+		t.Fatalf("want frequency changes and crossed epochs: %d transitions, %d of the twin's %d epochs ticked",
+			rS.FreqTransitions, rS.Stats.GovernorEpochs, rT.Stats.GovernorEpochs)
 	}
 	agreeThinned(t, gov, eS, rS, eT, rT)
 }
@@ -343,6 +396,67 @@ func TestSuperstepEpochSeesLastTick(t *testing.T) {
 	}
 }
 
+// A mixed-direction stretch is one span: an idle exynos5422 whose big
+// node starts at 80 °C cools while its neighbours warm from ambient, and
+// the probe on the first tick after the run's first finds the trajectory
+// mixed. Its record segments re-probe at each meter instant they cross
+// and go on while the probe stays mixed, so the stretch counts one
+// mixed-direction rejection and ticks none of its instants: over 10 s it
+// lasts the whole run and records every sample its DisableSuperstep
+// twin records, equal within 1e-9; over 30 s it turns monotone after
+// more than ten instants and stops there, and a jump takes the rest.
+func TestSuperstepMixedSpanCrossesInstants(t *testing.T) {
+	for _, c := range []struct {
+		minS  float64
+		whole bool
+	}{{10, true}, {30, false}} {
+		t.Run(fmt.Sprintf("min=%gs", c.minS), func(t *testing.T) {
+			run := func(disable bool) (*sim.Engine, *sim.Result) {
+				b, err := platform.Get("exynos5422")
+				if err != nil {
+					t.Fatal(err)
+				}
+				temps := make([]float64, len(b.Net.Nodes))
+				for i := range temps {
+					temps[i] = b.SoC.AmbientC
+				}
+				temps[b.Net.NodeIndex(b.SoC.Big().Name)] = 80
+				e, err := sim.New(sim.Config{
+					Platform:         b.SoC,
+					Net:              b.Net,
+					Map:              mapping.Mapping{Big: 4, Little: 4, UseGPU: true},
+					MinTimeS:         c.minS,
+					InitialTempsC:    temps,
+					DisableSuperstep: disable,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := e.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e, r
+			}
+			eS, rS := run(false)
+			eT, rT := run(true)
+			st := rS.Stats
+			if st.RejectMixed != 1 || st.RejectMeter != 0 || st.Ticks-st.WalkedTicks != 1 || st.SegmentTicks < 300 {
+				t.Fatalf("want one mixed stretch of at least 3 instants after the first tick, none ticked: "+
+					"%d mixed and %d meter rejections, %d ordinary ticks, %d segmented", st.RejectMixed, st.RejectMeter, st.Ticks-st.WalkedTicks, st.SegmentTicks)
+			}
+			if jumped := st.MaxJump > thermal.SegmentMaxTicks; jumped == c.whole {
+				t.Fatalf("longest advance %d ticks; want a jump after the stretch: %v", st.MaxJump, !c.whole)
+			}
+			if c.whole {
+				agreeSampled(t, nil, eS, rS, eT, rT)
+			} else {
+				agreeThinned(t, nil, eS, rS, eT, rT)
+			}
+		})
+	}
+}
+
 // agreeThinned holds a run that may jump to its fixed-tick twin: the
 // meter, the schedule, every frequency decision and the TMU transitions
 // are equal, with the epochs ticked as agreeGoverned requires, and the
@@ -374,10 +488,11 @@ func agreeThinned(t *testing.T, gov sim.Governor, eS *sim.Engine, rS *sim.Result
 
 // agreeGoverned holds a run to its fixed-tick twin on everything its
 // governor and the TMU decided: frequency transitions, trips and
-// releases are equal. The epochs it ticks follow the one epoch rule:
-// under a util-only policy, spans cross the epochs after one that
-// changed nothing, so fewer are ticked; under any other policy, or none,
-// every epoch is.
+// releases are equal. The epochs it ticks follow the epoch rules: under
+// a util-only policy, spans cross the epochs after one that changed
+// nothing, so fewer are ticked; under a QuietGovernor jumps cross the
+// epochs whose reading stays in its quiet band, so no more are; under any
+// other policy, or none, every epoch is.
 func agreeGoverned(t *testing.T, gov sim.Governor, rS, rT *sim.Result) {
 	t.Helper()
 	if rS.FreqTransitions != rT.FreqTransitions || rS.Stats.TMUTrips != rT.Stats.TMUTrips || rS.Stats.TMUReleases != rT.Stats.TMUReleases {
@@ -388,6 +503,10 @@ func agreeGoverned(t *testing.T, gov sim.Governor, rS, rT *sim.Result) {
 	if u, ok := gov.(sim.UtilOnlyGovernor); ok && u.UtilOnly() {
 		if eS >= eT {
 			t.Errorf("util-only %s ticked %d of the twin's %d epochs; spans crossed none", govName(gov), eS, eT)
+		}
+	} else if _, ok := gov.(sim.QuietGovernor); ok {
+		if eS > eT {
+			t.Errorf("%s ticked %d epochs, more than its twin's %d", govName(gov), eS, eT)
 		}
 	} else if eS != eT {
 		t.Errorf("%s ticked %d epochs, its twin %d", govName(gov), eS, eT)

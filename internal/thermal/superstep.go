@@ -110,7 +110,8 @@ const (
 	vC     = iota // Q⁻¹·b̃
 	vU            // Q⁻¹·T at the start of the jump or the next segment
 	vZ            // modal increments of the planned jump or segment
-	vEnd          // b̃, then the planned end temperatures
+	vEnd          // the planned end temperatures
+	vB            // b̃ of the last Jump or BeginSegments
 	vPowD         // each mode's λⁿ − 1 for n = pn
 	vPowS         // each mode's Σ_{j<n} λʲ for n = pn
 	vSum          // segment certificate: w + w′
@@ -168,12 +169,12 @@ func (ss *Superstep) Slope() []float64 { return ss.f.slope }
 // Reused reports whether the modal form was shared, not eigensolved.
 func (ss *Superstep) Reused() bool { return ss.reused }
 
-// inject returns b̃ = Bp·constInjW + ambGain·Tamb in scratch vector vEnd.
+// inject returns b̃ = Bp·constInjW + ambGain·Tamb in scratch vector vB.
 //
 //teem:hotpath
 func (ss *Superstep) inject(constInjW []float64) []float64 {
 	n, amb := ss.st.m.n, ss.st.m.ambientC
-	bvec := ss.vec(vEnd)
+	bvec := ss.vec(vB)
 	for i := 0; i < n; i++ {
 		acc := ss.st.ambGain[i] * amb
 		br := ss.st.bp[i*n : i*n+n : i*n+n]
@@ -239,28 +240,7 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	bvec := ss.inject(constInjW)
 	u, c, z, tn := ss.vec(vU), ss.vec(vC), ss.vec(vZ), ss.vec(vEnd)
 	pd, ps := ss.vec(vPowD), ss.vec(vPowS)
-	// One-tick probe: with Ã ≥ 0 the increment T[k+1]−T[k] keeps its
-	// componentwise sign, so the first step's direction is the whole
-	// jump's direction.
-	rising, falling := true, true
-	for i := 0; i < n; i++ {
-		acc := bvec[i]
-		ar := f.at[i*n : i*n+n : i*n+n]
-		for j := range ar {
-			acc += ar[j] * temps[j]
-		}
-		if acc > temps[i] {
-			falling = false
-		} else if acc < temps[i] {
-			rising = false
-		}
-	}
-	switch {
-	case rising:
-		dir = 1
-	case falling:
-		dir = -1
-	default:
+	if dir = ss.probe(bvec); dir == 0 {
 		return nil, 0, nil
 	}
 	// The powers are kept for a repeated horizon.
@@ -292,6 +272,54 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 	clear(ss.vec(vAcc))
 	ss.planned, ss.at = true, 0
 	return tn, dir, nil
+}
+
+// probe is the one-tick direction probe: the sign of Ã·T + b̃ − T on
+// every node, from the model's temperatures under the injection bvec.
+// With Ã ≥ 0 the increment T[k+1]−T[k] keeps its componentwise sign, so
+// the first step's direction is the direction of every later step at the
+// same injection: +1 when no node falls, −1 when some node falls and
+// none rises, 0 when both happen.
+//
+//teem:hotpath
+func (ss *Superstep) probe(bvec []float64) int {
+	f, n := ss.f, ss.st.m.n
+	temps := ss.st.m.temps[:n]
+	rising, falling := true, true
+	for i := 0; i < n; i++ {
+		acc := bvec[i]
+		ar := f.at[i*n : i*n+n : i*n+n]
+		for j := range ar {
+			acc += ar[j] * temps[j]
+		}
+		if acc > temps[i] {
+			falling = false
+		} else if acc < temps[i] {
+			rising = false
+		}
+	}
+	switch {
+	case rising:
+		return 1
+	case falling:
+		return -1
+	}
+	return 0
+}
+
+// Direction is Jump's one-tick direction probe from the model's current
+// temperatures under the injection the last BeginSegments took: +1
+// rising, −1 falling, 0 mixed, as Jump reports it for a jump planned
+// here. Between segments of one run it reads the committed state, so a
+// caller can tell where a mixed trajectory turns monotone without
+// planning a jump. It returns 0 when no segment run is begun.
+//
+//teem:hotpath
+func (ss *Superstep) Direction() int {
+	if !ss.begun {
+		return 0
+	}
+	return ss.probe(ss.vec(vB))
 }
 
 // Commit applies the temperatures of the last successful Jump to the
@@ -384,8 +412,9 @@ func (ss *Superstep) InstantTemps(dst []float64, next int) {
 // BeginSegments starts advancing the bound model in segments under the
 // constant injection constInjW (as for Jump): it takes the modal state
 // u = Q⁻¹·T of the model's temperatures, which Segment reads and
-// CommitSegment carries forward, and the injection's Q⁻¹·b̃. Call it
-// again after anything else moves the model. Allocation-free.
+// CommitSegment carries forward, and the injection's b̃ and Q⁻¹·b̃, which
+// Direction reads too. Call it again after anything else moves the
+// model. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) BeginSegments(constInjW []float64) error {

@@ -105,6 +105,18 @@ func TestSuperstepDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Direction re-runs Jump's probe on the state BeginSegments took; it
+	// has no injection to probe under until BeginSegments runs.
+	direction := func(inj []float64) int {
+		t.Helper()
+		if d := ss.Direction(); d != 0 {
+			t.Fatalf("Direction = %d with no segment run begun, want 0", d)
+		}
+		if err := ss.BeginSegments(inj); err != nil {
+			t.Fatal(err)
+		}
+		return ss.Direction()
+	}
 	hot := []float64{4, 3, 4, 3} // watts: drives every node up from ambient
 	end, dir, err := ss.Jump(50, hot)
 	if err != nil {
@@ -112,6 +124,12 @@ func TestSuperstepDirection(t *testing.T) {
 	}
 	if dir != 1 {
 		t.Fatalf("heating from ambient: dir = %d, want 1", dir)
+	}
+	if d := direction(hot); d != dir {
+		t.Fatalf("heating from ambient: Direction = %d, Jump's probe %d", d, dir)
+	}
+	if _, _, err := ss.Jump(50, hot); err != nil {
+		t.Fatal(err)
 	}
 	for i := range end {
 		if end[i] <= 28 {
@@ -135,6 +153,12 @@ func TestSuperstepDirection(t *testing.T) {
 	}
 	if dir != -1 {
 		t.Fatalf("cooling after power cut: dir = %d, want -1", dir)
+	}
+	if d := direction(zero); d != dir {
+		t.Fatalf("cooling after power cut: Direction = %d, Jump's probe %d", d, dir)
+	}
+	if end, _, err = ss.Jump(50, zero); err != nil {
+		t.Fatal(err)
 	}
 	for i := range end {
 		if end[i] < 28 {
