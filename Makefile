@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check perfbench-layout scenario-gate integrator-gate platform-gate repro-gate repro-golden serve-smoke soak-gate obs-gate ci
+.PHONY: build vet lint vulncheck fmt test race bench bench-json perfbench-check perfbench-layout loc scenario-gate integrator-gate platform-gate repro-gate repro-golden serve-smoke soak-gate obs-gate ci
 
 build:
 	$(GO) build ./...
@@ -85,12 +85,24 @@ perfbench-layout:
 	echo "address mod 128 $$((0x$$addr % 128))"; \
 	echo ".text sha256    $$(objcopy -O binary --only-section=.text $(LAYOUT_BIN) /dev/stdout | sha256sum | cut -d' ' -f1)"
 
+# Production size (ROADMAP's headline number): lines of the non-test Go
+# files outside perfbench/ (the benchmark module), testdata/ and
+# .bench_build/. Quote it parent -> change when a change adds or removes
+# code. Informational only; CI prints it.
+loc:
+	@find . \( -path ./.git -o -path ./perfbench -o -path ./.bench_build -o -name testdata \) -prune \
+		-o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
+
 # Curated scenario-corpus regression gate: every preset (hand-authored
 # and trace-replayed, preemption and departures included) under the
 # ondemand baseline and the TEEM controller. teemscenario exits non-zero
-# on any assertion violation or cell error, failing the gate.
+# on any assertion violation or cell error, failing the gate. The
+# scenario decoder is then fuzzed for 10 s (FuzzScenarioLoad, seeded with
+# every preset): Load must not panic, and what it accepts must save to a
+# canonical form, which teemd hashes for its cache key.
 scenario-gate:
 	$(GO) run ./cmd/teemscenario -govs ondemand,teem
+	$(GO) test -run '^$$' -fuzz '^FuzzScenarioLoad$$' -fuzztime 10s ./internal/scenario
 
 # Integrator-agreement gate (docs/integrators.md): the superstep
 # agreement suites must hold uncached, the contract fuzzer must find no

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -32,6 +33,42 @@ func FuzzSuperstepContract(f *testing.F) {
 			t.Fatalf("%s on %s without supersteps: %v", sc.Name, plat, err)
 		}
 		assertSuperstepContract(t, rJ, rF)
+	})
+}
+
+// FuzzScenarioLoad fuzzes the scenario decoder, seeded with every preset
+// as Save writes it. Load must not panic, and a scenario it accepts must
+// save to a canonical form: that output loads again and saves to the
+// same bytes, since it is what teemd hashes for its result cache key.
+// Bytes are compared, not decoded values: "final": [] decodes to a
+// non-nil empty slice but saves as omitted.
+func FuzzScenarioLoad(f *testing.F) {
+	for _, sc := range Presets() {
+		var buf bytes.Buffer
+		if err := sc.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var saved, resaved bytes.Buffer
+		if err := sc.Save(&saved); err != nil {
+			t.Fatalf("saving an accepted scenario: %v", err)
+		}
+		again, err := Load(bytes.NewReader(saved.Bytes()))
+		if err != nil {
+			t.Fatalf("Load rejects what Save wrote: %v\n%s", err, saved.Bytes())
+		}
+		if err := again.Save(&resaved); err != nil {
+			t.Fatalf("saving a reloaded scenario: %v", err)
+		}
+		if !bytes.Equal(saved.Bytes(), resaved.Bytes()) {
+			t.Fatalf("saved form is not canonical:\n%s\nsaves again as\n%s", saved.Bytes(), resaved.Bytes())
+		}
 	})
 }
 

@@ -99,14 +99,17 @@ func FromTrace(tr *ArrivalTrace) (*Scenario, error) {
 		return nil, fmt.Errorf("scenario: arrival trace %q has no records", tr.Name)
 	}
 	// NaN passes every ordered check below (a NaN hold_s silently drops
-	// its departure), so reject non-finite values up front, naming the
-	// record by its position in the log.
+	// its departure), so reject non-finite values up front, and negative
+	// holds with them, naming the record by its position in the log.
 	if f, bad := nonFinite(numField{"horizon_s", tr.HorizonS}); bad {
 		return nil, fmt.Errorf("scenario: arrival trace %q: non-finite %s %g", tr.Name, f.name, f.v)
 	}
 	for i, r := range tr.Records {
 		if f, bad := nonFinite(numField{"at_s", r.AtS}, numField{"hold_s", r.HoldS}, numField{"deadline_s", r.DeadlineS}); bad {
 			return nil, fmt.Errorf("scenario: arrival trace %q: record %d: non-finite %s %g", tr.Name, i, f.name, f.v)
+		}
+		if r.HoldS < 0 {
+			return nil, fmt.Errorf("scenario: arrival trace %q: record %d has a negative hold", tr.Name, i)
 		}
 	}
 	m := mapping.Mapping{Big: 4, Little: 2, UseGPU: true}
@@ -124,9 +127,6 @@ func FromTrace(tr *ArrivalTrace) (*Scenario, error) {
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].AtS < recs[j].AtS })
 	for i := range recs {
 		r := &recs[i]
-		if r.HoldS < 0 {
-			return nil, fmt.Errorf("scenario: arrival trace %q: record %d has a negative hold", tr.Name, i)
-		}
 		// A held record's departure is bound to this exact submission
 		// by a job tag: overlapping same-app tenants with non-FIFO
 		// holds must cancel the recorded instance, not whichever

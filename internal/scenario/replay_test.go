@@ -95,6 +95,20 @@ func TestFromTraceRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// A negative hold is named by the record's position in the log, as a
+// non-finite number is, not by its position after the records are
+// sorted by arrival time.
+func TestFromTraceNamesNegativeHoldByLogPosition(t *testing.T) {
+	tr := &ArrivalTrace{Name: "x", Records: []TraceRecord{
+		{App: "MVT", AtS: 5, HoldS: -1},
+		{App: "COVARIANCE", AtS: 1},
+	}}
+	_, err := FromTrace(tr)
+	if want := "record 0 has a negative hold"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want one containing %q", err, want)
+	}
+}
+
 // The JSON arrival-log round trip: LoadTrace reads what Save wrote, and
 // the strict decoder flags typos.
 func TestArrivalTraceJSONRoundTrip(t *testing.T) {

@@ -6,8 +6,8 @@ import (
 	"teem/internal/obs"
 )
 
-// WalkRun runs e to maxTimeS seconds like Run, but hands every proven
-// horizon to walk — no jumps and no record segments — so
+// WalkRun runs e to maxTimeS seconds like Run, but walks every proven
+// horizon (walkTicks) — no jumps and no record segments — so
 // BenchmarkSteadyWalk times walked ticks on a configuration whose spans
 // Run would advance in segments. It serves a run with no governor and no
 // scheduled event whose job outlasts maxTimeS, and returns the flight
@@ -21,11 +21,14 @@ func WalkRun(e *Engine, maxTimeS float64) (obs.RunStats, error) {
 	maxTicks := int(maxTimeS/dt + 0.5)
 	for e.timeTicks < maxTicks {
 		_, n, op, _ := e.horizon(dt, maxTicks, maxTicks)
-		advanced, err := e.walk(dt, n, op)
-		if err != nil {
-			return e.stats, err
-		}
-		if advanced {
+		if n >= 1 && !e.tmuFires() {
+			var leak steadyLeak
+			if err := e.steadyPower(&op, &leak); err != nil {
+				return e.stats, err
+			}
+			if err := e.walkTicks(dt, n, &op, &leak); err != nil {
+				return e.stats, err
+			}
 			continue
 		}
 		finishedAt, err := e.tick(dt)

@@ -90,6 +90,43 @@ func TestNoPhantomUtilOnUnmappedBig(t *testing.T) {
 	}
 }
 
+// The configured app starts in New, but the governor's first decision
+// sees it on the mapping and partition the run starts with: a switch
+// between New and Run leaves no busy cluster the job no longer uses.
+func TestPrimedUtilFollowsSwitchBeforeRun(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		mut              func(*Engine) error
+		bigU, litU, gpuU float64
+	}{
+		{"unchanged", func(*Engine) error { return nil }, 1, 1, 1},
+		{"mapping drops big", func(e *Engine) error {
+			return e.SetMapping(mapping.Mapping{Big: 0, Little: 2, UseGPU: true})
+		}, 0, 1, 1},
+		{"partition all GPU", func(e *Engine) error {
+			return e.SetPartition(mapping.Partition{Num: 0, Den: 8})
+		}, 0, 0, 1},
+	} {
+		cfg := baseConfig()
+		g := &probeGov{}
+		cfg.Governor = g
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.mut(e); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if g.bigU != c.bigU || g.litU != c.litU || g.gpuU != c.gpuU {
+			t.Errorf("%s: governor Start saw utils big %g, LITTLE %g, GPU %g, want %g, %g, %g",
+				c.name, g.bigU, g.litU, g.gpuU, c.bigU, c.litU, c.gpuU)
+		}
+	}
+}
+
 // --- regression: RunWarm must not run an engine twice ------------------------
 
 // startCounter counts Governor.Start invocations: one per engine run.

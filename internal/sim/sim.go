@@ -395,16 +395,10 @@ type Engine struct {
 	ssLoads    []power.ClusterLoad
 	ssOpLoads  []power.ClusterLoad
 	ssOpMemGBs float64
-	// ssSkipUntil suppresses jump attempts below this tick: the meter
-	// instant after the last probe that found a mixed trajectory
-	// direction, clamped to its span's end. A mixed stretch cut short
-	// before it by a TMU transition resumes advancing up to it without
-	// probing, as one that stopped at every instant would have.
-	ssSkipUntil int
-	ssOff       bool
-	govPure     bool
-	govStable   bool
-	govUtils    []float64
+	ssOff      bool
+	govPure    bool
+	govStable  bool
+	govUtils   []float64
 	// govQuiet is the policy as a QuietGovernor whose epochs are meter
 	// instants (nil otherwise), and band its quiet band at the frequencies
 	// of the last horizon that let a jump cross its epochs.
@@ -488,11 +482,6 @@ func New(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.App != nil {
-		if err := cfg.App.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	if err := cfg.Map.Validate(sys.plat.Clusters[sys.bigIdx].NumCores, sys.plat.Clusters[sys.litIdx].NumCores); err != nil {
 		return nil, err
 	}
@@ -549,7 +538,6 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 
-	e.app = cfg.App
 	e.curMap = cfg.Map
 	e.curPart = cfg.Part
 	nc, nn := len(sys.plat.Clusters), len(sys.net.Nodes)
@@ -580,21 +568,14 @@ func New(cfg Config) (*Engine, error) {
 
 	e.nextJobID = 1
 	if cfg.App != nil {
-		total := float64(cfg.App.WorkItems)
-		cpuItems := float64(cfg.Part.CPUItems(cfg.App.WorkItems))
-		e.remCPU = cpuItems
-		e.remGPU = total - cpuItems
-		if e.remCPU > 0 && cfg.Map.CPUCores() == 0 {
-			return nil, errors.New("sim: partition sends work to the CPU but the mapping uses no CPU cores")
+		// The configured app is job 1 at the default priority, started
+		// on the idle engine as any arrival is. Run primes its clusters
+		// on the mapping and partition the run starts with, which a
+		// caller may still switch.
+		if _, err := e.EnqueueAppPriority(cfg.App, cfg.Part, 0); err != nil {
+			return nil, err
 		}
-		if e.remGPU > 0 && !cfg.Map.UseGPU {
-			return nil, errors.New("sim: partition sends work to the GPU but the mapping does not use it")
-		}
-		// The configured app is job 1 at the default priority.
-		e.curJobID = e.nextJobID
-		e.nextJobID++
-		e.curSeq = e.nextSeq
-		e.nextSeq++
+		clear(e.utils)
 	}
 	return e, nil
 }
@@ -1048,10 +1029,16 @@ func (e *Engine) startJob(j pendingJob) error {
 	e.remGPU = remGPU
 	e.ratesDirty = true
 	e.rebuildLoads()
-	// Prime utilisation with the pending load (mapped clusters only), so
-	// a utilisation-driven governor acting on the arrival tick sees the
-	// work about to run instead of dipping to minimum frequency — the
-	// same priming a classic Config.App run gets before Start.
+	e.primeUtils()
+	return nil
+}
+
+// primeUtils primes utilisation with the live job's pending load, so a
+// utilisation-driven governor acting on its first tick sees the work
+// about to run instead of dipping to minimum frequency for a period.
+// Only clusters the mapping actually uses look busy — an unused cluster
+// must read 0 or the governor pins idle silicon at maximum frequency.
+func (e *Engine) primeUtils() {
 	if e.remCPU > 0 {
 		if e.curMap.Big > 0 {
 			e.utils[e.bigIdx] = 1
@@ -1063,7 +1050,6 @@ func (e *Engine) startJob(j pendingJob) error {
 	if e.remGPU > 0 {
 		e.utils[e.gpuIdx] = 1
 	}
-	return nil
 }
 
 // SetGovernor switches the DVFS policy mid-run (nil disables software
@@ -1179,34 +1165,9 @@ func (e *Engine) Run() (*Result, error) {
 	}
 	e.running = true
 	dt := TickS
-	// Prime utilisation with the pending load so a utilisation-driven
-	// governor's first decision sees the work that is about to run
-	// (avoids a one-period dip to minimum frequency at t=0). Only
-	// clusters the mapping actually uses look busy — an unused cluster
-	// must read 0 or the governor pins idle silicon at max frequency.
-	if e.remCPU > 0 {
-		if e.curMap.Big > 0 {
-			e.utils[e.bigIdx] = 1
-		}
-		if e.curMap.Little > 0 {
-			e.utils[e.litIdx] = 1
-		}
-	}
-	if e.remGPU > 0 {
-		e.utils[e.gpuIdx] = 1
-	}
-	e.govEvery = 0
-	e.govPure = govIsPure(e.cfg.Governor)
-	if e.cfg.Governor != nil {
-		every, err := periodTicks(e.cfg.Governor)
-		if err != nil {
-			return nil, err
-		}
-		e.govEvery = every
-		e.setQuietGov(e.cfg.Governor, every)
-		if err := e.cfg.Governor.Start(e); err != nil {
-			return nil, err
-		}
+	e.primeUtils()
+	if err := e.SetGovernor(e.cfg.Governor); err != nil {
+		return nil, err
 	}
 	e.recEvery = int(recordPeriodS/dt + 0.5)
 	// Round like ScheduleAt and minTicks do: truncation would let a

@@ -22,6 +22,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 
 	"teem/internal/power"
 	"teem/internal/soc"
@@ -99,7 +100,7 @@ func (e *Engine) setQuietGov(g Governor, every int) {
 
 // superstepMinSpan is the smallest jump worth planning: below this the
 // affine setup costs more than the ticks it would replace. A shorter
-// proven horizon is walked instead (see walk and advance).
+// proven horizon is walked instead (see advance).
 const superstepMinSpan = 4
 
 // maxSpanInstants bounds the power-meter sampling instants one span
@@ -318,12 +319,11 @@ func (e *Engine) crossesEpochs(op steadyOp) bool {
 // thermal certificate then decides whether the span may be jumped in one
 // closed-form application of thermal.Superstep (see jump). The
 // certificate holds when the chip is not throttled (the release check
-// may fire on any tick), no mixed-direction verdict is pending, the span
-// is at least superstepMinSpan, the TMU trip cannot fire on this tick,
-// the 25 °C leakage-linearity floor holds at the start, and the probed
-// trajectory is monotone: the monotone direction reported by
-// thermal.Superstep.Jump makes endpoint checks sufficient for the whole
-// interval.
+// may fire on any tick), the span is at least superstepMinSpan, the TMU
+// trip cannot fire on this tick, the 25 °C leakage-linearity floor holds
+// at the start, and the probed trajectory is monotone: the monotone
+// direction reported by thermal.Superstep.Jump makes endpoint checks
+// sufficient for the whole interval.
 //
 // When the horizon holds but the certificate fails, the span is advanced
 // in record segments or walked instead (see advance), because re-planning
@@ -348,7 +348,9 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	k, km := e.timeTicks, e.meterTick()
 	n, na, op, short := e.horizon(dt, maxTicks, minTicks)
 	switch {
-	case !e.cfg.DisableHWProtect && e.throttled:
+	case e.throttled:
+		// Only the TMU throttles (hwProtect), and never with
+		// DisableHWProtect.
 		e.stats.RejectTMU++
 		return e.advance(dt, na, op, false)
 	case k == 0:
@@ -356,12 +358,6 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		// afterwards the falling-trajectory case needs no interior peak
 		// bookkeeping (the pre-jump state already bounds it).
 		return false, nil
-	case k < e.ssSkipUntil:
-		// A mixed stretch was cut short by a TMU transition before the
-		// next meter instant: its verdict holds up to that instant,
-		// where the re-probe would have run.
-		e.stats.RejectMixed++
-		return e.advance(dt, min(na, e.ssSkipUntil-k), op, false)
 	case k == km:
 		// A span does not start on a meter instant: the span before
 		// ended there, and its tick latches the meter and leads to the
@@ -370,14 +366,14 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 		return false, nil
 	case short != nil:
 		*short++
-		return e.walk(dt, na, op)
+		return e.advance(dt, na, op, false)
 	case e.tmuFires():
 		// The trip fires on this tick's protection check.
 		e.stats.RejectTMU++
 		return false, nil
 	}
-	// Abort poll, once per jump or walk — the same wall-clock bound as
-	// one tick of the ordinary loop.
+	// Abort poll, once per jump — the same wall-clock bound as one tick
+	// of the ordinary loop.
 	if err := e.aborted(); err != nil {
 		return false, err
 	}
@@ -399,8 +395,7 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 	if dir == 0 {
 		// Mixed trajectory: endpoint guards would not bound the interior.
 		// Advance the span in segments, which re-probe at each meter
-		// instant they cross; attempts up to the next one are skipped.
-		e.ssSkipUntil = k + min(na, km-k)
+		// instant they cross.
 		e.stats.RejectMixed++
 		return e.advance(dt, na, op, true)
 	}
@@ -415,42 +410,36 @@ func (e *Engine) superstep(dt float64, maxTicks, minTicks int) (bool, error) {
 // InstantSlopeW, O(N) per instant), and on a record tick the sample of
 // time k_m·dt, state T(k_m+1) and that power.
 //
-// When the landing state fails the TMU trip or 25 °C floor check, the
-// jump ends after the last instant whose state T(k_m) passes, where a
-// planner that stopped at every instant and ticked it would have probed
-// next; when the first instant fails too, the span is refused. When
-// epochs is set the span crosses governor epochs by the policy's quiet
-// band (see quietEpochs): each is a meter instant, and the jump reads the
-// band's sensor in T(k_m) there and lands on the first epoch whose
-// reading leaves the band, which then runs as an ordinary tick, as the
-// epoch of a span clamped at it does. A closed-form power within
-// meterGuard quanta of a rounding boundary is not latched: the jump lands
-// on that instant, whose tick then runs as an ordinary one and latches
-// its own power.
+// When the landing state fails the TMU trip or 25 °C floor check (see
+// refuse), the jump ends after the last instant whose state T(k_m)
+// passes, where a planner that stopped at every instant and ticked it
+// would have probed next; when no instant passes, the span is refused
+// into an advance up to its first instant. When epochs is set the span
+// crosses governor epochs by the policy's quiet band (see quietEpochs):
+// each is a meter instant, and the jump reads the band's sensor in
+// T(k_m) there and lands on the first epoch whose reading leaves the
+// band, which then runs as an ordinary tick, as the epoch of a span
+// clamped at it does. A closed-form power within meterGuard quanta of a
+// rounding boundary is not latched: the jump lands on that instant,
+// whose tick then runs as an ordinary one and latches its own power.
 //
 //teem:hotpath
 func (e *Engine) jump(dt float64, n int, epochs bool, km int, op steadyOp, end []float64, dir int) (bool, error) {
 	k, ss := e.timeTicks, e.ss
-	n1 := min(n, km-k)
-	refused := e.landReject(end)
-	if refused != nil && n1 == n {
-		*refused++
-		return e.advance(dt, n1, op, false)
+	land, refused := n, e.refuse(end)
+	if refused != nil {
+		land = 0
 	}
 	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
-	land := n
-	for first := true; km < k+n; km, first = e.meterTick(), false {
+	for ; km < k+n; km = e.meterTick() {
 		slopeW := ss.InstantSlopeW(km - k)
 		epoch := epochs && km%e.govEvery == 0
 		if refused != nil || epoch {
 			ss.InstantTemps(e.recTemps, 0)
 		}
 		if refused != nil {
-			if r := e.landReject(e.recTemps); r != nil {
-				if first {
-					*r++
-					return e.advance(dt, n1, op, false)
-				}
+			if r := e.refuse(e.recTemps); r != nil {
+				refused = r
 				break
 			}
 		}
@@ -475,6 +464,10 @@ func (e *Engine) jump(dt float64, n int, epochs bool, km int, op steadyOp, end [
 		if refused != nil {
 			land = km - k + 1
 		}
+	}
+	if land == 0 {
+		*refused++
+		return e.advance(dt, min(n, km-k), op, false)
 	}
 	if land != n {
 		var err error
@@ -504,13 +497,15 @@ func (e *Engine) jump(dt float64, n int, epochs bool, km int, op steadyOp, end [
 	return true, nil
 }
 
-// landReject returns the rejection counter of a monotone span whose
-// landing state t would trip the TMU or put a node with a leakage slope
-// below the 25 °C floor, or nil when the span may land there.
+// refuse is the one landing guard of jumps and segments: it returns the
+// rejection counter of an advance whose landing state t would trip or
+// release the TMU (see tmuFiresAt) or put a node with a leakage slope
+// below the 25 °C floor, where the jump map's affine leakage form no
+// longer holds, or nil when the advance may land there.
 //
 //teem:hotpath
-func (e *Engine) landReject(t []float64) *int64 {
-	if !e.cfg.DisableHWProtect && t[e.nodeOf[e.bigIdx]] >= e.plat.TripC {
+func (e *Engine) refuse(t []float64) *int64 {
+	if e.tmuFiresAt(t[e.nodeOf[e.bigIdx]]) {
 		return &e.stats.RejectTMU
 	}
 	for i, s := range e.ssSlopeCur {
@@ -579,21 +574,57 @@ func drain(rem, c float64, n int) float64 {
 	return rem
 }
 
-// advance moves a proven horizon of n ticks at op that a temperature
-// guard refused to jump: a span of at least superstepMinSpan ticks in
-// record segments (see segments), a shorter one by walk. The horizon
+// advance is the one entry for a proven horizon of n ticks at op that is
+// not jumped: a span of at least superstepMinSpan ticks in record
+// segments on op's jump map (see segments), a shorter one, or one on a
+// system the map cannot certify, walked (see walkTicks). The horizon
 // already bounds it by the one epoch rule, so it crosses governor epochs
 // exactly where a jump on the same rule would, and stops at the first
 // epoch of a quiet band's policy. A mixed span's segments re-probe at
 // the meter instants they cross (see reprobe); a mixed span too short to
-// segment ends before the next instant.
+// segment ends before the next instant. It declines an empty span and
+// one whose first tick's TMU check would trip or release, polls
+// cancellation once (segments and walks poll again after every meter
+// instant) and charges its wall time to the thermal phase. It reports
+// whether it advanced.
 //
 //teem:hotpath
 func (e *Engine) advance(dt float64, n int, op steadyOp, mixed bool) (bool, error) {
-	if n >= superstepMinSpan {
-		return e.segments(dt, n, op, mixed)
+	if n < 1 || e.tmuFires() {
+		return false, nil
 	}
-	return e.walk(dt, n, op)
+	seg := false
+	if n >= superstepMinSpan {
+		var err error
+		if seg, err = e.bindJumpMap(op); err != nil {
+			return false, err
+		}
+	}
+	if err := e.aborted(); err != nil {
+		return false, err
+	}
+	clk := e.clock
+	var t0 int64
+	if clk != nil {
+		t0 = clk()
+	}
+	if seg {
+		if err := e.segments(dt, n, op, mixed); err != nil {
+			return false, err
+		}
+	} else {
+		var leak steadyLeak
+		if err := e.steadyPower(&op, &leak); err != nil {
+			return false, err
+		}
+		if err := e.walkTicks(dt, n, &op, &leak); err != nil {
+			return false, err
+		}
+	}
+	if clk != nil {
+		e.stats.ThermalNanos += clk() - t0
+	}
+	return true, nil
 }
 
 // bindJumpMap binds the engine's jump map e.ss to op's leakage-slope
@@ -616,7 +647,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssLoads[i] = e.loads[i]
 		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
 	}
-	if e.ss != nil && memGBs == e.ssOpMemGBs && equalLoads(e.ssLoads, e.ssOpLoads) {
+	if e.ss != nil && memGBs == e.ssOpMemGBs && slices.Equal(e.ssLoads, e.ssOpLoads) {
 		return true, nil
 	}
 	for i := range e.ssInj {
@@ -632,7 +663,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssSlopeCur[e.nodeOf[i]] += lks
 	}
 	e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
-	if e.ss != nil && equalFloats(e.ss.Slope(), e.ssSlopeCur) {
+	if e.ss != nil && slices.Equal(e.ss.Slope(), e.ssSlopeCur) {
 		e.stats.PoolHits++
 	} else {
 		var err error
@@ -690,71 +721,58 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 }
 
 // segments advances n ticks of a proven horizon at op in record
-// segments: each ends on the next record tick, the next meter instant or
-// the span's end, so it is at most recEvery ticks
-// (thermal.SegmentMaxTicks), and is evaluated in closed form from op's
-// jump map (thermal.Superstep.Segment). A segment is taken when every
-// node is certified monotone over it, its end state T(L) passes the TMU
-// trip or release check, and every node with a leakage slope starts and
-// ends it at or above the 25 °C floor: its endpoints then bound each
-// node's interior, so no interior tick trips, releases or leaves the
-// affine leakage regime, and the peaks fold T(L). A segment that ends on
-// a record tick samples it through record, and one that ends on a meter
+// segments on the jump map bindJumpMap bound for op: each ends on the
+// next record tick, the next meter instant or the span's end, so it is
+// at most recEvery ticks (thermal.SegmentMaxTicks), and is evaluated in
+// closed form (thermal.Superstep.Segment). A segment is taken when every
+// node is certified monotone over it, every node with a leakage slope
+// starts it at or above the 25 °C floor and its end state T(L) passes
+// the landing guard (see refuse): its endpoints then bound each node's
+// interior, so no interior tick trips, releases or leaves the affine
+// leakage regime, and the peaks fold T(L). A segment that ends on a
+// record tick samples it through record, and one that ends on a meter
 // instant latches it, both with that tick's power from T(L−1) (see
-// segmentPowerW) — unless that power lies within meterGuard quanta of a
-// rounding boundary, when the segment is walked so the walk latches the
-// tick's own power. A refused segment is walked (see walkTicks), and the
-// segments stop where that walk stops before a TMU transition. The span
-// crosses governor epochs where the horizon lets it (see crossesEpochs),
-// as a jump does. A mixed span's segments also stop after a meter
-// instant they or their walks cross where the re-probe does not find the
-// stretch mixed (see reprobe). The busy chunks drain the segmented ticks
-// once per span (see deplete). The running peaks already bound T(0): a
-// throttled chip or a probed span follows a real tick. Segments count as
-// supersteps, and leave e.bd to the next tick's evaluation. It polls
-// cancellation once and after every meter instant.
+// segmentPowerW), read as the plan's interior — unless that power lies
+// within meterGuard quanta of a rounding boundary, when the segment is
+// walked so the walk latches the tick's own power. A refused segment is
+// walked (see walkTicks), and the segments stop where that walk stops
+// before a TMU transition. The span crosses governor epochs where the
+// horizon lets it (see crossesEpochs), as a jump does. A mixed span's
+// segments also stop after a meter instant they or their walks cross
+// where the re-probe does not find the stretch mixed (see reprobe). The
+// busy chunks drain the segmented ticks once per span (see deplete).
+// The running peaks already bound T(0): a throttled chip or a probed
+// span follows a real tick. Segments count as supersteps, and leave e.bd
+// to the next tick's evaluation. It polls cancellation after every meter
+// instant.
 //
 //teem:hotpath
-func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) (bool, error) {
-	if e.tmuFires() {
-		return false, nil
-	}
-	if ok, err := e.bindJumpMap(op); err != nil {
-		return false, err
-	} else if !ok {
-		return e.walk(dt, n, op)
-	}
-	if err := e.aborted(); err != nil {
-		return false, err
-	}
-	clk := e.clock
-	var t0 int64
-	if clk != nil {
-		t0 = clk()
-	}
+func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) error {
 	e.setUtils(op.bigBusy, op.litBusy, op.gpuBusy)
-	ss, big := e.ss, e.nodeOf[e.bigIdx]
+	ss := e.ss
 	if err := ss.BeginSegments(e.ssInj); err != nil {
-		return false, err
+		return err
 	}
 	// The walk's power, evaluated at the first refused segment, and the
 	// segmented ticks to drain. Every tick subtracts the same step, so
-	// they drain after the walks' ticks to the same bits.
+	// they drain after the walks' ticks to the same bits. A segment
+	// starts below the floor only where the span or a walk does: a
+	// committed one ends above it.
 	var leak steadyLeak
-	powered, undrained := false, 0
+	powered, undrained, cold := false, 0, e.belowFloor()
 	for end, km := e.timeTicks+n, e.meterTick(); e.timeTicks < end; {
 		k := e.timeTicks
 		rec := k + (e.recEvery-k%e.recEvery)%e.recEvery
 		l := min(rec+1, km+1, end) - k
-		if next, ok := ss.Segment(l); ok && !e.tmuFiresAt(next[big]) && e.aboveFloor(next) {
+		if next, ok := ss.Segment(l); ok && !cold && e.refuse(next) == nil {
 			onRec, onMeter := k+l-1 == rec, k+l-1 == km
 			var powW float64
 			if onRec || onMeter {
-				powW = e.segmentPowerW(ss.SegmentSlopeW())
+				powW = e.segmentPowerW(ss.InstantSlopeW(l - 1))
 			}
 			if !onMeter || e.meter.Robust(powW, meterGuard) {
-				if err := ss.CommitSegment(); err != nil {
-					return false, err
+				if err := ss.Commit(); err != nil {
+					return err
 				}
 				for i, t := range next {
 					if t > e.peakC[i] {
@@ -764,14 +782,14 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) (bool, err
 				undrained += l
 				if onMeter {
 					if err := e.meter.Observe(float64(km)*dt, powW); err != nil {
-						return false, err
+						return err
 					}
 					km = e.meterTick()
 				}
 				if onRec {
 					e.timeTicks = rec
 					if err := e.record(powW); err != nil {
-						return false, err
+						return err
 					}
 				}
 				e.timeTicks = k + l
@@ -781,7 +799,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) (bool, err
 				e.stats.MaxJump = max(e.stats.MaxJump, int64(l))
 				if onMeter {
 					if err := e.aborted(); err != nil {
-						return false, err
+						return err
 					}
 					if mixed && !e.reprobe(end) {
 						break
@@ -793,52 +811,41 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) (bool, err
 		}
 		if !powered {
 			if err := e.steadyPower(&op, &leak); err != nil {
-				return false, err
+				return err
 			}
 			powered = true
 		}
 		if err := e.walkTicks(dt, l, &op, &leak); err != nil {
-			return false, err
+			return err
 		}
 		crossed := e.meterTick() != km
-		km = e.meterTick()
+		km, cold = e.meterTick(), e.belowFloor()
 		if e.tmuFires() {
 			break
 		}
 		if err := ss.BeginSegments(e.ssInj); err != nil {
-			return false, err
+			return err
 		}
 		if mixed && crossed && !e.reprobe(end) {
 			break
 		}
 	}
 	e.deplete(dt, undrained, &op)
-	if clk != nil {
-		e.stats.ThermalNanos += clk() - t0
-	}
-	return true, nil
+	return nil
 }
 
 // reprobe reports whether a mixed stretch advancing to tick end goes on
 // past the meter instant its segments or walks just crossed: it does
 // while the span lasts, every node with a leakage slope is at or above
 // the 25 °C floor and Jump's one-tick probe, re-run on the committed
-// state under the injection BeginSegments took, stays mixed, and then
-// ssSkipUntil moves to the next instant, clamped to end. Otherwise the
-// stretch stops here, where a planner that ticked the instant would not
-// have advanced a mixed span next: it would have jumped a monotone
+// state under the injection BeginSegments took, stays mixed. Otherwise
+// the stretch stops here, where a planner that ticked the instant would
+// not have advanced a mixed span next: it would have jumped a monotone
 // trajectory, or re-planned on each tick below the floor.
 //
 //teem:hotpath
 func (e *Engine) reprobe(end int) bool {
-	if e.timeTicks >= end {
-		return true
-	}
-	if e.belowFloor() || e.ss.Direction() != 0 {
-		return false
-	}
-	e.ssSkipUntil = min(e.meterTick(), end)
-	return true
+	return e.timeTicks >= end || (!e.belowFloor() && e.ss.Direction() == 0)
 }
 
 // belowFloor reports that a node with a leakage slope sits below the
@@ -871,65 +878,17 @@ func (e *Engine) segmentPowerW(slopeW float64) float64 {
 	return p
 }
 
-// aboveFloor reports that every node with a leakage slope sits at or
-// above the 25 °C reference, where the jump map's affine leakage form
-// holds, both now and in the segment end state end.
-//
-//teem:hotpath
-func (e *Engine) aboveFloor(end []float64) bool {
-	for i, s := range e.ssSlopeCur {
-		if s > 0 && (end[i] < 25 || e.therm.Temp(i) < 25) {
-			return false
-		}
-	}
-	return true
-}
-
-// walk advances up to n ticks of a proven horizon at its fixed operating
-// point op, redoing only what can change there: work depletion with
-// advanceWork's arithmetic, each cluster's leakage at its current
-// temperature, the thermal step, the peak fold, the meter sample on a
-// sampling instant and the trace record.
-// Dynamic, DRAM and baseline power and each cluster's leakage base are
-// evaluated once (see steadyPower); every tick then applies power.Leakage
-// — ClusterPower's own temperature term — so each temperature, sample and
-// decision equals the ordinary tick's bit for bit. The walk stops before
-// any tick whose TMU check would trip or release; those run as ordinary
-// ticks. It crosses a governor epoch only where the horizon lets a jump
-// cross it (see crossesEpochs). It polls cancellation once and after
-// every meter instant, and reports whether it advanced at all.
-//
-//teem:hotpath
-func (e *Engine) walk(dt float64, n int, op steadyOp) (bool, error) {
-	if n < 1 || e.tmuFires() {
-		return false, nil
-	}
-	if err := e.aborted(); err != nil {
-		return false, err
-	}
-	clk := e.clock
-	var t0 int64
-	if clk != nil {
-		t0 = clk()
-	}
-	var leak steadyLeak
-	if err := e.steadyPower(&op, &leak); err != nil {
-		return false, err
-	}
-	if err := e.walkTicks(dt, n, &op, &leak); err != nil {
-		return false, err
-	}
-	if clk != nil {
-		e.stats.ThermalNanos += clk() - t0
-	}
-	return true, nil
-}
-
-// walkTicks is walk's loop from the current tick, with op's power already
-// in e.bd and leak (see steadyPower): up to n ticks, stopping early after
-// a tick whose successor's TMU check would trip or release, and latching
-// each meter instant it crosses (see latch). On a 4-node network it runs
-// the fused loop walk4; other networks step through stepThermal.
+// walkTicks walks up to n ticks of a proven horizon at its fixed
+// operating point op from the current tick, with op's power already in
+// e.bd and leak (see steadyPower), redoing only what can change there:
+// work depletion with advanceWork's arithmetic, each cluster's leakage at
+// its current temperature (power.Leakage, ClusterPower's own temperature
+// term), the thermal step, the peak fold, the meter sample on a sampling
+// instant (see latch) and the trace record, so each temperature, sample
+// and decision equals the ordinary tick's bit for bit. It stops early
+// after a tick whose successor's TMU check would trip or release; those
+// run as ordinary ticks. On a 4-node network it runs the fused loop
+// walk4; other networks step through stepThermal.
 //
 //teem:hotpath
 func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) error {
@@ -981,7 +940,7 @@ func (e *Engine) walkTicks(dt float64, n int, op *steadyOp, leak *steadyLeak) er
 	return nil
 }
 
-// fusedWalk reports whether walk runs walk4: a 4-node network whose three
+// fusedWalk reports whether walkTicks runs walk4: a 4-node network whose three
 // clusters each heat their own non-package node, as on every 4-node
 // catalog platform. Cluster and node names are unique, so the clusters'
 // nodes differ; only a cluster named "pkg" shares the package node.
@@ -994,7 +953,7 @@ func (e *Engine) fusedWalk() bool {
 	return e.nodeOf[0] != pkg && e.nodeOf[1] != pkg && e.nodeOf[2] != pkg
 }
 
-// walk4 is walk's loop on a network fusedWalk accepts, with each
+// walk4 is walkTicks' loop on a network fusedWalk accepts, with each
 // cluster's leakage base and temperature coefficient in leak, and the
 // dynamic, DRAM and baseline power in e.bd. It keeps
 // the node temperatures, the cluster leakages and the running peaks in
@@ -1074,24 +1033,4 @@ func (e *Engine) walk4(dt float64, n, nextRec int, op *steadyOp, leak *steadyLea
 	}
 	e.remCPU, e.remGPU = remCPU, remGPU
 	return walked, nil
-}
-
-// equalFloats compares two equal-length float vectors exactly.
-func equalFloats(a, b []float64) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// equalLoads compares two equal-length cluster-load vectors exactly.
-func equalLoads(a, b []power.ClusterLoad) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

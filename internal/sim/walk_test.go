@@ -536,15 +536,69 @@ func near(t *testing.T, what string, a, b []float64) {
 	}
 }
 
+// An advance — a walk or a segmented span — is timed once: it reads the
+// wall clock twice, however many ticks it walks or segments, and charges
+// the difference to the thermal phase. With a clock that steps by one per
+// read, each ordinary tick reads it five times and charges one step to
+// each of its four phases, so the governor, queue and power phases count
+// the ordinary ticks, the thermal phase those ticks plus the advances,
+// and the reads come to five per ordinary tick plus two per advance, with
+// fewer advances than ticks advanced. walkConfig's run walks between its
+// governor's epochs; throttledConfig's runs advance their spans in
+// record segments.
+func TestSuperstepAdvanceClockReads(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"walk/exynos5422", walkConfig(t, "exynos5422", false)},
+		{"segments/exynos5422", throttledConfig(t, "exynos5422")},
+		{"segments/harrier-s16", throttledConfig(t, "harrier-s16")},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var reads int64
+			c.cfg.Clock = func() int64 { reads++; return reads }
+			e, err := sim.New(c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := e.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := r.Stats
+			ordinary := st.Ticks - st.WalkedTicks
+			if st.GovernorNanos != ordinary || st.QueueNanos != ordinary || st.PowerNanos != ordinary {
+				t.Fatalf("phases charged governor %d, queue %d, power %d for %d ordinary ticks",
+					st.GovernorNanos, st.QueueNanos, st.PowerNanos, ordinary)
+			}
+			advances := st.ThermalNanos - ordinary
+			if st.ThermalNanos <= 0 || advances <= 0 {
+				t.Fatalf("thermal phase charged %d for %d ordinary ticks: no advance was timed", st.ThermalNanos, ordinary)
+			}
+			if want := 5*ordinary + 2*advances; reads != want {
+				t.Errorf("clock read %d times, want %d: five per ordinary tick and two per advance", reads, want)
+			}
+			if advanced := st.WalkedTicks + st.SegmentTicks; advances >= advanced {
+				t.Errorf("%d advances timed for %d walked and segmented ticks", advances, advanced)
+			}
+			t.Logf("%d ordinary ticks, %d advances, %d walked and %d segmented ticks", ordinary, advances, st.WalkedTicks, st.SegmentTicks)
+			if c.cfg.Governor == nil && st.SegmentTicks == 0 {
+				t.Errorf("no tick was advanced in a segment: %+v", st)
+			}
+		})
+	}
+}
+
 // throttledConfig is a 10 s run on the named catalog platform whose TMU
 // trips on its first tick and holds its clamp: the trip is lowered under
 // the chip's 40 °C start and the release under ambient, so every proven
 // span is refused a jump.
-func throttledConfig(b *testing.B, name string) sim.Config {
-	b.Helper()
+func throttledConfig(tb testing.TB, name string) sim.Config {
+	tb.Helper()
 	bundle, err := platform.Get(name)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	plat := bundle.SoC
 	plat.TripC, plat.TripReleaseC = 30, 26

@@ -95,11 +95,12 @@ func (c segmentCase) stepAffine(t *testing.T, m *thermal.Model, st *thermal.Step
 // lengths. The reference steps tick by tick; the other evaluates each
 // segment in closed form. A certified segment must be monotone on every
 // node of the reference trajectory (to 1e-11 °C of rounding per tick),
-// its T(L−1) and T(L) must agree with the reference within 1e-9 °C and
-// the power law's slope term at T(L−1) within 1e-9 W, and committing it
-// must leave the model at T(L). A refused segment is
-// stepped tick by tick, as the engine walks it, and the chain restarts
-// from there. It returns the lengths of the certified segments.
+// its T(L−1), read as a plan's interior, and T(L) must agree with the
+// reference within 1e-9 °C and the power law's slope term at T(L−1)
+// within 1e-9 W, and committing it must leave the model at T(L). A
+// refused segment is stepped tick by tick, as the engine walks it, and
+// the chain restarts from there. It returns the lengths of the certified
+// segments.
 func runSegments(t *testing.T, c segmentCase, lengths []int) (certified []int) {
 	t.Helper()
 	ref, refSt := c.stepper(t)
@@ -111,7 +112,7 @@ func runSegments(t *testing.T, c segmentCase, lengths []int) (certified []int) {
 	if err := ss.BeginSegments(c.pConst); err != nil {
 		t.Fatal(err)
 	}
-	inj := make([]float64, len(c.pConst))
+	inj, prev := make([]float64, len(c.pConst)), make([]float64, len(c.pConst))
 	var traj [thermal.SegmentMaxTicks + 1][]float64
 	for s, l := range lengths {
 		traj[0] = ref.Temps()
@@ -130,7 +131,8 @@ func runSegments(t *testing.T, c segmentCase, lengths []int) (certified []int) {
 			continue
 		}
 		certified = append(certified, l)
-		prev, slopeW, refSlopeW := thermal.SegmentPrev(ss), ss.SegmentSlopeW(), 0.0
+		slopeW, refSlopeW := ss.InstantSlopeW(l-1), 0.0
+		ss.InstantTemps(prev, 0)
 		for i, v := range traj[l-1] {
 			refSlopeW += c.slope[i] * v
 		}
@@ -151,7 +153,7 @@ func runSegments(t *testing.T, c segmentCase, lengths []int) (certified []int) {
 				}
 			}
 		}
-		if err := ss.CommitSegment(); err != nil {
+		if err := ss.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		for i, v := range end {

@@ -44,6 +44,11 @@
 // over j < L lies between w_m and w′_m = λ_m^(L−1)·w_m, so a node with
 // |Q·(w + w′)| > |Q|·|w − w′| keeps the sign of its increment on every
 // tick of the segment: it is monotone there, and its endpoints bound it.
+//
+// A monotone Jump and a certified Segment are one kind of planned
+// advance: its interior is read through InstantSlopeW and InstantTemps,
+// and Commit applies it and carries u = Q⁻¹·T along, so the next Segment
+// or Direction starts from the committed state.
 
 package thermal
 
@@ -92,36 +97,34 @@ type Superstep struct {
 	f  *modalForm
 	// buf holds numVecs scratch n-vectors (see vec).
 	buf []float64
-	// planned marks a Jump awaiting Commit, with at the interior offset
-	// vAcc is carried to; begun marks segments BeginSegments started, with
-	// segL (> 0) a certified Segment of that many ticks awaiting
-	// CommitSegment.
-	reused, planned, begun bool
-	at, segL               int
+	// begun marks a modal state of the model's temperatures (vU, with the
+	// injection in vB and vC) that Segment and Direction read; planned
+	// marks a Jump or Segment awaiting Commit, with at the interior offset
+	// vAcc is carried to.
+	reused, begun, planned bool
+	at                     int
 	// pn is the horizon vPowD and vPowS hold powers for, sn the interior
 	// step vStepD and vStepS hold them for (0: none).
 	pn, sn int
 }
 
-// The scratch vectors of a Superstep. A planned Jump and a segment run
-// never coexist, so the segment certificate's vectors double as a jump's
-// interior state.
+// The scratch vectors of a Superstep. Segment drops the interior step's
+// powers (sn), so the segment certificate uses their vectors.
 const (
 	vC     = iota // Q⁻¹·b̃
-	vU            // Q⁻¹·T at the start of the jump or the next segment
-	vZ            // modal increments of the planned jump or segment
+	vU            // Q⁻¹·T at the start of the planned advance
+	vZ            // modal increments of the planned advance
 	vEnd          // the planned end temperatures
 	vB            // b̃ of the last Jump or BeginSegments
 	vPowD         // each mode's λⁿ − 1 for n = pn
 	vPowS         // each mode's Σ_{j<n} λʲ for n = pn
-	vSum          // segment certificate: w + w′
-	vDev          // segment certificate: |w − w′|
-	vZPrev        // modal increments to T(L−1)
+	vAcc          // modal increments to the plan's interior offset
+	vStepD        // each mode's λⁿ − 1 for the interior step n = sn
+	vStepS        // each mode's Σ_{j<n} λʲ for n = sn
 	numVecs
 
-	vAcc   = vSum   // modal increments to the planned jump's interior offset
-	vStepD = vDev   // each mode's λⁿ − 1 for the interior step n = sn
-	vStepS = vZPrev // each mode's Σ_{j<n} λʲ for n = sn
+	vSum = vStepD // segment certificate: w + w′
+	vDev = vStepS // segment certificate: |w − w′|
 )
 
 // vec is scratch vector i.
@@ -222,12 +225,12 @@ func power(mu float64, n int) (d, s float64) {
 // direction — +1 monotonically rising, −1 falling, 0 mixed (endTemps nil;
 // the caller must fall back to fixed ticks, endpoint guards would not
 // bound the interior). Call Commit to apply a planned jump, and
-// InstantSlopeW and InstantTemps to read its interior first.
-// Allocation-free.
+// InstantSlopeW and InstantTemps to read its interior first. A monotone
+// Jump takes the modal state BeginSegments would take. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, dir int, err error) {
-	ss.planned, ss.begun, ss.segL = false, false, 0
+	ss.planned, ss.begun = false, false
 	n := ss.st.m.n
 	if nTicks < 1 {
 		return nil, 0, fmt.Errorf("thermal: superstep of %d ticks", nTicks)
@@ -270,7 +273,7 @@ func (ss *Superstep) Jump(nTicks int, constInjW []float64) (endTemps []float64, 
 		tn[i] = acc
 	}
 	clear(ss.vec(vAcc))
-	ss.planned, ss.at = true, 0
+	ss.begun, ss.planned, ss.at = true, true, 0
 	return tn, dir, nil
 }
 
@@ -308,11 +311,11 @@ func (ss *Superstep) probe(bvec []float64) int {
 }
 
 // Direction is Jump's one-tick direction probe from the model's current
-// temperatures under the injection the last BeginSegments took: +1
-// rising, −1 falling, 0 mixed, as Jump reports it for a jump planned
-// here. Between segments of one run it reads the committed state, so a
+// temperatures under the injection of the last monotone Jump or
+// BeginSegments: +1 rising, −1 falling, 0 mixed, as Jump reports it for a
+// jump planned here. After a Commit it reads the committed state, so a
 // caller can tell where a mixed trajectory turns monotone without
-// planning a jump. It returns 0 when no segment run is begun.
+// planning a jump. It returns 0 when no modal state is held.
 //
 //teem:hotpath
 func (ss *Superstep) Direction() int {
@@ -322,27 +325,33 @@ func (ss *Superstep) Direction() int {
 	return ss.probe(ss.vec(vB))
 }
 
-// Commit applies the temperatures of the last successful Jump to the
-// model.
+// Commit applies the planned Jump or Segment: the model takes its end
+// temperatures and the modal state advances with them, so a Segment or
+// Direction may follow. It fails when no advance is planned.
 //
 //teem:hotpath
 func (ss *Superstep) Commit() error {
 	if !ss.planned {
-		return errors.New("thermal: Commit without a planned Jump")
+		return errors.New("thermal: Commit without a planned Jump or Segment")
 	}
 	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
+	u, z := ss.vec(vU), ss.vec(vZ)
+	for m := range u {
+		u[m] += z[m]
+	}
 	ss.planned = false
 	return nil
 }
 
-// InstantSlopeW carries the planned Jump's interior state to j ticks past
-// its start, at or after the offset it was last carried to (0 after
-// Jump), and returns Σ_i slope_i·T_i(j) there: the temperature-dependent
-// part of the power law under which tick j of the jump starts, in watts,
-// or NaN when no Jump is planned. It carries u = Q⁻¹·T(j) forward in
-// modal space, so an offset costs O(N), plus the eigenvalue powers of
-// the step from the last one: those of a later step are kept, since they
-// repeat when the offsets are evenly spaced.
+// InstantSlopeW carries the planned advance's interior state to j ticks
+// past its start, at or after the offset it was last carried to (0 after
+// Jump, L−1 after an L-tick Segment), and returns Σ_i slope_i·T_i(j)
+// there: the temperature-dependent part of the power law under which
+// tick j of the advance starts, in watts, or NaN when none is planned.
+// It carries u = Q⁻¹·T(j) forward in modal space, so an offset costs
+// O(N), plus the eigenvalue powers of the step from the last one: those
+// of a later step are kept, since they repeat when the offsets are
+// evenly spaced.
 //
 //teem:hotpath
 func (ss *Superstep) InstantSlopeW(j int) float64 {
@@ -380,10 +389,10 @@ func (ss *Superstep) InstantSlopeW(j int) float64 {
 	return p
 }
 
-// InstantTemps writes into dst the planned Jump's state at the offset
+// InstantTemps writes into dst the planned advance's state at the offset
 // InstantSlopeW last carried it to, shifted by next ticks (0 or 1): with
 // next = 1 that is the post-step state of the tick at that offset. It
-// costs O(N²) and does nothing when no Jump is planned.
+// costs O(N²) and does nothing when no advance is planned.
 //
 //teem:hotpath
 func (ss *Superstep) InstantTemps(dst []float64, next int) {
@@ -391,34 +400,32 @@ func (ss *Superstep) InstantTemps(dst []float64, next int) {
 		return
 	}
 	f, n := ss.f, ss.st.m.n
-	temps, u, c, acc, w := ss.st.m.temps[:n], ss.vec(vU), ss.vec(vC), ss.vec(vAcc), ss.vec(vZ)
-	for m := range w {
-		w[m] = acc[m]
+	u, c, acc := ss.vec(vU), ss.vec(vC), ss.vec(vAcc)
+	// dst accumulates T + Q·w one mode at a time, so each node sums its
+	// terms in mode order and each mode's w is formed once.
+	dst = dst[:n]
+	copy(dst, ss.st.m.temps[:n])
+	for k, w := range acc {
 		if next == 1 {
 			// One more tick: λ − 1 times the carried state plus Q⁻¹·b̃.
-			w[m] += f.mu[m]*(u[m]+acc[m]) + c[m]
+			w += f.mu[k]*(u[k]+acc[k]) + c[k]
 		}
-	}
-	for i := range dst[:n] {
-		e := temps[i]
-		qr := f.q[i*n:][:n]
-		for k := range qr {
-			e += qr[k] * w[k]
+		for i := range dst {
+			dst[i] += f.q[i*n+k] * w
 		}
-		dst[i] = e
 	}
 }
 
 // BeginSegments starts advancing the bound model in segments under the
 // constant injection constInjW (as for Jump): it takes the modal state
-// u = Q⁻¹·T of the model's temperatures, which Segment reads and
-// CommitSegment carries forward, and the injection's b̃ and Q⁻¹·b̃, which
-// Direction reads too. Call it again after anything else moves the
-// model. Allocation-free.
+// u = Q⁻¹·T of the model's temperatures, which Segment reads and Commit
+// carries forward, and the injection's b̃ and Q⁻¹·b̃, which Direction
+// reads too. Call it again after anything else moves the model.
+// Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) BeginSegments(constInjW []float64) error {
-	ss.planned, ss.begun, ss.segL = false, false, 0
+	ss.planned, ss.begun = false, false
 	n := ss.st.m.n
 	if len(constInjW) != n {
 		return fmt.Errorf("thermal: BeginSegments got %d powers, want %d", len(constInjW), n)
@@ -438,38 +445,43 @@ func (ss *Superstep) BeginSegments(constInjW []float64) error {
 	return nil
 }
 
-// Segment evaluates the next nTicks (1…SegmentMaxTicks) ticks from the
+// Segment plans the next nTicks (1…SegmentMaxTicks) ticks from the
 // carried modal state without modifying the model. It returns the state
 // T(L) the segment ends in (valid until the next Jump or Segment) and ok
 // when every node is certified monotone over the segment: all λ_m > 0
 // and, per node, |Q·(w + w′)| > |Q|·|w − w′|. Only then do the endpoints
 // bound each node's interior. A segment outside the tabulated lengths,
-// or one whose map did not call BeginSegments last, is refused.
-// SegmentSlopeW gives the slope term of the power law at a certified
-// segment's T(L−1); CommitSegment applies it. Allocation-free.
+// or one with no modal state to start from, is refused. A certified
+// segment is planned as a Jump is, with its interior carried to T(L−1),
+// the state its last tick starts from: InstantSlopeW(L−1) and
+// InstantTemps read it there, in O(N) and O(N²), and Commit applies the
+// segment. Allocation-free.
 //
 //teem:hotpath
 func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 	f, n := ss.f, ss.st.m.n
+	ss.planned = false
 	if !ss.begun {
 		return nil, false
 	}
-	ss.segL, ss.sn = 0, 0
+	ss.sn = 0
 	if nTicks < 1 || nTicks > SegmentMaxTicks || !f.segOK {
 		return nil, false
 	}
 	buf := ss.buf[:numVecs*n]
 	temps, mu := ss.st.m.temps[:n], f.mu[:n]
 	u, c, z, tn := buf[vU*n:][:n], buf[vC*n:][:n], buf[vZ*n:][:n], buf[vEnd*n:][:n]
-	sum, dev, zp := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vZPrev*n:][:n]
-	// Row L−1 of the tables gives T(L−1), row L gives T(L).
+	sum, dev, acc := buf[vSum*n:][:n], buf[vDev*n:][:n], buf[vAcc*n:][:n]
+	// Row L−1 of the tables gives T(L−1), row L gives T(L). The plan's
+	// interior starts carried to T(L−1), where the segment's last tick
+	// starts.
 	r := (nTicks - 1) * n
 	dPrev, sPrev, sEnd := f.segD[r:][:n], f.segS[r:][:n], f.segS[r+n:][:n]
 	for m := 0; m < n; m++ {
 		// w is the first tick's modal increment and v = w′ − w.
 		w := mu[m]*u[m] + c[m]
 		v := dPrev[m] * w
-		sum[m], dev[m], zp[m], z[m] = 2*w+v, math.Abs(v), sPrev[m]*w, sEnd[m]*w
+		sum[m], dev[m], acc[m], z[m] = 2*w+v, math.Abs(v), sPrev[m]*w, sEnd[m]*w
 	}
 	ok = true
 	for i := 0; i < n; i++ {
@@ -486,45 +498,8 @@ func (ss *Superstep) Segment(nTicks int) (end []float64, ok bool) {
 	if !ok {
 		return nil, false
 	}
-	ss.segL = nTicks
+	ss.planned, ss.at = true, nTicks-1
 	return tn, true
-}
-
-// SegmentSlopeW returns Σ_i slope_i·T_i at T(L−1) of the certified
-// Segment awaiting CommitSegment — the temperature-dependent part of the
-// power law under which its last tick starts — in watts, or 0 when none
-// awaits. It weighs the modal increments through Qᵀ·slope, so it costs
-// O(N), not the O(N²) of T(L−1) itself.
-//
-//teem:hotpath
-func (ss *Superstep) SegmentSlopeW() float64 {
-	if ss.segL == 0 {
-		return 0
-	}
-	f, temps, zp := ss.f, ss.st.m.temps[:ss.st.m.n], ss.vec(vZPrev)
-	p := 0.0
-	for i, s := range f.slope {
-		p += s*temps[i] + f.sq[i]*zp[i]
-	}
-	return p
-}
-
-// CommitSegment applies the last certified Segment: the model takes its
-// end temperatures and the carried modal state advances with them. It
-// fails when no certified Segment awaits.
-//
-//teem:hotpath
-func (ss *Superstep) CommitSegment() error {
-	if ss.segL == 0 {
-		return errors.New("thermal: CommitSegment without a certified Segment")
-	}
-	copy(ss.st.m.temps[:ss.st.m.n], ss.vec(vEnd))
-	u, z := ss.vec(vU), ss.vec(vZ)
-	for m := range u {
-		u[m] += z[m]
-	}
-	ss.segL = 0
-	return nil
 }
 
 // form returns the modal form of slope over p's system: the shared one

@@ -89,7 +89,8 @@ func TestSuperstepMatchesSequentialTicks(t *testing.T) {
 
 // The direction probe: heating from ambient reports rising, cooling from
 // a hot start with no injected power reports falling, and the committed
-// endpoints respect the direction.
+// endpoints respect the direction. Direction re-runs the probe: after a
+// monotone Jump, and after BeginSegments, on the state they took.
 func TestSuperstepDirection(t *testing.T) {
 	net := Exynos5422Network()
 	m, err := NewModel(net, 28)
@@ -105,12 +106,15 @@ func TestSuperstepDirection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Direction re-runs Jump's probe on the state BeginSegments took; it
-	// has no injection to probe under until BeginSegments runs.
-	direction := func(inj []float64) int {
+	// Direction has no injection to probe under until a monotone Jump or
+	// BeginSegments runs; both probe the same state.
+	if d := ss.Direction(); d != 0 {
+		t.Fatalf("Direction = %d with no modal state, want 0", d)
+	}
+	direction := func(inj []float64, dir int) int {
 		t.Helper()
-		if d := ss.Direction(); d != 0 {
-			t.Fatalf("Direction = %d with no segment run begun, want 0", d)
+		if d := ss.Direction(); d != dir {
+			t.Fatalf("Direction after Jump = %d, Jump's probe %d", d, dir)
 		}
 		if err := ss.BeginSegments(inj); err != nil {
 			t.Fatal(err)
@@ -125,7 +129,7 @@ func TestSuperstepDirection(t *testing.T) {
 	if dir != 1 {
 		t.Fatalf("heating from ambient: dir = %d, want 1", dir)
 	}
-	if d := direction(hot); d != dir {
+	if d := direction(hot, dir); d != dir {
 		t.Fatalf("heating from ambient: Direction = %d, Jump's probe %d", d, dir)
 	}
 	if _, _, err := ss.Jump(50, hot); err != nil {
@@ -154,7 +158,7 @@ func TestSuperstepDirection(t *testing.T) {
 	if dir != -1 {
 		t.Fatalf("cooling after power cut: dir = %d, want -1", dir)
 	}
-	if d := direction(zero); d != dir {
+	if d := direction(zero, dir); d != dir {
 		t.Fatalf("cooling after power cut: Direction = %d, Jump's probe %d", d, dir)
 	}
 	if end, _, err = ss.Jump(50, zero); err != nil {
@@ -167,8 +171,8 @@ func TestSuperstepDirection(t *testing.T) {
 	}
 }
 
-// Commit without a planned Jump must fail, and a failed Jump must
-// invalidate any previous plan.
+// Commit without a planned Jump or Segment must fail, and a failed Jump
+// or a refused Segment must invalidate any previous plan.
 func TestSuperstepCommitContract(t *testing.T) {
 	net := Exynos5422Network()
 	m, err := NewModel(net, 28)
@@ -195,6 +199,15 @@ func TestSuperstepCommitContract(t *testing.T) {
 	}
 	if err := ss.Commit(); err == nil {
 		t.Fatal("Commit after failed Jump did not fail")
+	}
+	if _, _, err := ss.Jump(10, p); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := ss.Segment(SegmentMaxTicks + 1); ok {
+		t.Fatal("a segment longer than SegmentMaxTicks was certified")
+	}
+	if err := ss.Commit(); err == nil {
+		t.Fatal("Commit after a refused Segment did not fail")
 	}
 }
 
