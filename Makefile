@@ -120,11 +120,17 @@ integrator-gate:
 
 # Platform-catalog gate (docs/platforms.md): the catalog validation
 # suite (JSON round-trips, physics checks, constructor equivalence) must
-# pass uncached, and every builtin platform must keep the whole preset
-# corpus's assertions under both integrators — the hardware axis of the
-# regression matrix.
+# pass uncached, the bundle decoder must survive 10 s of fuzzing
+# (FuzzPlatformLoad, seeded with the catalog: Load must not panic, and
+# what it accepts must save, reload deep-equal and save to the same
+# bytes), and every builtin platform must keep the whole preset corpus's
+# assertions under both integrators — the hardware axis of the
+# regression matrix. An input grown from a whole catalog file can take
+# the default 60 s to minimize, which would use up the 10 s run, so new
+# inputs are minimized for at most 1 s.
 platform-gate:
 	$(GO) test -count=1 ./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzPlatformLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/platform
 	$(GO) run ./cmd/teemscenario -platforms all -govs ondemand,teem
 	$(GO) run ./cmd/teemscenario -platforms all -govs ondemand,teem -integrator euler
 

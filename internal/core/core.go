@@ -268,22 +268,6 @@ func (mg *Manager) Model(appName string) (*AppModel, bool) {
 	return am, ok
 }
 
-// Clone returns a manager sharing the (read-only) platform, network and
-// parameters with a snapshot of the current model store. The manager is
-// already safe for concurrent use; Clone is for callers that want full
-// isolation instead — a worker that must not observe apps profiled after
-// the snapshot, or one that profiles throwaway variants without
-// polluting the shared store.
-func (mg *Manager) Clone() *Manager {
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	models := make(map[string]*AppModel, len(mg.models))
-	for k, v := range mg.models {
-		models[k] = v
-	}
-	return &Manager{plat: mg.plat, net: mg.net, params: mg.params, models: models}
-}
-
 // profileRun executes one profiling measurement at maximum frequencies
 // under the firmware protection, using the paper's steady-regime protocol.
 // A measurement is reduced to its summaries, so no trace is kept.

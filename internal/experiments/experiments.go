@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync/atomic"
 
 	"teem/internal/baseline"
 	"teem/internal/core"
@@ -63,7 +62,7 @@ type Env struct {
 	Net    *thermal.Network
 	Params core.Params
 
-	workers atomic.Int64
+	workers int // 0 = one per CPU, 1 = serial
 
 	mgr      *core.Manager
 	profiles par.Flight[string, *core.AppModel]
@@ -83,23 +82,14 @@ func NewEnvWith(o Options) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Env{
-		Plat:   plat,
-		Net:    net,
-		Params: params,
-		mgr:    mgr,
-	}
-	e.SetWorkers(o.Workers)
-	return e, nil
+	return &Env{
+		Plat:    plat,
+		Net:     net,
+		Params:  params,
+		workers: o.Workers,
+		mgr:     mgr,
+	}, nil
 }
-
-// SetWorkers adjusts the worker-pool bound (0 = one per CPU, 1 = serial).
-// It may be called at any time, including concurrently with running
-// experiments; in-flight fan-outs keep their pool size.
-func (e *Env) SetWorkers(n int) { e.workers.Store(int64(n)) }
-
-// Workers returns the configured worker-pool bound (0 = one per CPU).
-func (e *Env) Workers() int { return int(e.workers.Load()) }
 
 // Manager exposes the TEEM manager (profiled apps accumulate in it).
 func (e *Env) Manager() *core.Manager { return e.mgr }
@@ -149,7 +139,7 @@ func (e *Env) Fig1() (*Fig1Result, error) {
 		{name: "ondemand", gov: governor.NewOndemand()},
 		{name: "teem", gov: core.NewController(e.Params)},
 	}
-	if err := par.ForEach(e.Workers(), len(runs), func(i int) error {
+	if err := par.ForEach(e.workers, len(runs), func(i int) error {
 		res, err := sim.RunWarm(sim.Config{
 			Platform: e.Plat, Net: e.Net, App: app,
 			Map: m, Part: part,
@@ -345,7 +335,7 @@ func (e *Env) fig5Do(ctx context.Context, m mapping.Mapping) (*Fig5Result, error
 		}
 		apps := workload.Apps()
 		out := &Fig5Result{Mapping: m, Rows: make([]Fig5Row, len(apps))}
-		if err := par.ForEachCtx(ctx, e.Workers(), len(apps), func(i int) error {
+		if err := par.ForEachCtx(ctx, e.workers, len(apps), func(i int) error {
 			row, err := e.fig5Row(apps[i], m)
 			if err != nil {
 				return err
@@ -385,17 +375,15 @@ func (e *Env) fig5Row(app *workload.App, m mapping.Mapping) (Fig5Row, error) {
 	if _, err := e.profileApp(app); err != nil {
 		return Fig5Row{}, err
 	}
-	// Worker-private manager: a snapshot clone of the shared one, so the
-	// decision and the regulated run touch no shared mutable state while
-	// other rows profile into the original.
-	mgr := e.mgr.Clone()
-	part, err := mgr.DecidePartition(app.Name, treq)
+	// The manager is safe for concurrent use: other rows may profile
+	// into it while this one reads its model and runs.
+	part, err := e.mgr.DecidePartition(app.Name, treq)
 	if err != nil {
 		return Fig5Row{}, err
 	}
 	tm := m
 	tm.UseGPU = part.Num < part.Den
-	tres, err := mgr.RunAt(app, tm, part)
+	tres, err := e.mgr.RunAt(app, tm, part)
 	if err != nil {
 		return Fig5Row{}, fmt.Errorf("experiments: fig5 TEEM %s: %w", app.Name, err)
 	}
@@ -546,7 +534,7 @@ func (e *Env) runTEEMWith(p core.Params) (*sim.Result, error) {
 // the result slice is assembled by index, matching the serial order.
 func (e *Env) sweep(n int, modify func(i int) (value float64, p core.Params)) ([]SweepPoint, error) {
 	out := make([]SweepPoint, n)
-	if err := par.ForEach(e.Workers(), n, func(i int) error {
+	if err := par.ForEach(e.workers, n, func(i int) error {
 		v, p := modify(i)
 		res, err := e.runTEEMWith(p)
 		if err != nil {
@@ -643,7 +631,7 @@ func (e *Env) DesignSpace() (Eq12Result, error) {
 	if err != nil {
 		return Eq12Result{}, err
 	}
-	shards := par.Normalize(e.Workers(), sp.TotalDesignPoints())
+	shards := par.Normalize(e.workers, sp.TotalDesignPoints())
 	counts := make([]int, shards)
 	if err := par.ForEach(shards, shards, func(i int) error {
 		sp.EnumerateShard(i, shards, func(mapping.DesignPoint) bool {

@@ -200,17 +200,3 @@ func TestEnvConcurrentHammer(t *testing.T) {
 		}
 	}
 }
-
-func TestSetWorkers(t *testing.T) {
-	e, err := NewEnv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Workers() != 0 {
-		t.Errorf("default workers = %d, want 0 (one per CPU)", e.Workers())
-	}
-	e.SetWorkers(3)
-	if e.Workers() != 3 {
-		t.Errorf("workers = %d after SetWorkers(3)", e.Workers())
-	}
-}

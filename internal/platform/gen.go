@@ -82,39 +82,6 @@ func exynos5410() *platform.Bundle {
 	}
 }
 
-// voltPoint / rampOPPs mirror the unexported helpers in internal/soc:
-// an OPP ramp in fixed MHz steps with piecewise-linear voltage anchors.
-type voltPoint struct {
-	freqMHz int
-	voltV   float64
-}
-
-func rampOPPs(loMHz, hiMHz, stepMHz int, anchors []voltPoint) []soc.OPP {
-	var opps []soc.OPP
-	for f := loMHz; f <= hiMHz; f += stepMHz {
-		opps = append(opps, soc.OPP{FreqMHz: f, VoltV: interpVolt(anchors, f)})
-	}
-	return opps
-}
-
-func interpVolt(anchors []voltPoint, freqMHz int) float64 {
-	if freqMHz <= anchors[0].freqMHz {
-		return anchors[0].voltV
-	}
-	last := anchors[len(anchors)-1]
-	if freqMHz >= last.freqMHz {
-		return last.voltV
-	}
-	for i := 1; i < len(anchors); i++ {
-		a, b := anchors[i-1], anchors[i]
-		if freqMHz <= b.freqMHz {
-			t := float64(freqMHz-a.freqMHz) / float64(b.freqMHz-a.freqMHz)
-			return a.voltV + t*(b.voltV-a.voltV)
-		}
-	}
-	return last.voltV
-}
-
 // kestrelE2 is a fanless edge-gateway part: quad A76-class big cluster,
 // quad A55-class LITTLE, small 4-shader G52-class GPU. Passive cooling
 // gives it a large package-to-ambient resistance, so it trips under
@@ -131,7 +98,7 @@ func kestrelE2() *platform.Bundle {
 					Name:     "A76",
 					Kind:     soc.BigCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(500, 2200, 100, []voltPoint{
+					OPPs: soc.RampOPPs(500, 2200, 100, []soc.VoltPoint{
 						{500, 0.8000}, {1000, 0.8750}, {1600, 0.9750},
 						{2000, 1.0750}, {2200, 1.1500},
 					}),
@@ -143,7 +110,7 @@ func kestrelE2() *platform.Bundle {
 					Name:     "A55",
 					Kind:     soc.LittleCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(200, 1800, 100, []voltPoint{
+					OPPs: soc.RampOPPs(200, 1800, 100, []soc.VoltPoint{
 						{200, 0.7500}, {800, 0.8250}, {1400, 0.9250},
 						{1800, 1.0250},
 					}),
@@ -214,7 +181,7 @@ func sparrowE1() *platform.Bundle {
 					Name:     "A73",
 					Kind:     soc.BigCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(400, 1600, 100, []voltPoint{
+					OPPs: soc.RampOPPs(400, 1600, 100, []soc.VoltPoint{
 						{400, 0.7750}, {800, 0.8500}, {1200, 0.9500},
 						{1600, 1.0750},
 					}),
@@ -226,7 +193,7 @@ func sparrowE1() *platform.Bundle {
 					Name:     "A53",
 					Kind:     soc.LittleCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(200, 1100, 100, []voltPoint{
+					OPPs: soc.RampOPPs(200, 1100, 100, []soc.VoltPoint{
 						{200, 0.7500}, {600, 0.8125}, {1100, 0.9000},
 					}),
 					CdynCoreNF:    0.06,
@@ -292,7 +259,7 @@ func merlinM3() *platform.Bundle {
 					Name:     "X4",
 					Kind:     soc.BigCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(300, 2800, 100, []voltPoint{
+					OPPs: soc.RampOPPs(300, 2800, 100, []soc.VoltPoint{
 						{300, 0.6500}, {1000, 0.7500}, {1800, 0.9000},
 						{2400, 1.0500}, {2800, 1.2000},
 					}),
@@ -304,7 +271,7 @@ func merlinM3() *platform.Bundle {
 					Name:     "A520",
 					Kind:     soc.LittleCPU,
 					NumCores: 4,
-					OPPs: rampOPPs(300, 2000, 100, []voltPoint{
+					OPPs: soc.RampOPPs(300, 2000, 100, []soc.VoltPoint{
 						{300, 0.6500}, {1000, 0.7750}, {1600, 0.9000},
 						{2000, 1.0000},
 					}),
@@ -379,7 +346,7 @@ func harrierS16() *platform.Bundle {
 					Name:     "N3",
 					Kind:     soc.BigCPU,
 					NumCores: 8,
-					OPPs: rampOPPs(1000, 3400, 200, []voltPoint{
+					OPPs: soc.RampOPPs(1000, 3400, 200, []soc.VoltPoint{
 						{1000, 0.7500}, {1800, 0.8250}, {2600, 0.9250},
 						{3000, 0.9750}, {3400, 1.0500},
 					}),
@@ -391,7 +358,7 @@ func harrierS16() *platform.Bundle {
 					Name:     "E3",
 					Kind:     soc.LittleCPU,
 					NumCores: 8,
-					OPPs: rampOPPs(800, 2200, 200, []voltPoint{
+					OPPs: soc.RampOPPs(800, 2200, 200, []soc.VoltPoint{
 						{800, 0.7250}, {1400, 0.7750}, {2200, 0.9000},
 					}),
 					CdynCoreNF:    0.15,

@@ -75,22 +75,25 @@ type AcceleratorSlot struct {
 // calibrated against, plus metadata. The pair is validated together —
 // every cluster resolves to a sensor node, the "pkg" node exists — so a
 // resolved bundle can never reproduce the historical silent-mismatch
-// failure mode (sim.ErrPlatformNetMismatch).
+// failure mode (sim.ErrPlatformNetMismatch). Its JSON tags are the
+// bundle file's schema (Load, Save): the soc and thermal objects are
+// the SoC's and the network's own JSON forms, so the pair travels as one
+// document instead of two coupled ones.
 type Bundle struct {
 	// Name is the catalog key, e.g. "exynos5422". Builtin bundles are
 	// stored as catalog/<name>.json.
-	Name string
+	Name string `json:"name"`
 	// Class is the deployment segment.
-	Class Class
+	Class Class `json:"class"`
 	// Description is a one-line human summary for listings.
-	Description string
+	Description string `json:"description,omitempty"`
 	// SoC is the platform description (clusters, OPPs, trip points).
-	SoC *soc.Platform
+	SoC *soc.Platform `json:"soc"`
 	// Net is the lumped RC thermal network calibrated for the SoC as
 	// mounted on its reference board.
-	Net *thermal.Network
+	Net *thermal.Network `json:"thermal"`
 	// Accelerators lists fixed-function accelerator slots (metadata).
-	Accelerators []AcceleratorSlot
+	Accelerators []AcceleratorSlot `json:"accelerators,omitempty"`
 }
 
 // Validate reports an error if the bundle is structurally inconsistent:

@@ -691,9 +691,10 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 }
 
 // steadyLeak is each cluster's leakage base and temperature coefficient
-// at a fixed operating point, indexed like the platform's clusters.
+// at a fixed operating point, indexed like the platform's clusters: one
+// per kind (soc.Platform.Validate), and the kinds run 1 to soc.GPU.
 type steadyLeak struct {
-	base, coeff [soc.GPU + 1]float64
+	base, coeff [soc.GPU]float64
 }
 
 // steadyPower publishes op's utilisations and evaluates its power once,
@@ -818,7 +819,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) error {
 		if err := e.walkTicks(dt, l, &op, &leak); err != nil {
 			return err
 		}
-		crossed := e.meterTick() != km
+		prev := km
 		km, cold = e.meterTick(), e.belowFloor()
 		if e.tmuFires() {
 			break
@@ -826,7 +827,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) error {
 		if err := ss.BeginSegments(e.ssInj); err != nil {
 			return err
 		}
-		if mixed && crossed && !e.reprobe(end) {
+		if mixed && km != prev && !e.reprobe(end) {
 			break
 		}
 	}

@@ -17,7 +17,7 @@ func Exynos5410() *Platform {
 				Name:     "A15",
 				Kind:     BigCPU,
 				NumCores: 4,
-				OPPs: rampOPPs(600, 1600, 100, []voltPoint{
+				OPPs: RampOPPs(600, 1600, 100, []VoltPoint{
 					{600, 0.9500}, {1000, 1.0375}, {1400, 1.1750},
 					{1600, 1.3000},
 				}),
@@ -29,7 +29,7 @@ func Exynos5410() *Platform {
 				Name:     "A7",
 				Kind:     LittleCPU,
 				NumCores: 4,
-				OPPs: rampOPPs(200, 1200, 100, []voltPoint{
+				OPPs: RampOPPs(200, 1200, 100, []VoltPoint{
 					{200, 0.9000}, {600, 0.9625}, {1200, 1.1875},
 				}),
 				CdynCoreNF:    0.09,

@@ -18,7 +18,7 @@ func Exynos5422() *Platform {
 				Name:     "A15",
 				Kind:     BigCPU,
 				NumCores: 4,
-				OPPs: rampOPPs(200, 2000, 100, []voltPoint{
+				OPPs: RampOPPs(200, 2000, 100, []VoltPoint{
 					{200, 0.9125}, {600, 0.9625}, {1000, 1.0250},
 					{1400, 1.1125}, {1600, 1.1250}, {1800, 1.1900}, {2000, 1.4250},
 				}),
@@ -30,7 +30,7 @@ func Exynos5422() *Platform {
 				Name:     "A7",
 				Kind:     LittleCPU,
 				NumCores: 4,
-				OPPs: rampOPPs(200, 1400, 100, []voltPoint{
+				OPPs: RampOPPs(200, 1400, 100, []VoltPoint{
 					{200, 0.9125}, {600, 0.9625}, {1000, 1.0375},
 					{1400, 1.2500},
 				}),
@@ -65,16 +65,18 @@ func Exynos5422() *Platform {
 	}
 }
 
-// voltPoint is an anchor on the voltage-frequency curve used when building
-// dense OPP ramps.
-type voltPoint struct {
-	freqMHz int
-	voltV   float64
+// VoltPoint is an anchor on the voltage-frequency curve of a dense OPP
+// ramp (see RampOPPs).
+type VoltPoint struct {
+	FreqMHz int
+	VoltV   float64
 }
 
-// rampOPPs builds an OPP table from loMHz to hiMHz (inclusive) in stepMHz
-// increments, interpolating voltages piecewise-linearly between anchors.
-func rampOPPs(loMHz, hiMHz, stepMHz int, anchors []voltPoint) []OPP {
+// RampOPPs builds an OPP table from loMHz to hiMHz (inclusive) in stepMHz
+// increments, interpolating voltages piecewise-linearly between anchors
+// and holding the end anchors' voltages outside them. The catalog
+// generator (internal/platform/gen.go) builds its ramps with it too.
+func RampOPPs(loMHz, hiMHz, stepMHz int, anchors []VoltPoint) []OPP {
 	var opps []OPP
 	for f := loMHz; f <= hiMHz; f += stepMHz {
 		opps = append(opps, OPP{FreqMHz: f, VoltV: interpVolt(anchors, f)})
@@ -82,23 +84,23 @@ func rampOPPs(loMHz, hiMHz, stepMHz int, anchors []voltPoint) []OPP {
 	return opps
 }
 
-func interpVolt(anchors []voltPoint, freqMHz int) float64 {
+func interpVolt(anchors []VoltPoint, freqMHz int) float64 {
 	if len(anchors) == 0 {
 		return 1.0
 	}
-	if freqMHz <= anchors[0].freqMHz {
-		return anchors[0].voltV
+	if freqMHz <= anchors[0].FreqMHz {
+		return anchors[0].VoltV
 	}
 	last := anchors[len(anchors)-1]
-	if freqMHz >= last.freqMHz {
-		return last.voltV
+	if freqMHz >= last.FreqMHz {
+		return last.VoltV
 	}
 	for i := 1; i < len(anchors); i++ {
 		a, b := anchors[i-1], anchors[i]
-		if freqMHz <= b.freqMHz {
-			t := float64(freqMHz-a.freqMHz) / float64(b.freqMHz-a.freqMHz)
-			return a.voltV + t*(b.voltV-a.voltV)
+		if freqMHz <= b.FreqMHz {
+			t := float64(freqMHz-a.FreqMHz) / float64(b.FreqMHz-a.FreqMHz)
+			return a.VoltV + t*(b.VoltV-a.VoltV)
 		}
 	}
-	return last.voltV
+	return last.VoltV
 }

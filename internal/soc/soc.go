@@ -16,12 +16,14 @@ import (
 )
 
 // ClusterKind distinguishes the micro-architectural role of a cluster.
+// The zero kind is none of the three, so a cluster decoded without a
+// kind fails Platform.Validate.
 type ClusterKind int
 
 const (
 	// BigCPU marks a high-performance out-of-order CPU cluster
 	// (e.g. ARM Cortex-A15).
-	BigCPU ClusterKind = iota
+	BigCPU ClusterKind = iota + 1
 	// LittleCPU marks an energy-efficient in-order CPU cluster
 	// (e.g. ARM Cortex-A7).
 	LittleCPU
@@ -44,13 +46,32 @@ func (k ClusterKind) String() string {
 	}
 }
 
+// MarshalText encodes the kind as its String form, the "kind" of a
+// cluster in a platform bundle file (internal/platform).
+func (k ClusterKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText decodes the String form of one of the three kinds.
+func (k *ClusterKind) UnmarshalText(text []byte) error {
+	switch string(text) {
+	case "big":
+		*k = BigCPU
+	case "LITTLE":
+		*k = LittleCPU
+	case "GPU":
+		*k = GPU
+	default:
+		return fmt.Errorf("soc: unknown cluster kind %q (want big, LITTLE or GPU)", text)
+	}
+	return nil
+}
+
 // OPP is a single operating performance point: a frequency and the supply
 // voltage required to sustain it.
 type OPP struct {
 	// FreqMHz is the clock frequency in MHz.
-	FreqMHz int
+	FreqMHz int `json:"freq_mhz"`
 	// VoltV is the supply voltage in volts.
-	VoltV float64
+	VoltV float64 `json:"volt_v"`
 }
 
 // Cluster describes one voltage/frequency island of the SoC. All cores of a
@@ -58,25 +79,25 @@ type OPP struct {
 // Exynos 5422.
 type Cluster struct {
 	// Name is a short identifier, e.g. "A15", "A7", "MaliT628".
-	Name string
+	Name string `json:"name"`
 	// Kind is the micro-architectural role.
-	Kind ClusterKind
+	Kind ClusterKind `json:"kind"`
 	// NumCores is the number of cores (CPU) or shader cores (GPU).
-	NumCores int
+	NumCores int `json:"num_cores"`
 	// OPPs is the table of supported operating points, sorted by
 	// ascending frequency.
-	OPPs []OPP
+	OPPs []OPP `json:"opps"`
 
 	// CdynCoreNF is the effective switched capacitance of one fully
 	// active core in nanofarads; dynamic power of a core is
 	// Cdyn·V²·f·activity.
-	CdynCoreNF float64
+	CdynCoreNF float64 `json:"cdyn_core_nf"`
 	// LeakCoeff scales the static leakage power of one powered core
 	// (watts at nominal voltage and 25 °C junction temperature).
-	LeakCoeff float64
+	LeakCoeff float64 `json:"leak_coeff"`
 	// LeakTempCoeff is the fractional leakage increase per °C above
 	// 25 °C (super-linear leakage-temperature feedback linearised).
-	LeakTempCoeff float64
+	LeakTempCoeff float64 `json:"leak_temp_coeff"`
 }
 
 // Validate reports an error if the cluster description is internally
@@ -191,33 +212,37 @@ func abs(x int) int {
 	return x
 }
 
-// Platform is a complete MPSoC description.
+// Platform is a complete MPSoC description. It is plain data, and its
+// JSON tags are the schema of the "soc" object of a platform bundle file
+// (internal/platform), so custom hardware is loaded at runtime instead
+// of recompiled. Decoding does not validate: run Validate on untrusted
+// input (platform.Load validates the bundle as a whole).
 type Platform struct {
 	// Name identifies the SoC, e.g. "Exynos5422".
-	Name string
+	Name string `json:"name"`
 	// Clusters lists the voltage/frequency islands. By convention CPU
 	// clusters come first; use FirstOfKind or the Big, Little and GPU
 	// helpers for order-independent access.
-	Clusters []Cluster
+	Clusters []Cluster `json:"clusters"`
 	// BoardBaselineW is the constant power draw of the rest of the
 	// board (regulators, memory at idle, peripherals) in watts, as seen
 	// by a board-level power meter such as the Odroid Smart Power 2.
-	BoardBaselineW float64
+	BoardBaselineW float64 `json:"board_baseline_w"`
 	// DRAMPowerPerGBs is the additional power in watts per GB/s of
 	// memory traffic generated by the workload.
-	DRAMPowerPerGBs float64
+	DRAMPowerPerGBs float64 `json:"dram_power_per_gbs"`
 	// AmbientC is the ambient temperature in °C used by thermal models.
-	AmbientC float64
+	AmbientC float64 `json:"ambient_c"`
 	// TripC is the hardware thermal protection trip point in °C: when a
 	// sensor reaches it the affected cluster is throttled by the
 	// hardware regardless of software policy.
-	TripC float64
+	TripC float64 `json:"trip_c"`
 	// TripReleaseC is the temperature below which hardware throttling is
 	// released (hysteresis).
-	TripReleaseC float64
+	TripReleaseC float64 `json:"trip_release_c"`
 	// TripCapMHz is the frequency cap applied by hardware protection to
 	// the big CPU cluster (900 MHz on the stock Exynos 5422 firmware).
-	TripCapMHz int
+	TripCapMHz int `json:"trip_cap_mhz"`
 }
 
 // Clone returns a deep copy of p: the copy's clusters and OPP tables are
@@ -254,7 +279,7 @@ func (p *Platform) Validate() error {
 	}
 	// The engine, the power model and the governors address one cluster
 	// per kind (as do the node aliases @big, @little and @gpu).
-	if perKind != [...]int{1, 1, 1} {
+	if perKind != [...]int{BigCPU: 1, LittleCPU: 1, GPU: 1} {
 		return fmt.Errorf("soc: platform %s: want exactly one big, LITTLE and GPU cluster, got %d/%d/%d",
 			p.Name, perKind[BigCPU], perKind[LittleCPU], perKind[GPU])
 	}

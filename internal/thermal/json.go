@@ -9,11 +9,6 @@ import (
 // nests the RC network as its "thermal" object, so custom networks are
 // defined in JSON and loaded at runtime instead of recompiled.
 
-type jsonNode struct {
-	Name     string  `json:"name"`
-	HeatCapJ float64 `json:"heat_cap_j"`
-}
-
 type jsonLink struct {
 	// A and B name nodes; B == "ambient" couples A to the boundary.
 	A     string  `json:"a"`
@@ -22,7 +17,7 @@ type jsonLink struct {
 }
 
 type jsonNetwork struct {
-	Nodes []jsonNode `json:"nodes"`
+	Nodes []Node     `json:"nodes"`
 	Links []jsonLink `json:"links"`
 }
 
@@ -30,10 +25,7 @@ type jsonNetwork struct {
 // bundle file (internal/platform). Link endpoints are emitted by node
 // name so the format is robust to reordering. It performs no validation.
 func (n *Network) MarshalJSON() ([]byte, error) {
-	jn := jsonNetwork{}
-	for _, nd := range n.Nodes {
-		jn.Nodes = append(jn.Nodes, jsonNode{Name: nd.Name, HeatCapJ: nd.HeatCapJ})
-	}
+	jn := jsonNetwork{Nodes: n.Nodes}
 	for _, l := range n.Links {
 		b := "ambient"
 		if l.B != Ambient {
@@ -41,7 +33,7 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 		}
 		jn.Links = append(jn.Links, jsonLink{A: n.Nodes[l.A].Name, B: b, ResCW: l.ResCW})
 	}
-	return json.Marshal(jn)
+	return json.Marshal(&jn)
 }
 
 // UnmarshalJSON decodes the schema MarshalJSON writes. Like MarshalJSON
@@ -52,10 +44,9 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jn); err != nil {
 		return fmt.Errorf("thermal: decoding network: %w", err)
 	}
-	nn := Network{}
+	nn := Network{Nodes: jn.Nodes}
 	index := make(map[string]int, len(jn.Nodes))
 	for i, nd := range jn.Nodes {
-		nn.Nodes = append(nn.Nodes, Node{Name: nd.Name, HeatCapJ: nd.HeatCapJ})
 		index[nd.Name] = i
 	}
 	for _, l := range jn.Links {

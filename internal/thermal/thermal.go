@@ -31,12 +31,14 @@ import (
 	"sync/atomic"
 )
 
-// Node is one lumped thermal mass.
+// Node is one lumped thermal mass. Its JSON tags are the schema of a
+// node of the "thermal" object of a platform bundle file (see
+// Network.MarshalJSON).
 type Node struct {
 	// Name identifies the node, e.g. "A15", "MaliT628", "pkg".
-	Name string
+	Name string `json:"name"`
 	// HeatCapJ is the heat capacity in joules per °C.
-	HeatCapJ float64
+	HeatCapJ float64 `json:"heat_cap_j"`
 }
 
 // Link is a thermal resistance between two nodes, or between a node and the
