@@ -71,9 +71,49 @@ func TestLoadRejectsMissingOrUnknownKind(t *testing.T) {
 	}
 }
 
+// misspeltTripCap is the default catalog file with its trip_cap_mhz key
+// misspelt, which a lenient decoder would load as a 0 MHz hardware cap.
+func misspeltTripCap(tb testing.TB) []byte {
+	return defaultVariant(tb, func(doc map[string]any) {
+		soc := field(doc, "soc")
+		soc["trip_cap_mhzz"] = soc["trip_cap_mhz"]
+		delete(soc, "trip_cap_mhz")
+	})
+}
+
+// Load rejects a key the schema does not have, naming it, in the bundle,
+// its soc section and its thermal section, and a bundle without a trip
+// cap in the big cluster's range; every catalog bundle still loads.
+func TestLoadIsStrict(t *testing.T) {
+	for _, c := range []struct {
+		name, want string
+		data       []byte
+	}{
+		{"misspelt trip cap", `"trip_cap_mhzz"`, misspeltTripCap(t)},
+		{"unknown bundle key", `"vendor"`, defaultVariant(t, func(doc map[string]any) { doc["vendor"] = "x" })},
+		{"unknown thermal key", `"edges"`, defaultVariant(t, func(doc map[string]any) { field(doc, "thermal")["edges"] = []any{} })},
+		{"unknown node key", `"mass_kg"`, defaultVariant(t, func(doc map[string]any) { field(doc, "thermal", "nodes", 0)["mass_kg"] = 1 })},
+		{"missing trip cap", "trip cap 0 MHz", defaultVariant(t, func(doc map[string]any) { delete(field(doc, "soc"), "trip_cap_mhz") })},
+		{"trip cap above range", "trip cap 2100 MHz", defaultVariant(t, func(doc map[string]any) { field(doc, "soc")["trip_cap_mhz"] = 2100 })},
+	} {
+		if _, err := Load(bytes.NewReader(c.data)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Load = %v, want an error naming %s", c.name, err, c.want)
+		}
+	}
+	for _, name := range Names() {
+		data, err := catalogFS.ReadFile("catalog/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(data)); err != nil {
+			t.Errorf("catalog %s: %v", name, err)
+		}
+	}
+}
+
 // FuzzPlatformLoad fuzzes the bundle decoder, seeded with every catalog
-// file and with the default one carrying a cluster of each refused kind
-// and a link to an unknown node. Load must not panic, and a bundle it
+// file and with the default one carrying a cluster of each refused kind,
+// a link to an unknown node and a misspelt trip_cap_mhz key. Load must not panic, and a bundle it
 // accepts must save, load again deep-equal and save again to the same
 // bytes. "accelerators": [] decodes to a non-nil empty slice but saves
 // as omitted, so an empty slot list is compared as nil.
@@ -89,6 +129,7 @@ func FuzzPlatformLoad(f *testing.F) {
 		f.Add(defaultVariant(f, func(doc map[string]any) { k.edit(field(doc, "soc", "clusters", 0)) }))
 	}
 	f.Add(defaultVariant(f, func(doc map[string]any) { field(doc, "thermal", "links", 0)["b"] = "nowhere" }))
+	f.Add(misspeltTripCap(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b, err := Load(bytes.NewReader(data))
 		if err != nil {

@@ -17,10 +17,14 @@ func (b *Bundle) Save(w io.Writer) error {
 	return enc.Encode(b)
 }
 
-// Load reads and validates a platform bundle from JSON.
+// Load reads and validates a platform bundle from JSON. A key the
+// schema does not have is an error naming it, so a misspelt field cannot
+// load as its zero value.
 func Load(r io.Reader) (*Bundle, error) {
 	b := new(Bundle)
-	if err := json.NewDecoder(r).Decode(b); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(b); err != nil {
 		return nil, fmt.Errorf("platform: decoding bundle: %w", err)
 	}
 	if err := b.Validate(); err != nil {

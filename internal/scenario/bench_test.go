@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"testing"
 
 	"teem/internal/platform"
@@ -106,6 +107,37 @@ func BenchmarkScenarioSweepSerial(b *testing.B) {
 	}
 	b.ReportMetric(float64(ordinary)/float64(b.N), "ordinary-ticks/op")
 	b.ReportMetric(float64(epochs)/float64(b.N), "epochs/op")
+}
+
+// gridCellAllocs is what one warm grid cell allocates — rush-hour under
+// the TEEM controller on exynos5422, its engine rebuilt from a retired
+// one: the governor registry, the timeline and its callbacks, the job
+// bookkeeping and the Result (65 when every cell built its engine from
+// nothing).
+const gridCellAllocs = 35
+
+// BenchmarkGridCell measures one scenario grid cell as RunPlatformGrid
+// runs it (no trace) on an engine rebuilt from a retired one. It fails
+// when the cell allocates more than gridCellAllocs objects.
+func BenchmarkGridCell(b *testing.B) {
+	bundle, err := platform.Get("exynos5422")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hw, sc, rc := bundleHardware(bundle), RushHour(), Config{Governor: "teem"}
+	run := func() {
+		if _, err := runOn(context.Background(), sc, rc, hw, true); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(10, run); n > gridCellAllocs {
+		b.Fatalf("a warm grid cell allocates %.0f objects, want at most %d", n, gridCellAllocs)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		run()
+	}
 }
 
 // Grid cells are reduced to table rows, so they keep no trace, and the

@@ -187,11 +187,6 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTra
 		Clock:            rc.Clock,
 		DiscardTrace:     discardTrace,
 	}
-	e, err := sim.New(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	}
-
 	res := &Result{Scenario: sc.Name, Governor: govName, Platform: hw.name}
 	ambient := plat.AmbientC
 	// Job-handle bookkeeping for departures and deadlines. Events
@@ -214,121 +209,134 @@ func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTra
 		byS float64
 	}
 	var deadlines []deadlineCheck
-	for _, ev := range sc.sortedEvents() {
-		ev := ev
-		switch ev.Kind {
-		case KindArrival:
-			app, err := workload.ByName(ev.App)
-			if err != nil {
-				return nil, err
-			}
-			part := defaultPart(sc.Map)
-			if ev.Part != nil {
-				part = *ev.Part
-			}
-			err = e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-				id, err := e.EnqueueAppPriority(app, part, ev.Priority)
+	// RunWith builds the engine, lets the closure schedule the timeline
+	// on it and runs it; built and scheduled tell which step an error
+	// came from.
+	var built, scheduled bool
+	sr, err := sim.RunWith(cfg, func(e *sim.Engine) error {
+		built = true
+		for _, ev := range sc.sortedEvents() {
+			ev := ev
+			switch ev.Kind {
+			case KindArrival:
+				app, err := workload.ByName(ev.App)
 				if err != nil {
 					return err
 				}
-				pendingIDs[app.Name] = append(pendingIDs[app.Name], id)
-				if ev.Job != "" {
-					k := subKey(app.Name, ev.Job)
-					pendingIDs[k] = append(pendingIDs[k], id)
+				part := defaultPart(sc.Map)
+				if ev.Part != nil {
+					part = *ev.Part
 				}
-				if ev.DeadlineS > 0 {
-					deadlines = append(deadlines, deadlineCheck{app: app.Name, id: id, byS: ev.AtS + ev.DeadlineS})
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		case KindDeparture:
-			key := subKey(ev.App, ev.Job)
-			err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-				ids := pendingIDs[key]
-				if len(ids) == 0 {
-					res.Violations = append(res.Violations,
-						fmt.Sprintf("t=%gs: departure of %s with no submitted job", ev.AtS, ev.App))
-					return nil
-				}
-				// Cancel the oldest still-pending submission under this
-				// key (the exact tagged instance, or name-FIFO for
-				// untagged departures): ids that already finished or
-				// were cancelled through the other key are skipped, so
-				// a departure is not swallowed by an earlier same-app
-				// job that drained.
-				for len(ids) > 0 {
-					id := ids[0]
-					ids = ids[1:]
-					pendingIDs[key] = ids
-					err := e.CancelJob(id)
-					if err == nil {
-						return nil
-					}
-					if !errors.Is(err, sim.ErrJobNotActive) {
+				err = e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
+					id, err := e.EnqueueAppPriority(app, part, ev.Priority)
+					if err != nil {
 						return err
 					}
+					pendingIDs[app.Name] = append(pendingIDs[app.Name], id)
+					if ev.Job != "" {
+						k := subKey(app.Name, ev.Job)
+						pendingIDs[k] = append(pendingIDs[k], id)
+					}
+					if ev.DeadlineS > 0 {
+						deadlines = append(deadlines, deadlineCheck{app: app.Name, id: id, byS: ev.AtS + ev.DeadlineS})
+					}
+					return nil
+				})
+				if err != nil {
+					return err
 				}
-				// Every submission finished before the tenant left —
-				// nothing to drop.
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-		case KindAmbient:
-			if err := scheduleAmbient(e, &ambient, ev); err != nil {
-				return nil, err
-			}
-		case KindGovernor:
-			mk, ok := registry[ev.Governor]
-			if !ok {
-				return nil, fmt.Errorf("scenario %s: unknown governor %q", sc.Name, ev.Governor)
-			}
-			err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-				return e.SetGovernor(mk())
-			})
-			if err != nil {
-				return nil, err
-			}
-		case KindPartition:
-			p := *ev.Part
-			if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetPartition(p) }); err != nil {
-				return nil, err
-			}
-		case KindMapping:
-			m := *ev.Map
-			if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetMapping(m) }); err != nil {
-				return nil, err
-			}
-		case KindAssert:
-			// Aliases (@big, @little, @gpu, @pkg) bind to the resolved
-			// platform here, at compile time, so messages print the real
-			// node name. An unknown node would read 0 °C and green-light
-			// the assertion forever; flag the typo instead.
-			node := resolveNode(plat, ev.Node)
-			if net.NodeIndex(node) < 0 {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("t=%gs: assertion on unknown node %q", ev.AtS, node))
-				continue
-			}
-			err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-				if t := e.SensorC(node); t > ev.MaxC {
+			case KindDeparture:
+				key := subKey(ev.App, ev.Job)
+				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
+					ids := pendingIDs[key]
+					if len(ids) == 0 {
+						res.Violations = append(res.Violations,
+							fmt.Sprintf("t=%gs: departure of %s with no submitted job", ev.AtS, ev.App))
+						return nil
+					}
+					// Cancel the oldest still-pending submission under this
+					// key (the exact tagged instance, or name-FIFO for
+					// untagged departures): ids that already finished or
+					// were cancelled through the other key are skipped, so
+					// a departure is not swallowed by an earlier same-app
+					// job that drained.
+					for len(ids) > 0 {
+						id := ids[0]
+						ids = ids[1:]
+						pendingIDs[key] = ids
+						err := e.CancelJob(id)
+						if err == nil {
+							return nil
+						}
+						if !errors.Is(err, sim.ErrJobNotActive) {
+							return err
+						}
+					}
+					// Every submission finished before the tenant left —
+					// nothing to drop.
+					return nil
+				})
+				if err != nil {
+					return err
+				}
+			case KindAmbient:
+				if err := scheduleAmbient(e, &ambient, ev); err != nil {
+					return err
+				}
+			case KindGovernor:
+				mk, ok := registry[ev.Governor]
+				if !ok {
+					return fmt.Errorf("scenario %s: unknown governor %q", sc.Name, ev.Governor)
+				}
+				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
+					return e.SetGovernor(mk())
+				})
+				if err != nil {
+					return err
+				}
+			case KindPartition:
+				p := *ev.Part
+				if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetPartition(p) }); err != nil {
+					return err
+				}
+			case KindMapping:
+				m := *ev.Map
+				if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetMapping(m) }); err != nil {
+					return err
+				}
+			case KindAssert:
+				// Aliases (@big, @little, @gpu, @pkg) bind to the resolved
+				// platform here, at compile time, so messages print the real
+				// node name. An unknown node would read 0 °C and green-light
+				// the assertion forever; flag the typo instead.
+				node := resolveNode(plat, ev.Node)
+				if net.NodeIndex(node) < 0 {
 					res.Violations = append(res.Violations,
-						fmt.Sprintf("t=%gs: %s at %.2f °C exceeds %.2f °C", ev.AtS, node, t, ev.MaxC))
+						fmt.Sprintf("t=%gs: assertion on unknown node %q", ev.AtS, node))
+					continue
 				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
+				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
+					if t := e.SensorC(node); t > ev.MaxC {
+						res.Violations = append(res.Violations,
+							fmt.Sprintf("t=%gs: %s at %.2f °C exceeds %.2f °C", ev.AtS, node, t, ev.MaxC))
+					}
+					return nil
+				})
+				if err != nil {
+					return err
+				}
 			}
 		}
-	}
-
-	sr, err := e.Run()
-	if err != nil {
+		scheduled = true
+		return nil
+	})
+	switch {
+	case err == nil:
+	case !built:
+		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
+	case !scheduled:
+		return nil, err
+	default:
 		return nil, fmt.Errorf("scenario %s under %s: %w", sc.Name, govName, err)
 	}
 	res.Sim = sr

@@ -76,3 +76,38 @@ func BenchmarkRunWarmCovariance(b *testing.B) {
 		}
 	}
 }
+
+// warmRunAllocs is what one RunWarm of a DiscardTrace configuration
+// allocates once both its engines are rebuilt from retired ones: the
+// warm start's steady state, the regime, each run's job list, and the
+// measured run's Result with its peaks (57 when every engine was built
+// from nothing).
+const warmRunAllocs = 6
+
+// BenchmarkRunWarmDiscard measures RunWarm of the Fig. 1 configuration
+// with DiscardTrace, as profiling runs and sweep points call it, on
+// engines rebuilt from retired ones. It fails when a run allocates more
+// than warmRunAllocs objects.
+func BenchmarkRunWarmDiscard(b *testing.B) {
+	cfg := Config{
+		Platform:     soc.Exynos5422(),
+		Net:          thermal.Exynos5422Network(),
+		App:          workload.Covariance(),
+		Map:          mapping.Mapping{Big: 3, Little: 2, UseGPU: true},
+		Part:         mapping.Partition{Num: 4, Den: 8},
+		DiscardTrace: true,
+	}
+	run := func() {
+		if _, err := RunWarm(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(10, run); n > warmRunAllocs {
+		b.Fatalf("a warm RunWarm allocates %.0f objects, want at most %d", n, warmRunAllocs)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		run()
+	}
+}

@@ -42,3 +42,12 @@ func WalkRun(e *Engine, maxTimeS float64) (obs.RunStats, error) {
 	}
 	return e.stats, nil
 }
+
+// WithoutRecycling runs f with every engine built from nothing: New
+// takes no retired engine and retiring keeps none, so f's runs are the
+// reference recycled ones are compared with.
+func WithoutRecycling(f func()) {
+	recycle = false
+	defer func() { recycle = true }()
+	f()
+}

@@ -18,6 +18,16 @@
 // sample from what the engine knows of its length (a scenario horizon,
 // or RunWarm's warm-up), growing geometrically otherwise.
 //
+// Engines are recycled per compiled system. RunWith, RunWarm and
+// WarmStartTemps own their engines' whole lives and retire each after
+// its run, and New rebuilds a retired engine over the same platform and
+// network in place, keeping only its buffers (thermal model, stepper,
+// jump map, meter, scratch, summary series), so a warm run allocates
+// little beyond its Result. An engine New returns belongs to its caller
+// and is never recycled. An engine, and the Machine its governor is
+// handed, is valid only during its run: neither a callback nor a
+// governor may keep it past the run.
+//
 // On top of the fixed-tick loop sits an event-horizon superstep
 // scheduler: when the operating point is provably steady — no due
 // events, no governor epoch whose decision could change, no
@@ -70,7 +80,9 @@ import (
 
 // Machine is the restricted hardware view a governor gets: sensors,
 // current frequencies, utilisation, and frequency control — the same
-// surface Linux governors see through sysfs.
+// surface Linux governors see through sysfs. A Machine is valid only
+// during the run that handed it to Start and Act: the engine behind it
+// may be retired and rebuilt for another run afterwards.
 type Machine interface {
 	// TimeS is the current simulation time in seconds.
 	TimeS() float64
@@ -94,7 +106,8 @@ type Machine interface {
 	Throttled() bool
 }
 
-// Governor is a DVFS policy invoked every PeriodS of simulated time.
+// Governor is a DVFS policy invoked every PeriodS of simulated time. It
+// must not keep the Machine it is handed past the run (see Machine).
 type Governor interface {
 	// Name identifies the policy ("ondemand", "teem", ...).
 	Name() string
@@ -294,7 +307,8 @@ type Result struct {
 	Stats obs.RunStats
 }
 
-// Engine executes one configured run.
+// Engine executes one configured run. New returns it to its caller;
+// RunWith and RunWarm build it, run it and retire it for New to rebuild.
 type Engine struct {
 	cfg Config
 	// sys is the shared state derived from the platform and network;
@@ -380,7 +394,8 @@ type Engine struct {
 
 	// event-horizon superstepping (superstep.go): ss is the engine's one
 	// affine jump map, built at its first binding (nil before) and
-	// rebound in place when the leakage-slope vector changes.
+	// rebound in place when the leakage-slope vector changes; ssBound
+	// marks it bound in this run (a rebuilt engine keeps its map unbound).
 	// ssOpLoads/ssOpMemGBs fingerprint the operating point of the last
 	// binding, whose affine decomposition sits in ssInj/ssSlopeCur: a
 	// jump attempt at the same point skips the power model entirely.
@@ -390,6 +405,7 @@ type Engine struct {
 	// nothing, with govUtils the utilisations that epoch saw — together
 	// the fixed-point certificate that lets a jump cross control periods.
 	ss         *thermal.Superstep
+	ssBound    bool
 	ssSlopeCur []float64
 	ssInj      []float64
 	ssLoads    []power.ClusterLoad
@@ -499,85 +515,159 @@ func New(cfg Config) (*Engine, error) {
 		cfg.MaxTimeS = cfg.MinTimeS
 	}
 
-	therm := sys.therm.NewModel(sys.plat.AmbientC)
-	var stepper *thermal.Stepper
-	if cfg.Integrator == IntegratorExact {
-		if stepper, err = therm.NewStepper(TickS); err != nil {
-			return nil, err
-		}
+	e := sys.engine()
+	if err := e.build(cfg, sys); err != nil {
+		e.retire()
+		return nil, err
 	}
+	return e, nil
+}
 
-	e := &Engine{
+// build makes e, a zero Engine or one retired on sys, the engine of cfg
+// on sys. One struct assignment rebuilds it, keeping of a retired engine
+// only its buffers, each reset to what a new engine holds: the thermal
+// model at ambient, with its stepper and jump map (rebound at the run's
+// first binding, see bindJumpMap), the meter, the per-cluster and
+// per-node scratch, the summary's accumulators and series, and the
+// queue and event slices retire emptied. A zero engine takes the same
+// path with no buffers to keep.
+func (e *Engine) build(cfg Config, sys *system) error {
+	nc, nn := len(sys.plat.Clusters), len(sys.net.Nodes)
+	therm := e.therm
+	if therm == nil {
+		therm = sys.therm.NewModel(sys.plat.AmbientC)
+	}
+	// The stepper and jump map are bound to therm; an Euler run drops
+	// them.
+	stepper, ss := e.stepper, e.ss
+	if cfg.Integrator != IntegratorExact {
+		stepper, ss = nil, nil
+	}
+	meter := e.meter
+	if meter == nil {
+		meter = new(powermeter.Meter)
+	}
+	*meter = *powermeter.New()
+	*e = Engine{
 		cfg:        cfg,
 		sys:        sys,
 		plat:       sys.plat,
 		therm:      therm,
 		stepper:    stepper,
 		pow:        sys.pow,
-		meter:      powermeter.New(),
+		meter:      meter,
+		sum:        e.sum.recycled(),
+		freqs:      zeroed(e.freqs, nc),
 		nodeOf:     sys.nodeOf,
+		utils:      zeroed(e.utils, nc),
 		pkgNode:    sys.pkgNode,
 		bigIdx:     sys.bigIdx,
 		litIdx:     sys.litIdx,
 		gpuIdx:     sys.gpuIdx,
 		sensors:    sys.sensors,
 		clusterIdx: sys.clusterIdx,
+		loads:      zeroed(e.loads, nc),
+		bd:         power.Breakdown{DynamicW: zeroed(e.bd.DynamicW, nc), LeakageW: zeroed(e.bd.LeakageW, nc)},
+		inj:        zeroed(e.inj, nn),
+		recTemps:   zeroed(e.recTemps, nn),
+		volts:      zeroed(e.volts, nc),
+		ratesDirty: true,
+		curMap:     cfg.Map,
+		curPart:    cfg.Part,
+		queue:      e.queue[:0],
+		nextJobID:  1,
+		events:     e.events[:0],
+		ss:         ss,
+		ssSlopeCur: zeroed(e.ssSlopeCur, nn),
+		ssInj:      zeroed(e.ssInj, nn),
+		ssLoads:    zeroed(e.ssLoads, nc),
+		ssOpLoads:  zeroed(e.ssOpLoads, nc),
+		ssOff:      cfg.DisableSuperstep,
+		govUtils:   zeroed(e.govUtils, nc),
+		clock:      cfg.Clock,
+		peakC:      zeroed(e.peakC, nn),
 	}
-	e.clock = cfg.Clock
-	if stepper != nil {
-		if stepper.CacheHit() {
+	switch {
+	case stepper != nil:
+		// A kept stepper steps with the propagator its system keeps,
+		// which a new one would find there.
+		e.stats.PropCacheHits++
+	case cfg.Integrator == IntegratorExact:
+		var err error
+		if e.stepper, err = therm.NewStepper(TickS); err != nil {
+			return err
+		}
+		if e.stepper.CacheHit() {
 			e.stats.PropCacheHits++
 		} else {
 			e.stats.PropCacheMisses++
 		}
 	}
-
-	if cfg.InitialTempsC != nil {
-		if err := therm.SetTemps(cfg.InitialTempsC); err != nil {
-			return nil, err
+	// A kept model restarts where a new one starts: at ambient, or at
+	// the configured temperatures. recTemps is scratch until the run's
+	// first sample.
+	therm.SetAmbientC(sys.plat.AmbientC)
+	start := cfg.InitialTempsC
+	if start == nil {
+		start = e.recTemps
+		for i := range start {
+			start[i] = sys.plat.AmbientC
 		}
 	}
-
-	e.curMap = cfg.Map
-	e.curPart = cfg.Part
-	nc, nn := len(sys.plat.Clusters), len(sys.net.Nodes)
-	e.freqs = make([]int, nc)
-	e.volts = make([]float64, nc)
-	e.utils = make([]float64, nc)
-	e.loads = make([]power.ClusterLoad, nc)
-	e.bd = power.Breakdown{
-		DynamicW: make([]float64, nc),
-		LeakageW: make([]float64, nc),
+	if err := therm.SetTemps(start); err != nil {
+		return err
 	}
-	e.inj = make([]float64, nn)
-	e.recTemps = make([]float64, nn)
-	e.peakC = make([]float64, nn)
 	for i := range e.peakC {
 		e.peakC[i] = math.Inf(-1)
 	}
-	e.ssSlopeCur = make([]float64, nn)
-	e.ssInj = make([]float64, nn)
-	e.ssLoads = make([]power.ClusterLoad, nc)
-	e.ssOpLoads = make([]power.ClusterLoad, nc)
-	e.govUtils = make([]float64, nc)
-	e.ssOff = cfg.DisableSuperstep
-	e.ratesDirty = true
 	e.setFreqs(cfg.Freq)
-
 	e.rebuildLoads()
 
-	e.nextJobID = 1
 	if cfg.App != nil {
 		// The configured app is job 1 at the default priority, started
 		// on the idle engine as any arrival is. Run primes its clusters
 		// on the mapping and partition the run starts with, which a
 		// caller may still switch.
 		if _, err := e.EnqueueAppPriority(cfg.App, cfg.Part, 0); err != nil {
-			return nil, err
+			return err
 		}
 		clear(e.utils)
 	}
-	return e, nil
+	return nil
+}
+
+// zeroed returns buf cleared, or a new slice of n elements when buf does
+// not hold n (a zero engine's).
+func zeroed[T any](buf []T, n int) []T {
+	if len(buf) != n {
+		return make([]T, n)
+	}
+	clear(buf)
+	return buf
+}
+
+// maxKeptSeries caps the big-node series a retired engine keeps for its
+// next run, 4,096 samples (32 KB): a scenario-sweep cell records up to
+// 2,742 samples and a paper-pass run up to 409, while one long run's
+// series would pin megabytes for as long as the engine waits.
+const maxKeptSeries = 4096
+
+// retire hands e to its system's free list for New to rebuild. Only code
+// that owns e's whole life calls it (RunWith, RunWarm, WarmStartTemps),
+// after its last read of e. It detaches what the run's Result holds (the
+// trace and the job lists), drops a series longer than maxKeptSeries and
+// every reference the run took from its caller (the configuration, the
+// live and queued apps, the event callbacks, the governor, the clock),
+// so an idle engine pins none of them.
+func (e *Engine) retire() {
+	clear(e.queue[:cap(e.queue)])
+	clear(e.events[:cap(e.events)])
+	if cap(e.sum.big) > maxKeptSeries {
+		e.sum.big = nil
+	}
+	e.cfg, e.app, e.govQuiet, e.clock = Config{}, nil, nil, nil
+	e.tr, e.jobFinishes, e.jobCancels = nil, nil, nil
+	e.sys.keep(e)
 }
 
 // finiteTemps reports an error for a non-finite start temperature, which
@@ -1160,14 +1250,24 @@ func (e *Engine) dispatchEvents() error {
 // reusing it would replay the policy on exhausted work and duplicate trace
 // samples, so a second Run is rejected.
 func (e *Engine) Run() (*Result, error) {
+	completed, execTime, err := e.run()
+	if err != nil {
+		return nil, err
+	}
+	return e.result(completed, execTime), nil
+}
+
+// run is Run up to the Result: the tick loop and the closing trace
+// sample. It reports whether the run drained and its ExecTimeS.
+func (e *Engine) run() (completed bool, execTime float64, err error) {
 	if e.running {
-		return nil, errors.New("sim: Run called twice on one engine (build a new engine per run)")
+		return false, 0, errors.New("sim: Run called twice on one engine (build a new engine per run)")
 	}
 	e.running = true
 	dt := TickS
 	e.primeUtils()
 	if err := e.SetGovernor(e.cfg.Governor); err != nil {
-		return nil, err
+		return false, 0, err
 	}
 	e.recEvery = int(recordPeriodS/dt + 0.5)
 	// Round like ScheduleAt and minTicks do: truncation would let a
@@ -1182,7 +1282,7 @@ func (e *Engine) Run() (*Result, error) {
 		// or walk it when a temperature guard refuses the jump. When
 		// none advanced, the ordinary tick below runs.
 		if advanced, err := e.superstep(dt, maxTicks, minTicks); err != nil {
-			return nil, err
+			return false, 0, err
 		} else if advanced {
 			if e.drained() && e.timeTicks >= minTicks {
 				break
@@ -1191,7 +1291,7 @@ func (e *Engine) Run() (*Result, error) {
 		}
 		finishedAt, err := e.tick(dt)
 		if err != nil {
-			return nil, err
+			return false, 0, err
 		}
 		if finishedAt >= 0 {
 			// The live job completed inside this tick; the next
@@ -1204,7 +1304,7 @@ func (e *Engine) Run() (*Result, error) {
 			e.rebuildLoads()
 			if e.QueuedJobs() > 0 {
 				if err := e.startJob(e.popNext()); err != nil {
-					return nil, err
+					return false, 0, err
 				}
 			}
 		}
@@ -1213,11 +1313,11 @@ func (e *Engine) Run() (*Result, error) {
 			break
 		}
 	}
-	completed := e.drained()
+	completed = e.drained()
 	// ExecTimeS is the time workload execution last stopped: the final
 	// job finish, or a later live-job cancellation (the engine executed
 	// — and charged energy for — that job's work until the drop).
-	execTime := e.lastFinishS
+	execTime = e.lastFinishS
 	if e.lastCancelS > execTime {
 		execTime = e.lastCancelS
 	}
@@ -1239,13 +1339,18 @@ func (e *Engine) Run() (*Result, error) {
 			e.utils[i] = 0
 		}
 		if err := e.evalPower(0, 0, 0, 0); err != nil {
-			return nil, err
+			return false, 0, err
 		}
 	}
 	if err := e.record(e.bd.TotalW()); err != nil {
-		return nil, err
+		return false, 0, err
 	}
+	return completed, execTime, nil
+}
 
+// result is the Result of a finished run. It hands the run's trace and
+// job lists to the Result, which owns them from then on.
+func (e *Engine) result(completed bool, execTime float64) *Result {
 	bigNode := e.nodeOf[e.bigIdx]
 	res := &Result{
 		Completed:       completed,
@@ -1267,7 +1372,7 @@ func (e *Engine) Run() (*Result, error) {
 	if !e.cfg.DiscardTrace {
 		res.Trace = e.tr
 	}
-	return res, nil
+	return res
 }
 
 // tick advances one simulation step of dt seconds: scheduled events,
@@ -1653,23 +1758,16 @@ func (e *Engine) sizing() int {
 // beginRecording allocates the recording state at the run's first
 // sample, so an engine that never runs (WarmStartTemps) allocates none.
 func (e *Engine) beginRecording() {
-	n := e.sizing()
-	e.sum.init(len(e.sys.net.Nodes), e.nodeOf[e.bigIdx], n, !e.warmUp)
-	if e.cfg.DiscardTrace && e.cfg.OnSample == nil {
-		// No caller reads the series; a subscriber still needs the
-		// trace's arena-backed samples.
-		return
+	e.sum.init(len(e.sys.net.Nodes), e.nodeOf[e.bigIdx], !e.warmUp)
+	if e.tracing() {
+		e.tr = trace.NewWithCap(e.sys.nodeNames, e.sys.clusterNames, e.sizing())
 	}
-	nodeNames := make([]string, len(e.sys.net.Nodes))
-	for i, nd := range e.sys.net.Nodes {
-		nodeNames[i] = nd.Name
-	}
-	clusterNames := make([]string, len(e.plat.Clusters))
-	for i := range e.plat.Clusters {
-		clusterNames[i] = e.plat.Clusters[i].Name
-	}
-	e.tr = trace.NewWithCap(nodeNames, clusterNames, n)
 }
+
+// tracing reports whether the run records a trace: a caller reads the
+// series (no DiscardTrace), or a subscriber needs the trace's
+// arena-backed samples (OnSample).
+func (e *Engine) tracing() bool { return !e.cfg.DiscardTrace || e.cfg.OnSample != nil }
 
 // SteadyTemps computes the equilibrium temperatures of a hypothetical
 // constant operating point — used by warm-start helpers and calibration.
@@ -1715,6 +1813,7 @@ func WarmStartTemps(cfg Config) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer e.retire()
 	if err := e.warmStart(); err != nil {
 		return nil, err
 	}
@@ -1730,6 +1829,28 @@ func (e *Engine) FinalTemps() []float64 { return e.therm.Temps() }
 // device moving into direct sunlight while an online manager reacts.
 func (e *Engine) SetAmbientC(t float64) { e.therm.SetAmbientC(t) }
 
+// RunWith builds an engine for cfg, lets setup schedule its events and
+// arrivals (ScheduleAt, EnqueueAppPriority and the other scenario hooks),
+// runs it and retires it, so the next engine over the same platform and
+// network is rebuilt from its buffers instead of allocating them. It is
+// New, setup and Run for a caller that does not keep the engine: neither
+// setup nor the callbacks it schedules may keep the engine, or anything
+// it owns, past the run. A nil setup schedules nothing. Errors from New,
+// setup and Run are returned as they are.
+func RunWith(cfg Config, setup func(*Engine) error) (*Result, error) {
+	e, err := New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	defer e.retire()
+	if setup != nil {
+		if err := setup(e); err != nil {
+			return nil, err
+		}
+	}
+	return e.Run()
+}
+
 // RunWarm reproduces the paper's measurement protocol: execute the job
 // once as a discarded warm-up (starting from WarmStartTemps) so the
 // package reaches its operating regime, then run again from the resulting
@@ -1737,35 +1858,44 @@ func (e *Engine) SetAmbientC(t float64) { e.therm.SetAmbientC(t) }
 // solves its own warm start before it runs, and its regime comes from a
 // single run's summaries — engines run exactly once. The warm-up records
 // no trace unless cfg.OnSample subscribes to its samples, and no series
-// for a temperature variance nobody reads.
+// for a temperature variance nobody reads. Both engines are retired (see
+// RunWith), the warm-up's before the measured run is built.
 func RunWarm(cfg Config) (*Result, error) {
 	warmUp := cfg
 	warmUp.InitialTempsC, warmUp.DiscardTrace = nil, true
-	e1, err := New(warmUp)
+	e, err := New(warmUp)
 	if err != nil {
 		return nil, err
 	}
-	if err := e1.warmStart(); err != nil {
+	regime, samples, err := e.regime()
+	e.retire()
+	if err != nil {
 		return nil, err
-	}
-	e1.warmUp = true
-	if _, err := e1.Run(); err != nil {
-		return nil, err
-	}
-	// Start the measured run at the warm-up's time-averaged node
-	// temperatures: the thermal regime a continuous benchmarking
-	// campaign sits in (mid-sawtooth for throttling governors).
-	regime := make([]float64, len(cfg.Net.Nodes))
-	for i := range regime {
-		regime[i] = e1.sum.avgTemp(i)
 	}
 	cfg.InitialTempsC = regime
-	e2, err := New(cfg)
-	if err != nil {
-		return nil, err
+	return RunWith(cfg, func(e *Engine) error {
+		// The measured run repeats the warm-up's job, so it records
+		// about as many samples.
+		e.inherit = samples
+		return nil
+	})
+}
+
+// regime runs e, a warm-up engine New just built, from the warm start
+// and returns its time-averaged node temperatures — the thermal regime a
+// continuous benchmarking campaign sits in (mid-sawtooth for throttling
+// governors) — and the samples it recorded.
+func (e *Engine) regime() ([]float64, int, error) {
+	if err := e.warmStart(); err != nil {
+		return nil, 0, err
 	}
-	// The measured run repeats the warm-up's job, so it records about as
-	// many samples.
-	e2.inherit = e1.sum.n
-	return e2.Run()
+	e.warmUp = true
+	if _, _, err := e.run(); err != nil {
+		return nil, 0, err
+	}
+	regime := make([]float64, len(e.peakC))
+	for i := range regime {
+		regime[i] = e.sum.avgTemp(i)
+	}
+	return regime, e.sum.n, nil
 }

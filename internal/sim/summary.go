@@ -26,7 +26,8 @@ type summary struct {
 	t0, tPrev float64 // first and previous sample time
 	bigNode   int
 
-	first, prev, area []float64 // per node
+	first, prev, area []float64 // per node, in acc
+	acc               []float64
 	big               []float64 // the big node's series, if series
 	series            bool
 
@@ -37,16 +38,18 @@ type summary struct {
 	freqArea        float64
 }
 
-// init sizes the accumulators for nodes thermal nodes and about expect
-// samples (0: unknown; the series then grows geometrically). Without
-// series the big node's series is not kept, and tempVariance reads 0.
-func (s *summary) init(nodes, bigNode, expect int, series bool) {
-	buf := make([]float64, 3*nodes)
-	s.first, s.prev, s.area = buf[:nodes], buf[nodes:2*nodes], buf[2*nodes:]
-	s.bigNode = bigNode
-	if s.series = series; series {
-		s.big = make([]float64, 0, expect)
-	}
+// recycled returns an empty summary that keeps s's buffers for init:
+// the accumulators and the big node's series.
+func (s *summary) recycled() summary {
+	return summary{acc: s.acc, big: s.big[:0]}
+}
+
+// init readies the accumulators for nodes thermal nodes. Without series
+// the big node's series is not kept, and tempVariance reads 0.
+func (s *summary) init(nodes, bigNode int, series bool) {
+	s.acc = zeroed(s.acc, 3*nodes)
+	s.first, s.prev, s.area = s.acc[:nodes], s.acc[nodes:2*nodes], s.acc[2*nodes:]
+	s.bigNode, s.series = bigNode, series
 }
 
 // add folds one sample: its time, node temperatures and big-cluster
@@ -71,7 +74,7 @@ func (s *summary) add(t float64, temps []float64, freq int) {
 	copy(s.prev, temps)
 	s.tPrev, s.freqPrev = t, freq
 	if s.series {
-		//teem:alloc-ok amortized series growth, presized from the run's expected sample count
+		//teem:alloc-ok amortized series growth; an engine rebuilt from a retired one keeps the capacity
 		s.big = append(s.big, temps[s.bigNode])
 	}
 	s.n++

@@ -24,8 +24,8 @@ func TestSummaryMatchesTraceEdgeCases(t *testing.T) {
 		// bare keeps no series, as RunWarm's warm-up: every other
 		// summary must not change.
 		var s, bare summary
-		s.init(2, 0, 0, true)
-		bare.init(2, 0, 0, false)
+		s.init(2, 0, true)
+		bare.init(2, 0, false)
 		tr := trace.NewWithCap([]string{"big", "pkg"}, []string{"big"}, 0)
 		for _, r := range recs {
 			s.add(r.t, r.temps, r.freq)

@@ -637,7 +637,8 @@ func (e *Engine) advance(dt float64, n int, op steadyOp, mixed bool) (bool, erro
 // the map is built at the engine's first binding and rebound in place
 // (thermal.Superstep.Rebind) when the slope vector changed, which takes
 // the system's shared form for it; an unchanged slope keeps the map as
-// it is.
+// it is. A rebuilt engine's kept map is rebound at the run's first
+// binding, where a new engine builds one.
 //
 //teem:hotpath
 func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
@@ -647,7 +648,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssLoads[i] = e.loads[i]
 		e.setLoad(&e.ssLoads[i], i, op.cpuBusy, op.gpuBusy, 0)
 	}
-	if e.ss != nil && memGBs == e.ssOpMemGBs && slices.Equal(e.ssLoads, e.ssOpLoads) {
+	if e.ssBound && memGBs == e.ssOpMemGBs && slices.Equal(e.ssLoads, e.ssOpLoads) {
 		return true, nil
 	}
 	for i := range e.ssInj {
@@ -663,7 +664,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 		e.ssSlopeCur[e.nodeOf[i]] += lks
 	}
 	e.ssInj[e.pkgNode] += memGBs*e.plat.DRAMPowerPerGBs + pkgBaselineShare*e.plat.BoardBaselineW
-	if e.ss != nil && slices.Equal(e.ss.Slope(), e.ssSlopeCur) {
+	if e.ssBound && slices.Equal(e.ss.Slope(), e.ssSlopeCur) {
 		e.stats.PoolHits++
 	} else {
 		var err error
@@ -678,6 +679,7 @@ func (e *Engine) bindJumpMap(op steadyOp) (bool, error) {
 			e.ssOff = true
 			return false, nil
 		}
+		e.ssBound = true
 		e.stats.PoolMisses++
 		if e.ss.Reused() {
 			e.stats.JumpBlockHits++
@@ -735,7 +737,9 @@ func (e *Engine) steadyPower(op *steadyOp, leak *steadyLeak) error {
 // instant latches it, both with that tick's power from T(L−1) (see
 // segmentPowerW), read as the plan's interior — unless that power lies
 // within meterGuard quanta of a rounding boundary, when the segment is
-// walked so the walk latches the tick's own power. A refused segment is
+// walked so the walk latches the tick's own power. The power is
+// evaluated only where the meter or a trace reads it: a record sample
+// of a run without a trace keeps none. A refused segment is
 // walked (see walkTicks), and the segments stop where that walk stops
 // before a TMU transition. The span crosses governor epochs where the
 // horizon lets it (see crossesEpochs), as a jump does. A mixed span's
@@ -768,7 +772,7 @@ func (e *Engine) segments(dt float64, n int, op steadyOp, mixed bool) error {
 		if next, ok := ss.Segment(l); ok && !cold && e.refuse(next) == nil {
 			onRec, onMeter := k+l-1 == rec, k+l-1 == km
 			var powW float64
-			if onRec || onMeter {
+			if onMeter || onRec && e.tracing() {
 				powW = e.segmentPowerW(ss.InstantSlopeW(l - 1))
 			}
 			if !onMeter || e.meter.Robust(powW, meterGuard) {

@@ -17,7 +17,9 @@ import (
 // conductances, steady-state elimination and tick propagator) and the
 // power model. plat and net are deep copies no caller holds, and
 // everything else is derived from them, so a caller that mutates its own
-// platform or network after New changes no engine.
+// platform or network after New changes no engine. Beside them it keeps
+// the one mutable thing engines share: the free list of engines retired
+// on it.
 type system struct {
 	// key is the content key of plat and net (see appendKey), hash its
 	// hash.
@@ -34,6 +36,49 @@ type system struct {
 	bigIdx, litIdx, gpuIdx int
 	// sensors maps a node name to its index, clusterIdx a cluster name.
 	sensors, clusterIdx map[string]int
+	// nodeNames and clusterNames label a trace's series.
+	nodeNames, clusterNames []string
+
+	// idle holds the engines retired on the system (see Engine.retire)
+	// for New to rebuild. An engine enters it only when retired, and New
+	// builds a new one only when it is empty, so it never holds more
+	// engines than have run on the system at once.
+	mu   sync.Mutex
+	idle []*Engine //teem:guards mu
+}
+
+// recycle is on outside the tests that compare recycled engines with
+// engines built from nothing (export_test.go).
+var recycle = true
+
+// engine returns a retired engine of s for New to rebuild, or a zero
+// one.
+func (s *system) engine() *Engine {
+	if !recycle {
+		return new(Engine)
+	}
+	s.mu.Lock()
+	var e *Engine
+	if n := len(s.idle); n > 0 {
+		e = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	}
+	s.mu.Unlock()
+	if e == nil {
+		e = new(Engine)
+	}
+	return e
+}
+
+// keep adds a retired engine to s's free list.
+func (s *system) keep(e *Engine) {
+	if !recycle {
+		return
+	}
+	s.mu.Lock()
+	s.idle = append(s.idle, e)
+	s.mu.Unlock()
 }
 
 // systemCacheLimit bounds the systems the cache admits: a sweep over
@@ -137,11 +182,14 @@ func compileSystem(p *soc.Platform, n *thermal.Network) (*system, error) {
 	s := &system{
 		key: key, hash: hashKey(key),
 		plat: plat, net: net, therm: therm, pow: pow, nodeOf: nodeOf, pkgNode: pkg,
-		sensors:    make(map[string]int, len(net.Nodes)),
-		clusterIdx: make(map[string]int, len(plat.Clusters)),
+		sensors:      make(map[string]int, len(net.Nodes)),
+		clusterIdx:   make(map[string]int, len(plat.Clusters)),
+		nodeNames:    make([]string, len(net.Nodes)),
+		clusterNames: make([]string, len(plat.Clusters)),
 	}
 	for i := range plat.Clusters {
 		s.clusterIdx[plat.Clusters[i].Name] = i
+		s.clusterNames[i] = plat.Clusters[i].Name
 		switch plat.Clusters[i].Kind {
 		case soc.BigCPU:
 			s.bigIdx = i
@@ -153,6 +201,7 @@ func compileSystem(p *soc.Platform, n *thermal.Network) (*system, error) {
 	}
 	for i := range net.Nodes {
 		s.sensors[net.Nodes[i].Name] = i
+		s.nodeNames[i] = net.Nodes[i].Name
 	}
 	return s, nil
 }

@@ -283,6 +283,13 @@ func (p *Platform) Validate() error {
 		return fmt.Errorf("soc: platform %s: want exactly one big, LITTLE and GPU cluster, got %d/%d/%d",
 			p.Name, perKind[BigCPU], perKind[LittleCPU], perKind[GPU])
 	}
+	// The hardware cap must be a frequency the big cluster can run at:
+	// a cap below its range (a missing trip_cap_mhz reads 0) throttles
+	// to a clock the table does not have.
+	if big := p.Big(); p.TripCapMHz < big.MinFreqMHz() || p.TripCapMHz > big.MaxFreqMHz() {
+		return fmt.Errorf("soc: platform %s: trip cap %d MHz is outside the big cluster's %d–%d MHz range",
+			p.Name, p.TripCapMHz, big.MinFreqMHz(), big.MaxFreqMHz())
+	}
 	// A NaN trip never fires and a non-finite temperature or power
 	// coefficient turns every temperature of a run into NaN or ±Inf.
 	for _, f := range [...]struct {

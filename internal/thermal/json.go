@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 )
@@ -10,7 +11,7 @@ import (
 // defined in JSON and loaded at runtime instead of recompiled.
 
 type jsonLink struct {
-	// A and B name nodes; B == "ambient" couples A to the boundary.
+	// A and B name nodes; B == ambientName couples A to the boundary.
 	A     string  `json:"a"`
 	B     string  `json:"b"`
 	ResCW float64 `json:"res_cw"`
@@ -27,7 +28,7 @@ type jsonNetwork struct {
 func (n *Network) MarshalJSON() ([]byte, error) {
 	jn := jsonNetwork{Nodes: n.Nodes}
 	for _, l := range n.Links {
-		b := "ambient"
+		b := ambientName
 		if l.B != Ambient {
 			b = n.Nodes[l.B].Name
 		}
@@ -36,12 +37,14 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	return json.Marshal(&jn)
 }
 
-// UnmarshalJSON decodes the schema MarshalJSON writes. Like MarshalJSON
-// it is a pure codec: run Validate on untrusted input (platform.Load
-// validates the bundle as a whole).
+// UnmarshalJSON decodes the schema MarshalJSON writes, rejecting keys it
+// does not have. Like MarshalJSON it is a pure codec: run Validate on
+// untrusted input (platform.Load validates the bundle as a whole).
 func (n *Network) UnmarshalJSON(data []byte) error {
 	var jn jsonNetwork
-	if err := json.Unmarshal(data, &jn); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&jn); err != nil {
 		return fmt.Errorf("thermal: decoding network: %w", err)
 	}
 	nn := Network{Nodes: jn.Nodes}
@@ -55,7 +58,7 @@ func (n *Network) UnmarshalJSON(data []byte) error {
 			return fmt.Errorf("thermal: link endpoint %q is not a node", l.A)
 		}
 		b := Ambient
-		if l.B != "ambient" {
+		if l.B != ambientName {
 			bi, ok := index[l.B]
 			if !ok {
 				return fmt.Errorf("thermal: link endpoint %q is not a node", l.B)

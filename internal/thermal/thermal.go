@@ -54,6 +54,11 @@ type Link struct {
 // Ambient is the pseudo-index of the fixed-temperature ambient boundary.
 const Ambient = -1
 
+// ambientName names the ambient boundary as a link endpoint in a
+// network's JSON form (see Network.MarshalJSON), so no node may take
+// it.
+const ambientName = "ambient"
+
 // Network describes the RC topology.
 type Network struct {
 	Nodes []Node
@@ -74,6 +79,9 @@ func (n *Network) Validate() error {
 	for i, nd := range n.Nodes {
 		if nd.Name == "" {
 			return fmt.Errorf("thermal: node %d has empty name", i)
+		}
+		if nd.Name == ambientName {
+			return fmt.Errorf("thermal: node %d is named %q, which names the ambient boundary", i, ambientName)
 		}
 		if seen[nd.Name] {
 			return fmt.Errorf("thermal: duplicate node name %q", nd.Name)
