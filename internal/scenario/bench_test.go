@@ -110,11 +110,13 @@ func BenchmarkScenarioSweepSerial(b *testing.B) {
 }
 
 // gridCellAllocs is what one warm grid cell allocates — rush-hour under
-// the TEEM controller on exynos5422, its engine rebuilt from a retired
-// one: the governor registry, the timeline and its callbacks, the job
-// bookkeeping and the Result (65 when every cell built its engine from
-// nothing).
-const gridCellAllocs = 35
+// the TEEM controller on exynos5422, its scenario compiled and bound
+// once and its engine rebuilt from a retired one: the Result, the cell
+// and its timeline callback, the two governors, the engine's job list
+// (three appends) and the sim Result with its peaks (65 when every cell
+// built its engine from nothing, 35 when every cell compiled its
+// scenario).
+const gridCellAllocs = 10
 
 // BenchmarkGridCell measures one scenario grid cell as RunPlatformGrid
 // runs it (no trace) on an engine rebuilt from a retired one. It fails
@@ -124,9 +126,9 @@ func BenchmarkGridCell(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hw, sc, rc := bundleHardware(bundle), RushHour(), Config{Governor: "teem"}
+	cell, rc := bindOn(b, RushHour(), bundleHardware(bundle)), Config{Governor: "teem"}
 	run := func() {
-		if _, err := runOn(context.Background(), sc, rc, hw, true); err != nil {
+		if _, err := cell.run(context.Background(), rc, true); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,13 +142,14 @@ func BenchmarkGridCell(b *testing.B) {
 	}
 }
 
-// Grid cells are reduced to table rows, so they keep no trace, and the
-// engines share one modal form per operating point: the catalog grid
-// must stay under a fixed byte budget, or a per-cell time series (2.0
-// MB/op when every cell kept one) or per-engine jump blocks (758 KB/op
-// with the power-of-two block tables) have come back.
+// Grid cells are reduced to table rows, so they keep no trace, the
+// engines share one modal form per operating point, and each scenario
+// compiles once per grid: the catalog grid must stay under a fixed byte
+// budget, or a per-cell time series (2.0 MB/op when every cell kept
+// one), per-engine jump blocks (758 KB/op with the power-of-two block
+// tables) or a compile per cell (85 KB/op) have come back.
 func TestScenarioGridPlatformsAllocBudget(t *testing.T) {
-	const budget = 640 << 10
+	const budget = 64 << 10
 	if got := testing.Benchmark(BenchmarkScenarioGridPlatforms).AllocedBytesPerOp(); got > budget {
 		t.Errorf("the catalog grid allocates %d B/op, budget %d B", got, budget)
 	}

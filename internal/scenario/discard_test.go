@@ -32,13 +32,14 @@ func TestDiscardTraceMatchesDefault(t *testing.T) {
 		}
 		hw := bundleHardware(b)
 		for _, sc := range Presets() {
+			cell := bindOn(t, sc, hw)
 			for _, m := range modes {
 				label := name + "/" + sc.Name + "/" + m.name
 				run := func(discard bool, onSample func(trace.Sample)) *sim.Result {
 					t.Helper()
 					rc := m.rc
 					rc.OnSample = onSample
-					r, err := runOn(context.Background(), sc, rc, hw, discard)
+					r, err := cell.run(context.Background(), rc, discard)
 					if err != nil {
 						t.Fatalf("%s (discard %v): %v", label, discard, err)
 					}

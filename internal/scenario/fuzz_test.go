@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -38,9 +39,11 @@ func FuzzSuperstepContract(f *testing.F) {
 
 // FuzzScenarioLoad fuzzes the scenario decoder, seeded with every preset
 // as Save writes it. Load must not panic, and a scenario it accepts must
-// save to a canonical form: that output loads again and saves to the
-// same bytes, since it is what teemd hashes for its result cache key.
-// Bytes are compared, not decoded values: "final": [] decodes to a
+// compile and bind to the default platform's plane, its engine events in
+// firing order, so that every timeline Validate accepts can run. It must
+// also save to a canonical form: that output loads again and saves to
+// the same bytes, since it is what teemd hashes for its result cache
+// key. Bytes are compared, not decoded values: "final": [] decodes to a
 // non-nil empty slice but saves as omitted.
 func FuzzScenarioLoad(f *testing.F) {
 	for _, sc := range Presets() {
@@ -50,10 +53,21 @@ func FuzzScenarioLoad(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	hw := bundleHardware(platform.Default())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sc, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		p, err := compile(sc, stockGovernors)
+		if err != nil {
+			t.Fatalf("Load accepted a scenario that does not compile: %v", err)
+		}
+		b := p.bind(hw)
+		for i, en := range b.entries {
+			if en.tick < 0 || i > 0 && en.tick < b.entries[i-1].tick {
+				t.Fatalf("engine event %d at tick %d is out of firing order", i, en.tick)
+			}
 		}
 		var saved, resaved bytes.Buffer
 		if err := sc.Save(&saved); err != nil {
@@ -158,7 +172,8 @@ func encodeContractCase(p int, sc *Scenario) []byte {
 	buf[3] = byte(horizon - 10)
 	horizon = float64(10 + int(buf[3]))
 	tb := func(s float64) byte { return byte(min(max(s*256/horizon, 0), 255)) }
-	events := sc.sortedEvents()
+	events := slices.Clone(sc.Events)
+	slices.SortStableFunc(events, func(a, b Event) int { return cmp.Compare(a.AtS, b.AtS) })
 	n := 0
 	for i, ev := range events {
 		if ev.Kind != KindArrival || n == maxCaseArrivals {

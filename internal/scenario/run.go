@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 
@@ -16,23 +17,31 @@ import (
 	"teem/internal/soc"
 	"teem/internal/thermal"
 	"teem/internal/trace"
-	"teem/internal/workload"
 )
 
 // GovernorFactory builds a fresh governor instance per run — governors are
 // stateful, so grid cells never share one.
 type GovernorFactory func() sim.Governor
 
-// builtinGovernors is the stock policy registry: the Linux baselines plus
+// stockGovernors is the stock policy registry: the Linux baselines plus
 // the TEEM controller at paper parameters.
-func builtinGovernors() map[string]GovernorFactory {
-	return map[string]GovernorFactory{
-		"ondemand":     func() sim.Governor { return governor.NewOndemand() },
-		"conservative": func() sim.Governor { return governor.NewConservative() },
-		"performance":  func() sim.Governor { return governor.Performance{} },
-		"powersave":    func() sim.Governor { return governor.Powersave{} },
-		"teem":         func() sim.Governor { return core.NewController(core.DefaultParams()) },
+var stockGovernors = map[string]GovernorFactory{
+	"ondemand":     func() sim.Governor { return governor.NewOndemand() },
+	"conservative": func() sim.Governor { return governor.NewConservative() },
+	"performance":  func() sim.Governor { return governor.Performance{} },
+	"powersave":    func() sim.Governor { return governor.Powersave{} },
+	"teem":         func() sim.Governor { return core.NewController(core.DefaultParams()) },
+}
+
+// registry is the governor registry of one call: the stock policies plus
+// extra's, an extra entry replacing the stock one of its name.
+func registry(extra map[string]GovernorFactory) map[string]GovernorFactory {
+	if len(extra) == 0 {
+		return stockGovernors
 	}
+	r := maps.Clone(stockGovernors)
+	maps.Copy(r, extra)
+	return r
 }
 
 // GovernorNames lists the stock registry in stable order.
@@ -140,264 +149,15 @@ func RunCtx(ctx context.Context, sc *Scenario, rc Config) (*Result, error) {
 	if sc == nil {
 		return nil, errors.New("scenario: nil scenario")
 	}
-	if err := sc.Validate(rc.Governors); err != nil {
+	p, err := compile(sc, registry(rc.Governors))
+	if err != nil {
 		return nil, err
 	}
 	hw, err := resolveHardware(rc)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
 	}
-	return runOn(ctx, sc, rc, hw, false)
-}
-
-// runOn executes a validated scenario on resolved hardware, ignoring
-// rc's hardware fields. It only reads hw, so concurrent runs may share
-// one decoded platform. discardTrace sets sim.Config.DiscardTrace: the
-// result's Sim.Trace is nil.
-func runOn(ctx context.Context, sc *Scenario, rc Config, hw hardware, discardTrace bool) (*Result, error) {
-	plat, net := hw.plat, hw.net
-	registry := builtinGovernors()
-	//teem:order-insensitive map-to-map merge: the resulting registry is the same set whatever the iteration order
-	for name, f := range rc.Governors {
-		registry[name] = f
-	}
-	govName := sc.initialGovernor()
-	if rc.Governor != "" {
-		govName = rc.Governor
-	}
-	mk, ok := registry[govName]
-	if !ok {
-		return nil, fmt.Errorf("scenario %s: unknown governor %q", sc.Name, govName)
-	}
-
-	// The horizon ends one tick past the scenario; sim.New raises its
-	// default 900 s MaxTimeS to cover a longer one.
-	horizon := sc.EndS() + sim.TickS
-	cfg := sim.Config{
-		Platform:         plat,
-		Net:              net,
-		Map:              sc.Map,
-		Governor:         mk(),
-		MinTimeS:         horizon,
-		Integrator:       rc.Integrator,
-		DisableSuperstep: rc.DisableSuperstep,
-		InitialTempsC:    rc.InitialTempsC,
-		Done:             ctx.Done(),
-		OnSample:         rc.OnSample,
-		Clock:            rc.Clock,
-		DiscardTrace:     discardTrace,
-	}
-	res := &Result{Scenario: sc.Name, Governor: govName, Platform: hw.name}
-	ambient := plat.AmbientC
-	// Job-handle bookkeeping for departures and deadlines. Events
-	// dispatch in timeline order on the single run goroutine, so the
-	// closures below share these maps without synchronisation: an
-	// arrival appends the id the engine minted under its app name (and
-	// under app+job when tagged), a departure pops the oldest pending
-	// id of its key. Ids cancelled through one key are skipped under
-	// the other (CancelJob reports them not active).
-	pendingIDs := map[string][]int{}
-	subKey := func(app, job string) string {
-		if job == "" {
-			return app
-		}
-		return app + "\x00" + job
-	}
-	type deadlineCheck struct {
-		app string
-		id  int
-		byS float64
-	}
-	var deadlines []deadlineCheck
-	// RunWith builds the engine, lets the closure schedule the timeline
-	// on it and runs it; built and scheduled tell which step an error
-	// came from.
-	var built, scheduled bool
-	sr, err := sim.RunWith(cfg, func(e *sim.Engine) error {
-		built = true
-		for _, ev := range sc.sortedEvents() {
-			ev := ev
-			switch ev.Kind {
-			case KindArrival:
-				app, err := workload.ByName(ev.App)
-				if err != nil {
-					return err
-				}
-				part := defaultPart(sc.Map)
-				if ev.Part != nil {
-					part = *ev.Part
-				}
-				err = e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-					id, err := e.EnqueueAppPriority(app, part, ev.Priority)
-					if err != nil {
-						return err
-					}
-					pendingIDs[app.Name] = append(pendingIDs[app.Name], id)
-					if ev.Job != "" {
-						k := subKey(app.Name, ev.Job)
-						pendingIDs[k] = append(pendingIDs[k], id)
-					}
-					if ev.DeadlineS > 0 {
-						deadlines = append(deadlines, deadlineCheck{app: app.Name, id: id, byS: ev.AtS + ev.DeadlineS})
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-			case KindDeparture:
-				key := subKey(ev.App, ev.Job)
-				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-					ids := pendingIDs[key]
-					if len(ids) == 0 {
-						res.Violations = append(res.Violations,
-							fmt.Sprintf("t=%gs: departure of %s with no submitted job", ev.AtS, ev.App))
-						return nil
-					}
-					// Cancel the oldest still-pending submission under this
-					// key (the exact tagged instance, or name-FIFO for
-					// untagged departures): ids that already finished or
-					// were cancelled through the other key are skipped, so
-					// a departure is not swallowed by an earlier same-app
-					// job that drained.
-					for len(ids) > 0 {
-						id := ids[0]
-						ids = ids[1:]
-						pendingIDs[key] = ids
-						err := e.CancelJob(id)
-						if err == nil {
-							return nil
-						}
-						if !errors.Is(err, sim.ErrJobNotActive) {
-							return err
-						}
-					}
-					// Every submission finished before the tenant left —
-					// nothing to drop.
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-			case KindAmbient:
-				if err := scheduleAmbient(e, &ambient, ev); err != nil {
-					return err
-				}
-			case KindGovernor:
-				mk, ok := registry[ev.Governor]
-				if !ok {
-					return fmt.Errorf("scenario %s: unknown governor %q", sc.Name, ev.Governor)
-				}
-				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-					return e.SetGovernor(mk())
-				})
-				if err != nil {
-					return err
-				}
-			case KindPartition:
-				p := *ev.Part
-				if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetPartition(p) }); err != nil {
-					return err
-				}
-			case KindMapping:
-				m := *ev.Map
-				if err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error { return e.SetMapping(m) }); err != nil {
-					return err
-				}
-			case KindAssert:
-				// Aliases (@big, @little, @gpu, @pkg) bind to the resolved
-				// platform here, at compile time, so messages print the real
-				// node name. An unknown node would read 0 °C and green-light
-				// the assertion forever; flag the typo instead.
-				node := resolveNode(plat, ev.Node)
-				if net.NodeIndex(node) < 0 {
-					res.Violations = append(res.Violations,
-						fmt.Sprintf("t=%gs: assertion on unknown node %q", ev.AtS, node))
-					continue
-				}
-				err := e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-					if t := e.SensorC(node); t > ev.MaxC {
-						res.Violations = append(res.Violations,
-							fmt.Sprintf("t=%gs: %s at %.2f °C exceeds %.2f °C", ev.AtS, node, t, ev.MaxC))
-					}
-					return nil
-				})
-				if err != nil {
-					return err
-				}
-			}
-		}
-		scheduled = true
-		return nil
-	})
-	switch {
-	case err == nil:
-	case !built:
-		return nil, fmt.Errorf("scenario %s: %w", sc.Name, err)
-	case !scheduled:
-		return nil, err
-	default:
-		return nil, fmt.Errorf("scenario %s under %s: %w", sc.Name, govName, err)
-	}
-	res.Sim = sr
-
-	// Deadline checks: an arrival with deadline_s must have finished in
-	// time. A job that departed *before its deadline* is exempt — its
-	// deadline left the system with it; one cancelled after the deadline
-	// had already passed still missed it.
-	for _, dc := range deadlines {
-		exempt := false
-		for _, c := range sr.JobCancels {
-			if c.ID == dc.id && c.AtS <= dc.byS {
-				exempt = true
-				break
-			}
-		}
-		if exempt {
-			continue
-		}
-		finished := false
-		for _, jf := range sr.JobFinishes {
-			if jf.ID != dc.id {
-				continue
-			}
-			finished = true
-			if jf.AtS > dc.byS {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("deadline: %s finished at %.2f s, after its %.2f s deadline", dc.app, jf.AtS, dc.byS))
-			}
-			break
-		}
-		if !finished {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("deadline: %s never finished (deadline %.2f s)", dc.app, dc.byS))
-		}
-	}
-
-	for _, fc := range sc.Final {
-		if fc.Node != "" && fc.PeakMaxC > 0 {
-			node := resolveNode(plat, fc.Node)
-			n := net.NodeIndex(node)
-			if n < 0 {
-				res.Violations = append(res.Violations, fmt.Sprintf("final: unknown node %q", node))
-				continue
-			}
-			// Exact per-tick peak (trace samples coarsen inside
-			// superstepped intervals; see docs/integrators.md).
-			if peak := sr.PeakTempsC[n]; peak > fc.PeakMaxC {
-				res.Violations = append(res.Violations,
-					fmt.Sprintf("final: %s peak %.2f °C exceeds %.2f °C", node, peak, fc.PeakMaxC))
-			}
-		}
-		if fc.Completed && !sr.Completed {
-			res.Violations = append(res.Violations, "final: run did not complete all submitted work")
-		}
-		if fc.MaxExecS > 0 && sr.ExecTimeS > fc.MaxExecS {
-			res.Violations = append(res.Violations,
-				fmt.Sprintf("final: execution time %.2f s exceeds %.2f s", sr.ExecTimeS, fc.MaxExecS))
-		}
-	}
-	return res, nil
+	return p.bind(hw).run(ctx, rc, false)
 }
 
 // hardware is a resolved platform selection: the SoC/network pair a run
@@ -438,7 +198,7 @@ func resolveHardware(rc Config) (hardware, error) {
 	return bundleHardware(platform.Default()), nil
 }
 
-// Node aliases resolve per platform at scenario compile time, so one
+// Node aliases resolve when a scenario binds to a platform, so one
 // scenario file asserts on "the big cluster" of whatever hardware the
 // grid hands it.
 const (
@@ -468,35 +228,6 @@ func resolveNode(p *soc.Platform, name string) string {
 		return "pkg"
 	}
 	return name
-}
-
-// scheduleAmbient compiles a step (or a discretised linear ramp) to engine
-// events. ambient tracks the compile-time ambient so chained ramps start
-// from where the previous one ended.
-func scheduleAmbient(e *sim.Engine, ambient *float64, ev Event) error {
-	from, to := *ambient, ev.ToC
-	*ambient = to
-	if ev.RampS <= 0 || from == to {
-		return e.ScheduleAt(ev.AtS, func(e *sim.Engine) error {
-			e.SetAmbientC(to)
-			return nil
-		})
-	}
-	steps := int(ev.RampS/ambientRampStepS + 0.5)
-	if steps < 1 {
-		steps = 1
-	}
-	for k := 1; k <= steps; k++ {
-		v := from + (to-from)*float64(k)/float64(steps)
-		err := e.ScheduleAt(ev.AtS+ev.RampS*float64(k)/float64(steps), func(e *sim.Engine) error {
-			e.SetAmbientC(v)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // --- grids --------------------------------------------------------------------
@@ -561,9 +292,10 @@ func RunPlatformGrid(platforms []string, scs []*Scenario, governors []string, rc
 
 // runGrid is the one fan-out behind every grid entry point. A nil
 // platforms runs a single plane on rc's hardware; otherwise the grid
-// owns the platform axis. Hardware resolves once per plane and the
-// plane's cells share it (runOn only reads it). Cells are assembled by
-// flat index.
+// owns the platform axis. Hardware resolves once per plane, each
+// scenario compiles once and binds once per plane, and the plane's
+// cells share what it bound (a cell only reads it). Cells are assembled
+// by flat index.
 func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors []string, rc Config, workers int) (*PlatformGridResult, error) {
 	if len(scs) == 0 {
 		return nil, errors.New("scenario: empty grid (no scenarios)")
@@ -600,6 +332,24 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 		out.Scenarios = append(out.Scenarios, sc.Name)
 	}
 	np, ns, ng := max(len(platforms), 1), len(scs), len(governors)
+	// Each scenario compiles once and binds once per plane. A scenario
+	// that fails validation, or every scenario when the hardware does
+	// not resolve, leaves its cells that error to record, validation
+	// first, as RunCtx reports them.
+	govs := registry(rc.Governors)
+	bounds, errs := make([]*bound, np*ns), make([]error, ns)
+	for si, sc := range scs {
+		p, err := compile(sc, govs)
+		if err == nil && hwErr != nil {
+			err = fmt.Errorf("scenario %s: %w", sc.Name, hwErr)
+		}
+		if errs[si] = err; err != nil {
+			continue
+		}
+		for pi, hw := range planes {
+			bounds[pi*ns+si] = p.bind(hw)
+		}
+	}
 	out.Cells = make([][][]*Result, np)
 	for pi := range out.Cells {
 		out.Cells[pi] = make([][]*Result, ns)
@@ -611,15 +361,12 @@ func runGrid(ctx context.Context, platforms []string, scs []*Scenario, governors
 	err := par.ForEachCtx(ctx, workers, n, func(i int) error {
 		pi, si, gi := i/(ns*ng), i/ng%ns, i%ng
 		sc := scs[si]
-		cell := rc
-		cell.Governor = governors[gi]
+		cfg := rc
+		cfg.Governor = governors[gi]
 		var r *Result
-		err := sc.Validate(rc.Governors)
-		if err == nil && hwErr != nil {
-			err = fmt.Errorf("scenario %s: %w", sc.Name, hwErr)
-		}
+		err := errs[si]
 		if err == nil {
-			r, err = runOn(ctx, sc, cell, planes[pi], true)
+			r, err = bounds[pi*ns+si].run(ctx, cfg, true)
 		}
 		if err != nil {
 			if ctx.Err() != nil || errors.Is(err, sim.ErrAborted) {

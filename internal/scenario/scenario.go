@@ -15,8 +15,19 @@
 // governor matrix out across the bounded worker pool on the configured
 // hardware, RunPlatformGrid across a list of catalog platforms too; both
 // fill the one grid type, PlatformGridResult, with
-// byte-identical-to-serial output. A grid decodes each platform once and
-// every cell on it shares that decoded hardware read-only.
+// byte-identical-to-serial output.
+//
+// Execution has three steps. Compiling a scenario validates it (Validate
+// is the compile step with its result discarded) and yields an immutable
+// plan: the timeline in dispatch order, each arrival's application built,
+// departure keys interned and governor factories resolved. Binding the
+// plan to a platform resolves what depends on the hardware: node
+// aliases, assertions on nodes the platform lacks, and ambient ramps,
+// which chain from the platform's idle ambient. A cell then runs the
+// bound plan under one governor, walking it with one engine callback.
+// A grid decodes each platform once, compiles each scenario once and
+// binds it once per platform, and every cell of a platform's plane reads
+// that decoded hardware and bound plan without copying them.
 //
 // The JSON schema is one object per scenario:
 //
@@ -38,24 +49,16 @@
 //
 // Assertion nodes may name a sensor directly ("A15") or use one of the
 // platform-independent aliases "@big", "@little", "@gpu", "@pkg", which
-// bind to the resolved platform's actual node names at run time — the
+// bind to the resolved platform's actual node names — the
 // form every builtin preset uses, so the same scenario asserts on "the
 // big cluster" of whatever catalog platform (see internal/platform) the
 // grid hands it.
 package scenario
 
 import (
-	"errors"
-	"fmt"
-	"maps"
 	"math"
-	"slices"
-	"sort"
-	"strings"
 
 	"teem/internal/mapping"
-	"teem/internal/sim"
-	"teem/internal/workload"
 )
 
 // Kind tags the event types of a scenario timeline.
@@ -162,7 +165,7 @@ type Scenario struct {
 	// HorizonS keeps the simulation alive until this time even when all
 	// work has drained (0: run ends after the last event and job).
 	HorizonS float64 `json:"horizon_s,omitempty"`
-	// Events is the timeline; it is sorted by time at run.
+	// Events is the timeline; it is sorted by time at compile.
 	Events []Event `json:"events"`
 	// Final holds the end-of-run assertions.
 	Final []FinalCheck `json:"final,omitempty"`
@@ -172,157 +175,8 @@ type Scenario struct {
 // governor registry (extra holds additional accepted governor names; the
 // built-ins are always accepted).
 func (s *Scenario) Validate(extra map[string]GovernorFactory) error {
-	if s.Name == "" {
-		return errors.New("scenario: empty name")
-	}
-	knownGov := func(name string) bool {
-		if name == "" {
-			return true
-		}
-		if _, ok := builtinGovernors()[name]; ok {
-			return true
-		}
-		_, ok := extra[name]
-		return ok
-	}
-	if !knownGov(s.Governor) {
-		return fmt.Errorf("scenario %s: unknown governor %q", s.Name, s.Governor)
-	}
-	// NaN and ±Inf pass every ordered comparison below unnoticed: a NaN
-	// bound never fires and an infinite horizon runs no ticks at all.
-	if f, bad := nonFinite(numField{"horizon_s", s.HorizonS}); bad {
-		return fmt.Errorf("scenario %s: non-finite %s %g", s.Name, f.name, f.v)
-	}
-	if s.HorizonS < 0 {
-		return fmt.Errorf("scenario %s: negative horizon", s.Name)
-	}
-	arrivals, rampSteps := 0, 0.0
-	arrCount := map[string]int{}
-	depCount := map[string]int{}
-	for i := range s.Events {
-		ev := &s.Events[i]
-		if f, bad := nonFinite(numField{"at_s", ev.AtS}, numField{"ramp_s", ev.RampS}, numField{"to_c", ev.ToC},
-			numField{"max_c", ev.MaxC}, numField{"deadline_s", ev.DeadlineS}); bad {
-			return fmt.Errorf("scenario %s: event %d: non-finite %s %g", s.Name, i, f.name, f.v)
-		}
-		if ev.AtS < 0 {
-			return fmt.Errorf("scenario %s: event %d at t=%g before the run starts", s.Name, i, ev.AtS)
-		}
-		switch ev.Kind {
-		case KindArrival:
-			if _, err := workload.ByName(ev.App); err != nil {
-				return fmt.Errorf("scenario %s: event %d: %w", s.Name, i, err)
-			}
-			if ev.Part != nil {
-				if err := ev.Part.Validate(); err != nil {
-					return fmt.Errorf("scenario %s: event %d: %w", s.Name, i, err)
-				}
-			}
-			if ev.DeadlineS < 0 {
-				return fmt.Errorf("scenario %s: event %d: negative deadline", s.Name, i)
-			}
-			arrivals++
-			arrCount[ev.App]++
-			if ev.Job != "" {
-				arrCount[ev.App+"\x00"+ev.Job]++
-			}
-		case KindDeparture:
-			if ev.App == "" {
-				return fmt.Errorf("scenario %s: event %d: departure without an app", s.Name, i)
-			}
-			// The matching arrival — same app, and same job tag when the
-			// departure carries one — must dispatch before the
-			// departure: strictly earlier in time, or on the same tick
-			// but earlier in the event list (sortedEvents is stable, so
-			// same-time events keep list order at run time).
-			matched := false
-			for j := range s.Events {
-				arr := &s.Events[j]
-				if arr.Kind != KindArrival || arr.App != ev.App {
-					continue
-				}
-				if ev.Job != "" && arr.Job != ev.Job {
-					continue
-				}
-				if arr.AtS < ev.AtS || (arr.AtS == ev.AtS && j < i) {
-					matched = true
-					break
-				}
-			}
-			if !matched {
-				return fmt.Errorf("scenario %s: event %d: departure of %q with no earlier arrival", s.Name, i, ev.App)
-			}
-			depCount[ev.App]++
-			if ev.Job != "" {
-				depCount[ev.App+"\x00"+ev.Job]++
-			}
-		case KindAmbient:
-			if ev.RampS < 0 {
-				return fmt.Errorf("scenario %s: event %d: negative ramp", s.Name, i)
-			}
-			// A ramp compiles to one engine event per ambientRampStepS.
-			if rampSteps += ev.RampS / ambientRampStepS; rampSteps > maxRampSteps {
-				return fmt.Errorf("scenario %s: event %d: ambient ramps compile to over %d steps", s.Name, i, maxRampSteps)
-			}
-		case KindGovernor:
-			if ev.Governor == "" || !knownGov(ev.Governor) {
-				return fmt.Errorf("scenario %s: event %d: unknown governor %q", s.Name, i, ev.Governor)
-			}
-		case KindPartition:
-			if ev.Part == nil {
-				return fmt.Errorf("scenario %s: event %d: partition switch without a partition", s.Name, i)
-			}
-			if err := ev.Part.Validate(); err != nil {
-				return fmt.Errorf("scenario %s: event %d: %w", s.Name, i, err)
-			}
-		case KindMapping:
-			if ev.Map == nil {
-				return fmt.Errorf("scenario %s: event %d: mapping switch without a mapping", s.Name, i)
-			}
-		case KindAssert:
-			if ev.Node == "" {
-				return fmt.Errorf("scenario %s: event %d: assertion without a node", s.Name, i)
-			}
-			if ev.MaxC <= 0 {
-				return fmt.Errorf("scenario %s: event %d: assertion without a max_c bound", s.Name, i)
-			}
-		default:
-			return fmt.Errorf("scenario %s: event %d: unknown kind %q", s.Name, i, ev.Kind)
-		}
-	}
-	if arrivals == 0 {
-		return fmt.Errorf("scenario %s: no application arrivals", s.Name)
-	}
-	// A run lasts one tick past EndS (Run), and the engine refuses one
-	// that reaches sim.MaxRunS.
-	if end := s.EndS(); end+sim.TickS >= sim.MaxRunS {
-		return fmt.Errorf("scenario %s: timeline ends at %g s, past the engine's %g s limit", s.Name, end, sim.MaxRunS)
-	}
-	// Each departure consumes one submission: more departures than
-	// arrivals of an app (or of one tagged instance) can never all
-	// resolve — catch the authoring error statically instead of
-	// flagging the surplus departure as a runtime violation. Keys are
-	// checked in sorted order so a scenario with several surplus
-	// departures always reports the same one.
-	for _, key := range slices.Sorted(maps.Keys(depCount)) {
-		n := depCount[key]
-		if n > arrCount[key] {
-			app := key
-			if k := strings.IndexByte(key, 0); k >= 0 {
-				app = key[:k] + " (job " + key[k+1:] + ")"
-			}
-			return fmt.Errorf("scenario %s: %d departures of %s but only %d arrivals", s.Name, n, app, arrCount[key])
-		}
-	}
-	for i, fc := range s.Final {
-		if f, bad := nonFinite(numField{"peak_max_c", fc.PeakMaxC}, numField{"max_exec_s", fc.MaxExecS}); bad {
-			return fmt.Errorf("scenario %s: final check %d: non-finite %s %g", s.Name, i, f.name, f.v)
-		}
-		if fc.Node == "" && fc.PeakMaxC > 0 {
-			return fmt.Errorf("scenario %s: final check %d: peak bound without a node", s.Name, i)
-		}
-	}
-	return nil
+	_, err := compile(s, registry(extra))
+	return err
 }
 
 // numField is a numeric schema field under its JSON name.
@@ -360,14 +214,6 @@ func (s *Scenario) initialGovernor() string {
 		return "ondemand"
 	}
 	return s.Governor
-}
-
-// sortedEvents returns the timeline ordered by (time, index) — a stable
-// copy, so identical scenarios always replay identically.
-func (s *Scenario) sortedEvents() []Event {
-	evs := append([]Event(nil), s.Events...)
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].AtS < evs[j].AtS })
-	return evs
 }
 
 // defaultPart is the arrival split implied by a mapping: an even 4/8 when

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -491,20 +492,48 @@ func TestGridSurvivesBrokenCell(t *testing.T) {
 }
 
 // Grid cells are independent: hammering the same grid concurrently from
-// several goroutines must be race-free (run under -race in CI).
+// several goroutines must be race-free (run under -race in CI), though
+// every grid's cells share its compiled scenarios and each of them the
+// scenarios themselves, which no run may change.
 func TestGridRaceHammer(t *testing.T) {
-	scs := []*Scenario{Sunlight()}
-	govs := []string{"ondemand", "performance", "teem"}
-	done := make(chan error, 4)
+	scs := []*Scenario{Sunlight(), orderingScenario()}
+	var before []*Scenario
+	for _, sc := range scs {
+		before = append(before, cloneScenario(sc))
+	}
+	govs := []string{"ondemand", "performance", "teem", "pinned"}
+	rc := quickConfig()
+	rc.Governors = pinnedGovernors
+	type outcome struct {
+		render string
+		err    error
+	}
+	done := make(chan outcome, 4)
 	for i := 0; i < 4; i++ {
 		go func() {
-			_, err := RunGrid(scs, govs, quickConfig(), 0)
-			done <- err
+			g, err := RunGrid(scs, govs, rc, 0)
+			if err != nil {
+				done <- outcome{err: err}
+				return
+			}
+			done <- outcome{render: g.Render()}
 		}()
 	}
+	var first string
 	for i := 0; i < 4; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		o := <-done
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if i == 0 {
+			first = o.render
+		} else if o.render != first {
+			t.Errorf("concurrent grids rendered differently:\n%s\n%s", first, o.render)
+		}
+	}
+	for i, sc := range scs {
+		if !reflect.DeepEqual(sc, before[i]) {
+			t.Errorf("%s changed under the grid", sc.Name)
 		}
 	}
 }

@@ -79,10 +79,10 @@ func BenchmarkRunWarmCovariance(b *testing.B) {
 
 // warmRunAllocs is what one RunWarm of a DiscardTrace configuration
 // allocates once both its engines are rebuilt from retired ones: the
-// warm start's steady state, the regime, each run's job list, and the
-// measured run's Result with its peaks (57 when every engine was built
-// from nothing).
-const warmRunAllocs = 6
+// regime, and the measured run's job list and Result with its peaks (57
+// when every engine was built from nothing, 6 when the warm start
+// solved into a new slice and the warm-up listed its finished job).
+const warmRunAllocs = 4
 
 // BenchmarkRunWarmDiscard measures RunWarm of the Fig. 1 configuration
 // with DiscardTrace, as profiling runs and sweep points call it, on

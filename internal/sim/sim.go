@@ -320,13 +320,17 @@ type Engine struct {
 	stepper *thermal.Stepper
 	pow     *power.Model
 	meter   *powermeter.Meter
+	// meterK is the tick of the meter's sampling instant meterAtS
+	// (meterTick).
+	meterAtS float64
+	meterK   int
 
 	// Recording. sum folds every recorded sample into the summaries
 	// Result reports; tr keeps the full series. Both are allocated at
 	// the first sample. inherit is the sample count a RunWarm measured
 	// run takes from its warm-up (see sizing); warmUp marks RunWarm's
-	// warm-up, whose summary keeps no series because only its mean
-	// temperatures are read.
+	// warm-up, whose summary keeps no series and which lists no finished
+	// jobs, because only its mean temperatures are read.
 	sum     summary
 	tr      *trace.Trace
 	inherit int
@@ -1298,7 +1302,9 @@ func (e *Engine) run() (completed bool, execTime float64, err error) {
 			// pending job (highest priority first) starts on the
 			// following tick.
 			e.lastFinishS = float64(e.timeTicks)*dt + finishedAt
-			e.jobFinishes = append(e.jobFinishes, JobFinish{ID: e.curJobID, App: e.app.Name, AtS: e.lastFinishS})
+			if !e.warmUp {
+				e.jobFinishes = append(e.jobFinishes, JobFinish{ID: e.curJobID, App: e.app.Name, AtS: e.lastFinishS})
+			}
 			e.app = nil
 			e.ratesDirty = true
 			e.rebuildLoads()
@@ -1770,17 +1776,27 @@ func (e *Engine) beginRecording() {
 func (e *Engine) tracing() bool { return !e.cfg.DiscardTrace || e.cfg.OnSample != nil }
 
 // SteadyTemps computes the equilibrium temperatures of a hypothetical
-// constant operating point — used by warm-start helpers and calibration.
+// constant operating point — used by calibration; the warm start solves
+// its state the same way, into engine scratch.
 func (e *Engine) SteadyTemps(cpuBusy, gpuBusy float64) ([]float64, error) {
+	t := make([]float64, len(e.inj))
+	if err := e.steadyInto(t, cpuBusy, gpuBusy); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// steadyInto is SteadyTemps writing the temperatures into dst.
+func (e *Engine) steadyInto(dst []float64, cpuBusy, gpuBusy float64) error {
 	if e.app == nil {
-		return nil, errors.New("sim: SteadyTemps needs a live app")
+		return errors.New("sim: SteadyTemps needs a live app")
 	}
 	rateCPU, rateGPU := e.rates()
 	if err := e.evalPower(cpuBusy, gpuBusy, rateCPU, rateGPU); err != nil {
-		return nil, err
+		return err
 	}
 	InjectHeat(e.inj, &e.bd, e.nodeOf, e.pkgNode)
-	return e.therm.SteadyState(e.inj)
+	return e.therm.SteadyStateInto(dst, e.inj)
 }
 
 // warmStartFreq is the operating point of the warm start: a mid-level
@@ -1789,10 +1805,12 @@ var warmStartFreq = mapping.FreqSetting{BigMHz: 1400, LittleMHz: 1400, GPUMHz: 6
 
 // warmStart sets e, an engine built at ambient that has not run, to
 // the warm-start state: the steady temperatures of its job, fully busy,
-// at warmStartFreq. It leaves e at its configured frequencies.
+// at warmStartFreq. It leaves e at its configured frequencies. The
+// state is solved into recTemps, scratch until the run's first sample.
 func (e *Engine) warmStart() error {
 	e.setFreqs(warmStartFreq)
-	t, err := e.SteadyTemps(1, 1)
+	t := e.recTemps
+	err := e.steadyInto(t, 1, 1)
 	e.setFreqs(e.cfg.Freq)
 	if err != nil {
 		return err

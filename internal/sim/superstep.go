@@ -253,10 +253,16 @@ func tickAt(tS, dt float64) int {
 }
 
 // meterTick is the tick that latches the meter's next sampling instant.
+// That instant moves only when the meter latches, so the tick is kept
+// with the instant it was computed for; a rebuilt engine's zero pair is
+// correct, since tickAt(0) is 0.
 //
 //teem:hotpath
 func (e *Engine) meterTick() int {
-	return tickAt(e.meter.NextSampleAtS(), TickS)
+	if at := e.meter.NextSampleAtS(); at != e.meterAtS {
+		e.meterAtS, e.meterK = at, tickAt(at, TickS)
+	}
+	return e.meterK
 }
 
 // latch feeds the meter the power e.bd holds for the tick a walk is on,
